@@ -70,24 +70,21 @@ fn bench_figures() {
     report(
         "sec5a",
         "c_size_and_time",
-        best_us(3, || size_and_time(&e, &sse())),
+        best_us(3, || size_and_time(&sse())),
     );
 }
 
 /// The µs-range JIT compile times §V-A(c) reports, as real benchmarks.
-/// Compilation goes through the engine's uncached path: the cached path
-/// is a map lookup and would only measure hashing.
+/// Compilation is the one-shot pipeline: the engine's cached path is a
+/// map lookup and would only measure hashing.
 fn bench_online_compile() {
-    let engine = Engine::new();
     let target = sse();
     let cfg = CompileConfig::default();
     for name in ["saxpy_fp", "sfir_s16", "mmm_fp"] {
         let kernel = find(name).unwrap().kernel();
         for flow in [Flow::SplitVectorNaive, Flow::SplitScalarNaive] {
             let us = best_us(20, || {
-                engine
-                    .compile_uncached(&kernel, flow, &target, &cfg)
-                    .unwrap()
+                vapor_core::compile(&kernel, flow, &target, &cfg).unwrap()
             });
             report("online_compile", &format!("{name}/{flow}"), us);
         }

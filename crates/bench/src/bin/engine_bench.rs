@@ -10,35 +10,29 @@
 //! 3. **Runtime-VL specialization** — what bringing up a *new* VL costs
 //!    under "compile once" (one re-specialization of the shared decode)
 //!    versus what a VL-keyed engine would pay (a full pipeline run).
-//! 4. **Target-sized register file** — decoded dispatch with the sized
-//!    (inline ≤32-byte) register file versus the seed-style max-width
-//!    (2048-bit) file, on the SSE-class target, plus the bytes one
-//!    register move costs in each representation.
-//! 5. **Predicated VLA fast dispatch** — decoded runtime-VL execution
+//! 4. **Predicated VLA fast dispatch** — decoded runtime-VL execution
 //!    (`DStep::VBinVlFast`/`VUnVlFast` kernels) versus the generic
 //!    merge-predicated interpreter loop, on the SVE-class target at
 //!    VL=512.
-//! 6. **Superinstruction fusion** — fused decoded dispatch (the
-//!    production path) versus an unfused decode of the same code, per
-//!    kernel, with the per-kernel superinstruction hit counts.
-//! 7. **Closure-threaded tier** — the region-threaded program with the
+//! 5. **Closure-threaded tier** — the region-threaded program with the
 //!    flattened register arena and precomputed address streams
 //!    (`Tier::Threaded`) versus the seed interpreter and versus the
 //!    decoded dispatch, on the same suite. The threaded run's
 //!    `vm_cycles` are asserted equal to the decoded run's before any
 //!    number is written: the tiers share one cycle model.
-//! 8. **Multi-tenant service stress** — thousands of mixed
-//!    compile/specialize/execute requests across threads through
-//!    `Engine::execute`, with p50/p99 latency and throughput; plus a
-//!    sharded vs single-lock contention A/B and a cold vs artifact-warm
-//!    compile A/B. Exact stats equalities (one lookup per request, one
-//!    compile per distinct tuple) are asserted inside the experiment.
-//! 9. **Allen–Kennedy distribution** — the former floor kernels
+//! 6. **Allen–Kennedy distribution** — the former floor kernels
 //!    (`lu`/`ludcmp`/`seidel`): vector-flow vs scalar-flow wall clock,
 //!    the per-kernel count of vectorized loops and recorded dependence
 //!    SCCs, and a deterministic check that toggling
 //!    `CompileConfig::no_distribution` leaves these kernels' `vm_cycles`
 //!    bit-identical (their distribution verdicts are report-only).
+//!
+//! Beside the timed sections, the per-kernel superinstruction counts of
+//! the fused decode are recorded (`"fusion"`): they are as deterministic
+//! as `vm_cycles` and gated the same way.
+//!
+//! Service behaviour under load (throughput, latency, lock contention,
+//! the artifact tier) is the repo benchmark's job — see `benchmark/`.
 //!
 //! ```text
 //! cargo run --release -p vapor-bench --bin engine_bench [out.json] [--baseline=committed.json]
@@ -47,10 +41,10 @@
 //! With `--baseline=`, the fresh speedups are compared against the
 //! committed JSON's values and the process fails on a regression below
 //! 70% of the committed number (or below the absolute floors). The
-//! per-kernel `vm_cycles` of the dispatch suite are additionally gated
-//! on *exact* equality: the VM cycle model is deterministic, so any
-//! drift is a real interpreter regression, caught without wall-clock
-//! noise.
+//! per-kernel `vm_cycles` and superinstruction counts of the dispatch
+//! suite are additionally gated on *exact* equality: they are
+//! deterministic, so any drift is a real interpreter regression, caught
+//! without wall-clock noise.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -59,7 +53,7 @@ use std::time::Instant;
 use vapor_bench::Engine;
 use vapor_core::{CompileConfig, ExecRequest, Flow, Tier};
 use vapor_kernels::{suite, KernelSpec, Scale, SuiteKind};
-use vapor_targets::{sse, sve, VBytes, MAX_VS};
+use vapor_targets::{sse, sve};
 
 /// Best-of-`reps` wall time of `f`, in seconds.
 fn best_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -93,9 +87,7 @@ fn cache_experiment(engine: &Engine) -> Vec<CacheRow> {
     for spec in suite() {
         let kernel = spec.kernel();
         let cold_us = best_secs(5, || {
-            engine
-                .compile_uncached(&kernel, flow, &target, &cfg)
-                .unwrap()
+            vapor_core::compile(&kernel, flow, &target, &cfg).unwrap()
         }) * 1e6;
         engine.compile(&kernel, flow, &target, &cfg).unwrap(); // warm
         let hit_us = best_secs(5, || {
@@ -162,9 +154,7 @@ fn vl_specialize_experiment(engine: &Engine) -> Vec<DispatchRow> {
     for spec in dispatch_suite() {
         let kernel = spec.kernel();
         let recompile_us = best_secs(5, || {
-            engine
-                .compile_uncached(&kernel, flow, &family, &cfg)
-                .unwrap()
+            vapor_core::compile(&kernel, flow, &family, &cfg).unwrap()
         }) * 1e6;
         let (compiled, _) = engine.specialize(&kernel, flow, &family, &cfg, vl).unwrap();
         let exec = family.at_vl(vl);
@@ -181,34 +171,6 @@ fn vl_specialize_experiment(engine: &Engine) -> Vec<DispatchRow> {
             name: spec.name.to_owned(),
             baseline_us: recompile_us,
             decoded_us: respec_us,
-            cycles: 0,
-        });
-    }
-    rows
-}
-
-/// Register-file experiment: decoded dispatch with target-sized
-/// registers versus the seed-style max-width (2048-bit, heap-backed)
-/// register file, on the 16-byte SSE target. Identical code, identical
-/// cycles — only register-move traffic differs.
-fn regmove_experiment(engine: &Engine) -> Vec<DispatchRow> {
-    let target = sse();
-    let cfg = CompileConfig::default();
-    let flow = Flow::SplitVectorOpt;
-    let mut rows = Vec::new();
-    for spec in dispatch_suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Full);
-        let sized_req = ExecRequest::new(&kernel, &target, &env)
-            .flow(flow)
-            .config(cfg.clone());
-        let wide_req = sized_req.clone().wide_registers(true);
-        let sized_us = best_secs(5, || engine.execute(&sized_req).unwrap()) * 1e6;
-        let wide_us = best_secs(5, || engine.execute(&wide_req).unwrap()) * 1e6;
-        rows.push(DispatchRow {
-            name: spec.name.to_owned(),
-            baseline_us: wide_us,
-            decoded_us: sized_us,
             cycles: 0,
         });
     }
@@ -297,46 +259,33 @@ fn threaded_experiment(engine: &Engine) -> Vec<ThreadedRow> {
     rows
 }
 
-/// One row of the fusion experiment: fused vs unfused decoded dispatch
-/// plus the hit counts that explain the delta.
+/// Per-kernel superinstruction counts of the production (fused) decode.
 struct FusionRow {
     name: String,
-    unfused_us: f64,
-    fused_us: f64,
     superinstructions: u32,
     three_op: u32,
 }
 
-/// Superinstruction fusion experiment: the engine's compiled artifact
-/// carries the fused decode (the production path); the baseline is an
-/// unfused decode of the *same* machine code, so the delta isolates the
-/// dispatch-overhead saving (results and `vm_cycles` are bit-identical
-/// — that part is the differential test suite's job).
-fn fusion_experiment(engine: &Engine) -> Vec<FusionRow> {
+/// The superinstruction inventory of the dispatch suite: deterministic,
+/// so the gate below compares it exactly. (That fusion leaves results
+/// and `vm_cycles` bit-identical is the differential test suite's job.)
+fn fusion_counts(engine: &Engine) -> Vec<FusionRow> {
     let target = sse();
     let cfg = CompileConfig::default();
-    let flow = Flow::SplitVectorOpt;
-    let mut rows = Vec::new();
-    for spec in dispatch_suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Full);
-        let fused_req = ExecRequest::new(&kernel, &target, &env)
-            .flow(flow)
-            .config(cfg.clone());
-        let unfused_req = fused_req.clone().fused(false);
-        let c = engine.execute(&fused_req).unwrap().compiled;
-        let fused_us = best_secs(5, || engine.execute(&fused_req).unwrap()) * 1e6;
-        let unfused_us = best_secs(5, || engine.execute(&unfused_req).unwrap()) * 1e6;
-        let stats = c.jit.decoded.fusion_stats();
-        rows.push(FusionRow {
-            name: spec.name.to_owned(),
-            unfused_us,
-            fused_us,
-            superinstructions: stats.total(),
-            three_op: stats.three_op(),
-        });
-    }
-    rows
+    dispatch_suite()
+        .iter()
+        .map(|spec| {
+            let c = engine
+                .compile(&spec.kernel(), Flow::SplitVectorOpt, &target, &cfg)
+                .unwrap();
+            let stats = c.jit.decoded.fusion_stats();
+            FusionRow {
+                name: spec.name.to_owned(),
+                superinstructions: stats.total(),
+                three_op: stats.three_op(),
+            }
+        })
+        .collect()
 }
 
 /// One row of the distribution experiment: a former floor kernel's
@@ -403,236 +352,6 @@ fn distribution_experiment(engine: &Engine) -> Vec<DistributionRow> {
     rows
 }
 
-/// Summary of the multi-tenant service stress experiment.
-struct ServiceSummary {
-    threads: usize,
-    requests: usize,
-    p50_us: f64,
-    p99_us: f64,
-    throughput_rps: f64,
-    pool_reuses: u64,
-    pool_allocs: u64,
-    sharded_contended: u64,
-    single_contended: u64,
-    artifact_cold_us: f64,
-    artifact_warm_us: f64,
-}
-
-/// One planned request of the mixed storm (indices into the spec list;
-/// the plan is built up front so the expected distinct-tuple count — and
-/// therefore the exact miss count — is known before any thread runs).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct PlannedReq {
-    spec: usize,
-    vla: bool,
-    tier: Tier,
-    fused: bool,
-}
-
-/// The service stress section: ≥1k mixed compile/specialize/execute
-/// requests across ≥4 threads against one shared engine, with
-/// per-request latencies (p50/p99), aggregate throughput, an exact
-/// stats-consistency check (hits + misses == requests; misses == the
-/// plan's distinct compile tuples — racing threads must deduplicate
-/// in-flight compiles, never duplicate or lose one), a sharded vs
-/// single-lock contention A/B, and a cold vs artifact-warm compile A/B.
-fn service_experiment() -> ServiceSummary {
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get().max(4));
-    let per_thread = 300usize;
-    let specs = dispatch_suite();
-    let sse_t = sse();
-    let sve_t = sve();
-    let envs: Vec<_> = specs.iter().map(|s| s.env(Scale::Test)).collect();
-    let kernels: Vec<_> = specs.iter().map(|s| s.kernel()).collect();
-
-    // The deterministic request mix: 50% decoded fixed-width, 20%
-    // runtime-VL specializations, 20% threaded tier, 10% unfused.
-    let plan_for = |tid: usize| -> Vec<PlannedReq> {
-        (0..per_thread)
-            .map(|i| {
-                let spec = (i * 7 + tid) % specs.len();
-                match i % 10 {
-                    0..=4 => PlannedReq {
-                        spec,
-                        vla: false,
-                        tier: Tier::Decoded,
-                        fused: true,
-                    },
-                    5 | 6 => PlannedReq {
-                        spec,
-                        vla: true,
-                        tier: Tier::Decoded,
-                        fused: true,
-                    },
-                    7 | 8 => PlannedReq {
-                        spec,
-                        vla: false,
-                        tier: Tier::Threaded,
-                        fused: true,
-                    },
-                    _ => PlannedReq {
-                        spec,
-                        vla: false,
-                        tier: Tier::Decoded,
-                        fused: false,
-                    },
-                }
-            })
-            .collect()
-    };
-    let plans: Vec<Vec<PlannedReq>> = (0..threads).map(plan_for).collect();
-    // The compile cache keys on (kernel, flow, target, cfg) only — the
-    // tier, fusion, and VL dimensions live in the execution caches — so
-    // the expected misses are the distinct (spec, target) pairs.
-    let distinct: std::collections::HashSet<(usize, bool)> =
-        plans.iter().flatten().map(|p| (p.spec, p.vla)).collect();
-
-    let engine = Engine::new();
-    let issued = threads * per_thread;
-    eprintln!("    storm: {threads} threads x {per_thread} mixed requests ...");
-    let start = Instant::now();
-    let mut latencies: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = plans
-            .iter()
-            .map(|plan| {
-                let engine = &engine;
-                let kernels = &kernels;
-                let envs = &envs;
-                let (sse_t, sve_t) = (&sse_t, &sve_t);
-                scope.spawn(move || {
-                    let mut lats = Vec::with_capacity(plan.len());
-                    for (i, p) in plan.iter().enumerate() {
-                        let target = if p.vla { sve_t } else { sse_t };
-                        let mut req = ExecRequest::new(&kernels[p.spec], target, &envs[p.spec])
-                            .tier(p.tier)
-                            .fused(p.fused);
-                        if p.vla {
-                            req = req.vl_bits([128, 512, 1024, 2048][i % 4]);
-                        }
-                        let t0 = Instant::now();
-                        engine
-                            .execute(&req)
-                            .unwrap_or_else(|e| panic!("{}: {e}", kernels[p.spec].name));
-                        lats.push(t0.elapsed().as_secs_f64() * 1e6);
-                    }
-                    lats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("storm worker panicked"))
-            .collect()
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let s = engine.stats();
-    // Exact stats equalities: every request is exactly one cache
-    // lookup, every distinct tuple is compiled exactly once (in-flight
-    // dedup), and every request cycles one arena through the pool.
-    assert_eq!(
-        s.hits + s.misses,
-        issued as u64,
-        "every request makes exactly one compile-cache lookup"
-    );
-    assert_eq!(
-        s.misses,
-        distinct.len() as u64,
-        "in-flight dedup: one compile per distinct tuple, none lost or duplicated"
-    );
-    assert_eq!(
-        s.pool_reuses + s.pool_allocs,
-        issued as u64,
-        "every request takes exactly one arena"
-    );
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-
-    // Contention A/B: the same hit-storm against a default-sharded and a
-    // single-lock engine; failed first-try lock acquisitions are counted
-    // inside the engine. (On a single-core host contention comes from
-    // preemption while a lock is held, so totals are small — the A/B
-    // ratio is the signal, not the absolute count.)
-    let contended = |shards: usize| {
-        let e = Engine::builder().shards(shards).build().unwrap();
-        let cfg = CompileConfig::default();
-        for k in &kernels {
-            e.compile(k, Flow::SplitVectorOpt, &sse_t, &cfg).unwrap();
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(8) {
-                let e = &e;
-                let kernels = &kernels;
-                let (cfg, sse_t) = (&cfg, &sse_t);
-                scope.spawn(move || {
-                    for _ in 0..20 {
-                        for k in kernels {
-                            black_box(e.compile(k, Flow::SplitVectorOpt, sse_t, cfg).unwrap());
-                        }
-                    }
-                });
-            }
-        });
-        e.stats().contended_locks
-    };
-    eprintln!("    contention A/B: sharded vs single-lock hit storm ...");
-    let sharded_contended = contended(vapor_core::DEFAULT_SHARDS);
-    let single_contended = contended(1);
-
-    // Artifact tier A/B: cold (full pipeline + write-back) vs warm (a
-    // fresh engine on the same store: offline stage skipped).
-    eprintln!("    artifact tier: cold vs warm process ...");
-    // CI sets VAPOR_ARTIFACT_DIR to keep (and upload) the store the
-    // cold engine writes; unset, the A/B runs in a scratch temp dir.
-    let (dir, keep) = match std::env::var_os("VAPOR_ARTIFACT_DIR") {
-        Some(d) => (std::path::PathBuf::from(d), true),
-        None => (
-            std::env::temp_dir().join(format!("vapor-service-bench-{}", std::process::id())),
-            false,
-        ),
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = CompileConfig::default();
-    let cold_engine = Engine::builder().artifact_dir(&dir).build().unwrap();
-    let t0 = Instant::now();
-    for k in &kernels {
-        cold_engine
-            .compile(k, Flow::SplitVectorOpt, &sse_t, &cfg)
-            .unwrap();
-    }
-    let artifact_cold_us = t0.elapsed().as_secs_f64() * 1e6;
-    let warm_engine = Engine::builder().artifact_dir(&dir).build().unwrap();
-    let t0 = Instant::now();
-    for k in &kernels {
-        warm_engine
-            .compile(k, Flow::SplitVectorOpt, &sse_t, &cfg)
-            .unwrap();
-    }
-    let artifact_warm_us = t0.elapsed().as_secs_f64() * 1e6;
-    let ws = warm_engine.stats();
-    assert_eq!(
-        ws.artifact_hits,
-        kernels.len() as u64,
-        "the warm engine must serve every compile from the artifact store"
-    );
-    if !keep {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    ServiceSummary {
-        threads,
-        requests: issued,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        throughput_rps: issued as f64 / wall,
-        pool_reuses: s.pool_reuses,
-        pool_allocs: s.pool_allocs,
-        sharded_contended,
-        single_contended,
-        artifact_cold_us,
-        artifact_warm_us,
-    }
-}
-
 /// Pull a top-level `"key": <number>` out of a committed benchmark JSON
 /// (no serde in the offline container; the format is our own writer's).
 fn json_number(text: &str, key: &str) -> Option<f64> {
@@ -677,48 +396,31 @@ fn main() {
         .map(str::to_owned);
     let engine = Engine::new();
 
-    eprintln!("[1/9] compilation cache: cold vs hit ...");
+    eprintln!("[1/6] compilation cache: cold vs hit ...");
     let cache = cache_experiment(&engine);
     let cold_total: f64 = cache.iter().map(|r| r.cold_us).sum();
     let hit_total: f64 = cache.iter().map(|r| r.hit_us).sum();
     let cache_speedup = cold_total / hit_total;
 
-    eprintln!("[2/9] VM dispatch: seed interpreter vs pre-decoded ...");
+    eprintln!("[2/6] VM dispatch: seed interpreter vs pre-decoded ...");
     let dispatch = dispatch_experiment(&engine);
     let base_total: f64 = dispatch.iter().map(|r| r.baseline_us).sum();
     let dec_total: f64 = dispatch.iter().map(|r| r.decoded_us).sum();
     let dispatch_speedup = base_total / dec_total;
 
-    eprintln!("[3/9] runtime-VL specialization: re-specialize vs full recompile ...");
+    eprintln!("[3/6] runtime-VL specialization: re-specialize vs full recompile ...");
     let vl_rows = vl_specialize_experiment(&engine);
     let vl_fresh: f64 = vl_rows.iter().map(|r| r.baseline_us).sum();
     let vl_hit: f64 = vl_rows.iter().map(|r| r.decoded_us).sum();
     let vl_speedup = vl_fresh / vl_hit;
 
-    eprintln!("[4/9] register file: target-sized vs seed max-width ...");
-    let regmove = regmove_experiment(&engine);
-    let wide_total: f64 = regmove.iter().map(|r| r.baseline_us).sum();
-    let sized_total: f64 = regmove.iter().map(|r| r.decoded_us).sum();
-    let regmove_speedup = wide_total / sized_total;
-    // Bytes one register move costs: the full 2048-bit array in the
-    // seed representation vs the inline VBytes payload for every
-    // fixed-width target.
-    let regmove_bytes_wide = MAX_VS;
-    let regmove_bytes_sized = std::mem::size_of::<VBytes>();
-
-    eprintln!("[5/9] VLA dispatch: generic predicated loop vs fast kernels ...");
+    eprintln!("[4/6] VLA dispatch: generic predicated loop vs fast kernels ...");
     let vla = vla_dispatch_experiment(&engine);
     let vla_base: f64 = vla.iter().map(|r| r.baseline_us).sum();
     let vla_fast: f64 = vla.iter().map(|r| r.decoded_us).sum();
     let vla_dispatch_speedup = vla_base / vla_fast;
 
-    eprintln!("[6/9] superinstruction fusion: fused vs unfused dispatch ...");
-    let fusion = fusion_experiment(&engine);
-    let fusion_unfused: f64 = fusion.iter().map(|r| r.unfused_us).sum();
-    let fusion_fused: f64 = fusion.iter().map(|r| r.fused_us).sum();
-    let fusion_speedup = fusion_unfused / fusion_fused;
-
-    eprintln!("[7/9] closure-threaded tier: seed vs decoded vs threaded ...");
+    eprintln!("[5/6] closure-threaded tier: seed vs decoded vs threaded ...");
     let threaded = threaded_experiment(&engine);
     let thr_base: f64 = threaded.iter().map(|r| r.baseline_us).sum();
     let thr_dec: f64 = threaded.iter().map(|r| r.decoded_us).sum();
@@ -726,11 +428,7 @@ fn main() {
     let threaded_speedup = thr_base / thr_thr;
     let threaded_vs_decoded = thr_dec / thr_thr;
 
-    eprintln!("[8/9] multi-tenant service: mixed request storm ...");
-    let service = service_experiment();
-    let artifact_speedup = service.artifact_cold_us / service.artifact_warm_us;
-
-    eprintln!("[9/9] Allen–Kennedy distribution: floor-kernel vector gains ...");
+    eprintln!("[6/6] Allen–Kennedy distribution: floor-kernel vector gains ...");
     let distribution = distribution_experiment(&engine);
     // The summary speedup covers the kernels that actually vectorize
     // (seidel is a genuine recurrence — its row documents the SCC, not a
@@ -747,6 +445,8 @@ fn main() {
         .sum();
     let distribution_speedup = dist_scalar / dist_vector;
 
+    let fusion = fusion_counts(&engine);
+
     let mut j = String::new();
     j.push_str("{\n");
     let _ = writeln!(j, "  \"target\": \"{}\",", sse().name);
@@ -754,11 +454,7 @@ fn main() {
     let _ = writeln!(j, "  \"cache_speedup\": {cache_speedup:.1},");
     let _ = writeln!(j, "  \"dispatch_speedup\": {dispatch_speedup:.3},");
     let _ = writeln!(j, "  \"vl_specialize_speedup\": {vl_speedup:.1},");
-    let _ = writeln!(j, "  \"regmove_speedup\": {regmove_speedup:.3},");
-    let _ = writeln!(j, "  \"regmove_bytes_wide\": {regmove_bytes_wide},");
-    let _ = writeln!(j, "  \"regmove_bytes_sized\": {regmove_bytes_sized},");
     let _ = writeln!(j, "  \"vla_dispatch_speedup\": {vla_dispatch_speedup:.3},");
-    let _ = writeln!(j, "  \"fusion_speedup\": {fusion_speedup:.3},");
     let _ = writeln!(j, "  \"threaded_speedup\": {threaded_speedup:.3},");
     let _ = writeln!(j, "  \"threaded_vs_decoded\": {threaded_vs_decoded:.3},");
     let _ = writeln!(j, "  \"distribution_speedup\": {distribution_speedup:.3},");
@@ -818,31 +514,13 @@ fn main() {
         );
     }
     j.push_str("  ],\n");
-    j.push_str("  \"regmove\": [\n");
-    for (i, r) in regmove.iter().enumerate() {
-        let sep = if i + 1 == regmove.len() { "" } else { "," };
-        let _ = writeln!(
-            j,
-            "    {{\"kernel\": \"{}\", \"wide_us\": {:.2}, \"sized_us\": {:.2}, \"speedup\": {:.3}}}{sep}",
-            r.name,
-            r.baseline_us,
-            r.decoded_us,
-            r.baseline_us / r.decoded_us
-        );
-    }
-    j.push_str("  ],\n");
     j.push_str("  \"fusion\": [\n");
     for (i, r) in fusion.iter().enumerate() {
         let sep = if i + 1 == fusion.len() { "" } else { "," };
         let _ = writeln!(
             j,
-            "    {{\"kernel\": \"{}\", \"unfused_us\": {:.2}, \"fused_us\": {:.2}, \"speedup\": {:.3}, \"superinstructions\": {}, \"three_op\": {}}}{sep}",
-            r.name,
-            r.unfused_us,
-            r.fused_us,
-            r.unfused_us / r.fused_us,
-            r.superinstructions,
-            r.three_op
+            "    {{\"kernel\": \"{}\", \"superinstructions\": {}, \"three_op\": {}}}{sep}",
+            r.name, r.superinstructions, r.three_op
         );
     }
     j.push_str("  ],\n");
@@ -875,67 +553,16 @@ fn main() {
             r.cycles
         );
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"service\": {\n");
-    let _ = writeln!(j, "    \"threads\": {},", service.threads);
-    let _ = writeln!(j, "    \"requests\": {},", service.requests);
-    let _ = writeln!(j, "    \"p50_us\": {:.2},", service.p50_us);
-    let _ = writeln!(j, "    \"p99_us\": {:.2},", service.p99_us);
-    let _ = writeln!(j, "    \"throughput_rps\": {:.1},", service.throughput_rps);
-    let _ = writeln!(j, "    \"pool_reuses\": {},", service.pool_reuses);
-    let _ = writeln!(j, "    \"pool_allocs\": {},", service.pool_allocs);
-    let _ = writeln!(
-        j,
-        "    \"sharded_contended\": {},",
-        service.sharded_contended
-    );
-    let _ = writeln!(j, "    \"single_contended\": {},", service.single_contended);
-    let _ = writeln!(
-        j,
-        "    \"artifact_cold_us\": {:.1},",
-        service.artifact_cold_us
-    );
-    let _ = writeln!(
-        j,
-        "    \"artifact_warm_us\": {:.1},",
-        service.artifact_warm_us
-    );
-    let _ = writeln!(j, "    \"artifact_speedup\": {artifact_speedup:.2}");
-    j.push_str("  }\n}\n");
+    j.push_str("  ]\n}\n");
 
     std::fs::write(&out_path, &j).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     println!("cache-hit compile speedup:    {cache_speedup:.1}x (floor ≥ 10x)");
     println!("pre-decoded dispatch speedup: {dispatch_speedup:.3}x (floor ≥ 1.2x)");
     println!("VL-specialize vs recompile:   {vl_speedup:.1}x");
-    println!(
-        "register file sized vs wide:  {regmove_speedup:.3}x wall clock, \
-         {regmove_bytes_wide} -> {regmove_bytes_sized} bytes/move ({:.1}x)",
-        regmove_bytes_wide as f64 / regmove_bytes_sized as f64
-    );
     println!("VLA fast vs generic dispatch: {vla_dispatch_speedup:.3}x (floor ≥ 1.3x)");
-    println!(
-        "superinstruction fusion:      {fusion_speedup:.3}x fused vs unfused (never-slower floor)"
-    );
     println!(
         "closure-threaded tier:        {threaded_speedup:.3}x vs seed \
          ({threaded_vs_decoded:.3}x vs decoded, floor ≥ 1.2x)"
-    );
-    println!(
-        "service storm:                {} reqs / {} threads, p50 {:.1}us p99 {:.1}us, \
-         {:.0} req/s",
-        service.requests, service.threads, service.p50_us, service.p99_us, service.throughput_rps
-    );
-    println!(
-        "  arena pool:                 {} reuses / {} allocs",
-        service.pool_reuses, service.pool_allocs
-    );
-    println!(
-        "  cache contention (A/B):     {} contended locks sharded vs {} single-lock",
-        service.sharded_contended, service.single_contended
-    );
-    println!(
-        "  artifact tier warm start:   {artifact_speedup:.2}x ({:.0}us cold -> {:.0}us warm)",
-        service.artifact_cold_us, service.artifact_warm_us
     );
     println!(
         "distribution floor kernels:   {distribution_speedup:.3}x vector vs scalar on the \
@@ -952,19 +579,10 @@ fn main() {
     let mut fail = false;
     let (mut cache_floor, mut dispatch_floor, mut vla_floor): (f64, f64, f64) = (10.0, 1.2, 1.3);
     let mut threaded_floor: f64 = 1.2;
-    // Fusion's wall-clock effect on an out-of-order host is small (the
-    // bookkeeping it removes predicts/pipelines well), so its wall gate
-    // is a loose never-slower floor; the *deterministic* gate below on
-    // per-kernel superinstruction counts is what catches a silently
-    // weakened pass exactly.
-    let mut fusion_floor: f64 = 0.95;
     // The vectorizing solvers must never run slower under the vector
     // flow than the scalar flow; a committed baseline raises the bar to
     // 70% of the recorded gain.
     let mut distribution_floor: f64 = 1.0;
-    // No absolute floor for the service storm (throughput is
-    // host-dependent); a committed baseline sets the 70% wall floor.
-    let mut service_floor: f64 = 0.0;
     if let Some(path) = baseline_path {
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
@@ -978,17 +596,9 @@ fn main() {
         if let Some(base_vla) = json_number(&text, "vla_dispatch_speedup") {
             vla_floor = vla_floor.max(0.7 * base_vla);
         }
-        // Present only in baselines recorded after the fusion PR.
-        if let Some(base_fusion) = json_number(&text, "fusion_speedup") {
-            fusion_floor = fusion_floor.max(0.7 * base_fusion);
-        }
         // Present only in baselines recorded after the threaded-tier PR.
         if let Some(base_threaded) = json_number(&text, "threaded_speedup") {
             threaded_floor = threaded_floor.max(0.7 * base_threaded);
-        }
-        // Present only in baselines recorded after the service PR.
-        if let Some(base_service) = json_number(&text, "throughput_rps") {
-            service_floor = 0.7 * base_service;
         }
         // Present only in baselines recorded after the distribution PR.
         if let Some(base_dist) = json_number(&text, "distribution_speedup") {
@@ -1085,10 +695,6 @@ fn main() {
         );
         fail = true;
     }
-    if fusion_speedup < fusion_floor {
-        eprintln!("REGRESSION: fusion speedup {fusion_speedup:.3}x < threshold {fusion_floor:.3}x");
-        fail = true;
-    }
     if threaded_speedup < threaded_floor {
         eprintln!(
             "REGRESSION: threaded-tier speedup {threaded_speedup:.3}x < threshold \
@@ -1100,25 +706,6 @@ fn main() {
         eprintln!(
             "REGRESSION: distribution floor-kernel speedup {distribution_speedup:.3}x < \
              threshold {distribution_floor:.3}x"
-        );
-        fail = true;
-    }
-    if service.throughput_rps < service_floor {
-        eprintln!(
-            "REGRESSION: service throughput {:.0} req/s < threshold {service_floor:.0} req/s",
-            service.throughput_rps
-        );
-        fail = true;
-    }
-    // The sharded cache must never contend *more* than the single-lock
-    // configuration under the same hit storm. (Exact stats equalities —
-    // lookups, dedup'd misses, arena cycling — are asserted inside
-    // service_experiment itself.)
-    if service.single_contended < service.sharded_contended {
-        eprintln!(
-            "REGRESSION: sharded cache contended {} times vs {} for a single lock \
-             under the same hit storm",
-            service.sharded_contended, service.single_contended
         );
         fail = true;
     }

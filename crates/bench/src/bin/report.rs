@@ -108,9 +108,9 @@ fn main() {
         std::process::exit(2);
     }
 
-    const EXPERIMENTS: [&str; 12] = [
+    const EXPERIMENTS: [&str; 11] = [
         "fig5a", "fig5b", "ablation", "realign", "size", "fig6a", "fig6b", "fig6c", "table3",
-        "vla", "vmperf", "service",
+        "vla", "vmperf",
     ];
     let wanted: Vec<&str> = args
         .iter()
@@ -235,7 +235,7 @@ fn main() {
     }
     if want("size") && want_target(&sse()) {
         printed = true;
-        let rows = size_and_time(&engine, &sse());
+        let rows = size_and_time(&sse());
         let table: Vec<Vec<String>> = rows
             .iter()
             .map(|r| {
@@ -336,15 +336,6 @@ fn main() {
     if want("vmperf") && (target_filter.is_none() || want_target(&sse()) || want_target(&sve())) {
         printed = true;
         print_vmperf(&engine, scale);
-    }
-
-    if want("service") && target_filter.is_none() {
-        // Rendered from the committed BENCH_engine.json (the storm takes
-        // minutes at bench scale; `engine_bench` is its producer). A
-        // *requested* section that is absent is a hard error — a report
-        // that silently prints nothing would hide a stale benchmark file
-        // from CI.
-        printed |= print_service(wanted.contains(&"service"));
     }
 
     if !printed {
@@ -589,7 +580,7 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
     println!(
         "three-op superinstructions fire on {three_op_kernels}/{kernels} suite kernels; \
          the predicated VLA form (ld.vl+op.vl+st.vl) fuses on the SVE/RVV family \
-         (wall-clock fused-vs-unfused recorded in BENCH_engine.json)\n"
+         (per-kernel counts gated exactly in BENCH_engine.json)\n"
     );
 
     // Planner verdicts: why every scalar loop stayed scalar, per loop
@@ -680,8 +671,8 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
             format!("{} evicted", s.evictions),
         ],
         vec![
-            "execution caches".to_string(),
-            format!("{} VL + {} threaded", s.vl_entries, s.threaded_entries),
+            "execution forms".to_string(),
+            format!("{} (key, VL) entries", s.vl_entries),
             "-".to_string(),
             format!("{} evicted", s.exec_evictions),
         ],
@@ -706,88 +697,6 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
             &rows
         )
     );
-}
-
-/// Pull a `"key": <number>` out of the committed benchmark JSON (no
-/// serde in the offline container; the format is `engine_bench`'s own
-/// writer's).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Render the multi-tenant service section of the committed
-/// `BENCH_engine.json`. Returns whether anything was printed; when the
-/// section was explicitly requested (`strict`) a missing file or a
-/// baseline predating the service PR exits non-zero instead of silently
-/// reporting nothing.
-fn print_service(strict: bool) -> bool {
-    let path = "BENCH_engine.json";
-    let missing = |what: &str| {
-        if strict {
-            eprintln!(
-                "service: {what} — regenerate with \
-                 `cargo run --release -p vapor-bench --bin engine_bench`"
-            );
-            std::process::exit(1);
-        }
-        false
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return missing(&format!("{path} not found"));
-    };
-    let Some(at) = text.find("\"service\":") else {
-        return missing(&format!("no \"service\" section in {path}"));
-    };
-    let sec = &text[at..];
-    let num = |key: &str| {
-        json_number(sec, key).unwrap_or_else(|| panic!("service section of {path} lacks \"{key}\""))
-    };
-    let rows = vec![
-        vec![
-            "mixed request storm".to_string(),
-            format!("{} requests / {} threads", num("requests"), num("threads")),
-            format!("{:.0} req/s", num("throughput_rps")),
-        ],
-        vec![
-            "latency".to_string(),
-            format!("p50 {:.1} µs", num("p50_us")),
-            format!("p99 {:.1} µs", num("p99_us")),
-        ],
-        vec![
-            "arena pool".to_string(),
-            format!("{} reuses", num("pool_reuses")),
-            format!("{} allocs", num("pool_allocs")),
-        ],
-        vec![
-            "cache contention A/B".to_string(),
-            format!("sharded: {} contended", num("sharded_contended")),
-            format!("single lock: {} contended", num("single_contended")),
-        ],
-        vec![
-            "artifact tier A/B".to_string(),
-            format!(
-                "cold {:.0} µs, warm {:.0} µs",
-                num("artifact_cold_us"),
-                num("artifact_warm_us")
-            ),
-            format!("{:.2}x warm-start speedup", num("artifact_speedup")),
-        ],
-    ];
-    println!(
-        "{}",
-        format_table(
-            &format!("Multi-tenant compile service — committed {path} stress section"),
-            &["metric", "value", "value"],
-            &rows
-        )
-    );
-    true
 }
 
 fn print_vla(engine: &Engine, family: &TargetDesc, scale: Scale) {

@@ -279,7 +279,7 @@ pub struct SizeRow {
 /// §V-A(c): bytecode size increase (~5× in the paper) and JIT compile
 /// time increase (~4.85×/5.37×), measured on real encoded bytes and real
 /// wall-clock online compilation.
-pub fn size_and_time(engine: &Engine, target: &TargetDesc) -> Vec<SizeRow> {
+pub fn size_and_time(target: &TargetDesc) -> Vec<SizeRow> {
     let cfg = CompileConfig::default();
     let mut rows = Vec::new();
     for spec in suite() {
@@ -291,9 +291,7 @@ pub fn size_and_time(engine: &Engine, target: &TargetDesc) -> Vec<SizeRow> {
             let mut best = f64::INFINITY;
             let mut bytes = 0;
             for _ in 0..5 {
-                let c = engine
-                    .compile_uncached(&kernel, flow, target, &cfg)
-                    .unwrap();
+                let c = vapor_core::compile(&kernel, flow, target, &cfg).unwrap();
                 best = best.min(c.online_time.as_secs_f64() * 1e6);
                 bytes = c.bytecode_bytes;
             }
@@ -613,7 +611,7 @@ mod tests {
 
     #[test]
     fn bytecode_size_ratio_is_large() {
-        let rows = size_and_time(&Engine::new(), &sse());
+        let rows = size_and_time(&sse());
         let (size, _) = size_time_summary(&rows);
         assert!(
             size > 2.5,

@@ -136,10 +136,13 @@ impl ArtifactStore {
         if bytes[4] != ARTIFACT_VERSION {
             return fail("unsupported version");
         }
-        let len = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes")) as usize;
-        if bytes.len() != header + len + 16 {
-            return fail("length mismatch (truncated or padded)");
-        }
+        // The length field is untrusted: bound it by checked arithmetic
+        // before it is used as an offset.
+        let len = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes"));
+        let len = match usize::try_from(len) {
+            Ok(len) if len.checked_add(header + 16) == Some(bytes.len()) => len,
+            _ => return fail("length mismatch (truncated or padded)"),
+        };
         let payload = &bytes[header..header + len];
         let want = u128::from_le_bytes(bytes[header + len..].try_into().expect("16 bytes"));
         if fnv1a_128(payload) != want {
@@ -209,6 +212,15 @@ mod tests {
         store.save(1, b"payload one").unwrap();
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        let err = store.load(1).unwrap_err();
+        assert!(err.0.contains("length mismatch"), "{err}");
+
+        // A length field that overflows the offset arithmetic is a
+        // mismatch like any other, not a panic.
+        store.save(1, b"payload one").unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
         let err = store.load(1).unwrap_err();
         assert!(err.0.contains("length mismatch"), "{err}");
 

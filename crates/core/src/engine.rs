@@ -15,14 +15,13 @@
 //!   [`Flow`], target fingerprint, and [`CompileConfig`] — two
 //!   structurally identical kernels hit the same entry no matter how
 //!   they were built.
-//! * **Sharded**: the compile cache is split N ways by key hash
-//!   ([`EngineBuilder::shards`]); concurrent compiles and cache hits on
-//!   different shards never touch the same lock. Contended lock
-//!   acquisitions are counted ([`EngineStats::contended_locks`]) so the
-//!   sharding win is *measurable*, not folklore.
-//! * **Bounded**: every tier (compile, per-VL decode, threaded,
-//!   unfused) evicts least-recently-used entries at its configured
-//!   capacity, with evictions counted per tier.
+//! * **Sharded**: the compile cache is split [`DEFAULT_SHARDS`] ways by
+//!   key hash; concurrent compiles and cache hits on different shards
+//!   never touch the same lock. Contended lock acquisitions are counted
+//!   ([`EngineStats::contended_locks`]).
+//! * **Bounded**: the compile cache and the per-(key, VL)
+//!   execution-form cache evict least-recently-used entries at their
+//!   capacity, with evictions counted.
 //! * **Pooled execution**: [`Engine::execute`] recycles machine memory
 //!   arenas through a bounded pool, so steady-state concurrent
 //!   executions stop allocating megabytes per request.
@@ -41,7 +40,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 use std::time::Instant;
 
 use vapor_ir::Kernel;
@@ -137,12 +136,10 @@ pub struct EngineStats {
     pub shards: usize,
     /// Compiled entries evicted (LRU) across all shards.
     pub evictions: u64,
-    /// Execution-form entries evicted (LRU) across the per-VL decode,
-    /// threaded, and unfused caches.
+    /// Execution-form entries evicted (LRU) from the per-VL cache.
     pub exec_evictions: u64,
     /// Shard-map lock acquisitions that found the lock held (the
-    /// contention the sharding exists to kill; compare shards=1 vs
-    /// shards=N under identical load).
+    /// contention the sharding exists to kill).
     pub contended_locks: u64,
     /// Total nanoseconds spent compiling on the miss path (divide by
     /// `misses` for the mean compile latency).
@@ -157,40 +154,37 @@ pub struct EngineStats {
     pub artifact_rejects: u64,
     /// Artifacts written to the store.
     pub artifact_writes: u64,
-    /// Runtime-VL execution specializations currently cached (the VL
-    /// dimension exists only here, never in the compile cache).
+    /// Per-(key, VL) execution forms currently cached (the VL dimension
+    /// exists only here, never in the compile cache).
     pub vl_entries: usize,
-    /// Closure-threaded execution programs currently cached (the tier
-    /// below the decoded programs; see [`Engine::thread`]).
-    pub threaded_entries: usize,
     /// Executions that reused a pooled memory arena.
     pub pool_reuses: u64,
     /// Executions that allocated a fresh arena (pool empty).
     pub pool_allocs: u64,
 }
 
-/// Default bound on the per-VL decode cache. VL specializations are
-/// cheap to rebuild (a re-specialization of the shared decode, not a
+/// Bound on the per-VL execution-form cache. Execution forms are cheap
+/// to rebuild (a re-specialization of the shared decode, not a
 /// compile), so the cache is a small LRU rather than an unbounded map —
 /// a service cycling through many (kernel, VL) pairs must not grow
 /// without limit.
 pub const VL_CACHE_CAPACITY: usize = 64;
 
-/// Default compile-cache shard count.
+/// Compile-cache shard count.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// Default bound on cached compilations (total, across shards).
 pub const COMPILE_CACHE_CAPACITY: usize = 4096;
 
-/// Default bound on pooled execution arenas.
+/// Bound on pooled execution arenas.
 pub const ARENA_POOL_CAPACITY: usize = 8;
 
 /// A tiny LRU map: a `HashMap` plus a monotone use-stamp per entry.
 /// Lookups are O(1); the eviction scan is O(n) over at most `cap`
 /// entries, which at the capacities used here (tens to a few thousand)
 /// is cheaper than maintaining an intrusive list. Generic over key and
-/// value so the compile shards and the decoded/threaded/unfused
-/// execution tiers share one implementation.
+/// value so the compile shards and the execution-form cache share one
+/// implementation.
 #[derive(Debug)]
 struct Lru<K, V> {
     map: HashMap<K, (Arc<V>, u64)>,
@@ -258,64 +252,37 @@ struct Shard {
     inflight_done: Condvar,
 }
 
+/// The execution forms of one compilation at one concrete vector
+/// length: the decoded specialization and, built on first use, its
+/// closure-threaded lowering.
+#[derive(Debug)]
+struct ExecForm {
+    decoded: Arc<DecodedProgram>,
+    threaded: OnceLock<Arc<ThreadedProgram>>,
+}
+
 /// Configuration of an [`Engine`], built by [`Engine::builder`].
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
-    shards: usize,
     compile_capacity: usize,
-    vl_capacity: usize,
-    threaded_capacity: usize,
-    pool_capacity: usize,
     artifact_dir: Option<PathBuf>,
 }
 
 impl Default for EngineBuilder {
     fn default() -> EngineBuilder {
         EngineBuilder {
-            shards: DEFAULT_SHARDS,
             compile_capacity: COMPILE_CACHE_CAPACITY,
-            vl_capacity: VL_CACHE_CAPACITY,
-            threaded_capacity: VL_CACHE_CAPACITY,
-            pool_capacity: ARENA_POOL_CAPACITY,
             artifact_dir: None,
         }
     }
 }
 
 impl EngineBuilder {
-    /// Compile-cache shard count (default [`DEFAULT_SHARDS`]). One
-    /// shard reproduces the old single-lock cache — the A/B baseline
-    /// the service benchmark measures contention against.
-    pub fn shards(mut self, n: usize) -> EngineBuilder {
-        self.shards = n.max(1);
-        self
-    }
-
     /// Total bound on cached compilations across all shards (default
     /// [`COMPILE_CACHE_CAPACITY`]). Each shard holds its proportional
     /// slice; LRU entries are evicted past it.
     pub fn compile_cache_capacity(mut self, cap: usize) -> EngineBuilder {
         self.compile_capacity = cap.max(1);
-        self
-    }
-
-    /// Bound on the per-VL decode LRU (default [`VL_CACHE_CAPACITY`]).
-    pub fn vl_cache_capacity(mut self, cap: usize) -> EngineBuilder {
-        self.vl_capacity = cap.max(1);
-        self
-    }
-
-    /// Bound on the closure-threaded program LRU (default
-    /// [`VL_CACHE_CAPACITY`]).
-    pub fn threaded_cache_capacity(mut self, cap: usize) -> EngineBuilder {
-        self.threaded_capacity = cap.max(1);
-        self
-    }
-
-    /// Bound on the pooled execution arenas kept for reuse (default
-    /// [`ARENA_POOL_CAPACITY`]). Zero disables pooling.
-    pub fn arena_pool_capacity(mut self, cap: usize) -> EngineBuilder {
-        self.pool_capacity = cap;
         self
     }
 
@@ -342,8 +309,8 @@ impl EngineBuilder {
             ),
             None => None,
         };
-        let per_shard = self.compile_capacity.div_ceil(self.shards).max(1);
-        let shards = (0..self.shards)
+        let per_shard = self.compile_capacity.div_ceil(DEFAULT_SHARDS);
+        let shards = (0..DEFAULT_SHARDS)
             .map(|_| Shard {
                 map: Mutex::new(Lru::new(per_shard)),
                 inflight: Mutex::new(HashSet::new()),
@@ -352,12 +319,9 @@ impl EngineBuilder {
             .collect();
         Ok(Engine {
             shards,
-            vl_cache: Mutex::new(Lru::new(self.vl_capacity)),
-            threaded_cache: Mutex::new(Lru::new(self.threaded_capacity)),
-            unfused_cache: Mutex::new(Lru::new(self.vl_capacity)),
+            exec_cache: Mutex::new(Lru::new(VL_CACHE_CAPACITY)),
             artifacts,
             arena_pool: Mutex::new(Vec::new()),
-            pool_capacity: self.pool_capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             contended: AtomicU64::new(0),
@@ -377,30 +341,20 @@ impl EngineBuilder {
 /// tenant) and route every compilation through it.
 #[derive(Debug)]
 pub struct Engine {
-    /// The sharded compile cache (see [`EngineBuilder::shards`]).
+    /// The sharded compile cache ([`DEFAULT_SHARDS`] ways).
     shards: Box<[Shard]>,
-    /// Execution specializations of VLA compilations: the *same*
-    /// `Arc<Compiled>` artifact, re-specialized per concrete runtime
-    /// vector length. Keyed by the compile key *plus* the VL — "compile
-    /// once" stays intact because the VL dimension first appears here.
-    /// Bounded (LRU): see [`VL_CACHE_CAPACITY`].
-    vl_cache: Mutex<Lru<(CacheKey, u32), DecodedProgram>>,
-    /// Closure-threaded lowerings of specialized programs, keyed like
-    /// the VL cache. Unlike decoded specializations, fixed-width
-    /// entries live here too: threading is a real lowering pass (region
-    /// construction, stream analysis, arena layout), not a free
-    /// `Arc` clone of a baked-in artifact.
-    threaded_cache: Mutex<Lru<(CacheKey, u32), ThreadedProgram>>,
-    /// Unfused decodes (one step per instruction), keyed like the VL
-    /// cache — the `fused(false)` execution option of
-    /// [`crate::ExecRequest`], cached so fusion-ablation request storms
-    /// do not re-decode per request.
-    unfused_cache: Mutex<Lru<(CacheKey, u32), DecodedProgram>>,
+    /// Execution forms of compilations: the *same* `Arc<Compiled>`
+    /// artifact, specialized per concrete vector length. Keyed by the
+    /// compile key *plus* the VL — "compile once" stays intact because
+    /// the VL dimension first appears here. VLA targets get an entry
+    /// per requested VL; a fixed-width target gets one only when its
+    /// threaded lowering is asked for (its decoded form is the one baked
+    /// into the compilation). Bounded (LRU): see [`VL_CACHE_CAPACITY`].
+    exec_cache: Mutex<Lru<(CacheKey, u32), ExecForm>>,
     /// The persistent artifact tier, when attached.
     artifacts: Option<ArtifactStore>,
     /// Recycled machine memory arenas for [`Engine::execute`].
     arena_pool: Mutex<Vec<Vec<u8>>>,
-    pool_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     contended: AtomicU64,
@@ -442,23 +396,10 @@ impl Engine {
         Engine::default()
     }
 
-    /// Start configuring an engine: shard count, per-tier capacities,
-    /// artifact-store path, arena pool.
+    /// Start configuring an engine: compile-cache bound and
+    /// artifact-store path.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// **Deprecated** legacy constructor: an engine whose per-VL decode
-    /// cache holds at most `cap` entries. Use
-    /// `Engine::builder().vl_cache_capacity(cap).build()` — the builder
-    /// also exposes shard count, compile-cache bound, and the artifact
-    /// tier, none of which this constructor can reach.
-    pub fn with_vl_cache_capacity(cap: usize) -> Engine {
-        Engine::builder()
-            .vl_cache_capacity(cap)
-            .threaded_cache_capacity(cap)
-            .build()
-            .expect("no artifact dir to fail on")
     }
 
     /// Lock a shard map, counting contention: a lock found held is
@@ -475,7 +416,10 @@ impl Engine {
         }
     }
 
-    pub(crate) fn key(
+    /// Derive the cache key of a request. Costs a pretty-print of the
+    /// kernel and a `Debug` dump of the target, so every entry point
+    /// calls it once and passes the key down.
+    fn key(
         &self,
         kernel: &Kernel,
         flow: Flow,
@@ -511,18 +455,30 @@ impl Engine {
         cfg: &CompileConfig,
     ) -> Result<Arc<Compiled>, PipelineError> {
         let key = self.key(kernel, flow, target, cfg);
+        self.compile_keyed(&key, kernel, flow, target, cfg)
+    }
+
+    /// [`Engine::compile`] under an already derived `key`.
+    fn compile_keyed(
+        &self,
+        key: &CacheKey,
+        kernel: &Kernel,
+        flow: Flow,
+        target: &TargetDesc,
+        cfg: &CompileConfig,
+    ) -> Result<Arc<Compiled>, PipelineError> {
         let shard = &self.shards[key.shard(self.shards.len())];
         // Fast path + in-flight claim: either the key is cached, or we
         // become its compiler, or we wait for whoever already is (a
         // failed compile wakes waiters without filling the cache; the
         // first waiter then claims the key and retries).
         loop {
-            if let Some(hit) = self.lock_shard(shard).get(&key) {
+            if let Some(hit) = self.lock_shard(shard).get(key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
             }
             let mut inflight = shard.inflight.lock().expect("inflight set poisoned");
-            if !inflight.contains(&key) {
+            if !inflight.contains(key) {
                 inflight.insert(key.clone());
                 break;
             }
@@ -538,10 +494,10 @@ impl Engine {
 
         self.misses.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let compiled = Arc::new(self.compile_miss(kernel, flow, target, cfg, &key)?);
+        let compiled = Arc::new(self.compile_miss(kernel, flow, target, cfg, key)?);
         self.compile_ns
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(self.lock_shard(shard).insert(key, compiled))
+        Ok(self.lock_shard(shard).insert(key.clone(), compiled))
     }
 
     /// The miss path: artifact tier first (when attached), full
@@ -586,23 +542,6 @@ impl Engine {
             self.artifact_writes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(compiled)
-    }
-
-    /// Compile without consulting or filling the cache. For timing
-    /// experiments (§V-A(c) measures real online-compile times, which a
-    /// cache hit would reduce to a map lookup) and for callers that
-    /// deliberately want a private copy.
-    ///
-    /// # Errors
-    /// Propagates [`PipelineError`]s from any stage.
-    pub fn compile_uncached(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-    ) -> Result<Arc<Compiled>, PipelineError> {
-        Ok(Arc::new(pipeline::compile(kernel, flow, target, cfg)?))
     }
 
     /// Compile a batch of jobs, fanning across OS threads. Results come
@@ -659,6 +598,95 @@ impl Engine {
             .collect()
     }
 
+    /// The shared head of every request: derive the key (once), look
+    /// the compilation up by it, and validate the (target, VL) pair.
+    pub(crate) fn lookup(
+        &self,
+        kernel: &Kernel,
+        flow: Flow,
+        target: &TargetDesc,
+        cfg: &CompileConfig,
+        vl_bits: usize,
+    ) -> Result<(CacheKey, Arc<Compiled>), PipelineError> {
+        let key = self.key(kernel, flow, target, cfg);
+        let compiled = self.compile_keyed(&key, kernel, flow, target, cfg)?;
+        check_vl(target, vl_bits)?;
+        Ok((key, compiled))
+    }
+
+    /// The execution-form entry of `compiled` at `vl_bits` (already
+    /// validated by [`check_vl`]), created on first use.
+    fn exec_form(
+        &self,
+        key: CacheKey,
+        compiled: &Compiled,
+        target: &TargetDesc,
+        vl_bits: usize,
+    ) -> Result<Arc<ExecForm>, PipelineError> {
+        let key = (key, vl_bits as u32);
+        if let Some(hit) = self
+            .exec_cache
+            .lock()
+            .expect("engine exec cache poisoned")
+            .get(&key)
+        {
+            return Ok(hit);
+        }
+        let decoded = if target.vla {
+            Arc::new(
+                compiled
+                    .jit
+                    .decoded
+                    .respecialize(&compiled.jit.code, &target.at_vl(vl_bits))
+                    .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))?,
+            )
+        } else {
+            Arc::clone(&compiled.jit.decoded)
+        };
+        let form = Arc::new(ExecForm {
+            decoded,
+            threaded: OnceLock::new(),
+        });
+        let mut lru = self.exec_cache.lock().expect("engine exec cache poisoned");
+        Ok(lru.insert(key, form))
+    }
+
+    /// The decoded program of a looked-up request. Fixed-width targets
+    /// run the decode baked into the compilation (no cache entry); VLA
+    /// targets run the shared decode re-specialized to `vl_bits`.
+    pub(crate) fn decoded_form(
+        &self,
+        key: CacheKey,
+        compiled: &Compiled,
+        target: &TargetDesc,
+        vl_bits: usize,
+    ) -> Result<Arc<DecodedProgram>, PipelineError> {
+        if !target.vla {
+            return Ok(Arc::clone(&compiled.jit.decoded));
+        }
+        let form = self.exec_form(key, compiled, target, vl_bits)?;
+        Ok(Arc::clone(&form.decoded))
+    }
+
+    /// The closure-threaded program of a looked-up request: the
+    /// entry's decoded form flattened into regions over a contiguous
+    /// register arena (see [`ThreadedProgram`]), built on first use.
+    /// Fixed-width targets get an entry here too — threading is a real
+    /// lowering pass, not a free `Arc` clone of a baked-in artifact.
+    pub(crate) fn threaded_form(
+        &self,
+        key: CacheKey,
+        compiled: &Compiled,
+        target: &TargetDesc,
+        vl_bits: usize,
+    ) -> Result<Arc<ThreadedProgram>, PipelineError> {
+        let form = self.exec_form(key, compiled, target, vl_bits)?;
+        let threaded = form
+            .threaded
+            .get_or_init(|| Arc::new(ThreadedProgram::thread(&form.decoded, &compiled.jit.code)));
+        Ok(Arc::clone(threaded))
+    }
+
     /// Specialize a compilation to a concrete runtime vector length.
     ///
     /// The compile step is the ordinary cached, VL-*agnostic* pipeline
@@ -686,95 +714,15 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
-        let compiled = self.compile(kernel, flow, target, cfg)?;
-        if !target.vla {
-            if target.vs * 8 == vl_bits {
-                let decoded = Arc::clone(&compiled.jit.decoded);
-                return Ok((compiled, decoded));
-            }
-            return Err(PipelineError(format!(
-                "target {} is fixed at {} bits; cannot specialize to VL={vl_bits}",
-                target.name,
-                target.vs * 8
-            )));
-        }
-        if !vapor_targets::valid_vl(vl_bits) {
-            return Err(PipelineError(format!(
-                "illegal runtime VL of {vl_bits} bits (must be a multiple of 128 in 128..=2048)"
-            )));
-        }
-        let key = (self.key(kernel, flow, target, cfg), vl_bits as u32);
-        if let Some(hit) = self
-            .vl_cache
-            .lock()
-            .expect("engine vl cache poisoned")
-            .get(&key)
-        {
-            return Ok((compiled, hit));
-        }
-        let exec = target.at_vl(vl_bits);
-        let prog = Arc::new(
-            compiled
-                .jit
-                .decoded
-                .respecialize(&compiled.jit.code, &exec)
-                .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))?,
-        );
-        let mut lru = self.vl_cache.lock().expect("engine vl cache poisoned");
-        Ok((compiled, lru.insert(key, prog)))
-    }
-
-    /// An *unfused* decode (one step per executable instruction) of the
-    /// cached compilation at a concrete VL — the `fused(false)` option
-    /// of [`crate::ExecRequest`], kept in its own bounded LRU so fusion
-    /// A/B storms do not re-decode per request. The same VL contract as
-    /// [`Engine::specialize`] applies.
-    ///
-    /// # Errors
-    /// Propagates compile-stage [`PipelineError`]s; rejects illegal VLs
-    /// and fixed-width/VL mismatches.
-    pub fn decode_unfused(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-        vl_bits: usize,
-    ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
-        // Validate the (target, VL) pair exactly like specialize does.
-        let (compiled, _) = self.specialize(kernel, flow, target, cfg, vl_bits)?;
-        let key = (self.key(kernel, flow, target, cfg), vl_bits as u32);
-        if let Some(hit) = self
-            .unfused_cache
-            .lock()
-            .expect("engine unfused cache poisoned")
-            .get(&key)
-        {
-            return Ok((compiled, hit));
-        }
-        let exec = exec_target(target, vl_bits);
-        let prog = Arc::new(
-            DecodedProgram::decode_unfused(&compiled.jit.code, &exec)
-                .map_err(|e| PipelineError(format!("unfused decode: {e}")))?,
-        );
-        let mut lru = self
-            .unfused_cache
-            .lock()
-            .expect("engine unfused cache poisoned");
-        Ok((compiled, lru.insert(key, prog)))
+        let (key, compiled) = self.lookup(kernel, flow, target, cfg, vl_bits)?;
+        let prog = self.decoded_form(key, &compiled, target, vl_bits)?;
+        Ok((compiled, prog))
     }
 
     /// Lower a compilation all the way to the closure-threaded
-    /// execution tier at a concrete vector length: [`Engine::specialize`]
-    /// resolves the (kernel, flow, target, config, VL) tuple to a
-    /// decoded program — with all of its caching and VL validation —
-    /// and the threading pass then flattens that decoded form into
-    /// regions over a contiguous register arena with precomputed
-    /// address streams (see [`ThreadedProgram`]).
-    ///
-    /// Threaded programs have their own bounded LRU keyed like the VL
-    /// cache; fixed-width targets are cached here too (the one width
-    /// they support is the key's VL).
+    /// execution tier at a concrete vector length. The threaded program
+    /// lives in the same per-(key, VL) entry as the decoded form it was
+    /// lowered from.
     ///
     /// # Errors
     /// Propagates compile-stage [`PipelineError`]s; rejects illegal VLs
@@ -788,22 +736,9 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<ThreadedProgram>), PipelineError> {
-        let (compiled, decoded) = self.specialize(kernel, flow, target, cfg, vl_bits)?;
-        let key = (self.key(kernel, flow, target, cfg), vl_bits as u32);
-        if let Some(hit) = self
-            .threaded_cache
-            .lock()
-            .expect("engine threaded cache poisoned")
-            .get(&key)
-        {
-            return Ok((compiled, hit));
-        }
-        let prog = Arc::new(ThreadedProgram::thread(&decoded, &compiled.jit.code));
-        let mut lru = self
-            .threaded_cache
-            .lock()
-            .expect("engine threaded cache poisoned");
-        Ok((compiled, lru.insert(key, prog)))
+        let (key, compiled) = self.lookup(kernel, flow, target, cfg, vl_bits)?;
+        let prog = self.threaded_form(key, &compiled, target, vl_bits)?;
+        Ok((compiled, prog))
     }
 
     /// Take a recycled execution arena from the pool (or report the
@@ -820,7 +755,7 @@ impl Engine {
     /// Return an execution arena to the pool (dropped when full).
     pub(crate) fn put_arena(&self, buf: Vec<u8>) {
         let mut pool = self.arena_pool.lock().expect("arena pool poisoned");
-        if pool.len() < self.pool_capacity {
+        if pool.len() < ARENA_POOL_CAPACITY {
             pool.push(buf);
         }
     }
@@ -840,29 +775,17 @@ impl Engine {
             entries += m.map.len();
             evictions += m.evictions;
         }
-        let (vl_entries, vl_ev) = {
-            let m = self.vl_cache.lock().expect("engine vl cache poisoned");
+        let (vl_entries, exec_evictions) = {
+            let m = self.exec_cache.lock().expect("engine exec cache poisoned");
             (m.map.len(), m.evictions)
         };
-        let (threaded_entries, thr_ev) = {
-            let m = self
-                .threaded_cache
-                .lock()
-                .expect("engine threaded cache poisoned");
-            (m.map.len(), m.evictions)
-        };
-        let unfused_ev = self
-            .unfused_cache
-            .lock()
-            .expect("engine unfused cache poisoned")
-            .evictions;
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries,
             shards: self.shards.len(),
             evictions,
-            exec_evictions: vl_ev + thr_ev + unfused_ev,
+            exec_evictions,
             contended_locks: self.contended.load(Ordering::Relaxed),
             compile_ns: self.compile_ns.load(Ordering::Relaxed),
             artifact_hits: self.artifact_hits.load(Ordering::Relaxed),
@@ -870,7 +793,6 @@ impl Engine {
             artifact_rejects: self.artifact_rejects.load(Ordering::Relaxed),
             artifact_writes: self.artifact_writes.load(Ordering::Relaxed),
             vl_entries,
-            threaded_entries,
             pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
             pool_allocs: self.pool_allocs.load(Ordering::Relaxed),
         }
@@ -889,30 +811,41 @@ impl Engine {
         self.len() == 0
     }
 
-    /// Drop every cached compilation, VL specialization, threaded
-    /// lowering, unfused decode, and pooled arena (counters and the
-    /// on-disk artifact store are kept).
+    /// Drop every cached compilation, execution form, and pooled arena
+    /// (counters and the on-disk artifact store are kept).
     pub fn clear(&self) {
         for s in self.shards.iter() {
             s.map.lock().expect("engine cache poisoned").map.clear();
         }
-        self.vl_cache
+        self.exec_cache
             .lock()
-            .expect("engine vl cache poisoned")
-            .map
-            .clear();
-        self.threaded_cache
-            .lock()
-            .expect("engine threaded cache poisoned")
-            .map
-            .clear();
-        self.unfused_cache
-            .lock()
-            .expect("engine unfused cache poisoned")
+            .expect("engine exec cache poisoned")
             .map
             .clear();
         self.arena_pool.lock().expect("arena pool poisoned").clear();
     }
+}
+
+/// Validate a (target, VL) pair — the one check every tier shares:
+/// fixed-width targets accept only their own width, VLA families any
+/// legal runtime VL.
+fn check_vl(target: &TargetDesc, vl_bits: usize) -> Result<(), PipelineError> {
+    if !target.vla {
+        if target.vs * 8 == vl_bits {
+            return Ok(());
+        }
+        return Err(PipelineError(format!(
+            "target {} is fixed at {} bits; cannot specialize to VL={vl_bits}",
+            target.name,
+            target.vs * 8
+        )));
+    }
+    if !vapor_targets::valid_vl(vl_bits) {
+        return Err(PipelineError(format!(
+            "illegal runtime VL of {vl_bits} bits (must be a multiple of 128 in 128..=2048)"
+        )));
+    }
+    Ok(())
 }
 
 /// The concrete-width execution target of a (family, VL) pair: the
@@ -1011,19 +944,44 @@ mod tests {
     }
 
     #[test]
-    fn uncached_compiles_are_private_and_leave_no_entry() {
-        let e = Engine::new();
+    fn edited_same_name_targets_miss_and_get_their_own_artifacts() {
+        // `TargetDesc` is a plain pub-field struct: a caller may keep
+        // the stock name and edit the cost table or a feature flag. The
+        // key fingerprints the target's full content, so such a target
+        // must not share a compilation — in memory or on disk — with
+        // the stock one.
+        let dir = scratch_store("target-fp");
+        let e = Engine::builder().artifact_dir(&dir).build().unwrap();
         let k = saxpy();
-        let t = sse();
         let cfg = CompileConfig::default();
-        let a = e
-            .compile_uncached(&k, Flow::NativeVector, &t, &cfg)
-            .unwrap();
-        let b = e
-            .compile_uncached(&k, Flow::NativeVector, &t, &cfg)
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert!(e.is_empty());
+        let flow = Flow::SplitVectorOpt;
+        let stock = sse();
+        let mut costlier = sse();
+        costlier.cost.salu += 1;
+        let mut no_fdiv = sse();
+        no_fdiv.has_fdiv = !no_fdiv.has_fdiv;
+        assert_eq!(costlier.name, stock.name);
+        assert_eq!(no_fdiv.name, stock.name);
+
+        let a = e.compile(&k, flow, &stock, &cfg).unwrap();
+        let b = e.compile(&k, flow, &costlier, &cfg).unwrap();
+        let c = e.compile(&k, flow, &no_fdiv, &cfg).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b), "edited cost table must miss");
+        assert!(!Arc::ptr_eq(&a, &c), "flipped feature flag must miss");
+        assert!(!Arc::ptr_eq(&b, &c));
+        let s = e.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
+        assert_eq!(s.artifact_writes, 3);
+        assert_eq!(
+            e.artifact_store().unwrap().len(),
+            3,
+            "three distinct .vsart ids"
+        );
+        // The stock target is undisturbed: it still hits its own entry.
+        let a2 = e.compile(&k, flow, &stock, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&a, &a2));
+        assert_eq!(e.stats().hits, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1155,32 +1113,29 @@ mod tests {
     }
 
     #[test]
-    fn vl_cache_is_lru_bounded() {
-        // Capacity 2: the least-recently-used specialization is evicted,
-        // recently-touched ones survive, and eviction only costs a
-        // re-specialization (never a recompile).
-        let e = Engine::with_vl_cache_capacity(2);
-        let k = saxpy();
-        let t = vapor_targets::sve();
-        let cfg = CompileConfig::default();
-        let flow = Flow::SplitVectorOpt;
-        let (_, p128) = e.specialize(&k, flow, &t, &cfg, 128).unwrap();
-        let (_, p256) = e.specialize(&k, flow, &t, &cfg, 256).unwrap();
-        assert_eq!(e.stats().vl_entries, 2);
-        // Touch 128 so 256 becomes the LRU entry, then insert a third.
-        let (_, p128b) = e.specialize(&k, flow, &t, &cfg, 128).unwrap();
-        assert!(Arc::ptr_eq(&p128, &p128b), "touched entry must still hit");
-        let (_, _p512) = e.specialize(&k, flow, &t, &cfg, 512).unwrap();
-        assert_eq!(e.stats().vl_entries, 2, "cache must stay bounded");
-        assert_eq!(e.stats().exec_evictions, 1, "eviction must be counted");
-        // 256 was evicted: a fresh Arc comes back. 128 survived.
-        let (_, p256b) = e.specialize(&k, flow, &t, &cfg, 256).unwrap();
-        assert!(!Arc::ptr_eq(&p256, &p256b), "LRU entry must be evicted");
-        assert_eq!(
-            e.stats().misses,
-            1,
-            "eviction re-specializes; it never recompiles"
-        );
+    fn lru_is_bounded_ordered_and_keeps_the_canonical_arc() {
+        let mut lru: Lru<u32, &str> = Lru::new(2);
+        let one = lru.insert(1, Arc::new("one"));
+        lru.insert(2, Arc::new("two"));
+        // A racing second insert of a present key loses: the caller
+        // gets the canonical Arc, and nothing is evicted.
+        let raced = lru.insert(1, Arc::new("uno"));
+        assert!(Arc::ptr_eq(&one, &raced));
+        assert_eq!((lru.map.len(), lru.evictions), (2, 0));
+        // That insert touched 1, so 2 is now least recently used; touch
+        // 2 through `get` to flip the order back.
+        assert!(lru.get(&2).is_some());
+        lru.insert(3, Arc::new("three"));
+        assert_eq!(lru.map.len(), 2, "the bound holds");
+        assert_eq!(lru.evictions, 1, "the eviction is counted");
+        assert!(lru.get(&1).is_none(), "the LRU entry went");
+        assert!(lru.get(&2).is_some(), "the touched entry survived");
+        assert!(lru.get(&3).is_some());
+        // A zero capacity is clamped to one slot, never a stuck loop.
+        let mut tiny: Lru<u32, &str> = Lru::new(0);
+        tiny.insert(1, Arc::new("a"));
+        tiny.insert(2, Arc::new("b"));
+        assert_eq!((tiny.map.len(), tiny.evictions), (1, 1));
     }
 
     #[test]
@@ -1252,7 +1207,7 @@ mod tests {
             .thread(&k, Flow::SplitVectorOpt, &sse(), &cfg, 128)
             .unwrap();
         assert!(Arc::ptr_eq(&t128, &t128b), "second thread must hit");
-        assert_eq!(e.stats().threaded_entries, 1);
+        assert_eq!(e.stats().vl_entries, 1);
         // VLA targets get one threaded form per VL, each matching its
         // decoded specialization's width.
         let sve = vapor_targets::sve();
@@ -1260,7 +1215,7 @@ mod tests {
         let (_, s512) = e.thread(&k, Flow::SplitVectorOpt, &sve, &cfg, 512).unwrap();
         assert_eq!(s256.vs, 32);
         assert_eq!(s512.vs, 64);
-        assert_eq!(e.stats().threaded_entries, 3);
+        assert_eq!(e.stats().vl_entries, 3);
         assert_eq!(e.stats().misses, 2, "threading never recompiles");
         // Specialize's contract is inherited: mismatched fixed widths
         // and illegal VLs are rejected, not threaded.
@@ -1269,7 +1224,7 @@ mod tests {
             .unwrap_err();
         assert!(err.0.contains("fixed at 128 bits"), "{err}");
         e.clear();
-        assert_eq!(e.stats().threaded_entries, 0);
+        assert_eq!(e.stats().vl_entries, 0);
     }
 
     #[test]
@@ -1287,41 +1242,57 @@ mod tests {
 
     #[test]
     fn builder_configures_shards_and_reports_them() {
-        let e = Engine::builder().shards(3).build().unwrap();
-        assert_eq!(e.stats().shards, 3);
-        let single = Engine::builder().shards(1).build().unwrap();
-        assert_eq!(single.stats().shards, 1);
-        // shards(0) is clamped, never a divide-by-zero.
-        let clamped = Engine::builder().shards(0).build().unwrap();
-        assert_eq!(clamped.stats().shards, 1);
+        // The shard count is fixed; the builder's capacity is what gets
+        // split across the shards. A capacity below the shard count is
+        // rounded up to one slot per shard, never a zero-capacity shard.
         assert_eq!(Engine::new().stats().shards, DEFAULT_SHARDS);
+        let tiny = Engine::builder().compile_cache_capacity(0).build().unwrap();
+        assert_eq!(tiny.stats().shards, DEFAULT_SHARDS);
+        let k = saxpy();
+        let a = tiny
+            .compile(&k, Flow::NativeScalar, &sse(), &CompileConfig::default())
+            .unwrap();
+        let b = tiny
+            .compile(&k, Flow::NativeScalar, &sse(), &CompileConfig::default())
+            .unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one slot per shard still caches");
     }
 
     #[test]
     fn compile_cache_is_bounded_and_counts_evictions() {
-        // One shard of capacity 2: the third distinct tuple evicts the
-        // least-recently-used compilation.
+        // Capacity 8 over the 8 shards is one entry per shard: 18
+        // distinct tuples must evict (counted) rather than grow, and
+        // whatever a shard compiled last is what it still holds.
         let e = Engine::builder()
-            .shards(1)
-            .compile_cache_capacity(2)
+            .compile_cache_capacity(DEFAULT_SHARDS)
             .build()
             .unwrap();
         let k = saxpy();
-        let t = sse();
         let cfg = CompileConfig::default();
-        let a = e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
-        e.compile(&k, Flow::SplitScalarNaive, &t, &cfg).unwrap();
-        // Touch the first so the second becomes LRU.
-        e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
-        e.compile(&k, Flow::SplitScalarOpt, &t, &cfg).unwrap();
+        let targets = [sse(), altivec(), vapor_targets::sve()];
+        let mut last = None;
+        for t in &targets {
+            for flow in Flow::ALL {
+                last = Some((e.compile(&k, flow, t, &cfg).unwrap(), flow, t));
+            }
+        }
         let s = e.stats();
-        assert_eq!(s.entries, 2, "cache must stay at capacity");
-        assert_eq!(s.evictions, 1, "the eviction must be counted");
-        // The touched entry survived; the LRU one recompiles.
-        let a2 = e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
-        assert!(Arc::ptr_eq(&a, &a2), "recently-used entry must survive");
-        e.compile(&k, Flow::SplitScalarNaive, &t, &cfg).unwrap();
-        assert_eq!(e.stats().misses, 4, "evicted tuple pays a recompile");
+        assert_eq!(s.misses, 18);
+        assert!(s.entries <= DEFAULT_SHARDS, "cache grew past its bound");
+        assert_eq!(s.evictions, 18 - s.entries as u64, "evictions are counted");
+        let (arc, flow, t) = last.unwrap();
+        let again = e.compile(&k, flow, t, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&arc, &again), "most recent entry must survive");
+        // Every tuple an eviction displaced pays a recompile.
+        for t in &targets {
+            for flow in Flow::ALL {
+                e.compile(&k, flow, t, &cfg).unwrap();
+            }
+        }
+        let s2 = e.stats();
+        assert!(s2.misses > s.misses, "evicted tuples recompile");
+        assert!(s2.entries <= DEFAULT_SHARDS);
+        assert_eq!(s2.evictions, s2.misses - s2.entries as u64);
     }
 
     #[test]

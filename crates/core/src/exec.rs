@@ -1,39 +1,24 @@
-//! The unified execution API of the compile service: one typed request,
-//! one entry point.
+//! The execution API of the compile service: one typed request, one
+//! entry point.
 //!
-//! The seed grew seven `run_*` free functions — one per (tier, width,
-//! fusion, VL) combination — each taking a pre-compiled artifact and
-//! re-deriving its execution form by hand. [`ExecRequest`] collapses
-//! that matrix into a builder over the *source-level* inputs (kernel,
+//! [`ExecRequest`] is a builder over the *source-level* inputs (kernel,
 //! flow, target, bindings) plus typed execution options, and
-//! [`Engine::execute`] resolves it end to end through every engine
-//! tier: the sharded compile cache, the per-VL specialization and
-//! threaded-lowering LRUs, the persistent artifact store, and the
-//! pooled execution arenas. A request storm therefore compiles each
-//! distinct tuple once, decodes each execution form once, and allocates
-//! machine memory only until the arena pool warms up.
-//!
-//! Migration from the legacy free functions:
-//!
-//! | legacy | request |
-//! |---|---|
-//! | `run(t, c, env, p)` | `ExecRequest::new(k, t, env).policy(p)` |
-//! | `run_wide(..)` | `….wide_registers(true)` |
-//! | `run_specialized(..)` | `….vl_bits(vl)` |
-//! | `run_specialized_wide(..)` | `….vl_bits(vl).wide_registers(true)` |
-//! | `run_threaded(..)` | `….tier(Tier::Threaded)` |
-//! | `run_unfused(..)` | `….fused(false)` |
-//! | `run_baseline(..)` | `….tier(Tier::Baseline)` |
+//! [`Engine::execute`] resolves it end to end in one straight line: one
+//! cache-key derivation, the sharded compile cache (backed by the
+//! persistent artifact store), the per-(key, VL) execution-form cache,
+//! and the pooled execution arenas. A request storm therefore compiles
+//! each distinct tuple once, builds each execution form once, and
+//! allocates machine memory only until the arena pool warms up.
 
 use std::fmt;
 use std::sync::Arc;
 
 use vapor_ir::{Bindings, Kernel};
-use vapor_targets::{ExecStats, TargetDesc, Trap};
+use vapor_targets::{ExecStats, Machine, TargetDesc, Trap};
 
 use crate::engine::{exec_target, Engine};
 use crate::pipeline::{CompileConfig, Compiled, Flow, PipelineError};
-use crate::run::{read_back, setup_machine_with, AllocPolicy, RunResult};
+use crate::run::{read_back, setup_machine, AllocPolicy};
 
 /// Which execution tier services the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -51,11 +36,10 @@ pub enum Tier {
 }
 
 /// One execution request against an [`Engine`]: what to run (kernel,
-/// flow, target, bindings) and how (tier, VL, fusion, register-file
-/// width, array placement). Build with [`ExecRequest::new`] and the
-/// chainable setters; the defaults reproduce the legacy `run()` —
-/// decoded tier, fused, target-sized registers, aligned arrays, the
-/// target's natural vector length.
+/// flow, target, bindings) and how (tier, VL, array placement). Build
+/// with [`ExecRequest::new`] and the chainable setters; the defaults are
+/// the decoded tier, aligned arrays, and the target's natural vector
+/// length.
 #[derive(Debug, Clone)]
 pub struct ExecRequest<'a> {
     pub(crate) kernel: &'a Kernel,
@@ -65,15 +49,13 @@ pub struct ExecRequest<'a> {
     pub(crate) cfg: CompileConfig,
     pub(crate) tier: Tier,
     pub(crate) vl_bits: Option<usize>,
-    pub(crate) fused: bool,
-    pub(crate) wide_registers: bool,
     pub(crate) policy: AllocPolicy,
 }
 
 impl<'a> ExecRequest<'a> {
     /// A request to run `kernel` on `target` against `env` with the
     /// default options: [`Flow::SplitVectorOpt`], the decoded tier,
-    /// fused dispatch, aligned arrays, the target's natural VL.
+    /// aligned arrays, the target's natural VL.
     pub fn new(kernel: &'a Kernel, target: &'a TargetDesc, env: &'a Bindings) -> ExecRequest<'a> {
         ExecRequest {
             kernel,
@@ -83,8 +65,6 @@ impl<'a> ExecRequest<'a> {
             cfg: CompileConfig::default(),
             tier: Tier::default(),
             vl_bits: None,
-            fused: true,
-            wide_registers: false,
             policy: AllocPolicy::Aligned,
         }
     }
@@ -109,29 +89,11 @@ impl<'a> ExecRequest<'a> {
 
     /// Concrete runtime vector length in bits. Defaults to the target's
     /// natural width (`vs * 8`); required to differ only on VLA targets,
-    /// where it selects the per-VL specialization (the legacy
-    /// `run_specialized`). Fixed-width targets accept only their own
-    /// width — the same contract as `Engine::specialize`.
+    /// where it selects the per-VL specialization. Fixed-width targets
+    /// accept only their own width — the same contract as
+    /// `Engine::specialize`.
     pub fn vl_bits(mut self, vl_bits: usize) -> ExecRequest<'a> {
         self.vl_bits = Some(vl_bits);
-        self
-    }
-
-    /// Superinstruction fusion in the decoded tier (default on). Turning
-    /// it off executes one step per instruction — the fusion-ablation
-    /// side of the differential (legacy `run_unfused`). Ignored by the
-    /// baseline tier (which never decodes) and the threaded tier (which
-    /// lowers the fused decode).
-    pub fn fused(mut self, fused: bool) -> ExecRequest<'a> {
-        self.fused = fused;
-        self
-    }
-
-    /// Force the seed-style max-width register file (default off; see
-    /// `Machine::set_wide_registers`). Results are bit-identical; only
-    /// register-move traffic differs.
-    pub fn wide_registers(mut self, wide: bool) -> ExecRequest<'a> {
-        self.wide_registers = wide;
         self
     }
 
@@ -151,17 +113,6 @@ pub struct ExecOutcome {
     pub stats: ExecStats,
     /// The (shared, cached) compilation that was executed.
     pub compiled: Arc<Compiled>,
-}
-
-impl ExecOutcome {
-    /// This outcome as the legacy [`RunResult`] (for code still shaped
-    /// around the old `run_*` returns).
-    pub fn run_result(&self) -> RunResult {
-        RunResult {
-            out: self.out.clone(),
-            stats: self.stats,
-        }
-    }
 }
 
 /// Error of [`Engine::execute`]: the request failed to compile, or the
@@ -198,13 +149,14 @@ impl From<Trap> for ExecError {
 }
 
 impl Engine {
-    /// Serve one execution request end to end: compile (through the
-    /// sharded cache and, when attached, the persistent artifact tier),
-    /// resolve the requested execution form (tier, VL, fusion — each
-    /// through its own LRU), bind the request's arrays into a machine
-    /// whose memory arena is recycled from the engine's pool when one
-    /// is warm, run, and read the results back. The arena returns to
-    /// the pool afterwards — including when execution traps.
+    /// Serve one execution request end to end: derive the cache key
+    /// (once), look the compilation up by it (through the sharded cache
+    /// and, when attached, the persistent artifact tier), resolve the
+    /// requested tier's execution form at the request's VL, bind the
+    /// request's arrays into a machine whose memory arena is recycled
+    /// from the engine's pool when one is warm, run, and read the
+    /// results back. The arena returns to the pool afterwards —
+    /// including when execution traps.
     ///
     /// # Errors
     /// [`ExecError::Compile`] when any pipeline stage rejects the
@@ -216,61 +168,52 @@ impl Engine {
         // the 0-bit scalar-only one) take their baked width; the VLA
         // families take their 128-bit minimum.
         let vl = req.vl_bits.unwrap_or(req.target.vs * 8);
+        let (key, compiled) = self.lookup(req.kernel, req.flow, req.target, &req.cfg, vl)?;
+        let exec_t = exec_target(req.target, vl);
+        let (env, policy) = (req.env, req.policy);
         match req.tier {
-            Tier::Baseline => {
-                // Validate the (target, VL) pair exactly like the other
-                // tiers, then dispatch the raw machine code.
-                let (compiled, _) =
-                    self.specialize(req.kernel, req.flow, req.target, &req.cfg, vl)?;
-                let exec_t = exec_target(req.target, vl);
-                let code = Arc::clone(&compiled);
-                self.run_request(req, &exec_t, compiled, move |m| m.run(&code.jit.code))
-            }
+            Tier::Baseline => self.run_compiled(&exec_t, &compiled, env, policy, |m| {
+                m.run(&compiled.jit.code)
+            }),
             Tier::Decoded => {
-                let (compiled, prog) = if req.fused {
-                    self.specialize(req.kernel, req.flow, req.target, &req.cfg, vl)?
-                } else {
-                    self.decode_unfused(req.kernel, req.flow, req.target, &req.cfg, vl)?
-                };
-                let exec_t = exec_target(req.target, vl);
-                self.run_request(req, &exec_t, compiled, move |m| m.run_decoded(&prog))
+                let prog = self.decoded_form(key, &compiled, req.target, vl)?;
+                self.run_compiled(&exec_t, &compiled, env, policy, |m| m.run_decoded(&prog))
             }
             Tier::Threaded => {
-                let (compiled, prog) =
-                    self.thread(req.kernel, req.flow, req.target, &req.cfg, vl)?;
-                let exec_t = exec_target(req.target, vl);
-                self.run_request(req, &exec_t, compiled, move |m| m.run_threaded(&prog))
+                let prog = self.threaded_form(key, &compiled, req.target, vl)?;
+                self.run_compiled(&exec_t, &compiled, env, policy, |m| m.run_threaded(&prog))
             }
         }
     }
 
-    /// The shared machine lifecycle of [`Engine::execute`]: pooled
-    /// arena in, bind, run one tier's dispatch, read back, arena out.
-    fn run_request(
+    /// The machine lifecycle of [`Engine::execute`], for callers that
+    /// bring their own execution form of `compiled` (the test suites'
+    /// reference programs): pooled arena in, bind `env` into a machine
+    /// for the concrete-width `exec_target`, `run` one dispatch over
+    /// it, read back, arena out.
+    ///
+    /// # Errors
+    /// [`ExecError::Trap`] on missing bindings and whatever `run` traps
+    /// with.
+    pub fn run_compiled(
         &self,
-        req: &ExecRequest<'_>,
-        exec_t: &TargetDesc,
-        compiled: Arc<Compiled>,
-        run: impl FnOnce(&mut vapor_targets::Machine<'_>) -> Result<ExecStats, Trap>,
+        exec_target: &TargetDesc,
+        compiled: &Arc<Compiled>,
+        env: &Bindings,
+        policy: AllocPolicy,
+        run: impl FnOnce(&mut Machine<'_>) -> Result<ExecStats, Trap>,
     ) -> Result<ExecOutcome, ExecError> {
-        let (mut m, bases) = setup_machine_with(
-            exec_t,
-            &compiled,
-            req.env,
-            req.policy,
-            req.wide_registers,
-            self.take_arena(),
-        )?;
+        let (mut m, bases) = setup_machine(exec_target, compiled, env, policy, self.take_arena())?;
         let outcome = run(&mut m);
         // The arena goes back to the pool even when execution traps —
         // a trapping tenant must not bleed the pool dry.
-        let result = outcome.map(|stats| read_back(&m, bases, stats));
+        let result = outcome.map(|stats| (read_back(&m, bases), stats));
         self.put_arena(m.into_arena());
-        let RunResult { out, stats } = result?;
+        let (out, stats) = result?;
         Ok(ExecOutcome {
             out,
             stats,
-            compiled,
+            compiled: Arc::clone(compiled),
         })
     }
 }
@@ -278,11 +221,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::compile;
-    use crate::run::{
-        arrays_match, reference, run, run_baseline, run_specialized, run_threaded, run_unfused,
-        run_wide,
-    };
+    use crate::run::{arrays_match, reference};
     use vapor_frontend::parse_kernel;
     use vapor_ir::{ArrayData, ScalarTy};
     use vapor_targets::sse;
@@ -308,24 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_defaults_match_the_legacy_run_shim() {
-        let e = Engine::new();
-        let k = saxpy();
-        let t = sse();
-        let env = saxpy_env(129);
-        let got = e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
-        let c = compile(&k, Flow::SplitVectorOpt, &t, &CompileConfig::default()).unwrap();
-        let want = run(&t, &c, &env, AllocPolicy::Aligned).unwrap();
-        arrays_match(
-            want.out.array("y").unwrap(),
-            got.out.array("y").unwrap(),
-            0.0,
-        )
-        .unwrap();
-        assert_eq!(got.stats, want.stats, "bit-identical cycle accounting");
-    }
-
-    #[test]
     fn all_tiers_agree_and_match_the_oracle() {
         let e = Engine::new();
         let k = saxpy();
@@ -336,14 +257,10 @@ mod tests {
         let decoded = e.execute(&base.clone()).unwrap();
         let baseline = e.execute(&base.clone().tier(Tier::Baseline)).unwrap();
         let threaded = e.execute(&base.clone().tier(Tier::Threaded)).unwrap();
-        let unfused = e.execute(&base.clone().fused(false)).unwrap();
-        let wide = e.execute(&base.clone().wide_registers(true)).unwrap();
         for (name, r) in [
             ("decoded", &decoded),
             ("baseline", &baseline),
             ("threaded", &threaded),
-            ("unfused", &unfused),
-            ("wide", &wide),
         ] {
             arrays_match(oracle.array("y").unwrap(), r.out.array("y").unwrap(), 1e-6)
                 .unwrap_or_else(|err| panic!("{name}: {err}"));
@@ -418,81 +335,32 @@ mod tests {
     }
 
     #[test]
-    fn execute_matches_every_legacy_shim_bit_for_bit() {
-        // The compat contract of the API redesign: each legacy free
-        // function and its ExecRequest spelling produce bit-identical
-        // machine state and cycle accounting.
+    fn tiers_share_one_exec_form_entry_per_key_and_vl() {
         let e = Engine::new();
         let k = saxpy();
-        let env = saxpy_env(129);
-        let cfg = CompileConfig::default();
-        let t = sse();
-        let c = compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
-        let req = ExecRequest::new(&k, &t, &env);
-
-        let pairs: Vec<(&str, RunResult, ExecOutcome)> = vec![
-            (
-                "run",
-                run(&t, &c, &env, AllocPolicy::Aligned).unwrap(),
-                e.execute(&req.clone()).unwrap(),
-            ),
-            (
-                "run_wide",
-                run_wide(&t, &c, &env, AllocPolicy::Aligned).unwrap(),
-                e.execute(&req.clone().wide_registers(true)).unwrap(),
-            ),
-            (
-                "run_baseline",
-                run_baseline(&t, &c, &env, AllocPolicy::Aligned).unwrap(),
-                e.execute(&req.clone().tier(Tier::Baseline)).unwrap(),
-            ),
-            (
-                "run_unfused",
-                run_unfused(&t, &c, &env, AllocPolicy::Aligned).unwrap(),
-                e.execute(&req.clone().fused(false)).unwrap(),
-            ),
-        ];
-        for (name, want, got) in &pairs {
-            arrays_match(
-                want.out.array("y").unwrap(),
-                got.out.array("y").unwrap(),
-                0.0,
-            )
-            .unwrap_or_else(|err| panic!("{name}: {err}"));
-            assert_eq!(&got.stats, &want.stats, "{name}");
-        }
-
-        // The specialized and threaded shims, on a VLA target.
-        let sve = vapor_targets::sve();
-        let vreq = ExecRequest::new(&k, &sve, &env);
-        for vl in [256usize, 1024] {
-            let (vc, prog) = e
-                .specialize(&k, Flow::SplitVectorOpt, &sve, &cfg, vl)
-                .unwrap();
-            let exec = sve.at_vl(vl);
-            let want = run_specialized(&exec, &vc, &prog, &env, AllocPolicy::Aligned).unwrap();
-            let got = e.execute(&vreq.clone().vl_bits(vl)).unwrap();
-            arrays_match(
-                want.out.array("y").unwrap(),
-                got.out.array("y").unwrap(),
-                0.0,
-            )
-            .unwrap_or_else(|err| panic!("run_specialized vl={vl}: {err}"));
-            assert_eq!(got.stats, want.stats, "run_specialized vl={vl}");
-
-            let (tc, tprog) = e.thread(&k, Flow::SplitVectorOpt, &sve, &cfg, vl).unwrap();
-            let want = run_threaded(&exec, &tc, &tprog, &env, AllocPolicy::Aligned).unwrap();
-            let got = e
-                .execute(&vreq.clone().vl_bits(vl).tier(Tier::Threaded))
-                .unwrap();
-            arrays_match(
-                want.out.array("y").unwrap(),
-                got.out.array("y").unwrap(),
-                0.0,
-            )
-            .unwrap_or_else(|err| panic!("run_threaded vl={vl}: {err}"));
-            assert_eq!(got.stats, want.stats, "run_threaded vl={vl}");
-        }
+        let t = vapor_targets::sve();
+        let env = saxpy_env(100);
+        let req = ExecRequest::new(&k, &t, &env).vl_bits(512);
+        // The baseline tier runs raw machine code: it validates the VL
+        // but builds no execution form.
+        e.execute(&req.clone().tier(Tier::Baseline)).unwrap();
+        assert_eq!(e.stats().vl_entries, 0);
+        // Decoded and threaded requests at one (key, VL) share an entry:
+        // the threaded lowering is built inside the decoded form's.
+        let decoded = e.execute(&req).unwrap();
+        assert_eq!(e.stats().vl_entries, 1);
+        let threaded = e.execute(&req.clone().tier(Tier::Threaded)).unwrap();
+        assert_eq!(e.stats().vl_entries, 1, "same (key, VL), same entry");
+        assert_eq!(threaded.stats, decoded.stats);
+        e.execute(&req.clone().vl_bits(1024).tier(Tier::Threaded))
+            .unwrap();
+        assert_eq!(e.stats().vl_entries, 2, "a new VL is a new entry");
+        // One compile lookup per request on every tier.
+        let s = e.stats();
+        assert_eq!((s.hits, s.misses), (3, 1), "hits + misses == requests");
+        assert_eq!(s.exec_evictions, 0);
+        e.clear();
+        assert_eq!(e.stats().vl_entries, 0, "clear drops execution forms");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! ([`Engine`]) that caches end-to-end compilations from mini-C kernels
 //! through the offline vectorizer, the portable encoded bytecode, and the
 //! online compilers, down to pre-decoded virtual SIMD machine code; plus
-//! the unified execution API ([`ExecRequest`] / [`Engine::execute`]) and
-//! the reference oracle ([`reference()`]).
+//! the execution API ([`ExecRequest`] / [`Engine::execute`]) and the
+//! reference oracle ([`reference()`]).
 //!
 //! The engine is server-shaped: its compile cache is sharded and bounded,
 //! execution-memory arenas are pooled across requests, and an optional
@@ -57,7 +57,4 @@ pub use exec::{ExecError, ExecOutcome, ExecRequest, Tier};
 pub use pipeline::{
     compile, offline_compile, online_compile, CompileConfig, Compiled, Flow, PipelineError,
 };
-pub use run::{
-    arrays_match, reference, run, run_baseline, run_specialized, run_specialized_wide,
-    run_threaded, run_unfused, run_wide, AllocPolicy, RunResult,
-};
+pub use run::{arrays_match, reference, AllocPolicy};

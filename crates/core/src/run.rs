@@ -1,8 +1,10 @@
 //! Execution harness: load a compiled kernel into the virtual SIMD
-//! machine, bind arguments and arrays, run, and read results back.
+//! machine, bind arguments and arrays, and read results back — the
+//! machine lifecycle behind `Engine::execute` — plus the reference
+//! oracle and the array comparer.
 
 use vapor_ir::{interpret, ArrayData, Bindings, Kernel, Value};
-use vapor_targets::{ExecStats, Machine, Memory, TargetDesc, Trap, MAX_VS};
+use vapor_targets::{Machine, Memory, TargetDesc, Trap, MAX_VS};
 
 use crate::pipeline::Compiled;
 
@@ -21,198 +23,19 @@ pub enum AllocPolicy {
     Misaligned(usize),
 }
 
-/// Result of one execution.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Final array contents, keyed by array name.
-    pub out: Bindings,
-    /// Cycle/instruction counts from the VM.
-    pub stats: ExecStats,
-}
-
-/// **Deprecated** shim: execute compiled code against the given
-/// bindings through the decoded tier. New code should build a
-/// [`crate::ExecRequest`] and call `Engine::execute` — it adds caching,
-/// arena pooling, tier/VL/fusion selection, and service stats; this
-/// shim is kept so pre-service call sites keep compiling and as the
-/// compat-test oracle.
-///
-/// # Errors
-/// Returns [`Trap`] on VM contract violations (always a compiler bug in
-/// this codebase) and missing bindings.
-pub fn run(
-    target: &TargetDesc,
-    compiled: &Compiled,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let (mut m, bases) = setup_machine(target, compiled, env, policy, false)?;
-    let stats = m.run_decoded(&compiled.jit.decoded)?;
-    Ok(read_back(&m, bases, stats))
-}
-
-/// **Deprecated** shim (see [`run()`]; use
-/// `ExecRequest::wide_registers(true)` with `Engine::execute` instead).
-///
-/// Like [`run()`], but forcing the seed-style register file: every
-/// vector register heap-backed at the full `MAX_VS` (2048-bit) width
-/// regardless of the target. Results and cycle counts are identical to
-/// [`run()`] by construction — only register-move traffic differs.
-/// Used by the register-file benchmarks and the differential tests that
-/// pin the target-sized representation to the max-sized one.
-///
-/// # Errors
-/// Same contract as [`run()`].
-pub fn run_wide(
-    target: &TargetDesc,
-    compiled: &Compiled,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let (mut m, bases) = setup_machine(target, compiled, env, policy, true)?;
-    let stats = m.run_decoded(&compiled.jit.decoded)?;
-    Ok(read_back(&m, bases, stats))
-}
-
-/// **Deprecated** shim (see [`run()`]; use `ExecRequest::vl_bits` with
-/// `Engine::execute` instead).
-///
-/// Like [`run()`], but executing a runtime-VL specialization produced by
-/// `Engine::specialize`: `exec_target` must be the concrete-width
-/// description (`family.at_vl(vl_bits)`) whose decode produced `prog`.
-/// The compiled artifact itself stays VL-agnostic — only the machine and
-/// the pre-decoded program carry the concrete width.
-///
-/// # Errors
-/// Returns [`Trap`] on VM contract violations and missing bindings; a
-/// mismatch between `exec_target` and `prog` traps up front.
-pub fn run_specialized(
-    exec_target: &TargetDesc,
-    compiled: &Compiled,
-    prog: &vapor_targets::DecodedProgram,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let (mut m, bases) = setup_machine(exec_target, compiled, env, policy, false)?;
-    let stats = m.run_decoded(prog)?;
-    Ok(read_back(&m, bases, stats))
-}
-
-/// **Deprecated** shim (see [`run()`]; use `ExecRequest::vl_bits` plus
-/// `ExecRequest::wide_registers(true)` with `Engine::execute` instead).
-///
-/// [`run_specialized`] with the seed-style max-width register file (see
-/// [`run_wide`]): the differential harness for runtime-VL machines,
-/// whose narrow specializations use inline registers.
-///
-/// # Errors
-/// Same contract as [`run_specialized`].
-pub fn run_specialized_wide(
-    exec_target: &TargetDesc,
-    compiled: &Compiled,
-    prog: &vapor_targets::DecodedProgram,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let (mut m, bases) = setup_machine(exec_target, compiled, env, policy, true)?;
-    let stats = m.run_decoded(prog)?;
-    Ok(read_back(&m, bases, stats))
-}
-
-/// **Deprecated** shim (see [`run()`]; use
-/// `ExecRequest::tier(Tier::Threaded)` with `Engine::execute` instead).
-///
-/// Like [`run_specialized`], but executing through the closure-threaded
-/// tier: `prog` is the threaded lowering produced by `Engine::thread`
-/// (or `ThreadedProgram::thread`) for the same concrete-width
-/// `exec_target`. Array state, cycle counts and instruction counts are
-/// bit-identical to the decoded dispatch on every non-trapping
-/// execution — the decoded tier stays the differential oracle.
-///
-/// # Errors
-/// Returns [`Trap`] on VM contract violations and missing bindings; a
-/// mismatch between `exec_target` and `prog` traps up front.
-pub fn run_threaded(
-    exec_target: &TargetDesc,
-    compiled: &Compiled,
-    prog: &vapor_targets::ThreadedProgram,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let (mut m, bases) = setup_machine(exec_target, compiled, env, policy, false)?;
-    let stats = m.run_threaded(prog)?;
-    Ok(read_back(&m, bases, stats))
-}
-
-/// **Deprecated** shim (see [`run()`]; use `ExecRequest::fused(false)`
-/// with `Engine::execute` instead).
-///
-/// Like [`run()`], but executing a freshly decoded *unfused* program —
-/// no superinstructions, one step per executable instruction. The
-/// baseline side of the fusion differential tests and benchmarks;
-/// machine state, cycles and instruction counts must be bit-identical
-/// to [`run()`] (which executes the fused decode).
-///
-/// # Errors
-/// Same contract as [`run()`].
-pub fn run_unfused(
-    target: &TargetDesc,
-    compiled: &Compiled,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let prog = vapor_targets::DecodedProgram::decode_unfused(&compiled.jit.code, target)?;
-    let (mut m, bases) = setup_machine(target, compiled, env, policy, false)?;
-    let stats = m.run_decoded(&prog)?;
-    Ok(read_back(&m, bases, stats))
-}
-
-/// **Deprecated** shim (see [`run()`]; use
-/// `ExecRequest::tier(Tier::Baseline)` with `Engine::execute` instead).
-///
-/// Like [`run()`], but executing through the seed per-instruction
-/// dispatch loop instead of the pre-decoded program. Kept as the
-/// baseline the engine benchmark measures the decoded dispatch against;
-/// results are identical (the dispatch loops share one instruction
-/// semantics).
-///
-/// # Errors
-/// Same contract as [`run()`].
-pub fn run_baseline(
-    target: &TargetDesc,
-    compiled: &Compiled,
-    env: &Bindings,
-    policy: AllocPolicy,
-) -> Result<RunResult, Trap> {
-    let (mut m, bases) = setup_machine(target, compiled, env, policy, false)?;
-    let stats = m.run(&compiled.jit.code)?;
-    Ok(read_back(&m, bases, stats))
-}
-
 /// Array placements of one execution: (name, base, length, element type).
 pub(crate) type Placements = Vec<(String, u64, usize, vapor_ir::ScalarTy)>;
 
-/// Build a machine, bind scalars, and place arrays per `policy`.
-fn setup_machine<'t>(
+/// Build a machine, bind scalars, and place arrays per `policy`,
+/// optionally recycling a memory arena from a previous execution (the
+/// engine's pooled-execution path): the buffer is re-zeroed over the
+/// required capacity instead of freshly allocated. Pass `None` for a
+/// cold allocation.
+pub(crate) fn setup_machine<'t>(
     target: &'t TargetDesc,
     compiled: &Compiled,
     env: &Bindings,
     policy: AllocPolicy,
-    wide_regs: bool,
-) -> Result<(Machine<'t>, Placements), Trap> {
-    setup_machine_with(target, compiled, env, policy, wide_regs, None)
-}
-
-/// [`setup_machine`], optionally recycling a memory arena from a
-/// previous execution (the engine's pooled-execution path): the buffer
-/// is re-zeroed over the required capacity instead of freshly
-/// allocated. Pass `None` for a cold allocation.
-pub(crate) fn setup_machine_with<'t>(
-    target: &'t TargetDesc,
-    compiled: &Compiled,
-    env: &Bindings,
-    policy: AllocPolicy,
-    wide_regs: bool,
     arena: Option<Vec<u8>>,
 ) -> Result<(Machine<'t>, Placements), Trap> {
     let f = &compiled.func;
@@ -240,7 +63,6 @@ pub(crate) fn setup_machine_with<'t>(
         None => Memory::for_width(total, vs),
     };
     let mut m = Machine::with_memory(target, mem);
-    m.set_wide_registers(wide_regs);
 
     for (i, p) in f.params.iter().enumerate() {
         let v = env
@@ -277,17 +99,13 @@ pub(crate) fn setup_machine_with<'t>(
 }
 
 /// Copy final array contents out of machine memory.
-pub(crate) fn read_back(
-    m: &Machine<'_>,
-    bases: Placements,
-    stats: vapor_targets::ExecStats,
-) -> RunResult {
+pub(crate) fn read_back(m: &Machine<'_>, bases: Placements) -> Bindings {
     let mut out = Bindings::new();
     for (name, base, len, elem) in bases {
         let bytes = m.mem.slice(base, len).to_vec();
         out.set_array(&name, ArrayData { elem, bytes });
     }
-    RunResult { out, stats }
+    out
 }
 
 fn coerce(ty: vapor_ir::ScalarTy, v: Value) -> Value {
@@ -343,10 +161,19 @@ pub fn arrays_match(expected: &ArrayData, actual: &ArrayData, tol: f64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{compile, CompileConfig, Flow};
+    use crate::{Engine, ExecError, ExecRequest, Flow, Tier};
     use vapor_frontend::parse_kernel;
     use vapor_ir::ScalarTy;
     use vapor_targets::{altivec, neon64, scalar_only, sse};
+
+    fn saxpy() -> Kernel {
+        parse_kernel(
+            "kernel saxpy(long n, float a, float x[], float y[]) {
+               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
+             }",
+        )
+        .unwrap()
+    }
 
     fn saxpy_env(n: usize) -> Bindings {
         let mut env = Bindings::new();
@@ -361,19 +188,15 @@ mod tests {
 
     #[test]
     fn saxpy_matches_oracle_on_every_flow_and_target() {
-        let k = parse_kernel(
-            "kernel saxpy(long n, float a, float x[], float y[]) {
-               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
-             }",
-        )
-        .unwrap();
+        let e = Engine::new();
+        let k = saxpy();
         for n in [0usize, 1, 7, 64, 65] {
             let env = saxpy_env(n);
             let oracle = reference(&k, &env).unwrap();
             for t in [sse(), altivec(), neon64(), scalar_only()] {
                 for flow in Flow::ALL {
-                    let c = compile(&k, flow, &t, &CompileConfig::default()).unwrap();
-                    let r = run(&t, &c, &env, AllocPolicy::Aligned)
+                    let r = e
+                        .execute(&ExecRequest::new(&k, &t, &env).flow(flow))
                         .unwrap_or_else(|e| panic!("{flow} on {}: {e}", t.name));
                     arrays_match(oracle.array("y").unwrap(), r.out.array("y").unwrap(), 1e-6)
                         .unwrap_or_else(|e| panic!("{flow} on {} (n={n}): {e}", t.name));
@@ -385,17 +208,13 @@ mod tests {
 
     #[test]
     fn baseline_and_decoded_dispatch_agree() {
-        let k = parse_kernel(
-            "kernel saxpy(long n, float a, float x[], float y[]) {
-               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
-             }",
-        )
-        .unwrap();
+        let e = Engine::new();
+        let k = saxpy();
         let t = sse();
         let env = saxpy_env(129);
-        let c = compile(&k, Flow::SplitVectorOpt, &t, &CompileConfig::default()).unwrap();
-        let fast = run(&t, &c, &env, AllocPolicy::Aligned).unwrap();
-        let slow = run_baseline(&t, &c, &env, AllocPolicy::Aligned).unwrap();
+        let req = ExecRequest::new(&k, &t, &env);
+        let fast = e.execute(&req).unwrap();
+        let slow = e.execute(&req.clone().tier(Tier::Baseline)).unwrap();
         arrays_match(
             slow.out.array("y").unwrap(),
             fast.out.array("y").unwrap(),
@@ -407,22 +226,19 @@ mod tests {
 
     #[test]
     fn missing_array_is_reported_by_name_up_front() {
-        let k = parse_kernel(
-            "kernel saxpy(long n, float a, float x[], float y[]) {
-               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
-             }",
-        )
-        .unwrap();
+        let k = saxpy();
         let t = sse();
-        let c = compile(&k, Flow::SplitVectorOpt, &t, &CompileConfig::default()).unwrap();
         let mut env = Bindings::new();
         env.set_int("n", 8)
             .set_float("a", 3.0)
             .set_array("x", ArrayData::from_floats(ScalarTy::F32, &[1.0; 8]));
         // "y" is unbound: the error must name it, not trap later with an
         // out-of-bounds access into undersized memory.
-        let err = run(&t, &c, &env, AllocPolicy::Aligned).unwrap_err();
-        assert!(err.0.contains("unbound array y"), "{err}");
+        let err = Engine::new()
+            .execute(&ExecRequest::new(&k, &t, &env))
+            .unwrap_err();
+        assert!(matches!(err, ExecError::Trap(_)), "{err}");
+        assert!(err.to_string().contains("unbound array y"), "{err}");
     }
 
     #[test]
@@ -431,12 +247,8 @@ mod tests {
         // their code carries runtime alignment guards (or unaligned
         // accesses) and must stay correct when the caller hands over
         // deliberately misaligned arrays.
-        let k = parse_kernel(
-            "kernel saxpy(long n, float a, float x[], float y[]) {
-               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
-             }",
-        )
-        .unwrap();
+        let e = Engine::new();
+        let k = saxpy();
         for n in [7usize, 64, 65] {
             let env = saxpy_env(n);
             let oracle = reference(&k, &env).unwrap();
@@ -448,11 +260,12 @@ mod tests {
                     Flow::NativeScalar,
                 ] {
                     for mis in [4usize, 8, 12] {
-                        let c = compile(&k, flow, &t, &CompileConfig::default()).unwrap();
-                        let r =
-                            run(&t, &c, &env, AllocPolicy::Misaligned(mis)).unwrap_or_else(|e| {
-                                panic!("{flow} on {} (n={n}, mis={mis}): {e}", t.name)
-                            });
+                        let req = ExecRequest::new(&k, &t, &env)
+                            .flow(flow)
+                            .policy(AllocPolicy::Misaligned(mis));
+                        let r = e.execute(&req).unwrap_or_else(|e| {
+                            panic!("{flow} on {} (n={n}, mis={mis}): {e}", t.name)
+                        });
                         arrays_match(oracle.array("y").unwrap(), r.out.array("y").unwrap(), 1e-6)
                             .unwrap_or_else(|e| {
                                 panic!("{flow} on {} (n={n}, mis={mis}): {e}", t.name)
@@ -467,20 +280,14 @@ mod tests {
     fn misaligned_bases_cost_more_than_aligned_on_sse() {
         // The §V-B story: denied alignment, the optimizing flow's guards
         // fail and it falls back to slower unaligned/scalar paths.
-        let k = parse_kernel(
-            "kernel saxpy(long n, float a, float x[], float y[]) {
-               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
-             }",
-        )
-        .unwrap();
+        let e = Engine::new();
+        let k = saxpy();
         let t = sse();
         let env = saxpy_env(1024);
-        let c = compile(&k, Flow::SplitVectorOpt, &t, &CompileConfig::default()).unwrap();
-        let aligned = run(&t, &c, &env, AllocPolicy::Aligned)
-            .unwrap()
-            .stats
-            .cycles;
-        let misaligned = run(&t, &c, &env, AllocPolicy::Misaligned(4))
+        let req = ExecRequest::new(&k, &t, &env);
+        let aligned = e.execute(&req).unwrap().stats.cycles;
+        let misaligned = e
+            .execute(&req.clone().policy(AllocPolicy::Misaligned(4)))
             .unwrap()
             .stats
             .cycles;
@@ -492,22 +299,14 @@ mod tests {
 
     #[test]
     fn vectorization_speeds_up_saxpy_on_sse() {
-        let k = parse_kernel(
-            "kernel saxpy(long n, float a, float x[], float y[]) {
-               for (long i = 0; i < n; i++) { y[i] = a * x[i] + y[i]; }
-             }",
-        )
-        .unwrap();
+        let e = Engine::new();
+        let k = saxpy();
         let t = sse();
         let env = saxpy_env(1024);
-        let cfg = CompileConfig::default();
-        let vec = compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
-        let sca = compile(&k, Flow::SplitScalarOpt, &t, &cfg).unwrap();
-        let cv = run(&t, &vec, &env, AllocPolicy::Aligned)
-            .unwrap()
-            .stats
-            .cycles;
-        let cs = run(&t, &sca, &env, AllocPolicy::Aligned)
+        let req = ExecRequest::new(&k, &t, &env);
+        let cv = e.execute(&req).unwrap().stats.cycles;
+        let cs = e
+            .execute(&req.clone().flow(Flow::SplitScalarOpt))
             .unwrap()
             .stats
             .cycles;

@@ -291,10 +291,6 @@ pub struct Machine<'t> {
     /// instructions, latched by [`MInst::SetVl`]. Starts at the full
     /// register width (all lanes active).
     vl_bytes: usize,
-    /// Force every register onto the heap at the full [`MAX_VS`] width
-    /// (the seed representation). Measurement/differential-testing knob:
-    /// results must be identical, only register-move traffic changes.
-    wide_regs: bool,
     /// Recycled output register: the decoded fast kernels pop this,
     /// write into it, and [`Machine::put_vreg`] refills it with the
     /// displaced old value — steady-state vector dispatch does zero heap
@@ -323,7 +319,6 @@ impl<'t> Machine<'t> {
             vregs: Vec::new(),
             slots: Vec::new(),
             vl_bytes,
-            wide_regs: false,
             spare: None,
             fuel: 2_000_000_000,
         }
@@ -334,15 +329,6 @@ impl<'t> Machine<'t> {
     /// [`Memory::recycled`] pair.
     pub fn into_arena(self) -> Vec<u8> {
         self.mem.into_bytes()
-    }
-
-    /// Force the seed-style register file: every register heap-backed at
-    /// the full [`MAX_VS`] width regardless of the target. Execution
-    /// results are bit-identical; only register-move traffic differs.
-    /// Call before execution (existing registers are not migrated).
-    pub fn set_wide_registers(&mut self, on: bool) {
-        self.wide_regs = on;
-        self.spare = None;
     }
 
     /// Set a scalar register (to pass arguments / array base addresses).
@@ -377,25 +363,21 @@ impl<'t> Machine<'t> {
 
     /// Byte bound for explicit lane accesses ([`MInst::SetLane`] /
     /// [`MInst::GetLane`]): the target's register width, floored at one
-    /// element so sub-vector machines keep single-lane access.
-    /// Representation-independent by design — a sized and a forced-wide
-    /// register file must trap identically.
+    /// element so sub-vector machines keep single-lane access. Never the
+    /// register container's capacity: an inline register is wider than
+    /// a 16-byte target's lanes.
     fn lane_limit(&self, ty: ScalarTy) -> usize {
         self.vs().max(ty.size())
     }
 
     /// A zeroed register sized for this machine.
     fn vzero(&self) -> VBytes {
-        if self.wide_regs {
-            VBytes::Heap(Box::new([0; MAX_VS]))
-        } else {
-            VBytes::zeroed(self.vs())
-        }
+        VBytes::zeroed(self.vs())
     }
 
     /// Capacity class of this machine's registers.
     fn reg_capacity(&self) -> usize {
-        if self.wide_regs || self.vs() > INLINE_VS {
+        if self.vs() > INLINE_VS {
             MAX_VS
         } else {
             INLINE_VS
@@ -3085,12 +3067,11 @@ mod more_tests {
 
 #[cfg(test)]
 mod register_file_tests {
-    //! The target-sized register file: representation boundaries,
-    //! guard-zone arithmetic at those boundaries, and equivalence of the
-    //! sized and max-width (seed-style) representations.
+    //! The target-sized register file: representation boundaries and
+    //! guard-zone arithmetic at those boundaries.
 
     use super::*;
-    use crate::isa::{AddrMode, Label, MInst, SReg, VReg};
+    use crate::isa::{AddrMode, MInst, SReg, VReg};
     use crate::target::{avx, neon64, sse};
 
     #[test]
@@ -3188,100 +3169,47 @@ mod register_file_tests {
     }
 
     #[test]
-    fn wide_and_sized_register_files_agree() {
-        // The same program on the same target, once with target-sized
-        // registers and once with the seed-style max-width file:
-        // identical scalar results, identical cycles.
-        let run_one = |wide: bool, t: &TargetDesc| {
-            let mut m = Machine::new(t, 4096);
-            m.set_wide_registers(wide);
-            let a = m.mem.alloc(64, 32);
-            for k in 0..8 {
-                m.mem
-                    .write(ScalarTy::I32, a + 4 * k, Value::Int(k as i64 + 1));
-            }
-            m.set_sreg(SReg(0), Value::Int(a as i64));
-            let c = MCode {
-                insts: vec![
-                    MInst::Label(Label(0)),
-                    MInst::LoadV {
-                        dst: VReg(0),
-                        addr: AddrMode::base_disp(SReg(0), 0),
-                        align: crate::isa::MemAlign::Unaligned,
-                    },
-                    MInst::VBin {
-                        op: BinOp::Mul,
-                        ty: ScalarTy::I32,
-                        dst: VReg(1),
-                        a: VReg(0),
-                        b: VReg(0),
-                    },
-                    MInst::VReduce {
-                        op: ReduceOp::Plus,
-                        ty: ScalarTy::I32,
-                        dst: SReg(1),
-                        src: VReg(1),
-                    },
-                ],
-                n_sregs: 2,
-                n_vregs: 2,
-                note: String::new(),
-            };
-            let stats = m.run(&c).unwrap();
-            (m.sreg(SReg(1)), stats.cycles)
-        };
-        for t in [sse(), neon64(), avx()] {
-            let (sized, c1) = run_one(false, &t);
-            let (wide, c2) = run_one(true, &t);
-            assert_eq!(sized, wide, "{}", t.name);
-            assert_eq!(c1, c2, "{}", t.name);
-        }
-    }
-
-    #[test]
     fn lane_bounds_are_representation_independent() {
-        // An out-of-range SetLane/GetLane must trap identically under
-        // the target-sized and the forced max-width register file — the
-        // bound is the target's width, never the container's capacity.
-        let t = sse(); // vs = 16: lane 4 of i32 is the first out of range
-        for wide in [false, true] {
-            let mut m = Machine::new(&t, 1024);
-            m.set_wide_registers(wide);
-            m.set_sreg(SReg(0), Value::Int(7));
-            let ok = MCode {
-                insts: vec![
-                    MInst::Splat {
-                        ty: ScalarTy::I32,
-                        dst: VReg(0),
-                        src: SReg(0),
-                    },
-                    MInst::SetLane {
-                        ty: ScalarTy::I32,
-                        dst: VReg(0),
-                        lane: 3,
-                        src: SReg(0),
-                    },
-                ],
-                n_sregs: 1,
+        // An out-of-range SetLane/GetLane must trap at the target's
+        // width, never the register container's capacity: an SSE
+        // register is a 32-byte inline payload, but lane 4 of i32
+        // (bytes 16..20) is already out of range.
+        let t = sse();
+        let mut m = Machine::new(&t, 1024);
+        m.set_sreg(SReg(0), Value::Int(7));
+        let ok = MCode {
+            insts: vec![
+                MInst::Splat {
+                    ty: ScalarTy::I32,
+                    dst: VReg(0),
+                    src: SReg(0),
+                },
+                MInst::SetLane {
+                    ty: ScalarTy::I32,
+                    dst: VReg(0),
+                    lane: 3,
+                    src: SReg(0),
+                },
+            ],
+            n_sregs: 1,
+            n_vregs: 1,
+            note: String::new(),
+        };
+        m.run(&ok).unwrap();
+        for lane in [4u8, 9] {
+            let bad = MCode {
+                insts: vec![MInst::GetLane {
+                    ty: ScalarTy::I32,
+                    dst: SReg(1),
+                    src: VReg(0),
+                    lane,
+                }],
+                n_sregs: 2,
                 n_vregs: 1,
                 note: String::new(),
             };
-            m.run(&ok).unwrap();
-            for lane in [4u8, 9] {
-                let bad = MCode {
-                    insts: vec![MInst::GetLane {
-                        ty: ScalarTy::I32,
-                        dst: SReg(1),
-                        src: VReg(0),
-                        lane,
-                    }],
-                    n_sregs: 2,
-                    n_vregs: 1,
-                    note: String::new(),
-                };
-                let err = m.run(&bad).unwrap_err();
-                assert!(err.0.contains("out of range"), "wide={wide}: {err}");
-            }
+            let err = m.run(&bad).unwrap_err();
+            assert!(err.0.contains("out of range"), "lane {lane}: {err}");
         }
     }
 

@@ -1,16 +1,58 @@
 //! Superinstruction fusion differential tests: every suite kernel on
 //! every target runs once through the fused decode (the production
 //! path) and once through an unfused decode — machine state, cycles and
-//! instruction counts must be bit-identical. Mirrors the PR 4
-//! sized-vs-wide register-file harness: fusion is a pure dispatch-layer
-//! optimization, so *any* observable difference is a fusion bug.
+//! instruction counts must be bit-identical. Fusion is a pure
+//! dispatch-layer optimization, so *any* observable difference is a
+//! fusion bug.
 
-use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow};
+use vapor_core::{arrays_match, AllocPolicy, CompileConfig, Engine, ExecRequest, Flow};
+use vapor_ir::{Bindings, Kernel};
 use vapor_kernels::{suite, Scale};
-use vapor_targets::{avx, neon64, rvv, sse, sve, DecodedProgram};
+use vapor_targets::{avx, neon64, rvv, sse, sve, DecodedProgram, TargetDesc};
 
-/// Fused vs unfused on every fixed-width target, both online flows the
-/// PR 4 harness covered.
+/// Run one request through the engine's fused decode and once more
+/// through the reference — an unfused decode (one step per instruction)
+/// of the same compilation, built here and run over the engine's
+/// machine lifecycle — and require identical arrays and stats.
+fn assert_fusion_is_invisible(
+    engine: &Engine,
+    kernel: &Kernel,
+    target: &TargetDesc,
+    env: &Bindings,
+    flow: Flow,
+    vl: usize,
+    tag: &str,
+) {
+    let req = ExecRequest::new(kernel, target, env).flow(flow).vl_bits(vl);
+    let fused = engine
+        .execute(&req)
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let exec = if target.vla {
+        target.at_vl(vl)
+    } else {
+        target.clone()
+    };
+    let prog = DecodedProgram::decode_unfused(&fused.compiled.jit.code, &exec)
+        .unwrap_or_else(|e| panic!("{tag}: unfused decode: {e}"));
+    assert_eq!(
+        prog.fusion_stats().total(),
+        0,
+        "{tag}: reference is unfused"
+    );
+    let unfused = engine
+        .run_compiled(&exec, &fused.compiled, env, AllocPolicy::Aligned, |m| {
+            m.run_decoded(&prog)
+        })
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    for (name, expected) in fused.out.arrays() {
+        // Bit-exact: tolerance 0.
+        arrays_match(expected, unfused.out.array(name).unwrap(), 0.0)
+            .unwrap_or_else(|e| panic!("{tag}: array {name} diverged: {e}"));
+    }
+    assert_eq!(fused.stats, unfused.stats, "{tag}: cycles/insts diverged");
+}
+
+/// Fused vs unfused on every fixed-width target, both vector flows.
 #[test]
 fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
     let engine = Engine::new();
@@ -19,38 +61,18 @@ fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
         let env = spec.env(Scale::Test);
         for target in [sse(), neon64(), avx()] {
             for flow in [Flow::SplitVectorOpt, Flow::NativeVector] {
-                let req = ExecRequest::new(&kernel, &target, &env).flow(flow);
-                let fused = engine
-                    .execute(&req)
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                let unfused = engine
-                    .execute(&req.clone().fused(false))
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                for (name, expected) in fused.out.arrays() {
-                    // Bit-exact: tolerance 0.
-                    arrays_match(expected, unfused.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{} [{flow} on {}]: array {name} diverged: {e}",
-                                spec.name, target.name
-                            )
-                        },
-                    );
-                }
-                assert_eq!(
-                    fused.stats, unfused.stats,
-                    "{} [{flow} on {}]: cycles/insts diverged",
-                    spec.name, target.name
-                );
+                let tag = format!("{} [{flow} on {}]", spec.name, target.name);
+                let vl = target.vs * 8;
+                assert_fusion_is_invisible(&engine, &kernel, &target, &env, flow, vl, &tag);
             }
         }
     }
 }
 
 /// The same differential on the runtime-VL families across the full VL
-/// range: the fused side goes through `Engine::specialize` (the per-VL
-/// LRU cache re-specializing the fused decode), the unfused side is a
-/// fresh unfused decode at the concrete width.
+/// range: the fused side is the engine's per-VL re-specialization of
+/// the fused decode, the unfused side a fresh unfused decode at the
+/// concrete width.
 #[test]
 fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
     let engine = Engine::new();
@@ -59,28 +81,9 @@ fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
         let env = spec.env(Scale::Test);
         for family in [sve(), rvv()] {
             for vl in [128usize, 256, 512, 1024, 2048] {
-                let req = ExecRequest::new(&kernel, &family, &env).vl_bits(vl);
-                let fused = engine
-                    .execute(&req)
-                    .unwrap_or_else(|e| panic!("{} @VL={vl}: {e}", spec.name));
-                let unfused = engine
-                    .execute(&req.clone().fused(false))
-                    .unwrap_or_else(|e| panic!("{} @VL={vl}: {e}", spec.name));
-                for (name, expected) in fused.out.arrays() {
-                    arrays_match(expected, unfused.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{} [{} @VL={vl}]: array {name} diverged: {e}",
-                                spec.name, family.name
-                            )
-                        },
-                    );
-                }
-                assert_eq!(
-                    fused.stats, unfused.stats,
-                    "{} [{} @VL={vl}]: cycles/insts diverged",
-                    spec.name, family.name
-                );
+                let tag = format!("{} [{} @VL={vl}]", spec.name, family.name);
+                let flow = Flow::SplitVectorOpt;
+                assert_fusion_is_invisible(&engine, &kernel, &family, &env, flow, vl, &tag);
             }
         }
     }

@@ -165,14 +165,13 @@ fn online_compile_times_are_microseconds() {
     let spec = find("saxpy_fp").unwrap();
     let kernel = spec.kernel();
     // Uncached: this asserts on the real online stage's wall time.
-    let c = engine()
-        .compile_uncached(
-            &kernel,
-            Flow::SplitVectorOpt,
-            &sse(),
-            &CompileConfig::default(),
-        )
-        .unwrap();
+    let c = vapor_core::compile(
+        &kernel,
+        Flow::SplitVectorOpt,
+        &sse(),
+        &CompileConfig::default(),
+    )
+    .unwrap();
     assert!(
         c.online_time.as_millis() < 50,
         "online stage took {:?} — far beyond the µs range",

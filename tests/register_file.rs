@@ -1,90 +1,11 @@
-//! Register-file sizing tests: the target-sized (inline/heap) VM
-//! register file must be observationally identical to the seed-style
-//! max-width file on every suite kernel, and real VLA compilations must
-//! actually hit the predicated fast-dispatch kernels.
+//! Register-file and fast-dispatch tests: real VLA compilations must
+//! actually hit the predicated fast-dispatch kernels, and the
+//! specialized steps must match the seed interpreter at the
+//! representation-boundary register widths (inline vs heap).
 
-use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow};
-use vapor_kernels::{suite, Scale};
-use vapor_targets::{avx, neon64, rvv, sse, sve, DStep};
-
-/// Property-style differential check: for every suite kernel on every
-/// fixed-width target, the target-sized register file and the max-sized
-/// (2048-bit, heap-backed) register file produce bit-identical machine
-/// state — same arrays, same cycles, same instruction counts.
-#[test]
-fn sized_and_max_register_files_agree_on_every_suite_kernel() {
-    let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        for target in [sse(), neon64(), avx()] {
-            for flow in [Flow::SplitVectorOpt, Flow::NativeVector] {
-                let req = ExecRequest::new(&kernel, &target, &env).flow(flow);
-                let sized = engine
-                    .execute(&req)
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                let wide = engine
-                    .execute(&req.clone().wide_registers(true))
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                for (name, expected) in sized.out.arrays() {
-                    // Bit-exact: tolerance 0.
-                    arrays_match(expected, wide.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{} [{flow} on {}]: array {name} diverged: {e}",
-                                spec.name, target.name
-                            )
-                        },
-                    );
-                }
-                assert_eq!(
-                    sized.stats, wide.stats,
-                    "{} [{flow} on {}]: stats diverged",
-                    spec.name, target.name
-                );
-            }
-        }
-    }
-}
-
-/// The same differential on the runtime-VL families, at the inline
-/// boundary (128/256 bits), just past it (512), and at the maximum
-/// (2048): narrow specializations use inline registers, wide ones heap —
-/// both must match the forced max-width file exactly.
-#[test]
-fn sized_and_max_register_files_agree_at_every_runtime_vl() {
-    let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        for family in [sve(), rvv()] {
-            for vl in [128usize, 256, 512, 2048] {
-                let req = ExecRequest::new(&kernel, &family, &env).vl_bits(vl);
-                let sized = engine
-                    .execute(&req)
-                    .unwrap_or_else(|e| panic!("{} @VL={vl}: {e}", spec.name));
-                let wide = engine
-                    .execute(&req.clone().wide_registers(true))
-                    .unwrap_or_else(|e| panic!("{} @VL={vl}: {e}", spec.name));
-                for (name, expected) in sized.out.arrays() {
-                    arrays_match(expected, wide.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{} [{} @VL={vl}]: array {name} diverged: {e}",
-                                spec.name, family.name
-                            )
-                        },
-                    );
-                }
-                assert_eq!(
-                    sized.stats, wide.stats,
-                    "{} [{} @VL={vl}]: stats diverged",
-                    spec.name, family.name
-                );
-            }
-        }
-    }
-}
+use vapor_core::{CompileConfig, Engine, Flow};
+use vapor_kernels::suite;
+use vapor_targets::{rvv, sve, DStep};
 
 /// Real VLA compilations must hit the new predicated fast-dispatch
 /// kernels: every vectorized suite kernel that emits `VBinVl` decodes it

@@ -1,17 +1,12 @@
 //! Service-layer integration tests: the engine under concurrent
 //! multi-tenant load (stats consistency, in-flight dedup, arena
 //! pooling), the bounded sharded cache, and the persistent artifact
-//! tier (round-trip differential, corruption rejection) — plus the
-//! compatibility contract of the deprecated `run_*` shims against the
-//! unified [`vapor_core::ExecRequest`] API.
+//! tier (round-trip differential, corruption rejection).
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use vapor_core::{
-    arrays_match, run, run_baseline, run_threaded, run_unfused, run_wide, AllocPolicy,
-    CompileConfig, Engine, ExecRequest, Flow, Tier,
-};
+use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow, Tier, DEFAULT_SHARDS};
 use vapor_kernels::{suite, Scale};
 use vapor_targets::{sse, sve};
 
@@ -95,9 +90,9 @@ fn concurrent_hammer_keeps_stats_exact_and_dedups_inflight_compiles() {
 /// without bound.
 #[test]
 fn compile_cache_stays_within_its_configured_bound() {
+    // Capacity 8 over the 8 shards: one entry per shard.
     let engine = Engine::builder()
-        .shards(2)
-        .compile_cache_capacity(4)
+        .compile_cache_capacity(DEFAULT_SHARDS)
         .build()
         .unwrap();
     let cfg = CompileConfig::default();
@@ -109,10 +104,13 @@ fn compile_cache_stays_within_its_configured_bound() {
             .unwrap();
     }
     let s = engine.stats();
-    // Per-shard capacity is ceil(4/2) = 2, so at most 4 entries total.
-    assert!(s.entries <= 4, "cache grew past its bound: {}", s.entries);
+    assert!(
+        s.entries <= DEFAULT_SHARDS,
+        "cache grew past its bound: {}",
+        s.entries
+    );
     assert_eq!(s.evictions, (specs.len() - s.entries) as u64);
-    assert_eq!(s.shards, 2);
+    assert_eq!(s.shards, DEFAULT_SHARDS);
 }
 
 /// Round-trip differential over the suite: artifacts written by one
@@ -212,96 +210,23 @@ fn corrupted_and_truncated_artifacts_are_rejected_and_healed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every deprecated `run_*` shim must behave exactly like the
-/// `ExecRequest` it documents itself as — same arrays bit-for-bit, same
-/// stats — so downstream code can migrate mechanically.
-#[test]
-fn deprecated_shims_match_the_unified_api() {
-    let engine = Engine::new();
-    let cfg = CompileConfig::default();
-    let spec = suite().into_iter().find(|s| s.name == "saxpy_fp").unwrap();
-    let kernel = spec.kernel();
-    let env = spec.env(Scale::Test);
-    let target = sse();
-    let compiled = engine
-        .compile(&kernel, Flow::SplitVectorOpt, &target, &cfg)
-        .unwrap();
-    let base_req = ExecRequest::new(&kernel, &target, &env);
-
-    let pairs: Vec<(&str, vapor_core::RunResult, vapor_core::RunResult)> = vec![
-        (
-            "run",
-            run(&target, &compiled, &env, AllocPolicy::Aligned).unwrap(),
-            engine.execute(&base_req).unwrap().run_result(),
-        ),
-        (
-            "run_wide",
-            run_wide(&target, &compiled, &env, AllocPolicy::Aligned).unwrap(),
-            engine
-                .execute(&base_req.clone().wide_registers(true))
-                .unwrap()
-                .run_result(),
-        ),
-        (
-            "run_unfused",
-            run_unfused(&target, &compiled, &env, AllocPolicy::Aligned).unwrap(),
-            engine
-                .execute(&base_req.clone().fused(false))
-                .unwrap()
-                .run_result(),
-        ),
-        (
-            "run_baseline",
-            run_baseline(&target, &compiled, &env, AllocPolicy::Aligned).unwrap(),
-            engine
-                .execute(&base_req.clone().tier(Tier::Baseline))
-                .unwrap()
-                .run_result(),
-        ),
-        (
-            "run_threaded",
-            {
-                let (c, prog) = engine
-                    .thread(&kernel, Flow::SplitVectorOpt, &target, &cfg, target.vs * 8)
-                    .unwrap();
-                run_threaded(&target, &c, &prog, &env, AllocPolicy::Aligned).unwrap()
-            },
-            {
-                engine
-                    .execute(&base_req.clone().tier(Tier::Threaded))
-                    .unwrap()
-                    .run_result()
-            },
-        ),
-    ];
-    for (name, shim, unified) in pairs {
-        assert_eq!(shim.stats, unified.stats, "{name}: stats diverged");
-        for (arr, expected) in shim.out.arrays() {
-            arrays_match(expected, unified.out.array(arr).unwrap(), 0.0)
-                .unwrap_or_else(|e| panic!("{name}: array {arr} diverged: {e}"));
-        }
-    }
-}
-
-/// The builder wires every knob through to the running engine and its
-/// stats, and `Engine::new()` keeps the documented defaults.
+/// The builder wires its two knobs through to the running engine, and
+/// `Engine::new()` keeps the documented defaults.
 #[test]
 fn builder_configuration_is_observable() {
+    let dir = scratch("builder");
     let engine = Engine::builder()
-        .shards(3)
         .compile_cache_capacity(9)
-        .arena_pool_capacity(2)
+        .artifact_dir(&dir)
         .build()
         .unwrap();
-    assert_eq!(engine.stats().shards, 3);
+    assert_eq!(engine.stats().shards, DEFAULT_SHARDS);
+    assert_eq!(engine.artifact_store().unwrap().dir(), dir.as_path());
 
     let default = Engine::new();
-    assert_eq!(default.stats().shards, vapor_core::DEFAULT_SHARDS);
+    assert_eq!(default.stats().shards, DEFAULT_SHARDS);
     assert!(default.artifact_store().is_none());
-
-    // Zero shards is clamped to one lock, never a div-by-zero.
-    let one = Engine::builder().shards(0).build().unwrap();
-    assert_eq!(one.stats().shards, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Sequential executions must recycle the pooled arena instead of
