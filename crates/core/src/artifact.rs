@@ -6,10 +6,9 @@
 //! process. This tier extends it across processes and restarts: the
 //! encoded bytecode (the exact [`vapor_bytecode::encode_module`] bytes —
 //! the interoperability boundary artifact) is written under a filename
-//! derived from the compile key's content hash, and a warm process that
-//! misses its in-memory cache loads the artifact and runs only the
-//! online stage ([`crate::pipeline::online_compile`]) instead of the
-//! whole pipeline. A simulated fleet pointing many engines at one store
+//! derived from the compile key's structural fingerprint, and a warm
+//! process that misses its in-memory caches loads the artifact and runs
+//! only the online stage instead of the whole pipeline. A simulated fleet pointing many engines at one store
 //! directory shares offline compiles the same way.
 //!
 //! Every artifact is framed (magic, version, length) and checksummed
@@ -19,6 +18,7 @@
 
 use std::fmt;
 use std::fs;
+use std::hash::Hasher;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -29,17 +29,85 @@ pub const ARTIFACT_VERSION: u8 = 1;
 /// Filename extension of stored artifacts.
 pub const ARTIFACT_EXT: &str = "vsart";
 
-/// 128-bit FNV-1a (collision odds are negligible at fleet scale; shared
-/// by the engine's cache keys and the artifact checksums).
+const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+const FNV_PRIME: u128 = 0x0000000001000000000000000000013b;
+
+/// 128-bit FNV-1a over bytes: the artifact checksum (collision odds are
+/// negligible at fleet scale).
 pub(crate) fn fnv1a_128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut h = OFFSET;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u128;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// The same 128-bit FNV-1a as a [`Hasher`], for the engine's structural
+/// cache keys: `#[derive(Hash)]` walks a kernel or a target field by
+/// field into it, with no allocation. The symbol is a 64-bit word, not a
+/// byte — one multiply per field — so the state is portable across
+/// endianness and stable across processes (artifact file names depend
+/// on it). Byte strings mix their length first, then zero-padded words.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv128(u128);
+
+impl Default for Fnv128 {
+    fn default() -> Fnv128 {
+        Fnv128(FNV_OFFSET)
+    }
+}
+
+impl Fnv128 {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0 ^ u128::from(word)).wrapping_mul(FNV_PRIME);
+    }
+
+    /// The full 128-bit state.
+    pub(crate) fn finish128(&self) -> u128 {
+        self.0
+    }
+}
+
+impl Hasher for Fnv128 {
+    fn write(&mut self, bytes: &[u8]) {
+        self.mix(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.mix(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.mix(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.mix(i as u64);
+        self.mix((i >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        (self.0 >> 64) as u64
+    }
 }
 
 /// Why a present artifact was rejected (an absent artifact is not an

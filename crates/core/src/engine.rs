@@ -10,34 +10,44 @@
 //! translation step that is computed once per distinct input and then
 //! shared — and, since the multi-tenant rework, served concurrently:
 //!
-//! * **Content-addressed**: the cache key is a fingerprint of the kernel
-//!   *source text* (via the round-trip-stable pretty printer) plus the
-//!   [`Flow`], target fingerprint, and [`CompileConfig`] — two
-//!   structurally identical kernels hit the same entry no matter how
-//!   they were built.
+//! * **Content-addressed**: the cache key is a structural fingerprint
+//!   of the kernel (a `Hash` walk of its tree into 128-bit FNV-1a, no
+//!   string built) plus the [`Flow`], a structural fingerprint of every
+//!   target field, and [`CompileConfig`] — two structurally identical
+//!   kernels hit the same entry no matter how they were built.
+//! * **Two levels, split where the paper splits the toolchain**: the
+//!   compile cache maps a request key to its `Arc<Compiled>` (the online
+//!   level); below it, an offline tier maps (kernel, offline shape,
+//!   config) to one offline artifact. The target is an input of the
+//!   offline stage only under [`Flow::NativeVector`], so a compile miss
+//!   for any other flow usually finds its artifact already built by
+//!   another target or online pipeline and runs only the online stage
+//!   ([`EngineStats::offline_hits`]).
 //! * **Sharded**: the compile cache is split [`DEFAULT_SHARDS`] ways by
-//!   key hash; concurrent compiles and cache hits on different shards
-//!   never touch the same lock. Contended lock acquisitions are counted
-//!   ([`EngineStats::contended_locks`]).
-//! * **Bounded**: the compile cache and the per-(key, VL)
-//!   execution-form cache evict least-recently-used entries at their
-//!   capacity, with evictions counted.
+//!   bits of the key fingerprint; concurrent compiles and cache hits on
+//!   different shards never touch the same lock. Contended lock
+//!   acquisitions are counted ([`EngineStats::contended_locks`]).
+//! * **Bounded**: the compile cache, the offline tier and the
+//!   per-(key, VL) execution-form cache evict least-recently-used
+//!   entries at their capacity, with compile and execution-form
+//!   evictions counted.
 //! * **Pooled execution**: [`Engine::execute`] recycles machine memory
 //!   arenas through a bounded pool, so steady-state concurrent
 //!   executions stop allocating megabytes per request.
 //! * **Persistent**: with an artifact store attached
-//!   ([`EngineBuilder::artifact_dir`]), compile misses first consult an
-//!   on-disk store of encoded offline artifacts keyed by the content
-//!   hash; a warm process (or a fleet member sharing the directory)
-//!   skips the offline stage and pays only the online compile. Corrupt
-//!   or truncated artifacts are rejected by checksum and recompiled.
+//!   ([`EngineBuilder::artifact_dir`]), a compile miss the offline tier
+//!   cannot answer consults an on-disk store of encoded offline
+//!   artifacts, one file per compile key; a warm process (or a fleet
+//!   member sharing the directory) skips the offline stage and pays
+//!   only the online compile. Corrupt or truncated artifacts are
+//!   rejected by checksum and recompiled.
 //! * **Deduplicated**: racing compilations of the same key wait on the
 //!   first compiler (per-shard in-flight sets) so a thundering herd
 //!   runs the pipeline once, and every caller observes one canonical
 //!   `Arc` per key.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
@@ -46,20 +56,21 @@ use std::time::Instant;
 use vapor_ir::Kernel;
 use vapor_targets::{DecodedProgram, TargetDesc, ThreadedProgram};
 
-use crate::artifact::{fnv1a_128, ArtifactStore};
-use crate::pipeline::{self, CompileConfig, Compiled, Flow, PipelineError};
+use crate::artifact::{ArtifactStore, Fnv128};
+use crate::pipeline::{CompileConfig, Compiled, Flow, Offline, OfflineShape, PipelineError};
 
-/// Cache key: kernel content fingerprint + everything else that affects
-/// the generated code.
+/// Cache key: structural fingerprints of the kernel and the target, plus
+/// everything else that affects the generated code.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    /// 128-bit FNV-1a over the pretty-printed kernel (round-trip-stable,
-    /// so this is a fingerprint of the kernel's *content*).
+    /// Fingerprint of the kernel's tree (names, declarations, statements,
+    /// literals by bit pattern), so a kernel parsed from differently
+    /// formatted source has the same one.
     kernel_fp: u128,
     flow: Flow,
-    /// 128-bit FNV-1a over the target's full `Debug` form — `TargetDesc`
-    /// is a plain pub-field struct, so keying on the name alone would let
-    /// a caller-customized target (same name, different cost table or
+    /// Fingerprint of every field of the target — `TargetDesc` is a
+    /// plain pub-field struct, so keying on the name alone would let a
+    /// caller-customized target (same name, different cost table or
     /// feature flags) silently share entries with the stock one.
     target_fp: u128,
     cfg: CompileConfig,
@@ -69,31 +80,45 @@ impl CacheKey {
     /// The stable 128-bit identity of this key for the on-disk artifact
     /// store (filenames must not depend on in-process hasher state).
     fn artifact_id(&self) -> u128 {
-        fnv1a_128(
-            format!(
-                "{:032x}|{:?}|{:032x}|{:?}",
-                self.kernel_fp, self.flow, self.target_fp, self.cfg
-            )
-            .as_bytes(),
-        )
+        fingerprint(self)
     }
 
-    /// Which of `n` shards this key lives in.
+    /// Which of `n` shards this key lives in: the top bits of its
+    /// fingerprint, the best mixed ones.
     fn shard(&self, n: usize) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() % n as u64) as usize
+        let top = (self.artifact_id() >> 64) as u64;
+        ((u128::from(top) * n as u128) >> 64) as usize
+    }
+
+    /// The key of the offline artifact this compilation consumes.
+    fn offline(&self) -> OfflineKey {
+        let shape = self.flow.offline_shape();
+        OfflineKey {
+            kernel_fp: self.kernel_fp,
+            shape,
+            target_fp: (shape == OfflineShape::Native).then_some(self.target_fp),
+            cfg: self.cfg.clone(),
+        }
     }
 }
 
-/// Fingerprint a kernel's content.
-fn fingerprint(kernel: &Kernel) -> u128 {
-    fnv1a_128(vapor_ir::print_kernel(kernel).as_bytes())
+/// Key of the offline tier: the inputs of the offline stage and nothing
+/// else, so every target and online pipeline of one shape shares it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct OfflineKey {
+    kernel_fp: u128,
+    shape: OfflineShape,
+    /// The target's fingerprint, for the one shape the target is an
+    /// input of.
+    target_fp: Option<u128>,
+    cfg: CompileConfig,
 }
 
-/// Fingerprint a target's full content (ISA facts, cost model, ports).
-fn target_fingerprint(target: &TargetDesc) -> u128 {
-    fnv1a_128(format!("{target:?}").as_bytes())
+/// 128-bit structural fingerprint of a kernel, a target or a key.
+fn fingerprint(value: &impl Hash) -> u128 {
+    let mut h = Fnv128::default();
+    value.hash(&mut h);
+    h.finish128()
 }
 
 /// One compilation request for [`Engine::compile_batch`].
@@ -127,9 +152,13 @@ pub struct EngineStats {
     /// Compilations answered from the in-memory cache.
     pub hits: u64,
     /// Compilations that missed the in-memory cache (they ran the
-    /// online stage at least; with an artifact hit they skipped the
-    /// offline stage).
+    /// online stage at least; with an offline-tier or artifact hit they
+    /// skipped the offline stage).
     pub misses: u64,
+    /// Misses whose offline artifact was already in the in-memory
+    /// offline tier — built for another target or online pipeline — so
+    /// only the online stage ran and the store was not read.
+    pub offline_hits: u64,
     /// Entries currently cached across all shards.
     pub entries: usize,
     /// Compile-cache shard count.
@@ -145,7 +174,7 @@ pub struct EngineStats {
     /// `misses` for the mean compile latency).
     pub compile_ns: u64,
     /// Misses served from the on-disk artifact store (offline stage
-    /// skipped).
+    /// skipped; the offline tier had no artifact).
     pub artifact_hits: u64,
     /// Misses that found no artifact on disk.
     pub artifact_misses: u64,
@@ -319,11 +348,15 @@ impl EngineBuilder {
             .collect();
         Ok(Engine {
             shards,
+            // There are never more distinct offline artifacts than
+            // compile keys, so the compile cache's bound is enough.
+            offline: Mutex::new(Lru::new(self.compile_capacity)),
             exec_cache: Mutex::new(Lru::new(VL_CACHE_CAPACITY)),
             artifacts,
             arena_pool: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            offline_hits: AtomicU64::new(0),
             contended: AtomicU64::new(0),
             compile_ns: AtomicU64::new(0),
             artifact_hits: AtomicU64::new(0),
@@ -343,6 +376,11 @@ impl EngineBuilder {
 pub struct Engine {
     /// The sharded compile cache ([`DEFAULT_SHARDS`] ways).
     shards: Box<[Shard]>,
+    /// The offline tier: one offline artifact per (kernel, shape,
+    /// config), consumed by every compile key of that shape. Never
+    /// locked across a compile; racing misses of one key may both build,
+    /// and `Lru::insert` keeps the first.
+    offline: Mutex<Lru<OfflineKey, Offline>>,
     /// Execution forms of compilations: the *same* `Arc<Compiled>`
     /// artifact, specialized per concrete vector length. Keyed by the
     /// compile key *plus* the VL — "compile once" stays intact because
@@ -357,6 +395,7 @@ pub struct Engine {
     arena_pool: Mutex<Vec<Vec<u8>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    offline_hits: AtomicU64,
     contended: AtomicU64,
     compile_ns: AtomicU64,
     artifact_hits: AtomicU64,
@@ -416,9 +455,9 @@ impl Engine {
         }
     }
 
-    /// Derive the cache key of a request. Costs a pretty-print of the
-    /// kernel and a `Debug` dump of the target, so every entry point
-    /// calls it once and passes the key down.
+    /// Derive the cache key of a request: a `Hash` walk of the kernel
+    /// and of the target, so every entry point calls it once and passes
+    /// the key down.
     fn key(
         &self,
         kernel: &Kernel,
@@ -429,7 +468,7 @@ impl Engine {
         CacheKey {
             kernel_fp: fingerprint(kernel),
             flow,
-            target_fp: target_fingerprint(target),
+            target_fp: fingerprint(target),
             cfg: cfg.clone(),
         }
     }
@@ -438,10 +477,12 @@ impl Engine {
     /// `Arc<Compiled>` as every previous call with an identical
     /// (kernel content, flow, target, config) tuple.
     ///
-    /// On a miss, the persistent artifact tier (when attached) is
-    /// consulted first: a valid on-disk artifact skips the offline
-    /// stage; an absent one triggers the full pipeline and a
-    /// write-back; a corrupt one is rejected and recompiled.
+    /// On a miss, the offline tier is consulted first: an offline
+    /// artifact another target or online pipeline built is consumed by
+    /// the online stage alone. Next the persistent artifact tier (when
+    /// attached): a valid on-disk artifact skips the offline stage; an
+    /// absent one triggers the full pipeline and a write-back; a
+    /// corrupt one is rejected and recompiled.
     ///
     /// # Errors
     /// Propagates [`PipelineError`]s from any stage. Failures are not
@@ -500,8 +541,11 @@ impl Engine {
         Ok(self.lock_shard(shard).insert(key.clone(), compiled))
     }
 
-    /// The miss path: artifact tier first (when attached), full
-    /// pipeline otherwise, with write-back of fresh offline artifacts.
+    /// The miss path: offline tier, then the tuple's artifact file (when
+    /// a store is attached), then the full offline stage; the online
+    /// stage consumes whichever answered. Every compile key keeps its
+    /// own file, so one served by the offline tier still writes it when
+    /// absent.
     fn compile_miss(
         &self,
         kernel: &Kernel,
@@ -510,38 +554,64 @@ impl Engine {
         cfg: &CompileConfig,
         key: &CacheKey,
     ) -> Result<Compiled, PipelineError> {
-        let Some(store) = &self.artifacts else {
-            return pipeline::compile(kernel, flow, target, cfg);
-        };
         let id = key.artifact_id();
-        match store.load(id) {
-            Ok(Some(bytes)) => {
-                match pipeline::online_compile(&kernel.name, &bytes, flow, target) {
-                    Ok(c) => {
-                        self.artifact_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(c);
-                    }
-                    // Framed and checksummed but undecodable (e.g. a
-                    // stale format written by a different bytecode
-                    // version): reject and recompile.
-                    Err(_) => {
-                        self.artifact_rejects.fetch_add(1, Ordering::Relaxed);
-                    }
+        let offline_key = key.offline();
+        let cached = self
+            .offline
+            .lock()
+            .expect("engine offline tier poisoned")
+            .get(&offline_key);
+        let (offline, write) = match cached {
+            Some(hit) => {
+                self.offline_hits.fetch_add(1, Ordering::Relaxed);
+                let absent = self
+                    .artifacts
+                    .as_ref()
+                    .is_some_and(|store| !store.path_for(id).exists());
+                (hit, absent)
+            }
+            None => {
+                let (built, write) = match self.load_artifact(&kernel.name, id) {
+                    Some(loaded) => (loaded, false),
+                    None => (
+                        Offline::build(kernel, flow, target, cfg)?,
+                        self.artifacts.is_some(),
+                    ),
+                };
+                let mut tier = self.offline.lock().expect("engine offline tier poisoned");
+                (tier.insert(offline_key, Arc::new(built)), write)
+            }
+        };
+        if let (true, Some(store)) = (write, &self.artifacts) {
+            // Best effort: a failed write only costs a future recompile.
+            if store.save(id, &offline.bytes).is_ok() {
+                self.artifact_writes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        offline.online(&kernel.name, flow, target)
+    }
+
+    /// The persistent store's artifact `id`, decoded; `None` (counted as
+    /// a miss or a reject) when there is no store, no file, or no valid
+    /// artifact in it.
+    fn load_artifact(&self, name: &str, id: u128) -> Option<Offline> {
+        let store = self.artifacts.as_ref()?;
+        let counter = match store.load(id) {
+            Ok(Some(bytes)) => match Offline::from_bytes(name, bytes) {
+                Ok(offline) => {
+                    self.artifact_hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(offline);
                 }
-            }
-            Ok(None) => {
-                self.artifact_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.artifact_rejects.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let (compiled, bytes) = pipeline::compile_encoded(kernel, flow, target, cfg)?;
-        // Best effort: a failed write only costs a future recompile.
-        if store.save(id, &bytes).is_ok() {
-            self.artifact_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(compiled)
+                // Framed and checksummed but undecodable (e.g. a stale
+                // format written by a different bytecode version):
+                // reject and recompile.
+                Err(_) => &self.artifact_rejects,
+            },
+            Ok(None) => &self.artifact_misses,
+            Err(_) => &self.artifact_rejects,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Compile a batch of jobs, fanning across OS threads. Results come
@@ -598,8 +668,9 @@ impl Engine {
             .collect()
     }
 
-    /// The shared head of every request: derive the key (once), look
-    /// the compilation up by it, and validate the (target, VL) pair.
+    /// The shared head of every request: validate the (target, VL)
+    /// pair — before anything is compiled or cached — then derive the
+    /// key (once) and look the compilation up by it.
     pub(crate) fn lookup(
         &self,
         kernel: &Kernel,
@@ -608,9 +679,9 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(CacheKey, Arc<Compiled>), PipelineError> {
+        check_vl(target, vl_bits)?;
         let key = self.key(kernel, flow, target, cfg);
         let compiled = self.compile_keyed(&key, kernel, flow, target, cfg)?;
-        check_vl(target, vl_bits)?;
         Ok((key, compiled))
     }
 
@@ -782,6 +853,7 @@ impl Engine {
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            offline_hits: self.offline_hits.load(Ordering::Relaxed),
             entries,
             shards: self.shards.len(),
             evictions,
@@ -811,12 +883,18 @@ impl Engine {
         self.len() == 0
     }
 
-    /// Drop every cached compilation, execution form, and pooled arena
-    /// (counters and the on-disk artifact store are kept).
+    /// Drop every cached compilation, offline artifact, execution form,
+    /// and pooled arena (counters and the on-disk artifact store are
+    /// kept).
     pub fn clear(&self) {
         for s in self.shards.iter() {
             s.map.lock().expect("engine cache poisoned").map.clear();
         }
+        self.offline
+            .lock()
+            .expect("engine offline tier poisoned")
+            .map
+            .clear();
         self.exec_cache
             .lock()
             .expect("engine exec cache poisoned")
@@ -862,6 +940,7 @@ pub(crate) fn exec_target(target: &TargetDesc, vl_bits: usize) -> TargetDesc {
 mod tests {
     use super::*;
     use vapor_frontend::parse_kernel;
+    use vapor_ir::{ArrayKind, BinOp, Expr, KernelBuilder, ScalarTy};
     use vapor_targets::{altivec, sse};
 
     fn saxpy() -> Kernel {
@@ -943,43 +1022,112 @@ mod tests {
         assert_eq!(e.stats().hits, 0);
     }
 
+    /// `x[i] = x[i] + lit` over `0..n` by `step`, with `x` of `kind`:
+    /// the kernel-side inputs the structural key must tell apart.
+    fn add_literal(lit: f64, step: i64, kind: ArrayKind) -> Kernel {
+        let mut b = KernelBuilder::new("edited");
+        let n = b.scalar_param("n", ScalarTy::I64);
+        let x = match kind {
+            ArrayKind::PointerParam => b.array_param("x", ScalarTy::F32),
+            ArrayKind::Global => b.global_array("x", ScalarTy::F32),
+        };
+        let i = b.fresh_loop_var("i");
+        b.for_loop(i, Expr::Int(0), Expr::Var(n), step, |b| {
+            let sum = Expr::bin(BinOp::Add, Expr::load(x, Expr::Var(i)), Expr::Float(lit));
+            b.store(x, Expr::Var(i), sum);
+        });
+        b.finish()
+    }
+
     #[test]
     fn edited_same_name_targets_miss_and_get_their_own_artifacts() {
         // `TargetDesc` is a plain pub-field struct: a caller may keep
         // the stock name and edit the cost table or a feature flag. The
         // key fingerprints the target's full content, so such a target
         // must not share a compilation — in memory or on disk — with
-        // the stock one.
+        // the stock one. The same holds for kernels that differ only in
+        // what a sloppy fingerprint would blur.
         let dir = scratch_store("target-fp");
         let e = Engine::builder().artifact_dir(&dir).build().unwrap();
-        let k = saxpy();
         let cfg = CompileConfig::default();
         let flow = Flow::SplitVectorOpt;
         let stock = sse();
-        let mut costlier = sse();
-        costlier.cost.salu += 1;
-        let mut no_fdiv = sse();
-        no_fdiv.has_fdiv = !no_fdiv.has_fdiv;
-        assert_eq!(costlier.name, stock.name);
-        assert_eq!(no_fdiv.name, stock.name);
+        type Edit = (&'static str, fn(&mut TargetDesc));
+        let edits: [Edit; 17] = [
+            ("vla", |t| t.vla = !t.vla),
+            ("misaligned_loads", |t| {
+                t.misaligned_loads = !t.misaligned_loads
+            }),
+            ("misaligned_stores", |t| {
+                t.misaligned_stores = !t.misaligned_stores
+            }),
+            ("explicit_realign", |t| {
+                t.explicit_realign = !t.explicit_realign
+            }),
+            ("has_dot_product", |t| {
+                t.has_dot_product = !t.has_dot_product
+            }),
+            ("has_widen_mult", |t| t.has_widen_mult = !t.has_widen_mult),
+            ("widen_mult_via_helper", |t| {
+                t.widen_mult_via_helper = !t.widen_mult_via_helper
+            }),
+            ("has_pack_unpack", |t| {
+                t.has_pack_unpack = !t.has_pack_unpack
+            }),
+            ("has_cvt", |t| t.has_cvt = !t.has_cvt),
+            ("cvt_via_helper", |t| t.cvt_via_helper = !t.cvt_via_helper),
+            ("has_fdiv", |t| t.has_fdiv = !t.has_fdiv),
+            ("has_fsqrt", |t| t.has_fsqrt = !t.has_fsqrt),
+            ("has_per_lane_shift", |t| {
+                t.has_per_lane_shift = !t.has_per_lane_shift
+            }),
+            ("vs", |t| t.vs *= 2),
+            ("vector_elems", |t| t.vector_elems = &[ScalarTy::F32]),
+            ("ports.vec_ports", |t| t.ports.vec_ports += 1),
+            ("cost.salu", |t| t.cost.salu += 1),
+        ];
+        let base = add_literal(0.0, 1, ArrayKind::PointerParam);
+        let mut jobs = vec![("stock".to_owned(), base.clone(), stock.clone())];
+        for (what, edit) in edits {
+            let mut t = sse();
+            edit(&mut t);
+            assert_eq!(t.name, stock.name);
+            jobs.push((format!("target {what}"), base.clone(), t));
+        }
+        for (what, k) in [
+            (
+                "-0.0 literal",
+                add_literal(-0.0, 1, ArrayKind::PointerParam),
+            ),
+            ("step 2", add_literal(0.0, 2, ArrayKind::PointerParam)),
+            ("global array", add_literal(0.0, 1, ArrayKind::Global)),
+        ] {
+            jobs.push((format!("kernel {what}"), k, stock.clone()));
+        }
 
-        let a = e.compile(&k, flow, &stock, &cfg).unwrap();
-        let b = e.compile(&k, flow, &costlier, &cfg).unwrap();
-        let c = e.compile(&k, flow, &no_fdiv, &cfg).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b), "edited cost table must miss");
-        assert!(!Arc::ptr_eq(&a, &c), "flipped feature flag must miss");
-        assert!(!Arc::ptr_eq(&b, &c));
+        let mut seen: Vec<Arc<Compiled>> = Vec::new();
+        for (what, k, t) in &jobs {
+            let c = e
+                .compile(k, flow, t, &cfg)
+                .unwrap_or_else(|err| panic!("{what}: {err}"));
+            assert!(
+                seen.iter().all(|prev| !Arc::ptr_eq(prev, &c)),
+                "{what} must miss"
+            );
+            seen.push(c);
+        }
+        let n = jobs.len();
         let s = e.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 3));
-        assert_eq!(s.artifact_writes, 3);
+        assert_eq!((s.hits, s.misses, s.entries), (0, n as u64, n));
+        assert_eq!(s.artifact_writes, n as u64);
         assert_eq!(
             e.artifact_store().unwrap().len(),
-            3,
-            "three distinct .vsart ids"
+            n,
+            "{n} distinct .vsart ids"
         );
-        // The stock target is undisturbed: it still hits its own entry.
-        let a2 = e.compile(&k, flow, &stock, &cfg).unwrap();
-        assert!(Arc::ptr_eq(&a, &a2));
+        // The stock tuple is undisturbed: it still hits its own entry.
+        let again = e.compile(&base, flow, &stock, &cfg).unwrap();
+        assert!(Arc::ptr_eq(&seen[0], &again));
         assert_eq!(e.stats().hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1191,6 +1339,8 @@ mod tests {
             )
             .unwrap_err();
         assert!(err.0.contains("illegal runtime VL"), "{err}");
+        let s = e.stats();
+        assert_eq!((s.misses, s.entries), (0, 0), "rejected before compiling");
     }
 
     #[test]

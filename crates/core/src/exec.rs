@@ -5,10 +5,11 @@
 //! flow, target, bindings) plus typed execution options, and
 //! [`Engine::execute`] resolves it end to end in one straight line: one
 //! cache-key derivation, the sharded compile cache (backed by the
-//! persistent artifact store), the per-(key, VL) execution-form cache,
-//! and the pooled execution arenas. A request storm therefore compiles
-//! each distinct tuple once, builds each execution form once, and
-//! allocates machine memory only until the arena pool warms up.
+//! offline tier and the persistent artifact store), the per-(key, VL)
+//! execution-form cache, and the pooled execution arenas. A request
+//! storm therefore compiles each distinct tuple once, builds each
+//! execution form once, and allocates machine memory only until the
+//! arena pool warms up.
 
 use std::fmt;
 use std::sync::Arc;
@@ -203,7 +204,13 @@ impl Engine {
         policy: AllocPolicy,
         run: impl FnOnce(&mut Machine<'_>) -> Result<ExecStats, Trap>,
     ) -> Result<ExecOutcome, ExecError> {
-        let (mut m, bases) = setup_machine(exec_target, compiled, env, policy, self.take_arena())?;
+        let mut arena = self.take_arena();
+        let setup = setup_machine(exec_target, compiled, env, policy, &mut arena);
+        // A binding error leaves the arena untaken: back to the pool.
+        if let Some(buf) = arena {
+            self.put_arena(buf);
+        }
+        let (mut m, bases) = setup?;
         let outcome = run(&mut m);
         // The arena goes back to the pool even when execution traps —
         // a trapping tenant must not bleed the pool dry.
@@ -318,7 +325,8 @@ mod tests {
         let t = sse();
         let env = saxpy_env(64);
         // Warm the pool, then trap (misaligned bases violate the naive
-        // JIT's allocation contract), then run clean again.
+        // JIT's allocation contract), then fail to bind twice (an array
+        // of the wrong element type, a missing array), then run clean.
         e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
         let trap = e.execute(
             &ExecRequest::new(&k, &t, &env)
@@ -326,11 +334,22 @@ mod tests {
                 .policy(AllocPolicy::Misaligned(4)),
         );
         assert!(matches!(trap, Err(ExecError::Trap(_))));
+        let mut wrong_elem = env.clone();
+        wrong_elem.set_array("y", ArrayData::from_ints(ScalarTy::I32, &[0; 64]));
+        let err = e
+            .execute(&ExecRequest::new(&k, &t, &wrong_elem))
+            .unwrap_err();
+        assert!(err.to_string().contains("element type"), "{err}");
+        let mut missing = Bindings::new();
+        missing.set_int("n", 64).set_float("a", 3.0);
+        let err = e.execute(&ExecRequest::new(&k, &t, &missing)).unwrap_err();
+        assert!(err.to_string().contains("unbound array"), "{err}");
         e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
         let s = e.stats();
         assert_eq!(
-            s.pool_allocs, 1,
-            "the trapped request's arena must return to the pool"
+            (s.pool_allocs, s.pool_reuses),
+            (1, 4),
+            "trapped and unbindable requests must return their arena"
         );
     }
 
@@ -374,5 +393,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExecError::Compile(_)), "{err}");
         assert!(err.to_string().contains("fixed at 128 bits"), "{err}");
+        let s = e.stats();
+        assert_eq!((s.misses, s.entries), (0, 0), "rejected before compiling");
     }
 }

@@ -9,9 +9,11 @@
 //! reference oracle ([`reference()`]).
 //!
 //! The engine is server-shaped: its compile cache is sharded and bounded,
-//! execution-memory arenas are pooled across requests, and an optional
-//! persistent artifact tier ([`ArtifactStore`]) shares offline compiles
-//! across processes. The one-shot [`compile`] function remains for the
+//! each offline artifact is built once and shared by every target and
+//! online pipeline that consumes it, execution-memory arenas are pooled
+//! across requests, and an optional persistent artifact tier
+//! ([`ArtifactStore`]) shares offline compiles across processes. The
+//! one-shot [`compile`] function remains for the
 //! pipeline's own tests; everything else — examples, experiment drivers,
 //! services — routes through an [`Engine`] so repeated (kernel, flow,
 //! target, config) tuples are compiled once and shared.

@@ -6,8 +6,17 @@
 //!   (gcc4cli-class) pipeline.
 //! * **Native flows** (the baseline): target-aware vectorization →
 //!   native code generator, and the plain scalar variant.
+//!
+//! The code has the paper's two halves: `Offline` is the offline stage's
+//! output (encoded bytes, in-memory function, decoded function,
+//! reports), built once per kernel, `OfflineShape` and config;
+//! `Offline::online` consumes it for one (flow, target). Only
+//! native-vector feeds the target to the offline stage, so one artifact
+//! serves every target of the split-vector flows, and one more every
+//! target of the scalar flows.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use vapor_bytecode::{decode_module, encode_module, BcFunction, BcModule};
@@ -110,8 +119,10 @@ pub struct Compiled {
     /// Kernel name.
     pub name: String,
     /// The bytecode consumed by the online stage (post interop boundary
-    /// for split flows).
-    pub func: BcFunction,
+    /// for split flows). Shared with the engine's offline artifact, so
+    /// every target and online pipeline that consumes one artifact holds
+    /// the same function.
+    pub func: Arc<BcFunction>,
     /// Machine code + binding contract.
     pub jit: CompiledKernel,
     /// Encoded bytecode size in bytes (split flows measure this).
@@ -119,8 +130,34 @@ pub struct Compiled {
     /// Wall-clock time of the online stage only (the "JIT compile time"
     /// of §V-A(c)).
     pub online_time: Duration,
-    /// Offline vectorization reports (empty for scalar flows).
+    /// Offline vectorization reports (empty for scalar flows and for
+    /// artifacts loaded from the persistent store).
     pub reports: Vec<LoopReport>,
+}
+
+/// What a flow's offline stage produces, and so which flows can share
+/// one offline artifact: the target is an input only of
+/// [`Flow::NativeVector`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum OfflineShape {
+    /// Target-independent vectorized bytecode (both split-vector flows).
+    Vector,
+    /// Scalar bytecode (both split-scalar flows and native-scalar).
+    Scalar,
+    /// Target-aware vectorized code (native-vector), one per target.
+    Native,
+}
+
+impl Flow {
+    pub(crate) fn offline_shape(self) -> OfflineShape {
+        match self {
+            Flow::SplitVectorNaive | Flow::SplitVectorOpt => OfflineShape::Vector,
+            Flow::NativeVector => OfflineShape::Native,
+            Flow::SplitScalarNaive | Flow::SplitScalarOpt | Flow::NativeScalar => {
+                OfflineShape::Scalar
+            }
+        }
+    }
 }
 
 /// Produce the offline artifact of a flow: the bytecode module.
@@ -133,21 +170,114 @@ pub fn offline_compile(
     target: &TargetDesc,
     cfg: &CompileConfig,
 ) -> Result<(BcModule, Vec<LoopReport>), PipelineError> {
-    let (func, reports) = if flow.vectorized() {
-        let opts = VectorizeOptions {
-            native: matches!(flow, Flow::NativeVector).then(|| target.clone()),
-            no_alignment_opts: cfg.no_alignment_opts,
-            no_realign_reuse: cfg.no_realign_reuse,
-            no_distribution: cfg.no_distribution,
-        };
-        let r = vectorize(kernel, &opts);
-        (r.func, r.reports)
-    } else {
-        (emit_scalar_function(kernel), Vec::new())
+    let (func, reports) = match flow.offline_shape() {
+        OfflineShape::Scalar => (emit_scalar_function(kernel), Vec::new()),
+        shape => {
+            let opts = VectorizeOptions {
+                native: (shape == OfflineShape::Native).then(|| target.clone()),
+                no_alignment_opts: cfg.no_alignment_opts,
+                no_realign_reuse: cfg.no_realign_reuse,
+                no_distribution: cfg.no_distribution,
+            };
+            let r = vectorize(kernel, &opts);
+            (r.func, r.reports)
+        }
     };
     vapor_bytecode::verify_function(&func)
         .map_err(|e| PipelineError(format!("{}: {e}", kernel.name)))?;
     Ok((BcModule::single(func), reports))
+}
+
+/// One offline artifact and what the online stage consumes of it. The
+/// engine builds it once per (kernel, `OfflineShape`, config) and
+/// every target and online pipeline of that shape consumes it.
+#[derive(Debug)]
+pub(crate) struct Offline {
+    /// The encoded bytecode: the interoperability boundary, and what the
+    /// persistent artifact store writes.
+    pub(crate) bytes: Vec<u8>,
+    /// The in-memory function, which native pipelines consume.
+    func: Arc<BcFunction>,
+    /// `bytes` decoded, which split pipelines consume: decoded on first
+    /// use, once per artifact instead of once per target.
+    decoded: OnceLock<Arc<BcFunction>>,
+    reports: Vec<LoopReport>,
+}
+
+impl Offline {
+    /// Run the offline stage and encode its output.
+    pub(crate) fn build(
+        kernel: &Kernel,
+        flow: Flow,
+        target: &TargetDesc,
+        cfg: &CompileConfig,
+    ) -> Result<Offline, PipelineError> {
+        let (module, reports) = offline_compile(kernel, flow, target, cfg)?;
+        let bytes = encode_module(&module);
+        Ok(Offline {
+            func: Arc::new(single_function(&kernel.name, module)?),
+            bytes,
+            decoded: OnceLock::new(),
+            reports,
+        })
+    }
+
+    /// An artifact from encoded bytes (the persistent store's): decoded
+    /// once, and that decode serves native and split pipelines alike.
+    pub(crate) fn from_bytes(name: &str, bytes: Vec<u8>) -> Result<Offline, PipelineError> {
+        let func = Arc::new(decode_function(name, &bytes)?);
+        Ok(Offline {
+            bytes,
+            func: Arc::clone(&func),
+            decoded: OnceLock::from(func),
+            reports: Vec::new(),
+        })
+    }
+
+    /// The online stage: JIT-compile this artifact for `target` under
+    /// `flow`'s pipeline.
+    pub(crate) fn online(
+        &self,
+        name: &str,
+        flow: Flow,
+        target: &TargetDesc,
+    ) -> Result<Compiled, PipelineError> {
+        let func = if flow.pipeline() == Pipeline::Native {
+            &self.func
+        } else if let Some(decoded) = self.decoded.get() {
+            decoded
+        } else {
+            // Racing first consumers may both decode; one result stays.
+            let decoded = Arc::new(decode_function(name, &self.bytes)?);
+            self.decoded.get_or_init(|| decoded)
+        };
+        let opts = JitOptions::new(flow.pipeline());
+        let start = Instant::now();
+        let jit = vapor_jit::compile(func, target, &opts)
+            .map_err(|e| PipelineError(format!("{flow}: {e}")))?;
+        let online_time = start.elapsed();
+        Ok(Compiled {
+            name: name.to_owned(),
+            func: Arc::clone(func),
+            jit,
+            bytecode_bytes: self.bytes.len(),
+            online_time,
+            reports: self.reports.clone(),
+        })
+    }
+}
+
+fn single_function(name: &str, module: BcModule) -> Result<BcFunction, PipelineError> {
+    module
+        .funcs
+        .into_iter()
+        .next()
+        .ok_or_else(|| PipelineError(format!("{name}: empty bytecode module")))
+}
+
+fn decode_function(name: &str, bytes: &[u8]) -> Result<BcFunction, PipelineError> {
+    let module = decode_module(bytes).map_err(|e| PipelineError(e.to_string()))?;
+    single_function(name, module)
 }
 
 /// Compile a kernel end to end for one flow on one target.
@@ -163,38 +293,7 @@ pub fn compile(
     target: &TargetDesc,
     cfg: &CompileConfig,
 ) -> Result<Compiled, PipelineError> {
-    compile_encoded(kernel, flow, target, cfg).map(|(c, _)| c)
-}
-
-/// [`compile`], additionally returning the encoded offline artifact —
-/// the exact bytes the engine's persistent artifact tier stores on disk
-/// so a later process can skip the offline stage entirely (see
-/// [`online_compile`]).
-///
-/// # Errors
-/// Returns a [`PipelineError`] if any stage rejects the kernel.
-pub fn compile_encoded(
-    kernel: &Kernel,
-    flow: Flow,
-    target: &TargetDesc,
-    cfg: &CompileConfig,
-) -> Result<(Compiled, Vec<u8>), PipelineError> {
-    let (module, reports) = offline_compile(kernel, flow, target, cfg)?;
-    let bytes = encode_module(&module);
-    let bytecode_bytes = bytes.len();
-    let module = if flow.pipeline() == Pipeline::Native {
-        module // native flows keep the in-memory form
-    } else {
-        decode_module(&bytes).map_err(|e| PipelineError(e.to_string()))?
-    };
-    let compiled = online_stage(kernel.name.clone(), module, bytecode_bytes, flow, target)?;
-    Ok((
-        Compiled {
-            reports,
-            ..compiled
-        },
-        bytes,
-    ))
+    Offline::build(kernel, flow, target, cfg)?.online(&kernel.name, flow, target)
 }
 
 /// Run *only* the online stage over an already-encoded offline artifact
@@ -214,39 +313,7 @@ pub fn online_compile(
     flow: Flow,
     target: &TargetDesc,
 ) -> Result<Compiled, PipelineError> {
-    let module = decode_module(bytes).map_err(|e| PipelineError(e.to_string()))?;
-    online_stage(name.to_owned(), module, bytes.len(), flow, target)
-}
-
-/// The shared online stage: JIT-compile a decoded module's single
-/// function for `target` under `flow`'s pipeline.
-fn online_stage(
-    name: String,
-    module: BcModule,
-    bytecode_bytes: usize,
-    flow: Flow,
-    target: &TargetDesc,
-) -> Result<Compiled, PipelineError> {
-    let func = module
-        .funcs
-        .into_iter()
-        .next()
-        .ok_or_else(|| PipelineError(format!("{name}: empty bytecode module")))?;
-
-    let opts = JitOptions::new(flow.pipeline());
-    let start = Instant::now();
-    let jit = vapor_jit::compile(&func, target, &opts)
-        .map_err(|e| PipelineError(format!("{flow}: {e}")))?;
-    let online_time = start.elapsed();
-
-    Ok(Compiled {
-        name,
-        func,
-        jit,
-        bytecode_bytes,
-        online_time,
-        reports: Vec::new(),
-    })
+    Offline::from_bytes(name, bytes.to_vec())?.online(name, flow, target)
 }
 
 #[cfg(test)]

@@ -30,13 +30,14 @@ pub(crate) type Placements = Vec<(String, u64, usize, vapor_ir::ScalarTy)>;
 /// optionally recycling a memory arena from a previous execution (the
 /// engine's pooled-execution path): the buffer is re-zeroed over the
 /// required capacity instead of freshly allocated. Pass `None` for a
-/// cold allocation.
+/// cold allocation. Every binding is checked before the arena is taken
+/// out of `arena`, so on a binding error the caller still holds it.
 pub(crate) fn setup_machine<'t>(
     target: &'t TargetDesc,
     compiled: &Compiled,
     env: &Bindings,
     policy: AllocPolicy,
-    arena: Option<Vec<u8>>,
+    arena: &mut Option<Vec<u8>>,
 ) -> Result<(Machine<'t>, Placements), Trap> {
     let f = &compiled.func;
     // Memory: all arrays + the machine's guard padding either side +
@@ -55,30 +56,31 @@ pub(crate) fn setup_machine<'t>(
                 a.name, compiled.name
             ))
         })?;
-        total += data.bytes.len() + 2 * pad + 2 * MAX_VS;
-    }
-    let vs = target.vs.max(1);
-    let mem = match arena {
-        Some(buf) => Memory::recycled(buf, total, vs),
-        None => Memory::for_width(total, vs),
-    };
-    let mut m = Machine::with_memory(target, mem);
-
-    for (i, p) in f.params.iter().enumerate() {
-        let v = env
-            .scalar(&p.name)
-            .ok_or_else(|| Trap(format!("unbound scalar parameter {}", p.name)))?;
-        m.set_sreg(compiled.jit.param_regs[i], coerce(p.ty, v));
-    }
-    let mut bases = Vec::new();
-    for (i, a) in f.arrays.iter().enumerate() {
-        let data = env.array(&a.name).expect("checked during memory sizing");
         if data.elem != a.elem {
             return Err(Trap(format!(
                 "array {} bound with element type {}, declared {}",
                 a.name, data.elem, a.elem
             )));
         }
+        total += data.bytes.len() + 2 * pad + 2 * MAX_VS;
+    }
+    if let Some(p) = f.params.iter().find(|p| env.scalar(&p.name).is_none()) {
+        return Err(Trap(format!("unbound scalar parameter {}", p.name)));
+    }
+    let vs = target.vs.max(1);
+    let mem = match arena.take() {
+        Some(buf) => Memory::recycled(buf, total, vs),
+        None => Memory::for_width(total, vs),
+    };
+    let mut m = Machine::with_memory(target, mem);
+
+    for (i, p) in f.params.iter().enumerate() {
+        let v = env.scalar(&p.name).expect("checked before the arena");
+        m.set_sreg(compiled.jit.param_regs[i], coerce(p.ty, v));
+    }
+    let mut bases = Vec::new();
+    for (i, a) in f.arrays.iter().enumerate() {
+        let data = env.array(&a.name).expect("checked during memory sizing");
         let base = match policy {
             AllocPolicy::Aligned => m.mem.alloc(data.bytes.len(), MAX_VS),
             AllocPolicy::Misaligned(k) => {

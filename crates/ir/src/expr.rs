@@ -1,5 +1,7 @@
 //! Expressions of the scalar kernel IR.
 
+use std::hash::{Hash, Hasher};
+
 use crate::sem::{BinOp, UnOp};
 use crate::ty::ScalarTy;
 
@@ -127,6 +129,37 @@ impl Expr {
             }
             Expr::Un { arg, .. } | Expr::Cast { arg, .. } => arg.collect_loads(out),
             Expr::Int(_) | Expr::Float(_) | Expr::Var(_) => {}
+        }
+    }
+}
+
+/// Structural hash, by hand only because `f64` has no `Hash`: a float
+/// literal hashes by its bits, so `0.0` and `-0.0` (equal under
+/// `PartialEq`, different programs) hash apart.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Expr::Int(v) => v.hash(state),
+            Expr::Float(v) => v.to_bits().hash(state),
+            Expr::Var(v) => v.hash(state),
+            Expr::Load { array, index } => {
+                array.hash(state);
+                index.hash(state);
+            }
+            Expr::Bin { op, lhs, rhs } => {
+                op.hash(state);
+                lhs.hash(state);
+                rhs.hash(state);
+            }
+            Expr::Un { op, arg } => {
+                op.hash(state);
+                arg.hash(state);
+            }
+            Expr::Cast { ty, arg } => {
+                ty.hash(state);
+                arg.hash(state);
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::stmt::Stmt;
 use crate::ty::ScalarTy;
 
 /// How a scalar variable is bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarKind {
     /// Kernel parameter, supplied by the caller.
     Param,
@@ -16,7 +16,7 @@ pub enum VarKind {
 }
 
 /// A scalar variable declaration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct VarDecl {
     /// Source-level name (unique within the kernel).
     pub name: String,
@@ -30,7 +30,7 @@ pub struct VarDecl {
 /// §III-B(c) of the paper: a *native* offline compiler can force the
 /// alignment of globals/locals, but nothing can be assumed about raw
 /// pointer parameters until the JIT (which owns allocation) runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayKind {
     /// Global/local array: a native compiler may force its base alignment.
     Global,
@@ -41,7 +41,7 @@ pub enum ArrayKind {
 /// An array declaration. Arrays are 1-D; multi-dimensional accesses are
 /// written with explicit linearized subscripts (`a[i*n + j]`), matching
 /// the layout the paper's kernels use after transposition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct ArrayDecl {
     /// Source-level name (unique within the kernel).
     pub name: String,
@@ -69,7 +69,7 @@ pub struct ArrayDecl {
 /// let k = b.finish();
 /// assert_eq!(k.name, "dscal");
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Kernel {
     /// Kernel name (used by the suite registry and reports).
     pub name: String,

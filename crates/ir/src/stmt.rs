@@ -10,7 +10,7 @@
 use crate::expr::{ArrayId, Expr, VarId};
 
 /// A statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Stmt {
     /// `for (var = lo; var < hi; var += step) body`
     ///

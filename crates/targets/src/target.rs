@@ -63,7 +63,10 @@ pub fn valid_vl(vl_bits: usize) -> bool {
 /// VF, alignment capabilities drive the realignment strategy choice of
 /// §III-C, and the feature booleans drive scalarization/library-fallback
 /// decisions (e.g. `double` on AltiVec, immature idioms on NEON).
-#[derive(Debug, Clone)]
+///
+/// `Eq + Hash` because the engine's compile cache fingerprints the whole
+/// description: an edited field, kept under the stock name, must miss.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TargetDesc {
     /// Display name.
     pub name: &'static str,
