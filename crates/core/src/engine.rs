@@ -532,6 +532,13 @@ impl Engine {
             shard,
             key: key.clone(),
         };
+        // A racer may have compiled and released the key between our
+        // cache miss and the claim: it inserts before it releases, so
+        // the entry is visible now.
+        if let Some(hit) = self.lock_shard(shard).get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
+        }
 
         self.misses.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
@@ -1542,6 +1549,48 @@ mod tests {
         let third = Engine::builder().artifact_dir(&dir).build().unwrap();
         third.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
         assert_eq!(third.stats().artifact_hits, 1);
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn multi_function_artifacts_are_rejected_not_truncated() {
+        let dir = scratch_store("multi");
+        let k = saxpy();
+        let t = sse();
+        let cfg = CompileConfig::default();
+        let cold = Engine::builder().artifact_dir(&dir).build().unwrap();
+        let a = cold.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+
+        // Replace the one artifact with a well-framed payload holding a
+        // decoy function first and the real one second.
+        let store = cold.artifact_store().unwrap();
+        let entry = std::fs::read_dir(store.dir())
+            .unwrap()
+            .filter_map(Result::ok)
+            .find(|e| e.path().extension().is_some_and(|x| x == "vsart"))
+            .expect("one artifact on disk");
+        let stem = entry
+            .path()
+            .file_stem()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .to_owned();
+        let id = u128::from_str_radix(&stem, 16).unwrap();
+        let mut decoy = (*a.func).clone();
+        decoy.body.clear();
+        let payload = vapor_bytecode::encode_module(&vapor_bytecode::BcModule {
+            funcs: vec![decoy, (*a.func).clone()],
+        });
+        store.save(id, &payload).unwrap();
+
+        let warm = Engine::builder().artifact_dir(&dir).build().unwrap();
+        let b = warm.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+        let s = warm.stats();
+        assert_eq!((s.artifact_rejects, s.artifact_hits), (1, 0));
+        assert_eq!(s.artifact_writes, 1, "the store must be healed");
+        assert_eq!(a.jit.code, b.jit.code, "recompiled, not the decoy");
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

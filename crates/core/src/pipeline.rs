@@ -267,12 +267,16 @@ impl Offline {
     }
 }
 
+/// The one function of a kernel's module. A module holding any other
+/// number is rejected, never truncated: the bytes may come from disk.
 fn single_function(name: &str, module: BcModule) -> Result<BcFunction, PipelineError> {
-    module
-        .funcs
-        .into_iter()
-        .next()
-        .ok_or_else(|| PipelineError(format!("{name}: empty bytecode module")))
+    let n = module.funcs.len();
+    match <[BcFunction; 1]>::try_from(module.funcs) {
+        Ok([func]) => Ok(func),
+        Err(_) => Err(PipelineError(format!(
+            "{name}: bytecode module holds {n} functions, not 1"
+        ))),
+    }
 }
 
 fn decode_function(name: &str, bytes: &[u8]) -> Result<BcFunction, PipelineError> {
@@ -347,6 +351,22 @@ mod tests {
                     c.reports
                 );
             }
+        }
+    }
+
+    #[test]
+    fn modules_without_exactly_one_function_are_rejected() {
+        let k = saxpy();
+        let (module, _) =
+            offline_compile(&k, Flow::SplitVectorOpt, &sse(), &CompileConfig::default()).unwrap();
+        let f = module.funcs[0].clone();
+        let two = encode_module(&BcModule {
+            funcs: vec![f.clone(), f],
+        });
+        let none = encode_module(&BcModule::new());
+        for bytes in [two, none] {
+            let err = online_compile("saxpy", &bytes, Flow::SplitVectorOpt, &sse()).unwrap_err();
+            assert!(err.0.contains("not 1"), "{err}");
         }
     }
 

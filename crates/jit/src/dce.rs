@@ -9,195 +9,94 @@
 //! of it), which is trivially sound in the presence of loops; the
 //! precision is enough to clean up the straight-line idiom chains the
 //! lowering produces.
+//!
+//! Operands come from [`MInst::visit_regs`], the ISA's one operand
+//! enumeration. Reads are counted per register in two dense tables sized
+//! by `MCode::{n_sregs, n_vregs}`; deleting a definition uncounts its
+//! reads, and sweeps repeat until none is deleted — the fixed point of
+//! "delete every pure definition nothing reads".
 
-use std::collections::HashSet;
+use vapor_targets::{MCode, MInst};
 
-use vapor_targets::{AddrMode, MCode, MInst, SReg, ShiftSrc, VReg};
-
-fn note_addr(a: &AddrMode, s: &mut HashSet<SReg>) {
-    s.insert(a.base);
-    if let Some(i) = a.idx {
-        s.insert(i);
-    }
+/// Pure definitions: removable when nothing reads what they write. The
+/// purity list, not operand enumeration — that is `visit_regs`.
+fn removable(inst: &MInst) -> bool {
+    matches!(
+        inst,
+        MInst::MovImmI { .. }
+            | MInst::MovImmF { .. }
+            | MInst::MovS { .. }
+            | MInst::SBin { .. }
+            | MInst::SBinImm { .. }
+            | MInst::SUn { .. }
+            | MInst::SCvt { .. }
+            | MInst::LoadS { .. }
+            | MInst::LoadV { .. }
+            | MInst::LoadVl { .. }
+            | MInst::LoadVFloor { .. }
+            | MInst::Splat { .. }
+            | MInst::Iota { .. }
+            | MInst::VPermCtrl { .. }
+            | MInst::MovV { .. }
+    )
 }
 
-fn uses(inst: &MInst, s: &mut HashSet<SReg>, v: &mut HashSet<VReg>) {
-    match inst {
-        MInst::Label(_) | MInst::Jump(_) | MInst::MovImmI { .. } | MInst::MovImmF { .. } => {}
-        MInst::Branch { a, b, .. } => {
-            s.insert(*a);
-            s.insert(*b);
-        }
-        MInst::BranchImm { a, .. } => {
-            s.insert(*a);
-        }
-        MInst::MovS { src, .. } => {
-            s.insert(*src);
-        }
-        MInst::SBin { a, b, .. } | MInst::FpuBin { a, b, .. } => {
-            s.insert(*a);
-            s.insert(*b);
-        }
-        MInst::SBinImm { a, .. } | MInst::SUn { a, .. } | MInst::SCvt { a, .. } => {
-            s.insert(*a);
-        }
-        MInst::LoadS { addr, .. } => note_addr(addr, s),
-        MInst::StoreS { src, addr, .. } => {
-            s.insert(*src);
-            note_addr(addr, s);
-        }
-        MInst::LoadV { addr, .. } | MInst::LoadVFloor { addr, .. } => note_addr(addr, s),
-        MInst::StoreV { src, addr, .. } => {
-            v.insert(*src);
-            note_addr(addr, s);
-        }
-        MInst::Splat { src, .. } => {
-            s.insert(*src);
-        }
-        MInst::Iota { start, inc, .. } => {
-            s.insert(*start);
-            s.insert(*inc);
-        }
-        MInst::SetLane { dst, src, .. } => {
-            // Lane insertion reads the rest of the destination.
-            v.insert(*dst);
-            s.insert(*src);
-        }
-        MInst::GetLane { src, .. } => {
-            v.insert(*src);
-        }
-        MInst::VBin { a, b, .. } => {
-            v.insert(*a);
-            v.insert(*b);
-        }
-        MInst::VUn { a, .. } => {
-            v.insert(*a);
-        }
-        MInst::VShift { a, amt, .. } => {
-            v.insert(*a);
-            match amt {
-                ShiftSrc::Reg(r) => {
-                    s.insert(*r);
-                }
-                ShiftSrc::PerLane(r) => {
-                    v.insert(*r);
-                }
-                ShiftSrc::Imm(_) => {}
+/// Add `by` to the read count of every register `inst` reads.
+fn count_reads(inst: &MInst, s: &mut [u32], v: &mut [u32], by: i32) {
+    inst.visit_regs(
+        |r, a| {
+            if a.reads() {
+                s[r.0 as usize] = s[r.0 as usize].wrapping_add_signed(by);
             }
-        }
-        MInst::VWidenMul { a, b, .. } => {
-            v.insert(*a);
-            v.insert(*b);
-        }
-        MInst::VDotAcc { a, b, acc, .. } => {
-            v.insert(*a);
-            v.insert(*b);
-            v.insert(*acc);
-        }
-        MInst::VPack { a, b, .. } => {
-            v.insert(*a);
-            v.insert(*b);
-        }
-        MInst::VUnpack { a, .. } | MInst::VCvt { a, .. } => {
-            v.insert(*a);
-        }
-        MInst::VInterleave { a, b, .. } => {
-            v.insert(*a);
-            v.insert(*b);
-        }
-        MInst::VExtractStride { srcs, .. } => {
-            v.extend(srcs.iter().copied());
-        }
-        MInst::VPermCtrl { addr, .. } => note_addr(addr, s),
-        MInst::VPerm { a, b, ctrl, .. } => {
-            v.insert(*a);
-            v.insert(*b);
-            v.insert(*ctrl);
-        }
-        MInst::VReduce { src, .. } => {
-            v.insert(*src);
-        }
-        MInst::MovV { src, .. } => {
-            v.insert(*src);
-        }
-        MInst::SpillLd { .. } => {}
-        MInst::SpillSt { src, .. } => {
-            s.insert(*src);
-        }
-        MInst::VHelper { a, b, .. } => {
-            v.insert(*a);
-            if let Some(b) = b {
-                v.insert(*b);
+        },
+        |r, a| {
+            if a.reads() {
+                v[r.0 as usize] = v[r.0 as usize].wrapping_add_signed(by);
             }
-        }
-        MInst::SetVl { avl, .. } => {
-            s.insert(*avl);
-        }
-        MInst::LoadVl { addr, .. } => note_addr(addr, s),
-        MInst::StoreVl { src, addr, .. } => {
-            v.insert(*src);
-            note_addr(addr, s);
-        }
-        // Merging predication reads the destination's inactive lanes.
-        MInst::VBinVl { dst, a, b, .. } => {
-            v.insert(*dst);
-            v.insert(*a);
-            v.insert(*b);
-        }
-        MInst::VUnVl { dst, a, .. } => {
-            v.insert(*dst);
-            v.insert(*a);
-        }
-    }
-}
-
-/// Pure scalar/vector definition removable when its destination is dead.
-fn removable_def(inst: &MInst) -> Option<(Option<SReg>, Option<VReg>)> {
-    match inst {
-        MInst::MovImmI { dst, .. }
-        | MInst::MovImmF { dst, .. }
-        | MInst::MovS { dst, .. }
-        | MInst::SBin { dst, .. }
-        | MInst::SBinImm { dst, .. }
-        | MInst::SUn { dst, .. }
-        | MInst::SCvt { dst, .. }
-        | MInst::LoadS { dst, .. } => Some((Some(*dst), None)),
-        MInst::LoadV { dst, .. }
-        | MInst::LoadVl { dst, .. }
-        | MInst::LoadVFloor { dst, .. }
-        | MInst::Splat { dst, .. }
-        | MInst::Iota { dst, .. }
-        | MInst::VPermCtrl { dst, .. }
-        | MInst::MovV { dst, .. } => Some((None, Some(*dst))),
-        _ => None,
-    }
+        },
+    );
 }
 
 /// Remove dead pure definitions until a fixed point.
+///
+/// # Panics
+/// Panics if a register is not below `code.n_sregs` / `code.n_vregs`,
+/// which the lowering's own output never does.
 pub fn run(code: &mut MCode) {
-    loop {
-        let mut used_s = HashSet::new();
-        let mut used_v = HashSet::new();
-        for inst in &code.insts {
-            uses(inst, &mut used_s, &mut used_v);
-        }
-        let before = code.insts.len();
-        code.insts.retain(|inst| match removable_def(inst) {
-            Some((Some(s), _)) => used_s.contains(&s),
-            Some((_, Some(v))) => used_v.contains(&v),
-            _ => true,
-        });
-        if code.insts.len() == before {
-            break;
+    let mut s = vec![0u32; code.n_sregs as usize];
+    let mut v = vec![0u32; code.n_vregs as usize];
+    for inst in &code.insts {
+        count_reads(inst, &mut s, &mut v, 1);
+    }
+    let mut live = vec![true; code.insts.len()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (inst, live) in code.insts.iter().zip(&mut live) {
+            if !*live || !removable(inst) {
+                continue;
+            }
+            let (mut s_read, mut v_read) = (false, false);
+            inst.visit_regs(
+                |r, a| s_read |= a.writes() && s[r.0 as usize] > 0,
+                |r, a| v_read |= a.writes() && v[r.0 as usize] > 0,
+            );
+            if !(s_read || v_read) {
+                *live = false;
+                changed = true;
+                count_reads(inst, &mut s, &mut v, -1);
+            }
         }
     }
+    let mut live = live.into_iter();
+    code.insts.retain(|_| live.next() == Some(true));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use vapor_ir::{BinOp, ScalarTy};
-    use vapor_targets::MemAlign;
+    use vapor_targets::{AddrMode, MemAlign, SReg, VReg};
 
     #[test]
     fn removes_dead_chains() {

@@ -20,4 +20,6 @@ pub mod spill;
 
 pub use lower::{compile, CompileStats, CompiledKernel, JitError};
 pub use options::{JitOptions, Pipeline};
-pub use plan::{fold_guard, known_misalignment, plan_group, Fold, GroupMode, ScalarReason};
+pub use plan::{
+    fold_guard, known_misalignment, plan_groups, Fold, GroupMode, GroupPlan, ScalarReason,
+};

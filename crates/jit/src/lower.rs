@@ -1,11 +1,16 @@
 //! Bytecode → machine-code lowering: the heart of the online stage.
 //!
-//! One linear pass over the structured bytecode (plus a cheap planning
-//! pre-pass), exactly the complexity budget §III-A demands of the JIT:
-//! no loop-level or data-access analysis happens here — every decision
-//! is driven by the idioms and hints the offline stage encoded.
+//! One linear pass over the structured bytecode, after one planning walk
+//! that decides every loop group at once — exactly the complexity budget
+//! §III-A demands of the JIT: no loop-level or data-access analysis
+//! happens here; every decision is driven by the idioms and hints the
+//! offline stage encoded.
+//!
+//! Per-call state lives in dense tables sized from what the input states:
+//! register bindings, definition counts and the realignment set are
+//! `Vec`s indexed by bytecode register (`f.regs.len()`), group plans a
+//! `Vec` indexed by group id. No hash table is built per call.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use vapor_bytecode::{
@@ -18,7 +23,9 @@ use vapor_targets::{
 };
 
 use crate::options::JitOptions;
-use crate::plan::{fold_guard, groups_of, known_misalignment, plan_group, Fold, GroupMode};
+use crate::plan::{
+    fold_guard, known_misalignment, plan_groups, Fold, GroupMode, GroupPlan, ScalarReason,
+};
 
 /// Compilation error of the online stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +56,9 @@ pub struct CompileStats {
     pub groups_tail_scalar: usize,
     /// Library-helper calls emitted (the NEON fallback path).
     pub helper_calls: usize,
+    /// The online verdicts: each scalarized group's id and why it could
+    /// not stay vector, by group id.
+    pub scalarized: Vec<(u32, Vec<ScalarReason>)>,
 }
 
 /// A compiled kernel: machine code plus the register binding contract.
@@ -92,20 +102,24 @@ struct Lower<'a> {
     next_s: u32,
     next_v: u32,
     next_l: u32,
-    bind: HashMap<Reg, Bind>,
-    def_count: HashMap<Reg, u32>,
+    /// Binding of each bytecode register.
+    bind: Vec<Bind>,
+    /// Definitions of each bytecode register (loop variables count 2).
+    def_count: Vec<u32>,
     array_base: Vec<SReg>,
     array_len: Vec<SReg>,
-    group_mode: HashMap<u32, GroupMode>,
+    /// Plan of each loop group, by group id.
+    plans: Vec<Option<GroupPlan>>,
     /// Realign helper registers (lo/hi/rt of explicit realignment) that
-    /// must actually be materialized on this target.
-    realign_needed: std::collections::HashSet<Reg>,
+    /// must actually be materialized on this target, by register.
+    realign_needed: Vec<bool>,
     /// Precomputed runtime-guard flags (Opt pipelines), consumed in
     /// traversal order.
     guard_flags: Vec<SReg>,
     guard_cursor: usize,
-    /// Pointer-bump bindings: (induction bytecode reg, array) → pointer.
-    bump: HashMap<(Reg, u32), SReg>,
+    /// Pointer-bump bindings of the enclosing loops, innermost last:
+    /// (induction bytecode reg, array, pointer).
+    bump: Vec<(Reg, u32, SReg)>,
     stats: CompileStats,
 }
 
@@ -137,11 +151,25 @@ impl<'a> Lower<'a> {
     }
 
     fn bind_of(&self, r: Reg) -> Bind {
-        self.bind.get(&r).copied().unwrap_or(Bind::Dead)
+        self.bind.get(r.0 as usize).copied().unwrap_or(Bind::Dead)
+    }
+
+    /// Bind a defined register (`count_defs` checked every definition is
+    /// in range).
+    fn set_bind(&mut self, r: Reg, b: Bind) {
+        self.bind[r.0 as usize] = b;
     }
 
     fn multi_def(&self, r: Reg) -> bool {
-        self.def_count.get(&r).copied().unwrap_or(0) > 1
+        self.def_count[r.0 as usize] > 1
+    }
+
+    /// Mode of group `g`; ids without a `VectorMain` loop read `Vector`.
+    fn mode(&self, g: u32) -> GroupMode {
+        match self.plans.get(g as usize) {
+            Some(Some(p)) => p.mode,
+            _ => GroupMode::Vector,
+        }
     }
 
     /// Binding of an operand (registers resolve through the bind map).
@@ -207,7 +235,7 @@ impl<'a> Lower<'a> {
             Bind::S(r) => r,
             _ => {
                 let r = self.fresh_s();
-                self.bind.insert(dst, Bind::S(r));
+                self.set_bind(dst, Bind::S(r));
                 r
             }
         }
@@ -218,7 +246,7 @@ impl<'a> Lower<'a> {
             Bind::V(r) => r,
             _ => {
                 let r = self.fresh_v();
-                self.bind.insert(dst, Bind::V(r));
+                self.set_bind(dst, Bind::V(r));
                 r
             }
         }
@@ -236,7 +264,7 @@ impl<'a> Lower<'a> {
                 _ => return self.err("non-scalar value bound to scalar register"),
             }
         } else if self.opts.folds_constants() || matches!(b, Bind::S(_)) {
-            self.bind.insert(dst, b);
+            self.set_bind(dst, b);
         } else {
             let d = self.def_s(dst);
             match b {
@@ -250,12 +278,7 @@ impl<'a> Lower<'a> {
     }
 
     fn vf_of(&self, group: u32, ty: ScalarTy) -> i64 {
-        match self
-            .group_mode
-            .get(&group)
-            .copied()
-            .unwrap_or(GroupMode::Vector)
-        {
+        match self.mode(group) {
             // VLA vector groups: `get_VF` resolves to 1, which makes the
             // offline bound arithmetic `lo + ((hi-lo)/VF)*VF` collapse to
             // `hi` — the stripmined, predicated main loop covers the
@@ -276,7 +299,8 @@ impl<'a> Lower<'a> {
             Bind::S(idx) => {
                 // Pointer-bumped access (native codegen).
                 if let Operand::Reg(bc_idx) = addr.index {
-                    if let Some(&p) = self.bump.get(&(bc_idx, addr.base.0)) {
+                    let key = (bc_idx, addr.base.0);
+                    if let Some(&(.., p)) = self.bump.iter().rev().find(|b| (b.0, b.1) == key) {
                         return Ok(AddrMode::base_disp(p, disp));
                     }
                 }
@@ -490,8 +514,8 @@ impl<'a> Lower<'a> {
                 BcStmt::Loop {
                     kind, group, body, ..
                 } => {
-                    let vector = *kind != LoopKind::VectorMain
-                        || self.group_mode.get(group).copied() == Some(GroupMode::Vector);
+                    let vector =
+                        *kind != LoopKind::VectorMain || self.mode(*group) == GroupMode::Vector;
                     if vector {
                         self.collect_realign_needed(body);
                     }
@@ -517,7 +541,10 @@ impl<'a> Lower<'a> {
                     ..
                 } if known_misalignment(*mis, *modulo, self.t.vs) != Some(0) => {
                     for r in [lo, hi, rt].into_iter().flatten() {
-                        self.realign_needed.insert(*r);
+                        // Out of range is a dead use, rejected where read.
+                        if let Some(needed) = self.realign_needed.get_mut(r.0 as usize) {
+                            *needed = true;
+                        }
                     }
                 }
                 _ => {}
@@ -529,40 +556,24 @@ impl<'a> Lower<'a> {
     // Statement lowering
     // ------------------------------------------------------------------
 
-    /// Ambient group of the statement at `idx` in `stmts`: the group of
-    /// the nearest group-tagged statement at or after it (vectorizer
-    /// layout contract; see DESIGN.md).
-    fn ambient_group(&self, stmts: &[BcStmt], idx: usize) -> Option<u32> {
-        for s in &stmts[idx..] {
-            match s {
-                BcStmt::Loop {
-                    kind: LoopKind::VectorMain | LoopKind::ScalarTail,
-                    group,
-                    ..
-                } => return Some(*group),
-                BcStmt::Def {
-                    op: Op::GetVf { group, .. },
-                    ..
-                }
-                | BcStmt::Def {
-                    op: Op::LoopBound { group, .. },
-                    ..
-                } => return Some(*group),
-                _ => {}
-            }
-        }
-        None
-    }
-
     fn mode_of_group(&self, g: Option<u32>) -> GroupMode {
-        g.and_then(|g| self.group_mode.get(&g).copied())
-            .unwrap_or(GroupMode::Vector)
+        g.map_or(GroupMode::Vector, |g| self.mode(g))
     }
 
+    /// Lower a statement list. The ambient group of each statement is
+    /// the group of the nearest group-tagged statement at or after it
+    /// (vectorizer layout contract; see DESIGN.md), found by one forward
+    /// search per tagged statement passed.
     fn lower_stmts(&mut self, stmts: &[BcStmt], inherited: Option<u32>) -> Result<(), JitError> {
+        // (index, group) of the next tagged statement; `len` when none.
+        let mut next = (0, None);
         for (i, s) in stmts.iter().enumerate() {
-            let ambient = self.ambient_group(stmts, i).or(inherited);
-            self.lower_stmt(s, ambient)?;
+            if i == 0 || i > next.0 {
+                next = (i..stmts.len())
+                    .find_map(|j| Some((j, Some(group_tag(&stmts[j])?))))
+                    .unwrap_or((stmts.len(), None));
+            }
+            self.lower_stmt(s, next.1.or(inherited))?;
         }
         Ok(())
     }
@@ -697,9 +708,7 @@ impl<'a> Lower<'a> {
         } else {
             ambient
         };
-        if kind == LoopKind::VectorMain
-            && self.group_mode.get(&group).copied() == Some(GroupMode::TailScalar)
-        {
+        if kind == LoopKind::VectorMain && self.mode(group) == GroupMode::TailScalar {
             // The scalar tail loop executes the whole range instead.
             return Ok(());
         }
@@ -710,14 +719,8 @@ impl<'a> Lower<'a> {
         // A VLA vector main loop is stripmined: each iteration sets the
         // active vector length to `min(remaining, VLMAX)` via `setvl`
         // and advances the induction variable by that runtime amount.
-        let vla_main = kind == LoopKind::VectorMain
-            && self.t.vla
-            && self
-                .group_mode
-                .get(&group)
-                .copied()
-                .unwrap_or(GroupMode::Vector)
-                == GroupMode::Vector;
+        let vla_main =
+            kind == LoopKind::VectorMain && self.t.vla && self.mode(group) == GroupMode::Vector;
         let vla_ty = match step {
             Step::Vf(t, _) => t,
             Step::Const(_) => ScalarTy::I64,
@@ -740,7 +743,8 @@ impl<'a> Lower<'a> {
         // accessed directly through this induction variable. Skipped for
         // stripmined loops, whose per-iteration advance is not a
         // compile-time constant.
-        let mut bumped: Vec<(Reg, u32, SReg, i64)> = Vec::new();
+        let bump_depth = self.bump.len();
+        let mut bumped: Vec<(SReg, i64)> = Vec::new();
         if self.opts.pointer_bump() && !vla_main {
             let mut arrays: Vec<(u32, usize)> = Vec::new();
             collect_induction_arrays(body, var, &mut arrays);
@@ -762,8 +766,8 @@ impl<'a> Lower<'a> {
                     a: base,
                     b: scaled,
                 });
-                self.bump.insert((var, sym), p);
-                bumped.push((var, sym, p, (esize as i64) * step_val));
+                self.bump.push((var, sym, p));
+                bumped.push((p, (esize as i64) * step_val));
             }
         }
 
@@ -831,7 +835,7 @@ impl<'a> Lower<'a> {
             let vl = emit_stripmine(self);
             self.lower_stmts(body, body_ambient)?;
             emit_advance(self, vl);
-            for (_, _, p, bump) in &bumped {
+            for (p, bump) in &bumped {
                 self.emit(MInst::SBinImm {
                     op: BinOp::Add,
                     ty: ScalarTy::I64,
@@ -849,7 +853,7 @@ impl<'a> Lower<'a> {
             let vl = emit_stripmine(self);
             self.lower_stmts(body, body_ambient)?;
             emit_advance(self, vl);
-            for (_, _, p, bump) in &bumped {
+            for (p, bump) in &bumped {
                 self.emit(MInst::SBinImm {
                     op: BinOp::Add,
                     ty: ScalarTy::I64,
@@ -861,9 +865,7 @@ impl<'a> Lower<'a> {
             self.emit(MInst::Jump(l_head));
             self.emit(MInst::Label(l_exit));
         }
-        for (v, sym, _, _) in bumped {
-            self.bump.remove(&(v, sym));
-        }
+        self.bump.truncate(bump_depth);
         Ok(())
     }
 
@@ -884,12 +886,7 @@ impl<'a> Lower<'a> {
                 scalar,
                 group,
             } => {
-                let m = self
-                    .group_mode
-                    .get(group)
-                    .copied()
-                    .unwrap_or(GroupMode::Vector);
-                let chosen = if m == GroupMode::TailScalar {
+                let chosen = if self.mode(*group) == GroupMode::TailScalar {
                     scalar
                 } else {
                     vect
@@ -944,7 +941,7 @@ impl<'a> Lower<'a> {
                 // recycling) die with their source.
                 if let Operand::Reg(r) = o {
                     if matches!(self.bind_of(*r), Bind::Dead) {
-                        self.bind.insert(dst, Bind::Dead);
+                        self.set_bind(dst, Bind::Dead);
                         return Ok(());
                     }
                 }
@@ -956,7 +953,7 @@ impl<'a> Lower<'a> {
                         Ok(())
                     }
                     Bind::Dead => {
-                        self.bind.insert(dst, Bind::Dead);
+                        self.set_bind(dst, Bind::Dead);
                         Ok(())
                     }
                     other => self.bind_scalar_value(dst, other),
@@ -1070,8 +1067,8 @@ impl<'a> Lower<'a> {
                 Ok(())
             }
             Op::AlignLoad(ty, addr) => {
-                if mode.is_scalar() || !self.realign_needed.contains(&dst) {
-                    self.bind.insert(dst, Bind::Dead);
+                if mode.is_scalar() || !self.realign_needed[dst.0 as usize] {
+                    self.set_bind(dst, Bind::Dead);
                     return Ok(());
                 }
                 let am = self.mem_addr(addr, ty.size())?;
@@ -1080,8 +1077,8 @@ impl<'a> Lower<'a> {
                 Ok(())
             }
             Op::GetRt { ty, addr, .. } => {
-                if mode.is_scalar() || !self.realign_needed.contains(&dst) {
-                    self.bind.insert(dst, Bind::Dead);
+                if mode.is_scalar() || !self.realign_needed[dst.0 as usize] {
+                    self.set_bind(dst, Bind::Dead);
                     return Ok(());
                 }
                 let am = self.mem_addr(addr, ty.size())?;
@@ -1557,25 +1554,45 @@ fn collect_induction_arrays(body: &[BcStmt], var: Reg, out: &mut Vec<(u32, usize
     }
 }
 
-fn count_defs(stmts: &[BcStmt], counts: &mut HashMap<Reg, u32>) {
+/// The group tag of a statement: the group a vector main or scalar tail
+/// loop, `get_VF` or `loop_bound` belongs to.
+fn group_tag(s: &BcStmt) -> Option<u32> {
+    match s {
+        BcStmt::Loop {
+            kind: LoopKind::VectorMain | LoopKind::ScalarTail,
+            group,
+            ..
+        }
+        | BcStmt::Def {
+            op: Op::GetVf { group, .. } | Op::LoopBound { group, .. },
+            ..
+        } => Some(*group),
+        _ => None,
+    }
+}
+
+/// Count the definitions of every register into `counts`, indexed by
+/// register; `Err` names a defined register the table does not hold.
+fn count_defs(stmts: &[BcStmt], counts: &mut [u32]) -> Result<(), Reg> {
     for s in stmts {
         match s {
-            BcStmt::Def { dst, .. } => *counts.entry(*dst).or_insert(0) += 1,
+            BcStmt::Def { dst, .. } => *counts.get_mut(dst.0 as usize).ok_or(*dst)? += 1,
             BcStmt::Loop { var, body, .. } => {
-                *counts.entry(*var).or_insert(0) += 2; // loop vars mutate
-                count_defs(body, counts);
+                *counts.get_mut(var.0 as usize).ok_or(*var)? += 2; // loop vars mutate
+                count_defs(body, counts)?;
             }
             BcStmt::Version {
                 then_body,
                 else_body,
                 ..
             } => {
-                count_defs(then_body, counts);
-                count_defs(else_body, counts);
+                count_defs(then_body, counts)?;
+                count_defs(else_body, counts)?;
             }
-            _ => {}
+            BcStmt::VStore { .. } | BcStmt::SStore { .. } => {}
         }
     }
+    Ok(())
 }
 
 /// Compile one bytecode function for a target with the given options.
@@ -1594,11 +1611,7 @@ pub fn compile(
     let array_base: Vec<SReg> = (0..narrays).map(|i| SReg(nparams + 2 * i)).collect();
     let array_len: Vec<SReg> = (0..narrays).map(|i| SReg(nparams + 2 * i + 1)).collect();
 
-    let mut group_mode = HashMap::new();
-    for g in groups_of(f) {
-        group_mode.insert(g, plan_group(f, g, target));
-    }
-
+    let nregs = f.regs.len().max(f.params.len());
     let mut lw = Lower {
         f,
         t: target,
@@ -1607,21 +1620,23 @@ pub fn compile(
         next_s: nparams + 2 * narrays,
         next_v: 0,
         next_l: 0,
-        bind: HashMap::new(),
-        def_count: HashMap::new(),
+        bind: vec![Bind::Dead; nregs],
+        def_count: vec![0; nregs],
         array_base,
         array_len,
-        group_mode,
-        realign_needed: Default::default(),
+        plans: plan_groups(f, target)?,
+        realign_needed: vec![false; nregs],
         guard_flags: Vec::new(),
         guard_cursor: 0,
-        bump: HashMap::new(),
+        bump: Vec::new(),
         stats: CompileStats::default(),
     };
-    for (i, _) in f.params.iter().enumerate() {
-        lw.bind.insert(Reg(i as u32), Bind::S(SReg(i as u32)));
+    for i in 0..nparams {
+        lw.set_bind(Reg(i), Bind::S(SReg(i)));
     }
-    count_defs(&f.body, &mut lw.def_count);
+    if let Err(r) = count_defs(&f.body, &mut lw.def_count) {
+        return lw.err(format!("definition of out-of-range register {r}"));
+    }
     lw.collect_realign_needed(&f.body);
 
     // Optimizing pipelines precompute runtime guard conditions once at
@@ -1637,12 +1652,16 @@ pub fn compile(
 
     lw.lower_stmts(&f.body, None)?;
 
-    for (g, m) in &lw.group_mode {
-        let _ = g;
-        match m {
-            GroupMode::Vector => lw.stats.groups_vector += 1,
-            GroupMode::DirectScalar => lw.stats.groups_direct_scalar += 1,
-            GroupMode::TailScalar => lw.stats.groups_tail_scalar += 1,
+    let mut stats = lw.stats;
+    for (g, plan) in lw.plans.into_iter().enumerate() {
+        let Some(plan) = plan else { continue };
+        match plan.mode {
+            GroupMode::Vector => stats.groups_vector += 1,
+            GroupMode::DirectScalar => stats.groups_direct_scalar += 1,
+            GroupMode::TailScalar => stats.groups_tail_scalar += 1,
+        }
+        if plan.mode.is_scalar() {
+            stats.scalarized.push((g as u32, plan.reasons));
         }
     }
 
@@ -1655,12 +1674,8 @@ pub fn compile(
     if opts.folds_constants() {
         crate::dce::run(&mut code);
     }
-    let param_regs: Vec<SReg> = (0..nparams).map(SReg).collect();
-    let (array_base_regs, array_len_regs) = (lw.array_base.clone(), lw.array_len.clone());
-    let mut stats = lw.stats;
-
     if opts.spills_everything() {
-        code = crate::spill::rewrite(&code, nparams + 2 * narrays, opts.use_x87(target));
+        code = crate::spill::rewrite(code, nparams + 2 * narrays, opts.use_x87(target));
     }
     stats.insts = code.len();
 
@@ -1671,9 +1686,9 @@ pub fn compile(
     Ok(CompiledKernel {
         code,
         decoded,
-        param_regs,
-        array_base_regs,
-        array_len_regs,
+        param_regs: (0..nparams).map(SReg).collect(),
+        array_base_regs: lw.array_base,
+        array_len_regs: lw.array_len,
         stats,
     })
 }

@@ -5,6 +5,7 @@ use vapor_bytecode::{BcFunction, BcStmt, GuardCond, LoopKind, Op, OpClass, Shift
 use vapor_ir::ScalarTy;
 use vapor_targets::TargetDesc;
 
+use crate::lower::JitError;
 use crate::options::JitOptions;
 
 /// How the online stage treats one vectorized loop group.
@@ -177,84 +178,56 @@ pub enum ScalarReason {
     VlaMixedWidth,
 }
 
-fn scan_group(
-    stmts: &[BcStmt],
-    group: u32,
-    target: &TargetDesc,
-    bad: &mut Vec<ScalarReason>,
-    has_subvector: &mut bool,
-    widths: &mut Vec<usize>,
-) {
-    for s in stmts {
-        match s {
-            BcStmt::Loop {
-                kind,
-                group: g,
-                body,
-                ..
-            } => {
-                if *kind == LoopKind::VectorMain && *g == group {
-                    scan_body(body, target, bad, has_subvector, widths);
-                } else {
-                    scan_group(body, group, target, bad, has_subvector, widths);
-                }
-            }
-            BcStmt::Version {
-                then_body,
-                else_body,
-                ..
-            } => {
-                scan_group(then_body, group, target, bad, has_subvector, widths);
-                scan_group(else_body, group, target, bad, has_subvector, widths);
-            }
-            _ => {}
+/// The online verdict on one vectorized loop group.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupPlan {
+    /// How the group is lowered.
+    pub mode: GroupMode,
+    /// Why the group cannot stay vector, each reason once, in the order
+    /// first seen: empty exactly when `mode` is [`GroupMode::Vector`].
+    pub reasons: Vec<ScalarReason>,
+}
+
+/// What the planning walk has seen of one group's `VectorMain` bodies.
+#[derive(Default)]
+struct Scan {
+    reasons: Vec<ScalarReason>,
+    subvector: bool,
+    /// Element sizes seen, one bit each (sizes are powers of two).
+    widths: usize,
+}
+
+impl Scan {
+    /// Record a reason once, however many statements give it.
+    fn bad(&mut self, r: ScalarReason) {
+        if !self.reasons.contains(&r) {
+            self.reasons.push(r);
         }
     }
-}
 
-fn check_elem(t: ScalarTy, target: &TargetDesc, bad: &mut Vec<ScalarReason>) {
-    if !target.supports_elem(t) {
-        bad.push(ScalarReason::Elem(t));
+    fn elem(&mut self, t: ScalarTy, target: &TargetDesc) {
+        if !target.supports_elem(t) {
+            self.bad(ScalarReason::Elem(t));
+        }
+        self.widths |= t.size();
     }
-}
 
-fn note_width(t: ScalarTy, widths: &mut Vec<usize>) {
-    if !widths.contains(&t.size()) {
-        widths.push(t.size());
-    }
-}
-
-fn scan_body(
-    body: &[BcStmt],
-    target: &TargetDesc,
-    bad: &mut Vec<ScalarReason>,
-    has_subvector: &mut bool,
-    widths: &mut Vec<usize>,
-) {
-    let vs = target.vs;
-    for s in body {
+    /// Scan one statement of a `VectorMain` body; nested statements are
+    /// the walk's business.
+    fn stmt(&mut self, s: &BcStmt, target: &TargetDesc) {
+        let vs = target.vs;
         match s {
-            BcStmt::Loop { body, .. } => scan_body(body, target, bad, has_subvector, widths),
-            BcStmt::Version {
-                then_body,
-                else_body,
-                ..
-            } => {
-                scan_body(then_body, target, bad, has_subvector, widths);
-                scan_body(else_body, target, bad, has_subvector, widths);
-            }
+            BcStmt::Loop { .. } | BcStmt::Version { .. } | BcStmt::SStore { .. } => {}
             BcStmt::VStore {
                 ty, mis, modulo, ..
             } => {
-                check_elem(*ty, target, bad);
-                note_width(*ty, widths);
+                self.elem(*ty, target);
                 match known_misalignment(*mis, *modulo, vs) {
                     Some(0) => {}
                     _ if target.misaligned_stores => {}
-                    _ => bad.push(ScalarReason::UnalignedStore),
+                    _ => self.bad(ScalarReason::UnalignedStore),
                 }
             }
-            BcStmt::SStore { .. } => {}
             BcStmt::Def { op, .. } => match op {
                 Op::DotProduct(t, ..)
                 | Op::WidenMultHi(t, ..)
@@ -265,113 +238,146 @@ fn scan_body(
                 | Op::Extract { ty: t, .. }
                 | Op::InterleaveHi(t, ..)
                 | Op::InterleaveLo(t, ..) => {
-                    *has_subvector = true;
+                    self.subvector = true;
                     if target.vla {
-                        bad.push(ScalarReason::VlaSubVector);
+                        self.bad(ScalarReason::VlaSubVector);
                     }
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
+                    self.elem(*t, target);
                 }
                 Op::VBin(b, t, ..) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
+                    self.elem(*t, target);
                     if *b == vapor_ir::BinOp::Div && !target.has_fdiv {
-                        bad.push(ScalarReason::FloatOp);
+                        self.bad(ScalarReason::FloatOp);
                     }
                 }
                 Op::VUn(u, t, ..) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
+                    self.elem(*t, target);
                     if *u == vapor_ir::UnOp::Sqrt && !target.has_fsqrt {
-                        bad.push(ScalarReason::FloatOp);
+                        self.bad(ScalarReason::FloatOp);
                     }
                 }
                 Op::VShl(t, _, amt) | Op::VShr(t, _, amt) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
+                    self.elem(*t, target);
                     if matches!(amt, ShiftAmt::PerLane(_)) && !target.has_per_lane_shift {
-                        bad.push(ScalarReason::PerLaneShift);
+                        self.bad(ScalarReason::PerLaneShift);
                     }
                 }
-                Op::CvtInt2Fp(t, _) | Op::CvtFp2Int(t, _) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
-                }
-                Op::InitUniform(t, _) | Op::InitAffine(t, ..) | Op::InitReduc(t, ..) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
-                }
-                Op::ReducPlus(t, _) | Op::ReducMax(t, _) | Op::ReducMin(t, _) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
-                }
-                Op::ALoad(t, _) => {
-                    check_elem(*t, target, bad);
-                    note_width(*t, widths);
-                }
+                Op::CvtInt2Fp(t, _)
+                | Op::CvtFp2Int(t, _)
+                | Op::InitUniform(t, _)
+                | Op::InitAffine(t, ..)
+                | Op::InitReduc(t, ..)
+                | Op::ReducPlus(t, _)
+                | Op::ReducMax(t, _)
+                | Op::ReducMin(t, _)
+                | Op::ALoad(t, _) => self.elem(*t, target),
                 Op::RealignLoad {
                     ty, mis, modulo, ..
                 } => {
-                    check_elem(*ty, target, bad);
-                    note_width(*ty, widths);
+                    self.elem(*ty, target);
                     match known_misalignment(*mis, *modulo, vs) {
                         Some(0) => {}
                         _ if target.misaligned_loads || target.explicit_realign => {}
-                        _ => bad.push(ScalarReason::UnalignedLoad),
+                        _ => self.bad(ScalarReason::UnalignedLoad),
                     }
                 }
                 _ => {}
             },
         }
     }
-}
 
-/// Decide the mode of one loop group by scanning its `VectorMain` body.
-pub fn plan_group(f: &BcFunction, group: u32, target: &TargetDesc) -> GroupMode {
-    let mut bad = Vec::new();
-    let mut has_subvector = false;
-    let mut widths = Vec::new();
-    if !target.has_simd() {
-        bad.push(ScalarReason::NoSimd);
-    }
-    scan_group(
-        &f.body,
-        group,
-        target,
-        &mut bad,
-        &mut has_subvector,
-        &mut widths,
-    );
-    // One stripmined loop has one `setvl` element width: a VLA group
-    // mixing element sizes cannot be predicated consistently.
-    if target.vla && widths.len() > 1 {
-        bad.push(ScalarReason::VlaMixedWidth);
-    }
-    if bad.is_empty() {
-        GroupMode::Vector
-    } else if has_subvector {
-        GroupMode::TailScalar
-    } else {
-        GroupMode::DirectScalar
+    fn finish(mut self, target: &TargetDesc) -> GroupPlan {
+        // One stripmined loop has one `setvl` element width: a VLA group
+        // mixing element sizes cannot be predicated consistently.
+        if target.vla && self.widths.count_ones() > 1 {
+            self.reasons.push(ScalarReason::VlaMixedWidth);
+        }
+        let mode = if self.reasons.is_empty() {
+            GroupMode::Vector
+        } else if self.subvector {
+            GroupMode::TailScalar
+        } else {
+            GroupMode::DirectScalar
+        };
+        GroupPlan {
+            mode,
+            reasons: self.reasons,
+        }
     }
 }
 
-/// All loop groups present in a function.
-pub fn groups_of(f: &BcFunction) -> Vec<u32> {
-    let mut out = Vec::new();
-    f.walk(&mut |s| {
-        if let BcStmt::Loop {
-            kind: LoopKind::VectorMain,
-            group,
-            ..
-        } = s
-        {
-            if !out.contains(group) {
-                out.push(*group);
+/// One walk over `stmts`: every statement inside a `VectorMain` loop is
+/// scanned into the group of each enclosing `VectorMain` loop (`active`).
+fn walk(
+    f: &BcFunction,
+    stmts: &[BcStmt],
+    target: &TargetDesc,
+    scans: &mut Vec<Option<Scan>>,
+    active: &mut Vec<u32>,
+) -> Result<(), JitError> {
+    for s in stmts {
+        for &g in active.iter() {
+            if let Some(scan) = &mut scans[g as usize] {
+                scan.stmt(s, target);
             }
         }
-    });
-    out
+        match s {
+            BcStmt::Loop {
+                kind, group, body, ..
+            } => {
+                let main = *kind == LoopKind::VectorMain && !active.contains(group);
+                if main {
+                    let g = *group as usize;
+                    // The vectorizer gives every group registers of its
+                    // own, so an id past the register count is malformed
+                    // input; it must not size the table.
+                    if g >= f.regs.len() {
+                        return Err(JitError(format!("{}: loop group {g} out of range", f.name)));
+                    }
+                    if scans.len() <= g {
+                        scans.resize_with(g + 1, || None);
+                    }
+                    let scan = scans[g].get_or_insert_with(Scan::default);
+                    if !target.has_simd() {
+                        scan.bad(ScalarReason::NoSimd);
+                    }
+                    active.push(*group);
+                }
+                walk(f, body, target, scans, active)?;
+                if main {
+                    active.pop();
+                }
+            }
+            BcStmt::Version {
+                then_body,
+                else_body,
+                ..
+            } => {
+                walk(f, then_body, target, scans, active)?;
+                walk(f, else_body, target, scans, active)?;
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Plan every loop group of `f` in one walk: entry `g` is the plan of
+/// group `g`, `None` for ids with no `VectorMain` loop. A group's mode
+/// comes from scanning all its `VectorMain` bodies.
+///
+/// # Errors
+/// A [`JitError`] for a group id no register-sized table can hold.
+pub fn plan_groups(
+    f: &BcFunction,
+    target: &TargetDesc,
+) -> Result<Vec<Option<GroupPlan>>, JitError> {
+    let mut scans = Vec::new();
+    walk(f, &f.body, target, &mut scans, &mut Vec::new())?;
+    Ok(scans
+        .into_iter()
+        .map(|s| s.map(|s| s.finish(target)))
+        .collect())
 }
 
 #[cfg(test)]
@@ -454,6 +460,12 @@ mod tests {
         f
     }
 
+    /// The plan of the test function's one group.
+    fn plan(f: &BcFunction, target: &TargetDesc) -> GroupPlan {
+        let mut plans = plan_groups(f, target).unwrap();
+        plans[1].take().expect("group 1 is planned")
+    }
+
     #[test]
     fn unaligned_store_scalarizes_on_altivec_only() {
         let mut proto = func_with_group(vec![]);
@@ -481,10 +493,14 @@ mod tests {
         ];
         let mut f = func_with_group(body);
         f.regs = proto.regs.clone();
-        assert_eq!(plan_group(&f, 1, &sse()), GroupMode::Vector);
-        assert_eq!(plan_group(&f, 1, &neon64()), GroupMode::Vector);
-        assert_eq!(plan_group(&f, 1, &altivec()), GroupMode::DirectScalar);
-        assert_eq!(plan_group(&f, 1, &scalar_only()), GroupMode::DirectScalar);
+        assert_eq!(plan(&f, &sse()).mode, GroupMode::Vector);
+        assert_eq!(plan(&f, &neon64()).reasons, vec![]);
+        let on_altivec = plan(&f, &altivec());
+        assert_eq!(on_altivec.mode, GroupMode::DirectScalar);
+        assert_eq!(on_altivec.reasons, vec![ScalarReason::UnalignedStore]);
+        let scalar = plan(&f, &scalar_only());
+        assert_eq!(scalar.mode, GroupMode::DirectScalar);
+        assert_eq!(scalar.reasons[0], ScalarReason::NoSimd);
     }
 
     #[test]
@@ -498,13 +514,22 @@ mod tests {
         }];
         let mut f = func_with_group(body);
         f.regs = proto.regs.clone();
-        assert_eq!(plan_group(&f, 1, &sse()), GroupMode::Vector);
-        assert_eq!(plan_group(&f, 1, &scalar_only()), GroupMode::TailScalar);
+        assert_eq!(plan(&f, &sse()).mode, GroupMode::Vector);
+        assert_eq!(plan(&f, &scalar_only()).mode, GroupMode::TailScalar);
     }
 
     #[test]
     fn groups_enumerated() {
-        let f = func_with_group(vec![]);
-        assert_eq!(groups_of(&f), vec![1]);
+        let mut f = func_with_group(vec![]);
+        let plans = plan_groups(&f, &sse()).unwrap();
+        assert_eq!(
+            plans.iter().map(Option::is_some).collect::<Vec<_>>(),
+            [false, true]
+        );
+        // A group id no register-sized table holds is rejected, not sized.
+        if let BcStmt::Loop { group, .. } = &mut f.body[0] {
+            *group = u32::MAX;
+        }
+        assert!(plan_groups(&f, &sse()).is_err());
     }
 }

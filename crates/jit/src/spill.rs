@@ -8,139 +8,25 @@
 //! becomes a spill slot, each instruction reloads its operands into a
 //! handful of scratch registers and spills its result, and scalar float
 //! ALU ops become [`MInst::FpuBin`].
+//!
+//! Operands come from [`MInst::visit_regs`] and are renamed through
+//! [`MInst::visit_regs_mut`], the ISA's one operand enumeration, so an
+//! instruction with a scalar operand cannot escape the reloads. Scratch
+//! register `k` is the `k`-th distinct scalar of an instruction: reads in
+//! operand order, then its write when that is not also a read.
 
-use std::collections::HashMap;
+use vapor_targets::{MCode, MInst, SReg};
 
-use vapor_targets::{AddrMode, MCode, MInst, SReg};
-
-fn remap_addr(a: &AddrMode, m: &HashMap<SReg, SReg>) -> AddrMode {
-    AddrMode {
-        base: m[&a.base],
-        idx: a.idx.map(|r| m[&r]),
-        scale: a.scale,
-        disp: a.disp,
-    }
-}
-
-fn sreg_uses(inst: &MInst) -> Vec<SReg> {
-    let mut out = Vec::new();
-    let addr = |a: &AddrMode, out: &mut Vec<SReg>| {
-        out.push(a.base);
-        if let Some(i) = a.idx {
-            out.push(i);
-        }
-    };
-    match inst {
-        MInst::Label(_) | MInst::Jump(_) | MInst::MovImmI { .. } | MInst::MovImmF { .. } => {}
-        MInst::Branch { a, b, .. } => out.extend([*a, *b]),
-        MInst::BranchImm { a, .. } => out.push(*a),
-        MInst::MovS { src, .. } => out.push(*src),
-        MInst::SBin { a, b, .. } | MInst::FpuBin { a, b, .. } => out.extend([*a, *b]),
-        MInst::SBinImm { a, .. } | MInst::SUn { a, .. } | MInst::SCvt { a, .. } => out.push(*a),
-        MInst::LoadS { addr: am, .. } => addr(am, &mut out),
-        MInst::StoreS { src, addr: am, .. } => {
-            out.push(*src);
-            addr(am, &mut out);
-        }
-        MInst::LoadV { addr: am, .. } | MInst::LoadVFloor { addr: am, .. } => addr(am, &mut out),
-        MInst::StoreV { addr: am, .. } => addr(am, &mut out),
-        MInst::Splat { src, .. } => out.push(*src),
-        MInst::Iota { start, inc, .. } => out.extend([*start, *inc]),
-        MInst::SetLane { src, .. } => out.push(*src),
-        MInst::GetLane { .. } => {}
-        MInst::VShift {
-            amt: vapor_targets::ShiftSrc::Reg(r),
-            ..
-        } => out.push(*r),
-        MInst::VPermCtrl { addr: am, .. } => addr(am, &mut out),
-        MInst::SetVl { avl, .. } => out.push(*avl),
-        MInst::LoadVl { addr: am, .. } | MInst::StoreVl { addr: am, .. } => addr(am, &mut out),
-        MInst::SpillLd { .. } | MInst::SpillSt { .. } => {}
-        _ => {}
-    }
-    out
-}
-
-fn sreg_def(inst: &MInst) -> Option<SReg> {
-    match inst {
-        MInst::MovImmI { dst, .. }
-        | MInst::MovImmF { dst, .. }
-        | MInst::MovS { dst, .. }
-        | MInst::SBin { dst, .. }
-        | MInst::SBinImm { dst, .. }
-        | MInst::SUn { dst, .. }
-        | MInst::SCvt { dst, .. }
-        | MInst::FpuBin { dst, .. }
-        | MInst::LoadS { dst, .. }
-        | MInst::GetLane { dst, .. }
-        | MInst::VReduce { dst, .. }
-        | MInst::SetVl { dst, .. } => Some(*dst),
-        _ => None,
-    }
-}
-
-fn substitute(inst: &MInst, m: &HashMap<SReg, SReg>) -> MInst {
-    let mut i = inst.clone();
-    match &mut i {
-        MInst::Branch { a, b, .. } => {
-            *a = m[a];
-            *b = m[b];
-        }
-        MInst::BranchImm { a, .. } => *a = m[a],
-        MInst::MovImmI { dst, .. } | MInst::MovImmF { dst, .. } => *dst = m[dst],
-        MInst::MovS { dst, src } => {
-            *dst = m[dst];
-            *src = m[src];
-        }
-        MInst::SBin { dst, a, b, .. } | MInst::FpuBin { dst, a, b, .. } => {
-            *dst = m[dst];
-            *a = m[a];
-            *b = m[b];
-        }
-        MInst::SBinImm { dst, a, .. } | MInst::SUn { dst, a, .. } | MInst::SCvt { dst, a, .. } => {
-            *dst = m[dst];
-            *a = m[a];
-        }
-        MInst::LoadS { dst, addr, .. } => {
-            *dst = m[dst];
-            *addr = remap_addr(addr, m);
-        }
-        MInst::StoreS { src, addr, .. } => {
-            *src = m[src];
-            *addr = remap_addr(addr, m);
-        }
-        MInst::LoadV { addr, .. } | MInst::LoadVFloor { addr, .. } | MInst::StoreV { addr, .. } => {
-            *addr = remap_addr(addr, m);
-        }
-        MInst::Splat { src, .. } => *src = m[src],
-        MInst::Iota { start, inc, .. } => {
-            *start = m[start];
-            *inc = m[inc];
-        }
-        MInst::SetLane { src, .. } => *src = m[src],
-        MInst::GetLane { dst, .. } => *dst = m[dst],
-        MInst::VShift {
-            amt: vapor_targets::ShiftSrc::Reg(r),
-            ..
-        } => *r = m[r],
-        MInst::VPermCtrl { addr, .. } => *addr = remap_addr(addr, m),
-        MInst::VReduce { dst, .. } => *dst = m[dst],
-        MInst::SetVl { dst, avl, .. } => {
-            *dst = m[dst];
-            *avl = m[avl];
-        }
-        MInst::LoadVl { addr, .. } | MInst::StoreVl { addr, .. } => *addr = remap_addr(addr, m),
-        _ => {}
-    }
-    i
-}
+/// Distinct scalar registers one instruction can name: at most 3 reads
+/// (a store's value, base and index) plus 1 write.
+const MAX_SCALARS: usize = 4;
 
 /// Rewrite `code` into spill-everything form.
 ///
 /// `n_fixed` is the number of registers pre-set by the caller (params and
 /// array bases/lengths): an entry shim spills them to their slots first.
 /// When `x87` is set, scalar float binary ops become [`MInst::FpuBin`].
-pub fn rewrite(code: &MCode, n_fixed: u32, x87: bool) -> MCode {
+pub fn rewrite(code: MCode, n_fixed: u32, x87: bool) -> MCode {
     let mut out: Vec<MInst> = Vec::with_capacity(code.insts.len() * 3 + n_fixed as usize);
     for r in 0..n_fixed {
         out.push(MInst::SpillSt {
@@ -148,50 +34,48 @@ pub fn rewrite(code: &MCode, n_fixed: u32, x87: bool) -> MCode {
             slot: r,
         });
     }
-    for inst in &code.insts {
+    for mut inst in code.insts {
         // x87 substitution happens before the spill expansion so the
         // FpuBin cost/port weights apply.
-        let inst = match inst {
-            MInst::SBin { op, ty, dst, a, b } if x87 && ty.is_float() => MInst::FpuBin {
-                op: *op,
-                ty: *ty,
-                dst: *dst,
-                a: *a,
-                b: *b,
-            },
-            other => other.clone(),
-        };
+        if let MInst::SBin { op, ty, dst, a, b } = inst {
+            if x87 && ty.is_float() {
+                inst = MInst::FpuBin { op, ty, dst, a, b };
+            }
+        }
         if matches!(inst, MInst::Label(_) | MInst::Jump(_)) {
             out.push(inst);
             continue;
         }
-        let uses = sreg_uses(&inst);
-        let def = sreg_def(&inst);
-        let mut map: HashMap<SReg, SReg> = HashMap::new();
-        let mut next_scratch = 0u32;
-        for u in &uses {
-            if !map.contains_key(u) {
-                let scratch = SReg(next_scratch);
-                next_scratch += 1;
-                out.push(MInst::SpillLd {
-                    dst: scratch,
-                    slot: u.0,
-                });
-                map.insert(*u, scratch);
-            }
+        let mut slots = [SReg(0); MAX_SCALARS];
+        let mut n = 0;
+        let mut def = None;
+        inst.visit_regs(
+            |r, a| {
+                if a.reads() && !slots[..n].contains(&r) {
+                    out.push(MInst::SpillLd {
+                        dst: SReg(n as u32),
+                        slot: r.0,
+                    });
+                    slots[n] = r;
+                    n += 1;
+                }
+                if a.writes() {
+                    def = Some(r);
+                }
+            },
+            |_, _| {},
+        );
+        // The def may coincide with a use (accumulators).
+        if let Some(d) = def.filter(|d| !slots[..n].contains(d)) {
+            slots[n] = d;
+            n += 1;
         }
-        if let Some(d) = def {
-            // The def may coincide with a use (accumulators).
-            map.entry(d).or_insert_with(|| {
-                let scratch = SReg(next_scratch);
-                next_scratch += 1;
-                scratch
-            });
-        }
-        out.push(substitute(&inst, &map));
+        let scratch = |r: SReg| SReg(slots[..n].iter().position(|&s| s == r).unwrap_or(0) as u32);
+        inst.visit_regs_mut(|r, _| *r = scratch(*r), |_, _| {});
+        out.push(inst);
         if let Some(d) = def {
             out.push(MInst::SpillSt {
-                src: map[&d],
+                src: scratch(d),
                 slot: d.0,
             });
         }
@@ -224,7 +108,7 @@ mod tests {
             n_vregs: 0,
             note: "t".into(),
         };
-        let spilled = rewrite(&code, 2, false);
+        let spilled = rewrite(code, 2, false);
         // 2 shim spills + 2 reloads + op + 1 spill.
         assert_eq!(spilled.insts.len(), 6);
         assert!(matches!(spilled.insts[2], MInst::SpillLd { slot: 3, .. }));
@@ -254,7 +138,7 @@ mod tests {
             n_vregs: 0,
             note: "t".into(),
         };
-        let spilled = rewrite(&code, 0, true);
+        let spilled = rewrite(code, 0, true);
         assert!(spilled
             .insts
             .iter()
@@ -284,7 +168,7 @@ mod tests {
             n_vregs: 0,
             note: "t".into(),
         };
-        let spilled = rewrite(&code, 2, false);
+        let spilled = rewrite(code, 2, false);
         // shim(2) + label + 2 reloads + branch
         assert_eq!(spilled.insts.len(), 6);
         assert!(matches!(spilled.insts[2], MInst::Label(_)));
@@ -305,7 +189,7 @@ mod tests {
             n_vregs: 0,
             note: "t".into(),
         };
-        let spilled = rewrite(&code, 1, false);
+        let spilled = rewrite(code, 1, false);
         // shim + reload + op + spill
         assert_eq!(spilled.insts.len(), 4);
         match (&spilled.insts[1], &spilled.insts[2], &spilled.insts[3]) {

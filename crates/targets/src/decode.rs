@@ -21,8 +21,6 @@
 //! of a compiled kernel — `vapor_jit::CompiledKernel` carries it behind
 //! an `Arc`.
 
-use std::collections::HashMap;
-
 use vapor_ir::sem::{eval_bin, eval_un, read_elem, write_elem, Value};
 use vapor_ir::{BinOp, ScalarTy, UnOp};
 
@@ -1372,10 +1370,10 @@ impl DecodedProgram {
     /// [`DecodedProgram::fuse`]).
     ///
     /// # Errors
-    /// Returns a [`Trap`] for branches to undefined labels and for
-    /// duplicate label definitions (the seed interpreter deferred the
-    /// former to run time; a decoded program rejects malformed code up
-    /// front).
+    /// Returns a [`Trap`] for branches to undefined labels, for
+    /// duplicate label definitions and for label ids not below the
+    /// instruction count (the seed interpreter deferred the first to run
+    /// time; a decoded program rejects malformed code up front).
     pub fn decode(code: &MCode, target: &TargetDesc) -> Result<DecodedProgram, Trap> {
         Ok(DecodedProgram::decode_unfused(code, target)?.fuse())
     }
@@ -1393,23 +1391,28 @@ impl DecodedProgram {
         let lanes_of = |ty: vapor_ir::ScalarTy| (vs / ty.size()).max(1);
 
         // Pass 1: map every label to the index its successor instruction
-        // will have once labels are stripped.
-        let mut label_to_index: HashMap<Label, u32> = HashMap::new();
+        // will have once labels are stripped. Label ids index a dense
+        // table: the JIT numbers them from 0, so a program of `n`
+        // instructions names labels below `n`.
+        const UNDEFINED: u32 = u32::MAX;
+        let mut label_to_index = vec![UNDEFINED; code.insts.len()];
         let mut idx = 0u32;
         for inst in &code.insts {
             if let MInst::Label(l) = inst {
-                if label_to_index.insert(*l, idx).is_some() {
+                let slot = label_to_index
+                    .get_mut(l.0 as usize)
+                    .ok_or_else(|| Trap(format!("label {l} out of range")))?;
+                if *slot != UNDEFINED {
                     return Err(Trap(format!("label {l} defined twice")));
                 }
+                *slot = idx;
             } else {
                 idx += 1;
             }
         }
-        let resolve = |l: &Label| {
-            label_to_index
-                .get(l)
-                .copied()
-                .ok_or_else(|| Trap(format!("undefined label {l}")))
+        let resolve = |l: &Label| match label_to_index.get(l.0 as usize) {
+            Some(&i) if i != UNDEFINED => Ok(i),
+            _ => Err(Trap(format!("undefined label {l}"))),
         };
 
         // Pass 2: decode.
@@ -1677,14 +1680,15 @@ impl DecodedProgram {
     /// instruction counts are bit-identical with fusion on or off.
     ///
     /// The pass is idempotent: superinstructions match no pattern, so
-    /// fusing an already-fused program returns it unchanged.
+    /// fusing an already-fused program returns it unchanged. It works in
+    /// place: unfused steps move down the one step vector.
     #[must_use]
-    pub fn fuse(&self) -> DecodedProgram {
-        let steps = &self.steps;
+    pub fn fuse(self) -> DecodedProgram {
+        let mut steps = self.steps;
         // Interior steps of a fusion candidate must not be branch
         // targets; heads may be.
         let mut is_target = vec![false; steps.len() + 1];
-        for d in steps {
+        for d in &steps {
             match &d.step {
                 DStep::Jump { target }
                 | DStep::Branch { target, .. }
@@ -1695,35 +1699,38 @@ impl DecodedProgram {
         }
         let free = |range: std::ops::Range<usize>| range.into_iter().all(|i| !is_target[i]);
 
-        let mut out: Vec<DecodedInst> = Vec::with_capacity(steps.len());
+        // `fuse_at` reads only steps at or after `i`, so the fused stream
+        // is written over the consumed front of the vector: `out` steps
+        // written, `i` consumed.
         let mut new_index = vec![0u32; steps.len() + 1];
         let mut fusion = self.fusion;
-        let mut i = 0usize;
+        let (mut out, mut i) = (0usize, 0usize);
         while i < steps.len() {
-            let fused = fuse_at(steps, i, &free, &mut fusion);
-            let width = match &fused {
-                Some((_, w)) => *w,
-                None => 1,
-            };
-            new_index[i..i + width].fill(out.len() as u32);
-            match fused {
+            let width = match fuse_at(&steps, i, &free, &mut fusion) {
                 Some((step, w)) => {
                     let group = &steps[i..i + w];
-                    out.push(DecodedInst {
+                    steps[out] = DecodedInst {
                         step,
                         cost: group.iter().map(|d| d.cost).sum(),
                         lanes: 1,
                         arity: group.iter().map(|d| d.arity).sum(),
-                    });
+                    };
+                    w
                 }
-                None => out.push(steps[i].clone()),
-            }
+                None => {
+                    steps.swap(out, i);
+                    1
+                }
+            };
+            new_index[i..i + width].fill(out as u32);
             i += width;
+            out += 1;
         }
-        new_index[steps.len()] = out.len() as u32;
+        new_index[steps.len()] = out as u32;
+        steps.truncate(out);
         // Re-index branch targets over the shortened stream (fusion
         // legality guarantees every target maps to a surviving head).
-        for d in &mut out {
+        for d in &mut steps {
             match &mut d.step {
                 DStep::Jump { target }
                 | DStep::Branch { target, .. }
@@ -1733,7 +1740,7 @@ impl DecodedProgram {
             }
         }
         DecodedProgram {
-            steps: out,
+            steps,
             len: self.len,
             vs: self.vs,
             fusion,
@@ -2044,7 +2051,7 @@ mod tests {
     #[test]
     fn fusion_is_idempotent() {
         let p = DecodedProgram::decode(&branchy_code(), &sse()).unwrap();
-        let again = p.fuse();
+        let again = p.clone().fuse();
         assert_eq!(again.n_steps(), p.n_steps());
         assert_eq!(again.fusion_stats(), p.fusion_stats());
         assert_eq!(
@@ -2363,5 +2370,12 @@ mod tests {
         };
         let err = DecodedProgram::decode(&code, &sse()).unwrap_err();
         assert!(err.0.contains("defined twice"), "{err}");
+        // Nor may a label id size the dense label table.
+        let code = MCode {
+            insts: vec![MInst::Label(Label(u32::MAX))],
+            ..code
+        };
+        let err = DecodedProgram::decode(&code, &sse()).unwrap_err();
+        assert!(err.0.contains("out of range"), "{err}");
     }
 }

@@ -622,10 +622,191 @@ pub enum MInst {
     },
 }
 
+/// How an instruction accesses one of its register operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Read only.
+    Read,
+    /// Written only.
+    Write,
+    /// Read and written in place: lane insertion and merging predication
+    /// keep the destination's other lanes.
+    ReadWrite,
+}
+
+impl Access {
+    /// Whether the operand's old value is read.
+    pub fn reads(self) -> bool {
+        self != Access::Write
+    }
+
+    /// Whether the operand is written.
+    pub fn writes(self) -> bool {
+        self != Access::Read
+    }
+}
+
+/// The one operand enumeration of the ISA, shared by the `&` and
+/// `&mut` visitors: every register operand of `$inst`, in field order,
+/// scalar ones to `$s` and vector ones to `$v`. No wildcard arm, so a
+/// new instruction does not compile until its operands are listed here.
+macro_rules! visit_operands {
+    ($inst:expr, $s:ident, $v:ident) => {{
+        use Access::{Read as R, ReadWrite as RW, Write as W};
+        macro_rules! addr {
+            ($a:expr) => {{
+                let AddrMode { base, idx, .. } = $a;
+                $s(base, R);
+                if let Some(i) = idx {
+                    $s(i, R);
+                }
+            }};
+        }
+        match $inst {
+            MInst::Label(_) | MInst::Jump(_) => {}
+            MInst::Branch { a, b, .. } => {
+                $s(a, R);
+                $s(b, R);
+            }
+            MInst::BranchImm { a, .. } | MInst::SpillSt { src: a, .. } => $s(a, R),
+            MInst::MovImmI { dst, .. }
+            | MInst::MovImmF { dst, .. }
+            | MInst::SpillLd { dst, .. } => $s(dst, W),
+            MInst::SBin { dst, a, b, .. } | MInst::FpuBin { dst, a, b, .. } => {
+                $s(dst, W);
+                $s(a, R);
+                $s(b, R);
+            }
+            MInst::MovS { dst, src: a }
+            | MInst::SBinImm { dst, a, .. }
+            | MInst::SUn { dst, a, .. }
+            | MInst::SCvt { dst, a, .. }
+            | MInst::SetVl { dst, avl: a, .. } => {
+                $s(dst, W);
+                $s(a, R);
+            }
+            MInst::LoadS { dst, addr, .. } => {
+                $s(dst, W);
+                addr!(addr);
+            }
+            MInst::StoreS { src, addr, .. } => {
+                $s(src, R);
+                addr!(addr);
+            }
+            MInst::LoadV { dst, addr, .. }
+            | MInst::LoadVFloor { dst, addr }
+            | MInst::VPermCtrl { dst, addr }
+            | MInst::LoadVl { dst, addr, .. } => {
+                $v(dst, W);
+                addr!(addr);
+            }
+            MInst::StoreV { src, addr, .. } | MInst::StoreVl { src, addr, .. } => {
+                $v(src, R);
+                addr!(addr);
+            }
+            MInst::Splat { dst, src, .. } => {
+                $v(dst, W);
+                $s(src, R);
+            }
+            MInst::Iota {
+                dst, start, inc, ..
+            } => {
+                $v(dst, W);
+                $s(start, R);
+                $s(inc, R);
+            }
+            MInst::SetLane { dst, src, .. } => {
+                $v(dst, RW);
+                $s(src, R);
+            }
+            MInst::GetLane { dst, src, .. } | MInst::VReduce { dst, src, .. } => {
+                $s(dst, W);
+                $v(src, R);
+            }
+            MInst::VBin { dst, a, b, .. }
+            | MInst::VWidenMul { dst, a, b, .. }
+            | MInst::VPack { dst, a, b, .. }
+            | MInst::VInterleave { dst, a, b, .. } => {
+                $v(dst, W);
+                $v(a, R);
+                $v(b, R);
+            }
+            MInst::VUn { dst, a, .. }
+            | MInst::VUnpack { dst, a, .. }
+            | MInst::VCvt { dst, a, .. }
+            | MInst::MovV { dst, src: a } => {
+                $v(dst, W);
+                $v(a, R);
+            }
+            MInst::VShift { dst, a, amt, .. } => {
+                $v(dst, W);
+                $v(a, R);
+                match amt {
+                    ShiftSrc::Imm(_) => {}
+                    ShiftSrc::Reg(r) => $s(r, R),
+                    ShiftSrc::PerLane(r) => $v(r, R),
+                }
+            }
+            MInst::VDotAcc { dst, a, b, acc, .. }
+            | MInst::VPerm {
+                dst,
+                a,
+                b,
+                ctrl: acc,
+            } => {
+                $v(dst, W);
+                $v(a, R);
+                $v(b, R);
+                $v(acc, R);
+            }
+            MInst::VExtractStride { dst, srcs, .. } => {
+                $v(dst, W);
+                for r in srcs {
+                    $v(r, R);
+                }
+            }
+            MInst::VHelper { dst, a, b, .. } => {
+                $v(dst, W);
+                $v(a, R);
+                if let Some(b) = b {
+                    $v(b, R);
+                }
+            }
+            MInst::VBinVl { dst, a, b, .. } => {
+                $v(dst, RW);
+                $v(a, R);
+                $v(b, R);
+            }
+            MInst::VUnVl { dst, a, .. } => {
+                $v(dst, RW);
+                $v(a, R);
+            }
+        }
+    }};
+}
+
 impl MInst {
     /// Whether this instruction is a pure marker (no execution cost).
     pub fn is_label(&self) -> bool {
         matches!(self, MInst::Label(_))
+    }
+
+    /// Visit every register operand with how it is accessed, in field
+    /// order: scalar registers go to `s`, vector registers to `v`. The
+    /// JIT's dead-code and spill passes enumerate operands only here.
+    pub fn visit_regs(&self, mut s: impl FnMut(SReg, Access), mut v: impl FnMut(VReg, Access)) {
+        let mut s = |r: &SReg, a| s(*r, a);
+        let mut v = |r: &VReg, a| v(*r, a);
+        visit_operands!(self, s, v)
+    }
+
+    /// [`MInst::visit_regs`] with the registers writable, for renaming.
+    pub fn visit_regs_mut(
+        &mut self,
+        mut s: impl FnMut(&mut SReg, Access),
+        mut v: impl FnMut(&mut VReg, Access),
+    ) {
+        visit_operands!(self, s, v)
     }
 }
 

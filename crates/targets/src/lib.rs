@@ -32,7 +32,7 @@ pub use decode::{
 };
 pub use disasm::{disasm, disasm_decoded, disasm_inst, disasm_step};
 pub use isa::{
-    AddrMode, Cond, CvtDir, Half, HelperOp, Label, MCode, MInst, MemAlign, ReduceOp, SReg,
+    Access, AddrMode, Cond, CvtDir, Half, HelperOp, Label, MCode, MInst, MemAlign, ReduceOp, SReg,
     ShiftSrc, VReg,
 };
 pub use machine::{ExecStats, Machine, Memory, Trap, VBytes, GUARD, INLINE_VS, MAX_VS};

@@ -245,3 +245,44 @@ fn doubles_fold_to_scalar_arm_on_altivec() {
     let sse_insts = code_for("saxpy_dp", Flow::SplitVectorOpt, &sse());
     assert!(sse_insts.iter().any(|i| matches!(i, MInst::VBin { .. })));
 }
+
+/// The online verdicts are kept: on AltiVec every scalarized group of the
+/// suite carries the reasons it could not stay vector, and no vector
+/// group carries any.
+#[test]
+fn scalarized_groups_keep_their_reasons_on_altivec() {
+    let (mut with_reasons, mut scalarized) = (0, 0);
+    for spec in vapor_kernels::suite() {
+        let c = engine()
+            .compile(
+                &spec.kernel(),
+                Flow::SplitVectorOpt,
+                &altivec(),
+                &CompileConfig::default(),
+            )
+            .unwrap();
+        let s = &c.jit.stats;
+        assert!(s.scalarized.iter().all(|(_, reasons)| !reasons.is_empty()));
+        with_reasons += s.scalarized.len();
+        scalarized += s.groups_direct_scalar + s.groups_tail_scalar;
+    }
+    assert!(scalarized > 0, "AltiVec scalarizes some suite groups");
+    assert_eq!(with_reasons, scalarized);
+}
+
+/// Bytecode from disk is untrusted: a definition of a register the
+/// function's register table does not hold is an error, not an index.
+#[test]
+fn out_of_range_definitions_are_rejected() {
+    use vapor_bytecode::{BcFunction, BcStmt, Op, Operand, Reg};
+    use vapor_jit::{JitOptions, Pipeline};
+    let mut f = BcFunction::new("t", vec![], vec![]);
+    f.body = vec![BcStmt::Def {
+        dst: Reg(7),
+        op: Op::Copy(Operand::ConstI(1)),
+    }];
+    for pipeline in [Pipeline::NaiveJit, Pipeline::OptJit, Pipeline::Native] {
+        let err = vapor_jit::compile(&f, &sse(), &JitOptions::new(pipeline)).unwrap_err();
+        assert!(err.0.contains("out-of-range register"), "{err}");
+    }
+}

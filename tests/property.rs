@@ -311,7 +311,7 @@ fn random_straight_line_sequences_survive_fusion() {
         );
 
         // Idempotence: a second fusion pass is a no-op.
-        let twice = fused.fuse();
+        let twice = fused.clone().fuse();
         assert_eq!(twice.n_steps(), fused.n_steps(), "case {case}");
         assert_eq!(twice.fusion_stats(), fused.fusion_stats(), "case {case}");
         assert_eq!(
