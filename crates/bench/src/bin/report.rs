@@ -659,14 +659,14 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
         )
     );
 
-    // The service-layer view of the same engine: how the sharded,
-    // bounded compile cache and the arena pool behaved under everything
-    // this report just ran.
+    // The service-layer view of the same engine: how the bounded
+    // compile cache and the arena pool behaved under everything this
+    // report just ran.
     let s = engine.stats();
     let rows = vec![
         vec![
             "compile cache".to_string(),
-            format!("{} entries / {} shards", s.entries, s.shards),
+            format!("{} entries", s.entries),
             format!("{} hits, {} misses", s.hits, s.misses),
             format!("{} evicted", s.evictions),
         ],
@@ -692,7 +692,7 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
     println!(
         "{}",
         format_table(
-            "Engine service layer — shard, eviction, and pooling counters for this run",
+            "Engine service layer — cache, eviction, and pooling counters for this run",
             &["subsystem", "size", "traffic", "evictions"],
             &rows
         )

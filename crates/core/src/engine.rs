@@ -1,5 +1,5 @@
 //! The compilation engine: a persistent, thread-safe service wrapping
-//! the end-to-end pipeline behind a sharded, content-addressed cache.
+//! the end-to-end pipeline behind a content-addressed cache.
 //!
 //! The paper's story is "vectorize once, run everywhere": the offline
 //! artifact is produced once and consumed by many online consumers. The
@@ -23,14 +23,11 @@
 //!   for any other flow usually finds its artifact already built by
 //!   another target or online pipeline and runs only the online stage
 //!   ([`EngineStats::offline_hits`]).
-//! * **Sharded**: the compile cache is split [`DEFAULT_SHARDS`] ways by
-//!   bits of the key fingerprint; concurrent compiles and cache hits on
-//!   different shards never touch the same lock. Contended lock
-//!   acquisitions are counted ([`EngineStats::contended_locks`]).
-//! * **Bounded**: the compile cache, the offline tier and the
-//!   per-(key, VL) execution-form cache evict least-recently-used
-//!   entries at their capacity, with compile and execution-form
-//!   evictions counted.
+//! * **One memo per level**: the compile cache, the offline tier and
+//!   the per-(key, VL) execution-form cache are each a bounded LRU
+//!   `Memo`: racing callers on one key build it once and share one
+//!   `Arc`, and failures are not cached. Evictions and blocked
+//!   compile-cache lock acquisitions are counted.
 //! * **Pooled execution**: [`Engine::execute`] recycles machine memory
 //!   arenas through a bounded pool, so steady-state concurrent
 //!   executions stop allocating megabytes per request.
@@ -41,22 +38,17 @@
 //!   member sharing the directory) skips the offline stage and pays
 //!   only the online compile. Corrupt or truncated artifacts are
 //!   rejected by checksum and recompiled.
-//! * **Deduplicated**: racing compilations of the same key wait on the
-//!   first compiler (per-shard in-flight sets) so a thundering herd
-//!   runs the pipeline once, and every caller observes one canonical
-//!   `Arc` per key.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vapor_ir::Kernel;
 use vapor_targets::{DecodedProgram, TargetDesc, ThreadedProgram};
 
 use crate::artifact::{ArtifactStore, Fnv128};
+use crate::memo::{lock, Memo};
 use crate::pipeline::{CompileConfig, Compiled, Flow, Offline, OfflineShape, PipelineError};
 
 /// Cache key: structural fingerprints of the kernel and the target, plus
@@ -77,17 +69,21 @@ pub(crate) struct CacheKey {
 }
 
 impl CacheKey {
+    /// The key of a request: a `Hash` walk of the kernel and of the
+    /// target, so every entry point derives it once and passes it down.
+    fn new(kernel: &Kernel, flow: Flow, target: &TargetDesc, cfg: &CompileConfig) -> CacheKey {
+        CacheKey {
+            kernel_fp: fingerprint(kernel),
+            flow,
+            target_fp: fingerprint(target),
+            cfg: cfg.clone(),
+        }
+    }
+
     /// The stable 128-bit identity of this key for the on-disk artifact
     /// store (filenames must not depend on in-process hasher state).
     fn artifact_id(&self) -> u128 {
         fingerprint(self)
-    }
-
-    /// Which of `n` shards this key lives in: the top bits of its
-    /// fingerprint, the best mixed ones.
-    fn shard(&self, n: usize) -> usize {
-        let top = (self.artifact_id() >> 64) as u64;
-        ((u128::from(top) * n as u128) >> 64) as usize
     }
 
     /// The key of the offline artifact this compilation consumes.
@@ -159,20 +155,14 @@ pub struct EngineStats {
     /// offline tier — built for another target or online pipeline — so
     /// only the online stage ran and the store was not read.
     pub offline_hits: u64,
-    /// Entries currently cached across all shards.
+    /// Entries currently in the compile cache.
     pub entries: usize,
-    /// Compile-cache shard count.
-    pub shards: usize,
-    /// Compiled entries evicted (LRU) across all shards.
+    /// Compiled entries evicted (LRU).
     pub evictions: u64,
     /// Execution-form entries evicted (LRU) from the per-VL cache.
     pub exec_evictions: u64,
-    /// Shard-map lock acquisitions that found the lock held (the
-    /// contention the sharding exists to kill).
+    /// Compile-cache lock acquisitions that found the lock held.
     pub contended_locks: u64,
-    /// Total nanoseconds spent compiling on the miss path (divide by
-    /// `misses` for the mean compile latency).
-    pub compile_ns: u64,
     /// Misses served from the on-disk artifact store (offline stage
     /// skipped; the offline tier had no artifact).
     pub artifact_hits: u64,
@@ -199,87 +189,11 @@ pub struct EngineStats {
 /// without limit.
 pub const VL_CACHE_CAPACITY: usize = 64;
 
-/// Compile-cache shard count.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// Default bound on cached compilations (total, across shards).
+/// Default bound on cached compilations.
 pub const COMPILE_CACHE_CAPACITY: usize = 4096;
 
 /// Bound on pooled execution arenas.
 pub const ARENA_POOL_CAPACITY: usize = 8;
-
-/// A tiny LRU map: a `HashMap` plus a monotone use-stamp per entry.
-/// Lookups are O(1); the eviction scan is O(n) over at most `cap`
-/// entries, which at the capacities used here (tens to a few thousand)
-/// is cheaper than maintaining an intrusive list. Generic over key and
-/// value so the compile shards and the execution-form cache share one
-/// implementation.
-#[derive(Debug)]
-struct Lru<K, V> {
-    map: HashMap<K, (Arc<V>, u64)>,
-    tick: u64,
-    cap: usize,
-    evictions: u64,
-}
-
-impl<K: Eq + Hash + Clone, V> Lru<K, V> {
-    fn new(cap: usize) -> Lru<K, V> {
-        Lru {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-            evictions: 0,
-        }
-    }
-
-    fn get(&mut self, key: &K) -> Option<Arc<V>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(v, stamp)| {
-            *stamp = tick;
-            Arc::clone(v)
-        })
-    }
-
-    /// Insert, evicting the least-recently-used entry when full. Like
-    /// `entry().or_insert()`, a racing earlier insert wins: the caller
-    /// gets the canonical `Arc`.
-    fn insert(&mut self, key: K, value: Arc<V>) -> Arc<V> {
-        self.tick += 1;
-        if let Some((v, stamp)) = self.map.get_mut(&key) {
-            *stamp = self.tick;
-            return Arc::clone(v);
-        }
-        while self.map.len() >= self.cap {
-            let lru = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone());
-            match lru {
-                Some(k) => {
-                    self.map.remove(&k);
-                    self.evictions += 1;
-                }
-                None => break,
-            };
-        }
-        self.map.insert(key, (Arc::clone(&value), self.tick));
-        value
-    }
-}
-
-/// One compile-cache shard: a bounded LRU of compiled artifacts plus
-/// the in-flight set that deduplicates racing compilations of one key.
-#[derive(Debug)]
-struct Shard {
-    map: Mutex<Lru<CacheKey, Compiled>>,
-    /// Keys currently being compiled in this shard, so concurrent
-    /// requests for the same tuple wait for the first compiler instead
-    /// of duplicating the whole pipeline run.
-    inflight: Mutex<HashSet<CacheKey>>,
-    inflight_done: Condvar,
-}
 
 /// The execution forms of one compilation at one concrete vector
 /// length: the decoded specialization and, built on first use, its
@@ -307,9 +221,8 @@ impl Default for EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Total bound on cached compilations across all shards (default
-    /// [`COMPILE_CACHE_CAPACITY`]). Each shard holds its proportional
-    /// slice; LRU entries are evicted past it.
+    /// Bound on cached compilations (default [`COMPILE_CACHE_CAPACITY`];
+    /// zero is clamped to one). LRU entries are evicted past it.
     pub fn compile_cache_capacity(mut self, cap: usize) -> EngineBuilder {
         self.compile_capacity = cap.max(1);
         self
@@ -331,34 +244,21 @@ impl EngineBuilder {
     /// Fails only when an artifact directory was requested but cannot
     /// be created/opened.
     pub fn build(self) -> Result<Engine, PipelineError> {
-        let artifacts = match &self.artifact_dir {
-            Some(dir) => Some(
-                ArtifactStore::open(dir)
-                    .map_err(|e| PipelineError(format!("artifact store {}: {e}", dir.display())))?,
-            ),
-            None => None,
-        };
-        let per_shard = self.compile_capacity.div_ceil(DEFAULT_SHARDS);
-        let shards = (0..DEFAULT_SHARDS)
-            .map(|_| Shard {
-                map: Mutex::new(Lru::new(per_shard)),
-                inflight: Mutex::new(HashSet::new()),
-                inflight_done: Condvar::new(),
-            })
-            .collect();
+        let artifacts = self.artifact_dir.as_ref().map(|dir| {
+            ArtifactStore::open(dir)
+                .map_err(|e| PipelineError(format!("artifact store {}: {e}", dir.display())))
+        });
         Ok(Engine {
-            shards,
+            compiled: Memo::new(self.compile_capacity),
             // There are never more distinct offline artifacts than
             // compile keys, so the compile cache's bound is enough.
-            offline: Mutex::new(Lru::new(self.compile_capacity)),
-            exec_cache: Mutex::new(Lru::new(VL_CACHE_CAPACITY)),
-            artifacts,
+            offline: Memo::new(self.compile_capacity),
+            exec_forms: Memo::new(VL_CACHE_CAPACITY),
+            artifacts: artifacts.transpose()?,
             arena_pool: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             offline_hits: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-            compile_ns: AtomicU64::new(0),
             artifact_hits: AtomicU64::new(0),
             artifact_misses: AtomicU64::new(0),
             artifact_rejects: AtomicU64::new(0),
@@ -374,13 +274,11 @@ impl EngineBuilder {
 /// tenant) and route every compilation through it.
 #[derive(Debug)]
 pub struct Engine {
-    /// The sharded compile cache ([`DEFAULT_SHARDS`] ways).
-    shards: Box<[Shard]>,
+    /// The compile cache: request key → compilation (the online level).
+    compiled: Memo<CacheKey, Compiled>,
     /// The offline tier: one offline artifact per (kernel, shape,
-    /// config), consumed by every compile key of that shape. Never
-    /// locked across a compile; racing misses of one key may both build,
-    /// and `Lru::insert` keeps the first.
-    offline: Mutex<Lru<OfflineKey, Offline>>,
+    /// config), consumed by every compile key of that shape.
+    offline: Memo<OfflineKey, Offline>,
     /// Execution forms of compilations: the *same* `Arc<Compiled>`
     /// artifact, specialized per concrete vector length. Keyed by the
     /// compile key *plus* the VL — "compile once" stays intact because
@@ -388,7 +286,7 @@ pub struct Engine {
     /// per requested VL; a fixed-width target gets one only when its
     /// threaded lowering is asked for (its decoded form is the one baked
     /// into the compilation). Bounded (LRU): see [`VL_CACHE_CAPACITY`].
-    exec_cache: Mutex<Lru<(CacheKey, u32), ExecForm>>,
+    exec_forms: Memo<(CacheKey, u32), ExecForm>,
     /// The persistent artifact tier, when attached.
     artifacts: Option<ArtifactStore>,
     /// Recycled machine memory arenas for [`Engine::execute`].
@@ -396,8 +294,6 @@ pub struct Engine {
     hits: AtomicU64,
     misses: AtomicU64,
     offline_hits: AtomicU64,
-    contended: AtomicU64,
-    compile_ns: AtomicU64,
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
     artifact_rejects: AtomicU64,
@@ -414,21 +310,6 @@ impl Default for Engine {
     }
 }
 
-/// Removes a key from a shard's in-flight set (and wakes waiters) when
-/// the compiling thread finishes — on success, error, or panic.
-struct InflightGuard<'e> {
-    shard: &'e Shard,
-    key: CacheKey,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        let mut inflight = self.shard.inflight.lock().expect("inflight set poisoned");
-        inflight.remove(&self.key);
-        self.shard.inflight_done.notify_all();
-    }
-}
-
 impl Engine {
     /// An engine with the default configuration (see [`EngineBuilder`]).
     pub fn new() -> Engine {
@@ -439,38 +320,6 @@ impl Engine {
     /// artifact-store path.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// Lock a shard map, counting contention: a lock found held is
-    /// exactly what the sharding exists to make rare, so every blocked
-    /// acquisition increments [`EngineStats::contended_locks`].
-    fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, Lru<CacheKey, Compiled>> {
-        match shard.map.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::WouldBlock) => {
-                self.contended.fetch_add(1, Ordering::Relaxed);
-                shard.map.lock().expect("engine cache poisoned")
-            }
-            Err(TryLockError::Poisoned(_)) => panic!("engine cache poisoned"),
-        }
-    }
-
-    /// Derive the cache key of a request: a `Hash` walk of the kernel
-    /// and of the target, so every entry point calls it once and passes
-    /// the key down.
-    fn key(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-    ) -> CacheKey {
-        CacheKey {
-            kernel_fp: fingerprint(kernel),
-            flow,
-            target_fp: fingerprint(target),
-            cfg: cfg.clone(),
-        }
     }
 
     /// Compile through the cache: on a hit, returns the *same*
@@ -486,8 +335,9 @@ impl Engine {
     ///
     /// # Errors
     /// Propagates [`PipelineError`]s from any stage. Failures are not
-    /// cached: a failing tuple re-runs the pipeline on every call (they
-    /// are cheap and deterministic, and callers usually abort anyway).
+    /// cached: callers already waiting on a failing compile share its
+    /// error, and every later call re-runs the pipeline (failures are
+    /// cheap and deterministic, and callers usually abort anyway).
     pub fn compile(
         &self,
         kernel: &Kernel,
@@ -495,8 +345,7 @@ impl Engine {
         target: &TargetDesc,
         cfg: &CompileConfig,
     ) -> Result<Arc<Compiled>, PipelineError> {
-        let key = self.key(kernel, flow, target, cfg);
-        self.compile_keyed(&key, kernel, flow, target, cfg)
+        self.compile_keyed(&CacheKey::new(kernel, flow, target, cfg), kernel, target)
     }
 
     /// [`Engine::compile`] under an already derived `key`.
@@ -504,48 +353,14 @@ impl Engine {
         &self,
         key: &CacheKey,
         kernel: &Kernel,
-        flow: Flow,
         target: &TargetDesc,
-        cfg: &CompileConfig,
     ) -> Result<Arc<Compiled>, PipelineError> {
-        let shard = &self.shards[key.shard(self.shards.len())];
-        // Fast path + in-flight claim: either the key is cached, or we
-        // become its compiler, or we wait for whoever already is (a
-        // failed compile wakes waiters without filling the cache; the
-        // first waiter then claims the key and retries).
-        loop {
-            if let Some(hit) = self.lock_shard(shard).get(key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-            let mut inflight = shard.inflight.lock().expect("inflight set poisoned");
-            if !inflight.contains(key) {
-                inflight.insert(key.clone());
-                break;
-            }
-            let _unused = shard
-                .inflight_done
-                .wait(inflight)
-                .expect("inflight set poisoned");
-        }
-        let _guard = InflightGuard {
-            shard,
-            key: key.clone(),
-        };
-        // A racer may have compiled and released the key between our
-        // cache miss and the claim: it inserts before it releases, so
-        // the entry is visible now.
-        if let Some(hit) = self.lock_shard(shard).get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let compiled = Arc::new(self.compile_miss(kernel, flow, target, cfg, key)?);
-        self.compile_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(self.lock_shard(shard).insert(key.clone(), compiled))
+        let (compiled, ran) = self
+            .compiled
+            .get_or_try_init(key, || self.compile_miss(key, kernel, target));
+        let counter = if ran { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        compiled
     }
 
     /// The miss path: offline tier, then the tuple's artifact file (when
@@ -555,40 +370,29 @@ impl Engine {
     /// absent.
     fn compile_miss(
         &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
         key: &CacheKey,
+        kernel: &Kernel,
+        target: &TargetDesc,
     ) -> Result<Compiled, PipelineError> {
-        let id = key.artifact_id();
-        let offline_key = key.offline();
-        let cached = self
-            .offline
-            .lock()
-            .expect("engine offline tier poisoned")
-            .get(&offline_key);
-        let (offline, write) = match cached {
-            Some(hit) => {
-                self.offline_hits.fetch_add(1, Ordering::Relaxed);
-                let absent = self
-                    .artifacts
-                    .as_ref()
-                    .is_some_and(|store| !store.path_for(id).exists());
-                (hit, absent)
+        let (id, flow) = (key.artifact_id(), key.flow);
+        let mut write = false;
+        let (offline, built) = self.offline.get_or_try_init(&key.offline(), || {
+            match self.load_artifact(&kernel.name, id) {
+                Some(loaded) => Ok(loaded),
+                None => {
+                    write = self.artifacts.is_some();
+                    Offline::build(kernel, flow, target, &key.cfg)
+                }
             }
-            None => {
-                let (built, write) = match self.load_artifact(&kernel.name, id) {
-                    Some(loaded) => (loaded, false),
-                    None => (
-                        Offline::build(kernel, flow, target, cfg)?,
-                        self.artifacts.is_some(),
-                    ),
-                };
-                let mut tier = self.offline.lock().expect("engine offline tier poisoned");
-                (tier.insert(offline_key, Arc::new(built)), write)
-            }
-        };
+        });
+        let offline = offline?;
+        if !built {
+            self.offline_hits.fetch_add(1, Ordering::Relaxed);
+            write = self
+                .artifacts
+                .as_ref()
+                .is_some_and(|store| !store.path_for(id).exists());
+        }
         if let (true, Some(store)) = (write, &self.artifacts) {
             // Best effort: a failed write only costs a future recompile.
             if store.save(id, &offline.bytes).is_ok() {
@@ -622,9 +426,8 @@ impl Engine {
     }
 
     /// Compile a batch of jobs, fanning across OS threads. Results come
-    /// back in job order. Duplicate tuples in one batch are compiled once
-    /// modulo racing (the cache reconciles racers), and every duplicate
-    /// returns the canonical `Arc`.
+    /// back in job order. Duplicate tuples in one batch are compiled
+    /// once, and every duplicate returns the canonical `Arc`.
     ///
     /// Worker count is `min(jobs, available_parallelism)`; a batch of one
     /// runs inline on the caller's thread.
@@ -632,47 +435,33 @@ impl Engine {
         &self,
         jobs: &[CompileJob<'_>],
     ) -> Vec<Result<Arc<Compiled>, PipelineError>> {
+        let compile = |j: &CompileJob<'_>| self.compile(j.kernel, j.flow, j.target, &j.cfg);
         if jobs.len() <= 1 {
-            return jobs
-                .iter()
-                .map(|j| self.compile(j.kernel, j.flow, j.target, &j.cfg))
-                .collect();
+            return jobs.iter().map(compile).collect();
         }
         let workers = std::thread::available_parallelism()
             .map_or(2, |n| n.get())
             .min(jobs.len());
         let next = AtomicUsize::new(0);
-        let done: Vec<(usize, Result<Arc<Compiled>, PipelineError>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(job) = jobs.get(i) else { break out };
-                                out.push((
-                                    i,
-                                    self.compile(job.kernel, job.flow, job.target, &job.cfg),
-                                ));
-                            }
+        let mut done: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        std::iter::from_fn(|| {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            jobs.get(i).map(|j| (i, compile(j)))
                         })
+                        .collect::<Vec<_>>()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("batch worker panicked"))
-                    .collect()
-            });
-        let mut results: Vec<Option<Result<Arc<Compiled>, PipelineError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        for (i, r) in done {
-            results[i] = Some(r);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch slot filled by a worker"))
-            .collect()
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("batch worker panicked"))
+                .collect()
+        });
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// The shared head of every request: validate the (target, VL)
@@ -687,8 +476,8 @@ impl Engine {
         vl_bits: usize,
     ) -> Result<(CacheKey, Arc<Compiled>), PipelineError> {
         check_vl(target, vl_bits)?;
-        let key = self.key(kernel, flow, target, cfg);
-        let compiled = self.compile_keyed(&key, kernel, flow, target, cfg)?;
+        let key = CacheKey::new(kernel, flow, target, cfg);
+        let compiled = self.compile_keyed(&key, kernel, target)?;
         Ok((key, compiled))
     }
 
@@ -701,32 +490,26 @@ impl Engine {
         target: &TargetDesc,
         vl_bits: usize,
     ) -> Result<Arc<ExecForm>, PipelineError> {
-        let key = (key, vl_bits as u32);
-        if let Some(hit) = self
-            .exec_cache
-            .lock()
-            .expect("engine exec cache poisoned")
-            .get(&key)
-        {
-            return Ok(hit);
-        }
-        let decoded = if target.vla {
-            Arc::new(
-                compiled
-                    .jit
-                    .decoded
-                    .respecialize(&compiled.jit.code, &target.at_vl(vl_bits))
-                    .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))?,
-            )
-        } else {
-            Arc::clone(&compiled.jit.decoded)
+        let build = || {
+            let decoded = if target.vla {
+                Arc::new(
+                    compiled
+                        .jit
+                        .decoded
+                        .respecialize(&compiled.jit.code, &target.at_vl(vl_bits))
+                        .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))?,
+                )
+            } else {
+                Arc::clone(&compiled.jit.decoded)
+            };
+            Ok(ExecForm {
+                decoded,
+                threaded: OnceLock::new(),
+            })
         };
-        let form = Arc::new(ExecForm {
-            decoded,
-            threaded: OnceLock::new(),
-        });
-        let mut lru = self.exec_cache.lock().expect("engine exec cache poisoned");
-        Ok(lru.insert(key, form))
+        self.exec_forms
+            .get_or_try_init(&(key, vl_bits as u32), build)
+            .0
     }
 
     /// The decoded program of a looked-up request. Fixed-width targets
@@ -822,7 +605,7 @@ impl Engine {
     /// Take a recycled execution arena from the pool (or report the
     /// need for a fresh allocation), counting reuse.
     pub(crate) fn take_arena(&self) -> Option<Vec<u8>> {
-        let buf = self.arena_pool.lock().expect("arena pool poisoned").pop();
+        let buf = lock(&self.arena_pool).pop();
         match &buf {
             Some(_) => self.pool_reuses.fetch_add(1, Ordering::Relaxed),
             None => self.pool_allocs.fetch_add(1, Ordering::Relaxed),
@@ -832,7 +615,7 @@ impl Engine {
 
     /// Return an execution arena to the pool (dropped when full).
     pub(crate) fn put_arena(&self, buf: Vec<u8>) {
-        let mut pool = self.arena_pool.lock().expect("arena pool poisoned");
+        let mut pool = lock(&self.arena_pool);
         if pool.len() < ARENA_POOL_CAPACITY {
             pool.push(buf);
         }
@@ -843,71 +626,35 @@ impl Engine {
         self.artifacts.as_ref()
     }
 
-    /// Cache hit/miss/eviction/latency counters, artifact-tier and
-    /// arena-pool activity, and current sizes.
+    /// Cache hit/miss/eviction counters, artifact-tier and arena-pool
+    /// activity, and current sizes.
     pub fn stats(&self) -> EngineStats {
-        let mut entries = 0usize;
-        let mut evictions = 0u64;
-        for s in self.shards.iter() {
-            let m = s.map.lock().expect("engine cache poisoned");
-            entries += m.map.len();
-            evictions += m.evictions;
-        }
-        let (vl_entries, exec_evictions) = {
-            let m = self.exec_cache.lock().expect("engine exec cache poisoned");
-            (m.map.len(), m.evictions)
-        };
         EngineStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             offline_hits: self.offline_hits.load(Ordering::Relaxed),
-            entries,
-            shards: self.shards.len(),
-            evictions,
-            exec_evictions,
-            contended_locks: self.contended.load(Ordering::Relaxed),
-            compile_ns: self.compile_ns.load(Ordering::Relaxed),
+            entries: self.compiled.len(),
+            evictions: self.compiled.evictions(),
+            exec_evictions: self.exec_forms.evictions(),
+            contended_locks: self.compiled.contended(),
             artifact_hits: self.artifact_hits.load(Ordering::Relaxed),
             artifact_misses: self.artifact_misses.load(Ordering::Relaxed),
             artifact_rejects: self.artifact_rejects.load(Ordering::Relaxed),
             artifact_writes: self.artifact_writes.load(Ordering::Relaxed),
-            vl_entries,
+            vl_entries: self.exec_forms.len(),
             pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
             pool_allocs: self.pool_allocs.load(Ordering::Relaxed),
         }
-    }
-
-    /// Number of cached compilations (across shards).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.lock().expect("engine cache poisoned").map.len())
-            .sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Drop every cached compilation, offline artifact, execution form,
     /// and pooled arena (counters and the on-disk artifact store are
     /// kept).
     pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.map.lock().expect("engine cache poisoned").map.clear();
-        }
-        self.offline
-            .lock()
-            .expect("engine offline tier poisoned")
-            .map
-            .clear();
-        self.exec_cache
-            .lock()
-            .expect("engine exec cache poisoned")
-            .map
-            .clear();
-        self.arena_pool.lock().expect("arena pool poisoned").clear();
+        self.compiled.clear();
+        self.offline.clear();
+        self.exec_forms.clear();
+        lock(&self.arena_pool).clear();
     }
 }
 
@@ -970,7 +717,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second compile must be a cache hit");
         let s = e.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!(s.compile_ns > 0, "miss latency must be recorded");
     }
 
     #[test]
@@ -1192,7 +938,8 @@ mod tests {
         for r in &results {
             assert!(Arc::ptr_eq(first, r.as_ref().unwrap()));
         }
-        assert_eq!(e.stats().entries, 1);
+        let s = e.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (15, 1, 1));
     }
 
     #[test]
@@ -1213,7 +960,8 @@ mod tests {
                 "all racers must observe one canonical Arc"
             );
         }
-        assert_eq!(e.stats().entries, 1);
+        let s = e.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (7, 1, 1));
     }
 
     #[test]
@@ -1265,32 +1013,6 @@ mod tests {
         assert!(Arc::ptr_eq(&p512, &p512b));
         e.clear();
         assert_eq!(e.stats().vl_entries, 0);
-    }
-
-    #[test]
-    fn lru_is_bounded_ordered_and_keeps_the_canonical_arc() {
-        let mut lru: Lru<u32, &str> = Lru::new(2);
-        let one = lru.insert(1, Arc::new("one"));
-        lru.insert(2, Arc::new("two"));
-        // A racing second insert of a present key loses: the caller
-        // gets the canonical Arc, and nothing is evicted.
-        let raced = lru.insert(1, Arc::new("uno"));
-        assert!(Arc::ptr_eq(&one, &raced));
-        assert_eq!((lru.map.len(), lru.evictions), (2, 0));
-        // That insert touched 1, so 2 is now least recently used; touch
-        // 2 through `get` to flip the order back.
-        assert!(lru.get(&2).is_some());
-        lru.insert(3, Arc::new("three"));
-        assert_eq!(lru.map.len(), 2, "the bound holds");
-        assert_eq!(lru.evictions, 1, "the eviction is counted");
-        assert!(lru.get(&1).is_none(), "the LRU entry went");
-        assert!(lru.get(&2).is_some(), "the touched entry survived");
-        assert!(lru.get(&3).is_some());
-        // A zero capacity is clamped to one slot, never a stuck loop.
-        let mut tiny: Lru<u32, &str> = Lru::new(0);
-        tiny.insert(1, Arc::new("a"));
-        tiny.insert(2, Arc::new("b"));
-        assert_eq!((tiny.map.len(), tiny.evictions), (1, 1));
     }
 
     #[test]
@@ -1392,38 +1114,29 @@ mod tests {
         let cfg = CompileConfig::default();
         let a = e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
         e.clear();
-        assert!(e.is_empty());
+        assert_eq!(e.stats().entries, 0);
         let b = e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
         assert!(!Arc::ptr_eq(&a, &b), "cleared cache must recompile");
     }
 
     #[test]
-    fn builder_configures_shards_and_reports_them() {
-        // The shard count is fixed; the builder's capacity is what gets
-        // split across the shards. A capacity below the shard count is
-        // rounded up to one slot per shard, never a zero-capacity shard.
-        assert_eq!(Engine::new().stats().shards, DEFAULT_SHARDS);
+    fn zero_capacity_clamps_to_one_entry() {
         let tiny = Engine::builder().compile_cache_capacity(0).build().unwrap();
-        assert_eq!(tiny.stats().shards, DEFAULT_SHARDS);
         let k = saxpy();
-        let a = tiny
-            .compile(&k, Flow::NativeScalar, &sse(), &CompileConfig::default())
-            .unwrap();
-        let b = tiny
-            .compile(&k, Flow::NativeScalar, &sse(), &CompileConfig::default())
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "one slot per shard still caches");
+        let cfg = CompileConfig::default();
+        let a = tiny.compile(&k, Flow::NativeScalar, &sse(), &cfg).unwrap();
+        let b = tiny.compile(&k, Flow::NativeScalar, &sse(), &cfg).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one slot still caches");
+        tiny.compile(&k, Flow::NativeVector, &sse(), &cfg).unwrap();
+        let s = tiny.stats();
+        assert_eq!((s.hits, s.misses, s.entries, s.evictions), (1, 2, 1, 1));
     }
 
     #[test]
     fn compile_cache_is_bounded_and_counts_evictions() {
-        // Capacity 8 over the 8 shards is one entry per shard: 18
-        // distinct tuples must evict (counted) rather than grow, and
-        // whatever a shard compiled last is what it still holds.
-        let e = Engine::builder()
-            .compile_cache_capacity(DEFAULT_SHARDS)
-            .build()
-            .unwrap();
+        // 18 distinct tuples through a 4-entry cache must evict (counted)
+        // rather than grow, and the last tuple compiled is still held.
+        let e = Engine::builder().compile_cache_capacity(4).build().unwrap();
         let k = saxpy();
         let cfg = CompileConfig::default();
         let targets = [sse(), altivec(), vapor_targets::sve()];
@@ -1434,46 +1147,19 @@ mod tests {
             }
         }
         let s = e.stats();
-        assert_eq!(s.misses, 18);
-        assert!(s.entries <= DEFAULT_SHARDS, "cache grew past its bound");
-        assert_eq!(s.evictions, 18 - s.entries as u64, "evictions are counted");
+        assert_eq!((s.misses, s.entries, s.evictions), (18, 4, 14));
         let (arc, flow, t) = last.unwrap();
         let again = e.compile(&k, flow, t, &cfg).unwrap();
         assert!(Arc::ptr_eq(&arc, &again), "most recent entry must survive");
-        // Every tuple an eviction displaced pays a recompile.
+        // Cycling 18 tuples in a fixed order defeats a 4-entry LRU: each
+        // is evicted before its turn comes round, so every one misses.
         for t in &targets {
             for flow in Flow::ALL {
                 e.compile(&k, flow, t, &cfg).unwrap();
             }
         }
-        let s2 = e.stats();
-        assert!(s2.misses > s.misses, "evicted tuples recompile");
-        assert!(s2.entries <= DEFAULT_SHARDS);
-        assert_eq!(s2.evictions, s2.misses - s2.entries as u64);
-    }
-
-    #[test]
-    fn shards_spread_keys() {
-        // With the default shard count, a handful of distinct tuples
-        // must not all land in one shard (the hash actually spreads).
-        let e = Engine::new();
-        let k = saxpy();
-        let cfg = CompileConfig::default();
-        for t in [sse(), altivec(), vapor_targets::sve()] {
-            for flow in Flow::ALL {
-                e.compile(&k, flow, &t, &cfg).unwrap();
-            }
-        }
-        let populated = e
-            .shards
-            .iter()
-            .filter(|s| !s.map.lock().unwrap().map.is_empty())
-            .count();
-        assert!(
-            populated > 1,
-            "18 tuples across {DEFAULT_SHARDS} shards must touch more than one"
-        );
-        assert_eq!(e.len(), 18);
+        let s = e.stats();
+        assert_eq!((s.hits, s.misses, s.entries, s.evictions), (1, 36, 4, 32));
     }
 
     fn scratch_store(tag: &str) -> std::path::PathBuf {

@@ -4,7 +4,7 @@
 //! [`ExecRequest`] is a builder over the *source-level* inputs (kernel,
 //! flow, target, bindings) plus typed execution options, and
 //! [`Engine::execute`] resolves it end to end in one straight line: one
-//! cache-key derivation, the sharded compile cache (backed by the
+//! cache-key derivation, the compile cache (backed by the
 //! offline tier and the persistent artifact store), the per-(key, VL)
 //! execution-form cache, and the pooled execution arenas. A request
 //! storm therefore compiles each distinct tuple once, builds each
@@ -151,7 +151,7 @@ impl From<Trap> for ExecError {
 
 impl Engine {
     /// Serve one execution request end to end: derive the cache key
-    /// (once), look the compilation up by it (through the sharded cache
+    /// (once), look the compilation up by it (through the compile cache
     /// and, when attached, the persistent artifact tier), resolve the
     /// requested tier's execution form at the request's VL, bind the
     /// request's arrays into a machine whose memory arena is recycled

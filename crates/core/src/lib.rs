@@ -8,8 +8,8 @@
 //! the execution API ([`ExecRequest`] / [`Engine::execute`]) and the
 //! reference oracle ([`reference()`]).
 //!
-//! The engine is server-shaped: its compile cache is sharded and bounded,
-//! each offline artifact is built once and shared by every target and
+//! The engine is server-shaped: its compile cache is bounded and builds
+//! each key once however many callers race it, each offline artifact is built once and shared by every target and
 //! online pipeline that consumes it, execution-memory arenas are pooled
 //! across requests, and an optional persistent artifact tier
 //! ([`ArtifactStore`]) shares offline compiles across processes. The
@@ -47,13 +47,14 @@
 pub mod artifact;
 pub mod engine;
 pub mod exec;
+mod memo;
 pub mod pipeline;
 pub mod run;
 
 pub use artifact::{ArtifactError, ArtifactStore};
 pub use engine::{
     CompileJob, Engine, EngineBuilder, EngineStats, ARENA_POOL_CAPACITY, COMPILE_CACHE_CAPACITY,
-    DEFAULT_SHARDS, VL_CACHE_CAPACITY,
+    VL_CACHE_CAPACITY,
 };
 pub use exec::{ExecError, ExecOutcome, ExecRequest, Tier};
 pub use pipeline::{

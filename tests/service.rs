@@ -1,14 +1,15 @@
 //! Service-layer integration tests: the engine under concurrent
-//! multi-tenant load (stats consistency, in-flight dedup, arena
-//! pooling), the bounded sharded cache, and the persistent artifact
-//! tier (round-trip differential, corruption rejection).
+//! multi-tenant load (stats consistency, one build per key at every
+//! cache level, arena pooling), the bounded cache, and the persistent
+//! artifact tier (round-trip differential, corruption rejection).
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 
-use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow, Tier, DEFAULT_SHARDS};
+use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow, Tier};
 use vapor_kernels::{suite, Scale};
-use vapor_targets::{sse, sve};
+use vapor_targets::{altivec, avx, neon64, rvv, sse, sve};
 
 /// A unique scratch directory under the system temp dir. The tests
 /// clean up after themselves; a leftover directory from a killed run is
@@ -22,8 +23,8 @@ fn scratch(tag: &str) -> PathBuf {
 /// Many threads hammer one engine with a mixed request plan. The
 /// engine's counters must reconcile exactly: every request is one
 /// compile-cache lookup, every distinct (kernel, target) tuple compiles
-/// exactly once no matter how many threads race it (in-flight dedup
-/// must neither lose nor duplicate a compile), and every request takes
+/// exactly once no matter how many threads race it (the memo must
+/// neither lose nor duplicate a compile), and every request takes
 /// exactly one arena from the pool.
 #[test]
 fn concurrent_hammer_keeps_stats_exact_and_dedups_inflight_compiles() {
@@ -71,7 +72,7 @@ fn concurrent_hammer_keeps_stats_exact_and_dedups_inflight_compiles() {
     assert_eq!(
         s.misses,
         distinct.len() as u64,
-        "one compile per distinct tuple — in-flight dedup lost or duplicated work"
+        "one compile per distinct tuple — the memo lost or duplicated work"
     );
     assert_eq!(s.entries, distinct.len());
     assert_eq!(
@@ -85,16 +86,73 @@ fn concurrent_hammer_keeps_stats_exact_and_dedups_inflight_compiles() {
     );
 }
 
-/// The compile cache is bounded per shard: a working set larger than
-/// the configured capacity must evict (counted) instead of growing
-/// without bound.
+/// Racing threads build each key once at every level. Twelve threads
+/// compile one kernel under both split-vector pipelines on six targets:
+/// twelve compile keys over one offline key, so the offline stage runs
+/// once and the other eleven misses consume its artifact.
+#[test]
+fn racing_compiles_build_each_offline_artifact_once() {
+    let spec = &suite()[0];
+    let kernel = spec.kernel();
+    let targets = [sse(), altivec(), neon64(), avx(), sve(), rvv()];
+    let cfg = CompileConfig::default();
+    let engine = Engine::new();
+    let barrier = Barrier::new(12);
+    std::thread::scope(|scope| {
+        for target in &targets {
+            for flow in [Flow::SplitVectorNaive, Flow::SplitVectorOpt] {
+                let (engine, kernel, cfg, barrier) = (&engine, &kernel, &cfg, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    engine.compile(kernel, flow, target, cfg).unwrap();
+                });
+            }
+        }
+    });
+    let s = engine.stats();
+    assert_eq!((s.hits, s.misses, s.entries), (0, 12, 12));
+    assert_eq!(
+        s.offline_hits,
+        s.misses - 1,
+        "one offline build for one offline key"
+    );
+}
+
+/// Racing threads specializing one key at one VL build one execution
+/// form and share its decoded program.
+#[test]
+fn racing_specializations_build_one_execution_form() {
+    let spec = &suite()[0];
+    let kernel = spec.kernel();
+    let target = sve();
+    let cfg = CompileConfig::default();
+    let engine = Engine::new();
+    let barrier = Barrier::new(8);
+    let progs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let (_, prog) = engine
+                        .specialize(&kernel, Flow::SplitVectorOpt, &target, &cfg, 512)
+                        .unwrap();
+                    prog
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(progs.iter().all(|p| Arc::ptr_eq(p, &progs[0])));
+    let s = engine.stats();
+    assert_eq!((s.misses, s.vl_entries), (1, 1));
+}
+
+/// The compile cache is bounded: a working set larger than the
+/// configured capacity must evict (counted) instead of growing without
+/// bound.
 #[test]
 fn compile_cache_stays_within_its_configured_bound() {
-    // Capacity 8 over the 8 shards: one entry per shard.
-    let engine = Engine::builder()
-        .compile_cache_capacity(DEFAULT_SHARDS)
-        .build()
-        .unwrap();
+    let engine = Engine::builder().compile_cache_capacity(8).build().unwrap();
     let cfg = CompileConfig::default();
     let target = sse();
     let specs: Vec<_> = suite().into_iter().take(12).collect();
@@ -104,13 +162,7 @@ fn compile_cache_stays_within_its_configured_bound() {
             .unwrap();
     }
     let s = engine.stats();
-    assert!(
-        s.entries <= DEFAULT_SHARDS,
-        "cache grew past its bound: {}",
-        s.entries
-    );
-    assert_eq!(s.evictions, (specs.len() - s.entries) as u64);
-    assert_eq!(s.shards, DEFAULT_SHARDS);
+    assert_eq!((s.misses, s.entries, s.evictions), (12, 8, 4));
 }
 
 /// Round-trip differential over the suite: artifacts written by one
@@ -216,15 +268,26 @@ fn corrupted_and_truncated_artifacts_are_rejected_and_healed() {
 fn builder_configuration_is_observable() {
     let dir = scratch("builder");
     let engine = Engine::builder()
-        .compile_cache_capacity(9)
+        .compile_cache_capacity(2)
         .artifact_dir(&dir)
         .build()
         .unwrap();
-    assert_eq!(engine.stats().shards, DEFAULT_SHARDS);
     assert_eq!(engine.artifact_store().unwrap().dir(), dir.as_path());
+    let target = sse();
+    for spec in suite().iter().take(3) {
+        engine
+            .compile(
+                &spec.kernel(),
+                Flow::SplitVectorOpt,
+                &target,
+                &CompileConfig::default(),
+            )
+            .unwrap();
+    }
+    let s = engine.stats();
+    assert_eq!((s.entries, s.evictions, s.artifact_writes), (2, 1, 3));
 
     let default = Engine::new();
-    assert_eq!(default.stats().shards, DEFAULT_SHARDS);
     assert!(default.artifact_store().is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
