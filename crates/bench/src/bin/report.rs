@@ -335,7 +335,7 @@ fn main() {
 
     if want("vmperf") && (target_filter.is_none() || want_target(&sse()) || want_target(&sve())) {
         printed = true;
-        print_vmperf(&engine, scale);
+        print_vmperf(&engine);
     }
 
     if !printed {
@@ -358,12 +358,9 @@ fn main() {
 }
 
 /// The VM-performance table: what one register move costs per target
-/// class (the seed kept every register at MAX_VS bytes), what the
-/// predicated fast-dispatch kernels buy over the generic interpreter
-/// loop on a runtime-VL machine, and what the superinstruction fusion
-/// pass collapses per kernel.
-fn print_vmperf(engine: &Engine, scale: Scale) {
-    use vapor_core::{ExecRequest, Tier};
+/// class (the seed kept every register at MAX_VS bytes) and what the
+/// superinstruction fusion pass collapses per kernel.
+fn print_vmperf(engine: &Engine) {
     use vapor_targets::{VBytes, MAX_VS};
 
     let sized = std::mem::size_of::<VBytes>();
@@ -396,150 +393,9 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
         )
     );
 
-    let family = sve();
-    let vl = 512;
     let cfg = CompileConfig::default();
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
-    for spec in suite() {
-        if !(spec.name.starts_with("saxpy") || spec.name.starts_with("jacobi")) {
-            continue;
-        }
-        let kernel = spec.kernel();
-        let env = spec.env(scale);
-        let fast_req = ExecRequest::new(&kernel, &family, &env).vl_bits(vl);
-        if engine.execute(&fast_req).is_err() {
-            continue;
-        }
-        let timed = |f: &mut dyn FnMut()| {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                f();
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            best * 1e6
-        };
-        let generic_req = fast_req.clone().tier(Tier::Baseline);
-        let fast = timed(&mut || {
-            engine.execute(&fast_req).unwrap();
-        });
-        let generic = timed(&mut || {
-            engine.execute(&generic_req).unwrap();
-        });
-        ratios.push(generic / fast);
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{generic:.1}"),
-            format!("{fast:.1}"),
-            format!("{:.2}x", generic / fast),
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(
-            &format!(
-                "VLA fast dispatch — generic predicated loop vs VBinVlFast/VUnVlFast ({} @VL={vl})",
-                family.name
-            ),
-            &["kernel", "generic µs", "fast µs", "speedup"],
-            &rows
-        )
-    );
-    println!(
-        "geomean VLA fast-dispatch speedup: {:.2}x (full suite recorded in BENCH_engine.json)\n",
-        geomean(ratios.into_iter())
-    );
-
-    // Execution-tier ladder: the seed interpreter, the pre-decoded
-    // fused dispatch, and the closure-threaded tier (register arena +
-    // address streams + per-region fuel) on representative kernels —
-    // two streamed vector kernels, one vector-heavy kernel, and the
-    // scalar-chain floor kernels the threaded tier exists for.
-    let target = vapor_targets::sse();
-    let mut rows = Vec::new();
-    let mut dec_ratios = Vec::new();
-    let mut thr_ratios = Vec::new();
-    for spec in suite() {
-        if !["saxpy_fp", "convolve_s32", "gemm_fp", "lu_fp", "seidel_fp"].contains(&spec.name) {
-            continue;
-        }
-        let kernel = spec.kernel();
-        let env = spec.env(scale);
-        // The threaded program itself is still fetched for its stream
-        // inventory (the "streams" column); the timings all go through
-        // `Engine::execute`.
-        let Ok((_, prog)) = engine.thread(
-            &kernel,
-            vapor_core::Flow::SplitVectorOpt,
-            &target,
-            &cfg,
-            target.vs * 8,
-        ) else {
-            continue;
-        };
-        let timed = |f: &mut dyn FnMut()| {
-            let mut best = f64::INFINITY;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                f();
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            best * 1e6
-        };
-        let dec_req = ExecRequest::new(&kernel, &target, &env);
-        let seed_req = dec_req.clone().tier(Tier::Baseline);
-        let thr_req = dec_req.clone().tier(Tier::Threaded);
-        let seed = timed(&mut || {
-            engine.execute(&seed_req).unwrap();
-        });
-        let dec = timed(&mut || {
-            engine.execute(&dec_req).unwrap();
-        });
-        let thr = timed(&mut || {
-            engine.execute(&thr_req).unwrap();
-        });
-        dec_ratios.push(seed / dec);
-        thr_ratios.push(seed / thr);
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{seed:.1}"),
-            format!("{dec:.1}"),
-            format!("{thr:.1}"),
-            format!("{:.2}x", seed / dec),
-            format!("{:.2}x", seed / thr),
-            if prog.streamed_loops() > 0 {
-                format!("{}", prog.streamed_loops())
-            } else {
-                "-".to_string()
-            },
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(
-            "Execution tiers — seed interpreter vs decoded dispatch vs closure-threaded (SSE, opt online)",
-            &[
-                "kernel",
-                "seed µs",
-                "decoded µs",
-                "threaded µs",
-                "decoded",
-                "threaded",
-                "streams"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "geomean over shown kernels: decoded {:.2}x, threaded {:.2}x vs seed \
-         (full suite gated in BENCH_engine.json)\n",
-        geomean(dec_ratios.into_iter()),
-        geomean(thr_ratios.into_iter())
-    );
-
     // Superinstruction fusion: the per-kernel inventory of fused steps
-    // (deterministic — the same counts the CI bench job gates exactly).
+    // (deterministic — the cycle ledger pins them exactly).
     let mut rows = Vec::new();
     let mut kernels = 0usize;
     let mut three_op_kernels = 0usize;
@@ -580,7 +436,7 @@ fn print_vmperf(engine: &Engine, scale: Scale) {
     println!(
         "three-op superinstructions fire on {three_op_kernels}/{kernels} suite kernels; \
          the predicated VLA form (ld.vl+op.vl+st.vl) fuses on the SVE/RVV family \
-         (per-kernel counts gated exactly in BENCH_engine.json)\n"
+         (every target's counts pinned in tests/golden/ledger.txt)\n"
     );
 
     // Planner verdicts: why every scalar loop stayed scalar, per loop

@@ -28,24 +28,28 @@
 //!   `Memo`: racing callers on one key build it once and share one
 //!   `Arc`, and failures are not cached. Evictions and blocked
 //!   compile-cache lock acquisitions are counted.
-//! * **Pooled execution**: [`Engine::execute`] recycles machine memory
-//!   arenas through a bounded pool, so steady-state concurrent
-//!   executions stop allocating megabytes per request.
+//! * **One execution path**: [`Engine::execute`] always runs the
+//!   pre-decoded program — the compilation's own decode on a
+//!   fixed-width target, its per-VL re-specialization on a VLA one —
+//!   and recycles machine memory arenas through a bounded pool, so
+//!   steady-state concurrent executions stop allocating megabytes per
+//!   request.
 //! * **Persistent**: with an artifact store attached
 //!   ([`EngineBuilder::artifact_dir`]), a compile miss the offline tier
 //!   cannot answer consults an on-disk store of encoded offline
 //!   artifacts, one file per compile key; a warm process (or a fleet
 //!   member sharing the directory) skips the offline stage and pays
 //!   only the online compile. Corrupt or truncated artifacts are
-//!   rejected by checksum and recompiled.
+//!   rejected by checksum, loaded bytecode that does not verify is
+//!   rejected too, and both are recompiled.
 
 use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use vapor_ir::Kernel;
-use vapor_targets::{DecodedProgram, TargetDesc, ThreadedProgram};
+use vapor_targets::{DecodedProgram, TargetDesc};
 
 use crate::artifact::{ArtifactStore, Fnv128};
 use crate::memo::{lock, Memo};
@@ -54,7 +58,7 @@ use crate::pipeline::{CompileConfig, Compiled, Flow, Offline, OfflineShape, Pipe
 /// Cache key: structural fingerprints of the kernel and the target, plus
 /// everything else that affects the generated code.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CacheKey {
+struct CacheKey {
     /// Fingerprint of the kernel's tree (names, declarations, statements,
     /// literals by bit pattern), so a kernel parsed from differently
     /// formatted source has the same one.
@@ -168,8 +172,8 @@ pub struct EngineStats {
     pub artifact_hits: u64,
     /// Misses that found no artifact on disk.
     pub artifact_misses: u64,
-    /// Artifacts present but rejected (bad magic/truncation/checksum or
-    /// undecodable payload) and recompiled from source.
+    /// Artifacts present but rejected (bad magic/truncation/checksum,
+    /// undecodable or unverifiable payload) and recompiled from source.
     pub artifact_rejects: u64,
     /// Artifacts written to the store.
     pub artifact_writes: u64,
@@ -194,15 +198,6 @@ pub const COMPILE_CACHE_CAPACITY: usize = 4096;
 
 /// Bound on pooled execution arenas.
 pub const ARENA_POOL_CAPACITY: usize = 8;
-
-/// The execution forms of one compilation at one concrete vector
-/// length: the decoded specialization and, built on first use, its
-/// closure-threaded lowering.
-#[derive(Debug)]
-struct ExecForm {
-    decoded: Arc<DecodedProgram>,
-    threaded: OnceLock<Arc<ThreadedProgram>>,
-}
 
 /// Configuration of an [`Engine`], built by [`Engine::builder`].
 #[derive(Debug, Clone)]
@@ -280,13 +275,13 @@ pub struct Engine {
     /// config), consumed by every compile key of that shape.
     offline: Memo<OfflineKey, Offline>,
     /// Execution forms of compilations: the *same* `Arc<Compiled>`
-    /// artifact, specialized per concrete vector length. Keyed by the
-    /// compile key *plus* the VL — "compile once" stays intact because
-    /// the VL dimension first appears here. VLA targets get an entry
-    /// per requested VL; a fixed-width target gets one only when its
-    /// threaded lowering is asked for (its decoded form is the one baked
-    /// into the compilation). Bounded (LRU): see [`VL_CACHE_CAPACITY`].
-    exec_forms: Memo<(CacheKey, u32), ExecForm>,
+    /// artifact's decode, re-specialized per concrete vector length.
+    /// Keyed by the compile key *plus* the VL — "compile once" stays
+    /// intact because the VL dimension first appears here. Only VLA
+    /// targets get entries, one per requested VL; a fixed-width target
+    /// runs the decode baked into its compilation. Bounded (LRU): see
+    /// [`VL_CACHE_CAPACITY`].
+    exec_forms: Memo<(CacheKey, u32), DecodedProgram>,
     /// The persistent artifact tier, when attached.
     artifacts: Option<ArtifactStore>,
     /// Recycled machine memory arenas for [`Engine::execute`].
@@ -402,9 +397,9 @@ impl Engine {
         offline.online(&kernel.name, flow, target)
     }
 
-    /// The persistent store's artifact `id`, decoded; `None` (counted as
-    /// a miss or a reject) when there is no store, no file, or no valid
-    /// artifact in it.
+    /// The persistent store's artifact `id`, decoded and verified; `None`
+    /// (counted as a miss or a reject) when there is no store, no file,
+    /// or no valid artifact in it.
     fn load_artifact(&self, name: &str, id: u128) -> Option<Offline> {
         let store = self.artifacts.as_ref()?;
         let counter = match store.load(id) {
@@ -414,8 +409,8 @@ impl Engine {
                     return Some(offline);
                 }
                 // Framed and checksummed but undecodable (e.g. a stale
-                // format written by a different bytecode version):
-                // reject and recompile.
+                // format written by a different bytecode version) or
+                // unverifiable: reject and recompile.
                 Err(_) => &self.artifact_rejects,
             },
             Ok(None) => &self.artifact_misses,
@@ -464,90 +459,6 @@ impl Engine {
         done.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// The shared head of every request: validate the (target, VL)
-    /// pair — before anything is compiled or cached — then derive the
-    /// key (once) and look the compilation up by it.
-    pub(crate) fn lookup(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-        vl_bits: usize,
-    ) -> Result<(CacheKey, Arc<Compiled>), PipelineError> {
-        check_vl(target, vl_bits)?;
-        let key = CacheKey::new(kernel, flow, target, cfg);
-        let compiled = self.compile_keyed(&key, kernel, target)?;
-        Ok((key, compiled))
-    }
-
-    /// The execution-form entry of `compiled` at `vl_bits` (already
-    /// validated by [`check_vl`]), created on first use.
-    fn exec_form(
-        &self,
-        key: CacheKey,
-        compiled: &Compiled,
-        target: &TargetDesc,
-        vl_bits: usize,
-    ) -> Result<Arc<ExecForm>, PipelineError> {
-        let build = || {
-            let decoded = if target.vla {
-                Arc::new(
-                    compiled
-                        .jit
-                        .decoded
-                        .respecialize(&compiled.jit.code, &target.at_vl(vl_bits))
-                        .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))?,
-                )
-            } else {
-                Arc::clone(&compiled.jit.decoded)
-            };
-            Ok(ExecForm {
-                decoded,
-                threaded: OnceLock::new(),
-            })
-        };
-        self.exec_forms
-            .get_or_try_init(&(key, vl_bits as u32), build)
-            .0
-    }
-
-    /// The decoded program of a looked-up request. Fixed-width targets
-    /// run the decode baked into the compilation (no cache entry); VLA
-    /// targets run the shared decode re-specialized to `vl_bits`.
-    pub(crate) fn decoded_form(
-        &self,
-        key: CacheKey,
-        compiled: &Compiled,
-        target: &TargetDesc,
-        vl_bits: usize,
-    ) -> Result<Arc<DecodedProgram>, PipelineError> {
-        if !target.vla {
-            return Ok(Arc::clone(&compiled.jit.decoded));
-        }
-        let form = self.exec_form(key, compiled, target, vl_bits)?;
-        Ok(Arc::clone(&form.decoded))
-    }
-
-    /// The closure-threaded program of a looked-up request: the
-    /// entry's decoded form flattened into regions over a contiguous
-    /// register arena (see [`ThreadedProgram`]), built on first use.
-    /// Fixed-width targets get an entry here too — threading is a real
-    /// lowering pass, not a free `Arc` clone of a baked-in artifact.
-    pub(crate) fn threaded_form(
-        &self,
-        key: CacheKey,
-        compiled: &Compiled,
-        target: &TargetDesc,
-        vl_bits: usize,
-    ) -> Result<Arc<ThreadedProgram>, PipelineError> {
-        let form = self.exec_form(key, compiled, target, vl_bits)?;
-        let threaded = form
-            .threaded
-            .get_or_init(|| Arc::new(ThreadedProgram::thread(&form.decoded, &compiled.jit.code)));
-        Ok(Arc::clone(threaded))
-    }
-
     /// Specialize a compilation to a concrete runtime vector length.
     ///
     /// The compile step is the ordinary cached, VL-*agnostic* pipeline
@@ -563,6 +474,9 @@ impl Engine {
     ///
     /// Fixed-width targets are accepted when `vl_bits` names their one
     /// width; the baked-in decode is returned and no entry is added.
+    /// This is the head of every request: the (target, VL) pair is
+    /// validated before anything is compiled or cached, and the key is
+    /// derived once.
     ///
     /// # Errors
     /// Propagates compile-stage [`PipelineError`]s; rejects illegal VLs
@@ -575,30 +489,24 @@ impl Engine {
         cfg: &CompileConfig,
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
-        let (key, compiled) = self.lookup(kernel, flow, target, cfg, vl_bits)?;
-        let prog = self.decoded_form(key, &compiled, target, vl_bits)?;
-        Ok((compiled, prog))
-    }
-
-    /// Lower a compilation all the way to the closure-threaded
-    /// execution tier at a concrete vector length. The threaded program
-    /// lives in the same per-(key, VL) entry as the decoded form it was
-    /// lowered from.
-    ///
-    /// # Errors
-    /// Propagates compile-stage [`PipelineError`]s; rejects illegal VLs
-    /// and fixed-width/VL mismatches — the same contract as
-    /// [`Engine::specialize`].
-    pub fn thread(
-        &self,
-        kernel: &Kernel,
-        flow: Flow,
-        target: &TargetDesc,
-        cfg: &CompileConfig,
-        vl_bits: usize,
-    ) -> Result<(Arc<Compiled>, Arc<ThreadedProgram>), PipelineError> {
-        let (key, compiled) = self.lookup(kernel, flow, target, cfg, vl_bits)?;
-        let prog = self.threaded_form(key, &compiled, target, vl_bits)?;
+        check_vl(target, vl_bits)?;
+        let key = CacheKey::new(kernel, flow, target, cfg);
+        let compiled = self.compile_keyed(&key, kernel, target)?;
+        if !target.vla {
+            let prog = Arc::clone(&compiled.jit.decoded);
+            return Ok((compiled, prog));
+        }
+        let respecialize = || {
+            compiled
+                .jit
+                .decoded
+                .respecialize(&compiled.jit.code, &target.at_vl(vl_bits))
+                .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))
+        };
+        let prog = self
+            .exec_forms
+            .get_or_try_init(&(key, vl_bits as u32), respecialize)
+            .0?;
         Ok((compiled, prog))
     }
 
@@ -658,9 +566,9 @@ impl Engine {
     }
 }
 
-/// Validate a (target, VL) pair — the one check every tier shares:
-/// fixed-width targets accept only their own width, VLA families any
-/// legal runtime VL.
+/// Validate a (target, VL) pair — the one check every request and
+/// specialization shares: fixed-width targets accept only their own
+/// width, VLA families any legal runtime VL.
 fn check_vl(target: &TargetDesc, vl_bits: usize) -> Result<(), PipelineError> {
     if !target.vla {
         if target.vs * 8 == vl_bits {
@@ -693,6 +601,10 @@ pub(crate) fn exec_target(target: &TargetDesc, vl_bits: usize) -> TargetDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vapor_bytecode::{
+        encode_module, verify_function, Addr, ArraySym, BcFunction, BcModule, BcStmt, BcTy, Op,
+        Operand,
+    };
     use vapor_frontend::parse_kernel;
     use vapor_ir::{ArrayKind, BinOp, Expr, KernelBuilder, ScalarTy};
     use vapor_targets::{altivec, sse};
@@ -1073,40 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_lowerings_are_cached_per_vl_for_every_target_kind() {
-        let e = Engine::new();
-        let k = saxpy();
-        let cfg = CompileConfig::default();
-        // Fixed-width targets cache their threaded form (threading is a
-        // real lowering pass, unlike the free fixed-width decode).
-        let (_, t128) = e
-            .thread(&k, Flow::SplitVectorOpt, &sse(), &cfg, 128)
-            .unwrap();
-        let (_, t128b) = e
-            .thread(&k, Flow::SplitVectorOpt, &sse(), &cfg, 128)
-            .unwrap();
-        assert!(Arc::ptr_eq(&t128, &t128b), "second thread must hit");
-        assert_eq!(e.stats().vl_entries, 1);
-        // VLA targets get one threaded form per VL, each matching its
-        // decoded specialization's width.
-        let sve = vapor_targets::sve();
-        let (_, s256) = e.thread(&k, Flow::SplitVectorOpt, &sve, &cfg, 256).unwrap();
-        let (_, s512) = e.thread(&k, Flow::SplitVectorOpt, &sve, &cfg, 512).unwrap();
-        assert_eq!(s256.vs, 32);
-        assert_eq!(s512.vs, 64);
-        assert_eq!(e.stats().vl_entries, 3);
-        assert_eq!(e.stats().misses, 2, "threading never recompiles");
-        // Specialize's contract is inherited: mismatched fixed widths
-        // and illegal VLs are rejected, not threaded.
-        let err = e
-            .thread(&k, Flow::SplitVectorOpt, &sse(), &cfg, 256)
-            .unwrap_err();
-        assert!(err.0.contains("fixed at 128 bits"), "{err}");
-        e.clear();
-        assert_eq!(e.stats().vl_entries, 0);
-    }
-
-    #[test]
     fn clear_forgets_compilations() {
         let e = Engine::new();
         let k = saxpy();
@@ -1239,17 +1117,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn multi_function_artifacts_are_rejected_not_truncated() {
-        let dir = scratch_store("multi");
-        let k = saxpy();
-        let t = sse();
-        let cfg = CompileConfig::default();
+    /// Replace the one artifact a cold compile of saxpy stores with the
+    /// well-framed `payload` made from its function: a warm engine must
+    /// reject it, recompile from source and heal the store.
+    fn rejects_and_heals(tag: &str, payload: impl FnOnce(&BcFunction) -> Vec<u8>) {
+        let dir = scratch_store(tag);
+        let (k, t, cfg) = (saxpy(), sse(), CompileConfig::default());
         let cold = Engine::builder().artifact_dir(&dir).build().unwrap();
         let a = cold.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
-
-        // Replace the one artifact with a well-framed payload holding a
-        // decoy function first and the real one second.
         let store = cold.artifact_store().unwrap();
         let entry = std::fs::read_dir(store.dir())
             .unwrap()
@@ -1264,20 +1139,45 @@ mod tests {
             .unwrap()
             .to_owned();
         let id = u128::from_str_radix(&stem, 16).unwrap();
-        let mut decoy = (*a.func).clone();
-        decoy.body.clear();
-        let payload = vapor_bytecode::encode_module(&vapor_bytecode::BcModule {
-            funcs: vec![decoy, (*a.func).clone()],
-        });
-        store.save(id, &payload).unwrap();
+        store.save(id, &payload(&a.func)).unwrap();
 
         let warm = Engine::builder().artifact_dir(&dir).build().unwrap();
         let b = warm.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
         let s = warm.stats();
-        assert_eq!((s.artifact_rejects, s.artifact_hits), (1, 0));
-        assert_eq!(s.artifact_writes, 1, "the store must be healed");
-        assert_eq!(a.jit.code, b.jit.code, "recompiled, not the decoy");
+        assert_eq!((s.artifact_rejects, s.artifact_hits), (1, 0), "{tag}");
+        assert_eq!(s.artifact_writes, 1, "{tag}: the store must be healed");
+        assert_eq!(a.jit.code, b.jit.code, "{tag}: recompiled from source");
+        let third = Engine::builder().artifact_dir(&dir).build().unwrap();
+        third.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+        assert_eq!(third.stats().artifact_hits, 1, "{tag}: the heal sticks");
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn multi_function_artifacts_are_rejected_not_truncated() {
+        // A decoy function first and the real one second.
+        rejects_and_heals("multi", |f| {
+            let mut decoy = f.clone();
+            decoy.body.clear();
+            encode_module(&BcModule {
+                funcs: vec![decoy, f.clone()],
+            })
+        });
+    }
+
+    #[test]
+    fn unverifiable_artifacts_are_rejected_not_compiled() {
+        // The checksum proves integrity, not validity: one function that
+        // decodes, but loads the f32 array `x` as i32 vectors.
+        rejects_and_heals("unverified", |f| {
+            let mut bad = f.clone();
+            let v = bad.fresh_reg(BcTy::Vec(ScalarTy::I32));
+            let addr = Addr::new(ArraySym(0), Operand::ConstI(0));
+            let op = Op::ALoad(ScalarTy::I32, addr);
+            bad.body.insert(0, BcStmt::Def { dst: v, op });
+            assert!(verify_function(&bad).is_err());
+            encode_module(&BcModule::single(bad))
+        });
     }
 }

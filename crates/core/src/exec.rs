@@ -10,6 +10,14 @@
 //! storm therefore compiles each distinct tuple once, builds each
 //! execution form once, and allocates machine memory only until the
 //! arena pool warms up.
+//!
+//! There is one execution path: the pre-decoded, fused program
+//! ([`vapor_targets::DecodedProgram`]). The VM's other forms of a
+//! compilation — the baseline interpreter (`Machine::run`), the unfused
+//! decode and the closure-threaded lowering
+//! ([`vapor_targets::ThreadedProgram`]) — are `vapor_targets` APIs that
+//! callers run over the same machine lifecycle with
+//! [`Engine::run_compiled`]; the test suites use them as references.
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,26 +29,10 @@ use crate::engine::{exec_target, Engine};
 use crate::pipeline::{CompileConfig, Compiled, Flow, PipelineError};
 use crate::run::{read_back, setup_machine, AllocPolicy};
 
-/// Which execution tier services the request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Tier {
-    /// The seed per-instruction dispatch loop over raw machine code —
-    /// the tier the others are measured against.
-    Baseline,
-    /// Pre-decoded dispatch ([`vapor_targets::DecodedProgram`]) with
-    /// superinstruction fusion — the default.
-    #[default]
-    Decoded,
-    /// Closure-threaded execution over a flattened register arena
-    /// ([`vapor_targets::ThreadedProgram`]).
-    Threaded,
-}
-
 /// One execution request against an [`Engine`]: what to run (kernel,
-/// flow, target, bindings) and how (tier, VL, array placement). Build
-/// with [`ExecRequest::new`] and the chainable setters; the defaults are
-/// the decoded tier, aligned arrays, and the target's natural vector
-/// length.
+/// flow, target, bindings) and how (config, VL, array placement).
+/// Build with [`ExecRequest::new`] and the chainable setters; the
+/// defaults are aligned arrays and the target's natural vector length.
 #[derive(Debug, Clone)]
 pub struct ExecRequest<'a> {
     pub(crate) kernel: &'a Kernel,
@@ -48,15 +40,14 @@ pub struct ExecRequest<'a> {
     pub(crate) env: &'a Bindings,
     pub(crate) flow: Flow,
     pub(crate) cfg: CompileConfig,
-    pub(crate) tier: Tier,
     pub(crate) vl_bits: Option<usize>,
     pub(crate) policy: AllocPolicy,
 }
 
 impl<'a> ExecRequest<'a> {
     /// A request to run `kernel` on `target` against `env` with the
-    /// default options: [`Flow::SplitVectorOpt`], the decoded tier,
-    /// aligned arrays, the target's natural VL.
+    /// default options: [`Flow::SplitVectorOpt`], aligned arrays, the
+    /// target's natural VL.
     pub fn new(kernel: &'a Kernel, target: &'a TargetDesc, env: &'a Bindings) -> ExecRequest<'a> {
         ExecRequest {
             kernel,
@@ -64,7 +55,6 @@ impl<'a> ExecRequest<'a> {
             env,
             flow: Flow::SplitVectorOpt,
             cfg: CompileConfig::default(),
-            tier: Tier::default(),
             vl_bits: None,
             policy: AllocPolicy::Aligned,
         }
@@ -79,12 +69,6 @@ impl<'a> ExecRequest<'a> {
     /// Compilation knobs beyond the flow (default all off).
     pub fn config(mut self, cfg: CompileConfig) -> ExecRequest<'a> {
         self.cfg = cfg;
-        self
-    }
-
-    /// Execution tier (default [`Tier::Decoded`]).
-    pub fn tier(mut self, tier: Tier) -> ExecRequest<'a> {
-        self.tier = tier;
         self
     }
 
@@ -152,8 +136,8 @@ impl From<Trap> for ExecError {
 impl Engine {
     /// Serve one execution request end to end: derive the cache key
     /// (once), look the compilation up by it (through the compile cache
-    /// and, when attached, the persistent artifact tier), resolve the
-    /// requested tier's execution form at the request's VL, bind the
+    /// and, when attached, the persistent artifact tier), resolve its
+    /// decoded program at the request's VL, bind the
     /// request's arrays into a machine whose memory arena is recycled
     /// from the engine's pool when one is warm, run, and read the
     /// results back. The arena returns to the pool afterwards —
@@ -169,27 +153,17 @@ impl Engine {
         // the 0-bit scalar-only one) take their baked width; the VLA
         // families take their 128-bit minimum.
         let vl = req.vl_bits.unwrap_or(req.target.vs * 8);
-        let (key, compiled) = self.lookup(req.kernel, req.flow, req.target, &req.cfg, vl)?;
+        let (compiled, prog) = self.specialize(req.kernel, req.flow, req.target, &req.cfg, vl)?;
         let exec_t = exec_target(req.target, vl);
-        let (env, policy) = (req.env, req.policy);
-        match req.tier {
-            Tier::Baseline => self.run_compiled(&exec_t, &compiled, env, policy, |m| {
-                m.run(&compiled.jit.code)
-            }),
-            Tier::Decoded => {
-                let prog = self.decoded_form(key, &compiled, req.target, vl)?;
-                self.run_compiled(&exec_t, &compiled, env, policy, |m| m.run_decoded(&prog))
-            }
-            Tier::Threaded => {
-                let prog = self.threaded_form(key, &compiled, req.target, vl)?;
-                self.run_compiled(&exec_t, &compiled, env, policy, |m| m.run_threaded(&prog))
-            }
-        }
+        self.run_compiled(&exec_t, &compiled, req.env, req.policy, |m| {
+            m.run_decoded(&prog)
+        })
     }
 
     /// The machine lifecycle of [`Engine::execute`], for callers that
     /// bring their own execution form of `compiled` (the test suites'
-    /// reference programs): pooled arena in, bind `env` into a machine
+    /// reference programs: `Machine::run`, an unfused decode, a
+    /// `ThreadedProgram`): pooled arena in, bind `env` into a machine
     /// for the concrete-width `exec_target`, `run` one dispatch over
     /// it, read back, arena out.
     ///
@@ -231,7 +205,7 @@ mod tests {
     use crate::run::{arrays_match, reference};
     use vapor_frontend::parse_kernel;
     use vapor_ir::{ArrayData, ScalarTy};
-    use vapor_targets::sse;
+    use vapor_targets::{sse, ThreadedProgram};
 
     fn saxpy() -> Kernel {
         parse_kernel(
@@ -253,6 +227,9 @@ mod tests {
         env
     }
 
+    /// The VM's reference forms of a request's compilation — the
+    /// baseline interpreter and the threaded lowering of the program the
+    /// request ran — over the engine's machine lifecycle.
     #[test]
     fn all_tiers_agree_and_match_the_oracle() {
         let e = Engine::new();
@@ -260,10 +237,20 @@ mod tests {
         let t = sse();
         let env = saxpy_env(100);
         let oracle = reference(&k, &env).unwrap();
-        let base = ExecRequest::new(&k, &t, &env);
-        let decoded = e.execute(&base.clone()).unwrap();
-        let baseline = e.execute(&base.clone().tier(Tier::Baseline)).unwrap();
-        let threaded = e.execute(&base.clone().tier(Tier::Threaded)).unwrap();
+        let decoded = e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
+        let c = &decoded.compiled;
+        let cfg = CompileConfig::default();
+        let (_, prog) = e
+            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 128)
+            .unwrap();
+        let prog = ThreadedProgram::thread(&prog, &c.jit.code);
+        let aligned = AllocPolicy::Aligned;
+        let baseline = e
+            .run_compiled(&t, c, &env, aligned, |m| m.run(&c.jit.code))
+            .unwrap();
+        let threaded = e
+            .run_compiled(&t, c, &env, aligned, |m| m.run_threaded(&prog))
+            .unwrap();
         for (name, r) in [
             ("decoded", &decoded),
             ("baseline", &baseline),
@@ -273,7 +260,7 @@ mod tests {
                 .unwrap_or_else(|err| panic!("{name}: {err}"));
             assert_eq!(r.stats.cycles, decoded.stats.cycles, "{name} cycles");
         }
-        // One compile served every tier.
+        // One compile served every form.
         assert_eq!(e.stats().misses, 1);
         assert!(Arc::ptr_eq(&decoded.compiled, &threaded.compiled));
     }
@@ -358,25 +345,36 @@ mod tests {
         let e = Engine::new();
         let k = saxpy();
         let t = vapor_targets::sve();
+        let cfg = CompileConfig::default();
         let env = saxpy_env(100);
-        let req = ExecRequest::new(&k, &t, &env).vl_bits(512);
-        // The baseline tier runs raw machine code: it validates the VL
-        // but builds no execution form.
-        e.execute(&req.clone().tier(Tier::Baseline)).unwrap();
+        let (exec, aligned) = (t.at_vl(512), AllocPolicy::Aligned);
+        // The baseline interpreter runs raw machine code: it builds no
+        // execution form.
+        let c = e.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+        e.run_compiled(&exec, &c, &env, aligned, |m| m.run(&c.jit.code))
+            .unwrap();
         assert_eq!(e.stats().vl_entries, 0);
-        // Decoded and threaded requests at one (key, VL) share an entry:
-        // the threaded lowering is built inside the decoded form's.
-        let decoded = e.execute(&req).unwrap();
+        // A request and the threaded lowering of the program it ran share
+        // one entry.
+        let decoded = e
+            .execute(&ExecRequest::new(&k, &t, &env).vl_bits(512))
+            .unwrap();
         assert_eq!(e.stats().vl_entries, 1);
-        let threaded = e.execute(&req.clone().tier(Tier::Threaded)).unwrap();
+        let (_, prog) = e
+            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 512)
+            .unwrap();
+        let prog = ThreadedProgram::thread(&prog, &c.jit.code);
+        let threaded = e
+            .run_compiled(&exec, &c, &env, aligned, |m| m.run_threaded(&prog))
+            .unwrap();
         assert_eq!(e.stats().vl_entries, 1, "same (key, VL), same entry");
         assert_eq!(threaded.stats, decoded.stats);
-        e.execute(&req.clone().vl_bits(1024).tier(Tier::Threaded))
+        e.specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 1024)
             .unwrap();
         assert_eq!(e.stats().vl_entries, 2, "a new VL is a new entry");
-        // One compile lookup per request on every tier.
+        // One compile lookup per compile, request and specialization.
         let s = e.stats();
-        assert_eq!((s.hits, s.misses), (3, 1), "hits + misses == requests");
+        assert_eq!((s.hits, s.misses), (3, 1), "hits + misses == lookups");
         assert_eq!(s.exec_evictions, 0);
         e.clear();
         assert_eq!(e.stats().vl_entries, 0, "clear drops execution forms");

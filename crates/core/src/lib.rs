@@ -56,7 +56,7 @@ pub use engine::{
     CompileJob, Engine, EngineBuilder, EngineStats, ARENA_POOL_CAPACITY, COMPILE_CACHE_CAPACITY,
     VL_CACHE_CAPACITY,
 };
-pub use exec::{ExecError, ExecOutcome, ExecRequest, Tier};
+pub use exec::{ExecError, ExecOutcome, ExecRequest};
 pub use pipeline::{
     compile, offline_compile, online_compile, CompileConfig, Compiled, Flow, PipelineError,
 };

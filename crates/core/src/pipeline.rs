@@ -224,8 +224,14 @@ impl Offline {
 
     /// An artifact from encoded bytes (the persistent store's): decoded
     /// once, and that decode serves native and split pipelines alike.
+    /// The bytes are untrusted, so the function is verified as the
+    /// offline stage verifies its own output: a checksum proves the
+    /// bytes intact, not valid.
     pub(crate) fn from_bytes(name: &str, bytes: Vec<u8>) -> Result<Offline, PipelineError> {
-        let func = Arc::new(decode_function(name, &bytes)?);
+        let func = decode_function(name, &bytes)?;
+        vapor_bytecode::verify_function(&func)
+            .map_err(|e| PipelineError(format!("{name}: {e}")))?;
+        let func = Arc::new(func);
         Ok(Offline {
             bytes,
             func: Arc::clone(&func),
@@ -310,7 +316,8 @@ pub fn compile(
 ///
 /// # Errors
 /// Returns a [`PipelineError`] when the bytes do not decode (a corrupt
-/// or truncated artifact) or the online stage rejects the function.
+/// or truncated artifact), the function does not verify, or the online
+/// stage rejects it.
 pub fn online_compile(
     name: &str,
     bytes: &[u8],

@@ -163,7 +163,7 @@ pub fn arrays_match(expected: &ArrayData, actual: &ArrayData, tol: f64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Engine, ExecError, ExecRequest, Flow, Tier};
+    use crate::{Engine, ExecError, ExecRequest, Flow};
     use vapor_frontend::parse_kernel;
     use vapor_ir::ScalarTy;
     use vapor_targets::{altivec, neon64, scalar_only, sse};
@@ -214,9 +214,11 @@ mod tests {
         let k = saxpy();
         let t = sse();
         let env = saxpy_env(129);
-        let req = ExecRequest::new(&k, &t, &env);
-        let fast = e.execute(&req).unwrap();
-        let slow = e.execute(&req.clone().tier(Tier::Baseline)).unwrap();
+        let fast = e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
+        let c = &fast.compiled;
+        let slow = e
+            .run_compiled(&t, c, &env, AllocPolicy::Aligned, |m| m.run(&c.jit.code))
+            .unwrap();
         arrays_match(
             slow.out.array("y").unwrap(),
             fast.out.array("y").unwrap(),

@@ -1,133 +1,81 @@
 //! The central integration test: every kernel of the suite, compiled
 //! through every flow, executed on every target, must match the
-//! reference interpreter.
+//! reference interpreter (`tests/common`'s comparer).
 
-use vapor_core::{arrays_match, reference, AllocPolicy, Engine, ExecRequest, Flow};
-use vapor_kernels::{suite, Scale};
-use vapor_targets::{altivec, avx, neon64, rvv, scalar_only, sse, sve, TargetDesc, VLA_TEST_BITS};
+mod common;
 
-fn targets() -> Vec<TargetDesc> {
-    // The VLA families appear here in their VL-agnostic form: a plain
-    // `run()` executes them at the family-minimum 128-bit width.
-    vec![
-        sse(),
-        altivec(),
-        neon64(),
-        avx(),
-        scalar_only(),
-        sve(),
-        rvv(),
-    ]
-}
+use common::{check_suite, targets};
+use vapor_core::{AllocPolicy, Engine, Flow};
+use vapor_kernels::suite;
+use vapor_targets::{altivec, neon64, rvv, sse, sve};
 
 #[test]
 fn every_kernel_every_flow_every_target_matches_oracle() {
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        let oracle = reference(&kernel, &env)
-            .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", spec.name));
-        for target in targets() {
-            for flow in Flow::ALL {
-                let result = engine
-                    .execute(&ExecRequest::new(&kernel, &target, &env).flow(flow))
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                for (name, expected) in oracle.arrays() {
-                    let actual = result.out.array(name).unwrap();
-                    arrays_match(expected, actual, 2e-4).unwrap_or_else(|e| {
-                        panic!(
-                            "{} [{flow} on {}]: array {name} mismatch: {e}",
-                            spec.name, target.name
-                        )
-                    });
-                }
-            }
-        }
-    }
+    let aligned = [AllocPolicy::Aligned];
+    check_suite(
+        &engine,
+        &suite(),
+        &targets(),
+        &Flow::ALL,
+        &aligned,
+        &[],
+        |_, _| {},
+    );
 }
 
 #[test]
 fn vla_targets_match_oracle_at_every_runtime_vl() {
-    // The VLA correctness matrix: every suite kernel, compiled *once*
-    // per (flow, family) into a VL-agnostic artifact, then specialized
-    // and executed at every tested runtime vector length. Integer
-    // results are compared bit-exactly (arrays_match is exact for
-    // integer elements); float reductions get the same reassociation
-    // tolerance as the fixed-width matrix.
+    // Every suite kernel, compiled *once* per (flow, family) into a
+    // VL-agnostic artifact, then specialized and executed at every
+    // tested runtime vector length.
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        let oracle = reference(&kernel, &env)
-            .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", spec.name));
-        for family in [sve(), rvv()] {
-            for flow in [
-                Flow::SplitVectorNaive,
-                Flow::SplitVectorOpt,
-                Flow::NativeVector,
-            ] {
-                let mut cycles_by_vl = Vec::new();
-                for vl in VLA_TEST_BITS {
-                    let result = engine
-                        .execute(
-                            &ExecRequest::new(&kernel, &family, &env)
-                                .flow(flow)
-                                .vl_bits(vl),
-                        )
-                        .unwrap_or_else(|e| {
-                            panic!("{} [{flow} on {} @VL={vl}]: {e}", spec.name, family.name)
-                        });
-                    for (name, expected) in oracle.arrays() {
-                        let actual = result.out.array(name).unwrap();
-                        arrays_match(expected, actual, 2e-4).unwrap_or_else(|e| {
-                            panic!(
-                                "{} [{flow} on {} @VL={vl}]: array {name} mismatch: {e}",
-                                spec.name, family.name
-                            )
-                        });
-                    }
-                    cycles_by_vl.push(result.stats.cycles);
-                }
-                // The widest vectors must never cost more than the
-                // narrowest for the same artifact. (Intermediate VLs
-                // need not be pairwise monotone: reductions cost
-                // log2(lanes) halving steps, which at test-scale trip
-                // counts can locally outweigh the saved iterations.)
-                let (first, last) = (cycles_by_vl[0], *cycles_by_vl.last().unwrap());
-                assert!(
-                    last <= first,
-                    "{} [{flow} on {}]: VL=2048 costlier than VL=128: {cycles_by_vl:?}",
-                    spec.name,
-                    family.name
-                );
+    let specs = suite();
+    let families = [sve(), rvv()];
+    let aligned = [AllocPolicy::Aligned];
+    let mut at_128 = 0;
+    check_suite(
+        &engine,
+        &specs,
+        &families,
+        &Flow::ALL,
+        &aligned,
+        &[],
+        |cell, out| {
+            // The widest vectors never cost more than the narrowest for one
+            // artifact. (Intermediate VLs need not be monotone: a reduction
+            // pays log2(lanes) halving steps.)
+            match cell.vl {
+                128 => at_128 = out.stats.cycles,
+                2048 => assert!(
+                    out.stats.cycles <= at_128,
+                    "{cell}: costlier than at VL=128"
+                ),
+                _ => {}
             }
-        }
-    }
+        },
+    );
     // One compile per (kernel, flow, family): the VL dimension must not
     // have multiplied the compile cache.
-    assert_eq!(engine.stats().entries, 32 * 3 * 2);
+    let tuples = specs.len() * Flow::ALL.len() * families.len();
+    assert_eq!(engine.stats().entries, tuples);
 }
 
 #[test]
 fn misaligned_arrays_still_execute_correctly() {
-    // The fall-back (no-hints) versions must be correct when the runtime
-    // cannot align arrays (split flows; the runtime check then fails).
+    // The guarded fallbacks of the optimizing split flow must be correct
+    // when the runtime cannot align arrays (the runtime check fails).
     let engine = Engine::new();
-    for spec in suite().into_iter().filter(|s| s.expect_vectorized) {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        let oracle = reference(&kernel, &env).unwrap();
-        for target in [sse(), altivec(), neon64()] {
-            let req = ExecRequest::new(&kernel, &target, &env).policy(AllocPolicy::Misaligned(4));
-            let result = engine
-                .execute(&req)
-                .unwrap_or_else(|e| panic!("{} on {}: {e}", spec.name, target.name));
-            for (name, expected) in oracle.arrays() {
-                arrays_match(expected, result.out.array(name).unwrap(), 2e-4).unwrap_or_else(|e| {
-                    panic!("{} on {} (misaligned): {name}: {e}", spec.name, target.name)
-                });
-            }
-        }
-    }
+    let misaligned = [AllocPolicy::Misaligned(4), AllocPolicy::Misaligned(8)];
+    let fixed = [sse(), altivec(), neon64()];
+    let flow = [Flow::SplitVectorOpt];
+    check_suite(
+        &engine,
+        &suite(),
+        &fixed,
+        &flow,
+        &misaligned,
+        &[],
+        |_, _| {},
+    );
 }

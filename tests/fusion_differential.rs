@@ -1,72 +1,35 @@
-//! Superinstruction fusion differential tests: every suite kernel on
-//! every target runs once through the fused decode (the production
-//! path) and once through an unfused decode — machine state, cycles and
-//! instruction counts must be bit-identical. Fusion is a pure
-//! dispatch-layer optimization, so *any* observable difference is a
-//! fusion bug.
+//! Superinstruction fusion differential tests: every suite kernel runs
+//! once through the fused decode (the production path) and once through
+//! an unfused decode and the baseline interpreter of the same
+//! compilation (`tests/common`'s comparer) — machine state and cycles
+//! must be bit-identical. Fusion is a pure dispatch-layer optimization,
+//! so *any* observable difference is a fusion bug.
 
-use vapor_core::{arrays_match, AllocPolicy, CompileConfig, Engine, ExecRequest, Flow};
-use vapor_ir::{Bindings, Kernel};
-use vapor_kernels::{suite, Scale};
-use vapor_targets::{avx, neon64, rvv, sse, sve, DecodedProgram, TargetDesc};
+mod common;
 
-/// Run one request through the engine's fused decode and once more
-/// through the reference — an unfused decode (one step per instruction)
-/// of the same compilation, built here and run over the engine's
-/// machine lifecycle — and require identical arrays and stats.
-fn assert_fusion_is_invisible(
-    engine: &Engine,
-    kernel: &Kernel,
-    target: &TargetDesc,
-    env: &Bindings,
-    flow: Flow,
-    vl: usize,
-    tag: &str,
-) {
-    let req = ExecRequest::new(kernel, target, env).flow(flow).vl_bits(vl);
-    let fused = engine
-        .execute(&req)
-        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-    let exec = if target.vla {
-        target.at_vl(vl)
-    } else {
-        target.clone()
-    };
-    let prog = DecodedProgram::decode_unfused(&fused.compiled.jit.code, &exec)
-        .unwrap_or_else(|e| panic!("{tag}: unfused decode: {e}"));
-    assert_eq!(
-        prog.fusion_stats().total(),
-        0,
-        "{tag}: reference is unfused"
-    );
-    let unfused = engine
-        .run_compiled(&exec, &fused.compiled, env, AllocPolicy::Aligned, |m| {
-            m.run_decoded(&prog)
-        })
-        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-    for (name, expected) in fused.out.arrays() {
-        // Bit-exact: tolerance 0.
-        arrays_match(expected, unfused.out.array(name).unwrap(), 0.0)
-            .unwrap_or_else(|e| panic!("{tag}: array {name} diverged: {e}"));
-    }
-    assert_eq!(fused.stats, unfused.stats, "{tag}: cycles/insts diverged");
-}
+use common::{check_suite, Form};
+use vapor_core::{AllocPolicy, CompileConfig, Engine, Flow};
+use vapor_kernels::suite;
+use vapor_targets::{avx, disasm_decoded, neon64, rvv, sse, sve, DecodedProgram};
 
-/// Fused vs unfused on every fixed-width target, both vector flows.
+const FORMS: [Form; 2] = [Form::Unfused, Form::Baseline];
+
+/// Fused vs unfused on the fixed-width targets, both vector flows.
 #[test]
 fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        for target in [sse(), neon64(), avx()] {
-            for flow in [Flow::SplitVectorOpt, Flow::NativeVector] {
-                let tag = format!("{} [{flow} on {}]", spec.name, target.name);
-                let vl = target.vs * 8;
-                assert_fusion_is_invisible(&engine, &kernel, &target, &env, flow, vl, &tag);
-            }
-        }
-    }
+    let fixed = [sse(), neon64(), avx()];
+    let flows = [Flow::SplitVectorOpt, Flow::NativeVector];
+    let aligned = [AllocPolicy::Aligned];
+    check_suite(
+        &engine,
+        &suite(),
+        &fixed,
+        &flows,
+        &aligned,
+        &FORMS,
+        |_, _| {},
+    );
 }
 
 /// The same differential on the runtime-VL families across the full VL
@@ -76,17 +39,18 @@ fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
 #[test]
 fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        for family in [sve(), rvv()] {
-            for vl in [128usize, 256, 512, 1024, 2048] {
-                let tag = format!("{} [{} @VL={vl}]", spec.name, family.name);
-                let flow = Flow::SplitVectorOpt;
-                assert_fusion_is_invisible(&engine, &kernel, &family, &env, flow, vl, &tag);
-            }
-        }
-    }
+    let families = [sve(), rvv()];
+    let flow = [Flow::SplitVectorOpt];
+    let aligned = [AllocPolicy::Aligned];
+    check_suite(
+        &engine,
+        &suite(),
+        &families,
+        &flow,
+        &aligned,
+        &FORMS,
+        |_, _| {},
+    );
 }
 
 /// Re-specializing a fused decode to another VL must be exactly what a
@@ -96,13 +60,13 @@ fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
 fn fused_respecialization_matches_fresh_fused_decode() {
     let engine = Engine::new();
     let cfg = CompileConfig::default();
+    let family = sve();
     for spec in suite() {
         let kernel = spec.kernel();
-        let family = sve();
-        let Ok(compiled) = engine.compile(&kernel, Flow::SplitVectorOpt, &family, &cfg) else {
-            continue;
-        };
-        for vl in [128usize, 512, 2048] {
+        let compiled = engine
+            .compile(&kernel, Flow::SplitVectorOpt, &family, &cfg)
+            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+        for vl in [128, 512, 2048] {
             let exec = family.at_vl(vl);
             let fresh = DecodedProgram::decode(&compiled.jit.code, &exec).unwrap();
             let respec = compiled
@@ -110,15 +74,15 @@ fn fused_respecialization_matches_fresh_fused_decode() {
                 .decoded
                 .respecialize(&compiled.jit.code, &exec)
                 .unwrap();
-            assert_eq!(respec.fusion_stats(), fresh.fusion_stats(), "{}", spec.name);
-            assert_eq!(
-                vapor_targets::disasm_decoded(&respec),
-                vapor_targets::disasm_decoded(&fresh),
-                "{} @VL={vl}",
-                spec.name
-            );
+            let what = format!("{} @VL={vl}", spec.name);
+            assert_eq!(respec.fusion_stats(), fresh.fusion_stats(), "{what}");
+            assert_eq!(disasm_decoded(&respec), disasm_decoded(&fresh), "{what}");
             for (a, b) in respec.steps().iter().zip(fresh.steps()) {
-                assert_eq!((a.cost, a.lanes, a.arity), (b.cost, b.lanes, b.arity));
+                assert_eq!(
+                    (a.cost, a.lanes, a.arity),
+                    (b.cost, b.lanes, b.arity),
+                    "{what}"
+                );
             }
         }
     }

@@ -7,10 +7,13 @@
 //! offline build has no proptest): fixed seeds per property, so failures
 //! reproduce exactly; the failing kernel is printed on panic.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vapor_core::{arrays_match, reference, AllocPolicy, Engine, ExecRequest, Flow};
+use common::{cells, check};
+use vapor_core::{reference, AllocPolicy, Engine, Flow};
 use vapor_ir::{ArrayData, BinOp, Bindings, Expr, Kernel, KernelBuilder, ScalarTy};
 use vapor_targets::{altivec, neon64, sse};
 
@@ -109,32 +112,22 @@ fn check_kernel(engine: &Engine, kernel: &Kernel, n: usize, data: &[i64], mis: u
         .set_array("x", ArrayData::from_ints(ScalarTy::I32, data))
         .set_array("y", ArrayData::zeroed(ScalarTy::I32, n.max(1)));
     let oracle = reference(kernel, &env).expect("oracle");
-    for target in [sse(), altivec(), neon64()] {
-        for flow in [Flow::SplitVectorOpt, Flow::SplitVectorNaive] {
-            // A JIT that owns allocation never sees misaligned bases: the
-            // base_aligned guards it folds are promises about its own
-            // allocator. Misaligned placement only makes sense for the
-            // optimizing online flow, which emits runtime checks.
-            let policy = if mis == 0 || flow == Flow::SplitVectorNaive {
-                AllocPolicy::Aligned
-            } else {
-                AllocPolicy::Misaligned(mis)
-            };
-            let req = ExecRequest::new(kernel, &target, &env)
-                .flow(flow)
-                .policy(policy);
-            let r = engine
-                .execute(&req)
-                .unwrap_or_else(|e| panic!("{flow} on {}: {e}", target.name));
-            arrays_match(oracle.array("y").unwrap(), r.out.array("y").unwrap(), 0.0)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{flow} on {} (n={n}, mis={mis}): {e}\nkernel:\n{}",
-                        target.name,
-                        vapor_ir::print_kernel(kernel)
-                    )
-                });
+    let targets = [sse(), altivec(), neon64()];
+    let flows = [Flow::SplitVectorOpt, Flow::SplitVectorNaive];
+    let placed = match mis {
+        0 => AllocPolicy::Aligned,
+        mis => AllocPolicy::Misaligned(mis),
+    };
+    for mut cell in cells(kernel, &env, &targets, &flows, &[placed]) {
+        // A JIT that owns allocation never sees misaligned bases: the
+        // base_aligned guards it folds are promises about its own
+        // allocator. Misaligned placement only makes sense for the
+        // optimizing online flow, which emits runtime checks.
+        if cell.flow == Flow::SplitVectorNaive {
+            cell.policy = AllocPolicy::Aligned;
         }
+        check(engine, &cell, &oracle, &[])
+            .unwrap_or_else(|e| panic!("{e} (n={n})\nkernel:\n{}", vapor_ir::print_kernel(kernel)));
     }
 }
 
@@ -358,12 +351,15 @@ fn random_interleaved_stores_match_oracle() {
             .set_array("x", ArrayData::from_ints(ScalarTy::I32, &data))
             .set_array("y", ArrayData::zeroed(ScalarTy::I32, 2 * n.max(1)));
         let oracle = reference(&kernel, &env).unwrap();
-        for target in [sse(), altivec(), neon64()] {
-            let r = engine
-                .execute(&ExecRequest::new(&kernel, &target, &env))
-                .unwrap();
-            arrays_match(oracle.array("y").unwrap(), r.out.array("y").unwrap(), 0.0)
-                .unwrap_or_else(|e| panic!("{} (n={n}): {e}", target.name));
+        let targets = [sse(), altivec(), neon64()];
+        for cell in cells(
+            &kernel,
+            &env,
+            &targets,
+            &[Flow::SplitVectorOpt],
+            &[AllocPolicy::Aligned],
+        ) {
+            check(&engine, &cell, &oracle, &[]).unwrap_or_else(|e| panic!("{e} (n={n})"));
         }
     }
 }

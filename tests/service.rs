@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
-use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow, Tier};
+use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow};
 use vapor_kernels::{suite, Scale};
 use vapor_targets::{altivec, avx, neon64, rvv, sse, sve};
 
@@ -57,9 +57,6 @@ fn concurrent_hammer_keeps_stats_exact_and_dedups_inflight_compiles() {
                     let mut req = ExecRequest::new(&kernels[spec], target, &envs[spec]);
                     if vla {
                         req = req.vl_bits(if i % 2 == 0 { 256 } else { 1024 });
-                    }
-                    if i % 5 == 4 {
-                        req = req.tier(Tier::Threaded);
                     }
                     engine.execute(&req).unwrap();
                 }

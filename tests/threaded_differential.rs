@@ -1,121 +1,75 @@
-//! Closure-threaded tier differential tests: every suite kernel on
-//! every target runs once through the decoded dispatch (the oracle) and
-//! once through the threaded tier — machine state, cycles and
-//! instruction counts must be bit-identical. The threaded tier flattens
-//! the register file into an arena, streams affine addresses, and
-//! charges fuel per region, but on non-trapping executions none of that
-//! may be observable: *any* difference is a threading bug.
+//! Closure-threaded differential tests: every suite kernel runs once
+//! through the engine's decoded dispatch and once through
+//! `ThreadedProgram` over the same decode (`tests/common`'s comparer) —
+//! machine state, cycles and instruction counts must be bit-identical.
+//! The threaded form flattens the register file into an arena, streams
+//! affine addresses, and charges fuel per region, but on non-trapping
+//! executions none of that may be observable: *any* difference is a
+//! threading bug.
 
-use vapor_core::{arrays_match, AllocPolicy, Engine, ExecRequest, Flow, Tier};
-use vapor_kernels::{suite, Scale};
+mod common;
+
+use common::{check_suite, Form};
+use vapor_core::{AllocPolicy, Engine, Flow};
+use vapor_kernels::suite;
 use vapor_targets::{avx, neon64, rvv, sse, sve};
 
-/// Threaded vs decoded on every fixed-width target, both online flows
-/// the fusion harness covers.
+/// Threaded vs decoded on the fixed-width targets, both vector flows.
 #[test]
 fn threaded_and_decoded_dispatch_agree_on_every_suite_kernel() {
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        for target in [sse(), neon64(), avx()] {
-            for flow in [Flow::SplitVectorOpt, Flow::NativeVector] {
-                let req = ExecRequest::new(&kernel, &target, &env).flow(flow);
-                let decoded = engine
-                    .execute(&req)
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                let threaded = engine
-                    .execute(&req.clone().tier(Tier::Threaded))
-                    .unwrap_or_else(|e| panic!("{} [{flow} on {}]: {e}", spec.name, target.name));
-                for (name, expected) in decoded.out.arrays() {
-                    // Bit-exact: tolerance 0.
-                    arrays_match(expected, threaded.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{} [{flow} on {}]: array {name} diverged: {e}",
-                                spec.name, target.name
-                            )
-                        },
-                    );
-                }
-                assert_eq!(
-                    decoded.stats, threaded.stats,
-                    "{} [{flow} on {}]: cycles/insts diverged",
-                    spec.name, target.name
-                );
-            }
-        }
-    }
+    let fixed = [sse(), neon64(), avx()];
+    let flows = [Flow::SplitVectorOpt, Flow::NativeVector];
+    let aligned = [AllocPolicy::Aligned];
+    let threaded = [Form::Threaded];
+    check_suite(
+        &engine,
+        &suite(),
+        &fixed,
+        &flows,
+        &aligned,
+        &threaded,
+        |_, _| {},
+    );
 }
 
 /// The same differential on the runtime-VL families across the full VL
-/// range: both sides go through the engine (`specialize` feeds the
-/// per-VL decode LRU, `thread` the threaded LRU) and execute at the
-/// concrete width.
+/// range: the threaded side threads the engine's per-VL specialization.
 #[test]
 fn threaded_and_decoded_dispatch_agree_at_every_runtime_vl() {
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        for family in [sve(), rvv()] {
-            for vl in [128usize, 256, 512, 1024, 2048] {
-                let req = ExecRequest::new(&kernel, &family, &env).vl_bits(vl);
-                let decoded = engine
-                    .execute(&req)
-                    .unwrap_or_else(|e| panic!("{} @VL={vl}: {e}", spec.name));
-                let threaded = engine
-                    .execute(&req.clone().tier(Tier::Threaded))
-                    .unwrap_or_else(|e| panic!("{} @VL={vl}: {e}", spec.name));
-                for (name, expected) in decoded.out.arrays() {
-                    arrays_match(expected, threaded.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                        |e| {
-                            panic!(
-                                "{} [{} @VL={vl}]: array {name} diverged: {e}",
-                                spec.name, family.name
-                            )
-                        },
-                    );
-                }
-                assert_eq!(
-                    decoded.stats, threaded.stats,
-                    "{} [{} @VL={vl}]: cycles/insts diverged",
-                    spec.name, family.name
-                );
-            }
-        }
-    }
+    let families = [sve(), rvv()];
+    let flow = [Flow::SplitVectorOpt];
+    let aligned = [AllocPolicy::Aligned];
+    let threaded = [Form::Threaded];
+    check_suite(
+        &engine,
+        &suite(),
+        &families,
+        &flow,
+        &aligned,
+        &threaded,
+        |_, _| {},
+    );
 }
 
 /// Misaligned bases exercise the unaligned/guard paths of the threaded
 /// address streams: loads and stores must stride to exactly the same
 /// addresses the decoded dispatch recomputes, even when alignment
-/// guards steer the code down fallback paths.
+/// guards steer the code down fallback paths. Every reference form runs
+/// on these cells.
 #[test]
 fn threaded_dispatch_agrees_under_misaligned_bases() {
     let engine = Engine::new();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        let target = sse();
-        for mis in [4usize, 8] {
-            let req = ExecRequest::new(&kernel, &target, &env).policy(AllocPolicy::Misaligned(mis));
-            let decoded = engine
-                .execute(&req)
-                .unwrap_or_else(|e| panic!("{} (mis={mis}): {e}", spec.name));
-            let threaded = engine
-                .execute(&req.clone().tier(Tier::Threaded))
-                .unwrap_or_else(|e| panic!("{} (mis={mis}): {e}", spec.name));
-            for (name, expected) in decoded.out.arrays() {
-                arrays_match(expected, threaded.out.array(name).unwrap(), 0.0).unwrap_or_else(
-                    |e| panic!("{} (mis={mis}): array {name} diverged: {e}", spec.name),
-                );
-            }
-            assert_eq!(
-                decoded.stats, threaded.stats,
-                "{} (mis={mis}): cycles/insts diverged",
-                spec.name
-            );
-        }
-    }
+    let misaligned = [AllocPolicy::Misaligned(4), AllocPolicy::Misaligned(8)];
+    let flow = [Flow::SplitVectorOpt];
+    check_suite(
+        &engine,
+        &suite(),
+        &[sse()],
+        &flow,
+        &misaligned,
+        &Form::ALL,
+        |_, _| {},
+    );
 }

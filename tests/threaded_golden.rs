@@ -11,7 +11,7 @@
 
 use vapor_core::{CompileConfig, Engine, Flow};
 use vapor_kernels::suite;
-use vapor_targets::{disasm_threaded, sse, sve};
+use vapor_targets::{disasm_threaded, sse, sve, TargetDesc, ThreadedProgram};
 
 /// The representative kernels snapshotted per target family: the
 /// canonical two-array stream (`saxpy`), a reduction with an inner loop
@@ -19,6 +19,22 @@ use vapor_targets::{disasm_threaded, sse, sve};
 /// together they exercise streams, nested regions, and the arena's
 /// fused three-op steps.
 const GOLDEN_KERNELS: [&str; 3] = ["saxpy_fp", "convolve_s32", "seidel_fp"];
+
+/// The threaded lowering of the suite kernel `name`'s optimizing split
+/// compilation, specialized to `vl_bits`.
+fn thread(name: &str, target: &TargetDesc, vl_bits: usize) -> ThreadedProgram {
+    let spec = suite().into_iter().find(|s| s.name == name).unwrap();
+    let (compiled, prog) = Engine::new()
+        .specialize(
+            &spec.kernel(),
+            Flow::SplitVectorOpt,
+            target,
+            &CompileConfig::default(),
+            vl_bits,
+        )
+        .unwrap();
+    ThreadedProgram::thread(&prog, &compiled.jit.code)
+}
 
 fn check_golden(tag: &str, text: &str) {
     let path = format!(
@@ -40,33 +56,16 @@ fn check_golden(tag: &str, text: &str) {
 
 #[test]
 fn threaded_disassembly_matches_goldens_on_fixed_width() {
-    let engine = Engine::new();
-    let cfg = CompileConfig::default();
     for name in GOLDEN_KERNELS {
-        let spec = suite().into_iter().find(|s| s.name == name).unwrap();
-        let target = sse();
-        let (_, prog) = engine
-            .thread(
-                &spec.kernel(),
-                Flow::SplitVectorOpt,
-                &target,
-                &cfg,
-                target.vs * 8,
-            )
-            .unwrap();
+        let prog = thread(name, &sse(), 128);
         check_golden(&format!("threaded_{name}_sse"), &disasm_threaded(&prog));
     }
 }
 
 #[test]
 fn threaded_disassembly_matches_goldens_on_runtime_vl() {
-    let engine = Engine::new();
-    let cfg = CompileConfig::default();
     for name in GOLDEN_KERNELS {
-        let spec = suite().into_iter().find(|s| s.name == name).unwrap();
-        let (_, prog) = engine
-            .thread(&spec.kernel(), Flow::SplitVectorOpt, &sve(), &cfg, 512)
-            .unwrap();
+        let prog = thread(name, &sve(), 512);
         check_golden(&format!("threaded_{name}_sve512"), &disasm_threaded(&prog));
     }
 }
@@ -80,24 +79,12 @@ fn threaded_disassembly_matches_goldens_on_runtime_vl() {
 /// from loop-header state; its threaded win is region batching alone.)
 #[test]
 fn affine_golden_kernels_stream_their_loops() {
-    let engine = Engine::new();
-    let cfg = CompileConfig::default();
     for (name, streams) in [
         ("saxpy_fp", true),
         ("convolve_s32", true),
         ("seidel_fp", false),
     ] {
-        let spec = suite().into_iter().find(|s| s.name == name).unwrap();
-        let target = sse();
-        let (_, prog) = engine
-            .thread(
-                &spec.kernel(),
-                Flow::SplitVectorOpt,
-                &target,
-                &cfg,
-                target.vs * 8,
-            )
-            .unwrap();
+        let prog = thread(name, &sse(), 128);
         assert_eq!(
             prog.streamed_loops() > 0,
             streams,
