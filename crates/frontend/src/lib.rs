@@ -6,6 +6,16 @@
 //! loops, affine subscripts, scalar reductions, and the `min`/`max`/
 //! `abs`/`sqrt` builtins that replace if-converted control flow.
 //!
+//! The front end is one pass over the source bytes: the parser pulls
+//! `Copy` tokens from the lexer as it goes, identifiers borrow the source
+//! ([`Tok`] and [`Spanned`] carry its lifetime), and besides two scratch
+//! vectors the only allocations are the ones the returned
+//! [`vapor_ir::Kernel`] owns. Error positions are 1-based lines and
+//! character columns: a column comes from byte offsets, or from a count of
+//! UTF-8 characters on a line that holds a non-ASCII one. Nesting deeper
+//! than [`MAX_NESTING`] levels is a [`ParseError`], so no input can
+//! overflow the stack.
+//!
 //! # Examples
 //!
 //! ```
@@ -29,4 +39,4 @@ pub mod lexer;
 pub mod parser;
 
 pub use lexer::{lex, ParseError, Spanned, Tok};
-pub use parser::parse_kernel;
+pub use parser::{parse_kernel, MAX_NESTING};

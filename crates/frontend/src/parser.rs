@@ -16,129 +16,236 @@
 //!
 //! Expression precedence, loosest to tightest: `== <`, `|`, `^`, `&`,
 //! `<< >>`, `+ -`, `* /`, unary (`-`, casts), primary. `min`, `max`,
-//! `abs`, `sqrt` are call-syntax builtins.
+//! `abs`, `sqrt` are call-syntax builtins. Binary operators are parsed by
+//! precedence climbing: one loop per operand, not one call per level.
+//!
+//! The parser pulls tokens from the lexer as it goes, so the source is
+//! read once and no token list is built. Besides two scratch vectors, it
+//! allocates only what the returned tree owns: a `String` per declared
+//! name, a `Box` per expression node, one exact-size `Vec` per statement
+//! list. A syntax error is reported only after the rest of the source has
+//! been lexed, so a lexical error anywhere wins, as if lexing ran first.
+//!
+//! Nesting is capped at [`MAX_NESTING`] levels, so deep input is a
+//! [`ParseError`], not a stack overflow. A level is a parenthesis, a cast
+//! or negation operand, a builtin call, a subscript, a loop body, or a
+//! binary operator folded into a chain (each adds a level to the tree
+//! that later passes walk recursively).
+
+use std::fmt::Display;
 
 use vapor_ir::{
     ArrayDecl, ArrayId, ArrayKind, BinOp, Expr, Kernel, ScalarTy, Stmt, UnOp, VarDecl, VarId,
     VarKind,
 };
 
-use crate::lexer::{lex, ParseError, Spanned, Tok};
+use crate::lexer::{LexResult as PResult, Lexer, ParseError, Spanned, Tok};
 
-struct Parser {
-    toks: Vec<Spanned>,
-    pos: usize,
+/// The deepest nesting [`parse_kernel`] accepts (see the module docs).
+pub const MAX_NESTING: usize = 256;
+
+struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The current token; [`Tok::Eof`] at the end of input and after a
+    /// lexical error.
+    tok: Spanned<'src>,
+    /// The first lexical error; it outranks any syntax error.
+    lex_err: Option<Box<ParseError>>,
+    /// Current nesting level.
+    depth: usize,
     vars: Vec<VarDecl>,
     arrays: Vec<ArrayDecl>,
     open_loops: Vec<VarId>,
+    /// Statements of every body still open, innermost last.
+    stmts: Vec<Stmt>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|s| &s.tok)
+/// The next token of a lookahead copy of the lexer; a lexical error
+/// reads as the end of input (the parser's own lexer reports it).
+#[inline(never)]
+fn lex_ahead<'src>(lexer: &mut Lexer<'src>) -> Tok<'src> {
+    lexer.next_token().map_or(Tok::Eof, |t| t.tok)
+}
+
+/// `a == b`, compared in line: names are short.
+fn same_name(a: &str, b: &str) -> bool {
+    a.len() == b.len() && a.bytes().zip(b.bytes()).all(|(x, y)| x == y)
+}
+
+impl<'src> Parser<'src> {
+    fn new(src: &'src str) -> Self {
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            tok: Spanned {
+                tok: Tok::Eof,
+                line: 0,
+                col: 0,
+            },
+            lex_err: None,
+            depth: 0,
+            vars: Vec::new(),
+            arrays: Vec::new(),
+            open_loops: Vec::new(),
+            stmts: Vec::new(),
+        };
+        p.advance();
+        p
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|s| &s.tok)
-    }
-
-    fn here(&self) -> (u32, u32) {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map(|s| (s.line, s.col))
-            .unwrap_or((0, 0))
-    }
-
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        let (line, col) = self.here();
-        ParseError {
-            msg: msg.into(),
-            line,
-            col,
-        }
-    }
-
-    fn next(&mut self) -> Result<Tok, ParseError> {
-        let t = self
-            .toks
-            .get(self.pos)
-            .map(|s| s.tok.clone())
-            .ok_or_else(|| self.err("unexpected end of input"))?;
-        self.pos += 1;
-        Ok(t)
-    }
-
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
-        let got = self.next()?;
-        if &got == want {
-            Ok(())
-        } else {
-            self.pos -= 1;
-            Err(self.err(format!("expected {want}, found {got}")))
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Ident(s) => Ok(s),
-            got => {
-                self.pos -= 1;
-                Err(self.err(format!("expected identifier, found {got}")))
+    /// Move to the next token. A lexical error ends the input here and is
+    /// kept for the report. Not inlined: this is the one copy of the
+    /// (inlined) lexer on the hot path.
+    #[inline(never)]
+    fn advance(&mut self) {
+        match self.lexer.next_token() {
+            Ok(t) => self.tok = t,
+            Err(e) => {
+                self.tok.tok = Tok::Eof;
+                self.lex_err = Some(e);
             }
         }
     }
 
+    fn peek(&self) -> Tok<'src> {
+        self.tok.tok
+    }
+
+    /// The token after the current one, lexed on a copy of the lexer.
+    fn peek2(&self) -> Tok<'src> {
+        let mut ahead = self.lexer;
+        lex_ahead(&mut ahead)
+    }
+
+    /// `Some(ty)` when the current `(` opens a cast `( TYPE )`.
+    fn cast_ahead(&self) -> Option<ScalarTy> {
+        let mut ahead = self.lexer;
+        let Tok::Ident(word) = lex_ahead(&mut ahead) else {
+            return None;
+        };
+        let ty = ScalarTy::from_keyword(word)?;
+        (lex_ahead(&mut ahead) == Tok::RParen).then_some(ty)
+    }
+
+    /// An error at the current token.
+    #[cold]
+    #[inline(never)]
+    fn err(&self, msg: String) -> Box<ParseError> {
+        Box::new(ParseError {
+            msg,
+            line: self.tok.line,
+            col: self.tok.col,
+        })
+    }
+
+    /// "expected {what}, found {current token}", or the end of input.
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&self, what: &dyn Display) -> Box<ParseError> {
+        self.err(match self.peek() {
+            Tok::Eof => "unexpected end of input".to_owned(),
+            got => format!("expected {what}, found {got}"),
+        })
+    }
+
+    /// "unknown {kind} `{name}`".
+    #[cold]
+    #[inline(never)]
+    fn unknown(&self, kind: &str, name: &str) -> Box<ParseError> {
+        self.err(format!("unknown {kind} `{name}`"))
+    }
+
+    fn expect(&mut self, want: Tok<'src>) -> PResult<()> {
+        if self.peek() != want {
+            return Err(self.unexpected(&want));
+        }
+        self.advance();
+        Ok(())
+    }
+
+    fn expect_ident(&mut self) -> PResult<&'src str> {
+        let Tok::Ident(name) = self.peek() else {
+            return Err(self.unexpected(&"identifier"));
+        };
+        self.advance();
+        Ok(name)
+    }
+
     fn peek_type(&self) -> Option<ScalarTy> {
         match self.peek() {
-            Some(Tok::Ident(s)) => ScalarTy::from_keyword(s),
+            Tok::Ident(s) => ScalarTy::from_keyword(s),
             _ => None,
         }
     }
 
-    fn expect_type(&mut self) -> Result<ScalarTy, ParseError> {
-        let name = self.expect_ident()?;
-        ScalarTy::from_keyword(&name).ok_or_else(|| {
-            self.pos -= 1;
-            self.err(format!("expected a type keyword, found `{name}`"))
-        })
+    fn expect_type(&mut self) -> PResult<ScalarTy> {
+        let Tok::Ident(name) = self.peek() else {
+            return Err(self.unexpected(&"identifier"));
+        };
+        let Some(ty) = ScalarTy::from_keyword(name) else {
+            return Err(self.err(format!("expected a type keyword, found `{name}`")));
+        };
+        self.advance();
+        Ok(ty)
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.enter()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// One level deeper; the caller restores `depth`.
+    fn enter(&mut self) -> PResult<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn var_named(&self, name: &str) -> Option<VarId> {
         self.vars
             .iter()
-            .position(|v| v.name == name)
+            .position(|v| same_name(&v.name, name))
             .map(|i| VarId(i as u32))
     }
 
     fn array_named(&self, name: &str) -> Option<ArrayId> {
         self.arrays
             .iter()
-            .position(|a| a.name == name)
+            .position(|a| same_name(&a.name, name))
             .map(|i| ArrayId(i as u32))
     }
 
-    fn declare_var(
-        &mut self,
-        name: String,
-        ty: ScalarTy,
-        kind: VarKind,
-    ) -> Result<VarId, ParseError> {
-        if self.var_named(&name).is_some() || self.array_named(&name).is_some() {
+    fn check_fresh(&self, name: &str) -> PResult<()> {
+        if self.var_named(name).is_some() || self.array_named(name).is_some() {
             return Err(self.err(format!("duplicate declaration of `{name}`")));
         }
-        self.vars.push(VarDecl { name, ty, kind });
+        Ok(())
+    }
+
+    fn declare_var(&mut self, name: &str, ty: ScalarTy, kind: VarKind) -> PResult<VarId> {
+        self.check_fresh(name)?;
+        self.vars.push(VarDecl {
+            name: name.to_owned(),
+            ty,
+            kind,
+        });
         Ok(VarId(self.vars.len() as u32 - 1))
     }
 
     // ----- expressions ---------------------------------------------------
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+    fn parse_expr(&mut self) -> PResult<Expr> {
         self.parse_bin(1)
     }
 
-    fn bin_op_at(&self, level: u8) -> Option<BinOp> {
-        let t = self.peek()?;
-        let (op, l) = match t {
+    /// The binary operator at the current token and its precedence, 1
+    /// (loosest) to 7 (tightest), as `vapor_ir::precedence` prints them.
+    fn bin_op(&self) -> Option<(BinOp, u8)> {
+        Some(match self.peek() {
             Tok::EqEq => (BinOp::CmpEq, 1),
             Tok::Lt => (BinOp::CmpLt, 1),
             Tok::Pipe => (BinOp::Or, 2),
@@ -151,131 +258,161 @@ impl Parser {
             Tok::Star => (BinOp::Mul, 7),
             Tok::Slash => (BinOp::Div, 7),
             _ => return None,
-        };
-        (l == level).then_some(op)
+        })
     }
 
-    fn parse_bin(&mut self, level: u8) -> Result<Expr, ParseError> {
-        if level > 7 {
-            return self.parse_unary();
-        }
-        let mut lhs = self.parse_bin(level + 1)?;
-        while let Some(op) = self.bin_op_at(level) {
-            self.pos += 1;
-            let rhs = self.parse_bin(level + 1)?;
+    /// Precedence climbing: an operand, then every operator binding at
+    /// least as tightly as `min_prec`, left-associative.
+    fn parse_bin(&mut self, min_prec: u8) -> PResult<Expr> {
+        let depth = self.depth;
+        let mut lhs = self.parse_unary()?;
+        while let Some((op, prec)) = self.bin_op().filter(|&(_, p)| p >= min_prec) {
+            self.advance();
+            // Each operator folded into the chain nests the tree deeper.
+            self.enter()?;
+            let rhs = self.parse_bin(prec + 1)?;
             lhs = Expr::bin(op, lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> PResult<Expr> {
         match self.peek() {
-            Some(Tok::Minus) => {
-                self.pos += 1;
-                let arg = self.parse_unary()?;
-                // Fold negation of literals so `-1` is a literal.
+            Tok::Minus => {
+                self.advance();
+                if let Tok::IntMinMagnitude(_) = self.peek() {
+                    self.advance();
+                    return Ok(Expr::Int(i64::MIN));
+                }
+                let arg = self.nested(Self::parse_unary)?;
+                // Fold negation of literals so `-1` is a literal; the
+                // negation of `i64::MIN` stays an operation.
                 Ok(match arg {
-                    Expr::Int(v) => Expr::Int(-v),
+                    Expr::Int(v) => v
+                        .checked_neg()
+                        .map_or_else(|| Expr::un(UnOp::Neg, Expr::Int(v)), Expr::Int),
                     Expr::Float(v) => Expr::Float(-v),
                     other => Expr::un(UnOp::Neg, other),
                 })
             }
-            Some(Tok::LParen) => {
-                // Cast `(type) unary` vs parenthesized expression.
-                if let Some(Tok::Ident(s)) = self.peek2() {
-                    if ScalarTy::from_keyword(s).is_some()
-                        && self.toks.get(self.pos + 2).map(|t| &t.tok) == Some(&Tok::RParen)
-                    {
-                        self.pos += 1;
-                        let ty = self.expect_type()?;
-                        self.expect(&Tok::RParen)?;
-                        let arg = self.parse_unary()?;
-                        return Ok(Expr::cast(ty, arg));
+            Tok::LParen => {
+                if let Some(ty) = self.cast_ahead() {
+                    for _ in 0..3 {
+                        self.advance();
                     }
+                    let arg = self.nested(Self::parse_unary)?;
+                    return Ok(Expr::cast(ty, arg));
                 }
-                self.pos += 1;
-                let e = self.parse_expr()?;
-                self.expect(&Tok::RParen)?;
+                self.advance();
+                let e = self.nested(Self::parse_expr)?;
+                self.expect(Tok::RParen)?;
                 Ok(e)
             }
             _ => self.parse_primary(),
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        match self.next()? {
-            Tok::Int(v) => Ok(Expr::Int(v)),
-            Tok::Float(v) => Ok(Expr::Float(v)),
-            Tok::Ident(name) => {
-                match name.as_str() {
-                    "min" | "max" => {
-                        let op = if name == "min" {
-                            BinOp::Min
-                        } else {
-                            BinOp::Max
-                        };
-                        self.expect(&Tok::LParen)?;
-                        let a = self.parse_expr()?;
-                        self.expect(&Tok::Comma)?;
-                        let b = self.parse_expr()?;
-                        self.expect(&Tok::RParen)?;
-                        return Ok(Expr::bin(op, a, b));
-                    }
-                    "abs" | "sqrt" => {
-                        let op = if name == "abs" { UnOp::Abs } else { UnOp::Sqrt };
-                        self.expect(&Tok::LParen)?;
-                        let a = self.parse_expr()?;
-                        self.expect(&Tok::RParen)?;
-                        return Ok(Expr::un(op, a));
-                    }
-                    _ => {}
-                }
-                if self.peek() == Some(&Tok::LBracket) {
-                    let array = self
-                        .array_named(&name)
-                        .ok_or_else(|| self.err(format!("unknown array `{name}`")))?;
-                    self.pos += 1;
-                    let idx = self.parse_expr()?;
-                    self.expect(&Tok::RBracket)?;
-                    Ok(Expr::load(array, idx))
-                } else {
-                    let var = self
-                        .var_named(&name)
-                        .ok_or_else(|| self.err(format!("unknown variable `{name}`")))?;
-                    Ok(Expr::Var(var))
-                }
+    fn parse_primary(&mut self) -> PResult<Expr> {
+        let name = match self.peek() {
+            Tok::Int(v) => {
+                self.advance();
+                return Ok(Expr::Int(v));
             }
-            got => {
-                self.pos -= 1;
-                Err(self.err(format!("expected expression, found {got}")))
+            Tok::Float(v) => {
+                self.advance();
+                return Ok(Expr::Float(v));
+            }
+            Tok::IntMinMagnitude(text) => return Err(self.int_min_magnitude(text)),
+            Tok::Ident(name) => name,
+            _ => return Err(self.unexpected(&"expression")),
+        };
+        self.advance();
+        match name {
+            "min" | "max" => {
+                let op = if name == "min" {
+                    BinOp::Min
+                } else {
+                    BinOp::Max
+                };
+                self.expect(Tok::LParen)?;
+                let (a, b) = self.nested(|p| {
+                    let a = p.parse_expr()?;
+                    p.expect(Tok::Comma)?;
+                    Ok((a, p.parse_expr()?))
+                })?;
+                self.expect(Tok::RParen)?;
+                return Ok(Expr::bin(op, a, b));
+            }
+            "abs" | "sqrt" => {
+                let op = if name == "abs" { UnOp::Abs } else { UnOp::Sqrt };
+                self.expect(Tok::LParen)?;
+                let a = self.nested(Self::parse_expr)?;
+                self.expect(Tok::RParen)?;
+                return Ok(Expr::un(op, a));
+            }
+            _ => {}
+        }
+        if self.peek() == Tok::LBracket {
+            let (array, idx) = self.parse_subscript(name)?;
+            Ok(Expr::load(array, idx))
+        } else {
+            match self.var_named(name) {
+                Some(var) => Ok(Expr::Var(var)),
+                None => Err(self.unknown("variable", name)),
             }
         }
     }
 
+    /// The lexer's own error for 2^63 outside a negation, at the end of
+    /// the literal. It is lexical, so it also outranks a later lexical
+    /// error.
+    #[cold]
+    #[inline(never)]
+    fn int_min_magnitude(&mut self, text: &str) -> Box<ParseError> {
+        let e = Box::new(ParseError {
+            msg: format!("malformed integer literal `{text}`"),
+            line: self.tok.line,
+            col: self.tok.col + text.len() as u32,
+        });
+        self.lex_err = Some(e.clone());
+        e
+    }
+
+    /// `[ expr ]` after the array `name`.
+    fn parse_subscript(&mut self, name: &str) -> PResult<(ArrayId, Expr)> {
+        let Some(array) = self.array_named(name) else {
+            return Err(self.unknown("array", name));
+        };
+        self.advance();
+        let index = self.nested(Self::parse_expr)?;
+        self.expect(Tok::RBracket)?;
+        Ok((array, index))
+    }
+
     // ----- statements ----------------------------------------------------
 
-    fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
-        if self.peek() == Some(&Tok::For) {
+    /// `=` (false) or `+=` (true).
+    fn assign_op(&mut self) -> PResult<bool> {
+        let compound = match self.peek() {
+            Tok::Assign => false,
+            Tok::PlusAssign => true,
+            _ => return Err(self.unexpected(&"`=` or `+=`")),
+        };
+        self.advance();
+        Ok(compound)
+    }
+
+    fn parse_stmt(&mut self) -> PResult<Stmt> {
+        if self.peek() == Tok::For {
             return self.parse_for();
         }
         let name = self.expect_ident()?;
-        if self.peek() == Some(&Tok::LBracket) {
-            let array = self
-                .array_named(&name)
-                .ok_or_else(|| self.err(format!("unknown array `{name}`")))?;
-            self.pos += 1;
-            let index = self.parse_expr()?;
-            self.expect(&Tok::RBracket)?;
-            let compound = match self.next()? {
-                Tok::Assign => false,
-                Tok::PlusAssign => true,
-                got => {
-                    self.pos -= 1;
-                    return Err(self.err(format!("expected `=` or `+=`, found {got}")));
-                }
-            };
+        if self.peek() == Tok::LBracket {
+            let (array, index) = self.parse_subscript(name)?;
+            let compound = self.assign_op()?;
             let rhs = self.parse_expr()?;
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Semi)?;
             let value = if compound {
                 Expr::bin(BinOp::Add, Expr::load(array, index.clone()), rhs)
             } else {
@@ -287,19 +424,12 @@ impl Parser {
                 value,
             })
         } else {
-            let var = self
-                .var_named(&name)
-                .ok_or_else(|| self.err(format!("unknown variable `{name}`")))?;
-            let compound = match self.next()? {
-                Tok::Assign => false,
-                Tok::PlusAssign => true,
-                got => {
-                    self.pos -= 1;
-                    return Err(self.err(format!("expected `=` or `+=`, found {got}")));
-                }
+            let Some(var) = self.var_named(name) else {
+                return Err(self.unknown("variable", name));
             };
+            let compound = self.assign_op()?;
             let rhs = self.parse_expr()?;
-            self.expect(&Tok::Semi)?;
+            self.expect(Tok::Semi)?;
             let value = if compound {
                 Expr::bin(BinOp::Add, Expr::Var(var), rhs)
             } else {
@@ -309,16 +439,29 @@ impl Parser {
         }
     }
 
-    fn parse_for(&mut self) -> Result<Stmt, ParseError> {
-        self.expect(&Tok::For)?;
-        self.expect(&Tok::LParen)?;
+    /// Statements up to and including the closing `}`, as one exact-size
+    /// `Vec`.
+    #[inline(never)]
+    fn parse_body(&mut self) -> PResult<Vec<Stmt>> {
+        let start = self.stmts.len();
+        while self.peek() != Tok::RBrace {
+            let s = self.parse_stmt()?;
+            self.stmts.push(s);
+        }
+        self.advance();
+        Ok(self.stmts.split_off(start))
+    }
+
+    fn parse_for(&mut self) -> PResult<Stmt> {
+        self.expect(Tok::For)?;
+        self.expect(Tok::LParen)?;
         let ty = self.expect_type()?;
         if ty != ScalarTy::I64 {
-            return Err(self.err("loop variables must be declared `long`"));
+            return Err(self.err("loop variables must be declared `long`".to_owned()));
         }
         let name = self.expect_ident()?;
         // Sequential loops may reuse a finished loop variable's name.
-        let var = match self.var_named(&name) {
+        let var = match self.var_named(name) {
             Some(v) if self.vars[v.0 as usize].kind == VarKind::Loop => {
                 if self.open_loops.contains(&v) {
                     return Err(self.err(format!("loop variable `{name}` already in use")));
@@ -328,46 +471,43 @@ impl Parser {
             Some(_) => {
                 return Err(self.err(format!("`{name}` is not a loop variable")));
             }
-            None => self.declare_var(name.clone(), ScalarTy::I64, VarKind::Loop)?,
+            None => self.declare_var(name, ScalarTy::I64, VarKind::Loop)?,
         };
-        self.expect(&Tok::Assign)?;
+        self.expect(Tok::Assign)?;
         let lo = self.parse_expr()?;
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::Semi)?;
         let n2 = self.expect_ident()?;
         if n2 != name {
             return Err(self.err(format!("loop condition must test `{name}`, found `{n2}`")));
         }
-        self.expect(&Tok::Lt)?;
+        self.expect(Tok::Lt)?;
         let hi = self.parse_expr()?;
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::Semi)?;
         let n3 = self.expect_ident()?;
         if n3 != name {
             return Err(self.err(format!("loop increment must update `{name}`, found `{n3}`")));
         }
-        let step = match self.next()? {
+        let step = match self.peek() {
             Tok::PlusPlus => 1,
-            Tok::PlusAssign => match self.next()? {
-                Tok::Int(v) if v > 0 => v,
-                got => {
-                    self.pos -= 1;
-                    return Err(self.err(format!(
-                        "loop step must be a positive integer literal, found {got}"
-                    )));
+            Tok::PlusAssign => {
+                self.advance();
+                match self.peek() {
+                    Tok::Int(v) if v > 0 => v,
+                    Tok::Eof => return Err(self.unexpected(&"a loop step")),
+                    got => {
+                        return Err(self.err(format!(
+                            "loop step must be a positive integer literal, found {got}"
+                        )));
+                    }
                 }
-            },
-            got => {
-                self.pos -= 1;
-                return Err(self.err(format!("expected `++` or `+=`, found {got}")));
             }
+            _ => return Err(self.unexpected(&"`++` or `+=`")),
         };
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::LBrace)?;
+        self.advance();
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::LBrace)?;
         self.open_loops.push(var);
-        let mut body = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
-            body.push(self.parse_stmt()?);
-        }
-        self.expect(&Tok::RBrace)?;
+        let body = self.nested(Self::parse_body)?;
         self.open_loops.pop();
         Ok(Stmt::For {
             var,
@@ -378,65 +518,60 @@ impl Parser {
         })
     }
 
-    fn parse_kernel(&mut self) -> Result<Kernel, ParseError> {
-        self.expect(&Tok::Kernel)?;
-        let name = self.expect_ident()?;
-        self.expect(&Tok::LParen)?;
-        if self.peek() != Some(&Tok::RParen) {
+    fn parse_kernel(&mut self) -> PResult<Kernel> {
+        self.expect(Tok::Kernel)?;
+        let name = self.expect_ident()?.to_owned();
+        self.expect(Tok::LParen)?;
+        if self.peek() != Tok::RParen {
             loop {
-                let kind = if self.peek() == Some(&Tok::Global) {
-                    self.pos += 1;
-                    Some(ArrayKind::Global)
-                } else {
-                    None
-                };
+                let global = self.peek() == Tok::Global;
+                if global {
+                    self.advance();
+                }
                 let ty = self.expect_type()?;
                 let pname = self.expect_ident()?;
-                if self.peek() == Some(&Tok::LBracket) {
-                    self.pos += 1;
-                    self.expect(&Tok::RBracket)?;
-                    if self.var_named(&pname).is_some() || self.array_named(&pname).is_some() {
-                        return Err(self.err(format!("duplicate declaration of `{pname}`")));
-                    }
+                if self.peek() == Tok::LBracket {
+                    self.advance();
+                    self.expect(Tok::RBracket)?;
+                    self.check_fresh(pname)?;
                     self.arrays.push(ArrayDecl {
-                        name: pname,
+                        name: pname.to_owned(),
                         elem: ty,
-                        kind: kind.unwrap_or(ArrayKind::PointerParam),
+                        kind: if global {
+                            ArrayKind::Global
+                        } else {
+                            ArrayKind::PointerParam
+                        },
                     });
                 } else {
-                    if kind.is_some() {
-                        return Err(self.err("`global` only applies to arrays"));
+                    if global {
+                        return Err(self.err("`global` only applies to arrays".to_owned()));
                     }
                     self.declare_var(pname, ty, VarKind::Param)?;
                 }
-                if self.peek() == Some(&Tok::Comma) {
-                    self.pos += 1;
+                if self.peek() == Tok::Comma {
+                    self.advance();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
-        self.expect(&Tok::LBrace)?;
-        // Local declarations: TYPE IDENT ";".
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::LBrace)?;
+        // Local declarations: TYPE IDENT ";" (a statement never starts
+        // with two identifiers).
         while let Some(ty) = self.peek_type() {
-            // Disambiguate from statements: declarations are TYPE IDENT ';'.
-            if matches!(self.peek2(), Some(Tok::Ident(_))) {
-                self.pos += 1;
-                let lname = self.expect_ident()?;
-                self.expect(&Tok::Semi)?;
-                self.declare_var(lname, ty, VarKind::Local)?;
-            } else {
+            if !matches!(self.peek2(), Tok::Ident(_)) {
                 break;
             }
+            self.advance();
+            let lname = self.expect_ident()?;
+            self.expect(Tok::Semi)?;
+            self.declare_var(lname, ty, VarKind::Local)?;
         }
-        let mut body = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
-            body.push(self.parse_stmt()?);
-        }
-        self.expect(&Tok::RBrace)?;
-        if self.pos != self.toks.len() {
-            return Err(self.err("trailing input after kernel"));
+        let body = self.parse_body()?;
+        if self.peek() != Tok::Eof {
+            return Err(self.err("trailing input after kernel".to_owned()));
         }
         Ok(Kernel {
             name,
@@ -466,15 +601,14 @@ impl Parser {
 /// assert_eq!(k.name, "dscal");
 /// ```
 pub fn parse_kernel(src: &str) -> Result<Kernel, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        vars: Vec::new(),
-        arrays: Vec::new(),
-        open_loops: Vec::new(),
+    let mut p = Parser::new(src);
+    let parsed = p.parse_kernel();
+    let k = match (parsed, p.lex_err) {
+        (_, Some(e)) => return Err(*e),
+        // A lexical error later in the source outranks this syntax error.
+        (Err(e), None) => return Err(*p.lexer.finish().err().unwrap_or(e)),
+        (Ok(k), None) => k,
     };
-    let k = p.parse_kernel()?;
     vapor_ir::validate(&k).map_err(|e| ParseError {
         msg: format!("in kernel `{}`: {e}", k.name),
         line: 0,
@@ -633,5 +767,120 @@ mod diag_tests {
     #[test]
     fn min_needs_two_arguments() {
         assert!(parse_kernel("kernel t(long n, int x[]) { x[0] = min(1); }").is_err());
+    }
+}
+
+#[cfg(test)]
+mod limit_tests {
+    use super::*;
+
+    fn store(rhs: &str) -> String {
+        format!("kernel t(long n, long x[]) {{ x[0] = {rhs}; }}")
+    }
+
+    fn loops(depth: usize) -> String {
+        let mut src = String::from("kernel t(long n, long x[]) { long s; ");
+        for d in 0..depth {
+            src.push_str(&format!("for (long i{d} = 0; i{d} < n; i{d}++) {{ "));
+        }
+        src.push_str("s = n; ");
+        src.push_str(&"} ".repeat(depth));
+        src.push('}');
+        src
+    }
+
+    /// Every construct that nests, `depth` levels deep.
+    fn shapes(depth: usize) -> Vec<(&'static str, String)> {
+        let rep = |s: &str| s.repeat(depth);
+        vec![
+            ("parentheses", store(&format!("{}n{}", rep("("), rep(")")))),
+            ("negations", store(&format!("{}n", rep("-")))),
+            ("casts", store(&format!("{}n", rep("(long)")))),
+            ("calls", store(&format!("{}n{}", rep("min("), rep(", n)")))),
+            ("subscripts", store(&format!("{}0{}", rep("x["), rep("]")))),
+            ("operator chain", store(&format!("n{}", rep(" + n")))),
+            ("loops", loops(depth)),
+        ]
+    }
+
+    fn is_nesting_error(e: &ParseError) -> bool {
+        e.msg == format!("nesting deeper than {MAX_NESTING} levels")
+    }
+
+    /// Runs on the default test thread (2 MiB of stack in a debug build):
+    /// the deepest accepted input must fit, and one level more is an
+    /// error rather than an overflow.
+    #[test]
+    fn nesting_is_capped_at_max_nesting() {
+        for (name, src) in shapes(MAX_NESTING) {
+            let k = parse_kernel(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(parse_kernel(&vapor_ir::print_kernel(&k)), Ok(k), "{name}");
+        }
+        for (name, src) in shapes(MAX_NESTING + 1) {
+            let e = parse_kernel(&src).unwrap_err();
+            assert!(is_nesting_error(&e), "{name}: {e}");
+        }
+    }
+
+    #[test]
+    fn hundred_thousand_levels_are_an_error() {
+        for (name, src) in shapes(100_000) {
+            let e = parse_kernel(&src).unwrap_err();
+            assert!(is_nesting_error(&e), "{name}: {e}");
+        }
+    }
+
+    #[test]
+    fn a_lexical_error_past_the_cap_still_wins() {
+        let src = store(&format!("{}n{} $", "(".repeat(1000), ")".repeat(1000)));
+        let e = parse_kernel(&src).unwrap_err();
+        assert_eq!(e.msg, "unexpected character `$`");
+    }
+
+    fn stored_value(src: &str) -> Expr {
+        let k = parse_kernel(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+        assert_eq!(parse_kernel(&vapor_ir::print_kernel(&k)).as_ref(), Ok(&k));
+        match k.body.into_iter().next() {
+            Some(Stmt::Store { value, .. }) => value,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn i64_min_is_a_literal() {
+        let min = Expr::Int(i64::MIN);
+        assert_eq!(stored_value(&store("-9223372036854775808")), min);
+        assert_eq!(stored_value(&store("- 00009223372036854775808")), min);
+        assert_eq!(
+            stored_value(&store("(long)-9223372036854775808")),
+            Expr::cast(ScalarTy::I64, min.clone())
+        );
+        // Its negation does not fit: it stays an operation.
+        assert_eq!(
+            stored_value(&store("- -9223372036854775808")),
+            Expr::un(UnOp::Neg, min)
+        );
+    }
+
+    #[test]
+    fn two_pow_63_is_malformed_without_a_negation() {
+        let err = |rhs: &str| parse_kernel(&store(rhs)).unwrap_err().to_string();
+        assert_eq!(
+            err("9223372036854775808"),
+            "1:56: malformed integer literal `9223372036854775808`"
+        );
+        assert_eq!(
+            err("n - 9223372036854775808"),
+            "1:60: malformed integer literal `9223372036854775808`"
+        );
+        assert_eq!(
+            err("-9223372036854775809"),
+            "1:57: malformed integer literal `9223372036854775809`"
+        );
+        // Reported as the lexical error it is: ahead of a later one.
+        assert_eq!(
+            err("n - 9223372036854775808 $"),
+            "1:60: malformed integer literal `9223372036854775808`"
+        );
     }
 }

@@ -30,6 +30,12 @@ fn write_expr(out: &mut String, k: &Kernel, e: &Expr, parent_prec: u8) {
         Expr::Float(v) => {
             if v.fract() == 0.0 && v.abs() < 1e15 {
                 let _ = write!(out, "{v:.1}");
+            } else if v.is_infinite() {
+                // A literal too large for `f64` reads back as infinity.
+                out.push_str(if *v > 0.0 { "1e999" } else { "-1e999" });
+            } else if v.fract() == 0.0 {
+                // `{v}` prints a large whole float as integer digits.
+                let _ = write!(out, "{v:e}");
             } else {
                 let _ = write!(out, "{v}");
             }
@@ -221,6 +227,18 @@ mod tests {
             Expr::bin(BinOp::Sub, Expr::Var(x), Expr::Var(x)),
         );
         assert_eq!(print_expr(&k, &e), "x - (x - x)");
+    }
+
+    #[test]
+    fn every_float_prints_as_a_float_literal() {
+        let k = KernelBuilder::new("t").finish();
+        let show = |v: f64| print_expr(&k, &Expr::Float(v));
+        assert_eq!(show(3.0), "3.0");
+        assert_eq!(show(0.2), "0.2");
+        assert_eq!(show(1e20), "1e20");
+        assert_eq!(show(-1.5e300), "-1.5e300");
+        assert_eq!(show(f64::INFINITY), "1e999");
+        assert_eq!(show(f64::NEG_INFINITY), "-1e999");
     }
 
     #[test]
