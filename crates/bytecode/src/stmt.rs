@@ -1,6 +1,7 @@
 //! Structured statements of the vectorized bytecode: definitions,
 //! stores, counted loops, and guarded version pairs.
 
+pub use vapor_ir::OpClass;
 use vapor_ir::ScalarTy;
 
 use crate::op::Op;
@@ -69,23 +70,6 @@ pub enum GuardCond {
     OpsSupported(Vec<OpClass>),
     /// Conjunction.
     All(Vec<GuardCond>),
-}
-
-/// Operation classes testable by [`GuardCond::OpsSupported`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// Elementwise float division.
-    FDiv,
-    /// Elementwise square root.
-    FSqrt,
-    /// Widening multiplication.
-    WidenMult,
-    /// Lane-wise int↔float conversion.
-    Cvt,
-    /// Dot-product accumulation.
-    DotProduct,
-    /// Per-lane variable shift amounts.
-    PerLaneShift,
 }
 
 /// One bytecode statement.

@@ -67,7 +67,7 @@ struct CacheKey {
     /// Fingerprint of every field of the target — `TargetDesc` is a
     /// plain pub-field struct, so keying on the name alone would let a
     /// caller-customized target (same name, different cost table or
-    /// feature flags) silently share entries with the stock one.
+    /// support table) silently share entries with the stock one.
     target_fp: u128,
     cfg: CompileConfig,
 }
@@ -607,7 +607,7 @@ mod tests {
     };
     use vapor_frontend::parse_kernel;
     use vapor_ir::{ArrayKind, BinOp, Expr, KernelBuilder, ScalarTy};
-    use vapor_targets::{altivec, sse};
+    use vapor_targets::{altivec, sse, MisalignedAccess, Support};
 
     fn saxpy() -> Kernel {
         parse_kernel(
@@ -707,7 +707,8 @@ mod tests {
     #[test]
     fn edited_same_name_targets_miss_and_get_their_own_artifacts() {
         // `TargetDesc` is a plain pub-field struct: a caller may keep
-        // the stock name and edit the cost table or a feature flag. The
+        // the stock name and edit the cost table or one support-table
+        // entry (every `OpClass` and the alignment mode are edited). The
         // key fingerprints the target's full content, so such a target
         // must not share a compilation — in memory or on disk — with
         // the stock one. The same holds for kernels that differ only in
@@ -718,33 +719,18 @@ mod tests {
         let flow = Flow::SplitVectorOpt;
         let stock = sse();
         type Edit = (&'static str, fn(&mut TargetDesc));
-        let edits: [Edit; 17] = [
+        let edits: [Edit; 12] = [
             ("vla", |t| t.vla = !t.vla),
-            ("misaligned_loads", |t| {
-                t.misaligned_loads = !t.misaligned_loads
+            ("misaligned", |t| {
+                t.misaligned = MisalignedAccess::AlignedOnly
             }),
-            ("misaligned_stores", |t| {
-                t.misaligned_stores = !t.misaligned_stores
-            }),
-            ("explicit_realign", |t| {
-                t.explicit_realign = !t.explicit_realign
-            }),
-            ("has_dot_product", |t| {
-                t.has_dot_product = !t.has_dot_product
-            }),
-            ("has_widen_mult", |t| t.has_widen_mult = !t.has_widen_mult),
-            ("widen_mult_via_helper", |t| {
-                t.widen_mult_via_helper = !t.widen_mult_via_helper
-            }),
-            ("has_pack_unpack", |t| {
-                t.has_pack_unpack = !t.has_pack_unpack
-            }),
-            ("has_cvt", |t| t.has_cvt = !t.has_cvt),
-            ("cvt_via_helper", |t| t.cvt_via_helper = !t.cvt_via_helper),
-            ("has_fdiv", |t| t.has_fdiv = !t.has_fdiv),
-            ("has_fsqrt", |t| t.has_fsqrt = !t.has_fsqrt),
-            ("has_per_lane_shift", |t| {
-                t.has_per_lane_shift = !t.has_per_lane_shift
+            ("ops.fdiv", |t| t.ops.fdiv = Support::Helper),
+            ("ops.fsqrt", |t| t.ops.fsqrt = Support::Unsupported),
+            ("ops.widen_mult", |t| t.ops.widen_mult = Support::Helper),
+            ("ops.cvt", |t| t.ops.cvt = Support::Unsupported),
+            ("ops.dot_product", |t| t.ops.dot_product = Support::Helper),
+            ("ops.per_lane_shift", |t| {
+                t.ops.per_lane_shift = Support::Native
             }),
             ("vs", |t| t.vs *= 2),
             ("vector_elems", |t| t.vector_elems = &[ScalarTy::F32]),

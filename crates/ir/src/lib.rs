@@ -54,5 +54,5 @@ pub use kernel::{ArrayDecl, ArrayKind, Kernel, VarDecl, VarKind};
 pub use pretty::{print_expr, print_kernel};
 pub use sem::{eval_bin, eval_cast, eval_un, read_elem, write_elem, BinOp, UnOp, Value};
 pub use stmt::Stmt;
-pub use ty::ScalarTy;
+pub use ty::{OpClass, ScalarTy};
 pub use validate::{check_expr, infer_expr, validate, IrError};

@@ -151,6 +151,25 @@ impl fmt::Display for ScalarTy {
     }
 }
 
+/// Operation classes a SIMD target may lack: the vocabulary of the
+/// offline stage's `ops_supported` version guards (§III-B(d)) and of each
+/// target's support table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpClass {
+    /// Elementwise float division.
+    FDiv,
+    /// Elementwise square root.
+    FSqrt,
+    /// Widening multiplication.
+    WidenMult,
+    /// Lane-wise int↔float conversion.
+    Cvt,
+    /// Dot-product accumulation.
+    DotProduct,
+    /// Per-lane variable shift amounts.
+    PerLaneShift,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

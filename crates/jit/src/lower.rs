@@ -14,12 +14,12 @@
 use std::sync::Arc;
 
 use vapor_bytecode::{
-    Addr, BcFunction, BcStmt, GuardCond, LoopKind, Op, Operand, Reg, ShiftAmt, Step,
+    Addr, BcFunction, BcStmt, GuardCond, LoopKind, Op, OpClass, Operand, Reg, ShiftAmt, Step,
 };
 use vapor_ir::{eval_bin, eval_cast, BinOp, ScalarTy, Value};
 use vapor_targets::{
     AddrMode, Cond, CvtDir, DecodedProgram, Half, HelperOp, Label, MCode, MInst, MemAlign,
-    ReduceOp, SReg, ShiftSrc, TargetDesc, VReg,
+    MisalignedAccess, ReduceOp, SReg, ShiftSrc, Support, TargetDesc, VReg,
 };
 
 use crate::options::JitOptions;
@@ -506,8 +506,9 @@ impl<'a> Lower<'a> {
 
     /// Mark lo/hi/rt registers needed for explicit realignment.
     fn collect_realign_needed(&mut self, stmts: &[BcStmt]) {
-        if !self.t.explicit_realign {
-            return;
+        match self.t.misaligned {
+            MisalignedAccess::Realign => {}
+            MisalignedAccess::Unaligned | MisalignedAccess::AlignedOnly => return,
         }
         for s in stmts {
             match s {
@@ -558,6 +559,15 @@ impl<'a> Lower<'a> {
 
     fn mode_of_group(&self, g: Option<u32>) -> GroupMode {
         g.map_or(GroupMode::Vector, |g| self.mode(g))
+    }
+
+    /// Whether a vector op of class `c` lowers to a library call: anything
+    /// short of a native instruction does.
+    fn via_helper(&self, c: OpClass) -> bool {
+        match self.t.support(c) {
+            Support::Native => false,
+            Support::Helper | Support::Unsupported => true,
+        }
     }
 
     /// Lower a statement list. The ambient group of each statement is
@@ -612,10 +622,11 @@ impl<'a> Lower<'a> {
                     });
                     return Ok(());
                 }
-                let align = match known_misalignment(*mis, *modulo, self.t.vs) {
-                    Some(0) => MemAlign::Aligned,
-                    _ if self.t.misaligned_stores => MemAlign::Unaligned,
-                    _ => {
+                let k = known_misalignment(*mis, *modulo, self.t.vs);
+                let align = match (k, self.t.misaligned) {
+                    (Some(0), _) => MemAlign::Aligned,
+                    (_, MisalignedAccess::Unaligned) => MemAlign::Unaligned,
+                    (_, MisalignedAccess::Realign | MisalignedAccess::AlignedOnly) => {
                         return self.err(
                             "misaligned vector store on an aligned-only target (planning bug)",
                         )
@@ -1131,8 +1142,8 @@ impl<'a> Lower<'a> {
                     });
                     return Ok(());
                 }
-                if self.t.explicit_realign {
-                    match (lo, hi, rt) {
+                match self.t.misaligned {
+                    MisalignedAccess::Realign => match (lo, hi, rt) {
                         (Some(l), Some(h), Some(r)) => {
                             let (lv, hv, rv) =
                                 (self.as_vreg(*l)?, self.as_vreg(*h)?, self.as_vreg(*r)?);
@@ -1146,18 +1157,20 @@ impl<'a> Lower<'a> {
                             Ok(())
                         }
                         _ => self.err("explicit realignment needs v1/v2/rt operands"),
+                    },
+                    MisalignedAccess::Unaligned => {
+                        let am = self.mem_addr(addr, ty.size())?;
+                        let d = self.def_v(dst);
+                        self.emit(MInst::LoadV {
+                            dst: d,
+                            addr: am,
+                            align: MemAlign::Unaligned,
+                        });
+                        Ok(())
                     }
-                } else if self.t.misaligned_loads {
-                    let am = self.mem_addr(addr, ty.size())?;
-                    let d = self.def_v(dst);
-                    self.emit(MInst::LoadV {
-                        dst: d,
-                        addr: am,
-                        align: MemAlign::Unaligned,
-                    });
-                    Ok(())
-                } else {
-                    self.err("no realignment strategy available (planning bug)")
+                    MisalignedAccess::AlignedOnly => {
+                        self.err("no realignment strategy available (planning bug)")
+                    }
                 }
             }
 
@@ -1189,7 +1202,7 @@ impl<'a> Lower<'a> {
                         a: av,
                         b: bv,
                     });
-                } else if *bop == BinOp::Div && !self.t.has_fdiv {
+                } else if *bop == BinOp::Div && self.via_helper(OpClass::FDiv) {
                     self.stats.helper_calls += 1;
                     self.emit(MInst::VHelper {
                         op: HelperOp::FDiv,
@@ -1230,7 +1243,7 @@ impl<'a> Lower<'a> {
                         dst: d,
                         a: av,
                     });
-                } else if *uop == vapor_ir::UnOp::Sqrt && !self.t.has_fsqrt {
+                } else if *uop == vapor_ir::UnOp::Sqrt && self.via_helper(OpClass::FSqrt) {
                     self.stats.helper_calls += 1;
                     self.emit(MInst::VHelper {
                         op: HelperOp::FSqrt,
@@ -1311,7 +1324,7 @@ impl<'a> Lower<'a> {
                 }
                 let av = self.as_vreg(*a)?;
                 let d = self.def_v(dst);
-                if self.t.cvt_via_helper {
+                if self.via_helper(OpClass::Cvt) {
                     self.stats.helper_calls += 1;
                     self.emit(MInst::VHelper {
                         op: HelperOp::Cvt(dir),
@@ -1352,7 +1365,7 @@ impl<'a> Lower<'a> {
                 };
                 let (av, bv) = (self.as_vreg(*a)?, self.as_vreg(*b)?);
                 let d = self.def_v(dst);
-                if self.t.widen_mult_via_helper {
+                if self.via_helper(OpClass::WidenMult) {
                     self.stats.helper_calls += 1;
                     self.emit(MInst::VHelper {
                         op: HelperOp::WidenMult(half),

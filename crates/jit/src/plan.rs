@@ -1,9 +1,10 @@
 //! Online planning: version-guard folding and per-group vectorization
-//! strategy (§III-C of the paper).
+//! strategy (§III-C of the paper). Both read the target's support table
+//! ([`TargetDesc::support`]) and its [`MisalignedAccess`] mode.
 
-use vapor_bytecode::{BcFunction, BcStmt, GuardCond, LoopKind, Op, OpClass, ShiftAmt};
-use vapor_ir::ScalarTy;
-use vapor_targets::TargetDesc;
+use vapor_bytecode::{BcFunction, BcStmt, GuardCond, LoopKind, Op, OpClass, Operand, ShiftAmt};
+use vapor_ir::{BinOp, ScalarTy, UnOp};
+use vapor_targets::{MisalignedAccess, Support, TargetDesc};
 
 use crate::lower::JitError;
 use crate::options::JitOptions;
@@ -40,21 +41,6 @@ pub enum Fold {
     Runtime(Vec<GuardCond>),
 }
 
-/// Whether the target claims vector support for an operation class.
-pub fn target_claims(target: &TargetDesc, c: OpClass) -> bool {
-    match c {
-        OpClass::FDiv => target.has_fdiv,
-        OpClass::FSqrt => target.has_fsqrt,
-        // The 2011 NEON backend *claims* widening multiply and
-        // conversions but implements them via library helpers; claims
-        // stay true so the vector version is selected (paper §V-B).
-        OpClass::WidenMult => target.has_widen_mult,
-        OpClass::Cvt => target.has_cvt,
-        OpClass::DotProduct => target.has_dot_product,
-        OpClass::PerLaneShift => target.has_per_lane_shift,
-    }
-}
-
 /// Fold a guard condition as far as the pipeline's knowledge allows.
 pub fn fold_guard(cond: &GuardCond, target: &TargetDesc, opts: &JitOptions) -> Fold {
     match cond {
@@ -73,7 +59,14 @@ pub fn fold_guard(cond: &GuardCond, target: &TargetDesc, opts: &JitOptions) -> F
             }
         }
         GuardCond::OpsSupported(cs) => {
-            if cs.iter().all(|c| target_claims(target, *c)) {
+            // The 2011 NEON backend *claims* widening multiply and
+            // conversions but implements them via library helpers; the
+            // claim selects the vector version (paper §V-B).
+            let claimed = cs.iter().all(|c| match target.support(*c) {
+                Support::Native | Support::Helper => true,
+                Support::Unsupported => false,
+            });
+            if claimed {
                 Fold::True
             } else {
                 Fold::False
@@ -97,25 +90,24 @@ pub fn fold_guard(cond: &GuardCond, target: &TargetDesc, opts: &JitOptions) -> F
                 Fold::Runtime(vec![cond.clone()])
             }
         }
-        GuardCond::StrideAligned { stride, .. } => {
+        GuardCond::StrideAligned { stride, ty, .. } => {
             // Foldable only when the stride is a literal (and alignment of
             // the base is knowable); our kernels pass runtime dimensions,
             // so this is normally a runtime test for every pipeline —
             // hoisted by optimizing compilers, re-evaluated in place by
-            // the naive JIT (the MMM case of §V-A).
+            // the naive JIT (the MMM case of §V-A). A literal whose byte
+            // stride overflows (verified bytecode allows any constant)
+            // stays a runtime test.
             if opts.folds_constants() {
-                if let vapor_bytecode::Operand::ConstI(s) = stride {
-                    let vs = target.vs.max(1) as i64;
-                    let esize = match cond {
-                        GuardCond::StrideAligned { ty, .. } => ty.size() as i64,
-                        _ => unreachable!(),
-                    };
-                    let base_ok =
-                        opts.owns_memory() || opts.pipeline == crate::options::Pipeline::Native;
-                    if (s * esize) % vs == 0 && base_ok {
-                        return Fold::True;
-                    } else if (s * esize) % vs != 0 {
-                        return Fold::False;
+                if let Operand::ConstI(s) = stride {
+                    if let Some(bytes) = s.checked_mul(ty.size() as i64) {
+                        let base_ok =
+                            opts.owns_memory() || opts.pipeline == crate::options::Pipeline::Native;
+                        if bytes % target.vs.max(1) as i64 != 0 {
+                            return Fold::False;
+                        } else if base_ok {
+                            return Fold::True;
+                        }
                     }
                 }
             }
@@ -155,11 +147,11 @@ pub fn known_misalignment(mis: u32, modulo: u32, vs: usize) -> Option<u32> {
 pub enum ScalarReason {
     /// An element type has no vector support (or fewer than 2 lanes).
     Elem(ScalarTy),
-    /// A store with unknown alignment on a target without misaligned
-    /// stores.
+    /// A store with unknown alignment on a target whose stores must be
+    /// aligned ([`MisalignedAccess::Realign`] or `AlignedOnly`).
     UnalignedStore,
-    /// A load with unknown/nonzero misalignment on a target with neither
-    /// misaligned loads nor explicit realignment.
+    /// A load with unknown/nonzero misalignment on a
+    /// [`MisalignedAccess::AlignedOnly`] target.
     UnalignedLoad,
     /// Per-lane shift amounts on a target without them.
     PerLaneShift,
@@ -212,6 +204,15 @@ impl Scan {
         self.widths |= t.size();
     }
 
+    /// Division and square root lower to a library helper unless native;
+    /// only an unsupported class scalarizes the group.
+    fn float_op(&mut self, c: OpClass, target: &TargetDesc) {
+        match target.support(c) {
+            Support::Native | Support::Helper => {}
+            Support::Unsupported => self.bad(ScalarReason::FloatOp),
+        }
+    }
+
     /// Scan one statement of a `VectorMain` body; nested statements are
     /// the walk's business.
     fn stmt(&mut self, s: &BcStmt, target: &TargetDesc) {
@@ -222,10 +223,11 @@ impl Scan {
                 ty, mis, modulo, ..
             } => {
                 self.elem(*ty, target);
-                match known_misalignment(*mis, *modulo, vs) {
-                    Some(0) => {}
-                    _ if target.misaligned_stores => {}
-                    _ => self.bad(ScalarReason::UnalignedStore),
+                match (known_misalignment(*mis, *modulo, vs), target.misaligned) {
+                    (Some(0), _) | (_, MisalignedAccess::Unaligned) => {}
+                    (_, MisalignedAccess::Realign | MisalignedAccess::AlignedOnly) => {
+                        self.bad(ScalarReason::UnalignedStore)
+                    }
                 }
             }
             BcStmt::Def { op, .. } => match op {
@@ -246,20 +248,26 @@ impl Scan {
                 }
                 Op::VBin(b, t, ..) => {
                     self.elem(*t, target);
-                    if *b == vapor_ir::BinOp::Div && !target.has_fdiv {
-                        self.bad(ScalarReason::FloatOp);
+                    if *b == BinOp::Div {
+                        self.float_op(OpClass::FDiv, target);
                     }
                 }
                 Op::VUn(u, t, ..) => {
                     self.elem(*t, target);
-                    if *u == vapor_ir::UnOp::Sqrt && !target.has_fsqrt {
-                        self.bad(ScalarReason::FloatOp);
+                    if *u == UnOp::Sqrt {
+                        self.float_op(OpClass::FSqrt, target);
                     }
                 }
                 Op::VShl(t, _, amt) | Op::VShr(t, _, amt) => {
                     self.elem(*t, target);
-                    if matches!(amt, ShiftAmt::PerLane(_)) && !target.has_per_lane_shift {
-                        self.bad(ScalarReason::PerLaneShift);
+                    if matches!(amt, ShiftAmt::PerLane(_)) {
+                        match target.support(OpClass::PerLaneShift) {
+                            Support::Native => {}
+                            // No library routine shifts lane by lane.
+                            Support::Helper | Support::Unsupported => {
+                                self.bad(ScalarReason::PerLaneShift)
+                            }
+                        }
                     }
                 }
                 Op::CvtInt2Fp(t, _)
@@ -275,10 +283,10 @@ impl Scan {
                     ty, mis, modulo, ..
                 } => {
                     self.elem(*ty, target);
-                    match known_misalignment(*mis, *modulo, vs) {
-                        Some(0) => {}
-                        _ if target.misaligned_loads || target.explicit_realign => {}
-                        _ => self.bad(ScalarReason::UnalignedLoad),
+                    match (known_misalignment(*mis, *modulo, vs), target.misaligned) {
+                        (Some(0), _) => {}
+                        (_, MisalignedAccess::Unaligned | MisalignedAccess::Realign) => {}
+                        (_, MisalignedAccess::AlignedOnly) => self.bad(ScalarReason::UnalignedLoad),
                     }
                 }
                 _ => {}
@@ -384,9 +392,26 @@ pub fn plan_groups(
 mod tests {
     use super::*;
     use crate::options::Pipeline;
-    use vapor_bytecode::{Addr, ArraySym, BcArray, BcParam, BcTy, Operand, Reg, Step};
+    use vapor_bytecode::{Addr, ArraySym, BcArray, BcParam, BcTy, Reg, Step};
     use vapor_ir::ArrayKind;
     use vapor_targets::{altivec, neon64, scalar_only, sse};
+
+    #[test]
+    fn overflowing_literal_strides_fold_to_runtime_tests() {
+        // Verified bytecode may carry any constant stride; a byte stride
+        // that overflows i64 is left to the runtime test.
+        for pipeline in [Pipeline::OptJit, Pipeline::Native] {
+            for s in [i64::MAX, i64::MIN] {
+                let g = GuardCond::StrideAligned {
+                    array: ArraySym(0),
+                    stride: Operand::ConstI(s),
+                    ty: ScalarTy::F32,
+                };
+                let fold = fold_guard(&g, &sse(), &JitOptions::new(pipeline));
+                assert_eq!(fold, Fold::Runtime(vec![g]), "{pipeline:?} stride {s}");
+            }
+        }
+    }
 
     #[test]
     fn type_guard_folds_per_target() {
@@ -501,6 +526,65 @@ mod tests {
         let scalar = plan(&f, &scalar_only());
         assert_eq!(scalar.mode, GroupMode::DirectScalar);
         assert_eq!(scalar.reasons[0], ScalarReason::NoSimd);
+    }
+
+    /// A one-group function whose body defines a fresh vector `v` of
+    /// `ty` as `op(v)`.
+    fn group_def(ty: ScalarTy, op: impl FnOnce(Reg) -> Op) -> BcFunction {
+        let mut f = func_with_group(vec![]);
+        let v = f.fresh_reg(BcTy::Vec(ty));
+        if let BcStmt::Loop { body, .. } = &mut f.body[0] {
+            body.push(BcStmt::Def { dst: v, op: op(v) });
+        }
+        f
+    }
+
+    #[test]
+    fn float_ops_scalarize_on_altivec() {
+        let ops: [fn(Reg) -> Op; 2] = [
+            |v| Op::VBin(BinOp::Div, ScalarTy::F32, v, v),
+            |v| Op::VUn(UnOp::Sqrt, ScalarTy::F32, v),
+        ];
+        for op in ops {
+            let f = group_def(ScalarTy::F32, op);
+            assert_eq!(plan(&f, &sse()).mode, GroupMode::Vector);
+            let on_altivec = plan(&f, &altivec());
+            assert_eq!(on_altivec.mode, GroupMode::DirectScalar);
+            assert_eq!(on_altivec.reasons, vec![ScalarReason::FloatOp]);
+        }
+    }
+
+    #[test]
+    fn per_lane_shift_scalarizes_on_sse() {
+        let f = group_def(ScalarTy::I32, |v| {
+            Op::VShl(ScalarTy::I32, v, ShiftAmt::PerLane(v))
+        });
+        assert_eq!(plan(&f, &altivec()).mode, GroupMode::Vector);
+        let on_sse = plan(&f, &sse());
+        assert_eq!(on_sse.mode, GroupMode::DirectScalar);
+        assert_eq!(on_sse.reasons, vec![ScalarReason::PerLaneShift]);
+    }
+
+    #[test]
+    fn unaligned_load_scalarizes_on_aligned_only_targets() {
+        let f = group_def(ScalarTy::F32, |_| Op::RealignLoad {
+            ty: ScalarTy::F32,
+            lo: None,
+            hi: None,
+            rt: None,
+            addr: Addr::new(ArraySym(0), Operand::ConstI(0)),
+            mis: 0,
+            modulo: 0,
+        });
+        assert_eq!(plan(&f, &sse()).mode, GroupMode::Vector);
+        assert_eq!(plan(&f, &altivec()).mode, GroupMode::Vector);
+        let aligned_only = TargetDesc {
+            misaligned: MisalignedAccess::AlignedOnly,
+            ..sse()
+        };
+        let p = plan(&f, &aligned_only);
+        assert_eq!(p.mode, GroupMode::DirectScalar);
+        assert_eq!(p.reasons, vec![ScalarReason::UnalignedLoad]);
     }
 
     #[test]

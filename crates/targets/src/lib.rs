@@ -8,7 +8,8 @@
 //! virtual machine:
 //!
 //! * [`TargetDesc`] — the ISA facts of §IV-A (vector size, alignment
-//!   rules, supported element types and idioms);
+//!   rules, supported element types and idioms), with its [`support`]
+//!   table deciding per op class native / helper / unsupported;
 //! * [`MInst`]/[`MCode`] — the "machine code" the online compiler emits;
 //! * [`Machine`] — a functionally faithful executor with per-target
 //!   cycle accounting (stands in for the physical boards and for the
@@ -22,6 +23,7 @@ pub mod disasm;
 pub mod isa;
 pub mod machine;
 pub mod ports;
+pub mod support;
 pub mod target;
 pub mod thread;
 
@@ -37,6 +39,7 @@ pub use isa::{
 };
 pub use machine::{ExecStats, Machine, Memory, Trap, VBytes, GUARD, INLINE_VS, MAX_VS};
 pub use ports::{analyze_body, analyze_inner_loop, PortModel, PortPressure, Throughput};
+pub use support::{MisalignedAccess, OpSupport, Support};
 pub use target::{
     altivec, avx, neon64, rvv, scalar_only, sse, sve, target, valid_vl, TargetDesc, TargetKind,
     VLA_MAX_BITS, VLA_MIN_BITS, VLA_TEST_BITS,

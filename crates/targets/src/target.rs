@@ -5,6 +5,7 @@ use vapor_ir::ScalarTy;
 
 use crate::cost::CostModel;
 use crate::ports::PortModel;
+use crate::support::{MisalignedAccess, OpSupport, Support};
 
 /// Identifier for the built-in targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,9 +61,10 @@ pub fn valid_vl(vl_bits: usize) -> bool {
 /// A SIMD target description.
 ///
 /// Every field encodes a fact the paper relies on: vector size drives the
-/// VF, alignment capabilities drive the realignment strategy choice of
-/// §III-C, and the feature booleans drive scalarization/library-fallback
-/// decisions (e.g. `double` on AltiVec, immature idioms on NEON).
+/// VF, the [`MisalignedAccess`] mode drives the realignment strategy
+/// choice of §III-C, and the support table drives the scalarization and
+/// library-fallback decisions (e.g. `double` on AltiVec, immature idioms
+/// on NEON).
 ///
 /// `Eq + Hash` because the engine's compile cache fingerprints the whole
 /// description: an edited field, kept under the stock name, must miss.
@@ -84,34 +86,12 @@ pub struct TargetDesc {
     /// artifact must not bake in a lane count; the online stage emits
     /// `setvl`-stripmined, predicated code instead.
     pub vla: bool,
-    /// Whether misaligned vector *loads* are supported (SSE `movdqu`).
-    pub misaligned_loads: bool,
-    /// Whether misaligned vector *stores* are supported.
-    pub misaligned_stores: bool,
-    /// Whether explicit realignment idioms (`lvsr`+`vperm`) exist.
-    pub explicit_realign: bool,
+    /// How misaligned vector accesses are handled.
+    pub misaligned: MisalignedAccess,
     /// Element types with vector support.
     pub vector_elems: &'static [ScalarTy],
-    /// `dot_product` idiom available (`pmaddwd` / `vmsumshm`).
-    pub has_dot_product: bool,
-    /// Widening multiply claimed by the backend.
-    pub has_widen_mult: bool,
-    /// Widening multiply implemented via a library helper rather than a
-    /// native instruction (the paper's immature NEON backend: `dissolve`
-    /// "falls back to library support").
-    pub widen_mult_via_helper: bool,
-    /// pack/unpack promotion/demotion available.
-    pub has_pack_unpack: bool,
-    /// Lane-wise int↔float conversions claimed by the backend.
-    pub has_cvt: bool,
-    /// Conversions implemented via a library helper (NEON `dct` case).
-    pub cvt_via_helper: bool,
-    /// Vector float division (AltiVec only has a reciprocal estimate).
-    pub has_fdiv: bool,
-    /// Vector square root.
-    pub has_fsqrt: bool,
-    /// Per-lane variable shift counts supported.
-    pub has_per_lane_shift: bool,
+    /// The support table.
+    pub ops: OpSupport,
     /// Dynamic-instruction cycle model.
     pub cost: CostModel,
     /// Port model for the static throughput analyzer (IACA role).
@@ -198,6 +178,17 @@ const NEON64_ELEMS: &[ScalarTy] = &[
     ScalarTy::F32,
 ];
 
+/// The x86 (SSE, AVX) support table: every idiom is native (`pmaddwd`
+/// for dot products) except per-lane shift counts.
+const X86_OPS: OpSupport = OpSupport {
+    fdiv: Support::Native,
+    fsqrt: Support::Native,
+    widen_mult: Support::Native,
+    cvt: Support::Native,
+    dot_product: Support::Native,
+    per_lane_shift: Support::Unsupported,
+};
+
 /// Intel Core2-class SSE target: 16-byte vectors, misaligned accesses
 /// supported but slower (`movdqu`), no explicit realignment idiom.
 pub fn sse() -> TargetDesc {
@@ -206,19 +197,9 @@ pub fn sse() -> TargetDesc {
         kind: TargetKind::Sse,
         vs: 16,
         vla: false,
-        misaligned_loads: true,
-        misaligned_stores: true,
-        explicit_realign: false,
+        misaligned: MisalignedAccess::Unaligned,
         vector_elems: ALL_VECTOR_ELEMS,
-        has_dot_product: true, // pmaddwd
-        has_widen_mult: true,
-        widen_mult_via_helper: false,
-        has_pack_unpack: true,
-        has_cvt: true,
-        cvt_via_helper: false,
-        has_fdiv: true,
-        has_fsqrt: true,
-        has_per_lane_shift: false,
+        ops: X86_OPS,
         cost: CostModel::sse(),
         ports: PortModel::core2(),
     }
@@ -232,19 +213,17 @@ pub fn altivec() -> TargetDesc {
         kind: TargetKind::Altivec,
         vs: 16,
         vla: false,
-        misaligned_loads: false,
-        misaligned_stores: false,
-        explicit_realign: true,
+        misaligned: MisalignedAccess::Realign,
         vector_elems: ALTIVEC_ELEMS,
-        has_dot_product: true, // vmsumshm
-        has_widen_mult: true,  // vmulesh/vmulosh
-        widen_mult_via_helper: false,
-        has_pack_unpack: true,
-        has_cvt: true,
-        cvt_via_helper: false,
-        has_fdiv: false, // vrefp is an estimate; GCC scalarizes exact division
-        has_fsqrt: false,
-        has_per_lane_shift: true,
+        ops: OpSupport {
+            // vrefp is an estimate; GCC scalarizes exact division.
+            fdiv: Support::Unsupported,
+            fsqrt: Support::Unsupported,
+            widen_mult: Support::Native, // vmulesh/vmulosh
+            cvt: Support::Native,
+            dot_product: Support::Native, // vmsumshm
+            per_lane_shift: Support::Native,
+        },
         cost: CostModel::altivec(),
         ports: PortModel::g5(),
     }
@@ -260,19 +239,17 @@ pub fn neon64() -> TargetDesc {
         kind: TargetKind::Neon64,
         vs: 8,
         vla: false,
-        misaligned_loads: true,
-        misaligned_stores: true,
-        explicit_realign: false,
+        misaligned: MisalignedAccess::Unaligned,
         vector_elems: NEON64_ELEMS,
-        has_dot_product: true,
-        has_widen_mult: true,
-        widen_mult_via_helper: true, // immature backend: library fallback
-        has_pack_unpack: true,
-        has_cvt: true,
-        cvt_via_helper: true, // immature backend: library fallback
-        has_fdiv: false,
-        has_fsqrt: false,
-        has_per_lane_shift: true,
+        ops: OpSupport {
+            fdiv: Support::Unsupported,
+            fsqrt: Support::Unsupported,
+            // Immature backend: library fallback.
+            widen_mult: Support::Helper,
+            cvt: Support::Helper,
+            dot_product: Support::Native,
+            per_lane_shift: Support::Native,
+        },
         cost: CostModel::neon64(),
         ports: PortModel::cortex_a8(),
     }
@@ -287,19 +264,9 @@ pub fn avx() -> TargetDesc {
         kind: TargetKind::Avx,
         vs: 32,
         vla: false,
-        misaligned_loads: true,
-        misaligned_stores: true,
-        explicit_realign: false,
+        misaligned: MisalignedAccess::Unaligned,
         vector_elems: ALL_VECTOR_ELEMS,
-        has_dot_product: true,
-        has_widen_mult: true,
-        widen_mult_via_helper: false,
-        has_pack_unpack: true,
-        has_cvt: true,
-        cvt_via_helper: false,
-        has_fdiv: true,
-        has_fsqrt: true,
-        has_per_lane_shift: false,
+        ops: X86_OPS,
         cost: CostModel::avx(),
         ports: PortModel::sandy_bridge(),
     }
@@ -313,23 +280,31 @@ pub fn scalar_only() -> TargetDesc {
         kind: TargetKind::ScalarOnly,
         vs: 0,
         vla: false,
-        misaligned_loads: false,
-        misaligned_stores: false,
-        explicit_realign: false,
+        misaligned: MisalignedAccess::AlignedOnly,
         vector_elems: &[],
-        has_dot_product: false,
-        has_widen_mult: false,
-        widen_mult_via_helper: false,
-        has_pack_unpack: false,
-        has_cvt: false,
-        cvt_via_helper: false,
-        has_fdiv: false,
-        has_fsqrt: false,
-        has_per_lane_shift: false,
+        ops: OpSupport {
+            fdiv: Support::Unsupported,
+            fsqrt: Support::Unsupported,
+            widen_mult: Support::Unsupported,
+            cvt: Support::Unsupported,
+            dot_product: Support::Unsupported,
+            per_lane_shift: Support::Unsupported,
+        },
         cost: CostModel::generic_scalar(),
         ports: PortModel::single_issue(),
     }
 }
+
+/// The VLA family's support table: half-based idioms are undefined at a
+/// runtime VL; same-width lane conversions are VL-clean.
+const VLA_OPS: OpSupport = OpSupport {
+    fdiv: Support::Native,
+    fsqrt: Support::Native,
+    widen_mult: Support::Unsupported,
+    cvt: Support::Native,
+    dot_product: Support::Unsupported,
+    per_lane_shift: Support::Native,
+};
 
 /// ARM-SVE-class vector-length-agnostic target. The description is
 /// VL-*agnostic*: `vs` holds the family minimum (128 bits) purely for
@@ -347,19 +322,9 @@ pub fn sve() -> TargetDesc {
         kind: TargetKind::Sve,
         vs: VLA_MIN_BITS / 8,
         vla: true,
-        misaligned_loads: true, // VLA memory ops are element-aligned only
-        misaligned_stores: true,
-        explicit_realign: false,
+        misaligned: MisalignedAccess::Unaligned, // VLA memory ops are element-aligned only
         vector_elems: ALL_VECTOR_ELEMS,
-        has_dot_product: false, // half-based idioms undefined at runtime VL
-        has_widen_mult: false,
-        widen_mult_via_helper: false,
-        has_pack_unpack: false,
-        has_cvt: true, // same-width lane conversions are VL-clean
-        cvt_via_helper: false,
-        has_fdiv: true,
-        has_fsqrt: true,
-        has_per_lane_shift: true,
+        ops: VLA_OPS,
         cost: CostModel::sve_class(),
         ports: PortModel::sve_core(),
     }
@@ -374,19 +339,9 @@ pub fn rvv() -> TargetDesc {
         kind: TargetKind::Rvv,
         vs: VLA_MIN_BITS / 8,
         vla: true,
-        misaligned_loads: true,
-        misaligned_stores: true,
-        explicit_realign: false,
+        misaligned: MisalignedAccess::Unaligned,
         vector_elems: ALL_VECTOR_ELEMS,
-        has_dot_product: false,
-        has_widen_mult: false,
-        widen_mult_via_helper: false,
-        has_pack_unpack: false,
-        has_cvt: true,
-        cvt_via_helper: false,
-        has_fdiv: true,
-        has_fsqrt: true,
-        has_per_lane_shift: true,
+        ops: VLA_OPS,
         cost: CostModel::rvv_class(),
         ports: PortModel::rvv_core(),
     }
@@ -408,6 +363,7 @@ pub fn target(kind: TargetKind) -> TargetDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vapor_ir::OpClass;
 
     #[test]
     fn vector_factors_match_paper_examples() {
@@ -428,11 +384,42 @@ mod tests {
     #[test]
     fn neon64_misses_immature_idioms() {
         let t = neon64();
-        assert!(t.has_widen_mult && t.widen_mult_via_helper);
-        assert!(t.has_cvt && t.cvt_via_helper);
+        assert_eq!(t.support(OpClass::WidenMult), Support::Helper);
+        assert_eq!(t.support(OpClass::Cvt), Support::Helper);
         assert!(t.supports_elem(ScalarTy::I16));
         // One f64 lane only: not vectorizable.
         assert!(!t.supports_elem(ScalarTy::F64));
+    }
+
+    #[test]
+    fn support_table_matches_readme() {
+        use MisalignedAccess::{AlignedOnly, Realign, Unaligned};
+        use Support::{Helper as H, Native as N, Unsupported as U};
+        let classes = [
+            OpClass::FDiv,
+            OpClass::FSqrt,
+            OpClass::WidenMult,
+            OpClass::Cvt,
+            OpClass::DotProduct,
+            OpClass::PerLaneShift,
+        ];
+        let table = [
+            (sse(), Unaligned, [N, N, N, N, N, U]),
+            (altivec(), Realign, [U, U, N, N, N, N]),
+            (neon64(), Unaligned, [U, U, H, H, N, N]),
+            (avx(), Unaligned, [N, N, N, N, N, U]),
+            (scalar_only(), AlignedOnly, [U; 6]),
+            (sve(), Unaligned, [N, N, U, N, U, N]),
+            (rvv(), Unaligned, [N, N, U, N, U, N]),
+        ];
+        let kinds: Vec<_> = table.iter().map(|(t, ..)| t.kind).collect();
+        assert_eq!(kinds, TargetKind::ALL);
+        for (t, misaligned, row) in table {
+            assert_eq!(t.misaligned, misaligned, "{}", t.name);
+            for (c, s) in classes.into_iter().zip(row) {
+                assert_eq!(t.support(c), s, "{} {c:?}", t.name);
+            }
+        }
     }
 
     #[test]
@@ -469,9 +456,12 @@ mod tests {
     #[test]
     fn vla_declines_half_based_idioms() {
         for t in [sve(), rvv()] {
-            assert!(!t.has_dot_product && !t.has_widen_mult && !t.has_pack_unpack);
-            assert!(t.has_fdiv && t.has_fsqrt && t.has_cvt);
-            assert!(t.misaligned_loads && t.misaligned_stores && !t.explicit_realign);
+            assert_eq!(t.support(OpClass::DotProduct), Support::Unsupported);
+            assert_eq!(t.support(OpClass::WidenMult), Support::Unsupported);
+            for c in [OpClass::FDiv, OpClass::FSqrt, OpClass::Cvt] {
+                assert_eq!(t.support(c), Support::Native, "{} {c:?}", t.name);
+            }
+            assert_eq!(t.misaligned, MisalignedAccess::Unaligned);
         }
     }
 

@@ -16,7 +16,6 @@ pub mod affine;
 pub mod depgraph;
 pub mod scalar_emit;
 pub mod slp;
-pub mod support;
 pub mod transform;
 
 pub use affine::{analyze, Affine, Coeff};

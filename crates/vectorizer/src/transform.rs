@@ -15,7 +15,7 @@ use vapor_bytecode::{
     ShiftAmt, Step,
 };
 use vapor_ir::{infer_expr, ArrayId, ArrayKind, BinOp, Expr, Kernel, ScalarTy, Stmt, UnOp, VarId};
-use vapor_targets::TargetDesc;
+use vapor_targets::{MisalignedAccess, Support, TargetDesc};
 
 use crate::affine::{analyze, Affine, Coeff};
 use crate::depgraph::{classify_dep, DepClass, DepGraph, RejectCategory, Rejection, Scc};
@@ -158,9 +158,6 @@ struct LoopPlan {
     stored_arrays: Vec<ArrayId>,
     /// Symbolic strides needing `stride_aligned` guards: (array, param).
     sym_strides: Vec<(ArrayId, VarId)>,
-    /// Whether this is outer-loop vectorization (serial loops inside).
-    #[allow(dead_code)]
-    outer: bool,
 }
 
 /// Result of an Allen–Kennedy distribution attempt on a rejected loop.
@@ -658,37 +655,6 @@ impl<'k> Vx<'k> {
     // Analysis
     // ------------------------------------------------------------------
 
-    /// Loop variables of the region (the candidate + nested serials).
-    #[allow(dead_code)]
-    fn region_loop_vars(&self, var: VarId, body: &[Stmt]) -> Vec<VarId> {
-        let mut vars = vec![var];
-        for s in body {
-            s.walk(&mut |st| {
-                if let Stmt::For { var: v, .. } = st {
-                    if !vars.contains(v) {
-                        vars.push(*v);
-                    }
-                }
-            });
-        }
-        vars
-    }
-
-    /// Locals assigned anywhere in the region.
-    fn region_locals(&self, body: &[Stmt]) -> Vec<VarId> {
-        let mut locals = Vec::new();
-        for s in body {
-            s.walk(&mut |st| {
-                if let Stmt::Assign { var, .. } = st {
-                    if !locals.contains(var) {
-                        locals.push(*var);
-                    }
-                }
-            });
-        }
-        locals
-    }
-
     fn collect_accesses(
         &self,
         iv: VarId,
@@ -882,7 +848,6 @@ impl<'k> Vx<'k> {
         }
 
         // --- locals: reductions at this level, vector locals below ---
-        let locals = self.region_locals(body);
         let mut features = Vec::new();
         for s in body {
             if let Stmt::Assign { var, value } = s {
@@ -904,8 +869,7 @@ impl<'k> Vx<'k> {
                 }
             }
         }
-        let outer = body.iter().any(|s| matches!(s, Stmt::For { .. }));
-        if outer {
+        if body.iter().any(|s| matches!(s, Stmt::For { .. })) {
             features.push(Feature::OuterLoop);
         }
 
@@ -949,7 +913,6 @@ impl<'k> Vx<'k> {
         // --- op classes used (for support guards) ---
         let mut op_classes = Vec::new();
         scan_op_classes(self.kernel, body, &mut op_classes);
-        let _ = &locals;
 
         // Native mode: refuse what the known target cannot vectorize.
         if let Some(t) = self.native() {
@@ -966,28 +929,20 @@ impl<'k> Vx<'k> {
                 }
             }
             for c in &op_classes {
-                if !crate::support::target_claims_class(t, *c) {
-                    return Err(Rejection::new(
-                        RejectCategory::TargetUnsupported,
-                        format!("target {} lacks {:?}", t.name, c),
-                    ));
-                }
-                // A native compiler's cost model sees that the backend
-                // expands the idiom into library calls and keeps the loop
-                // scalar; only the split flow, committed to the portable
-                // bytecode, ends up calling the helpers (the paper's NEON
-                // dissolve/dct slowdowns in Figure 6c).
-                let helper_backed = (*c == OpClass::WidenMult && t.widen_mult_via_helper)
-                    || (*c == OpClass::Cvt && t.cvt_via_helper);
-                if helper_backed {
-                    return Err(Rejection::new(
-                        RejectCategory::TargetUnsupported,
-                        format!(
-                            "target {} expands {:?} via library calls (not profitable)",
-                            t.name, c
-                        ),
-                    ));
-                }
+                let detail = match t.support(*c) {
+                    Support::Native => continue,
+                    Support::Unsupported => format!("target {} lacks {c:?}", t.name),
+                    // A native compiler's cost model sees that the backend
+                    // expands the idiom into library calls and keeps the
+                    // loop scalar; only the split flow, committed to the
+                    // portable bytecode, ends up calling the helpers (the
+                    // paper's NEON dissolve/dct slowdowns in Figure 6c).
+                    Support::Helper => format!(
+                        "target {} expands {c:?} via library calls (not profitable)",
+                        t.name
+                    ),
+                };
+                return Err(Rejection::new(RejectCategory::TargetUnsupported, detail));
             }
         }
 
@@ -999,7 +954,6 @@ impl<'k> Vx<'k> {
             arrays,
             stored_arrays: stored,
             sym_strides,
-            outer,
         })
     }
 
@@ -1081,12 +1035,12 @@ impl<'k> Vx<'k> {
         // alignment, so GCC generated the misaligned version only (the
         // mix-streams situation of §V-B).
         let native_misaligned_only = self.slp_done
-            && self.native().is_some_and(|t| {
-                t.misaligned_stores
-                    && plan
-                        .arrays
-                        .iter()
-                        .any(|a| self.kernel.array(*a).kind == ArrayKind::PointerParam)
+            && self.native().is_some_and(|t| match t.misaligned {
+                MisalignedAccess::Unaligned => plan
+                    .arrays
+                    .iter()
+                    .any(|a| self.kernel.array(*a).kind == ArrayKind::PointerParam),
+                MisalignedAccess::Realign | MisalignedAccess::AlignedOnly => false,
             });
 
         // ----- build the arms -----
