@@ -3,440 +3,268 @@
 //! ```text
 //! cargo run --release -p vapor-bench --bin report              # everything
 //! cargo run --release -p vapor-bench --bin report fig5a       # one experiment
-//! cargo run --release -p vapor-bench --bin report --quick     # test-scale sizes
 //! cargo run --release -p vapor-bench --bin report --target=sse        # one target's figures
 //! cargo run --release -p vapor-bench --bin report --flow=native-vector --kernel=saxpy_fp
 //! ```
 //!
-//! All compilation goes through one [`Engine`]: the full suite touches
-//! many (kernel, flow, target) tuples more than once across figures, and
-//! the cache compiles each exactly once. `--flow` (optionally narrowed
-//! by `--target`/`--kernel`) reproduces a single flow's cycle column
-//! without running any other experiment.
+//! The cycle figures are selections over the committed cycle ledger
+//! (`vapor_bench::ledger`): they execute nothing. `--flow=` and
+//! `--kernel=` (narrowed by `--target=`) print the matching rows of the
+//! ledger, in its own format, instead of the figures.
 
+use std::fmt;
+
+use vapor_bench::ledger::{alias, committed, flow_named, target_named, Row};
 use vapor_bench::{
-    ablation, cycles, fig5, fig6, format_table, geomean, realign_reuse_ablation, size_and_time,
-    size_time_summary, table3, vla_gains, CompileJob, Engine,
+    ablation, fig5, fig6, format_table, geomean, realign_reuse_ablation, size_and_time, table3,
+    vla_gains,
 };
-use vapor_core::{CompileConfig, Flow};
-use vapor_kernels::{suite, Scale};
-use vapor_targets::{altivec, avx, neon64, rvv, sse, sve, TargetDesc, TargetKind};
+use vapor_core::{CompileConfig, Engine, Flow};
+use vapor_kernels::suite;
+use vapor_targets::TargetKind::{self, Altivec, Avx, Neon64, Rvv, Sse, Sve};
 
-fn parse_flow(name: &str) -> Option<Flow> {
-    Flow::ALL.into_iter().find(|f| f.to_string() == name)
-}
+/// Prints one experiment, given the `--target=` filter.
+type Print = fn(&Engine, Option<TargetKind>);
 
-/// Short alias the CLI accepts for a built-in target.
-fn alias(t: &TargetDesc) -> &'static str {
-    match t.kind {
-        TargetKind::Sse => "sse",
-        TargetKind::Altivec => "altivec",
-        TargetKind::Neon64 => "neon64",
-        TargetKind::Avx => "avx",
-        TargetKind::ScalarOnly => "scalar",
-        TargetKind::Sve => "sve",
-        TargetKind::Rvv => "rvv",
-    }
-}
+/// One experiment: its name, the targets it reports on, its printer.
+type Experiment = (&'static str, &'static [TargetKind], Print);
 
-/// Every built-in target, in `TargetKind::ALL` order — the one list the
-/// parser, the error message, and the help text all derive from, so an
-/// added target can never be silently unmatchable.
-fn known_targets() -> Vec<TargetDesc> {
-    TargetKind::ALL
-        .into_iter()
-        .map(vapor_targets::target)
-        .collect()
-}
-
-fn known_target_names() -> String {
-    known_targets()
-        .iter()
-        .map(alias)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn parse_target(name: &str) -> Option<TargetDesc> {
-    // Accept the short alias the help text advertises ("sse") as well as
-    // the full display name ("SSE (128-bit)").
-    known_targets()
-        .into_iter()
-        .find(|t| alias(t).eq_ignore_ascii_case(name) || t.name.eq_ignore_ascii_case(name))
-}
+const EXPERIMENTS: [Experiment; 11] = [
+    ("fig5a", &[Sse], |_, _| print_fig5("5a", "SSE", Sse)),
+    ("fig5b", &[Altivec], |_, _| {
+        print_fig5("5b", "AltiVec", Altivec)
+    }),
+    ("ablation", &[Sse, Altivec], |_, t| print_ablation(t)),
+    ("realign", &[Altivec], |_, _| print_realign()),
+    ("size", &[Sse], |_, _| print_size()),
+    ("fig6a", &[Sse], |_, _| print_fig6("6a", "SSE", Sse)),
+    ("fig6b", &[Altivec], |_, _| {
+        print_fig6("6b", "AltiVec", Altivec)
+    }),
+    ("fig6c", &[Neon64], |_, _| {
+        print_fig6("6c", "NEON (64-bit)", Neon64)
+    }),
+    ("table3", &[Avx], |engine, _| print_table3(engine)),
+    ("vla", &[Sve, Rvv], |_, t| print_vla(t)),
+    ("vmperf", &[Sse, Sve], |engine, _| print_vmperf(engine)),
+];
 
 fn flag_value<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
     args.iter().find_map(|a| a.strip_prefix(key))
 }
 
+fn exit_with(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::Test } else { Scale::Full };
-
     let flow_filter = flag_value(&args, "--flow=").map(|v| {
-        parse_flow(v).unwrap_or_else(|| {
-            let known: Vec<String> = Flow::ALL.iter().map(|f| f.to_string()).collect();
-            eprintln!("unknown flow {v:?}; known flows: {}", known.join(", "));
-            std::process::exit(2);
+        flow_named(v).unwrap_or_else(|| {
+            let known = Flow::ALL.map(|f| f.to_string()).join(", ");
+            exit_with(format!("unknown flow {v:?}; known flows: {known}"))
         })
     });
     let target_filter = flag_value(&args, "--target=").map(|v| {
-        parse_target(v).unwrap_or_else(|| {
-            eprintln!(
-                "unknown target {v:?}; known targets: {}",
-                known_target_names()
-            );
-            std::process::exit(2);
+        target_named(&v.to_ascii_lowercase()).unwrap_or_else(|| {
+            let known = TargetKind::ALL.map(alias).join(", ");
+            exit_with(format!("unknown target {v:?}; known targets: {known}"))
         })
     });
     let kernel_filter = flag_value(&args, "--kernel=");
 
-    let engine = Engine::new();
-
-    // Focused mode: one flow's cycle counts, nothing else.
-    if let Some(flow) = flow_filter {
-        let target = target_filter.unwrap_or_else(sse);
-        print_flow(&engine, flow, &target, kernel_filter, scale);
+    // Focused mode: the matching rows of the ledger, in its own format.
+    if flow_filter.is_some() || kernel_filter.is_some() {
+        let mut picked = committed().clone();
+        for (_, rows) in &mut picked.sections {
+            rows.retain(|r| {
+                flow_filter.is_none_or(|f| f == r.flow)
+                    && target_filter.is_none_or(|t| t == r.target)
+                    && kernel_filter.is_none_or(|k| k == r.kernel)
+            });
+        }
+        picked.sections.retain(|(_, rows)| !rows.is_empty());
+        if picked.sections.is_empty() {
+            exit_with("no ledger row matches the given filters".into());
+        }
+        print!("{picked}");
         return;
     }
-    // The figure drivers run whole-suite experiments; --kernel only
-    // means something in the focused --flow mode. Reject it instead of
-    // silently running the full (paper-scale) suite.
-    if kernel_filter.is_some() {
-        eprintln!("--kernel= requires --flow= (figures always cover the whole suite)");
-        std::process::exit(2);
-    }
 
-    const EXPERIMENTS: [&str; 11] = [
-        "fig5a", "fig5b", "ablation", "realign", "size", "fig6a", "fig6b", "fig6c", "table3",
-        "vla", "vmperf",
-    ];
+    let names = EXPERIMENTS.map(|(name, ..)| name);
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
-    // Reject typos before any (expensive) section runs rather than
-    // falling through to the nothing-printed error at the end.
-    if let Some(bad) = wanted.iter().find(|w| !EXPERIMENTS.contains(w)) {
-        eprintln!(
-            "unknown experiment {bad:?}; known experiments: {}",
-            EXPERIMENTS.join(", ")
-        );
-        std::process::exit(2);
+    // Reject typos before any section runs rather than falling through
+    // to the nothing-printed error at the end.
+    if let Some(bad) = wanted.iter().find(|w| !names.contains(w)) {
+        let known = names.join(", ");
+        exit_with(format!(
+            "unknown experiment {bad:?}; known experiments: {known}"
+        ));
     }
-    let want = |name: &str| wanted.is_empty() || wanted.contains(&name);
-    let want_target = |t: &TargetDesc| target_filter.as_ref().is_none_or(|f| f.name == t.name);
-    // Every section that actually prints flips this; finishing a
-    // filtered run without output is an error (listing what exists), not
-    // a silent no-op.
+    // Finishing a filtered run without output is an error (listing what
+    // exists), not a silent no-op.
     let mut printed = false;
-
-    // Pre-compile the whole working set across threads: every figure
-    // below is then pure cache hits + VM execution.
-    if wanted.is_empty() && target_filter.is_none() {
-        let specs = suite();
-        let kernels: Vec<_> = specs.iter().map(|s| s.kernel()).collect();
-        let targets = [sse(), altivec(), neon64(), avx()];
-        let mut jobs = Vec::new();
-        for k in &kernels {
-            for t in &targets {
-                for flow in Flow::ALL {
-                    jobs.push(CompileJob::new(k, flow, t));
-                }
-            }
-        }
-        let failures = engine
-            .compile_batch(&jobs)
-            .iter()
-            .filter(|r| r.is_err())
-            .count();
-        let s = engine.stats();
-        eprintln!(
-            "[engine] pre-compiled {} tuples across threads ({} cached, {} failed)",
-            jobs.len(),
-            s.entries,
-            failures
-        );
-    }
-
-    if want("fig5a") && want_target(&sse()) {
-        printed = true;
-        print_fig5(
-            &engine,
-            "Figure 5a — Mono-class JIT, normalized vectorization impact, SSE",
-            &sse(),
-            scale,
-        );
-    }
-    if want("fig5b") && want_target(&altivec()) {
-        printed = true;
-        print_fig5(
-            &engine,
-            "Figure 5b — Mono-class JIT, normalized vectorization impact, AltiVec",
-            &altivec(),
-            scale,
-        );
-    }
-    if want("ablation") && (want_target(&sse()) || want_target(&altivec())) {
-        printed = true;
-        let rows: Vec<_> = ablation(&engine, scale)
-            .into_iter()
-            .filter(|r| target_filter.as_ref().is_none_or(|t| t.name == r.target))
-            .collect();
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.target.clone(),
-                    r.with_opts.to_string(),
-                    r.without_opts.to_string(),
-                    format!("{:.2}x", r.degradation),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            format_table(
-                "§V-A(b) — alignment optimizations disabled (naive JIT)",
-                &["kernel", "target", "with", "without", "degradation"],
-                &table
-            )
-        );
-        println!(
-            "average degradation factor: {:.2}x (paper: ~2.5x)\n",
-            geomean(rows.iter().map(|r| r.degradation))
-        );
-    }
-    if want("realign") && want_target(&altivec()) {
-        printed = true;
-        let rows = realign_reuse_ablation(&engine, scale);
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.with_opts.to_string(),
-                    r.without_opts.to_string(),
-                    format!("{:.2}x", r.degradation),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            format_table(
-                "§III-A design-choice ablation — optimized realignment disabled (AltiVec, opt online)",
-                &["kernel", "with reuse", "without", "slowdown"],
-                &table
-            )
-        );
-    }
-    if want("size") && want_target(&sse()) {
-        printed = true;
-        let rows = size_and_time(&sse());
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.scalar_bytes.to_string(),
-                    r.vector_bytes.to_string(),
-                    format!("{:.2}x", r.vector_bytes as f64 / r.scalar_bytes as f64),
-                    format!("{:.1}", r.scalar_us),
-                    format!("{:.1}", r.vector_us),
-                    format!("{:.2}x", r.vector_us / r.scalar_us),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            format_table(
-                "§V-A(c) — bytecode size and online compile time (naive JIT, SSE)",
-                &[
-                    "kernel",
-                    "scalar B",
-                    "vector B",
-                    "size ratio",
-                    "scalar µs",
-                    "vector µs",
-                    "time ratio"
-                ],
-                &table
-            )
-        );
-        let (s, t) = size_time_summary(&rows);
-        println!("geomean size ratio: {s:.2}x (paper: ~5x); geomean compile-time ratio: {t:.2}x (paper: 4.85x/5.37x)\n");
-    }
-    if want("fig6a") && want_target(&sse()) {
-        printed = true;
-        print_fig6(
-            &engine,
-            "Figure 6a — split/native normalized execution time, SSE",
-            &sse(),
-            scale,
-        );
-    }
-    if want("fig6b") && want_target(&altivec()) {
-        printed = true;
-        print_fig6(
-            &engine,
-            "Figure 6b — split/native normalized execution time, AltiVec",
-            &altivec(),
-            scale,
-        );
-    }
-    if want("fig6c") && want_target(&neon64()) {
-        printed = true;
-        print_fig6(
-            &engine,
-            "Figure 6c — split/native normalized execution time, NEON (64-bit)",
-            &neon64(),
-            scale,
-        );
-    }
-    if want("table3") && want_target(&avx()) {
-        printed = true;
-        let rows = table3(&engine, scale);
-        let table: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.native.to_string(),
-                    r.split.to_string(),
-                    if r.validated {
-                        "ok".into()
-                    } else {
-                        "FAIL".into()
-                    },
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            format_table(
-                "Table 3 — AVX cycles per vector-loop iteration (IACA-style static analysis)",
-                &["kernel", "native", "split", "SDE validation"],
-                &table
-            )
-        );
-    }
-
-    if want("vla") {
-        for family in [sve(), rvv()] {
-            if want_target(&family) {
-                printed = true;
-                print_vla(&engine, &family, scale);
-            }
+    let engine = Engine::new();
+    for (name, targets, print) in EXPERIMENTS {
+        let want_target = target_filter.is_none_or(|t| targets.contains(&t));
+        if (wanted.is_empty() || wanted.contains(&name)) && want_target {
+            printed = true;
+            print(&engine, target_filter);
         }
     }
-
-    if want("vmperf") && (target_filter.is_none() || want_target(&sse()) || want_target(&sve())) {
-        printed = true;
-        print_vmperf(&engine);
-    }
-
     if !printed {
-        eprintln!(
+        exit_with(format!(
             "nothing to report: no experiment matches the given filters. \
              Experiments: {} — each tied to specific targets \
-             (known targets: {}). Use --flow= for a per-kernel cycle \
-             table on any target.",
-            EXPERIMENTS.join(" "),
-            known_target_names()
-        );
-        std::process::exit(2);
+             (known targets: {}). Use --flow= or --kernel= for the \
+             ledger's cycle rows on any target.",
+            names.join(" "),
+            TargetKind::ALL.map(alias).join(", ")
+        ));
     }
+}
 
-    let s = engine.stats();
-    eprintln!(
-        "[engine] cache: {} entries ({} VL specializations), {} hits, {} misses",
-        s.entries, s.vl_entries, s.hits, s.misses
+fn print_table(title: &str, headers: &[&str], rows: impl IntoIterator<Item = Vec<String>>) {
+    let rows: Vec<Vec<String>> = rows.into_iter().collect();
+    println!("{}", format_table(title, headers, &rows));
+}
+
+fn cells<const N: usize>(vals: [&dyn fmt::Display; N]) -> Vec<String> {
+    vals.iter().map(|v| v.to_string()).collect()
+}
+
+fn times(v: f64) -> String {
+    format!("{v:.2}x")
+}
+
+fn print_ablation(target_filter: Option<TargetKind>) {
+    let rows: Vec<_> = ablation()
+        .into_iter()
+        .filter(|r| target_filter.is_none_or(|t| vapor_targets::target(t).name == r.target))
+        .collect();
+    print_table(
+        "§V-A(b) — alignment optimizations disabled (naive JIT)",
+        &["kernel", "target", "with", "without", "degradation"],
+        rows.iter()
+            .map(|r| cells([&r.name, &r.target, &r.base, &r.variant, &times(r.ratio)])),
+    );
+    println!(
+        "average degradation factor: {:.2}x (paper: ~2.5x)\n",
+        geomean(rows.iter().map(|r| r.ratio))
     );
 }
 
-/// The VM-performance table: what one register move costs per target
-/// class (the seed kept every register at MAX_VS bytes) and what the
-/// superinstruction fusion pass collapses per kernel.
+fn print_realign() {
+    print_table(
+        "§III-A design-choice ablation — optimized realignment disabled (AltiVec, opt online)",
+        &["kernel", "with reuse", "without", "slowdown"],
+        realign_reuse_ablation()
+            .iter()
+            .map(|r| cells([&r.name, &r.base, &r.variant, &times(r.ratio)])),
+    );
+}
+
+fn print_size() {
+    let rows = size_and_time(&vapor_targets::sse());
+    print_table(
+        "§V-A(c) — bytecode size and online compile time (naive JIT, SSE)",
+        &[
+            "kernel",
+            "scalar B",
+            "vector B",
+            "size ratio",
+            "scalar µs",
+            "vector µs",
+            "time ratio",
+        ],
+        rows.iter().map(|r| {
+            let (sb, vb) = (&r.scalar_bytes, &r.vector_bytes);
+            let (su, vu) = (format!("{:.1}", r.scalar_us), format!("{:.1}", r.vector_us));
+            let size = times(r.vector_bytes as f64 / r.scalar_bytes as f64);
+            let time = times(r.vector_us / r.scalar_us);
+            cells([&r.name, sb, vb, &size, &su, &vu, &time])
+        }),
+    );
+    let s = geomean(
+        rows.iter()
+            .map(|r| r.vector_bytes as f64 / r.scalar_bytes as f64),
+    );
+    let t = geomean(rows.iter().map(|r| r.vector_us / r.scalar_us));
+    println!("geomean size ratio: {s:.2}x (paper: ~5x); geomean compile-time ratio: {t:.2}x (paper: 4.85x/5.37x)\n");
+}
+
+fn print_table3(engine: &Engine) {
+    print_table(
+        "Table 3 — AVX cycles per vector-loop iteration (IACA-style static analysis)",
+        &["kernel", "native", "split", "SDE validation"],
+        table3(engine).iter().map(|r| {
+            let validation = if r.validated { "ok" } else { "FAIL" };
+            cells([&r.name, &r.native, &r.split, &validation])
+        }),
+    );
+}
+
+/// The VM-performance tables: what one register move costs per target
+/// class (the seed kept every register at MAX_VS bytes), what the
+/// superinstruction fusion pass collapses per kernel, and why every
+/// scalar loop stayed scalar.
 fn print_vmperf(engine: &Engine) {
     use vapor_targets::{VBytes, MAX_VS};
 
-    let sized = std::mem::size_of::<VBytes>();
-    let rows = vec![
-        vec![
-            "register move, fixed-width (SSE/NEON/AVX)".to_string(),
-            format!("{MAX_VS} B"),
-            format!("{sized} B (inline)"),
-            format!("{:.1}x", MAX_VS as f64 / sized as f64),
+    let (seed, sized) = (format!("{MAX_VS} B"), std::mem::size_of::<VBytes>());
+    let reduction = format!("{:.1}x", MAX_VS as f64 / sized as f64);
+    let row = |path: &str, how: &str, gain: &str| {
+        cells([&path, &seed, &format!("{sized} B ({how})"), &gain])
+    };
+    print_table(
+        "VM register file — bytes moved per register write (seed vs target-sized)",
+        &["path", "seed (MAX_VS)", "sized", "reduction"],
+        [
+            row(
+                "register move, fixed-width (SSE/NEON/AVX)",
+                "inline",
+                &reduction,
+            ),
+            row("register move, VLA ≤ 256-bit", "inline", &reduction),
+            row(
+                "register move, VLA > 256-bit",
+                "boxed, recycled",
+                "alloc-free",
+            ),
         ],
-        vec![
-            "register move, VLA ≤ 256-bit".to_string(),
-            format!("{MAX_VS} B"),
-            format!("{sized} B (inline)"),
-            format!("{:.1}x", MAX_VS as f64 / sized as f64),
-        ],
-        vec![
-            "register move, VLA > 256-bit".to_string(),
-            format!("{MAX_VS} B"),
-            format!("{sized} B (boxed, recycled)"),
-            "alloc-free".to_string(),
-        ],
-    ];
-    println!(
-        "{}",
-        format_table(
-            "VM register file — bytes moved per register write (seed vs target-sized)",
-            &["path", "seed (MAX_VS)", "sized", "reduction"],
-            &rows
-        )
     );
 
-    let cfg = CompileConfig::default();
-    // Superinstruction fusion: the per-kernel inventory of fused steps
-    // (deterministic — the cycle ledger pins them exactly).
-    let mut rows = Vec::new();
-    let mut kernels = 0usize;
-    let mut three_op_kernels = 0usize;
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let Ok(c) = engine.compile(
-            &kernel,
-            vapor_core::Flow::SplitVectorOpt,
-            &vapor_targets::sse(),
-            &cfg,
-        ) else {
-            continue;
-        };
-        let s = c.jit.decoded.fusion_stats();
-        kernels += 1;
-        if s.three_op() > 0 {
-            three_op_kernels += 1;
-        }
-        rows.push(vec![
-            spec.name.to_owned(),
-            format!("{}", c.jit.decoded.len),
-            format!("{}", c.jit.decoded.n_steps()),
-            format!("{}", s.load_bin_store),
-            format!("{}", s.load_bin_bin),
-            format!("{}", s.load_bin),
-            format!("{}", s.bin_store),
-            format!("{}", s.latch),
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(
-            "Superinstruction fusion — decoded steps and per-pattern hits (SSE, opt online)",
-            &["kernel", "insts", "steps", "ld+op+st", "ld+op+op", "ld+op", "op+st", "latch"],
-            &rows
-        )
+    // Superinstruction fusion: the per-kernel inventory of fused steps,
+    // read from the ledger's compile columns.
+    let opt_sse: Vec<&Row> = committed()
+        .section("test")
+        .iter()
+        .filter(|r| r.target == Sse && r.flow == Flow::SplitVectorOpt)
+        .collect();
+    print_table(
+        "Superinstruction fusion — decoded steps and per-pattern hits (SSE, opt online)",
+        &[
+            "kernel", "insts", "steps", "ld+op+st", "ld+op+op", "ld+op", "op+st", "latch",
+        ],
+        opt_sse.iter().map(|r| {
+            let [lbs, _, lbb, lb, bs, latch] = &r.fuse;
+            cells([&r.kernel, &r.insts, &r.steps, lbs, lbb, lb, bs, latch])
+        }),
     );
+    let three_op = opt_sse
+        .iter()
+        .filter(|r| r.fuse[..3].iter().sum::<u32>() > 0);
     println!(
-        "three-op superinstructions fire on {three_op_kernels}/{kernels} suite kernels; \
+        "three-op superinstructions fire on {}/{} suite kernels; \
          the predicated VLA form (ld.vl+op.vl+st.vl) fuses on the SVE/RVV family \
-         (every target's counts pinned in tests/golden/ledger.txt)\n"
+         (every target's counts pinned in tests/golden/ledger.txt)\n",
+        three_op.count(),
+        opt_sse.len()
     );
 
     // Planner verdicts: why every scalar loop stayed scalar, per loop
@@ -459,15 +287,10 @@ fn print_vmperf(engine: &Engine) {
             RejectCategory::EmitFailure => "vector emission failed",
         }
     };
+    let (cfg, sse) = (CompileConfig::default(), vapor_targets::sse());
     let mut rows = Vec::new();
     for spec in suite() {
-        let kernel = spec.kernel();
-        let Ok(c) = engine.compile(
-            &kernel,
-            vapor_core::Flow::SplitVectorOpt,
-            &vapor_targets::sse(),
-            &cfg,
-        ) else {
+        let Ok(c) = engine.compile(&spec.kernel(), Flow::SplitVectorOpt, &sse, &cfg) else {
             continue;
         };
         for r in &c.reports {
@@ -482,196 +305,86 @@ fn print_vmperf(engine: &Engine) {
                     spec.name, r.description
                 ),
             };
-            let parts = if r.parts.is_empty() {
+            let mode = |vectorized| if vectorized { "vec" } else { "scalar" };
+            let parts: Vec<String> = r
+                .parts
+                .iter()
+                .map(|p| format!("{:?}={}", p.stmts, mode(p.vectorized)))
+                .collect();
+            let parts = if parts.is_empty() {
                 "-".to_string()
             } else {
-                r.parts
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            "{:?}={}",
-                            p.stmts,
-                            if p.vectorized { "vec" } else { "scalar" }
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(" ")
+                parts.join(" ")
             };
-            rows.push(vec![
-                spec.name.to_owned(),
-                r.description.clone(),
-                if r.vectorized { "vector" } else { "scalar" }.to_string(),
-                reason,
-                parts,
-            ]);
+            let verdict = if r.vectorized { "vector" } else { "scalar" };
+            let name = spec.name;
+            rows.push(cells([&name, &r.description, &verdict, &reason, &parts]));
         }
     }
-    println!(
-        "{}",
-        format_table(
-            "Planner verdicts — scalar loops, typed reasons, and SCC partitions (SSE, opt online)",
-            &["kernel", "loop", "verdict", "why scalar", "sccs"],
-            &rows
-        )
-    );
-
-    // The service-layer view of the same engine: how the bounded
-    // compile cache and the arena pool behaved under everything this
-    // report just ran.
-    let s = engine.stats();
-    let rows = vec![
-        vec![
-            "compile cache".to_string(),
-            format!("{} entries", s.entries),
-            format!("{} hits, {} misses", s.hits, s.misses),
-            format!("{} evicted", s.evictions),
-        ],
-        vec![
-            "execution forms".to_string(),
-            format!("{} (key, VL) entries", s.vl_entries),
-            "-".to_string(),
-            format!("{} evicted", s.exec_evictions),
-        ],
-        vec![
-            "lock contention".to_string(),
-            format!("{} contended acquisitions", s.contended_locks),
-            "-".to_string(),
-            "-".to_string(),
-        ],
-        vec![
-            "arena pool".to_string(),
-            format!("{} pooled reuses", s.pool_reuses),
-            format!("{} fresh allocations", s.pool_allocs),
-            "-".to_string(),
-        ],
-    ];
-    println!(
-        "{}",
-        format_table(
-            "Engine service layer — cache, eviction, and pooling counters for this run",
-            &["subsystem", "size", "traffic", "evictions"],
-            &rows
-        )
+    print_table(
+        "Planner verdicts — scalar loops, typed reasons, and SCC partitions (SSE, opt online)",
+        &["kernel", "loop", "verdict", "why scalar", "sccs"],
+        rows,
     );
 }
 
-fn print_vla(engine: &Engine, family: &TargetDesc, scale: Scale) {
-    let rows = vla_gains(engine, family, scale);
-    let vls: Vec<usize> = rows[0].per_vl.iter().map(|(vl, _, _)| *vl).collect();
-    let mut headers: Vec<String> = vec!["kernel".into(), "scalar".into()];
-    headers.extend(vls.iter().map(|vl| format!("VL={vl}")));
-    let header_refs: Vec<&str> = headers.iter().map(|h| h.as_str()).collect();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let mut cells = vec![r.name.clone(), r.scalar.to_string()];
-            cells.extend(r.per_vl.iter().map(|(_, c, g)| format!("{c} ({g:.2}x)")));
-            cells
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &format!(
-                "VLA gains — one VL-agnostic artifact, specialized per runtime VL ({})",
-                family.name
-            ),
-            &header_refs,
-            &table
-        )
-    );
-    let summary: Vec<String> = vls
-        .iter()
-        .enumerate()
-        .map(|(i, vl)| {
-            let g = geomean(rows.iter().map(|r| r.per_vl[i].2));
-            format!("VL={vl}: {g:.2}x")
-        })
-        .collect();
-    println!("geomean gains vs scalar: {}\n", summary.join("  "));
-}
-
-fn print_flow(
-    engine: &Engine,
-    flow: Flow,
-    target: &TargetDesc,
-    kernel_filter: Option<&str>,
-    scale: Scale,
-) {
-    let cfg = CompileConfig::default();
-    let mut rows = Vec::new();
-    for spec in suite() {
-        if kernel_filter.is_some_and(|k| k != spec.name) {
+/// The VLA gains of SVE and RVV, or of the `--target=` one.
+fn print_vla(target_filter: Option<TargetKind>) {
+    for family in [Sve, Rvv] {
+        if target_filter.is_some_and(|t| t != family) {
             continue;
         }
-        let kernel = spec.kernel();
-        let env = spec.env(scale);
-        let c = cycles(engine, &kernel, flow, target, &env, &cfg);
-        rows.push(vec![spec.name.to_owned(), c.to_string()]);
+        let rows = vla_gains(family);
+        let vls: Vec<usize> = rows[0].per_vl.iter().map(|(vl, _, _)| *vl).collect();
+        let mut headers: Vec<String> = vec!["kernel".into(), "scalar".into()];
+        headers.extend(vls.iter().map(|vl| format!("VL={vl}")));
+        let header_refs: Vec<&str> = headers.iter().map(|h| h.as_str()).collect();
+        let name = vapor_targets::target(family).name;
+        print_table(
+            &format!("VLA gains — one VL-agnostic artifact, specialized per runtime VL ({name})"),
+            &header_refs,
+            rows.iter().map(|r| {
+                let mut row = cells([&r.name, &r.scalar]);
+                row.extend(r.per_vl.iter().map(|(_, c, g)| format!("{c} ({g:.2}x)")));
+                row
+            }),
+        );
+        let summary: Vec<String> = vls
+            .iter()
+            .enumerate()
+            .map(|(i, vl)| {
+                let g = geomean(rows.iter().map(|r| r.per_vl[i].2));
+                format!("VL={vl}: {g:.2}x")
+            })
+            .collect();
+        println!("geomean gains vs scalar: {}\n", summary.join("  "));
     }
-    if rows.is_empty() {
-        eprintln!("no kernel matches {:?}", kernel_filter.unwrap_or(""));
-        std::process::exit(2);
-    }
-    println!(
-        "{}",
-        format_table(
-            &format!("{flow} on {} — VM cycles", target.name),
-            &["kernel", "cycles"],
-            &rows
-        )
+}
+
+fn print_fig5(figure: &str, label: &str, target: TargetKind) {
+    let f = |v: f64| {
+        if v.is_nan() {
+            "-".to_string()
+        } else {
+            format!("{v:.2}")
+        }
+    };
+    print_table(
+        &format!("Figure {figure} — Mono-class JIT, normalized vectorization impact, {label}"),
+        &["kernel", "JIT speedup", "native speedup", "impact"],
+        fig5(target).iter().map(|r| {
+            let (jit, native) = (f(r.jit_speedup), f(r.native_speedup));
+            cells([&r.name, &jit, &native, &times(r.impact)])
+        }),
     );
 }
 
-fn print_fig5(engine: &Engine, title: &str, target: &TargetDesc, scale: Scale) {
-    let rows = fig5(engine, target, scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            let f = |v: f64| {
-                if v.is_nan() {
-                    "-".to_string()
-                } else {
-                    format!("{v:.2}")
-                }
-            };
-            vec![
-                r.name.clone(),
-                f(r.jit_speedup),
-                f(r.native_speedup),
-                format!("{:.2}x", r.impact),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            title,
-            &["kernel", "JIT speedup", "native speedup", "impact"],
-            &table
-        )
-    );
-}
-
-fn print_fig6(engine: &Engine, title: &str, target: &TargetDesc, scale: Scale) {
-    let rows = fig6(engine, target, scale);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.split.to_string(),
-                r.native.to_string(),
-                format!("{:.2}x", r.ratio),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            title,
-            &["kernel", "split cycles", "native cycles", "ratio"],
-            &table
-        )
+fn print_fig6(figure: &str, label: &str, target: TargetKind) {
+    print_table(
+        &format!("Figure {figure} — split/native normalized execution time, {label}"),
+        &["kernel", "split cycles", "native cycles", "ratio"],
+        fig6(target)
+            .iter()
+            .map(|r| cells([&r.name, &r.variant, &r.base, &times(r.ratio)])),
     );
 }

@@ -15,6 +15,7 @@
 
 use std::fmt;
 
+use vapor_bench::ledger::{alias, vls};
 use vapor_core::{
     arrays_match, reference, AllocPolicy, CompileConfig, Engine, ExecOutcome, ExecRequest, Flow,
 };
@@ -22,22 +23,11 @@ use vapor_ir::{Bindings, Kernel};
 use vapor_kernels::{KernelSpec, Scale};
 use vapor_targets::{
     DecodedProgram, ExecStats, Machine, TargetDesc, TargetKind, ThreadedProgram, Trap,
-    VLA_TEST_BITS,
 };
 
 /// Relative tolerance of float arrays against the oracle: vector
 /// reductions reassociate float sums. Integer arrays compare exactly.
 const TOL: f64 = 2e-4;
-
-/// The committed cycle ledger that `tests/matrix.rs` writes.
-pub const LEDGER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ledger.txt");
-
-/// 64-bit FNV-1a, the ledger's fingerprint of a disassembly.
-pub fn fnv64(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// Every built-in target: the six the repo benchmark runs, and
 /// scalar-only.
@@ -53,21 +43,6 @@ pub fn bench_targets() -> Vec<TargetDesc> {
     let mut all = targets();
     all.retain(|t| t.kind != TargetKind::ScalarOnly);
     all
-}
-
-/// The target's short name (`sse`, `scalaronly`, `sve`, …).
-pub fn alias(t: &TargetDesc) -> String {
-    format!("{:?}", t.kind).to_lowercase()
-}
-
-/// The vector lengths a target runs at: its own width, or every tested
-/// runtime VL of a VLA family.
-pub fn vls(target: &TargetDesc) -> Vec<usize> {
-    if target.vla {
-        VLA_TEST_BITS.to_vec()
-    } else {
-        vec![target.vs * 8]
-    }
 }
 
 /// One cell of the matrix.
@@ -135,7 +110,7 @@ impl fmt::Display for Cell<'_> {
             "{} [{} on {} @VL={}, {:?}",
             self.kernel.name,
             self.flow,
-            alias(self.target),
+            alias(self.target.kind),
             self.vl,
             self.policy
         )?;

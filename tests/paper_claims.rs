@@ -1,29 +1,22 @@
 //! Targeted assertions of the paper's qualitative claims — the "shape"
-//! of the evaluation that must survive the simulation substitution.
+//! of the evaluation that must survive the simulation substitution —
+//! read from the Full-scale rows of the cycle ledger, which
+//! `tests/matrix.rs` checks against the IR interpreter cell by cell.
 
-use std::sync::OnceLock;
+use vapor_bench::ledger::{committed, Row, SCALARIZED_KERNELS};
+use vapor_core::{CompileConfig, Flow};
+use vapor_kernels::{find, suite};
+use vapor_targets::{sse, TargetKind};
 
-use vapor_core::{CompileConfig, Engine, ExecRequest, Flow};
-use vapor_jit::Pipeline;
-use vapor_kernels::{find, Scale};
-use vapor_targets::{altivec, neon64, scalar_only, sse};
-
-/// One shared engine across every claim test: kernels recur between
-/// claims, so later tests run on cache hits.
-fn engine() -> &'static Engine {
-    static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(Engine::new)
+/// The Full-scale ledger row of one aligned cell.
+fn full(name: &str, flow: Flow, target: TargetKind) -> &'static Row {
+    committed()
+        .full(name, target, flow, &CompileConfig::default())
+        .unwrap_or_else(|| panic!("no Full-scale ledger row for {name} {flow} on {target:?}"))
 }
 
-fn full_cycles(name: &str, flow: Flow, target: &vapor_targets::TargetDesc) -> u64 {
-    let spec = find(name).unwrap();
-    let kernel = spec.kernel();
-    let env = spec.env(Scale::Full);
-    engine()
-        .execute(&ExecRequest::new(&kernel, target, &env).flow(flow))
-        .unwrap()
-        .stats
-        .cycles
+fn full_cycles(name: &str, flow: Flow, target: TargetKind) -> u64 {
+    full(name, flow, target).cycles
 }
 
 /// §V-B: "In mix-streams, the split-vectorized version is particularly
@@ -31,8 +24,8 @@ fn full_cycles(name: &str, flow: Flow, target: &vapor_targets::TargetDesc) -> u6
 /// generates a misaligned version only."
 #[test]
 fn mix_streams_split_beats_native_on_sse() {
-    let split = full_cycles("mix_streams_s16", Flow::SplitVectorOpt, &sse());
-    let native = full_cycles("mix_streams_s16", Flow::NativeVector, &sse());
+    let split = full_cycles("mix_streams_s16", Flow::SplitVectorOpt, TargetKind::Sse);
+    let native = full_cycles("mix_streams_s16", Flow::NativeVector, TargetKind::Sse);
     let ratio = split as f64 / native as f64;
     assert!(
         ratio < 0.9,
@@ -46,28 +39,15 @@ fn mix_streams_split_beats_native_on_sse() {
 #[test]
 fn neon_library_fallback_degrades_dissolve_and_dct() {
     for name in ["dissolve_s8", "dct_s32fp"] {
-        let split = full_cycles(name, Flow::SplitVectorOpt, &neon64());
-        let native = full_cycles(name, Flow::NativeVector, &neon64());
-        let ratio = split as f64 / native as f64;
+        let split = full(name, Flow::SplitVectorOpt, TargetKind::Neon64);
+        let native = full_cycles(name, Flow::NativeVector, TargetKind::Neon64);
+        let ratio = split.cycles as f64 / native as f64;
         assert!(
             ratio > 1.3,
             "{name}: expected library-fallback slowdown, got {ratio:.2}"
         );
-
         // The helper calls are really there.
-        let spec = find(name).unwrap();
-        let c = engine()
-            .compile(
-                &spec.kernel(),
-                Flow::SplitVectorOpt,
-                &neon64(),
-                &CompileConfig::default(),
-            )
-            .unwrap();
-        assert!(
-            c.jit.stats.helper_calls > 0,
-            "{name}: no helper calls emitted"
-        );
+        assert!(split.helpers > 0, "{name}: no helper calls emitted");
     }
 }
 
@@ -76,15 +56,15 @@ fn neon_library_fallback_degrades_dissolve_and_dct() {
 #[test]
 fn doubles_scalarize_on_altivec_with_small_cost() {
     for name in ["dscal_dp", "saxpy_dp"] {
-        let split = full_cycles(name, Flow::SplitVectorOpt, &altivec());
-        let native = full_cycles(name, Flow::NativeVector, &altivec());
+        let split = full_cycles(name, Flow::SplitVectorOpt, TargetKind::Altivec);
+        let native = full_cycles(name, Flow::NativeVector, TargetKind::Altivec);
         let ratio = split as f64 / native as f64;
         assert!(
             (0.9..1.3).contains(&ratio),
             "{name}: scalarization should hardly degrade performance, got {ratio:.2}"
         );
         // And it really is scalar: same flow on AltiVec vs vector on SSE.
-        let sse_cycles = full_cycles(name, Flow::SplitVectorOpt, &sse());
+        let sse_cycles = full_cycles(name, Flow::SplitVectorOpt, TargetKind::Sse);
         assert!(
             split as f64 > 1.5 * sse_cycles as f64,
             "{name}: AltiVec result should be scalar-speed"
@@ -98,16 +78,10 @@ fn doubles_scalarize_on_altivec_with_small_cost() {
 /// stays close to natively compiled scalar code.
 #[test]
 fn scalarization_overhead_is_low() {
-    let t = scalar_only();
-    for name in [
-        "dscal_fp",
-        "saxpy_fp",
-        "dissolve_fp",
-        "sfir_fp",
-        "convolve_s32",
-    ] {
-        let split = full_cycles(name, Flow::SplitVectorOpt, &t);
-        let native = full_cycles(name, Flow::NativeScalar, &t);
+    let t = TargetKind::ScalarOnly;
+    for name in SCALARIZED_KERNELS {
+        let split = full_cycles(name, Flow::SplitVectorOpt, t);
+        let native = full_cycles(name, Flow::NativeScalar, t);
         let overhead = split as f64 / native as f64;
         assert!(
             overhead < 1.25,
@@ -122,41 +96,19 @@ fn scalarization_overhead_is_low() {
 /// impact than under the optimizing pipeline.
 #[test]
 fn mmm_guard_resolution_differs_between_pipelines() {
-    let spec = find("mmm_fp").unwrap();
-    let kernel = spec.kernel();
-    let cfg = CompileConfig::default();
-    let naive = engine()
-        .compile(&kernel, Flow::SplitVectorNaive, &altivec(), &cfg)
-        .unwrap();
-    let opt = engine()
-        .compile(&kernel, Flow::SplitVectorOpt, &altivec(), &cfg)
-        .unwrap();
-    assert!(
-        naive.jit.stats.guards_runtime > 0,
-        "naive JIT must emit runtime guards"
-    );
+    let naive = full("mmm_fp", Flow::SplitVectorNaive, TargetKind::Altivec);
+    let opt = full("mmm_fp", Flow::SplitVectorOpt, TargetKind::Altivec);
+    let [_, runtime_guards] = naive.guards;
+    assert!(runtime_guards > 0, "naive JIT must emit runtime guards");
     // The naive JIT folds fewer guards than it leaves at runtime checks
     // relative to the optimizing pipeline, which precomputes conditions
     // at entry (same counts, hoisted) — observable through cycles:
-    let env = spec.env(Scale::Full);
-    let target = altivec();
-    let req = ExecRequest::new(&kernel, &target, &env);
-    let rn = engine()
-        .execute(&req.clone().flow(Flow::SplitVectorNaive))
-        .unwrap()
-        .stats
-        .cycles;
-    let ro = engine()
-        .execute(&req.flow(Flow::SplitVectorOpt))
-        .unwrap()
-        .stats
-        .cycles;
+    let (rn, ro) = (naive.cycles, opt.cycles);
     assert!(
         rn > ro,
         "naive in-loop guard evaluation must cost cycles: {rn} vs {ro}"
     );
-    assert!(naive.jit.stats.insts > opt.jit.stats.insts);
-    let _ = Pipeline::NaiveJit;
+    assert!(naive.insts > opt.insts);
 }
 
 /// §V-A(c): JIT compilation times are "in the microsecond range".
@@ -184,23 +136,34 @@ fn online_compile_times_are_microseconds() {
 /// with bytecode size across the suite (no quadratic blowups).
 #[test]
 fn online_stage_is_roughly_linear_in_bytecode_size() {
-    let cfg = CompileConfig::default();
-    let t = sse();
-    let mut points = Vec::new();
-    for spec in vapor_kernels::suite() {
-        let kernel = spec.kernel();
-        let c = engine()
-            .compile(&kernel, Flow::SplitVectorOpt, &t, &cfg)
-            .unwrap();
-        points.push((c.bytecode_bytes as f64, c.jit.stats.insts as f64));
-    }
     // Emitted machine instructions per bytecode byte stay within a small
     // constant band across two orders of magnitude of kernel size.
-    let ratios: Vec<f64> = points.iter().map(|(b, i)| i / b).collect();
+    let ratios: Vec<f64> = suite()
+        .iter()
+        .map(|spec| {
+            let r = full(spec.name, Flow::SplitVectorOpt, TargetKind::Sse);
+            r.insts as f64 / r.bytes as f64
+        })
+        .collect();
     let max = ratios.iter().cloned().fold(0.0, f64::max);
     let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
     assert!(
         max / min < 12.0,
         "instruction/bytecode ratio varies too much: {min:.3}..{max:.3}"
     );
+}
+
+/// Allen–Kennedy distribution: the solvers the planner once rejected
+/// whole vectorize their inner loops and, at paper scale, beat their own
+/// scalar bytecode on the same target and online pipeline.
+#[test]
+fn distributed_solvers_beat_their_scalar_code() {
+    for name in ["lu_fp", "ludcmp_fp"] {
+        let vector = full_cycles(name, Flow::SplitVectorOpt, TargetKind::Sse);
+        let scalar = full_cycles(name, Flow::SplitScalarOpt, TargetKind::Sse);
+        assert!(
+            vector < scalar,
+            "{name}: vector {vector} >= scalar {scalar}"
+        );
+    }
 }
