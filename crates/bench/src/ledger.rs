@@ -79,12 +79,10 @@ pub fn placement(policy: AllocPolicy, cfg: &CompileConfig) -> String {
     let CompileConfig {
         no_alignment_opts,
         no_realign_reuse,
-        no_distribution,
     } = *cfg;
     let switches = [
         (no_alignment_opts, "+no-alignment-opts"),
         (no_realign_reuse, "+no-realign-reuse"),
-        (no_distribution, "+no-distribution"),
     ];
     let base = match policy {
         AllocPolicy::Aligned => "aligned".to_owned(),
@@ -100,14 +98,12 @@ pub fn placement(policy: AllocPolicy, cfg: &CompileConfig) -> String {
 pub const NO_ALIGNMENT_OPTS: CompileConfig = CompileConfig {
     no_alignment_opts: true,
     no_realign_reuse: false,
-    no_distribution: false,
 };
 
 /// The §III-A ablation's config: no optimized realignment.
 pub const NO_REALIGN_REUSE: CompileConfig = CompileConfig {
     no_alignment_opts: false,
     no_realign_reuse: true,
-    no_distribution: false,
 };
 
 /// The kernels of the §III-A optimized-realignment ablation.

@@ -243,12 +243,14 @@ pub fn size_and_time(target: &TargetDesc) -> Vec<SizeRow> {
     let mut rows = Vec::new();
     for spec in suite() {
         let kernel = spec.kernel();
-        // Best-of-5 wall times to de-noise. Deliberately uncached: this
-        // experiment measures the real online stage, which a cache hit
-        // would collapse to a map lookup.
+        // Best-of-5 wall times to de-noise. Deliberately uncached (a fresh
+        // engine per run): this experiment measures the real online
+        // stage, which a cache hit would collapse to a map lookup.
         let timed = |flow: Flow| {
             let runs = (0..5).map(|_| {
-                vapor_core::compile(&kernel, flow, target, &cfg).expect("suite kernels compile")
+                Engine::new()
+                    .compile(&kernel, flow, target, &cfg)
+                    .expect("suite kernels compile")
             });
             let runs: Vec<_> = runs.map(|c| (c.bytecode_bytes, c.online_time)).collect();
             let best = runs.iter().map(|(_, t)| t.as_secs_f64() * 1e6);

@@ -132,11 +132,6 @@ impl BcModule {
     pub fn single(f: BcFunction) -> BcModule {
         BcModule { funcs: vec![f] }
     }
-
-    /// Function by name.
-    pub fn func_named(&self, name: &str) -> Option<&BcFunction> {
-        self.funcs.iter().find(|f| f.name == name)
-    }
 }
 
 #[cfg(test)]

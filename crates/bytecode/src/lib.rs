@@ -28,4 +28,4 @@ pub use op::{Op, ShiftAmt};
 pub use printer::{fmt_guard, print_function, print_module};
 pub use stmt::{BcStmt, GuardCond, LoopKind, OpClass, Step};
 pub use ty::{Addr, ArraySym, BcTy, Operand, Reg};
-pub use verify::{float_counterpart, int_counterpart, verify_function, verify_module, VerifyError};
+pub use verify::{verify_function, verify_module, VerifyError};

@@ -29,24 +29,6 @@ fn err<T>(msg: impl Into<String>) -> Result<T, VerifyError> {
     Err(VerifyError(msg.into()))
 }
 
-/// The float type with the same lane width as `t`, for `cvt_int2fp`.
-pub fn float_counterpart(t: ScalarTy) -> Option<ScalarTy> {
-    match t {
-        ScalarTy::I32 | ScalarTy::U32 => Some(ScalarTy::F32),
-        ScalarTy::I64 => Some(ScalarTy::F64),
-        _ => None,
-    }
-}
-
-/// The integer type with the same lane width as `t`, for `cvt_fp2int`.
-pub fn int_counterpart(t: ScalarTy) -> Option<ScalarTy> {
-    match t {
-        ScalarTy::F32 => Some(ScalarTy::I32),
-        ScalarTy::F64 => Some(ScalarTy::I64),
-        _ => None,
-    }
-}
-
 struct Checker<'a> {
     f: &'a BcFunction,
 }
@@ -164,13 +146,15 @@ impl<'a> Checker<'a> {
                 Ok(V(w))
             }
             Op::CvtInt2Fp(t, a) => {
-                let ft = float_counterpart(*t)
+                let ft = t
+                    .float_counterpart()
                     .ok_or_else(|| VerifyError(format!("cvt_int2fp: no float of width of {t}")))?;
                 self.expect_vec(*a, *t, "cvt_int2fp")?;
                 Ok(V(ft))
             }
             Op::CvtFp2Int(t, a) => {
-                let it = int_counterpart(*t)
+                let it = t
+                    .int_counterpart()
                     .ok_or_else(|| VerifyError(format!("cvt_fp2int: no int of width of {t}")))?;
                 self.expect_vec(*a, *t, "cvt_fp2int")?;
                 Ok(V(it))

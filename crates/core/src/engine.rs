@@ -45,7 +45,7 @@
 
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vapor_ir::Kernel;
@@ -119,31 +119,6 @@ fn fingerprint(value: &impl Hash) -> u128 {
     let mut h = Fnv128::default();
     value.hash(&mut h);
     h.finish128()
-}
-
-/// One compilation request for [`Engine::compile_batch`].
-#[derive(Debug, Clone)]
-pub struct CompileJob<'a> {
-    /// Kernel to compile.
-    pub kernel: &'a Kernel,
-    /// Compilation flow.
-    pub flow: Flow,
-    /// Target machine.
-    pub target: &'a TargetDesc,
-    /// Compilation knobs.
-    pub cfg: CompileConfig,
-}
-
-impl<'a> CompileJob<'a> {
-    /// A job with default config.
-    pub fn new(kernel: &'a Kernel, flow: Flow, target: &'a TargetDesc) -> CompileJob<'a> {
-        CompileJob {
-            kernel,
-            flow,
-            target,
-            cfg: CompileConfig::default(),
-        }
-    }
 }
 
 /// Counters of the engine's cache, artifact-tier, and pool behavior.
@@ -420,45 +395,6 @@ impl Engine {
         None
     }
 
-    /// Compile a batch of jobs, fanning across OS threads. Results come
-    /// back in job order. Duplicate tuples in one batch are compiled
-    /// once, and every duplicate returns the canonical `Arc`.
-    ///
-    /// Worker count is `min(jobs, available_parallelism)`; a batch of one
-    /// runs inline on the caller's thread.
-    pub fn compile_batch(
-        &self,
-        jobs: &[CompileJob<'_>],
-    ) -> Vec<Result<Arc<Compiled>, PipelineError>> {
-        let compile = |j: &CompileJob<'_>| self.compile(j.kernel, j.flow, j.target, &j.cfg);
-        if jobs.len() <= 1 {
-            return jobs.iter().map(compile).collect();
-        }
-        let workers = std::thread::available_parallelism()
-            .map_or(2, |n| n.get())
-            .min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        std::iter::from_fn(|| {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            jobs.get(i).map(|j| (i, compile(j)))
-                        })
-                        .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .collect()
-        });
-        done.sort_unstable_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, r)| r).collect()
-    }
-
     /// Specialize a compilation to a concrete runtime vector length.
     ///
     /// The compile step is the ordinary cached, VL-*agnostic* pipeline
@@ -553,16 +489,6 @@ impl Engine {
             pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
             pool_allocs: self.pool_allocs.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drop every cached compilation, offline artifact, execution form,
-    /// and pooled arena (counters and the on-disk artifact store are
-    /// kept).
-    pub fn clear(&self) {
-        self.compiled.clear();
-        self.offline.clear();
-        self.exec_forms.clear();
-        lock(&self.arena_pool).clear();
     }
 }
 
@@ -784,63 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_serial_compilation() {
-        let k1 = saxpy();
-        let k2 = parse_kernel(
-            "kernel dscal(long n, float a, float x[]) {
-               for (long i = 0; i < n; i++) { x[i] = a * x[i]; }
-             }",
-        )
-        .unwrap();
-        let targets = [sse(), altivec()];
-        let mut jobs = Vec::new();
-        for k in [&k1, &k2] {
-            for t in &targets {
-                for flow in Flow::ALL {
-                    jobs.push(CompileJob::new(k, flow, t));
-                }
-            }
-        }
-
-        let parallel_engine = Engine::new();
-        let batch = parallel_engine.compile_batch(&jobs);
-        let serial_engine = Engine::new();
-        for (job, got) in jobs.iter().zip(&batch) {
-            let want = serial_engine
-                .compile(job.kernel, job.flow, job.target, &job.cfg)
-                .unwrap();
-            let got = got.as_ref().expect("batch compile failed");
-            assert_eq!(
-                got.jit.code, want.jit.code,
-                "{} {}",
-                job.kernel.name, job.flow
-            );
-            assert_eq!(got.bytecode_bytes, want.bytecode_bytes);
-            assert_eq!(got.jit.decoded.len, want.jit.decoded.len);
-            assert_eq!(got.jit.decoded.vs, want.jit.decoded.vs);
-        }
-        // Every distinct tuple cached exactly once.
-        assert_eq!(parallel_engine.stats().entries, jobs.len());
-    }
-
-    #[test]
-    fn batch_duplicates_collapse_to_one_arc() {
-        let e = Engine::new();
-        let k = saxpy();
-        let t = sse();
-        let jobs: Vec<CompileJob<'_>> = (0..16)
-            .map(|_| CompileJob::new(&k, Flow::SplitVectorOpt, &t))
-            .collect();
-        let results = e.compile_batch(&jobs);
-        let first = results[0].as_ref().unwrap();
-        for r in &results {
-            assert!(Arc::ptr_eq(first, r.as_ref().unwrap()));
-        }
-        let s = e.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (15, 1, 1));
-    }
-
-    #[test]
     fn concurrent_compiles_of_one_key_reconcile() {
         let e = Engine::new();
         let k = saxpy();
@@ -860,26 +729,6 @@ mod tests {
         }
         let s = e.stats();
         assert_eq!((s.hits, s.misses, s.entries), (7, 1, 1));
-    }
-
-    #[test]
-    fn batch_reports_per_job_errors() {
-        // An unvectorizable construct fails in some flows but must not
-        // poison the rest of the batch.
-        let bad = parse_kernel(
-            "kernel div(long n, float x[]) {
-               for (long i = 0; i < n; i++) { x[i] = x[i] / x[i]; }
-             }",
-        );
-        let k = saxpy();
-        let t = sse();
-        let mut jobs = vec![CompileJob::new(&k, Flow::SplitVectorOpt, &t)];
-        if let Ok(bad) = &bad {
-            jobs.push(CompileJob::new(bad, Flow::SplitVectorOpt, &t));
-        }
-        let results = Engine::new().compile_batch(&jobs);
-        assert!(results[0].is_ok());
-        assert_eq!(results.len(), jobs.len());
     }
 
     #[test]
@@ -909,8 +758,6 @@ mod tests {
             .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 512)
             .unwrap();
         assert!(Arc::ptr_eq(&p512, &p512b));
-        e.clear();
-        assert_eq!(e.stats().vl_entries, 0);
     }
 
     #[test]
@@ -931,7 +778,6 @@ mod tests {
             assert_eq!(prog.len, fresh.len);
             for (a, b) in prog.steps().iter().zip(fresh.steps()) {
                 assert_eq!(a.cost, b.cost, "VL={vl}");
-                assert_eq!(a.lanes, b.lanes, "VL={vl}");
             }
         }
     }
@@ -968,19 +814,6 @@ mod tests {
         assert!(err.0.contains("illegal runtime VL"), "{err}");
         let s = e.stats();
         assert_eq!((s.misses, s.entries), (0, 0), "rejected before compiling");
-    }
-
-    #[test]
-    fn clear_forgets_compilations() {
-        let e = Engine::new();
-        let k = saxpy();
-        let t = sse();
-        let cfg = CompileConfig::default();
-        let a = e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
-        e.clear();
-        assert_eq!(e.stats().entries, 0);
-        let b = e.compile(&k, Flow::NativeScalar, &t, &cfg).unwrap();
-        assert!(!Arc::ptr_eq(&a, &b), "cleared cache must recompile");
     }
 
     #[test]

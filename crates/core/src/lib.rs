@@ -9,14 +9,15 @@
 //! reference oracle ([`reference()`]).
 //!
 //! The engine is server-shaped: its compile cache is bounded and builds
-//! each key once however many callers race it, each offline artifact is built once and shared by every target and
-//! online pipeline that consumes it, execution-memory arenas are pooled
-//! across requests, and an optional persistent artifact tier
-//! ([`ArtifactStore`]) shares offline compiles across processes. The
-//! one-shot [`compile`] function remains for the
-//! pipeline's own tests; everything else — examples, experiment drivers,
-//! services — routes through an [`Engine`] so repeated (kernel, flow,
-//! target, config) tuples are compiled once and shared.
+//! each key once however many callers race it, each offline artifact is
+//! built once and shared by every target and online pipeline that
+//! consumes it, execution-memory arenas are pooled across requests, and
+//! an optional persistent artifact tier ([`ArtifactStore`]) shares
+//! offline compiles across processes. It is the one way to compile:
+//! [`Engine::compile`], [`Engine::specialize`], [`Engine::execute`] (a
+//! fresh `Engine::new()` is uncached, for callers that time the real
+//! pipeline). [`online_compile`] is the warm-process path: the online
+//! stage alone over an encoded offline artifact.
 //!
 //! ```
 //! use vapor_core::{arrays_match, reference, Engine, ExecRequest};
@@ -53,11 +54,9 @@ pub mod run;
 
 pub use artifact::{ArtifactError, ArtifactStore};
 pub use engine::{
-    CompileJob, Engine, EngineBuilder, EngineStats, ARENA_POOL_CAPACITY, COMPILE_CACHE_CAPACITY,
+    Engine, EngineBuilder, EngineStats, ARENA_POOL_CAPACITY, COMPILE_CACHE_CAPACITY,
     VL_CACHE_CAPACITY,
 };
 pub use exec::{ExecError, ExecOutcome, ExecRequest};
-pub use pipeline::{
-    compile, offline_compile, online_compile, CompileConfig, Compiled, Flow, PipelineError,
-};
+pub use pipeline::{online_compile, CompileConfig, Compiled, Flow, PipelineError};
 pub use run::{arrays_match, reference, AllocPolicy};

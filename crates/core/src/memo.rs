@@ -139,11 +139,6 @@ impl<K: Eq + Hash + Clone, V> Memo<K, V> {
     pub(crate) fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
-
-    /// Forget every key (the eviction count is kept).
-    pub(crate) fn clear(&self) {
-        lock(&self.lru).map.clear();
-    }
 }
 
 #[cfg(test)]

@@ -108,9 +108,6 @@ pub struct CompileConfig {
     /// Disable the offline optimized-realignment scheme (§III-A design
     /// choice ablation).
     pub no_realign_reuse: bool,
-    /// Disable Allen–Kennedy loop distribution (recurrence loops are
-    /// rejected whole instead of split per dependence SCC).
-    pub no_distribution: bool,
 }
 
 /// A fully compiled kernel plus the artifacts the experiments measure.
@@ -160,34 +157,6 @@ impl Flow {
     }
 }
 
-/// Produce the offline artifact of a flow: the bytecode module.
-///
-/// # Errors
-/// Propagates verifier failures (offline-stage bugs).
-pub fn offline_compile(
-    kernel: &Kernel,
-    flow: Flow,
-    target: &TargetDesc,
-    cfg: &CompileConfig,
-) -> Result<(BcModule, Vec<LoopReport>), PipelineError> {
-    let (func, reports) = match flow.offline_shape() {
-        OfflineShape::Scalar => (emit_scalar_function(kernel), Vec::new()),
-        shape => {
-            let opts = VectorizeOptions {
-                native: (shape == OfflineShape::Native).then(|| target.clone()),
-                no_alignment_opts: cfg.no_alignment_opts,
-                no_realign_reuse: cfg.no_realign_reuse,
-                no_distribution: cfg.no_distribution,
-            };
-            let r = vectorize(kernel, &opts);
-            (r.func, r.reports)
-        }
-    };
-    vapor_bytecode::verify_function(&func)
-        .map_err(|e| PipelineError(format!("{}: {e}", kernel.name)))?;
-    Ok((BcModule::single(func), reports))
-}
-
 /// One offline artifact and what the online stage consumes of it. The
 /// engine builds it once per (kernel, `OfflineShape`, config) and
 /// every target and online pipeline of that shape consumes it.
@@ -205,14 +174,32 @@ pub(crate) struct Offline {
 }
 
 impl Offline {
-    /// Run the offline stage and encode its output.
+    /// Run the offline stage of `flow` (only native-vector reads
+    /// `target`), verify its function and encode it.
+    ///
+    /// # Errors
+    /// Propagates verifier failures (offline-stage bugs).
     pub(crate) fn build(
         kernel: &Kernel,
         flow: Flow,
         target: &TargetDesc,
         cfg: &CompileConfig,
     ) -> Result<Offline, PipelineError> {
-        let (module, reports) = offline_compile(kernel, flow, target, cfg)?;
+        let (func, reports) = match flow.offline_shape() {
+            OfflineShape::Scalar => (emit_scalar_function(kernel), Vec::new()),
+            shape => {
+                let opts = VectorizeOptions {
+                    native: (shape == OfflineShape::Native).then(|| target.clone()),
+                    no_alignment_opts: cfg.no_alignment_opts,
+                    no_realign_reuse: cfg.no_realign_reuse,
+                };
+                let r = vectorize(kernel, &opts);
+                (r.func, r.reports)
+            }
+        };
+        vapor_bytecode::verify_function(&func)
+            .map_err(|e| PipelineError(format!("{}: {e}", kernel.name)))?;
+        let module = BcModule::single(func);
         let bytes = encode_module(&module);
         Ok(Offline {
             func: Arc::new(single_function(&kernel.name, module)?),
@@ -290,28 +277,12 @@ fn decode_function(name: &str, bytes: &[u8]) -> Result<BcFunction, PipelineError
     single_function(name, module)
 }
 
-/// Compile a kernel end to end for one flow on one target.
-///
-/// Split flows round-trip through the binary encoding — the actual
-/// interoperability boundary between the offline and online toolchains.
-///
-/// # Errors
-/// Returns a [`PipelineError`] if any stage rejects the kernel.
-pub fn compile(
-    kernel: &Kernel,
-    flow: Flow,
-    target: &TargetDesc,
-    cfg: &CompileConfig,
-) -> Result<Compiled, PipelineError> {
-    Offline::build(kernel, flow, target, cfg)?.online(&kernel.name, flow, target)
-}
-
 /// Run *only* the online stage over an already-encoded offline artifact
 /// — the warm-process path of the persistent artifact tier: the
 /// expensive offline vectorization was paid by an earlier process, this
 /// one just decodes the portable bytecode and JIT-compiles it. The
-/// result is execution-equivalent to a fresh [`compile`] of the same
-/// tuple (bit-identical machine state and `vm_cycles`); only the
+/// result is execution-equivalent to a fresh
+/// [`Engine::compile`](crate::Engine::compile) of the same tuple (bit-identical machine state and `vm_cycles`); only the
 /// offline [`Compiled::reports`] are absent.
 ///
 /// # Errors
@@ -330,6 +301,7 @@ pub fn online_compile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use vapor_frontend::parse_kernel;
     use vapor_targets::sse;
 
@@ -346,10 +318,11 @@ mod tests {
     fn all_flows_compile_saxpy_on_sse() {
         let k = saxpy();
         let t = sse();
+        let e = Engine::new();
         for flow in Flow::ALL {
-            let c = compile(&k, flow, &t, &CompileConfig::default()).unwrap_or_else(|e| {
-                panic!("{flow}: {e}");
-            });
+            let c = e
+                .compile(&k, flow, &t, &CompileConfig::default())
+                .unwrap_or_else(|e| panic!("{flow}: {e}"));
             assert!(!c.jit.code.is_empty(), "{flow} produced empty code");
             if flow.vectorized() {
                 assert!(
@@ -364,9 +337,10 @@ mod tests {
     #[test]
     fn modules_without_exactly_one_function_are_rejected() {
         let k = saxpy();
-        let (module, _) =
-            offline_compile(&k, Flow::SplitVectorOpt, &sse(), &CompileConfig::default()).unwrap();
-        let f = module.funcs[0].clone();
+        let c = Engine::new()
+            .compile(&k, Flow::SplitVectorOpt, &sse(), &CompileConfig::default())
+            .unwrap();
+        let f = BcFunction::clone(&c.func);
         let two = encode_module(&BcModule {
             funcs: vec![f.clone(), f],
         });
@@ -381,8 +355,9 @@ mod tests {
     fn split_bytecode_is_larger_than_scalar() {
         let k = saxpy();
         let t = sse();
-        let vec = compile(&k, Flow::SplitVectorOpt, &t, &CompileConfig::default()).unwrap();
-        let sca = compile(&k, Flow::SplitScalarOpt, &t, &CompileConfig::default()).unwrap();
+        let (e, cfg) = (Engine::new(), CompileConfig::default());
+        let vec = e.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+        let sca = e.compile(&k, Flow::SplitScalarOpt, &t, &cfg).unwrap();
         assert!(
             vec.bytecode_bytes > 2 * sca.bytecode_bytes,
             "vectorized bytecode should be much larger: {} vs {}",

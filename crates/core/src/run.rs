@@ -14,12 +14,12 @@ pub enum AllocPolicy {
     /// Every array on a `MAX_VS` boundary (256 bytes — the widest VLA
     /// register) — what a JIT/runtime that owns allocation guarantees.
     Aligned,
-    /// Deliberately misalign every base by the given byte offset
-    /// (stress/ablation runs). Only meaningful for pipelines that do not
-    /// own allocation (the optimizing online and native flows): the
-    /// naive JIT folds `base_aligned` guards to true *because* its own
-    /// allocator aligns, so feeding its code misaligned bases violates
-    /// the contract and traps.
+    /// Deliberately misalign every base by the given byte offset, which
+    /// must be below `MAX_VS` (stress/ablation runs). Only meaningful for
+    /// pipelines that do not own allocation (the optimizing online and
+    /// native flows): the naive JIT folds `base_aligned` guards to true
+    /// *because* its own allocator aligns, so feeding its code
+    /// misaligned bases violates the contract and traps.
     Misaligned(usize),
 }
 
@@ -30,8 +30,9 @@ pub(crate) type Placements = Vec<(String, u64, usize, vapor_ir::ScalarTy)>;
 /// optionally recycling a memory arena from a previous execution (the
 /// engine's pooled-execution path): the buffer is re-zeroed over the
 /// required capacity instead of freshly allocated. Pass `None` for a
-/// cold allocation. Every binding is checked before the arena is taken
-/// out of `arena`, so on a binding error the caller still holds it.
+/// cold allocation. The policy and every binding are checked before the
+/// arena is taken out of `arena`, so on an error the caller still holds
+/// it.
 pub(crate) fn setup_machine<'t>(
     target: &'t TargetDesc,
     compiled: &Compiled,
@@ -39,6 +40,11 @@ pub(crate) fn setup_machine<'t>(
     policy: AllocPolicy,
     arena: &mut Option<Vec<u8>>,
 ) -> Result<(Machine<'t>, Placements), Trap> {
+    if let AllocPolicy::Misaligned(k @ MAX_VS..) = policy {
+        return Err(Trap(format!(
+            "misalignment of {k} bytes: must be below {MAX_VS}"
+        )));
+    }
     let f = &compiled.func;
     // Memory: all arrays + the machine's guard padding either side +
     // alignment slack. The padding is target-sized (`Memory::pad_for`),
@@ -76,7 +82,7 @@ pub(crate) fn setup_machine<'t>(
 
     for (i, p) in f.params.iter().enumerate() {
         let v = env.scalar(&p.name).expect("checked before the arena");
-        m.set_sreg(compiled.jit.param_regs[i], coerce(p.ty, v));
+        m.set_sreg(compiled.jit.param_regs[i], v.coerce(p.ty));
     }
     let mut bases = Vec::new();
     for (i, a) in f.arrays.iter().enumerate() {
@@ -108,14 +114,6 @@ pub(crate) fn read_back(m: &Machine<'_>, bases: Placements) -> Bindings {
         out.set_array(&name, ArrayData { elem, bytes });
     }
     out
-}
-
-fn coerce(ty: vapor_ir::ScalarTy, v: Value) -> Value {
-    match (ty.is_float(), v) {
-        (true, Value::Int(i)) => Value::Float(i as f64),
-        (false, Value::Float(f)) => Value::Int(f as i64),
-        _ => v,
-    }
 }
 
 /// Run the reference interpreter (the oracle) over the same bindings.
@@ -243,6 +241,28 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExecError::Trap(_)), "{err}");
         assert!(err.to_string().contains("unbound array y"), "{err}");
+    }
+
+    #[test]
+    fn misalignment_of_max_vs_or_more_is_rejected_up_front() {
+        // Below `MAX_VS` every offset is a real misalignment; at 256 the
+        // base would silently land aligned again, and beyond the arena's
+        // slack the allocator would run out of memory.
+        let (e, k, t, env) = (Engine::new(), saxpy(), sse(), saxpy_env(8));
+        let aligned = e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
+        for mis in [256, 5_000, usize::MAX / 2] {
+            let policy = AllocPolicy::Misaligned(mis);
+            let req = ExecRequest::new(&k, &t, &env).policy(policy);
+            let c = &aligned.compiled;
+            for err in [
+                e.execute(&req).unwrap_err(),
+                e.run_compiled(&t, c, &env, policy, |m| m.run(&c.jit.code))
+                    .unwrap_err(),
+            ] {
+                assert!(matches!(err, ExecError::Trap(_)), "{err}");
+                assert!(err.to_string().contains(&format!("{mis} bytes")), "{err}");
+            }
+        }
     }
 
     #[test]

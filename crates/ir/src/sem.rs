@@ -60,11 +60,15 @@ impl Value {
         }
     }
 
-    /// Whether the value is non-zero (conditions are integers).
-    pub fn is_truthy(self) -> bool {
-        match self {
-            Value::Int(v) => v != 0,
-            Value::Float(v) => v != 0.0,
+    /// The value in `ty`'s domain: an integer converts to a float when
+    /// `ty` is a float type, a float truncates (saturating) to an integer
+    /// when it is not, and a value already in the domain is unchanged.
+    #[inline]
+    pub fn coerce(self, ty: ScalarTy) -> Value {
+        match (ty.is_float(), self) {
+            (true, Value::Int(i)) => Value::Float(i as f64),
+            (false, Value::Float(f)) => Value::Int(f as i64),
+            _ => self,
         }
     }
 }

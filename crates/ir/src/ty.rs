@@ -114,6 +114,26 @@ impl ScalarTy {
         }
     }
 
+    /// The float type with the same lane width, if it exists: the
+    /// result type of an int→float vector conversion.
+    pub fn float_counterpart(self) -> Option<ScalarTy> {
+        match self {
+            ScalarTy::I32 | ScalarTy::U32 => Some(ScalarTy::F32),
+            ScalarTy::I64 => Some(ScalarTy::F64),
+            _ => None,
+        }
+    }
+
+    /// The signed integer type with the same lane width, if it exists:
+    /// the result type of a float→int vector conversion.
+    pub fn int_counterpart(self) -> Option<ScalarTy> {
+        match self {
+            ScalarTy::F32 => Some(ScalarTy::I32),
+            ScalarTy::F64 => Some(ScalarTy::I64),
+            _ => None,
+        }
+    }
+
     /// Mini-C keyword for this type (used by the pretty printer and parser).
     pub fn keyword(self) -> &'static str {
         match self {

@@ -923,7 +923,7 @@ impl<'a> Lower<'a> {
                 let b = self.operand_bind(arg)?;
                 if self.opts.folds_constants() {
                     if let Some(v) = const_value(b) {
-                        let r = eval_cast(*from, *to, coerce(*from, v));
+                        let r = eval_cast(*from, *to, v.coerce(*from));
                         return self.bind_scalar_value(dst, value_bind(r));
                     }
                 }
@@ -1308,8 +1308,8 @@ impl<'a> Lower<'a> {
                 };
                 if mode.is_scalar() {
                     let to = match dir {
-                        CvtDir::IntToFloat => vapor_targets::float_of_width(*ty),
-                        CvtDir::FloatToInt => vapor_targets::int_of_width(*ty),
+                        CvtDir::IntToFloat => ty.float_counterpart(),
+                        CvtDir::FloatToInt => ty.int_counterpart(),
                     }
                     .ok_or_else(|| JitError(format!("no conversion counterpart for {ty}")))?;
                     let av = self.as_scalar_lane(*a)?;
@@ -1473,7 +1473,7 @@ impl<'a> Lower<'a> {
         let bb = self.operand_bind(b)?;
         if self.opts.folds_constants() {
             if let (Some(x), Some(y)) = (const_value(ab), const_value(bb)) {
-                let r = eval_bin(op, ty, coerce(ty, x), coerce(ty, y));
+                let r = eval_bin(op, ty, x.coerce(ty), y.coerce(ty));
                 return self.bind_scalar_value(dst, value_bind(r));
             }
         }
@@ -1510,14 +1510,6 @@ fn const_value(b: Bind) -> Option<Value> {
         Bind::ImmI(v) => Some(Value::Int(v)),
         Bind::ImmF(v) => Some(Value::Float(v)),
         _ => None,
-    }
-}
-
-fn coerce(ty: ScalarTy, v: Value) -> Value {
-    match (ty.is_float(), v) {
-        (true, Value::Int(i)) => Value::Float(i as f64),
-        (false, Value::Float(f)) => Value::Int(f as i64),
-        _ => v,
     }
 }
 

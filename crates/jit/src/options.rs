@@ -34,27 +34,19 @@ pub enum Pipeline {
 pub struct JitOptions {
     /// The pipeline preset.
     pub pipeline: Pipeline,
-    /// Route scalar float arithmetic through the x87-style FPU (the Mono
-    /// x86 artifact). Defaults to `pipeline == NaiveJit` on x86 targets;
-    /// set explicitly to ablate.
-    pub x87_scalar_fp: Option<bool>,
 }
 
 impl JitOptions {
     /// Options for a pipeline with default knobs.
     pub fn new(pipeline: Pipeline) -> JitOptions {
-        JitOptions {
-            pipeline,
-            x87_scalar_fp: None,
-        }
+        JitOptions { pipeline }
     }
 
-    /// Whether the generated code should use x87-style scalar floats.
+    /// Whether scalar float arithmetic goes through the x87-style FPU
+    /// (the Mono x86 artifact): the naive JIT on x86 targets.
     pub fn use_x87(&self, target: &TargetDesc) -> bool {
-        self.x87_scalar_fp.unwrap_or(
-            self.pipeline == Pipeline::NaiveJit
-                && matches!(target.kind, TargetKind::Sse | TargetKind::Avx),
-        )
+        self.pipeline == Pipeline::NaiveJit
+            && matches!(target.kind, TargetKind::Sse | TargetKind::Avx)
     }
 
     /// Whether this pipeline owns runtime allocation (can fold
@@ -109,9 +101,6 @@ mod tests {
         assert!(JitOptions::new(Pipeline::NaiveJit).use_x87(&sse_t));
         assert!(!JitOptions::new(Pipeline::NaiveJit).use_x87(&av));
         assert!(!JitOptions::new(Pipeline::OptJit).use_x87(&sse_t));
-        let mut o = JitOptions::new(Pipeline::NaiveJit);
-        o.x87_scalar_fp = Some(false);
-        assert!(!o.use_x87(&sse_t));
     }
 
     #[test]

@@ -289,10 +289,11 @@ impl CostModel {
         }
     }
 
-    /// Cycle cost of one executed instruction. `lanes` is the lane count
-    /// of the *element type* of the instruction where relevant (used by
-    /// reductions and helper calls).
-    pub fn cost(&self, inst: &MInst, lanes: usize) -> u64 {
+    /// Cycle cost of one executed instruction on a machine whose vector
+    /// registers are `vs` bytes wide: reductions and helper calls scale
+    /// with the lane count of their element type at that width.
+    pub fn cost(&self, inst: &MInst, vs: usize) -> u64 {
+        let lanes = |ty: ScalarTy| (vs / ty.size()).max(1);
         // Scaled-index addressing pays an address-generation ALU op —
         // the dynamic counterpart of the port model's unlaminated µop.
         let agen = |addr: &crate::isa::AddrMode| -> u32 {
@@ -363,12 +364,14 @@ impl CostModel {
             MInst::VExtractStride { stride, .. } => self.vperm * (*stride as u32),
             MInst::VPermCtrl { .. } => self.vpermctrl,
             MInst::VPerm { .. } => self.vperm,
-            MInst::VReduce { .. } => {
-                let steps = (lanes.max(2) as f64).log2().ceil() as u32;
+            MInst::VReduce { ty, .. } => {
+                let steps = (lanes(*ty).max(2) as f64).log2().ceil() as u32;
                 self.vreduce_step * steps + self.vlane
             }
             MInst::MovV { .. } => self.mov,
-            MInst::VHelper { .. } => self.helper_call + self.helper_per_lane * lanes as u32,
+            MInst::VHelper { ty, .. } => {
+                self.helper_call + self.helper_per_lane * lanes(*ty) as u32
+            }
             // VLA stripmine control is scalar-ALU-cheap (`vsetvli` class).
             MInst::SetVl { .. } => self.salu,
             // Predicated memory ops are element-aligned by contract:
@@ -421,7 +424,7 @@ mod tests {
             addr: AddrMode::base_disp(SReg(0), 0),
             align: MemAlign::Unaligned,
         };
-        assert!(m.cost(&unaligned, 4) > m.cost(&aligned, 4));
+        assert!(m.cost(&unaligned, 16) > m.cost(&aligned, 16));
     }
 
     #[test]
@@ -441,13 +444,14 @@ mod tests {
             a: SReg(1),
             b: SReg(2),
         };
-        assert_eq!(m.cost(&x87, 1) - m.cost(&sse_fp, 1), m.fpu_penalty as u64);
+        assert_eq!(m.cost(&x87, 16) - m.cost(&sse_fp, 16), m.fpu_penalty as u64);
     }
 
     #[test]
     fn helper_cost_scales_with_lanes() {
         let m = CostModel::neon64();
-        let h = |lanes| {
+        // I32 lanes: 2 at 8 bytes, 8 at 32.
+        let h = |vs| {
             m.cost(
                 &MInst::VHelper {
                     op: HelperOp::Cvt(crate::isa::CvtDir::IntToFloat),
@@ -456,19 +460,19 @@ mod tests {
                     a: VReg(1),
                     b: None,
                 },
-                lanes,
+                vs,
             )
         };
-        assert!(h(8) > h(2));
+        assert!(h(32) > h(8));
         assert!(
-            h(2) > m.cost(
+            h(8) > m.cost(
                 &MInst::VCvt {
                     dir: crate::isa::CvtDir::IntToFloat,
                     ty: ScalarTy::I32,
                     dst: VReg(0),
                     a: VReg(1),
                 },
-                2
+                8
             )
         );
     }
@@ -476,6 +480,6 @@ mod tests {
     #[test]
     fn labels_are_free() {
         let m = CostModel::sse();
-        assert_eq!(m.cost(&MInst::Label(crate::isa::Label(0)), 1), 0);
+        assert_eq!(m.cost(&MInst::Label(crate::isa::Label(0)), 16), 0);
     }
 }

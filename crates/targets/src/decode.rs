@@ -999,9 +999,6 @@ pub struct DecodedInst {
     /// superinstruction this is the *sum* of the constituents' costs, so
     /// `vm_cycles` accounting is bit-identical with fusion on or off.
     pub cost: u64,
-    /// Pre-computed lane count of the instruction's element type (1 for
-    /// scalar/control/fused instructions).
-    pub lanes: u32,
     /// Number of source instructions this step covers: 1 for plain
     /// steps, 2–3 for superinstructions. The dispatch loop charges it to
     /// `ExecStats::insts`, so fused and unfused execution report
@@ -1641,14 +1638,9 @@ impl DecodedProgram {
                 },
                 other => DStep::Op(other.clone()),
             };
-            let lanes = match inst {
-                MInst::VReduce { ty, .. } | MInst::VHelper { ty, .. } => lanes_of(*ty),
-                _ => 1,
-            };
             steps.push(DecodedInst {
                 step,
-                cost: target.cost.cost(inst, lanes),
-                lanes: lanes as u32,
+                cost: target.cost.cost(inst, vs),
                 arity: 1,
             });
         }
@@ -1712,7 +1704,6 @@ impl DecodedProgram {
                     steps[out] = DecodedInst {
                         step,
                         cost: group.iter().map(|d| d.cost).sum(),
-                        lanes: 1,
                         arity: group.iter().map(|d| d.arity).sum(),
                     };
                     w
@@ -1783,19 +1774,11 @@ impl DecodedProgram {
             // patterns themselves are VL-independent; only lane clamps
             // and costs change).
             let mut cost = 0u64;
-            let mut lanes = 1usize;
             for _ in 0..d.arity {
                 let inst = insts.next().ok_or_else(|| {
                     Trap("respecialize: code is shorter than the decoded program".into())
                 })?;
-                let l = match inst {
-                    MInst::VReduce { ty, .. } | MInst::VHelper { ty, .. } => lanes_of(*ty),
-                    _ => 1,
-                };
-                cost += target.cost.cost(inst, l);
-                if d.arity == 1 {
-                    lanes = l;
-                }
+                cost += target.cost.cost(inst, vs);
             }
             let mut step = d.step.clone();
             match &mut step {
@@ -1824,7 +1807,6 @@ impl DecodedProgram {
             steps.push(DecodedInst {
                 step,
                 cost,
-                lanes: lanes as u32,
                 arity: d.arity,
             });
         }
@@ -1856,7 +1838,7 @@ impl DecodedProgram {
 mod tests {
     use super::*;
     use crate::isa::{AddrMode, MemAlign, VReg};
-    use crate::target::{altivec, sse};
+    use crate::target::{altivec, avx, sse};
     use vapor_ir::{BinOp, ScalarTy};
 
     fn branchy_code() -> MCode {
@@ -1959,7 +1941,7 @@ mod tests {
         };
         let p = DecodedProgram::decode_unfused(&code, &t).unwrap();
         for (d, inst) in p.steps().iter().zip(&code.insts) {
-            assert_eq!(d.cost, t.cost.cost(inst, d.lanes as usize));
+            assert_eq!(d.cost, t.cost.cost(inst, t.vs));
         }
         // The fused decode forms a LoadV→VBin superinstruction whose
         // cost is the exact sum (vm_cycles accounting must not move).
@@ -2073,10 +2055,13 @@ mod tests {
             n_vregs: 1,
             note: String::new(),
         };
-        let p = DecodedProgram::decode(&code, &sse()).unwrap();
-        assert_eq!(p.steps()[0].lanes, 8); // 16 bytes / 2
-        let p = DecodedProgram::decode(&code, &altivec()).unwrap();
-        assert_eq!(p.steps()[0].lanes, 8);
+        // A reduction costs one step per halving of its i16 lane count:
+        // 16 bytes hold 8 lanes (3 steps), 32 bytes 16 (4 steps).
+        for (t, steps) in [(sse(), 3), (altivec(), 3), (avx(), 4)] {
+            let p = DecodedProgram::decode(&code, &t).unwrap();
+            let want = t.cost.vreduce_step * steps + t.cost.vlane;
+            assert_eq!(p.steps()[0].cost, u64::from(want), "{}", t.name);
+        }
     }
 
     #[test]
@@ -2305,7 +2290,6 @@ mod tests {
             assert_eq!(respec.len, fresh.len);
             for (a, b) in respec.steps().iter().zip(fresh.steps()) {
                 assert_eq!(a.cost, b.cost, "VL={vl}");
-                assert_eq!(a.lanes, b.lanes, "VL={vl}");
                 assert_eq!(
                     crate::disasm::disasm_step(&a.step),
                     crate::disasm::disasm_step(&b.step),

@@ -45,23 +45,3 @@ pub use target::{
     VLA_MAX_BITS, VLA_MIN_BITS, VLA_TEST_BITS,
 };
 pub use thread::{disasm_threaded, Region, StreamDef, TAddr, TStep, ThreadedProgram};
-
-use vapor_ir::ScalarTy;
-
-/// The float type with the same lane width as `t` (conversion targets).
-pub fn float_of_width(t: ScalarTy) -> Option<ScalarTy> {
-    match t {
-        ScalarTy::I32 | ScalarTy::U32 => Some(ScalarTy::F32),
-        ScalarTy::I64 => Some(ScalarTy::F64),
-        _ => None,
-    }
-}
-
-/// The signed integer type with the same lane width as `t`.
-pub fn int_of_width(t: ScalarTy) -> Option<ScalarTy> {
-    match t {
-        ScalarTy::F32 => Some(ScalarTy::I32),
-        ScalarTy::F64 => Some(ScalarTy::I64),
-        _ => None,
-    }
-}

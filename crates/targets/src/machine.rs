@@ -503,12 +503,7 @@ impl<'t> Machine<'t> {
 
     fn set_sreg_checked(&mut self, r: crate::isa::SReg, ty: ScalarTy, v: Value) {
         // Canonicalize domain per type to keep register file consistent.
-        let v = match (ty.is_float(), v) {
-            (true, Value::Float(_)) | (false, Value::Int(_)) => v,
-            (true, Value::Int(i)) => Value::Float(i as f64),
-            (false, Value::Float(f)) => Value::Int(f as i64),
-        };
-        self.set_sreg(r, v);
+        self.set_sreg(r, v.coerce(ty));
     }
 
     fn lane(&self, bytes: &[u8], ty: ScalarTy, k: usize) -> Value {
@@ -599,11 +594,7 @@ impl<'t> Machine<'t> {
             }
 
             stats.insts += 1;
-            let lanes = match inst {
-                MInst::VReduce { ty, .. } | MInst::VHelper { ty, .. } => self.lanes(*ty),
-                _ => 1,
-            };
-            stats.cycles += cost.cost(inst, lanes);
+            stats.cycles += cost.cost(inst, self.vs());
             pc = next;
         }
         Ok(stats)
@@ -666,8 +657,8 @@ impl<'t> Machine<'t> {
                     ty,
                     rty,
                 } => {
-                    let x = self.coerce(*ty, self.sval(*a)?);
-                    let y = self.coerce(*ty, self.sval(*b)?);
+                    let x = self.sval(*a)?.coerce(*ty);
+                    let y = self.sval(*b)?.coerce(*ty);
                     let r = f(x, y);
                     self.set_sreg_checked(*dst, *rty, r);
                 }
@@ -740,7 +731,7 @@ impl<'t> Machine<'t> {
                 } => {
                     let a = self.fast_addr(*base, *idx, *scale, *disp)?;
                     self.mem.check(a, ty.size())?;
-                    let v = self.coerce(*ty, self.sval(*src)?);
+                    let v = self.sval(*src)?.coerce(*ty);
                     self.mem.write(*ty, a, v);
                 }
                 DStep::VBinFast {
@@ -789,7 +780,7 @@ impl<'t> Machine<'t> {
                     ty,
                     lanes,
                 } => {
-                    let v = self.coerce(*ty, self.sval(*src)?);
+                    let v = self.sval(*src)?.coerce(*ty);
                     let mut out = self.fresh_out();
                     f(v, &mut out, *lanes as usize);
                     self.put_vreg(*dst, out);
@@ -1086,7 +1077,7 @@ impl<'t> Machine<'t> {
                     TStep::StoreS { ty, src, addr } => {
                         let a = self.t_addr(addr, &st)?;
                         self.mem.check(a, ty.size())?;
-                        let v = self.coerce(*ty, self.sval(*src)?);
+                        let v = self.sval(*src)?.coerce(*ty);
                         self.mem.write(*ty, a, v);
                     }
                     TStep::LoadVl { ty, dst, addr } => {
@@ -1103,8 +1094,8 @@ impl<'t> Machine<'t> {
                         ty,
                         rty,
                     } => {
-                        let x = self.coerce(*ty, self.sval(*a)?);
-                        let y = self.coerce(*ty, self.sval(*b)?);
+                        let x = self.sval(*a)?.coerce(*ty);
+                        let y = self.sval(*b)?.coerce(*ty);
                         self.set_sreg_checked(*dst, *rty, f(x, y));
                     }
                     TStep::SBinImm {
@@ -1116,11 +1107,11 @@ impl<'t> Machine<'t> {
                         rty,
                     } => self.exec_sbin_imm(*dst, *a, *imm, *f, *ty, *rty)?,
                     TStep::SBin2(p) => {
-                        let x = self.coerce(p.ty1, self.sval(p.a1)?);
-                        let y = self.coerce(p.ty1, self.sval(p.b1)?);
+                        let x = self.sval(p.a1)?.coerce(p.ty1);
+                        let y = self.sval(p.b1)?.coerce(p.ty1);
                         self.set_sreg_checked(p.dst1, p.rty1, (p.f1)(x, y));
-                        let x = self.coerce(p.ty2, self.sval(p.a2)?);
-                        let y = self.coerce(p.ty2, self.sval(p.b2)?);
+                        let x = self.sval(p.a2)?.coerce(p.ty2);
+                        let y = self.sval(p.b2)?.coerce(p.ty2);
                         self.set_sreg_checked(p.dst2, p.rty2, (p.f2)(x, y));
                     }
                     TStep::MovS { dst, src } => {
@@ -1135,7 +1126,7 @@ impl<'t> Machine<'t> {
                         ty,
                         lanes,
                     } => {
-                        let v = self.coerce(*ty, self.sval(*src)?);
+                        let v = self.sval(*src)?.coerce(*ty);
                         let d = *dst as usize;
                         let sd = &mut arena[d..d + CAP];
                         sd.fill(0);
@@ -1566,8 +1557,8 @@ impl<'t> Machine<'t> {
         ty: ScalarTy,
         rty: ScalarTy,
     ) -> Result<(), Trap> {
-        let x = self.coerce(ty, self.sval(a)?);
-        let y = self.coerce(ty, Value::Int(imm as i64));
+        let x = self.sval(a)?.coerce(ty);
+        let y = Value::Int(imm as i64).coerce(ty);
         self.set_sreg_checked(dst, rty, f(x, y));
         Ok(())
     }
@@ -1590,10 +1581,7 @@ impl<'t> Machine<'t> {
                 self.set_sreg(*dst, v);
             }
             MInst::SBin { op, ty, dst, a, b } | MInst::FpuBin { op, ty, dst, a, b } => {
-                let (x, y) = (
-                    self.coerce(*ty, self.sval(*a)?),
-                    self.coerce(*ty, self.sval(*b)?),
-                );
+                let (x, y) = (self.sval(*a)?.coerce(*ty), self.sval(*b)?.coerce(*ty));
                 let r = eval_bin(*op, *ty, x, y);
                 let rty = if op.is_comparison() {
                     ScalarTy::I32
@@ -1609,8 +1597,8 @@ impl<'t> Machine<'t> {
                 a,
                 imm,
             } => {
-                let x = self.coerce(*ty, self.sval(*a)?);
-                let y = self.coerce(*ty, Value::Int(*imm));
+                let x = self.sval(*a)?.coerce(*ty);
+                let y = Value::Int(*imm).coerce(*ty);
                 let r = eval_bin(*op, *ty, x, y);
                 let rty = if op.is_comparison() {
                     ScalarTy::I32
@@ -1620,12 +1608,12 @@ impl<'t> Machine<'t> {
                 self.set_sreg_checked(*dst, rty, r);
             }
             MInst::SUn { op, ty, dst, a } => {
-                let x = self.coerce(*ty, self.sval(*a)?);
+                let x = self.sval(*a)?.coerce(*ty);
                 let r = eval_un(*op, *ty, x);
                 self.set_sreg_checked(*dst, *ty, r);
             }
             MInst::SCvt { from, to, dst, a } => {
-                let x = self.coerce(*from, self.sval(*a)?);
+                let x = self.sval(*a)?.coerce(*from);
                 let r = eval_cast(*from, *to, x);
                 self.set_sreg_checked(*dst, *to, r);
             }
@@ -1638,7 +1626,7 @@ impl<'t> Machine<'t> {
             MInst::StoreS { ty, src, addr } => {
                 let a = self.addr(addr)?;
                 self.mem.check(a, ty.size())?;
-                let v = self.coerce(*ty, self.sval(*src)?);
+                let v = self.sval(*src)?.coerce(*ty);
                 self.mem.write(*ty, a, v);
             }
             MInst::LoadV { dst, addr, align } => {
@@ -1672,7 +1660,7 @@ impl<'t> Machine<'t> {
                 self.mem.slice_mut(a, vs).copy_from_slice(&v[..vs]);
             }
             MInst::Splat { ty, dst, src } => {
-                let v = self.coerce(*ty, self.sval(*src)?);
+                let v = self.sval(*src)?.coerce(*ty);
                 let n = self.lanes(*ty);
                 let out = self.with_lanes(*ty, n, |_| Ok(v))?;
                 self.set_vreg(*dst, out);
@@ -1683,8 +1671,8 @@ impl<'t> Machine<'t> {
                 start,
                 inc,
             } => {
-                let s = self.coerce(*ty, self.sval(*start)?);
-                let i = self.coerce(*ty, self.sval(*inc)?);
+                let s = self.sval(*start)?.coerce(*ty);
+                let i = self.sval(*inc)?.coerce(*ty);
                 let n = self.lanes(*ty);
                 let out = self.with_lanes(*ty, n, |k| {
                     let mut v = s;
@@ -1696,7 +1684,7 @@ impl<'t> Machine<'t> {
                 self.set_vreg(*dst, out);
             }
             MInst::SetLane { ty, dst, lane, src } => {
-                let v = self.coerce(*ty, self.sval(*src)?);
+                let v = self.sval(*src)?.coerce(*ty);
                 let off = *lane as usize * ty.size();
                 if off + ty.size() > self.lane_limit(*ty) {
                     return Err(Trap(format!("lane {lane} out of range for {ty}")));
@@ -1989,14 +1977,6 @@ impl<'t> Machine<'t> {
         Ok(())
     }
 
-    fn coerce(&self, ty: ScalarTy, v: Value) -> Value {
-        match (ty.is_float(), v) {
-            (true, Value::Float(_)) | (false, Value::Int(_)) => v,
-            (true, Value::Int(i)) => Value::Float(i as f64),
-            (false, Value::Float(f)) => Value::Int(f as i64),
-        }
-    }
-
     fn widen_mul(
         &self,
         half: Half,
@@ -2034,9 +2014,11 @@ impl<'t> Machine<'t> {
 
     fn cvt(&self, dir: CvtDir, ty: ScalarTy, a: crate::isa::VReg) -> Result<VBytes, Trap> {
         let to = match dir {
-            CvtDir::IntToFloat => crate::float_of_width(ty)
+            CvtDir::IntToFloat => ty
+                .float_counterpart()
                 .ok_or_else(|| Trap(format!("cvt_int2fp: no float of width of {ty}")))?,
-            CvtDir::FloatToInt => crate::int_of_width(ty)
+            CvtDir::FloatToInt => ty
+                .int_counterpart()
                 .ok_or_else(|| Trap(format!("cvt_fp2int: no int of width of {ty}")))?,
         };
         let x = self.vbytes(a)?;

@@ -7,7 +7,7 @@
 //! ceil(µops / ports)`. This reproduces the quantity IACA computes
 //! (port-contention-bound throughput of a straight-line loop body).
 
-use crate::isa::{Label, MCode, MInst};
+use crate::isa::{MCode, MInst};
 
 /// Issue-port counts of a target's execution core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -311,17 +311,10 @@ pub fn analyze_inner_loop(code: &MCode, ports: &PortModel) -> Option<Throughput>
     best.map(|(tp, _, _)| tp)
 }
 
-/// Convenience used in tests: does a label exist in code?
-pub fn has_label(code: &MCode, l: Label) -> bool {
-    code.insts
-        .iter()
-        .any(|i| matches!(i, MInst::Label(x) if *x == l))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{AddrMode, Cond, MemAlign, SReg, VReg};
+    use crate::isa::{AddrMode, Cond, Label, MemAlign, SReg, VReg};
     use vapor_ir::{BinOp, ScalarTy};
 
     fn saxpy_like_body(extra_scalar: u32) -> Vec<MInst> {

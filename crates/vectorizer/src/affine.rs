@@ -132,11 +132,6 @@ impl Affine {
         self.loops.contains_key(&v)
     }
 
-    /// Whether the form is free of every variable in `vars`.
-    pub fn invariant_of(&self, vars: &[VarId]) -> bool {
-        vars.iter().all(|v| !self.loops.contains_key(v))
-    }
-
     /// The difference `self - other` if representable.
     pub fn minus(&self, other: &Affine) -> Option<Affine> {
         self.clone().add(other, -1)

@@ -103,10 +103,6 @@ pub struct VectorizeOptions {
     /// choice that "having the offline compiler generate already
     /// optimized bytecode is better".
     pub no_realign_reuse: bool,
-    /// Disable Allen–Kennedy loop distribution: loops whose bodies mix
-    /// vectorizable statements with true recurrences are rejected whole
-    /// (the historical behavior) instead of being split per SCC.
-    pub no_distribution: bool,
 }
 
 /// Result of vectorizing a kernel.
@@ -508,7 +504,7 @@ impl<'k> Vx<'k> {
         before_regs: usize,
         report_mark: usize,
     ) -> DistOutcome {
-        if self.opts.no_distribution || step != 1 || body.is_empty() {
+        if step != 1 || body.is_empty() {
             return DistOutcome::NotApplicable;
         }
         let lo_aff = analyze(self.kernel, lo);

@@ -5,7 +5,7 @@
 //! cargo run --release --example suite_tour
 //! ```
 
-use vapor_core::{CompileJob, Engine, ExecRequest, Flow};
+use vapor_core::{Engine, ExecRequest, Flow};
 use vapor_kernels::{suite, Scale};
 use vapor_targets::sse;
 use vapor_vectorizer::{vectorize, VectorizeOptions};
@@ -13,18 +13,6 @@ use vapor_vectorizer::{vectorize, VectorizeOptions};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = sse();
     let engine = Engine::new();
-
-    // Pre-compile the whole tour as one parallel batch; the loop below
-    // then runs on cache hits alone.
-    let specs = suite();
-    let kernels: Vec<_> = specs.iter().map(|s| s.kernel()).collect();
-    let mut jobs = Vec::new();
-    for k in &kernels {
-        for flow in [Flow::SplitVectorOpt, Flow::SplitScalarOpt] {
-            jobs.push(CompileJob::new(k, flow, &target));
-        }
-    }
-    engine.compile_batch(&jobs);
 
     println!(
         "{:<18} {:<11} {:>8} {:<34}",
@@ -66,12 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let s = engine.stats();
     println!(
-        "\nengine: {} unique compilations, {} cache hits ({} batch workers warmed the cache)",
-        s.misses,
-        s.hits,
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(jobs.len())
+        "\nengine: {} unique compilations, {} cache hits",
+        s.misses, s.hits
     );
     Ok(())
 }

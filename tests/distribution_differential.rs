@@ -1,28 +1,22 @@
 //! Differential tests for Allen–Kennedy loop distribution.
 //!
-//! Three layers:
+//! Two layers:
 //! 1. The distribution demo kernels (acyclic split; vector half + scalar
 //!    recurrence residual) execute bit-compatibly with the reference
 //!    interpreter on every fixed-width target, every flow, and on the
-//!    VLA families at every tested runtime VL.
-//! 2. The whole suite runs with and without distribution
-//!    (`CompileConfig::no_distribution`) and both configurations match
-//!    the oracle — distribution can only change *how* a loop compiles,
-//!    never what it computes. The kernels with no distributed loop
-//!    compile to the same code and cycles either way.
-//! 3. Regressions for the dependence-analysis surface the distribution
+//!    VLA families at every tested runtime VL. (The whole suite, with
+//!    its distributed loops, is in the cycle ledger's oracle walk.)
+//! 2. Regressions for the dependence-analysis surface the distribution
 //!    rewrite touched: same-iteration store→load reuse, store-free
 //!    reduction bodies, and interleaved (no contiguous store) loops all
 //!    still vectorize.
 
 mod common;
 
-use common::{cells, check, targets, Cell};
-use vapor_core::{reference, AllocPolicy, CompileConfig, Engine, Flow};
+use common::{cells, check, targets};
+use vapor_core::{reference, AllocPolicy, Engine, Flow};
 use vapor_frontend::parse_kernel;
 use vapor_ir::{ArrayData, Bindings, Kernel, ScalarTy};
-use vapor_kernels::{suite, Scale};
-use vapor_targets::{sse, sve};
 use vapor_vectorizer::{vectorize, RejectCategory, VectorizeOptions};
 
 const N: i64 = 37; // odd, to exercise tail loops
@@ -111,18 +105,6 @@ fn recurrence_residual_keeps_vector_half() {
         RejectCategory::Recurrence
     );
 
-    // Without distribution the same loop is rejected whole.
-    let opts = VectorizeOptions {
-        no_distribution: true,
-        ..Default::default()
-    };
-    let undistributed = vectorize(&kernel, &opts);
-    assert!(
-        undistributed.reports.iter().all(|r| !r.vectorized),
-        "{:#?}",
-        undistributed.reports
-    );
-
     let env = env_for(
         &kernel,
         &[
@@ -206,42 +188,4 @@ fn store_shape_regressions_still_vectorize() {
     );
     let env = env_for(&reduction, &[("x", N as usize), ("y", 1)]);
     check_everywhere(&reduction, &env);
-}
-
-/// The whole suite, distributed vs. undistributed: both configurations
-/// must match the oracle (and therefore each other) on a fixed-width and
-/// a VLA target. `lu`, `ludcmp` and `seidel` emit no distributed loop —
-/// their distribution verdicts are report-only — so toggling
-/// distribution must leave their machine code and cycles exact.
-#[test]
-fn suite_matches_oracle_with_and_without_distribution() {
-    let engine = Engine::new();
-    let no_dist = CompileConfig {
-        no_distribution: true,
-        ..Default::default()
-    };
-    let targets = [sse(), sve()];
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let env = spec.env(Scale::Test);
-        let oracle = reference(&kernel, &env)
-            .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", spec.name));
-        let flows = [Flow::SplitVectorOpt];
-        for cell in cells(&kernel, &env, &targets, &flows, &[AllocPolicy::Aligned]) {
-            let undistributed = Cell {
-                cfg: no_dist.clone(),
-                ..cell.clone()
-            };
-            let [with, without] = [cell, undistributed]
-                .map(|c| check(&engine, &c, &oracle, &[]).unwrap_or_else(|e| panic!("{e}")));
-            if ["lu_fp", "ludcmp_fp", "seidel_fp"].contains(&spec.name) {
-                assert_eq!(
-                    with.compiled.jit.code, without.compiled.jit.code,
-                    "{}",
-                    spec.name
-                );
-                assert_eq!(with.stats, without.stats, "{}", spec.name);
-            }
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! `tests/matrix.rs` checks against the IR interpreter cell by cell.
 
 use vapor_bench::ledger::{committed, Row, SCALARIZED_KERNELS};
-use vapor_core::{CompileConfig, Flow};
+use vapor_core::{CompileConfig, Engine, Flow};
 use vapor_kernels::{find, suite};
 use vapor_targets::{sse, TargetKind};
 
@@ -116,14 +116,16 @@ fn mmm_guard_resolution_differs_between_pipelines() {
 fn online_compile_times_are_microseconds() {
     let spec = find("saxpy_fp").unwrap();
     let kernel = spec.kernel();
-    // Uncached: this asserts on the real online stage's wall time.
-    let c = vapor_core::compile(
-        &kernel,
-        Flow::SplitVectorOpt,
-        &sse(),
-        &CompileConfig::default(),
-    )
-    .unwrap();
+    // A fresh engine is uncached: this asserts on the real online
+    // stage's wall time.
+    let c = Engine::new()
+        .compile(
+            &kernel,
+            Flow::SplitVectorOpt,
+            &sse(),
+            &CompileConfig::default(),
+        )
+        .unwrap();
     assert!(
         c.online_time.as_millis() < 50,
         "online stage took {:?} — far beyond the µs range",

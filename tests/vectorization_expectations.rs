@@ -85,35 +85,3 @@ fn solver_verdicts_are_typed_and_explained() {
         RejectCategory::Recurrence
     );
 }
-
-/// Disabling distribution must not regress the solvers that vectorize
-/// without it (lu/ludcmp rely on dependence refinements, not splitting),
-/// and must leave seidel rejected with the historical dependence reason.
-#[test]
-fn no_distribution_ablation_keeps_refinements() {
-    let opts = VectorizeOptions {
-        no_distribution: true,
-        ..Default::default()
-    };
-    for name in ["lu_fp", "ludcmp_fp"] {
-        let spec = vapor_kernels::find(name).unwrap();
-        let result = vectorize(&spec.kernel(), &opts);
-        assert!(
-            result.reports.iter().any(|r| r.vectorized),
-            "{name} should vectorize even without distribution"
-        );
-    }
-    let spec = vapor_kernels::find("seidel_fp").unwrap();
-    let result = vectorize(&spec.kernel(), &opts);
-    assert!(result.reports.iter().all(|r| !r.vectorized));
-    let inner = result
-        .reports
-        .iter()
-        .find(|r| r.reason.is_some())
-        .unwrap();
-    assert_eq!(
-        inner.reason.as_ref().unwrap().category,
-        RejectCategory::Dependence
-    );
-    assert!(inner.parts.is_empty(), "no SCC info when distribution is off");
-}
