@@ -1,10 +1,38 @@
 //! Binary encoding and decoding of bytecode modules.
 //!
-//! The encoding is a compact tagged byte stream (LEB128 varints, zigzag
-//! signed integers). It serves two purposes: it is the artifact whose
-//! size the §V-A(c) experiment measures (vectorized vs. scalar bytecode,
-//! ~5× in the paper), and it is the interoperability boundary between
-//! the offline and online toolchains.
+//! The encoding is a compact tagged byte stream. It serves two purposes:
+//! it is the artifact whose size the §V-A(c) experiment measures
+//! (vectorized vs. scalar bytecode, ~5× in the paper), and it is the
+//! interoperability boundary between the offline and online toolchains.
+//!
+//! # The table is the format
+//!
+//! Every type on the wire implements one private `Wire` trait (`put` to
+//! encode, `get` to decode), and the tables below are its only
+//! definition: each tagged type lists `tag => Variant(fields in wire
+//! order)` once, and one macro derives both directions from that line.
+//! Leaf encodings are fixed per type: `u8` raw; `u32`, [`Reg`],
+//! [`ArraySym`] and lengths as LEB128 varints; `i64` as a zigzag varint;
+//! `f64` as 8 little-endian bytes; `String` and `Vec<T>` as a length
+//! followed by the bytes or elements; `ScalarTy` by
+//! [`ScalarTy::encoding`]; `Option<T>` as a `0`/`1` tag. A module is
+//! [`MAGIC`], [`VERSION`] and its functions.
+//!
+//! # The bounds the reader enforces
+//!
+//! Decoded bytes are untrusted (they may come from disk), so the one
+//! reader turns every malformed input into a [`DecodeError`] and never
+//! panics, aborts or allocates what the input cannot back:
+//! - every tag outside its table is an error, and so is a `u32` whose
+//!   varint exceeds `u32::MAX` or a varint longer than 64 bits;
+//! - a `Vec` pre-allocates at most one element per byte left in the
+//!   input, and a `String` length is checked against those bytes;
+//! - lists nest at most 64 deep: every recursion of the format (a loop
+//!   body, a version arm, an `all` guard) passes through a list, so one
+//!   budget bounds statements and guards alike;
+//! - bytes after the last function are an error.
+//!
+//! Decoding builds no `String` beyond the names it returns.
 
 use std::fmt;
 
@@ -20,916 +48,392 @@ pub const MAGIC: [u8; 4] = *b"VSBC";
 /// Format version.
 pub const VERSION: u8 = 1;
 
-const BINOPS: [BinOp; 13] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::Div,
-    BinOp::Shl,
-    BinOp::Shr,
-    BinOp::And,
-    BinOp::Or,
-    BinOp::Xor,
-    BinOp::Min,
-    BinOp::Max,
-    BinOp::CmpEq,
-    BinOp::CmpLt,
-];
-const UNOPS: [UnOp; 3] = [UnOp::Neg, UnOp::Abs, UnOp::Sqrt];
+/// How deep lists may nest in a decoded module.
+const MAX_NESTING: usize = 64;
 
 /// Decoding error with stream offset.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeError {
     /// Byte offset where decoding failed.
     pub offset: usize,
-    /// Explanation.
-    pub msg: String,
+    /// What was wrong there.
+    pub what: &'static str,
 }
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "decode error at byte {}: {}", self.offset, self.msg)
+        write!(f, "decode error at byte {}: {}", self.offset, self.what)
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-struct W {
-    buf: Vec<u8>,
+/// A cursor over untrusted bytes.
+struct Reader<'a> {
+    buf: &'a [u8],
+    /// Never past the end of `buf`.
+    pos: usize,
+    /// Lists open around `pos`.
+    depth: usize,
 }
 
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+impl<'a> Reader<'a> {
+    fn fail<T>(&self, what: &'static str) -> Result<T, DecodeError> {
+        Err(DecodeError {
+            offset: self.pos,
+            what,
+        })
     }
-    fn varu(&mut self, mut v: u64) {
-        loop {
-            let b = (v & 0x7f) as u8;
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        match self.buf[self.pos..].first_chunk::<N>() {
+            Some(&a) => {
+                self.pos += N;
+                Ok(a)
+            }
+            None => self.fail("unexpected end"),
+        }
+    }
+
+    fn byte(&mut self) -> Result<u8, DecodeError> {
+        self.array().map(|[b]| b)
+    }
+
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        match self.buf[self.pos..].get(..n) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => self.fail("unexpected end"),
+        }
+    }
+
+    /// A tag byte that is in no table: reported at the tag itself.
+    fn bad_tag<T>(&self, what: &'static str) -> Result<T, DecodeError> {
+        Err(DecodeError {
+            offset: self.pos - 1,
+            what,
+        })
+    }
+}
+
+/// One type's wire encoding, both ways.
+trait Wire: Sized {
+    fn put(&self, w: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+// ---------------------------------------------------------------------
+// Leaves
+// ---------------------------------------------------------------------
+
+impl Wire for u8 {
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u8, DecodeError> {
+        r.byte()
+    }
+}
+
+/// LEB128.
+impl Wire for u64 {
+    fn put(&self, w: &mut Vec<u8>) {
+        let mut v = *self;
+        while v >= 0x80 {
+            w.push(v as u8 | 0x80);
             v >>= 7;
-            if v == 0 {
-                self.buf.push(b);
+        }
+        w.push(v as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
+        let mut v = 0;
+        for shift in (0..64).step_by(7) {
+            let b = r.byte()?;
+            // The tenth byte holds bit 63 alone.
+            if shift == 63 && b > 1 {
                 break;
             }
-            self.buf.push(b | 0x80);
-        }
-    }
-    fn vari(&mut self, v: i64) {
-        self.varu(((v << 1) ^ (v >> 63)) as u64);
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.varu(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn ty(&mut self, t: ScalarTy) {
-        self.u8(t.encoding());
-    }
-    fn bcty(&mut self, t: BcTy) {
-        match t {
-            BcTy::Scalar(e) => {
-                self.u8(0);
-                self.ty(e);
-            }
-            BcTy::Vec(e) => {
-                self.u8(1);
-                self.ty(e);
-            }
-            BcTy::RealignToken => self.u8(2),
-        }
-    }
-    fn reg(&mut self, r: Reg) {
-        self.varu(r.0 as u64);
-    }
-    fn opt_reg(&mut self, r: Option<Reg>) {
-        match r {
-            Some(r) => {
-                self.u8(1);
-                self.reg(r);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn operand(&mut self, o: &Operand) {
-        match o {
-            Operand::Reg(r) => {
-                self.u8(0);
-                self.reg(*r);
-            }
-            Operand::ConstI(v) => {
-                self.u8(1);
-                self.vari(*v);
-            }
-            Operand::ConstF(v) => {
-                self.u8(2);
-                self.f64(*v);
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
             }
         }
+        r.fail("varint overflow")
     }
-    fn addr(&mut self, a: &Addr) {
-        self.varu(a.base.0 as u64);
-        self.operand(&a.index);
-        self.vari(a.offset);
-    }
-    fn binop(&mut self, op: BinOp) {
-        self.u8(BINOPS.iter().position(|&b| b == op).unwrap() as u8);
-    }
-    fn unop(&mut self, op: UnOp) {
-        self.u8(UNOPS.iter().position(|&b| b == op).unwrap() as u8);
-    }
-    fn amt(&mut self, a: &ShiftAmt) {
-        match a {
-            ShiftAmt::Scalar(o) => {
-                self.u8(0);
-                self.operand(o);
-            }
-            ShiftAmt::PerLane(r) => {
-                self.u8(1);
-                self.reg(*r);
-            }
-        }
-    }
+}
 
-    fn op(&mut self, op: &Op) {
-        match op {
-            Op::GetVf { ty, group } => {
-                self.u8(0);
-                self.ty(*ty);
-                self.varu(*group as u64);
-            }
-            Op::GetAlignLimit(t) => {
-                self.u8(1);
-                self.ty(*t);
-            }
-            Op::LoopBound {
-                vect,
-                scalar,
-                group,
-            } => {
-                self.u8(2);
-                self.operand(vect);
-                self.operand(scalar);
-                self.varu(*group as u64);
-            }
-            Op::InitUniform(t, v) => {
-                self.u8(3);
-                self.ty(*t);
-                self.operand(v);
-            }
-            Op::InitAffine(t, v, i) => {
-                self.u8(4);
-                self.ty(*t);
-                self.operand(v);
-                self.operand(i);
-            }
-            Op::InitReduc(t, v, d) => {
-                self.u8(5);
-                self.ty(*t);
-                self.operand(v);
-                self.operand(d);
-            }
-            Op::ReducPlus(t, r) => {
-                self.u8(6);
-                self.ty(*t);
-                self.reg(*r);
-            }
-            Op::ReducMax(t, r) => {
-                self.u8(7);
-                self.ty(*t);
-                self.reg(*r);
-            }
-            Op::ReducMin(t, r) => {
-                self.u8(8);
-                self.ty(*t);
-                self.reg(*r);
-            }
-            Op::DotProduct(t, a, b, c) => {
-                self.u8(9);
-                self.ty(*t);
-                self.reg(*a);
-                self.reg(*b);
-                self.reg(*c);
-            }
-            Op::WidenMultHi(t, a, b) => {
-                self.u8(10);
-                self.ty(*t);
-                self.reg(*a);
-                self.reg(*b);
-            }
-            Op::WidenMultLo(t, a, b) => {
-                self.u8(11);
-                self.ty(*t);
-                self.reg(*a);
-                self.reg(*b);
-            }
-            Op::Pack(t, a, b) => {
-                self.u8(12);
-                self.ty(*t);
-                self.reg(*a);
-                self.reg(*b);
-            }
-            Op::UnpackHi(t, a) => {
-                self.u8(13);
-                self.ty(*t);
-                self.reg(*a);
-            }
-            Op::UnpackLo(t, a) => {
-                self.u8(14);
-                self.ty(*t);
-                self.reg(*a);
-            }
-            Op::CvtInt2Fp(t, a) => {
-                self.u8(15);
-                self.ty(*t);
-                self.reg(*a);
-            }
-            Op::CvtFp2Int(t, a) => {
-                self.u8(16);
-                self.ty(*t);
-                self.reg(*a);
-            }
-            Op::VBin(b, t, x, y) => {
-                self.u8(17);
-                self.binop(*b);
-                self.ty(*t);
-                self.reg(*x);
-                self.reg(*y);
-            }
-            Op::VUn(u, t, x) => {
-                self.u8(18);
-                self.unop(*u);
-                self.ty(*t);
-                self.reg(*x);
-            }
-            Op::VShl(t, v, a) => {
-                self.u8(19);
-                self.ty(*t);
-                self.reg(*v);
-                self.amt(a);
-            }
-            Op::VShr(t, v, a) => {
-                self.u8(20);
-                self.ty(*t);
-                self.reg(*v);
-                self.amt(a);
-            }
-            Op::Extract {
-                ty,
-                stride,
-                offset,
-                srcs,
-            } => {
-                self.u8(21);
-                self.ty(*ty);
-                self.u8(*stride);
-                self.u8(*offset);
-                self.varu(srcs.len() as u64);
-                for r in srcs {
-                    self.reg(*r);
-                }
-            }
-            Op::InterleaveHi(t, a, b) => {
-                self.u8(22);
-                self.ty(*t);
-                self.reg(*a);
-                self.reg(*b);
-            }
-            Op::InterleaveLo(t, a, b) => {
-                self.u8(23);
-                self.ty(*t);
-                self.reg(*a);
-                self.reg(*b);
-            }
-            Op::ALoad(t, a) => {
-                self.u8(24);
-                self.ty(*t);
-                self.addr(a);
-            }
-            Op::AlignLoad(t, a) => {
-                self.u8(25);
-                self.ty(*t);
-                self.addr(a);
-            }
-            Op::GetRt {
-                ty,
-                addr,
-                mis,
-                modulo,
-            } => {
-                self.u8(26);
-                self.ty(*ty);
-                self.addr(addr);
-                self.varu(*mis as u64);
-                self.varu(*modulo as u64);
-            }
-            Op::RealignLoad {
-                ty,
-                lo,
-                hi,
-                rt,
-                addr,
-                mis,
-                modulo,
-            } => {
-                self.u8(27);
-                self.ty(*ty);
-                self.opt_reg(*lo);
-                self.opt_reg(*hi);
-                self.opt_reg(*rt);
-                self.addr(addr);
-                self.varu(*mis as u64);
-                self.varu(*modulo as u64);
-            }
-            Op::SBin(b, t, x, y) => {
-                self.u8(28);
-                self.binop(*b);
-                self.ty(*t);
-                self.operand(x);
-                self.operand(y);
-            }
-            Op::SUn(u, t, x) => {
-                self.u8(29);
-                self.unop(*u);
-                self.ty(*t);
-                self.operand(x);
-            }
-            Op::SCast { from, to, arg } => {
-                self.u8(30);
-                self.ty(*from);
-                self.ty(*to);
-                self.operand(arg);
-            }
-            Op::SLoad(t, a) => {
-                self.u8(31);
-                self.ty(*t);
-                self.addr(a);
-            }
-            Op::Copy(o) => {
-                self.u8(32);
-                self.operand(o);
+impl Wire for u32 {
+    fn put(&self, w: &mut Vec<u8>) {
+        u64::from(*self).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
+        let v = u64::get(r)?;
+        u32::try_from(v).or_else(|_| r.fail("u32 out of range"))
+    }
+}
+
+/// A length or count.
+impl Wire for usize {
+    fn put(&self, w: &mut Vec<u8>) {
+        (*self as u64).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+        let v = u64::get(r)?;
+        usize::try_from(v).or_else(|_| r.fail("length out of range"))
+    }
+}
+
+/// Zigzag, then LEB128.
+impl Wire for i64 {
+    fn put(&self, w: &mut Vec<u8>) {
+        (((self << 1) ^ (self >> 63)) as u64).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<i64, DecodeError> {
+        let v = u64::get(r)?;
+        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, w: &mut Vec<u8>) {
+        w.extend_from_slice(&self.to_le_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<f64, DecodeError> {
+        r.array().map(f64::from_le_bytes)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.len().put(w);
+        w.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+        let n = usize::get(r)?;
+        let b = r.bytes(n)?;
+        std::str::from_utf8(b)
+            .map(str::to_owned)
+            .or_else(|_| r.fail("invalid utf-8"))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.len().put(w);
+        for x in self {
+            x.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
+        let n = usize::get(r)?;
+        if r.depth == MAX_NESTING {
+            return r.fail("lists nested too deep");
+        }
+        r.depth += 1;
+        // Every element takes at least one byte.
+        let mut v = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        r.depth -= 1;
+        Ok(v)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        match self {
+            None => w.push(0),
+            Some(x) => {
+                w.push(1);
+                x.put(w);
             }
         }
     }
-
-    fn guard(&mut self, g: &GuardCond) {
-        match g {
-            GuardCond::TypeSupported(t) => {
-                self.u8(0);
-                self.ty(*t);
-            }
-            GuardCond::BaseAligned(a) => {
-                self.u8(1);
-                self.varu(a.0 as u64);
-            }
-            GuardCond::NoAlias(a, b) => {
-                self.u8(2);
-                self.varu(a.0 as u64);
-                self.varu(b.0 as u64);
-            }
-            GuardCond::VsAtLeast(v) => {
-                self.u8(3);
-                self.varu(*v as u64);
-            }
-            GuardCond::StrideAligned { array, stride, ty } => {
-                self.u8(5);
-                self.varu(array.0 as u64);
-                self.operand(stride);
-                self.ty(*ty);
-            }
-            GuardCond::OpsSupported(cs) => {
-                self.u8(6);
-                self.varu(cs.len() as u64);
-                for c in cs {
-                    self.u8(match c {
-                        OpClass::FDiv => 0,
-                        OpClass::FSqrt => 1,
-                        OpClass::WidenMult => 2,
-                        OpClass::Cvt => 3,
-                        OpClass::DotProduct => 4,
-                        OpClass::PerLaneShift => 5,
-                    });
-                }
-            }
-            GuardCond::All(gs) => {
-                self.u8(4);
-                self.varu(gs.len() as u64);
-                for g in gs {
-                    self.guard(g);
-                }
-            }
+    fn get(r: &mut Reader<'_>) -> Result<Option<T>, DecodeError> {
+        match r.byte()? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            _ => r.bad_tag("bad Option tag"),
         }
     }
+}
 
-    fn stmt(&mut self, s: &BcStmt) {
-        match s {
-            BcStmt::Def { dst, op } => {
-                self.u8(0);
-                self.reg(*dst);
-                self.op(op);
+impl Wire for ScalarTy {
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(self.encoding());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<ScalarTy, DecodeError> {
+        match ScalarTy::from_encoding(r.byte()?) {
+            Some(t) => Ok(t),
+            None => r.bad_tag("bad ScalarTy tag"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tables
+// ---------------------------------------------------------------------
+
+/// Structs: fields in wire order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:tt),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                $(self.$f.put(w);)*
             }
-            BcStmt::VStore {
-                ty,
-                addr,
-                src,
-                mis,
-                modulo,
-            } => {
-                self.u8(1);
-                self.ty(*ty);
-                self.addr(addr);
-                self.reg(*src);
-                self.varu(*mis as u64);
-                self.varu(*modulo as u64);
+            fn get(r: &mut Reader<'_>) -> Result<$ty, DecodeError> {
+                Ok($ty { $($f: Wire::get(r)?),* })
             }
-            BcStmt::SStore { ty, addr, src } => {
-                self.u8(2);
-                self.ty(*ty);
-                self.addr(addr);
-                self.operand(src);
-            }
-            BcStmt::Loop {
-                var,
-                lo,
-                limit,
-                step,
-                kind,
-                group,
-                body,
-            } => {
-                self.u8(3);
-                self.reg(*var);
-                self.operand(lo);
-                self.operand(limit);
-                match step {
-                    Step::Const(k) => {
-                        self.u8(0);
-                        self.vari(*k);
+        }
+    )*};
+}
+
+/// Tagged enums: one `tag => Variant`, `Variant(fields)` or
+/// `Variant { fields }` line per variant, fields in wire order.
+macro_rules! wire_enum {
+    ($($ty:ident {
+        $($tag:literal => $var:ident $(($($t:ident),*))? $({$($s:ident),*})?,)*
+    })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {$(
+                    $ty::$var $(($($t),*))? $({$($s),*})? => {
+                        w.push($tag);
+                        $($($t.put(w);)*)?
+                        $($($s.put(w);)*)?
                     }
-                    Step::Vf(t, k) => {
-                        self.u8(1);
-                        self.ty(*t);
-                        self.vari(*k);
-                    }
-                }
-                self.u8(match kind {
-                    LoopKind::Plain => 0,
-                    LoopKind::VectorMain => 1,
-                    LoopKind::ScalarPeel => 2,
-                    LoopKind::ScalarTail => 3,
-                });
-                self.varu(*group as u64);
-                self.varu(body.len() as u64);
-                for st in body {
-                    self.stmt(st);
-                }
+                )*}
             }
-            BcStmt::Version {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.u8(4);
-                self.guard(cond);
-                self.varu(then_body.len() as u64);
-                for st in then_body {
-                    self.stmt(st);
-                }
-                self.varu(else_body.len() as u64);
-                for st in else_body {
-                    self.stmt(st);
-                }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, DecodeError> {
+                Ok(match r.byte()? {
+                    $($tag => $ty::$var
+                        $(($({ let $t = Wire::get(r)?; $t }),*))?
+                        $({$($s: Wire::get(r)?),*})?,)*
+                    _ => return r.bad_tag(concat!("bad ", stringify!($ty), " tag")),
+                })
             }
         }
+    )*};
+}
+
+wire_struct! {
+    Reg { 0 }
+    ArraySym { 0 }
+    Addr { base, index, offset }
+    BcParam { name, ty }
+    BcArray { name, elem, kind }
+    BcFunction { name, params, arrays, regs, body }
+}
+
+wire_enum! {
+    BinOp {
+        0 => Add, 1 => Sub, 2 => Mul, 3 => Div, 4 => Shl, 5 => Shr, 6 => And,
+        7 => Or, 8 => Xor, 9 => Min, 10 => Max, 11 => CmpEq, 12 => CmpLt,
+    }
+    UnOp { 0 => Neg, 1 => Abs, 2 => Sqrt, }
+    ArrayKind { 0 => PointerParam, 1 => Global, }
+    BcTy { 0 => Scalar(t), 1 => Vec(t), 2 => RealignToken, }
+    Operand { 0 => Reg(reg), 1 => ConstI(v), 2 => ConstF(v), }
+    ShiftAmt { 0 => Scalar(o), 1 => PerLane(reg), }
+    Step { 0 => Const(k), 1 => Vf(t, k), }
+    LoopKind { 0 => Plain, 1 => VectorMain, 2 => ScalarPeel, 3 => ScalarTail, }
+    OpClass {
+        0 => FDiv, 1 => FSqrt, 2 => WidenMult, 3 => Cvt, 4 => DotProduct,
+        5 => PerLaneShift,
+    }
+    Op {
+        0 => GetVf { ty, group },
+        1 => GetAlignLimit(t),
+        2 => LoopBound { vect, scalar, group },
+        3 => InitUniform(t, v),
+        4 => InitAffine(t, v, inc),
+        5 => InitReduc(t, v, default),
+        6 => ReducPlus(t, a),
+        7 => ReducMax(t, a),
+        8 => ReducMin(t, a),
+        9 => DotProduct(t, a, b, acc),
+        10 => WidenMultHi(t, a, b),
+        11 => WidenMultLo(t, a, b),
+        12 => Pack(t, a, b),
+        13 => UnpackHi(t, a),
+        14 => UnpackLo(t, a),
+        15 => CvtInt2Fp(t, a),
+        16 => CvtFp2Int(t, a),
+        17 => VBin(op, t, a, b),
+        18 => VUn(op, t, a),
+        19 => VShl(t, a, amt),
+        20 => VShr(t, a, amt),
+        21 => Extract { ty, stride, offset, srcs },
+        22 => InterleaveHi(t, a, b),
+        23 => InterleaveLo(t, a, b),
+        24 => ALoad(t, addr),
+        25 => AlignLoad(t, addr),
+        26 => GetRt { ty, addr, mis, modulo },
+        27 => RealignLoad { ty, lo, hi, rt, addr, mis, modulo },
+        28 => SBin(op, t, a, b),
+        29 => SUn(op, t, a),
+        30 => SCast { from, to, arg },
+        31 => SLoad(t, addr),
+        32 => Copy(a),
+    }
+    GuardCond {
+        0 => TypeSupported(t),
+        1 => BaseAligned(a),
+        2 => NoAlias(a, b),
+        3 => VsAtLeast(bytes),
+        4 => All(gs),
+        5 => StrideAligned { array, stride, ty },
+        6 => OpsSupported(cs),
+    }
+    BcStmt {
+        0 => Def { dst, op },
+        1 => VStore { ty, addr, src, mis, modulo },
+        2 => SStore { ty, addr, src },
+        3 => Loop { var, lo, limit, step, kind, group, body },
+        4 => Version { cond, then_body, else_body },
     }
 }
 
 /// Encode a module to bytes.
 pub fn encode_module(m: &BcModule) -> Vec<u8> {
-    let mut w = W { buf: Vec::new() };
-    w.buf.extend_from_slice(&MAGIC);
-    w.u8(VERSION);
-    w.varu(m.funcs.len() as u64);
-    for f in &m.funcs {
-        w.str(&f.name);
-        w.varu(f.params.len() as u64);
-        for p in &f.params {
-            w.str(&p.name);
-            w.ty(p.ty);
-        }
-        w.varu(f.arrays.len() as u64);
-        for a in &f.arrays {
-            w.str(&a.name);
-            w.ty(a.elem);
-            w.u8(matches!(a.kind, ArrayKind::Global) as u8);
-        }
-        w.varu(f.regs.len() as u64);
-        for &t in &f.regs {
-            w.bcty(t);
-        }
-        w.varu(f.body.len() as u64);
-        for s in &f.body {
-            w.stmt(s);
-        }
-    }
-    w.buf
-}
-
-/// Encoded size of a single function in bytes (the §V-A(c) size metric).
-pub fn encoded_size(f: &BcFunction) -> usize {
-    encode_module(&BcModule::single(f.clone())).len() - (MAGIC.len() + 2)
-}
-
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
-
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> R<'a> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, DecodeError> {
-        Err(DecodeError {
-            offset: self.pos,
-            msg: msg.into(),
-        })
-    }
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.buf.get(self.pos).ok_or(DecodeError {
-            offset: self.pos,
-            msg: "unexpected end".into(),
-        })?;
-        self.pos += 1;
-        Ok(b)
-    }
-    fn varu(&mut self) -> Result<u64, DecodeError> {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 {
-                return self.err("varint overflow");
-            }
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-    fn vari(&mut self) -> Result<i64, DecodeError> {
-        let v = self.varu()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        if self.pos + 8 > self.buf.len() {
-            return self.err("unexpected end in f64");
-        }
-        let v = f64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
-        Ok(v)
-    }
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.varu()? as usize;
-        if self.pos + n > self.buf.len() {
-            return self.err("unexpected end in string");
-        }
-        let s = std::str::from_utf8(&self.buf[self.pos..self.pos + n])
-            .map_err(|_| DecodeError {
-                offset: self.pos,
-                msg: "invalid utf-8".into(),
-            })?
-            .to_owned();
-        self.pos += n;
-        Ok(s)
-    }
-    fn ty(&mut self) -> Result<ScalarTy, DecodeError> {
-        let b = self.u8()?;
-        ScalarTy::from_encoding(b).ok_or(DecodeError {
-            offset: self.pos - 1,
-            msg: format!("bad scalar type tag {b}"),
-        })
-    }
-    fn bcty(&mut self) -> Result<BcTy, DecodeError> {
-        match self.u8()? {
-            0 => Ok(BcTy::Scalar(self.ty()?)),
-            1 => Ok(BcTy::Vec(self.ty()?)),
-            2 => Ok(BcTy::RealignToken),
-            t => self.err(format!("bad BcTy tag {t}")),
-        }
-    }
-    fn reg(&mut self) -> Result<Reg, DecodeError> {
-        Ok(Reg(self.varu()? as u32))
-    }
-    fn opt_reg(&mut self) -> Result<Option<Reg>, DecodeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.reg()?)),
-            t => self.err(format!("bad Option<Reg> tag {t}")),
-        }
-    }
-    fn operand(&mut self) -> Result<Operand, DecodeError> {
-        match self.u8()? {
-            0 => Ok(Operand::Reg(self.reg()?)),
-            1 => Ok(Operand::ConstI(self.vari()?)),
-            2 => Ok(Operand::ConstF(self.f64()?)),
-            t => self.err(format!("bad operand tag {t}")),
-        }
-    }
-    fn addr(&mut self) -> Result<Addr, DecodeError> {
-        Ok(Addr {
-            base: ArraySym(self.varu()? as u32),
-            index: self.operand()?,
-            offset: self.vari()?,
-        })
-    }
-    fn binop(&mut self) -> Result<BinOp, DecodeError> {
-        let b = self.u8()? as usize;
-        BINOPS.get(b).copied().ok_or(DecodeError {
-            offset: self.pos - 1,
-            msg: format!("bad binop tag {b}"),
-        })
-    }
-    fn unop(&mut self) -> Result<UnOp, DecodeError> {
-        let b = self.u8()? as usize;
-        UNOPS.get(b).copied().ok_or(DecodeError {
-            offset: self.pos - 1,
-            msg: format!("bad unop tag {b}"),
-        })
-    }
-    fn amt(&mut self) -> Result<ShiftAmt, DecodeError> {
-        match self.u8()? {
-            0 => Ok(ShiftAmt::Scalar(self.operand()?)),
-            1 => Ok(ShiftAmt::PerLane(self.reg()?)),
-            t => self.err(format!("bad shift-amount tag {t}")),
-        }
-    }
-
-    fn op(&mut self) -> Result<Op, DecodeError> {
-        let tag = self.u8()?;
-        Ok(match tag {
-            0 => Op::GetVf {
-                ty: self.ty()?,
-                group: self.varu()? as u32,
-            },
-            1 => Op::GetAlignLimit(self.ty()?),
-            2 => Op::LoopBound {
-                vect: self.operand()?,
-                scalar: self.operand()?,
-                group: self.varu()? as u32,
-            },
-            3 => Op::InitUniform(self.ty()?, self.operand()?),
-            4 => Op::InitAffine(self.ty()?, self.operand()?, self.operand()?),
-            5 => Op::InitReduc(self.ty()?, self.operand()?, self.operand()?),
-            6 => Op::ReducPlus(self.ty()?, self.reg()?),
-            7 => Op::ReducMax(self.ty()?, self.reg()?),
-            8 => Op::ReducMin(self.ty()?, self.reg()?),
-            9 => Op::DotProduct(self.ty()?, self.reg()?, self.reg()?, self.reg()?),
-            10 => Op::WidenMultHi(self.ty()?, self.reg()?, self.reg()?),
-            11 => Op::WidenMultLo(self.ty()?, self.reg()?, self.reg()?),
-            12 => Op::Pack(self.ty()?, self.reg()?, self.reg()?),
-            13 => Op::UnpackHi(self.ty()?, self.reg()?),
-            14 => Op::UnpackLo(self.ty()?, self.reg()?),
-            15 => Op::CvtInt2Fp(self.ty()?, self.reg()?),
-            16 => Op::CvtFp2Int(self.ty()?, self.reg()?),
-            17 => Op::VBin(self.binop()?, self.ty()?, self.reg()?, self.reg()?),
-            18 => Op::VUn(self.unop()?, self.ty()?, self.reg()?),
-            19 => Op::VShl(self.ty()?, self.reg()?, self.amt()?),
-            20 => Op::VShr(self.ty()?, self.reg()?, self.amt()?),
-            21 => {
-                let ty = self.ty()?;
-                let stride = self.u8()?;
-                let offset = self.u8()?;
-                let n = self.varu()? as usize;
-                let mut srcs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    srcs.push(self.reg()?);
-                }
-                Op::Extract {
-                    ty,
-                    stride,
-                    offset,
-                    srcs,
-                }
-            }
-            22 => Op::InterleaveHi(self.ty()?, self.reg()?, self.reg()?),
-            23 => Op::InterleaveLo(self.ty()?, self.reg()?, self.reg()?),
-            24 => Op::ALoad(self.ty()?, self.addr()?),
-            25 => Op::AlignLoad(self.ty()?, self.addr()?),
-            26 => Op::GetRt {
-                ty: self.ty()?,
-                addr: self.addr()?,
-                mis: self.varu()? as u32,
-                modulo: self.varu()? as u32,
-            },
-            27 => Op::RealignLoad {
-                ty: self.ty()?,
-                lo: self.opt_reg()?,
-                hi: self.opt_reg()?,
-                rt: self.opt_reg()?,
-                addr: self.addr()?,
-                mis: self.varu()? as u32,
-                modulo: self.varu()? as u32,
-            },
-            28 => Op::SBin(self.binop()?, self.ty()?, self.operand()?, self.operand()?),
-            29 => Op::SUn(self.unop()?, self.ty()?, self.operand()?),
-            30 => Op::SCast {
-                from: self.ty()?,
-                to: self.ty()?,
-                arg: self.operand()?,
-            },
-            31 => Op::SLoad(self.ty()?, self.addr()?),
-            32 => Op::Copy(self.operand()?),
-            t => return self.err(format!("bad op tag {t}")),
-        })
-    }
-
-    fn guard(&mut self) -> Result<GuardCond, DecodeError> {
-        Ok(match self.u8()? {
-            0 => GuardCond::TypeSupported(self.ty()?),
-            1 => GuardCond::BaseAligned(ArraySym(self.varu()? as u32)),
-            2 => GuardCond::NoAlias(ArraySym(self.varu()? as u32), ArraySym(self.varu()? as u32)),
-            3 => GuardCond::VsAtLeast(self.varu()? as u32),
-            4 => {
-                let n = self.varu()? as usize;
-                let mut gs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    gs.push(self.guard()?);
-                }
-                GuardCond::All(gs)
-            }
-            5 => GuardCond::StrideAligned {
-                array: ArraySym(self.varu()? as u32),
-                stride: self.operand()?,
-                ty: self.ty()?,
-            },
-            6 => {
-                let n = self.varu()? as usize;
-                let mut cs = Vec::with_capacity(n.min(16));
-                for _ in 0..n {
-                    cs.push(match self.u8()? {
-                        0 => OpClass::FDiv,
-                        1 => OpClass::FSqrt,
-                        2 => OpClass::WidenMult,
-                        3 => OpClass::Cvt,
-                        4 => OpClass::DotProduct,
-                        5 => OpClass::PerLaneShift,
-                        t => return self.err(format!("bad op class {t}")),
-                    });
-                }
-                GuardCond::OpsSupported(cs)
-            }
-            t => return self.err(format!("bad guard tag {t}")),
-        })
-    }
-
-    fn stmt(&mut self, depth: usize) -> Result<BcStmt, DecodeError> {
-        if depth > 64 {
-            return self.err("statement nesting too deep");
-        }
-        Ok(match self.u8()? {
-            0 => BcStmt::Def {
-                dst: self.reg()?,
-                op: self.op()?,
-            },
-            1 => BcStmt::VStore {
-                ty: self.ty()?,
-                addr: self.addr()?,
-                src: self.reg()?,
-                mis: self.varu()? as u32,
-                modulo: self.varu()? as u32,
-            },
-            2 => BcStmt::SStore {
-                ty: self.ty()?,
-                addr: self.addr()?,
-                src: self.operand()?,
-            },
-            3 => {
-                let var = self.reg()?;
-                let lo = self.operand()?;
-                let limit = self.operand()?;
-                let step = match self.u8()? {
-                    0 => Step::Const(self.vari()?),
-                    1 => Step::Vf(self.ty()?, self.vari()?),
-                    t => return self.err(format!("bad step tag {t}")),
-                };
-                let kind = match self.u8()? {
-                    0 => LoopKind::Plain,
-                    1 => LoopKind::VectorMain,
-                    2 => LoopKind::ScalarPeel,
-                    3 => LoopKind::ScalarTail,
-                    t => return self.err(format!("bad loop kind {t}")),
-                };
-                let group = self.varu()? as u32;
-                let n = self.varu()? as usize;
-                let mut body = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    body.push(self.stmt(depth + 1)?);
-                }
-                BcStmt::Loop {
-                    var,
-                    lo,
-                    limit,
-                    step,
-                    kind,
-                    group,
-                    body,
-                }
-            }
-            4 => {
-                let cond = self.guard()?;
-                let n = self.varu()? as usize;
-                let mut then_body = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    then_body.push(self.stmt(depth + 1)?);
-                }
-                let n = self.varu()? as usize;
-                let mut else_body = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    else_body.push(self.stmt(depth + 1)?);
-                }
-                BcStmt::Version {
-                    cond,
-                    then_body,
-                    else_body,
-                }
-            }
-            t => return self.err(format!("bad statement tag {t}")),
-        })
-    }
+    let mut w = MAGIC.to_vec();
+    w.push(VERSION);
+    m.funcs.put(&mut w);
+    w
 }
 
 /// Decode a module from bytes.
 ///
 /// # Errors
-/// Returns a [`DecodeError`] for truncated or malformed input. The result
-/// is structurally valid but should still be run through
-/// [`crate::verify_module`] before compilation.
+/// Returns a [`DecodeError`] for truncated or malformed input, within the
+/// bounds the module doc lists. The result is structurally valid but
+/// should still be run through [`crate::verify_function`] before
+/// compilation.
 pub fn decode_module(bytes: &[u8]) -> Result<BcModule, DecodeError> {
-    let mut r = R { buf: bytes, pos: 0 };
-    for (i, &m) in MAGIC.iter().enumerate() {
-        if r.u8()? != m {
-            return Err(DecodeError {
-                offset: i,
-                msg: "bad magic".into(),
-            });
-        }
-    }
-    let ver = r.u8()?;
-    if ver != VERSION {
-        return r.err(format!("unsupported version {ver}"));
-    }
-    let nf = r.varu()? as usize;
-    let mut funcs = Vec::with_capacity(nf.min(1024));
-    for _ in 0..nf {
-        let name = r.str()?;
-        let np = r.varu()? as usize;
-        let mut params = Vec::with_capacity(np.min(1024));
-        for _ in 0..np {
-            params.push(BcParam {
-                name: r.str()?,
-                ty: r.ty()?,
-            });
-        }
-        let na = r.varu()? as usize;
-        let mut arrays = Vec::with_capacity(na.min(1024));
-        for _ in 0..na {
-            arrays.push(BcArray {
-                name: r.str()?,
-                elem: r.ty()?,
-                kind: if r.u8()? == 1 {
-                    ArrayKind::Global
-                } else {
-                    ArrayKind::PointerParam
-                },
-            });
-        }
-        let nr = r.varu()? as usize;
-        let mut regs = Vec::with_capacity(nr.min(65536));
-        for _ in 0..nr {
-            regs.push(r.bcty()?);
-        }
-        let ns = r.varu()? as usize;
-        let mut body = Vec::with_capacity(ns.min(65536));
-        for _ in 0..ns {
-            body.push(r.stmt(0)?);
-        }
-        funcs.push(BcFunction {
-            name,
-            params,
-            arrays,
-            regs,
-            body,
+    let mut r = Reader {
+        buf: bytes,
+        pos: 0,
+        depth: 0,
+    };
+    if r.array() != Ok(MAGIC) {
+        return Err(DecodeError {
+            offset: 0,
+            what: "bad magic",
         });
     }
-    if r.pos != bytes.len() {
-        return r.err("trailing bytes after module");
+    if r.byte()? != VERSION {
+        return r.bad_tag("unsupported version");
+    }
+    let funcs = Vec::get(&mut r)?;
+    if r.remaining() != 0 {
+        return r.fail("trailing bytes after module");
     }
     Ok(BcModule { funcs })
 }
@@ -1057,12 +561,5 @@ mod tests {
         let mut bytes = encode_module(&m);
         bytes.push(0);
         assert!(decode_module(&bytes).is_err());
-    }
-
-    #[test]
-    fn encoded_size_counts_function_body() {
-        let f = sample_function();
-        let small = BcFunction::new("empty", vec![], vec![]);
-        assert!(encoded_size(&f) > encoded_size(&small));
     }
 }

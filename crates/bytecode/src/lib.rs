@@ -22,10 +22,10 @@ pub mod stmt;
 pub mod ty;
 pub mod verify;
 
-pub use codec::{decode_module, encode_module, encoded_size, DecodeError, MAGIC, VERSION};
+pub use codec::{decode_module, encode_module, DecodeError, MAGIC, VERSION};
 pub use func::{BcArray, BcFunction, BcModule, BcParam};
 pub use op::{Op, ShiftAmt};
 pub use printer::{fmt_guard, print_function, print_module};
 pub use stmt::{BcStmt, GuardCond, LoopKind, OpClass, Step};
 pub use ty::{Addr, ArraySym, BcTy, Operand, Reg};
-pub use verify::{verify_function, verify_module, VerifyError};
+pub use verify::{verify_function, VerifyError};

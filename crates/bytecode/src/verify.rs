@@ -8,7 +8,7 @@ use std::fmt;
 
 use vapor_ir::{BinOp, ScalarTy, UnOp};
 
-use crate::func::{BcFunction, BcModule};
+use crate::func::BcFunction;
 use crate::op::{Op, ShiftAmt};
 use crate::stmt::{BcStmt, GuardCond, Step};
 use crate::ty::{Addr, BcTy, Operand, Reg};
@@ -431,17 +431,6 @@ pub fn verify_function(f: &BcFunction) -> Result<(), VerifyError> {
     let c = Checker { f };
     for s in &f.body {
         c.check_stmt(s)?;
-    }
-    Ok(())
-}
-
-/// Verify every function in the module.
-///
-/// # Errors
-/// Returns the first violation found.
-pub fn verify_module(m: &BcModule) -> Result<(), VerifyError> {
-    for f in &m.funcs {
-        verify_function(f)?;
     }
     Ok(())
 }
