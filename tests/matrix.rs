@@ -12,22 +12,40 @@
 //! figures and the paper claims read (`vapor_bench::ledger::paper_cells`).
 //! Regenerate it after an intentional change with
 //! `UPDATE_GOLDEN=1 cargo test --test matrix`; on a mismatch the fresh
-//! ledger is written to `target/tmp/ledger.txt`. The reference forms,
-//! misaligned placements and cache shape of the same matrix are checked
-//! by `correctness_matrix`, `fusion_differential`,
-//! `threaded_differential` and `vectorize_once`.
+//! ledger is written to `target/tmp/ledger.txt`.
+//!
+//! This is the one walk of the suite, and the same walk checks the rest
+//! of the table:
+//! - the VM's reference forms ([`Form::ALL`]) of the vector flows'
+//!   `[test]` cells: split-vector/opt and native-vector on SSE, NEON and
+//!   AVX, split-vector/opt on SVE and RVV at every VL;
+//! - `Scale::Test` cells misaligned by 4 and 8 bytes on SSE, AltiVec and
+//!   NEON under split-vector/opt, against the oracle (and the reference
+//!   forms on SSE), without ledger rows;
+//! - every program a cell ran: a predicated op never falls back to the
+//!   generic step, and a VLA re-specialization equals a fresh decode;
+//! - vectorize once: the engine has an artifact store, every
+//!   split-vector tuple of a kernel and config consumes one bytecode
+//!   function, and the engine's counters show one compile per key, one
+//!   offline build per (kernel, shape, config) and one `.vsart` per key.
 
 mod common;
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use common::{bench_targets, cells, check, check_suite, targets, Cell};
+use common::{bench_targets, cells, targets, Cell, Form};
 use vapor_bench::ledger::{self, first_vl, fnv64, paper_cells, placement, Ledger, Row};
-use vapor_core::{reference, AllocPolicy, Engine, ExecOutcome, Flow};
+use vapor_bytecode::BcFunction;
+use vapor_core::{reference, AllocPolicy, CompileConfig, Engine, ExecOutcome, Flow};
+use vapor_ir::Bindings;
 use vapor_kernels::{suite, KernelSpec, Scale};
-use vapor_targets::{disasm, TargetKind};
+use vapor_targets::{
+    altivec, disasm, disasm_decoded, disasm_inst, neon64, sse, DStep, DecodedProgram, MCode, MInst,
+    TargetKind,
+};
 
 /// The repo benchmark's seed-invariant totals, which the ledger must
 /// reproduce: `cold_compile`'s `vm_cycles`, `bytecode_bytes` and
@@ -51,48 +69,164 @@ const HEADER: &str = "\
 # kernel target flow vl placement cycles vm_insts bytes insts sregs vregs steps fuse cost groups helpers guards loops fnv
 ";
 
-fn row(engine: &Engine, name: &str, cell: &Cell<'_>, out: &ExecOutcome) -> Row {
-    let c = &out.compiled;
-    let (code, s) = (&c.jit.code, &c.jit.stats);
-    // The program the cell executed: the compile's own decode, or its
-    // specialization to the cell's VL.
-    let (_, prog) = engine
-        .specialize(cell.kernel, cell.flow, cell.target, &cell.cfg, cell.vl)
-        .unwrap_or_else(|e| panic!("{cell}: {e}"));
-    let f = prog.fusion_stats();
-    let vectorized = c.reports.iter().filter(|r| r.vectorized).count();
-    Row {
-        kernel: name.to_owned(),
-        target: cell.target.kind,
-        flow: cell.flow,
-        vl: cell.vl,
-        placement: placement(cell.policy, &cell.cfg),
-        cycles: out.stats.cycles,
-        vm_insts: out.stats.insts,
-        bytes: c.bytecode_bytes,
-        insts: s.insts,
-        sregs: code.n_sregs,
-        vregs: code.n_vregs,
-        steps: prog.n_steps(),
-        fuse: [
-            f.load_bin_store,
-            f.load_bin_store_vl,
-            f.load_bin_bin,
-            f.load_bin,
-            f.bin_store,
-            f.latch,
-        ],
-        cost: prog.steps().iter().map(|d| d.cost).sum(),
-        groups: [
-            s.groups_vector,
-            s.groups_direct_scalar,
-            s.groups_tail_scalar,
-        ],
-        helpers: s.helper_calls,
-        guards: [s.guards_folded, s.guards_runtime],
-        loops: [vectorized, c.reports.len() - vectorized],
-        fnv: fnv64(&disasm(code)),
+/// An engine compile key: kernel, flow, target and config.
+type CompileKey = (&'static str, Flow, TargetKind, CompileConfig);
+
+/// The key of the offline artifact `key` consumes: the split-vector
+/// flows share a vectorized artifact and the scalar flows a scalar one
+/// across every target; only native-vector feeds the target to the
+/// offline stage.
+fn offline_key(key: &CompileKey) -> (&str, &str, Option<TargetKind>, &CompileConfig) {
+    let (kernel, flow, target, cfg) = key;
+    let shape = match flow {
+        Flow::SplitVectorNaive | Flow::SplitVectorOpt => "vector",
+        Flow::NativeVector => "native",
+        Flow::SplitScalarNaive | Flow::SplitScalarOpt | Flow::NativeScalar => "scalar",
+    };
+    let native = (*flow == Flow::NativeVector).then_some(*target);
+    (kernel, shape, native, cfg)
+}
+
+/// The reference forms an aligned `[test]` cell also runs: every form
+/// on the vector flows' cells of the fixed-width targets with a
+/// distinct dispatch (split-vector/opt and native-vector on SSE, NEON
+/// and AVX) and of the VLA families at every VL (split-vector/opt).
+fn test_forms(cell: &Cell<'_>) -> &'static [Form] {
+    use TargetKind::*;
+    let differential = match cell.target.kind {
+        Sse | Neon64 | Avx => matches!(cell.flow, Flow::SplitVectorOpt | Flow::NativeVector),
+        Sve | Rvv => cell.flow == Flow::SplitVectorOpt,
+        Altivec | ScalarOnly => false,
+    };
+    if differential {
+        &Form::ALL
+    } else {
+        &[]
     }
+}
+
+/// What the whole-walk checks need from each kernel's walk.
+#[derive(Default)]
+struct Tally {
+    /// Every compile key a cell requested.
+    keys: HashSet<CompileKey>,
+    /// Cells run through the reference forms.
+    form_cells: usize,
+    /// Predicated ops (`VBinVlFast`, or swallowed by
+    /// `FusedLoadBinStoreVl`) in the programs the cells ran.
+    fast_vl_ops: usize,
+}
+
+/// One kernel's walk over the shared engine.
+struct KernelWalk<'e> {
+    engine: &'e Engine,
+    name: &'static str,
+    tally: Tally,
+    /// Per config, the bytecode function every split-vector tuple of
+    /// the kernel consumes.
+    split_vector: HashMap<CompileConfig, Arc<BcFunction>>,
+}
+
+impl KernelWalk<'_> {
+    /// Check `cell` against `oracle` and `forms`, and record its
+    /// compile key and bytecode function.
+    fn check(&mut self, cell: &Cell<'_>, oracle: &Bindings, forms: &[Form]) -> ExecOutcome {
+        let out = common::check(self.engine, cell, oracle, forms).unwrap_or_else(|e| panic!("{e}"));
+        self.tally.form_cells += usize::from(!forms.is_empty());
+        let key = (self.name, cell.flow, cell.target.kind, cell.cfg.clone());
+        self.tally.keys.insert(key);
+        let func = &out.compiled.func;
+        if matches!(cell.flow, Flow::SplitVectorNaive | Flow::SplitVectorOpt) {
+            let shared = self
+                .split_vector
+                .entry(cell.cfg.clone())
+                .or_insert_with(|| Arc::clone(func));
+            assert!(
+                Arc::ptr_eq(shared, func),
+                "{cell}: every split-vector tuple must consume one bytecode function"
+            );
+        }
+        out
+    }
+
+    /// [`KernelWalk::check`] a cell and return its ledger row.
+    fn row(&mut self, cell: &Cell<'_>, oracle: &Bindings, forms: &[Form]) -> Row {
+        let out = self.check(cell, oracle, forms);
+        let c = &out.compiled;
+        let (code, s) = (&c.jit.code, &c.jit.stats);
+        // The program the cell executed: the compile's own decode, or its
+        // specialization to the cell's VL.
+        let (_, prog) = self
+            .engine
+            .specialize(cell.kernel, cell.flow, cell.target, &cell.cfg, cell.vl)
+            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+        self.tally.fast_vl_ops += check_program(cell, code, &prog);
+        let f = prog.fusion_stats();
+        let vectorized = c.reports.iter().filter(|r| r.vectorized).count();
+        Row {
+            kernel: self.name.to_owned(),
+            target: cell.target.kind,
+            flow: cell.flow,
+            vl: cell.vl,
+            placement: placement(cell.policy, &cell.cfg),
+            cycles: out.stats.cycles,
+            vm_insts: out.stats.insts,
+            bytes: c.bytecode_bytes,
+            insts: s.insts,
+            sregs: code.n_sregs,
+            vregs: code.n_vregs,
+            steps: prog.n_steps(),
+            fuse: [
+                f.load_bin_store,
+                f.load_bin_store_vl,
+                f.load_bin_bin,
+                f.load_bin,
+                f.bin_store,
+                f.latch,
+            ],
+            cost: prog.steps().iter().map(|d| d.cost).sum(),
+            groups: [
+                s.groups_vector,
+                s.groups_direct_scalar,
+                s.groups_tail_scalar,
+            ],
+            helpers: s.helper_calls,
+            guards: [s.guards_folded, s.guards_runtime],
+            loops: [vectorized, c.reports.len() - vectorized],
+            fnv: fnv64(&disasm(code)),
+        }
+    }
+}
+
+/// Check the program a cell ran, and return how many predicated ops it
+/// runs on a fast kernel. No predicated op falls back to the generic
+/// `Op` step, and on a VLA family the engine's re-specialization of the
+/// fused decode is exactly a fresh fused decode at the cell's VL:
+/// fusion decisions, disassembly, and every step's cost and arity.
+fn check_program(cell: &Cell<'_>, code: &MCode, prog: &DecodedProgram) -> usize {
+    let mut fast = 0;
+    for d in prog.steps() {
+        match &d.step {
+            // A predicated op swallowed by the LoadVl→VBinVl→StoreVl
+            // superinstruction still runs the fast lane kernel.
+            DStep::VBinVlFast { .. } | DStep::FusedLoadBinStoreVl(_) => fast += 1,
+            DStep::Op(inst @ (MInst::VBinVl { .. } | MInst::VUnVl { .. })) => panic!(
+                "{cell}: predicated op fell back to the generic path: {}",
+                disasm_inst(inst)
+            ),
+            _ => {}
+        }
+    }
+    if cell.target.vla {
+        let fresh = DecodedProgram::decode(code, &cell.target.at_vl(cell.vl))
+            .unwrap_or_else(|e| panic!("{cell}: fresh decode: {e}"));
+        assert_eq!(prog.fusion_stats(), fresh.fusion_stats(), "{cell}");
+        assert_eq!(disasm_decoded(prog), disasm_decoded(&fresh), "{cell}");
+        for (a, b) in prog.steps().iter().zip(fresh.steps()) {
+            assert_eq!((a.cost, a.arity), (b.cost, b.arity), "{cell}");
+        }
+    }
+    fast
 }
 
 /// Whether `r` is its compile tuple's first row (the first VL, aligned,
@@ -101,38 +235,52 @@ fn first(r: &Row) -> bool {
     r.vl == first_vl(r.target) && r.placement == "aligned"
 }
 
-/// Walk one kernel's cells; its `[test]`, `[full]` and `[paper]` rows.
-fn walk_kernel(engine: &Engine, spec: &KernelSpec) -> [Vec<Row>; 3] {
-    let mut test = Vec::new();
-    let aligned = [AllocPolicy::Aligned];
-    check_suite(
+/// Walk one kernel's cells: its `[test]`, `[full]` and `[paper]` rows,
+/// and its tally.
+fn walk_kernel(engine: &Engine, spec: &KernelSpec) -> ([Vec<Row>; 3], Tally) {
+    let mut walk = KernelWalk {
         engine,
-        std::slice::from_ref(spec),
-        &targets(),
-        &Flow::ALL,
-        &aligned,
-        &[],
-        |cell, out| test.push(row(engine, spec.name, cell, out)),
-    );
-
-    let kernel = spec.kernel();
-    let env = spec.env(Scale::Full);
-    let oracle =
-        reference(&kernel, &env).unwrap_or_else(|e| panic!("{}: oracle failed: {e}", spec.name));
-    let run = |cell: &Cell<'_>| {
-        let out = check(engine, cell, &oracle, &[]).unwrap_or_else(|e| panic!("{e}"));
-        row(engine, spec.name, cell, &out)
+        name: spec.name,
+        tally: Tally::default(),
+        split_vector: HashMap::new(),
     };
+    let kernel = spec.kernel();
+    let oracle = |env: &Bindings| {
+        reference(&kernel, env).unwrap_or_else(|e| panic!("{}: oracle failed: {e}", spec.name))
+    };
+
+    let env = spec.env(Scale::Test);
+    let want = oracle(&env);
+    let all = targets();
+    let test = cells(&kernel, &env, &all, &Flow::ALL, &[AllocPolicy::Aligned])
+        .map(|cell| walk.row(&cell, &want, test_forms(&cell)))
+        .collect();
+    // The guarded fallbacks of the optimizing split flow when the
+    // runtime cannot align the arrays; SSE also runs the reference
+    // forms' address streams down those paths.
+    let fixed = [sse(), altivec(), neon64()];
+    let misaligned = [AllocPolicy::Misaligned(4), AllocPolicy::Misaligned(8)];
+    for cell in cells(&kernel, &env, &fixed, &[Flow::SplitVectorOpt], &misaligned) {
+        let forms: &[Form] = if cell.target.kind == TargetKind::Sse {
+            &Form::ALL
+        } else {
+            &[]
+        };
+        walk.check(&cell, &want, forms);
+    }
+
+    let env = spec.env(Scale::Full);
+    let want = oracle(&env);
     let bench = bench_targets();
     let placements = [AllocPolicy::Aligned, AllocPolicy::Misaligned(8)];
     let full = cells(&kernel, &env, &bench, &[Flow::SplitVectorOpt], &placements)
-        .map(|cell| run(&cell))
+        .map(|cell| walk.row(&cell, &want, &[]))
         .collect();
     let paper = paper_cells()
         .into_iter()
         .filter(|c| c.kernel == spec.name)
         .map(|c| {
-            run(&Cell {
+            let cell = Cell {
                 kernel: &kernel,
                 env: &env,
                 target: &vapor_targets::target(c.target),
@@ -140,15 +288,23 @@ fn walk_kernel(engine: &Engine, spec: &KernelSpec) -> [Vec<Row>; 3] {
                 vl: first_vl(c.target),
                 policy: AllocPolicy::Aligned,
                 cfg: c.cfg,
-            })
+            };
+            walk.row(&cell, &want, &[])
         })
         .collect();
-    [test, full, paper]
+    ([test, full, paper], walk.tally)
 }
 
 #[test]
 fn every_cell_matches_the_oracle_and_the_ledger() {
-    let engine = Engine::new();
+    // The artifact store lives under the target dir (which `cargo
+    // clean` empties), named per process so that two runs sharing the
+    // target dir keep apart, and emptied on entry; the walk removes it
+    // when it passes.
+    let store = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("matrix-artifacts-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let engine = Engine::builder().artifact_dir(&store).build().unwrap();
     let specs = suite();
     // Kernels are independent: walk them on every core, the heavier
     // Polybench kernels at the end of the suite first, then put the rows
@@ -175,10 +331,14 @@ fn every_cell_matches_the_oracle_and_the_ledger() {
     });
     walked.sort_unstable_by_key(|(i, _)| *i);
     let mut sections = [Vec::new(), Vec::new(), Vec::new()];
-    for (_, rows) in walked {
+    let mut tally = Tally::default();
+    for (_, (rows, t)) in walked {
         for (section, kernel_rows) in sections.iter_mut().zip(rows) {
             section.extend(kernel_rows);
         }
+        tally.keys.extend(t.keys);
+        tally.form_cells += t.form_cells;
+        tally.fast_vl_ops += t.fast_vl_ops;
     }
     let [test, full, paper] = sections;
     assert_eq!(paper.len(), paper_cells().len());
@@ -216,6 +376,34 @@ fn every_cell_matches_the_oracle_and_the_ledger() {
     assert_eq!(full.iter().map(|r| r.cycles).sum::<u64>(), HOT_CYCLES);
     let hot_bytes: usize = full.iter().filter(|r| first(r)).map(|r| r.bytes).sum();
     assert_eq!(hot_bytes, HOT_BYTES);
+
+    // The reference forms ran on 512 aligned and 64 misaligned cells.
+    assert_eq!(tally.form_cells, 512 + 64);
+    assert!(
+        tally.fast_vl_ops > 0,
+        "the suite must exercise VBinVlFast at least once"
+    );
+
+    // Vectorize once. The `[full]` cells and the misaligned ones reuse
+    // the `[test]` compile keys, and the `[paper]` ablation configs add
+    // their own: whatever the VL, placement or scale, a key compiles
+    // once, an offline artifact is built once per (kernel, shape,
+    // config), and every key keeps its own `.vsart`.
+    let s = engine.stats();
+    assert_eq!(s.misses, tally.keys.len() as u64, "one compile per key");
+    let offline: HashSet<_> = tally.keys.iter().map(offline_key).collect();
+    assert_eq!(
+        s.misses - s.offline_hits,
+        offline.len() as u64,
+        "the offline stage must run once per (kernel, shape, config)"
+    );
+    assert_eq!(s.artifact_writes, s.misses, "one artifact write per key");
+    assert_eq!(
+        engine.artifact_store().unwrap().len() as u64,
+        s.misses,
+        "one .vsart per key"
+    );
+    std::fs::remove_dir_all(&store).unwrap();
 }
 
 /// Compare `fresh` with the committed ledger, or rewrite it under

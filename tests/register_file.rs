@@ -1,62 +1,8 @@
-//! Register-file and fast-dispatch tests: real VLA compilations must
-//! actually hit the predicated fast-dispatch kernels, and the
-//! specialized steps must match the seed interpreter at the
-//! representation-boundary register widths (inline vs heap).
-
-use vapor_core::{CompileConfig, Engine, Flow};
-use vapor_kernels::suite;
-use vapor_targets::{rvv, sve, DStep};
-
-/// Real VLA compilations must hit the new predicated fast-dispatch
-/// kernels: every vectorized suite kernel that emits `VBinVl` decodes it
-/// to `DStep::VBinVlFast`, never to the generic `Op` fallback.
-#[test]
-fn vla_compilations_hit_the_predicated_fast_kernels() {
-    let engine = Engine::new();
-    let cfg = CompileConfig::default();
-    let mut fast_bins = 0usize;
-    let mut fast_uns = 0usize;
-    for spec in suite() {
-        let kernel = spec.kernel();
-        for family in [sve(), rvv()] {
-            let Ok((_, prog)) =
-                engine.specialize(&kernel, Flow::SplitVectorOpt, &family, &cfg, 512)
-            else {
-                continue;
-            };
-            for d in prog.steps() {
-                match &d.step {
-                    DStep::VBinVlFast { .. } => fast_bins += 1,
-                    // A predicated op swallowed by the LoadVl→VBinVl→
-                    // StoreVl superinstruction still runs the fast lane
-                    // kernel.
-                    DStep::FusedLoadBinStoreVl(_) => fast_bins += 1,
-                    DStep::VUnVlFast { .. } => fast_uns += 1,
-                    DStep::Op(inst) => {
-                        assert!(
-                            !matches!(
-                                inst,
-                                vapor_targets::MInst::VBinVl { .. }
-                                    | vapor_targets::MInst::VUnVl { .. }
-                            ),
-                            "{}: predicated op fell back to the generic path: {}",
-                            spec.name,
-                            vapor_targets::disasm_inst(inst)
-                        );
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    assert!(
-        fast_bins > 0,
-        "the suite must exercise VBinVlFast at least once"
-    );
-    // VUnVl (neg/abs/sqrt lanes) is rarer; don't require it from the
-    // suite, but record that we looked.
-    let _ = fast_uns;
-}
+//! Register-file and fast-dispatch tests: the specialized steps must
+//! match the seed interpreter at the representation-boundary register
+//! widths (inline vs heap). That the suite's VLA compilations hit the
+//! predicated fast kernels is checked on every program the cycle ledger
+//! walk (`tests/matrix.rs`) runs.
 
 /// Per-op coverage of the PR 5 fast-dispatch steps (`SplatFast`,
 /// `VShiftImmFast`/`VShiftRegFast`, `SpillLdFast`/`SpillStFast`,

@@ -4,18 +4,20 @@
 //! artifact tier (round-trip differential, corruption rejection).
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 
 use vapor_core::{arrays_match, CompileConfig, Engine, ExecRequest, Flow};
 use vapor_kernels::{suite, Scale};
 use vapor_targets::{altivec, avx, neon64, rvv, sse, sve};
 
-/// A unique scratch directory under the system temp dir. The tests
-/// clean up after themselves; a leftover directory from a killed run is
-/// ignored (removed on entry).
+/// A scratch directory under the target dir (which `cargo clean`
+/// empties), named per test and process so that two runs sharing the
+/// target dir keep apart, and emptied on entry. The tests remove it
+/// when they pass.
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vapor-service-test-{tag}-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("service-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
