@@ -39,9 +39,8 @@
 //! every non-trapping execution.
 //!
 //! The decoded tier remains the differential oracle: machine state,
-//! `vm_cycles` and instruction counts must be bit-identical (checked by
-//! the cycle ledger's walk, `tests/matrix.rs`, on the split-vector/opt
-//! and native-vector cells of five targets).
+//! `vm_cycles` and instruction counts must be bit-identical (see
+//! `tests/threaded_differential.rs`).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;

@@ -10,10 +10,12 @@
 //! the baseline interpreter must match arrays and cycles (it counts
 //! label markers as instructions, so its instruction count differs).
 //!
-//! The one walk of the whole suite is `tests/matrix.rs`, the cycle
-//! ledger: it runs every kernel's cells through [`check`] on one engine,
-//! with the reference forms on the vector flows' cells. Other tests
-//! check their own kernels' cells with the same comparer.
+//! [`check_suite`] applies it to every suite kernel over a slice of the
+//! table. The cycle ledger (`tests/matrix.rs`) walks the whole table
+//! through [`check`] on one engine; the reference forms of the vector
+//! flows and the misaligned placements are `check_suite` slices of
+//! their own (`fusion_differential`, `threaded_differential`,
+//! `correctness_matrix`).
 
 #![allow(dead_code)] // each test binary uses its own part of the harness
 
@@ -21,9 +23,10 @@ use std::fmt;
 
 use vapor_bench::ledger::{alias, vls};
 use vapor_core::{
-    arrays_match, AllocPolicy, CompileConfig, Engine, ExecOutcome, ExecRequest, Flow,
+    arrays_match, reference, AllocPolicy, CompileConfig, Engine, ExecOutcome, ExecRequest, Flow,
 };
 use vapor_ir::{Bindings, Kernel};
+use vapor_kernels::{KernelSpec, Scale};
 use vapor_targets::{
     DecodedProgram, ExecStats, Machine, TargetDesc, TargetKind, ThreadedProgram, Trap,
 };
@@ -199,6 +202,30 @@ pub fn check(
         }
     }
     Ok(got)
+}
+
+/// [`check`] every cell of every kernel of `specs` at `Scale::Test`
+/// over `targets` × `flows` × each target's VLs × `policies`, panicking
+/// on the first divergence; `each` sees every cell and its outcome.
+pub fn check_suite(
+    engine: &Engine,
+    specs: &[KernelSpec],
+    targets: &[TargetDesc],
+    flows: &[Flow],
+    policies: &[AllocPolicy],
+    forms: &[Form],
+    mut each: impl FnMut(&Cell<'_>, &ExecOutcome),
+) {
+    for spec in specs {
+        let kernel = spec.kernel();
+        let env = spec.env(Scale::Test);
+        let oracle = reference(&kernel, &env)
+            .unwrap_or_else(|e| panic!("{}: oracle failed: {e}", spec.name));
+        for cell in cells(&kernel, &env, targets, flows, policies) {
+            let out = check(engine, &cell, &oracle, forms).unwrap_or_else(|e| panic!("{e}"));
+            each(&cell, &out);
+        }
+    }
 }
 
 /// Every array of `want` against the same array of `got`.

@@ -3,14 +3,17 @@
 //! an unfused decode and the baseline interpreter of the same
 //! compilation (`tests/common`'s comparer) — machine state and cycles
 //! must be bit-identical. Fusion is a pure dispatch-layer optimization,
-//! so *any* observable difference is a fusion bug.
+//! so *any* observable difference is a fusion bug. That a VLA
+//! re-specialization of the fused decode equals a fresh fused decode is
+//! checked on every program the cycle ledger's walk runs
+//! (`tests/matrix.rs`).
 
 mod common;
 
 use common::{check_suite, Form};
-use vapor_core::{AllocPolicy, CompileConfig, Engine, Flow};
+use vapor_core::{AllocPolicy, Engine, Flow};
 use vapor_kernels::suite;
-use vapor_targets::{avx, disasm_decoded, neon64, rvv, sse, sve, DecodedProgram};
+use vapor_targets::{avx, neon64, rvv, sse, sve};
 
 const FORMS: [Form; 2] = [Form::Unfused, Form::Baseline];
 
@@ -51,35 +54,4 @@ fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
         &FORMS,
         |_, _| {},
     );
-}
-
-/// Re-specializing a fused decode to another VL must be exactly what a
-/// fresh fused decode at that VL produces — the fusion decisions are
-/// re-validated per VL through `respecialize` and must never drift.
-#[test]
-fn fused_respecialization_matches_fresh_fused_decode() {
-    let engine = Engine::new();
-    let cfg = CompileConfig::default();
-    let family = sve();
-    for spec in suite() {
-        let kernel = spec.kernel();
-        let compiled = engine
-            .compile(&kernel, Flow::SplitVectorOpt, &family, &cfg)
-            .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-        for vl in [128, 512, 2048] {
-            let exec = family.at_vl(vl);
-            let fresh = DecodedProgram::decode(&compiled.jit.code, &exec).unwrap();
-            let respec = compiled
-                .jit
-                .decoded
-                .respecialize(&compiled.jit.code, &exec)
-                .unwrap();
-            let what = format!("{} @VL={vl}", spec.name);
-            assert_eq!(respec.fusion_stats(), fresh.fusion_stats(), "{what}");
-            assert_eq!(disasm_decoded(&respec), disasm_decoded(&fresh), "{what}");
-            for (a, b) in respec.steps().iter().zip(fresh.steps()) {
-                assert_eq!((a.cost, a.arity), (b.cost, b.arity), "{what}");
-            }
-        }
-    }
 }

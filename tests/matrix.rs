@@ -14,20 +14,18 @@
 //! `UPDATE_GOLDEN=1 cargo test --test matrix`; on a mismatch the fresh
 //! ledger is written to `target/tmp/ledger.txt`.
 //!
-//! This is the one walk of the suite, and the same walk checks the rest
-//! of the table:
-//! - the VM's reference forms ([`Form::ALL`]) of the vector flows'
-//!   `[test]` cells: split-vector/opt and native-vector on SSE, NEON and
-//!   AVX, split-vector/opt on SVE and RVV at every VL;
-//! - `Scale::Test` cells misaligned by 4 and 8 bytes on SSE, AltiVec and
-//!   NEON under split-vector/opt, against the oracle (and the reference
-//!   forms on SSE), without ledger rows;
+//! The same walk also checks:
 //! - every program a cell ran: a predicated op never falls back to the
 //!   generic step, and a VLA re-specialization equals a fresh decode;
 //! - vectorize once: the engine has an artifact store, every
 //!   split-vector tuple of a kernel and config consumes one bytecode
 //!   function, and the engine's counters show one compile per key, one
 //!   offline build per (kernel, shape, config) and one `.vsart` per key.
+//!
+//! The VM's reference forms and the misaligned `Scale::Test` placements
+//! are checked on their own slices of the table by
+//! `fusion_differential`, `threaded_differential` and
+//! `correctness_matrix`.
 
 mod common;
 
@@ -36,15 +34,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use common::{bench_targets, cells, targets, Cell, Form};
+use common::{bench_targets, cells, targets, Cell};
 use vapor_bench::ledger::{self, first_vl, fnv64, paper_cells, placement, Ledger, Row};
 use vapor_bytecode::BcFunction;
-use vapor_core::{reference, AllocPolicy, CompileConfig, Engine, ExecOutcome, Flow};
+use vapor_core::{reference, AllocPolicy, CompileConfig, Engine, Flow};
 use vapor_ir::Bindings;
 use vapor_kernels::{suite, KernelSpec, Scale};
 use vapor_targets::{
-    altivec, disasm, disasm_decoded, disasm_inst, neon64, sse, DStep, DecodedProgram, MCode, MInst,
-    TargetKind,
+    disasm, disasm_decoded, disasm_inst, DStep, DecodedProgram, MCode, MInst, TargetKind,
 };
 
 /// The repo benchmark's seed-invariant totals, which the ledger must
@@ -87,31 +84,11 @@ fn offline_key(key: &CompileKey) -> (&str, &str, Option<TargetKind>, &CompileCon
     (kernel, shape, native, cfg)
 }
 
-/// The reference forms an aligned `[test]` cell also runs: every form
-/// on the vector flows' cells of the fixed-width targets with a
-/// distinct dispatch (split-vector/opt and native-vector on SSE, NEON
-/// and AVX) and of the VLA families at every VL (split-vector/opt).
-fn test_forms(cell: &Cell<'_>) -> &'static [Form] {
-    use TargetKind::*;
-    let differential = match cell.target.kind {
-        Sse | Neon64 | Avx => matches!(cell.flow, Flow::SplitVectorOpt | Flow::NativeVector),
-        Sve | Rvv => cell.flow == Flow::SplitVectorOpt,
-        Altivec | ScalarOnly => false,
-    };
-    if differential {
-        &Form::ALL
-    } else {
-        &[]
-    }
-}
-
 /// What the whole-walk checks need from each kernel's walk.
 #[derive(Default)]
 struct Tally {
     /// Every compile key a cell requested.
     keys: HashSet<CompileKey>,
-    /// Cells run through the reference forms.
-    form_cells: usize,
     /// Predicated ops (`VBinVlFast`, or swallowed by
     /// `FusedLoadBinStoreVl`) in the programs the cells ran.
     fast_vl_ops: usize,
@@ -128,11 +105,10 @@ struct KernelWalk<'e> {
 }
 
 impl KernelWalk<'_> {
-    /// Check `cell` against `oracle` and `forms`, and record its
-    /// compile key and bytecode function.
-    fn check(&mut self, cell: &Cell<'_>, oracle: &Bindings, forms: &[Form]) -> ExecOutcome {
-        let out = common::check(self.engine, cell, oracle, forms).unwrap_or_else(|e| panic!("{e}"));
-        self.tally.form_cells += usize::from(!forms.is_empty());
+    /// Check `cell` against `oracle`, record its compile key and
+    /// bytecode function, and return its ledger row.
+    fn row(&mut self, cell: &Cell<'_>, oracle: &Bindings) -> Row {
+        let out = common::check(self.engine, cell, oracle, &[]).unwrap_or_else(|e| panic!("{e}"));
         let key = (self.name, cell.flow, cell.target.kind, cell.cfg.clone());
         self.tally.keys.insert(key);
         let func = &out.compiled.func;
@@ -146,12 +122,6 @@ impl KernelWalk<'_> {
                 "{cell}: every split-vector tuple must consume one bytecode function"
             );
         }
-        out
-    }
-
-    /// [`KernelWalk::check`] a cell and return its ledger row.
-    fn row(&mut self, cell: &Cell<'_>, oracle: &Bindings, forms: &[Form]) -> Row {
-        let out = self.check(cell, oracle, forms);
         let c = &out.compiled;
         let (code, s) = (&c.jit.code, &c.jit.stats);
         // The program the cell executed: the compile's own decode, or its
@@ -253,28 +223,15 @@ fn walk_kernel(engine: &Engine, spec: &KernelSpec) -> ([Vec<Row>; 3], Tally) {
     let want = oracle(&env);
     let all = targets();
     let test = cells(&kernel, &env, &all, &Flow::ALL, &[AllocPolicy::Aligned])
-        .map(|cell| walk.row(&cell, &want, test_forms(&cell)))
+        .map(|cell| walk.row(&cell, &want))
         .collect();
-    // The guarded fallbacks of the optimizing split flow when the
-    // runtime cannot align the arrays; SSE also runs the reference
-    // forms' address streams down those paths.
-    let fixed = [sse(), altivec(), neon64()];
-    let misaligned = [AllocPolicy::Misaligned(4), AllocPolicy::Misaligned(8)];
-    for cell in cells(&kernel, &env, &fixed, &[Flow::SplitVectorOpt], &misaligned) {
-        let forms: &[Form] = if cell.target.kind == TargetKind::Sse {
-            &Form::ALL
-        } else {
-            &[]
-        };
-        walk.check(&cell, &want, forms);
-    }
 
     let env = spec.env(Scale::Full);
     let want = oracle(&env);
     let bench = bench_targets();
     let placements = [AllocPolicy::Aligned, AllocPolicy::Misaligned(8)];
     let full = cells(&kernel, &env, &bench, &[Flow::SplitVectorOpt], &placements)
-        .map(|cell| walk.row(&cell, &want, &[]))
+        .map(|cell| walk.row(&cell, &want))
         .collect();
     let paper = paper_cells()
         .into_iter()
@@ -289,7 +246,7 @@ fn walk_kernel(engine: &Engine, spec: &KernelSpec) -> ([Vec<Row>; 3], Tally) {
                 policy: AllocPolicy::Aligned,
                 cfg: c.cfg,
             };
-            walk.row(&cell, &want, &[])
+            walk.row(&cell, &want)
         })
         .collect();
     ([test, full, paper], walk.tally)
@@ -337,7 +294,6 @@ fn every_cell_matches_the_oracle_and_the_ledger() {
             section.extend(kernel_rows);
         }
         tally.keys.extend(t.keys);
-        tally.form_cells += t.form_cells;
         tally.fast_vl_ops += t.fast_vl_ops;
     }
     let [test, full, paper] = sections;
@@ -377,18 +333,16 @@ fn every_cell_matches_the_oracle_and_the_ledger() {
     let hot_bytes: usize = full.iter().filter(|r| first(r)).map(|r| r.bytes).sum();
     assert_eq!(hot_bytes, HOT_BYTES);
 
-    // The reference forms ran on 512 aligned and 64 misaligned cells.
-    assert_eq!(tally.form_cells, 512 + 64);
     assert!(
         tally.fast_vl_ops > 0,
         "the suite must exercise VBinVlFast at least once"
     );
 
-    // Vectorize once. The `[full]` cells and the misaligned ones reuse
-    // the `[test]` compile keys, and the `[paper]` ablation configs add
-    // their own: whatever the VL, placement or scale, a key compiles
-    // once, an offline artifact is built once per (kernel, shape,
-    // config), and every key keeps its own `.vsart`.
+    // Vectorize once. The `[full]` cells reuse the `[test]` compile
+    // keys, and the `[paper]` ablation configs add their own: whatever
+    // the VL, placement or scale, a key compiles once, an offline
+    // artifact is built once per (kernel, shape, config), and every key
+    // keeps its own `.vsart`.
     let s = engine.stats();
     assert_eq!(s.misses, tally.keys.len() as u64, "one compile per key");
     let offline: HashSet<_> = tally.keys.iter().map(offline_key).collect();
