@@ -33,6 +33,7 @@ impl Value {
     ///
     /// # Panics
     /// Panics if the value is in the float domain.
+    #[inline]
     pub fn as_int(self) -> i64 {
         match self {
             Value::Int(v) => v,
@@ -44,6 +45,7 @@ impl Value {
     ///
     /// # Panics
     /// Panics if the value is in the integer domain.
+    #[inline]
     pub fn as_float(self) -> f64 {
         match self {
             Value::Float(v) => v,

@@ -56,9 +56,7 @@ pub type SBinFn = fn(Value, Value) -> Value;
 
 /// Pick the specialized scalar kernel for an (operator, type) pair.
 /// Integer-only operators are only generated at integer types.
-/// Crate-visible so the threading pass (`thread.rs`) can recognize the
-/// `i64` add/sub kernels when proving an induction step affine.
-pub(crate) fn sbin_fn(op: BinOp, ty: ScalarTy) -> Option<SBinFn> {
+fn sbin_fn(op: BinOp, ty: ScalarTy) -> Option<SBinFn> {
     macro_rules! k {
         ($opvar:ident, $tyvar:ident) => {{
             fn kernel(a: Value, b: Value) -> Value {
@@ -617,6 +615,8 @@ pub struct Latch {
     pub imm: i32,
     /// Specialized scalar kernel.
     pub f: SBinFn,
+    /// Operator of the scalar op.
+    pub op: BinOp,
     /// Operand type.
     pub ty: ScalarTy,
     /// Result type.
@@ -859,6 +859,8 @@ pub enum DStep {
         b: SReg,
         /// Specialized scalar kernel.
         f: SBinFn,
+        /// Operator.
+        op: BinOp,
         /// Operand type (for input coercion).
         ty: ScalarTy,
         /// Result type (I32 for comparisons, `ty` otherwise).
@@ -875,6 +877,8 @@ pub enum DStep {
         imm: i32,
         /// Specialized scalar kernel.
         f: SBinFn,
+        /// Operator.
+        op: BinOp,
         /// Operand type.
         ty: ScalarTy,
         /// Result type.
@@ -1315,6 +1319,7 @@ fn fuse_at(
             a,
             imm,
             f,
+            op,
             ty,
             rty,
         } = &steps[i].step
@@ -1325,6 +1330,7 @@ fn fuse_at(
                     a: *a,
                     imm: *imm,
                     f: *f,
+                    op: *op,
                     ty: *ty,
                     rty: *rty,
                     cond,
@@ -1467,6 +1473,7 @@ impl DecodedProgram {
                             a: *a,
                             b: *b,
                             f,
+                            op: *op,
                             ty: *ty,
                             rty: if op.is_comparison() {
                                 ScalarTy::I32
@@ -1489,6 +1496,7 @@ impl DecodedProgram {
                         a: *a,
                         imm,
                         f,
+                        op: *op,
                         ty: *ty,
                         rty: if op.is_comparison() {
                             ScalarTy::I32

@@ -654,22 +654,30 @@ impl<'t> Machine<'t> {
                     a,
                     b,
                     f,
+                    op,
                     ty,
                     rty,
                 } => {
-                    let x = self.sval(*a)?.coerce(*ty);
-                    let y = self.sval(*b)?.coerce(*ty);
-                    let r = f(x, y);
-                    self.set_sreg_checked(*dst, *rty, r);
+                    if !self.sbin_native(*op, *ty, *dst, *a, *b) {
+                        let x = self.sval(*a)?.coerce(*ty);
+                        let y = self.sval(*b)?.coerce(*ty);
+                        let r = f(x, y);
+                        self.set_sreg_checked(*dst, *rty, r);
+                    }
                 }
                 DStep::SBinImmFast {
                     dst,
                     a,
                     imm,
                     f,
+                    op,
                     ty,
                     rty,
-                } => self.exec_sbin_imm(*dst, *a, *imm, *f, *ty, *rty)?,
+                } => {
+                    if !self.sbin_imm_native(*op, *ty, *dst, *a, *imm) {
+                        self.exec_sbin_imm(*dst, *a, *imm, *f, *ty, *rty)?;
+                    }
+                }
                 DStep::MovSFast { dst, src } => {
                     let v = self.sval(*src)?;
                     self.set_sreg(*dst, v);
@@ -867,7 +875,9 @@ impl<'t> Machine<'t> {
                     self.exec_store_vl(p.store_ty, p.dst, &p.store)?;
                 }
                 DStep::FusedLatch(p) => {
-                    self.exec_sbin_imm(p.dst, p.a, p.imm, p.f, p.ty, p.rty)?;
+                    if !self.sbin_imm_native(p.op, p.ty, p.dst, p.a, p.imm) {
+                        self.exec_sbin_imm(p.dst, p.a, p.imm, p.f, p.ty, p.rty)?;
+                    }
                     let x = self.sint(p.br_a)?;
                     let y = if p.br_reg == crate::decode::NO_INDEX {
                         p.br_imm
@@ -1520,13 +1530,21 @@ impl<'t> Machine<'t> {
         m: &FusedAddr,
     ) -> Result<(), Trap> {
         let a = self.fast_addr(m.base, m.idx, m.scale, m.disp)?;
+        self.load_vl_at(ty, dst, a)
+    }
+
+    /// The predicated load at address `a`: active lanes from memory,
+    /// inactive lanes zeroed. The output register is recycled like the
+    /// fast kernels' ([`Machine::fresh_out`]), so a wide-VL load
+    /// allocates nothing.
+    fn load_vl_at(&mut self, ty: ScalarTy, dst: crate::isa::VReg, a: u64) -> Result<(), Trap> {
         let bytes = self.vl_lanes(ty) * ty.size();
-        let mut out = self.vzero();
+        let mut out = self.fresh_out();
         if bytes > 0 {
             self.mem.check(a, bytes)?;
             out[..bytes].copy_from_slice(self.mem.slice(a, bytes));
         }
-        self.set_vreg(dst, out);
+        self.put_vreg(dst, out);
         Ok(())
     }
 
@@ -1538,6 +1556,11 @@ impl<'t> Machine<'t> {
         m: &FusedAddr,
     ) -> Result<(), Trap> {
         let a = self.fast_addr(m.base, m.idx, m.scale, m.disp)?;
+        self.store_vl_at(ty, src, a)
+    }
+
+    /// The predicated store at address `a`: active lanes only.
+    fn store_vl_at(&mut self, ty: ScalarTy, src: crate::isa::VReg, a: u64) -> Result<(), Trap> {
         let bytes = self.vl_lanes(ty) * ty.size();
         if bytes > 0 {
             self.mem.check(a, bytes)?;
@@ -1545,6 +1568,58 @@ impl<'t> Machine<'t> {
             self.mem.slice_mut(a, bytes).copy_from_slice(&v[..bytes]);
         }
         Ok(())
+    }
+
+    /// `dst = a op b` evaluated in place by [`native_bin`]. Returns false,
+    /// having written nothing, for a pair or operand it does not cover,
+    /// an undefined operand, or a destination past the register file;
+    /// the caller then takes the generic coerce-and-kernel path (which
+    /// traps or resizes the file as before).
+    #[inline(always)]
+    fn sbin_native(
+        &mut self,
+        op: BinOp,
+        ty: ScalarTy,
+        dst: crate::isa::SReg,
+        a: crate::isa::SReg,
+        b: crate::isa::SReg,
+    ) -> bool {
+        let v = match (self.sregs.get(a.0 as usize), self.sregs.get(b.0 as usize)) {
+            (Some(x), Some(y)) => native_bin(op, ty, x, y),
+            _ => None,
+        };
+        self.put_native(dst, v)
+    }
+
+    /// `dst = a op #imm` evaluated in place ([`Machine::sbin_native`]'s
+    /// contract).
+    #[inline(always)]
+    fn sbin_imm_native(
+        &mut self,
+        op: BinOp,
+        ty: ScalarTy,
+        dst: crate::isa::SReg,
+        a: crate::isa::SReg,
+        imm: i32,
+    ) -> bool {
+        let y = Value::Int(imm as i64).coerce(ty);
+        let v = self
+            .sregs
+            .get(a.0 as usize)
+            .and_then(|x| native_bin(op, ty, x, &y));
+        self.put_native(dst, v)
+    }
+
+    /// Store a [`native_bin`] result into an existing destination slot.
+    #[inline(always)]
+    fn put_native(&mut self, dst: crate::isa::SReg, v: Option<Value>) -> bool {
+        match (v, self.sregs.get_mut(dst.0 as usize)) {
+            (Some(v), Some(slot)) => {
+                *slot = v;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// One specialized scalar-immediate ALU op.
@@ -1936,22 +2011,11 @@ impl<'t> Machine<'t> {
             }
             MInst::LoadVl { ty, dst, addr } => {
                 let a = self.addr(addr)?;
-                let bytes = self.vl_lanes(*ty) * ty.size();
-                let mut out = self.vzero();
-                if bytes > 0 {
-                    self.mem.check(a, bytes)?;
-                    out[..bytes].copy_from_slice(self.mem.slice(a, bytes));
-                }
-                self.set_vreg(*dst, out);
+                self.load_vl_at(*ty, *dst, a)?;
             }
             MInst::StoreVl { ty, src, addr } => {
                 let a = self.addr(addr)?;
-                let bytes = self.vl_lanes(*ty) * ty.size();
-                if bytes > 0 {
-                    self.mem.check(a, bytes)?;
-                    let v = vreg_of(&self.vregs, *src)?;
-                    self.mem.slice_mut(a, bytes).copy_from_slice(&v[..bytes]);
-                }
+                self.store_vl_at(*ty, *src, a)?;
             }
             MInst::VBinVl { op, ty, dst, a, b } => {
                 let n = self.vl_lanes(*ty);
@@ -2036,6 +2100,39 @@ impl<'t> Machine<'t> {
         self.with_lanes(wide, n / 2, |j| {
             Ok(eval_cast(ty, wide, self.lane(x, ty, base + j)))
         })
+    }
+}
+
+/// The scalar ALU pairs that make up nearly all executed scalar steps —
+/// i64 and f32/f64 add, sub and mul — evaluated on operands borrowed from
+/// the register file. Yields `eval_bin`'s result when both operands are
+/// already in `ty`'s domain, and `None` for every other pair and for an
+/// operand in the other domain. Matching by reference reads each
+/// operand's tag and payload the way the previous step stored them, so
+/// no step reloads a whole `Value` across a store it cannot forward.
+#[inline(always)]
+fn native_bin(op: BinOp, ty: ScalarTy, x: &Value, y: &Value) -> Option<Value> {
+    match (ty, x, y) {
+        (ScalarTy::I64, Value::Int(x), Value::Int(y)) => Some(Value::Int(match op {
+            BinOp::Add => x.wrapping_add(*y),
+            BinOp::Sub => x.wrapping_sub(*y),
+            BinOp::Mul => x.wrapping_mul(*y),
+            _ => return None,
+        })),
+        (ScalarTy::F32 | ScalarTy::F64, Value::Float(x), Value::Float(y)) => {
+            let r = match op {
+                BinOp::Add => x + y,
+                BinOp::Sub => x - y,
+                BinOp::Mul => x * y,
+                _ => return None,
+            };
+            Some(Value::Float(if ty == ScalarTy::F32 {
+                r as f32 as f64
+            } else {
+                r
+            }))
+        }
+        _ => None,
     }
 }
 

@@ -49,8 +49,8 @@ use vapor_ir::sem::Value;
 use vapor_ir::{BinOp, ScalarTy, UnOp};
 
 use crate::decode::{
-    flatten_addr, sbin_fn, DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VReduceFn,
-    VShiftFn, VUnFn, NO_INDEX,
+    flatten_addr, DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VReduceFn, VShiftFn,
+    VUnFn, NO_INDEX,
 };
 use crate::isa::{Cond, MCode, MInst, ReduceOp, SReg};
 use crate::machine::{INLINE_VS, MAX_VS};
@@ -724,12 +724,11 @@ impl ThreadedProgram {
         // ---- Affine stream analysis ------------------------------------
         // A loop qualifies when its backedge is a fused latch stepping an
         // i64 induction register by a constant (`i += #d` / `i -= #d`,
-        // recognized by kernel identity so the wrapping semantics are
-        // exactly `eval_bin`'s), its body is straight-line fast steps
-        // (no control, no generic ops), nothing jumps into the interior,
-        // and the induction register is written only by the latch.
-        let add_i64 = sbin_fn(BinOp::Add, ScalarTy::I64);
-        let sub_i64 = sbin_fn(BinOp::Sub, ScalarTy::I64);
+        // read off the latch's operator, whose i64 semantics are
+        // `eval_bin`'s wrapping add/sub), its body is straight-line fast
+        // steps (no control, no generic ops), nothing jumps into the
+        // interior, and the induction register is written only by the
+        // latch.
         let control_targets: Vec<usize> = steps
             .iter()
             .filter_map(|d| match &d.step {
@@ -763,15 +762,10 @@ impl ThreadedProgram {
             if p.dst != p.a || p.ty != ScalarTy::I64 || p.rty != ScalarTy::I64 {
                 continue;
             }
-            // Identify the induction step by kernel identity: pointer
-            // equality implies identical code, so a match is sound and a
-            // miss merely skips the optimization.
-            let delta_i = if add_i64.is_some_and(|f| std::ptr::fn_addr_eq(p.f, f)) {
-                p.imm as i64
-            } else if sub_i64.is_some_and(|f| std::ptr::fn_addr_eq(p.f, f)) {
-                -(p.imm as i64)
-            } else {
-                continue;
+            let delta_i = match p.op {
+                BinOp::Add => p.imm as i64,
+                BinOp::Sub => -(p.imm as i64),
+                _ => continue,
             };
             let ind = p.dst.0;
             // Body must be straight-line fast steps, entered only at the
@@ -1071,6 +1065,7 @@ impl ThreadedProgram {
                     f,
                     ty,
                     rty,
+                    ..
                 } => TStep::SBin {
                     dst: *dst,
                     a: *a,
@@ -1086,6 +1081,7 @@ impl ThreadedProgram {
                     f,
                     ty,
                     rty,
+                    ..
                 } => TStep::SBinImm {
                     dst: *dst,
                     a: *a,
