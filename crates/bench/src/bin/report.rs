@@ -209,34 +209,23 @@ fn print_table3(engine: &Engine) {
     );
 }
 
-/// The VM-performance tables: what one register move costs per target
+/// The VM-performance tables: the register-file slot stride per target
 /// class (the seed kept every register at MAX_VS bytes), what the
 /// superinstruction fusion pass collapses per kernel, and why every
 /// scalar loop stayed scalar.
 fn print_vmperf(engine: &Engine) {
-    use vapor_targets::{VBytes, MAX_VS};
+    use vapor_targets::{avx, neon64, reg_stride, sse, sve, MAX_VS, VLA_TEST_BITS};
 
-    let (seed, sized) = (format!("{MAX_VS} B"), std::mem::size_of::<VBytes>());
-    let reduction = format!("{:.1}x", MAX_VS as f64 / sized as f64);
-    let row = |path: &str, how: &str, gain: &str| {
-        cells([&path, &seed, &format!("{sized} B ({how})"), &gain])
-    };
+    let seed = format!("{MAX_VS} B");
+    let fixed = [sse(), neon64(), avx()].map(|t| (t.name.to_string(), t.vs));
+    let vla = VLA_TEST_BITS.map(|bits| (format!("VLA @ {bits}-bit"), sve().at_vl(bits).vs));
     print_table(
-        "VM register file — bytes moved per register write (seed vs target-sized)",
-        &["path", "seed (MAX_VS)", "sized", "reduction"],
-        [
-            row(
-                "register move, fixed-width (SSE/NEON/AVX)",
-                "inline",
-                &reduction,
-            ),
-            row("register move, VLA ≤ 256-bit", "inline", &reduction),
-            row(
-                "register move, VLA > 256-bit",
-                "boxed, recycled",
-                "alloc-free",
-            ),
-        ],
+        "VM register file — bytes per register slot (one stride per machine, from reg_stride)",
+        &["target", "register", "slot stride", "seed (MAX_VS)"],
+        fixed.iter().chain(&vla).map(|(name, vs)| {
+            let stride = reg_stride(*vs);
+            cells([name, &format!("{vs} B"), &format!("{stride} B"), &seed])
+        }),
     );
 
     // Superinstruction fusion: the per-kernel inventory of fused steps,

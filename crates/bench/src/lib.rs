@@ -9,6 +9,8 @@
 //!
 //! The `report` binary prints the paper-style rows.
 
+#![forbid(unsafe_code)]
+
 pub mod ledger;
 
 use vapor_core::{CompileConfig, Engine, Flow};

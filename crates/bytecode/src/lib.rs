@@ -14,6 +14,8 @@
 //! encoding ([`encode_module`]/[`decode_module`]) used for the bytecode
 //! size experiments and a verifier enforcing Table 1's typing rules.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod func;
 pub mod op;

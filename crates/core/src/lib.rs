@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod engine;
 pub mod exec;

@@ -35,6 +35,8 @@
 //! assert_eq!(kernel.body[0].loop_depth(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod lexer;
 pub mod parser;
 

@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod expr;
 pub mod interp;

@@ -12,6 +12,8 @@
 //! Mono-class naive JIT, the gcc4cli-class optimizing online compiler,
 //! and the native baseline code generator.
 
+#![forbid(unsafe_code)]
+
 pub mod dce;
 pub mod lower;
 pub mod options;

@@ -5,6 +5,8 @@
 //! registry recording figure membership and the vectorization features
 //! each kernel must exercise.
 
+#![forbid(unsafe_code)]
+
 pub mod data;
 pub mod media;
 pub mod polybench;

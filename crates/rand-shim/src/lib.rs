@@ -9,6 +9,8 @@
 //! The generator is xoshiro256++ (public domain, Blackman & Vigna),
 //! seeded through the same `[u8; 32]` interface as `rand::rngs::StdRng`.
 
+#![forbid(unsafe_code)]
+
 /// Seedable generator trait (mirrors `rand::SeedableRng`).
 pub trait SeedableRng: Sized {
     /// The seed type.

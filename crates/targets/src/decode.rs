@@ -36,9 +36,9 @@ use crate::target::TargetDesc;
 /// The kernel writes the first `n` lanes of `out` and leaves the rest
 /// untouched, so one kernel serves both the all-lanes form (caller
 /// passes a zeroed output) and the merging-predicated `...Vl` form
-/// (caller passes a copy of the destination and the active lane count).
-/// Operands are plain byte slices: the kernel is independent of the
-/// register-file representation (inline vs heap-backed `VBytes`).
+/// (caller passes the destination itself and the active lane count).
+/// Operands and output are register-file slots, plain byte slices of
+/// the machine's slot stride.
 pub type VBinFn = fn(a: &[u8], b: &[u8], out: &mut [u8], n: usize);
 
 /// Specialized lane kernel of a unary vector op (same contract).

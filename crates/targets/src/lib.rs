@@ -17,6 +17,8 @@
 //! * [`ports`] — a static loop-body throughput analyzer standing in for
 //!   Intel IACA (Table 3).
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod decode;
 pub mod disasm;
@@ -37,7 +39,7 @@ pub use isa::{
     Access, AddrMode, Cond, CvtDir, Half, HelperOp, Label, MCode, MInst, MemAlign, ReduceOp, SReg,
     ShiftSrc, VReg,
 };
-pub use machine::{ExecStats, Machine, Memory, Trap, VBytes, GUARD, INLINE_VS, MAX_VS};
+pub use machine::{reg_stride, ExecStats, Machine, Memory, Trap, GUARD, MAX_VS};
 pub use ports::{analyze_body, analyze_inner_loop, PortModel, PortPressure, Throughput};
 pub use support::{MisalignedAccess, OpSupport, Support};
 pub use target::{

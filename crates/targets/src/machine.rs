@@ -10,9 +10,9 @@ use std::fmt;
 use vapor_ir::sem::{eval_bin, eval_cast, eval_un, read_elem, write_elem, Value};
 use vapor_ir::{BinOp, ScalarTy};
 
-use crate::decode::{DStep, DecodedProgram, FusedAddr, SBinFn, VBinFn};
+use crate::decode::{DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VShiftFn, VUnFn};
 use crate::isa::{
-    AddrMode, Cond, CvtDir, Half, HelperOp, MCode, MInst, MemAlign, ReduceOp, ShiftSrc,
+    AddrMode, Cond, CvtDir, Half, HelperOp, MCode, MInst, MemAlign, ReduceOp, SReg, ShiftSrc, VReg,
 };
 use crate::target::TargetDesc;
 use crate::thread::{StreamDef, TAddr, TStep, ThreadedProgram};
@@ -25,12 +25,22 @@ use crate::thread::{StreamDef, TAddr, TStep, ThreadedProgram};
 /// larger runtime alignment subsumes.)
 pub const MAX_VS: usize = 256;
 
-/// Widest register kept *inline* (unboxed) in the VM register file.
-/// Every fixed-width family fits: NEON64 is 8 bytes, SSE/AltiVec 16,
-/// AVX 32 — and so do the two narrowest VLA specializations (128/256
-/// bits). Only wider runtime-VL machines pay for heap-backed 2048-bit
-/// registers; see [`VBytes`].
-pub const INLINE_VS: usize = 32;
+/// Slot stride of the register file on machines up to 32 bytes wide:
+/// every fixed-width family (NEON64 8, SSE/AltiVec 16, AVX 32) and the
+/// two narrowest VLA specializations (128/256 bits).
+const NARROW_STRIDE: usize = 32;
+
+/// Bytes per vector-register slot on a `vs`-byte machine — the one place
+/// the register file's stride is decided. Narrow machines take
+/// 32-byte slots; wider runtime-VL machines take [`MAX_VS`]-byte slots,
+/// so a register move on a fixed-width target never copies 2048 bits.
+pub fn reg_stride(vs: usize) -> usize {
+    if vs > NARROW_STRIDE {
+        MAX_VS
+    } else {
+        NARROW_STRIDE
+    }
+}
 
 /// Guard zone at the bottom of memory; address 0 is never valid.
 pub const GUARD: usize = 64;
@@ -189,94 +199,126 @@ pub struct ExecStats {
     pub insts: u64,
 }
 
-/// One vector register, sized to the executing target.
+/// The vector register file: one contiguous byte buffer of fixed-stride
+/// slots ([`reg_stride`]), read and written in place by every dispatch
+/// loop. Register `vN` is slot `N`. A write past the end grows the file
+/// (new slots are zero); a read past it traps.
 ///
-/// The seed kept every register as a flat `[u8; MAX_VS]` array, so once
-/// the VLA family raised `MAX_VS` to 256 bytes every 16-byte SSE
-/// register move copied a full 2048-bit array. This is the small-vector
-/// representation that restores target-sizing: fixed-width families (and
-/// the two narrowest VLA specializations) live *inline* in
-/// [`INLINE_VS`] = 32 bytes, and only machines with wider runtime-VL
-/// registers box the full [`MAX_VS`] lane array on the heap.
-///
-/// A register carries capacity, not an exact width: the machine slices
-/// it by the target's `vs`, and bytes past the written lanes are kept
-/// zero. Equality is therefore zero-extended, so an inline register and
-/// a heap register holding the same lanes compare equal.
-#[derive(Debug, Clone)]
-pub enum VBytes {
-    /// Register of a machine with `vs <= INLINE_VS`: no indirection, a
-    /// move costs `size_of::<VBytes>()` (40 bytes) instead of `MAX_VS`.
-    Inline([u8; INLINE_VS]),
-    /// Wide runtime-VL register (`vs > INLINE_VS`), boxed so that only
-    /// the VLA family pays for 2048-bit lanes.
-    Heap(Box<[u8; MAX_VS]>),
+/// Every write defines the whole slot: bytes past the lanes an op writes
+/// are zero, except that a merging-predicated op keeps the destination's
+/// inactive lanes.
+#[derive(Debug)]
+struct VRegs {
+    bytes: Vec<u8>,
+    stride: usize,
+    /// Scratch slot for a destination that aliases an operand.
+    scratch: [u8; MAX_VS],
 }
 
-impl VBytes {
-    /// A zeroed register wide enough for `width` bytes of lanes.
-    ///
-    /// # Panics
-    /// Panics if `width` exceeds [`MAX_VS`].
-    pub fn zeroed(width: usize) -> VBytes {
-        assert!(width <= MAX_VS, "register width {width} exceeds MAX_VS");
-        if width <= INLINE_VS {
-            VBytes::Inline([0; INLINE_VS])
+impl VRegs {
+    fn new(vs: usize) -> VRegs {
+        VRegs {
+            bytes: Vec::new(),
+            stride: reg_stride(vs),
+            scratch: [0; MAX_VS],
+        }
+    }
+
+    /// Register `r`'s slot, or the undefined-register trap.
+    #[inline]
+    fn get(&self, r: VReg) -> Result<&[u8], Trap> {
+        let o = r.0 as usize * self.stride;
+        self.bytes
+            .get(o..o + self.stride)
+            .ok_or_else(|| Trap(format!("read of undefined vector register v{}", r.0)))
+    }
+
+    /// Grow the file to at least `n` registers.
+    fn grow_to(&mut self, n: usize) {
+        if self.bytes.len() < n * self.stride {
+            self.bytes.resize(n * self.stride, 0);
+        }
+    }
+
+    /// Register `r`'s slot for writing, growing the file to hold it.
+    #[inline]
+    fn slot_mut(&mut self, r: VReg) -> &mut [u8] {
+        self.grow_to(r.0 as usize + 1);
+        let o = r.0 as usize * self.stride;
+        &mut self.bytes[o..o + self.stride]
+    }
+
+    /// Overwrite register `r` with the first stride bytes of `lanes`.
+    fn set(&mut self, r: VReg, lanes: &Lanes) {
+        let s = self.stride;
+        self.slot_mut(r).copy_from_slice(&lanes[..s]);
+    }
+
+    /// `dst = src`, the whole slot.
+    fn mov(&mut self, dst: VReg, src: VReg) -> Result<(), Trap> {
+        self.get(src)?;
+        self.grow_to(dst.0 as usize + 1);
+        let (s, o) = (self.stride, src.0 as usize * self.stride);
+        self.bytes.copy_within(o..o + s, dst.0 as usize * s);
+        Ok(())
+    }
+
+    /// Write `dst` in place with `f` over the operand slots `srcs`. The
+    /// output starts as the destination's contents when `merge`, else
+    /// zeroed. An operand past the file traps before anything is
+    /// written. A destination that aliases an operand is computed in the
+    /// scratch slot and copied back, so every operand reads its value
+    /// from before the write.
+    #[inline]
+    fn write<const N: usize>(
+        &mut self,
+        dst: VReg,
+        srcs: [VReg; N],
+        merge: bool,
+        f: impl FnOnce([&[u8]; N], &mut [u8]),
+    ) -> Result<(), Trap> {
+        for r in srcs {
+            self.get(r)?;
+        }
+        self.grow_to(dst.0 as usize + 1);
+        let s = self.stride;
+        let d = dst.0 as usize * s;
+        if srcs.contains(&dst) {
+            let (bytes, tmp) = (&mut self.bytes, &mut self.scratch[..s]);
+            if merge {
+                tmp.copy_from_slice(&bytes[d..d + s]);
+            } else {
+                tmp.fill(0);
+            }
+            f(srcs.map(|r| &bytes[r.0 as usize * s..][..s]), tmp);
+            bytes[d..d + s].copy_from_slice(tmp);
         } else {
-            VBytes::Heap(Box::new([0; MAX_VS]))
+            // One exclusive slot and shared views of every other slot
+            // (operands may alias each other).
+            let (lo, rest) = self.bytes.split_at_mut(d);
+            let (out, hi) = rest.split_at_mut(s);
+            if !merge {
+                out.fill(0);
+            }
+            f(
+                srcs.map(|r| {
+                    let o = r.0 as usize * s;
+                    if o < d {
+                        &lo[o..o + s]
+                    } else {
+                        &hi[o - d - s..o - d]
+                    }
+                }),
+                out,
+            );
         }
-    }
-
-    /// Usable register bytes (32 inline, 256 boxed).
-    pub fn capacity(&self) -> usize {
-        match self {
-            VBytes::Inline(_) => INLINE_VS,
-            VBytes::Heap(_) => MAX_VS,
-        }
-    }
-
-    /// The register's bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            VBytes::Inline(b) => b,
-            VBytes::Heap(b) => &b[..],
-        }
-    }
-
-    /// The register's bytes, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        match self {
-            VBytes::Inline(b) => b,
-            VBytes::Heap(b) => &mut b[..],
-        }
+        Ok(())
     }
 }
 
-impl std::ops::Deref for VBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for VBytes {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        self.as_mut_slice()
-    }
-}
-
-impl PartialEq for VBytes {
-    /// Zero-extended equality: representations of different capacities
-    /// are equal when the common prefix matches and the longer tail is
-    /// all zeros (the invariant the machine maintains past `vs`).
-    fn eq(&self, other: &VBytes) -> bool {
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let n = a.len().min(b.len());
-        a[..n] == b[..n] && a[n..].iter().all(|&x| x == 0) && b[n..].iter().all(|&x| x == 0)
-    }
-}
-
-impl Eq for VBytes {}
+/// Lanes built by a generic `exec_op` arm before they are written back
+/// into the destination's slot.
+type Lanes = [u8; MAX_VS];
 
 /// The virtual machine.
 #[derive(Debug)]
@@ -285,17 +327,12 @@ pub struct Machine<'t> {
     /// Memory image (arrays live here).
     pub mem: Memory,
     sregs: Vec<Value>,
-    vregs: Vec<VBytes>,
+    vregs: VRegs,
     slots: Vec<Value>,
     /// Active vector length in *bytes* for the predicated `...Vl`
     /// instructions, latched by [`MInst::SetVl`]. Starts at the full
     /// register width (all lanes active).
     vl_bytes: usize,
-    /// Recycled output register: the decoded fast kernels pop this,
-    /// write into it, and [`Machine::put_vreg`] refills it with the
-    /// displaced old value — steady-state vector dispatch does zero heap
-    /// allocation even on 2048-bit machines.
-    spare: Option<VBytes>,
     /// Instruction budget; a trap fires when exhausted (runaway guard).
     pub fuel: u64,
 }
@@ -316,10 +353,9 @@ impl<'t> Machine<'t> {
             target,
             mem,
             sregs: Vec::new(),
-            vregs: Vec::new(),
+            vregs: VRegs::new(vl_bytes),
             slots: Vec::new(),
             vl_bytes,
-            spare: None,
             fuel: 2_000_000_000,
         }
     }
@@ -332,7 +368,7 @@ impl<'t> Machine<'t> {
     }
 
     /// Set a scalar register (to pass arguments / array base addresses).
-    pub fn set_sreg(&mut self, r: crate::isa::SReg, v: Value) {
+    pub fn set_sreg(&mut self, r: SReg, v: Value) {
         if self.sregs.len() <= r.0 as usize {
             self.sregs.resize(r.0 as usize + 1, Value::Int(0));
         }
@@ -340,7 +376,7 @@ impl<'t> Machine<'t> {
     }
 
     /// Read a scalar register after execution.
-    pub fn sreg(&self, r: crate::isa::SReg) -> Value {
+    pub fn sreg(&self, r: SReg) -> Value {
         self.sregs
             .get(r.0 as usize)
             .copied()
@@ -364,76 +400,20 @@ impl<'t> Machine<'t> {
     /// Byte bound for explicit lane accesses ([`MInst::SetLane`] /
     /// [`MInst::GetLane`]): the target's register width, floored at one
     /// element so sub-vector machines keep single-lane access. Never the
-    /// register container's capacity: an inline register is wider than
-    /// a 16-byte target's lanes.
+    /// slot stride: a 32-byte slot is wider than a 16-byte target's
+    /// lanes.
     fn lane_limit(&self, ty: ScalarTy) -> usize {
         self.vs().max(ty.size())
     }
 
-    /// A zeroed register sized for this machine.
-    fn vzero(&self) -> VBytes {
-        VBytes::zeroed(self.vs())
-    }
-
-    /// Capacity class of this machine's registers.
-    fn reg_capacity(&self) -> usize {
-        if self.vs() > INLINE_VS {
-            MAX_VS
-        } else {
-            INLINE_VS
-        }
-    }
-
-    /// An output register of unspecified contents: the caller promises
-    /// to overwrite it fully. Inline registers are built directly on the
-    /// stack (cheaper than any recycling bookkeeping at 32 bytes); heap
-    /// registers pop the spare slot so steady-state wide-VL dispatch
-    /// does zero heap allocation.
-    fn fresh_out_raw(&mut self) -> VBytes {
-        if self.reg_capacity() == INLINE_VS {
-            return VBytes::Inline([0; INLINE_VS]);
-        }
-        match self.spare.take() {
-            Some(v) if v.capacity() == MAX_VS => v,
-            _ => VBytes::Heap(Box::new([0; MAX_VS])),
-        }
-    }
-
-    /// A zeroed output register for the decoded fast kernels.
-    fn fresh_out(&mut self) -> VBytes {
-        if self.reg_capacity() == INLINE_VS {
-            return VBytes::Inline([0; INLINE_VS]);
-        }
-        let mut v = self.fresh_out_raw();
-        v.fill(0);
-        v
-    }
-
-    /// An output register pre-loaded with the current contents of `r`
-    /// for merging predication; an unwritten register merges as zeros.
-    /// The copy fully overwrites the recycled buffer, so no zero-fill
-    /// happens first.
-    fn merge_out(&mut self, r: crate::isa::VReg) -> VBytes {
-        let mut out = self.fresh_out_raw();
-        match self.vregs.get(r.0 as usize) {
-            Some(v) => {
-                let n = v.capacity().min(out.capacity());
-                out[..n].copy_from_slice(&v[..n]);
-                out[n..].fill(0);
-            }
-            None => out.fill(0),
-        }
-        out
-    }
-
-    fn sval(&self, r: crate::isa::SReg) -> Result<Value, Trap> {
+    fn sval(&self, r: SReg) -> Result<Value, Trap> {
         self.sregs
             .get(r.0 as usize)
             .copied()
             .ok_or_else(|| Trap(format!("read of undefined scalar register r{}", r.0)))
     }
 
-    fn sint(&self, r: crate::isa::SReg) -> Result<i64, Trap> {
+    fn sint(&self, r: SReg) -> Result<i64, Trap> {
         match self.sval(r)? {
             Value::Int(v) => Ok(v),
             Value::Float(v) => Err(Trap(format!("r{} holds float {v}, expected int", r.0))),
@@ -442,16 +422,10 @@ impl<'t> Machine<'t> {
 
     /// [`Machine::addr`] over the flattened address fields of the fast
     /// memory steps (same semantics, no `AddrMode` indirection).
-    fn fast_addr(
-        &self,
-        base: crate::isa::SReg,
-        idx: u32,
-        scale: u8,
-        disp: i32,
-    ) -> Result<u64, Trap> {
+    fn fast_addr(&self, base: SReg, idx: u32, scale: u8, disp: i32) -> Result<u64, Trap> {
         let mut a = self.sint(base)?;
         if idx != crate::decode::NO_INDEX {
-            a = a.wrapping_add(self.sint(crate::isa::SReg(idx))?.wrapping_mul(scale as i64));
+            a = a.wrapping_add(self.sint(SReg(idx))?.wrapping_mul(scale as i64));
         }
         a = a.wrapping_add(disp as i64);
         if a < 0 {
@@ -472,42 +446,15 @@ impl<'t> Machine<'t> {
         Ok(a as u64)
     }
 
-    /// Borrowed register contents: reads never copy the lane array
-    /// (by-value reads cost a full register move per operand).
-    fn vbytes(&self, r: crate::isa::VReg) -> Result<&VBytes, Trap> {
-        vreg_of(&self.vregs, r)
+    /// Borrowed register contents (the undefined-register trap past the
+    /// file).
+    fn vbytes(&self, r: VReg) -> Result<&[u8], Trap> {
+        self.vregs.get(r)
     }
 
-    fn set_vreg(&mut self, r: crate::isa::VReg, v: VBytes) {
-        if self.vregs.len() <= r.0 as usize {
-            let z = self.vzero();
-            self.vregs.resize(r.0 as usize + 1, z);
-        }
-        self.vregs[r.0 as usize] = v;
-    }
-
-    /// Like [`Machine::set_vreg`], but recycles a displaced heap
-    /// register into the spare slot so the next [`Machine::fresh_out`]
-    /// reuses its allocation. Inline registers take the plain store
-    /// path (nothing worth recycling).
-    fn put_vreg(&mut self, r: crate::isa::VReg, v: VBytes) {
-        if matches!(v, VBytes::Inline(_)) || self.vregs.len() <= r.0 as usize {
-            self.set_vreg(r, v);
-            return;
-        }
-        let old = std::mem::replace(&mut self.vregs[r.0 as usize], v);
-        if matches!(old, VBytes::Heap(_)) {
-            self.spare = Some(old);
-        }
-    }
-
-    fn set_sreg_checked(&mut self, r: crate::isa::SReg, ty: ScalarTy, v: Value) {
+    fn set_sreg_checked(&mut self, r: SReg, ty: ScalarTy, v: Value) {
         // Canonicalize domain per type to keep register file consistent.
         self.set_sreg(r, v.coerce(ty));
-    }
-
-    fn lane(&self, bytes: &[u8], ty: ScalarTy, k: usize) -> Value {
-        read_elem(ty, bytes, k * ty.size())
     }
 
     fn with_lanes(
@@ -515,8 +462,8 @@ impl<'t> Machine<'t> {
         ty: ScalarTy,
         n: usize,
         mut f: impl FnMut(usize) -> Result<Value, Trap>,
-    ) -> Result<VBytes, Trap> {
-        let mut out = self.vzero();
+    ) -> Result<Lanes, Trap> {
+        let mut out = [0; MAX_VS];
         for k in 0..n {
             let v = f(k)?;
             write_elem(ty, &mut out, k * ty.size(), v);
@@ -690,14 +637,8 @@ impl<'t> Machine<'t> {
                     aligned,
                     disp,
                 } => {
-                    let addr = FusedAddr {
-                        base: *base,
-                        idx: *idx,
-                        scale: *scale,
-                        aligned: *aligned,
-                        disp: *disp,
-                    };
-                    self.exec_load_v(*dst, &addr)?;
+                    let a = self.fast_addr(*base, *idx, *scale, *disp)?;
+                    self.load_v_at(*dst, a, *aligned)?;
                 }
                 DStep::StoreVFast {
                     src,
@@ -707,14 +648,8 @@ impl<'t> Machine<'t> {
                     aligned,
                     disp,
                 } => {
-                    let addr = FusedAddr {
-                        base: *base,
-                        idx: *idx,
-                        scale: *scale,
-                        aligned: *aligned,
-                        disp: *disp,
-                    };
-                    self.exec_store_v(*src, &addr)?;
+                    let a = self.fast_addr(*base, *idx, *scale, *disp)?;
+                    self.store_v_at(*src, a, *aligned)?;
                 }
                 DStep::LoadSFast {
                     ty,
@@ -727,7 +662,7 @@ impl<'t> Machine<'t> {
                     let a = self.fast_addr(*base, *idx, *scale, *disp)?;
                     self.mem.check(a, ty.size())?;
                     let v = self.mem.read(*ty, a);
-                    self.set_sreg_checked(*dst, *ty, v);
+                    self.set_sreg(*dst, v);
                 }
                 DStep::StoreSFast {
                     ty,
@@ -749,15 +684,10 @@ impl<'t> Machine<'t> {
                     f,
                     lanes,
                     ..
-                } => self.exec_vbin(*dst, *a, *b, *f, *lanes as usize)?,
+                } => self.vbin(*dst, *a, *b, *f, *lanes)?,
                 DStep::VUnFast {
                     dst, a, f, lanes, ..
-                } => {
-                    let mut out = self.fresh_out();
-                    let x = self.vbytes(*a)?;
-                    f(x, &mut out, *lanes as usize);
-                    self.put_vreg(*dst, out);
-                }
+                } => self.vun(*dst, *a, *f, *lanes)?,
                 DStep::VBinVlFast {
                     dst,
                     a,
@@ -766,7 +696,7 @@ impl<'t> Machine<'t> {
                     ty,
                     max_lanes,
                     ..
-                } => self.exec_vbin_vl(*dst, *a, *b, *f, *ty, *max_lanes)?,
+                } => self.vbin_vl(*dst, *a, *b, *f, *ty, *max_lanes)?,
                 DStep::VUnVlFast {
                     dst,
                     a,
@@ -774,25 +704,14 @@ impl<'t> Machine<'t> {
                     ty,
                     max_lanes,
                     ..
-                } => {
-                    let n = (self.vl_bytes / ty.size()).min(*max_lanes as usize);
-                    let mut out = self.merge_out(*dst);
-                    let x = self.vbytes(*a)?;
-                    f(x, &mut out, n);
-                    self.put_vreg(*dst, out);
-                }
+                } => self.vun_vl(*dst, *a, *f, *ty, *max_lanes)?,
                 DStep::SplatFast {
                     dst,
                     src,
                     f,
                     ty,
                     lanes,
-                } => {
-                    let v = self.sval(*src)?.coerce(*ty);
-                    let mut out = self.fresh_out();
-                    f(v, &mut out, *lanes as usize);
-                    self.put_vreg(*dst, out);
-                }
+                } => self.splat(*dst, *src, *f, *ty, *lanes)?,
                 DStep::VShiftImmFast {
                     dst,
                     a,
@@ -800,12 +719,7 @@ impl<'t> Machine<'t> {
                     imm,
                     lanes,
                     ..
-                } => {
-                    let mut out = self.fresh_out();
-                    let x = self.vbytes(*a)?;
-                    f(x, *imm as i64, &mut out, *lanes as usize);
-                    self.put_vreg(*dst, out);
-                }
+                } => self.vshift(*dst, *a, *f, i64::from(*imm), *lanes)?,
                 DStep::VShiftRegFast {
                     dst,
                     a,
@@ -815,10 +729,7 @@ impl<'t> Machine<'t> {
                     ..
                 } => {
                     let amt = self.sint(*amt)?;
-                    let mut out = self.fresh_out();
-                    let x = self.vbytes(*a)?;
-                    f(x, amt, &mut out, *lanes as usize);
-                    self.put_vreg(*dst, out);
+                    self.vshift(*dst, *a, *f, amt, *lanes)?;
                 }
                 DStep::SpillLdFast { dst, slot } => {
                     let v = self
@@ -843,8 +754,7 @@ impl<'t> Machine<'t> {
                     lanes,
                     ..
                 } => {
-                    let x = self.vbytes(*src)?;
-                    let v = f(x, *lanes as usize);
+                    let v = f(self.vbytes(*src)?, *lanes as usize);
                     self.set_sreg_checked(*dst, *ty, v);
                 }
                 // Superinstructions: the constituents execute in order,
@@ -852,27 +762,27 @@ impl<'t> Machine<'t> {
                 // bit-identical to the unfused sequence — only the
                 // per-step dispatch overhead is paid once.
                 DStep::FusedLoadBinStore(p) => {
-                    self.exec_load_v(p.load_dst, &p.load)?;
-                    self.exec_vbin(p.dst, p.a, p.b, p.f, p.lanes as usize)?;
-                    self.exec_store_v(p.dst, &p.store)?;
+                    self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
+                    self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                    self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
                 }
                 DStep::FusedLoadBinBin(p) => {
-                    self.exec_load_v(p.load_dst, &p.load)?;
-                    self.exec_vbin(p.dst1, p.a1, p.b1, p.f1, p.lanes1 as usize)?;
-                    self.exec_vbin(p.dst2, p.a2, p.b2, p.f2, p.lanes2 as usize)?;
+                    self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
+                    self.vbin(p.dst1, p.a1, p.b1, p.f1, p.lanes1)?;
+                    self.vbin(p.dst2, p.a2, p.b2, p.f2, p.lanes2)?;
                 }
                 DStep::FusedLoadBin(p) => {
-                    self.exec_load_v(p.load_dst, &p.load)?;
-                    self.exec_vbin(p.dst, p.a, p.b, p.f, p.lanes as usize)?;
+                    self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
+                    self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
                 }
                 DStep::FusedBinStore(p) => {
-                    self.exec_vbin(p.dst, p.a, p.b, p.f, p.lanes as usize)?;
-                    self.exec_store_v(p.dst, &p.store)?;
+                    self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                    self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
                 }
                 DStep::FusedLoadBinStoreVl(p) => {
-                    self.exec_load_vl(p.load_ty, p.load_dst, &p.load)?;
-                    self.exec_vbin_vl(p.dst, p.a, p.b, p.f, p.ty, p.max_lanes)?;
-                    self.exec_store_vl(p.store_ty, p.dst, &p.store)?;
+                    self.load_vl_at(p.load_ty, p.load_dst, self.fused_addr(&p.load)?)?;
+                    self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty, p.max_lanes)?;
+                    self.store_vl_at(p.store_ty, p.dst, self.fused_addr(&p.store)?)?;
                 }
                 DStep::FusedLatch(p) => {
                     if !self.sbin_imm_native(p.op, p.ty, p.dst, p.a, p.imm) {
@@ -882,7 +792,7 @@ impl<'t> Machine<'t> {
                     let y = if p.br_reg == crate::decode::NO_INDEX {
                         p.br_imm
                     } else {
-                        self.sint(crate::isa::SReg(p.br_reg))?
+                        self.sint(SReg(p.br_reg))?
                     };
                     if take(p.cond, x, y) {
                         next = p.target as usize;
@@ -899,10 +809,10 @@ impl<'t> Machine<'t> {
 
     /// Execute a closure-threaded program (see [`ThreadedProgram`]):
     /// fuel and statistics are charged once per straight-line region
-    /// with the region's pre-summed exact cost, vector registers live in
-    /// one contiguous byte arena indexed by precomputed offsets, and
-    /// affine loop addresses stride precomputed cursors instead of being
-    /// recomputed per access. For every non-trapping execution the
+    /// with the region's pre-summed exact cost, and affine loop addresses
+    /// stride precomputed cursors instead of being recomputed per access.
+    /// Vector steps run the register-file helpers of
+    /// [`Machine::run_decoded`]. For every non-trapping execution the
     /// observable results — memory, scalar and vector registers, spill
     /// slots, `cycles` and `insts` — are bit-identical to
     /// [`Machine::run_decoded`] on the source decoded program.
@@ -912,11 +822,12 @@ impl<'t> Machine<'t> {
     /// regionized analogue of the fused-step contract — a region whose
     /// constituents would cross the budget traps at the region boundary
     /// without executing any of them), and a read of a never-written
-    /// vector register reads zeros instead of trapping (the arena
-    /// carries no per-register written bit; compiled programs never
-    /// read uninitialized registers — the decoded oracle would trap and
-    /// the differential suite would catch it). Bounds and alignment
-    /// checks remain per access and trap with the decoded messages.
+    /// vector register reads zeros instead of trapping (the register
+    /// file is grown at entry to every register the program names;
+    /// compiled programs never read uninitialized registers — the
+    /// decoded oracle would trap and the differential suite would catch
+    /// it). Bounds and alignment checks remain per access and trap with
+    /// the decoded messages.
     ///
     /// # Errors
     /// Returns a [`Trap`] on contract violations, or if the program was
@@ -929,41 +840,10 @@ impl<'t> Machine<'t> {
                 self.vs()
             )));
         }
-        // Monomorphize the hot loop on the arena slot stride so the
-        // scratch buffers are fixed-size stack arrays.
-        if prog.stride() == INLINE_VS {
-            self.run_threaded_impl::<INLINE_VS>(prog)
-        } else {
-            self.run_threaded_impl::<MAX_VS>(prog)
-        }
-    }
-
-    fn run_threaded_impl<const CAP: usize>(
-        &mut self,
-        prog: &ThreadedProgram,
-    ) -> Result<ExecStats, Trap> {
-        debug_assert_eq!(prog.stride(), CAP);
-        let vs = self.vs();
-        // Widest byte span an all-lanes vector op writes:
-        // `lanes(ty) * ty.size()` is `vs` for every type that fits and
-        // one 8-byte element on sub-element machines. Every arena write
-        // covers exactly `ew` bytes of a slot (zero-extending past the
-        // written lanes, the invariant `VBytes` keeps), and bytes past
-        // `ew` are zero for the slot's whole lifetime.
-        let ew = vs.max(8);
-        debug_assert!(ew <= CAP);
-        let nv = prog.n_vregs();
+        self.vregs.grow_to(prog.n_vregs());
         let steps = prog.steps();
         let regions = prog.regions();
         let mut stats = ExecStats::default();
-
-        // Seed the arena from the live register file (arguments may have
-        // been planted before execution).
-        let mut arena = vec![0u8; nv * CAP];
-        for (r, v) in self.vregs.iter().enumerate().take(nv) {
-            let nb = v.capacity().min(CAP);
-            arena[r * CAP..r * CAP + nb].copy_from_slice(&v[..nb]);
-        }
         let mut st = TCtx {
             defs: prog.streams(),
             cursors: vec![0; prog.streams().len()],
@@ -1020,26 +900,11 @@ impl<'t> Machine<'t> {
                         f,
                         lanes,
                         ..
-                    } => t_vbin::<CAP>(&mut arena, ew, *dst, *a, *b, *f, *lanes as usize),
+                    } => self.vbin(*dst, *a, *b, *f, *lanes)?,
                     TStep::VUn {
                         dst, a, f, lanes, ..
-                    } => {
-                        if dst != a {
-                            let (sa, sd) = slot1_mut::<CAP>(&mut arena, *a, *dst);
-                            sd.fill(0);
-                            f(sa, sd, *lanes as usize);
-                        } else {
-                            let mut tmp = [0u8; CAP];
-                            f(slot::<CAP>(&arena, *a), &mut tmp, *lanes as usize);
-                            arena[*dst as usize..*dst as usize + ew].copy_from_slice(&tmp[..ew]);
-                        }
-                    }
-                    TStep::MovV { dst, src } => {
-                        // Whole-slot copy: both slots honor the
-                        // zeros-past-`ew` invariant, so this is exactly
-                        // the decoded register move.
-                        arena.copy_within(*src as usize..*src as usize + CAP, *dst as usize);
-                    }
+                    } => self.vun(*dst, *a, *f, *lanes)?,
+                    TStep::MovV { dst, src } => self.vregs.mov(*dst, *src)?,
                     TStep::VBinVl {
                         dst,
                         a,
@@ -1048,10 +913,7 @@ impl<'t> Machine<'t> {
                         ty,
                         max_lanes,
                         ..
-                    } => {
-                        let n = (self.vl_bytes / ty.size()).min(*max_lanes as usize);
-                        t_vbin_vl::<CAP>(&mut arena, ew, *dst, *a, *b, *f, n);
-                    }
+                    } => self.vbin_vl(*dst, *a, *b, *f, *ty, *max_lanes)?,
                     TStep::VUnVl {
                         dst,
                         a,
@@ -1059,30 +921,18 @@ impl<'t> Machine<'t> {
                         ty,
                         max_lanes,
                         ..
-                    } => {
-                        let n = (self.vl_bytes / ty.size()).min(*max_lanes as usize);
-                        if dst != a {
-                            let (sa, sd) = slot1_mut::<CAP>(&mut arena, *a, *dst);
-                            f(sa, sd, n);
-                        } else {
-                            let d = *dst as usize;
-                            let mut tmp = [0u8; CAP];
-                            tmp[..ew].copy_from_slice(&arena[d..d + ew]);
-                            f(slot::<CAP>(&arena, *a), &mut tmp, n);
-                            arena[d..d + ew].copy_from_slice(&tmp[..ew]);
-                        }
-                    }
+                    } => self.vun_vl(*dst, *a, *f, *ty, *max_lanes)?,
                     TStep::LoadV { dst, aligned, addr } => {
-                        self.t_load_v(&mut arena, ew, vs, *dst, *aligned, addr, &st)?
+                        self.load_v_at(*dst, self.t_addr(addr, &st)?, *aligned)?
                     }
                     TStep::StoreV { src, aligned, addr } => {
-                        self.t_store_v(&arena, vs, *src, *aligned, addr, &st)?
+                        self.store_v_at(*src, self.t_addr(addr, &st)?, *aligned)?
                     }
                     TStep::LoadS { ty, dst, addr } => {
                         let a = self.t_addr(addr, &st)?;
                         self.mem.check(a, ty.size())?;
                         let v = self.mem.read(*ty, a);
-                        self.set_sreg_checked(*dst, *ty, v);
+                        self.set_sreg(*dst, v);
                     }
                     TStep::StoreS { ty, src, addr } => {
                         let a = self.t_addr(addr, &st)?;
@@ -1091,10 +941,10 @@ impl<'t> Machine<'t> {
                         self.mem.write(*ty, a, v);
                     }
                     TStep::LoadVl { ty, dst, addr } => {
-                        self.t_load_vl(&mut arena, ew, *ty, *dst, addr, &st)?
+                        self.load_vl_at(*ty, *dst, self.t_addr(addr, &st)?)?
                     }
                     TStep::StoreVl { ty, src, addr } => {
-                        self.t_store_vl(&arena, *ty, *src, addr, &st)?
+                        self.store_vl_at(*ty, *src, self.t_addr(addr, &st)?)?
                     }
                     TStep::SBin {
                         dst,
@@ -1135,13 +985,7 @@ impl<'t> Machine<'t> {
                         f,
                         ty,
                         lanes,
-                    } => {
-                        let v = self.sval(*src)?.coerce(*ty);
-                        let d = *dst as usize;
-                        let sd = &mut arena[d..d + CAP];
-                        sd.fill(0);
-                        f(v, sd, *lanes as usize);
-                    }
+                    } => self.splat(*dst, *src, *f, *ty, *lanes)?,
                     TStep::VShiftImm {
                         dst,
                         a,
@@ -1149,22 +993,7 @@ impl<'t> Machine<'t> {
                         imm,
                         lanes,
                         ..
-                    } => {
-                        if dst != a {
-                            let (sa, sd) = slot1_mut::<CAP>(&mut arena, *a, *dst);
-                            sd.fill(0);
-                            f(sa, *imm as i64, sd, *lanes as usize);
-                        } else {
-                            let mut tmp = [0u8; CAP];
-                            f(
-                                slot::<CAP>(&arena, *a),
-                                *imm as i64,
-                                &mut tmp,
-                                *lanes as usize,
-                            );
-                            arena[*dst as usize..*dst as usize + ew].copy_from_slice(&tmp[..ew]);
-                        }
-                    }
+                    } => self.vshift(*dst, *a, *f, i64::from(*imm), *lanes)?,
                     TStep::VShiftReg {
                         dst,
                         a,
@@ -1174,15 +1003,7 @@ impl<'t> Machine<'t> {
                         ..
                     } => {
                         let amt = self.sint(*amt)?;
-                        if dst != a {
-                            let (sa, sd) = slot1_mut::<CAP>(&mut arena, *a, *dst);
-                            sd.fill(0);
-                            f(sa, amt, sd, *lanes as usize);
-                        } else {
-                            let mut tmp = [0u8; CAP];
-                            f(slot::<CAP>(&arena, *a), amt, &mut tmp, *lanes as usize);
-                            arena[*dst as usize..*dst as usize + ew].copy_from_slice(&tmp[..ew]);
-                        }
+                        self.vshift(*dst, *a, *f, amt, *lanes)?;
                     }
                     TStep::SpillLd { dst, slot } => {
                         let v = self
@@ -1207,59 +1028,34 @@ impl<'t> Machine<'t> {
                         lanes,
                         ..
                     } => {
-                        let v = f(slot::<CAP>(&arena, *src), *lanes as usize);
+                        let v = f(self.vbytes(*src)?, *lanes as usize);
                         self.set_sreg_checked(*dst, *ty, v);
                     }
                     // Superinstructions: constituents in order, every
                     // register write included — same contract as the
                     // decoded fused steps.
                     TStep::LoadBinStore(p) => {
-                        self.t_load_v(
-                            &mut arena,
-                            ew,
-                            vs,
-                            p.load_dst,
-                            p.load_aligned,
-                            &p.load,
-                            &st,
-                        )?;
-                        t_vbin::<CAP>(&mut arena, ew, p.dst, p.a, p.b, p.f, p.lanes as usize);
-                        self.t_store_v(&arena, vs, p.dst, p.store_aligned, &p.store, &st)?;
+                        self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                        self.store_v_at(p.dst, self.t_addr(&p.store, &st)?, p.store_aligned)?;
                     }
                     TStep::LoadBinBin(p) => {
-                        self.t_load_v(
-                            &mut arena,
-                            ew,
-                            vs,
-                            p.load_dst,
-                            p.load_aligned,
-                            &p.load,
-                            &st,
-                        )?;
-                        t_vbin::<CAP>(&mut arena, ew, p.dst1, p.a1, p.b1, p.f1, p.lanes1 as usize);
-                        t_vbin::<CAP>(&mut arena, ew, p.dst2, p.a2, p.b2, p.f2, p.lanes2 as usize);
+                        self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
+                        self.vbin(p.dst1, p.a1, p.b1, p.f1, p.lanes1)?;
+                        self.vbin(p.dst2, p.a2, p.b2, p.f2, p.lanes2)?;
                     }
                     TStep::LoadBin(p) => {
-                        self.t_load_v(
-                            &mut arena,
-                            ew,
-                            vs,
-                            p.load_dst,
-                            p.load_aligned,
-                            &p.load,
-                            &st,
-                        )?;
-                        t_vbin::<CAP>(&mut arena, ew, p.dst, p.a, p.b, p.f, p.lanes as usize);
+                        self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
                     }
                     TStep::BinStore(p) => {
-                        t_vbin::<CAP>(&mut arena, ew, p.dst, p.a, p.b, p.f, p.lanes as usize);
-                        self.t_store_v(&arena, vs, p.dst, p.store_aligned, &p.store, &st)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                        self.store_v_at(p.dst, self.t_addr(&p.store, &st)?, p.store_aligned)?;
                     }
                     TStep::LoadBinStoreVl(p) => {
-                        self.t_load_vl(&mut arena, ew, p.load_ty, p.load_dst, &p.load, &st)?;
-                        let n = (self.vl_bytes / p.ty.size()).min(p.max_lanes as usize);
-                        t_vbin_vl::<CAP>(&mut arena, ew, p.dst, p.a, p.b, p.f, n);
-                        self.t_store_vl(&arena, p.store_ty, p.dst, &p.store, &st)?;
+                        self.load_vl_at(p.load_ty, p.load_dst, self.t_addr(&p.load, &st)?)?;
+                        self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty, p.max_lanes)?;
+                        self.store_vl_at(p.store_ty, p.dst, self.t_addr(&p.store, &st)?)?;
                     }
                     TStep::Latch(p) => {
                         self.exec_sbin_imm(p.dst, p.a, p.imm, p.f, p.ty, p.rty)?;
@@ -1267,7 +1063,7 @@ impl<'t> Machine<'t> {
                         let y = if p.br_reg == crate::decode::NO_INDEX {
                             p.br_imm
                         } else {
-                            self.sint(crate::isa::SReg(p.br_reg))?
+                            self.sint(SReg(p.br_reg))?
                         };
                         if take(p.cond, x, y) {
                             next = p.target as usize;
@@ -1284,20 +1080,11 @@ impl<'t> Machine<'t> {
                             }
                         }
                     }
-                    TStep::ScalarOp(inst) => self.exec_op(inst)?,
-                    TStep::VectorOp(inst) => {
-                        // Rare escape hatch: materialize the register
-                        // file, run the shared semantics, re-seed the
-                        // arena.
-                        self.t_flush(&arena, CAP, nv);
-                        self.exec_op(inst)?;
-                        t_fill(&self.vregs, &mut arena, CAP, nv);
-                    }
+                    TStep::ScalarOp(inst) | TStep::VectorOp(inst) => self.exec_op(inst)?,
                 }
             }
             r = next;
         }
-        self.t_flush(&arena, CAP, nv);
         Ok(stats)
     }
 
@@ -1344,230 +1131,139 @@ impl<'t> Machine<'t> {
         }
     }
 
-    /// Whole-register vector load into an arena slot.
+    /// Resolve a fused step's flattened memory operand.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn t_load_v(
-        &mut self,
-        arena: &mut [u8],
-        ew: usize,
-        vs: usize,
-        dst: u32,
-        aligned: bool,
-        addr: &TAddr,
-        st: &TCtx,
-    ) -> Result<(), Trap> {
-        let a = self.t_addr(addr, st)?;
-        self.mem.check(a, vs)?;
-        if aligned && !(a as usize).is_multiple_of(vs) {
-            return Err(Trap(format!(
-                "aligned vector load from misaligned address {a} (VS={vs})"
-            )));
-        }
-        let d = dst as usize;
-        arena[d..d + vs].copy_from_slice(self.mem.slice(a, vs));
-        arena[d + vs..d + ew].fill(0);
-        Ok(())
+    fn fused_addr(&self, m: &FusedAddr) -> Result<u64, Trap> {
+        self.fast_addr(m.base, m.idx, m.scale, m.disp)
     }
 
-    /// Whole-register vector store from an arena slot.
-    #[inline]
-    fn t_store_v(
-        &mut self,
-        arena: &[u8],
-        vs: usize,
-        src: u32,
-        aligned: bool,
-        addr: &TAddr,
-        st: &TCtx,
-    ) -> Result<(), Trap> {
-        let a = self.t_addr(addr, st)?;
-        self.mem.check(a, vs)?;
-        if aligned && !(a as usize).is_multiple_of(vs) {
-            return Err(Trap(format!(
-                "aligned vector store to misaligned address {a} (VS={vs})"
-            )));
-        }
-        let s = src as usize;
-        self.mem.slice_mut(a, vs).copy_from_slice(&arena[s..s + vs]);
-        Ok(())
-    }
+    // The register side of the vector steps, shared by every dispatch
+    // loop (each resolves addresses its own way), so the loops agree by
+    // construction.
 
-    /// Predicated (element-aligned, zeroing) vector load into an arena
-    /// slot.
-    #[inline]
-    fn t_load_vl(
-        &mut self,
-        arena: &mut [u8],
-        ew: usize,
-        ty: ScalarTy,
-        dst: u32,
-        addr: &TAddr,
-        st: &TCtx,
-    ) -> Result<(), Trap> {
-        let a = self.t_addr(addr, st)?;
-        let bytes = self.vl_lanes(ty) * ty.size();
-        if bytes > 0 {
-            self.mem.check(a, bytes)?;
-        }
-        let d = dst as usize;
-        arena[d..d + ew].fill(0);
-        if bytes > 0 {
-            arena[d..d + bytes].copy_from_slice(self.mem.slice(a, bytes));
-        }
-        Ok(())
-    }
-
-    /// Predicated vector store from an arena slot.
-    #[inline]
-    fn t_store_vl(
-        &mut self,
-        arena: &[u8],
-        ty: ScalarTy,
-        src: u32,
-        addr: &TAddr,
-        st: &TCtx,
-    ) -> Result<(), Trap> {
-        let a = self.t_addr(addr, st)?;
-        let bytes = self.vl_lanes(ty) * ty.size();
-        if bytes > 0 {
-            self.mem.check(a, bytes)?;
-            let s = src as usize;
-            self.mem
-                .slice_mut(a, bytes)
-                .copy_from_slice(&arena[s..s + bytes]);
-        }
-        Ok(())
-    }
-
-    /// Materialize the register file from the arena (run exit and the
-    /// `VectorOp` escape hatch): each slot becomes a machine-sized
-    /// register, zero-extended past the arena stride.
-    fn t_flush(&mut self, arena: &[u8], cap: usize, nv: usize) {
-        for r in 0..nv {
-            let mut v = self.vzero();
-            let nb = v.capacity().min(cap);
-            v[..nb].copy_from_slice(&arena[r * cap..r * cap + nb]);
-            self.set_vreg(crate::isa::VReg(r as u32), v);
-        }
-    }
-
-    /// One fixed-width fast vector load (shared by the standalone step
-    /// and the superinstructions, so fused and unfused execution agree
-    /// by construction).
-    fn exec_load_v(&mut self, dst: crate::isa::VReg, m: &FusedAddr) -> Result<(), Trap> {
+    /// The whole-register vector load at `a`.
+    fn load_v_at(&mut self, dst: VReg, a: u64, aligned: bool) -> Result<(), Trap> {
         let vs = self.vs();
-        let a = self.fast_addr(m.base, m.idx, m.scale, m.disp)?;
         self.mem.check(a, vs)?;
-        if m.aligned && !(a as usize).is_multiple_of(vs) {
+        if aligned && !(a as usize).is_multiple_of(vs) {
             return Err(Trap(format!(
                 "aligned vector load from misaligned address {a} (VS={vs})"
             )));
         }
-        let mut out = self.fresh_out();
+        let out = self.vregs.slot_mut(dst);
         out[..vs].copy_from_slice(self.mem.slice(a, vs));
-        self.put_vreg(dst, out);
+        out[vs..].fill(0);
         Ok(())
     }
 
-    /// One fixed-width fast vector store.
-    fn exec_store_v(&mut self, src: crate::isa::VReg, m: &FusedAddr) -> Result<(), Trap> {
+    /// The whole-register vector store at `a`.
+    fn store_v_at(&mut self, src: VReg, a: u64, aligned: bool) -> Result<(), Trap> {
         let vs = self.vs();
-        let a = self.fast_addr(m.base, m.idx, m.scale, m.disp)?;
         self.mem.check(a, vs)?;
-        if m.aligned && !(a as usize).is_multiple_of(vs) {
+        if aligned && !(a as usize).is_multiple_of(vs) {
             return Err(Trap(format!(
                 "aligned vector store to misaligned address {a} (VS={vs})"
             )));
         }
-        let v = vreg_of(&self.vregs, src)?;
+        let v = self.vregs.get(src)?;
         self.mem.slice_mut(a, vs).copy_from_slice(&v[..vs]);
         Ok(())
     }
 
-    /// One all-lanes specialized vector binary op.
-    fn exec_vbin(
-        &mut self,
-        dst: crate::isa::VReg,
-        a: crate::isa::VReg,
-        b: crate::isa::VReg,
-        f: VBinFn,
-        lanes: usize,
-    ) -> Result<(), Trap> {
-        let mut out = self.fresh_out();
-        let (x, y) = (self.vbytes(a)?, self.vbytes(b)?);
-        f(x, y, &mut out, lanes);
-        self.put_vreg(dst, out);
+    /// The predicated load at `a`: active lanes from memory, inactive
+    /// lanes zeroed.
+    fn load_vl_at(&mut self, ty: ScalarTy, dst: VReg, a: u64) -> Result<(), Trap> {
+        let bytes = self.vl_lanes(ty) * ty.size();
+        let src = if bytes > 0 {
+            self.mem.check(a, bytes)?;
+            self.mem.slice(a, bytes)
+        } else {
+            &[]
+        };
+        let out = self.vregs.slot_mut(dst);
+        out[..bytes].copy_from_slice(src);
+        out[bytes..].fill(0);
         Ok(())
     }
 
-    /// One merging-predicated specialized vector binary op: lanes past
-    /// the active VL keep the destination's old contents (zeros if
-    /// unwritten).
-    fn exec_vbin_vl(
+    /// The predicated store at `a`: active lanes only.
+    fn store_vl_at(&mut self, ty: ScalarTy, src: VReg, a: u64) -> Result<(), Trap> {
+        let bytes = self.vl_lanes(ty) * ty.size();
+        if bytes > 0 {
+            self.mem.check(a, bytes)?;
+            let v = self.vregs.get(src)?;
+            self.mem.slice_mut(a, bytes).copy_from_slice(&v[..bytes]);
+        }
+        Ok(())
+    }
+
+    /// All-lanes specialized vector binary op.
+    fn vbin(&mut self, dst: VReg, a: VReg, b: VReg, f: VBinFn, lanes: u16) -> Result<(), Trap> {
+        self.vregs.write(dst, [a, b], false, |[x, y], out| {
+            f(x, y, out, lanes as usize)
+        })
+    }
+
+    /// Merging-predicated specialized vector binary op: lanes past the
+    /// active VL keep the destination's old contents.
+    fn vbin_vl(
         &mut self,
-        dst: crate::isa::VReg,
-        a: crate::isa::VReg,
-        b: crate::isa::VReg,
+        dst: VReg,
+        a: VReg,
+        b: VReg,
         f: VBinFn,
         ty: ScalarTy,
         max_lanes: u16,
     ) -> Result<(), Trap> {
         let n = (self.vl_bytes / ty.size()).min(max_lanes as usize);
-        let mut out = self.merge_out(dst);
-        let (x, y) = (self.vbytes(a)?, self.vbytes(b)?);
-        f(x, y, &mut out, n);
-        self.put_vreg(dst, out);
-        Ok(())
+        self.vregs
+            .write(dst, [a, b], true, |[x, y], out| f(x, y, out, n))
     }
 
-    /// One predicated (element-aligned, zeroing) vector load over a
-    /// flattened address.
-    fn exec_load_vl(
+    /// All-lanes specialized vector unary op.
+    fn vun(&mut self, dst: VReg, a: VReg, f: VUnFn, lanes: u16) -> Result<(), Trap> {
+        self.vregs
+            .write(dst, [a], false, |[x], out| f(x, out, lanes as usize))
+    }
+
+    /// Merging-predicated specialized vector unary op.
+    fn vun_vl(
         &mut self,
+        dst: VReg,
+        a: VReg,
+        f: VUnFn,
         ty: ScalarTy,
-        dst: crate::isa::VReg,
-        m: &FusedAddr,
+        max_lanes: u16,
     ) -> Result<(), Trap> {
-        let a = self.fast_addr(m.base, m.idx, m.scale, m.disp)?;
-        self.load_vl_at(ty, dst, a)
+        let n = (self.vl_bytes / ty.size()).min(max_lanes as usize);
+        self.vregs.write(dst, [a], true, |[x], out| f(x, out, n))
     }
 
-    /// The predicated load at address `a`: active lanes from memory,
-    /// inactive lanes zeroed. The output register is recycled like the
-    /// fast kernels' ([`Machine::fresh_out`]), so a wide-VL load
-    /// allocates nothing.
-    fn load_vl_at(&mut self, ty: ScalarTy, dst: crate::isa::VReg, a: u64) -> Result<(), Trap> {
-        let bytes = self.vl_lanes(ty) * ty.size();
-        let mut out = self.fresh_out();
-        if bytes > 0 {
-            self.mem.check(a, bytes)?;
-            out[..bytes].copy_from_slice(self.mem.slice(a, bytes));
-        }
-        self.put_vreg(dst, out);
-        Ok(())
-    }
-
-    /// One predicated vector store over a flattened address.
-    fn exec_store_vl(
+    /// Specialized broadcast of scalar register `src`.
+    fn splat(
         &mut self,
+        dst: VReg,
+        src: SReg,
+        f: SplatFn,
         ty: ScalarTy,
-        src: crate::isa::VReg,
-        m: &FusedAddr,
+        lanes: u16,
     ) -> Result<(), Trap> {
-        let a = self.fast_addr(m.base, m.idx, m.scale, m.disp)?;
-        self.store_vl_at(ty, src, a)
+        let v = self.sval(src)?.coerce(ty);
+        self.vregs
+            .write(dst, [], false, |[], out| f(v, out, lanes as usize))
     }
 
-    /// The predicated store at address `a`: active lanes only.
-    fn store_vl_at(&mut self, ty: ScalarTy, src: crate::isa::VReg, a: u64) -> Result<(), Trap> {
-        let bytes = self.vl_lanes(ty) * ty.size();
-        if bytes > 0 {
-            self.mem.check(a, bytes)?;
-            let v = vreg_of(&self.vregs, src)?;
-            self.mem.slice_mut(a, bytes).copy_from_slice(&v[..bytes]);
-        }
-        Ok(())
+    /// Specialized vector shift by `amt`.
+    fn vshift(
+        &mut self,
+        dst: VReg,
+        a: VReg,
+        f: VShiftFn,
+        amt: i64,
+        lanes: u16,
+    ) -> Result<(), Trap> {
+        self.vregs
+            .write(dst, [a], false, |[x], out| f(x, amt, out, lanes as usize))
     }
 
     /// `dst = a op b` evaluated in place by [`native_bin`]. Returns false,
@@ -1576,14 +1272,7 @@ impl<'t> Machine<'t> {
     /// the caller then takes the generic coerce-and-kernel path (which
     /// traps or resizes the file as before).
     #[inline(always)]
-    fn sbin_native(
-        &mut self,
-        op: BinOp,
-        ty: ScalarTy,
-        dst: crate::isa::SReg,
-        a: crate::isa::SReg,
-        b: crate::isa::SReg,
-    ) -> bool {
+    fn sbin_native(&mut self, op: BinOp, ty: ScalarTy, dst: SReg, a: SReg, b: SReg) -> bool {
         let v = match (self.sregs.get(a.0 as usize), self.sregs.get(b.0 as usize)) {
             (Some(x), Some(y)) => native_bin(op, ty, x, y),
             _ => None,
@@ -1594,14 +1283,7 @@ impl<'t> Machine<'t> {
     /// `dst = a op #imm` evaluated in place ([`Machine::sbin_native`]'s
     /// contract).
     #[inline(always)]
-    fn sbin_imm_native(
-        &mut self,
-        op: BinOp,
-        ty: ScalarTy,
-        dst: crate::isa::SReg,
-        a: crate::isa::SReg,
-        imm: i32,
-    ) -> bool {
+    fn sbin_imm_native(&mut self, op: BinOp, ty: ScalarTy, dst: SReg, a: SReg, imm: i32) -> bool {
         let y = Value::Int(imm as i64).coerce(ty);
         let v = self
             .sregs
@@ -1612,7 +1294,7 @@ impl<'t> Machine<'t> {
 
     /// Store a [`native_bin`] result into an existing destination slot.
     #[inline(always)]
-    fn put_native(&mut self, dst: crate::isa::SReg, v: Option<Value>) -> bool {
+    fn put_native(&mut self, dst: SReg, v: Option<Value>) -> bool {
         match (v, self.sregs.get_mut(dst.0 as usize)) {
             (Some(v), Some(slot)) => {
                 *slot = v;
@@ -1625,8 +1307,8 @@ impl<'t> Machine<'t> {
     /// One specialized scalar-immediate ALU op.
     fn exec_sbin_imm(
         &mut self,
-        dst: crate::isa::SReg,
-        a: crate::isa::SReg,
+        dst: SReg,
+        a: SReg,
         imm: i32,
         f: SBinFn,
         ty: ScalarTy,
@@ -1696,7 +1378,7 @@ impl<'t> Machine<'t> {
                 let a = self.addr(addr)?;
                 self.mem.check(a, ty.size())?;
                 let v = self.mem.read(*ty, a);
-                self.set_sreg_checked(*dst, *ty, v);
+                self.set_sreg(*dst, v);
             }
             MInst::StoreS { ty, src, addr } => {
                 let a = self.addr(addr)?;
@@ -1706,39 +1388,21 @@ impl<'t> Machine<'t> {
             }
             MInst::LoadV { dst, addr, align } => {
                 let a = self.addr(addr)?;
-                self.mem.check(a, vs)?;
-                if *align == MemAlign::Aligned && !(a as usize).is_multiple_of(vs) {
-                    return Err(Trap(format!(
-                        "aligned vector load from misaligned address {a} (VS={vs})"
-                    )));
-                }
-                let mut out = self.vzero();
-                out[..vs].copy_from_slice(self.mem.slice(a, vs));
-                self.set_vreg(*dst, out);
+                self.load_v_at(*dst, a, *align == MemAlign::Aligned)?;
             }
             MInst::LoadVFloor { dst, addr } => {
                 let a = self.addr(addr)? & !(vs as u64 - 1);
-                self.mem.check(a, vs)?;
-                let mut out = self.vzero();
-                out[..vs].copy_from_slice(self.mem.slice(a, vs));
-                self.set_vreg(*dst, out);
+                self.load_v_at(*dst, a, false)?;
             }
             MInst::StoreV { src, addr, align } => {
                 let a = self.addr(addr)?;
-                self.mem.check(a, vs)?;
-                if *align == MemAlign::Aligned && !(a as usize).is_multiple_of(vs) {
-                    return Err(Trap(format!(
-                        "aligned vector store to misaligned address {a} (VS={vs})"
-                    )));
-                }
-                let v = vreg_of(&self.vregs, *src)?;
-                self.mem.slice_mut(a, vs).copy_from_slice(&v[..vs]);
+                self.store_v_at(*src, a, *align == MemAlign::Aligned)?;
             }
             MInst::Splat { ty, dst, src } => {
                 let v = self.sval(*src)?.coerce(*ty);
                 let n = self.lanes(*ty);
                 let out = self.with_lanes(*ty, n, |_| Ok(v))?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::Iota {
                 ty,
@@ -1756,7 +1420,7 @@ impl<'t> Machine<'t> {
                     }
                     Ok(v)
                 })?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::SetLane { ty, dst, lane, src } => {
                 let v = self.sval(*src)?.coerce(*ty);
@@ -1764,10 +1428,8 @@ impl<'t> Machine<'t> {
                 if off + ty.size() > self.lane_limit(*ty) {
                     return Err(Trap(format!("lane {lane} out of range for {ty}")));
                 }
-                self.vbytes(*dst)?; // undefined-register trap before the copy
-                let mut cur = self.merge_out(*dst);
-                write_elem(*ty, &mut cur, off, v);
-                self.put_vreg(*dst, cur);
+                self.vbytes(*dst)?; // undefined-register trap before the write
+                write_elem(*ty, self.vregs.slot_mut(*dst), off, v);
             }
             MInst::GetLane { ty, dst, src, lane } => {
                 let v = self.vbytes(*src)?;
@@ -1782,21 +1444,15 @@ impl<'t> Machine<'t> {
                 let (x, y) = (self.vbytes(*a)?, self.vbytes(*b)?);
                 let n = self.lanes(*ty);
                 let out = self.with_lanes(*ty, n, |k| {
-                    Ok(eval_bin(
-                        *op,
-                        *ty,
-                        self.lane(x, *ty, k),
-                        self.lane(y, *ty, k),
-                    ))
+                    Ok(eval_bin(*op, *ty, lane(x, *ty, k), lane(y, *ty, k)))
                 })?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VUn { op, ty, dst, a } => {
                 let x = self.vbytes(*a)?;
                 let n = self.lanes(*ty);
-                let out =
-                    self.with_lanes(*ty, n, |k| Ok(eval_un(*op, *ty, self.lane(x, *ty, k))))?;
-                self.set_vreg(*dst, out);
+                let out = self.with_lanes(*ty, n, |k| Ok(eval_un(*op, *ty, lane(x, *ty, k))))?;
+                self.vregs.set(*dst, &out);
             }
             MInst::VShift {
                 left,
@@ -1811,29 +1467,20 @@ impl<'t> Machine<'t> {
                 let out = match amt {
                     ShiftSrc::Imm(v) => {
                         let amt = Value::Int(*v as i64);
-                        self.with_lanes(*ty, n, |k| {
-                            Ok(eval_bin(op, *ty, self.lane(x, *ty, k), amt))
-                        })?
+                        self.with_lanes(*ty, n, |k| Ok(eval_bin(op, *ty, lane(x, *ty, k), amt)))?
                     }
                     ShiftSrc::Reg(r) => {
                         let amt = Value::Int(self.sint(*r)?);
-                        self.with_lanes(*ty, n, |k| {
-                            Ok(eval_bin(op, *ty, self.lane(x, *ty, k), amt))
-                        })?
+                        self.with_lanes(*ty, n, |k| Ok(eval_bin(op, *ty, lane(x, *ty, k), amt)))?
                     }
                     ShiftSrc::PerLane(r) => {
                         let amts = self.vbytes(*r)?;
                         self.with_lanes(*ty, n, |k| {
-                            Ok(eval_bin(
-                                op,
-                                *ty,
-                                self.lane(x, *ty, k),
-                                self.lane(amts, *ty, k),
-                            ))
+                            Ok(eval_bin(op, *ty, lane(x, *ty, k), lane(amts, *ty, k)))
                         })?
                     }
                 };
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VWidenMul {
                 half,
@@ -1843,7 +1490,7 @@ impl<'t> Machine<'t> {
                 b,
             } => {
                 let out = self.widen_mul(*half, *ty, *a, *b)?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VDotAcc { ty, dst, a, b, acc } => {
                 let wide = ty
@@ -1852,31 +1499,31 @@ impl<'t> Machine<'t> {
                 let (x, y, z) = (self.vbytes(*a)?, self.vbytes(*b)?, self.vbytes(*acc)?);
                 let n = self.lanes(*ty);
                 let out = self.with_lanes(wide, n / 2, |j| {
-                    let mut sum = self.lane(z, wide, j);
+                    let mut sum = lane(z, wide, j);
                     for k in [2 * j, 2 * j + 1] {
                         let p = eval_bin(
                             BinOp::Mul,
                             wide,
-                            eval_cast(*ty, wide, self.lane(x, *ty, k)),
-                            eval_cast(*ty, wide, self.lane(y, *ty, k)),
+                            eval_cast(*ty, wide, lane(x, *ty, k)),
+                            eval_cast(*ty, wide, lane(y, *ty, k)),
                         );
                         sum = eval_bin(BinOp::Add, wide, sum, p);
                     }
                     Ok(sum)
                 })?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VPack { ty, dst, a, b } => {
                 let out = self.pack(*ty, *a, *b)?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VUnpack { half, ty, dst, a } => {
                 let out = self.unpack(*half, *ty, *a)?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VCvt { dir, ty, dst, a } => {
                 let out = self.cvt(*dir, *ty, *a)?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VInterleave {
                 half,
@@ -1890,9 +1537,9 @@ impl<'t> Machine<'t> {
                 let base = if *half == Half::Lo { 0 } else { n / 2 };
                 let out = self.with_lanes(*ty, n, |k| {
                     let src = if k % 2 == 0 { x } else { y };
-                    Ok(self.lane(src, *ty, base + k / 2))
+                    Ok(lane(src, *ty, base + k / 2))
                 })?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VExtractStride {
                 ty,
@@ -1912,27 +1559,25 @@ impl<'t> Machine<'t> {
                     let v = *all
                         .get(vi)
                         .ok_or_else(|| Trap("extract reads past sources".into()))?;
-                    Ok(self.lane(v, *ty, li))
+                    Ok(lane(v, *ty, li))
                 })?;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VPermCtrl { dst, addr } => {
                 let a = self.addr(addr)?;
-                let mut out = self.vzero();
+                let mut out = [0; MAX_VS];
                 out[0] = (a as usize % vs) as u8;
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::VPerm { dst, a, b, ctrl } => {
                 // Select the `vs`-byte window at offset `mis` of x ++ y,
                 // without materializing the 2·VS concatenation.
                 let (x, y, c) = (self.vbytes(*a)?, self.vbytes(*b)?, self.vbytes(*ctrl)?);
                 let mis = c[0] as usize % vs;
-                let mut out = self.vzero();
-                for i in 0..vs {
-                    let p = mis + i;
-                    out[i] = if p < vs { x[p] } else { y[p - vs] };
-                }
-                self.set_vreg(*dst, out);
+                let mut out = [0; MAX_VS];
+                out[..vs - mis].copy_from_slice(&x[mis..vs]);
+                out[vs - mis..vs].copy_from_slice(&y[..mis]);
+                self.vregs.set(*dst, &out);
             }
             MInst::VReduce { op, ty, dst, src } => {
                 let x = self.vbytes(*src)?;
@@ -1942,17 +1587,13 @@ impl<'t> Machine<'t> {
                     ReduceOp::Max => BinOp::Max,
                     ReduceOp::Min => BinOp::Min,
                 };
-                let mut acc = self.lane(x, *ty, 0);
+                let mut acc = lane(x, *ty, 0);
                 for k in 1..n {
-                    acc = eval_bin(bop, *ty, acc, self.lane(x, *ty, k));
+                    acc = eval_bin(bop, *ty, acc, lane(x, *ty, k));
                 }
                 self.set_sreg_checked(*dst, *ty, acc);
             }
-            MInst::MovV { dst, src } => {
-                self.vbytes(*src)?; // undefined-register trap before the copy
-                let v = self.merge_out(*src);
-                self.put_vreg(*dst, v);
-            }
+            MInst::MovV { dst, src } => self.vregs.mov(*dst, *src)?,
             MInst::SpillLd { dst, slot } => {
                 let v = self
                     .slots
@@ -1980,19 +1621,14 @@ impl<'t> Machine<'t> {
                         let (x, y) = (self.vbytes(*a)?, self.vbytes(b)?);
                         let n = self.lanes(*ty);
                         self.with_lanes(*ty, n, |k| {
-                            Ok(eval_bin(
-                                BinOp::Div,
-                                *ty,
-                                self.lane(x, *ty, k),
-                                self.lane(y, *ty, k),
-                            ))
+                            Ok(eval_bin(BinOp::Div, *ty, lane(x, *ty, k), lane(y, *ty, k)))
                         })?
                     }
                     HelperOp::FSqrt => {
                         let x = self.vbytes(*a)?;
                         let n = self.lanes(*ty);
                         self.with_lanes(*ty, n, |k| {
-                            Ok(eval_un(vapor_ir::UnOp::Sqrt, *ty, self.lane(x, *ty, k)))
+                            Ok(eval_un(vapor_ir::UnOp::Sqrt, *ty, lane(x, *ty, k)))
                         })?
                     }
                     HelperOp::Pack => {
@@ -2001,7 +1637,7 @@ impl<'t> Machine<'t> {
                     }
                     HelperOp::Unpack(h) => self.unpack(*h, *ty, *a)?,
                 };
-                self.set_vreg(*dst, out);
+                self.vregs.set(*dst, &out);
             }
             MInst::SetVl { ty, dst, avl } => {
                 let vlmax = self.lanes(*ty) as i64;
@@ -2018,36 +1654,27 @@ impl<'t> Machine<'t> {
                 self.store_vl_at(*ty, *src, a)?;
             }
             MInst::VBinVl { op, ty, dst, a, b } => {
-                let n = self.vl_lanes(*ty);
-                let mut out = self.merge_out(*dst);
-                let (x, y) = (self.vbytes(*a)?, self.vbytes(*b)?);
-                for k in 0..n {
-                    let v = eval_bin(*op, *ty, self.lane(x, *ty, k), self.lane(y, *ty, k));
-                    write_elem(*ty, &mut out, k * ty.size(), v);
-                }
-                self.put_vreg(*dst, out);
+                let (n, op, ty) = (self.vl_lanes(*ty), *op, *ty);
+                self.vregs.write(*dst, [*a, *b], true, |[x, y], out| {
+                    for k in 0..n {
+                        let v = eval_bin(op, ty, lane(x, ty, k), lane(y, ty, k));
+                        write_elem(ty, out, k * ty.size(), v);
+                    }
+                })?;
             }
             MInst::VUnVl { op, ty, dst, a } => {
-                let n = self.vl_lanes(*ty);
-                let mut out = self.merge_out(*dst);
-                let x = self.vbytes(*a)?;
-                for k in 0..n {
-                    let v = eval_un(*op, *ty, self.lane(x, *ty, k));
-                    write_elem(*ty, &mut out, k * ty.size(), v);
-                }
-                self.put_vreg(*dst, out);
+                let (n, op, ty) = (self.vl_lanes(*ty), *op, *ty);
+                self.vregs.write(*dst, [*a], true, |[x], out| {
+                    for k in 0..n {
+                        write_elem(ty, out, k * ty.size(), eval_un(op, ty, lane(x, ty, k)));
+                    }
+                })?;
             }
         }
         Ok(())
     }
 
-    fn widen_mul(
-        &self,
-        half: Half,
-        ty: ScalarTy,
-        a: crate::isa::VReg,
-        b: crate::isa::VReg,
-    ) -> Result<VBytes, Trap> {
+    fn widen_mul(&self, half: Half, ty: ScalarTy, a: VReg, b: VReg) -> Result<Lanes, Trap> {
         let wide = ty
             .widened()
             .ok_or_else(|| Trap(format!("widen_mult: {ty} has no widened type")))?;
@@ -2058,13 +1685,13 @@ impl<'t> Machine<'t> {
             Ok(eval_bin(
                 BinOp::Mul,
                 wide,
-                eval_cast(ty, wide, self.lane(x, ty, base + j)),
-                eval_cast(ty, wide, self.lane(y, ty, base + j)),
+                eval_cast(ty, wide, lane(x, ty, base + j)),
+                eval_cast(ty, wide, lane(y, ty, base + j)),
             ))
         })
     }
 
-    fn pack(&self, ty: ScalarTy, a: crate::isa::VReg, b: crate::isa::VReg) -> Result<VBytes, Trap> {
+    fn pack(&self, ty: ScalarTy, a: VReg, b: VReg) -> Result<Lanes, Trap> {
         let narrow = ty
             .narrowed()
             .ok_or_else(|| Trap(format!("pack: {ty} has no narrowed type")))?;
@@ -2072,11 +1699,11 @@ impl<'t> Machine<'t> {
         let n = self.lanes(ty);
         self.with_lanes(narrow, 2 * n, |k| {
             let src = if k < n { x } else { y };
-            Ok(eval_cast(ty, narrow, self.lane(src, ty, k % n)))
+            Ok(eval_cast(ty, narrow, lane(src, ty, k % n)))
         })
     }
 
-    fn cvt(&self, dir: CvtDir, ty: ScalarTy, a: crate::isa::VReg) -> Result<VBytes, Trap> {
+    fn cvt(&self, dir: CvtDir, ty: ScalarTy, a: VReg) -> Result<Lanes, Trap> {
         let to = match dir {
             CvtDir::IntToFloat => ty
                 .float_counterpart()
@@ -2087,10 +1714,10 @@ impl<'t> Machine<'t> {
         };
         let x = self.vbytes(a)?;
         let n = self.lanes(ty);
-        self.with_lanes(to, n, |k| Ok(eval_cast(ty, to, self.lane(x, ty, k))))
+        self.with_lanes(to, n, |k| Ok(eval_cast(ty, to, lane(x, ty, k))))
     }
 
-    fn unpack(&self, half: Half, ty: ScalarTy, a: crate::isa::VReg) -> Result<VBytes, Trap> {
+    fn unpack(&self, half: Half, ty: ScalarTy, a: VReg) -> Result<Lanes, Trap> {
         let wide = ty
             .widened()
             .ok_or_else(|| Trap(format!("unpack: {ty} has no widened type")))?;
@@ -2098,7 +1725,7 @@ impl<'t> Machine<'t> {
         let n = self.lanes(ty);
         let base = if half == Half::Lo { 0 } else { n / 2 };
         self.with_lanes(wide, n / 2, |j| {
-            Ok(eval_cast(ty, wide, self.lane(x, ty, base + j)))
+            Ok(eval_cast(ty, wide, lane(x, ty, base + j)))
         })
     }
 }
@@ -2136,13 +1763,9 @@ fn native_bin(op: BinOp, ty: ScalarTy, x: &Value, y: &Value) -> Option<Value> {
     }
 }
 
-/// Borrowed register contents. A free function over the register file
-/// (rather than a `&self` method) so store paths can split borrows:
-/// a shared borrow of `vregs` coexisting with a mutable borrow of `mem`.
-fn vreg_of(vregs: &[VBytes], r: crate::isa::VReg) -> Result<&VBytes, Trap> {
-    vregs
-        .get(r.0 as usize)
-        .ok_or_else(|| Trap(format!("read of undefined vector register v{}", r.0)))
+/// Lane `k` of a `ty` vector.
+fn lane(bytes: &[u8], ty: ScalarTy, k: usize) -> Value {
+    read_elem(ty, bytes, k * ty.size())
 }
 
 fn take(cond: Cond, a: i64, b: i64) -> bool {
@@ -2160,124 +1783,6 @@ struct TCtx<'a> {
     defs: &'a [StreamDef],
     cursors: Vec<i64>,
     valid: Vec<bool>,
-}
-
-/// One arena register slot (`CAP` bytes at byte offset `off`).
-#[inline]
-fn slot<const CAP: usize>(arena: &[u8], off: u32) -> &[u8] {
-    &arena[off as usize..off as usize + CAP]
-}
-
-/// Split one exclusive and one shared `CAP`-byte slot out of the arena.
-/// Callers must pass distinct offsets (slot offsets are multiples of
-/// `CAP`, so distinct offsets mean disjoint spans).
-#[inline]
-fn slot1_mut<const CAP: usize>(arena: &mut [u8], a: u32, dst: u32) -> (&[u8], &mut [u8]) {
-    debug_assert_ne!(dst, a);
-    debug_assert!(a as usize + CAP <= arena.len() && dst as usize + CAP <= arena.len());
-    let base = arena.as_mut_ptr();
-    // SAFETY: both spans are in bounds; offsets are distinct multiples
-    // of CAP, so the exclusive span cannot overlap the shared one.
-    unsafe {
-        (
-            std::slice::from_raw_parts(base.add(a as usize), CAP),
-            std::slice::from_raw_parts_mut(base.add(dst as usize), CAP),
-        )
-    }
-}
-
-/// Split one exclusive and two shared `CAP`-byte slots out of the
-/// arena. Callers must pass a destination distinct from both operands.
-#[inline]
-fn slot2_mut<const CAP: usize>(
-    arena: &mut [u8],
-    a: u32,
-    b: u32,
-    dst: u32,
-) -> (&[u8], &[u8], &mut [u8]) {
-    debug_assert!(dst != a && dst != b);
-    debug_assert!(
-        a as usize + CAP <= arena.len()
-            && b as usize + CAP <= arena.len()
-            && dst as usize + CAP <= arena.len()
-    );
-    let base = arena.as_mut_ptr();
-    // SAFETY: all spans are in bounds; offsets are multiples of CAP and
-    // dst differs from a and b, so the exclusive span cannot overlap
-    // either shared one (the two shared spans may alias each other,
-    // which shared references permit).
-    unsafe {
-        (
-            std::slice::from_raw_parts(base.add(a as usize), CAP),
-            std::slice::from_raw_parts(base.add(b as usize), CAP),
-            std::slice::from_raw_parts_mut(base.add(dst as usize), CAP),
-        )
-    }
-}
-
-/// All-lanes specialized vector binary op on arena slots — fresh
-/// (non-merging) semantics: every lane past the written ones is zero.
-/// Disjoint destinations are written in place; a destination aliasing
-/// an operand goes through a scratch register.
-#[inline]
-fn t_vbin<const CAP: usize>(
-    arena: &mut [u8],
-    ew: usize,
-    dst: u32,
-    a: u32,
-    b: u32,
-    f: VBinFn,
-    lanes: usize,
-) {
-    if dst != a && dst != b {
-        let (sa, sb, sd) = slot2_mut::<CAP>(arena, a, b, dst);
-        sd.fill(0);
-        f(sa, sb, sd, lanes);
-    } else {
-        let mut tmp = [0u8; CAP];
-        f(
-            slot::<CAP>(arena, a),
-            slot::<CAP>(arena, b),
-            &mut tmp,
-            lanes,
-        );
-        arena[dst as usize..dst as usize + ew].copy_from_slice(&tmp[..ew]);
-    }
-}
-
-/// Merging-predicated vector binary op on arena slots: lanes past the
-/// active VL keep the destination's old values, so the in-place path
-/// needs no seeding at all.
-#[inline]
-fn t_vbin_vl<const CAP: usize>(
-    arena: &mut [u8],
-    ew: usize,
-    dst: u32,
-    a: u32,
-    b: u32,
-    f: VBinFn,
-    n: usize,
-) {
-    if dst != a && dst != b {
-        let (sa, sb, sd) = slot2_mut::<CAP>(arena, a, b, dst);
-        f(sa, sb, sd, n);
-    } else {
-        let d = dst as usize;
-        let mut tmp = [0u8; CAP];
-        tmp[..ew].copy_from_slice(&arena[d..d + ew]);
-        f(slot::<CAP>(arena, a), slot::<CAP>(arena, b), &mut tmp, n);
-        arena[d..d + ew].copy_from_slice(&tmp[..ew]);
-    }
-}
-
-/// Re-seed the arena from the register file after a `VectorOp` escape.
-/// A free function so the shared borrow of `vregs` coexists with the
-/// mutable borrow of the caller-owned arena.
-fn t_fill(vregs: &[VBytes], arena: &mut [u8], cap: usize, nv: usize) {
-    for (r, v) in vregs.iter().enumerate().take(nv) {
-        let nb = v.capacity().min(cap);
-        arena[r * cap..r * cap + nb].copy_from_slice(&v[..nb]);
-    }
 }
 
 #[cfg(test)]
@@ -3146,47 +2651,125 @@ mod more_tests {
 
 #[cfg(test)]
 mod register_file_tests {
-    //! The target-sized register file: representation boundaries and
-    //! guard-zone arithmetic at those boundaries.
+    //! The target-sized register file: the slot stride at its boundary,
+    //! whole-slot writes, and guard-zone arithmetic at those widths.
 
     use super::*;
     use crate::isa::{AddrMode, MInst, SReg, VReg};
     use crate::target::{avx, neon64, sse};
 
+    fn splat(dst: u32) -> MInst {
+        MInst::Splat {
+            ty: ScalarTy::I32,
+            dst: VReg(dst),
+            src: SReg(0),
+        }
+    }
+
+    fn prog(insts: Vec<MInst>) -> MCode {
+        MCode {
+            insts,
+            n_sregs: 4,
+            n_vregs: 4,
+            note: String::new(),
+        }
+    }
+
     #[test]
-    fn representation_switches_at_the_inline_boundary() {
+    fn slot_stride_switches_at_32_bytes() {
         // 16 and 32 bytes (SSE/AltiVec and AVX, and VLA at 128/256
-        // bits) stay inline; 33 is the first heap width; 256 is the
-        // VLA maximum.
-        for w in [1, 8, 16, INLINE_VS] {
-            let v = VBytes::zeroed(w);
-            assert!(matches!(v, VBytes::Inline(_)), "width {w}");
-            assert_eq!(v.capacity(), INLINE_VS);
+        // bits) take 32-byte slots; 33 is the first wide width; 256 is
+        // the VLA maximum.
+        for vs in [1, 8, 16, 32] {
+            assert_eq!(reg_stride(vs), 32, "vs={vs}");
         }
-        for w in [INLINE_VS + 1, 64, MAX_VS] {
-            let v = VBytes::zeroed(w);
-            assert!(matches!(v, VBytes::Heap(_)), "width {w}");
-            assert_eq!(v.capacity(), MAX_VS);
+        for vs in [33, 64, MAX_VS] {
+            assert_eq!(reg_stride(vs), MAX_VS, "vs={vs}");
+        }
+        // A machine's file grows in slots of that stride: no fixed-width
+        // family carries 2048-bit registers.
+        let fam = crate::target::sve();
+        for (t, stride) in [
+            (sse(), 32),
+            (neon64(), 32),
+            (avx(), 32),
+            (fam.at_vl(128), 32),
+            (fam.at_vl(256), 32),
+            (fam.at_vl(512), MAX_VS),
+            (fam.at_vl(2048), MAX_VS),
+        ] {
+            let mut m = Machine::new(&t, 4096);
+            m.set_sreg(SReg(0), Value::Int(3));
+            m.run(&prog(vec![splat(2)])).unwrap();
+            assert_eq!(m.vregs.bytes.len(), 3 * stride, "{} VS={}", t.name, t.vs);
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MAX_VS")]
-    fn oversized_register_width_panics() {
-        let _ = VBytes::zeroed(MAX_VS + 1);
-    }
+    fn every_write_defines_the_whole_slot() {
+        // A 64-byte machine in 256-byte slots. A full-width splat of -1,
+        // then a predicated load of 3 lanes over it: the inactive lanes
+        // and the slot tail read zero. A merging add over 3 lanes keeps
+        // the destination's other lanes. All three loops leave the same
+        // registers.
+        let t = crate::target::sve().at_vl(512);
+        let c = prog(vec![
+            splat(0),
+            splat(1),
+            MInst::MovImmI {
+                dst: SReg(2),
+                imm: 3,
+            },
+            MInst::SetVl {
+                ty: ScalarTy::I32,
+                dst: SReg(3),
+                avl: SReg(2),
+            },
+            MInst::LoadVl {
+                ty: ScalarTy::I32,
+                dst: VReg(0),
+                addr: AddrMode::base_disp(SReg(1), 0),
+            },
+            MInst::VBinVl {
+                op: BinOp::Add,
+                ty: ScalarTy::I32,
+                dst: VReg(1),
+                a: VReg(1),
+                b: VReg(0),
+            },
+        ]);
+        let build = || {
+            let mut m = Machine::new(&t, 4096);
+            let a = m.mem.alloc(64, 64);
+            m.mem.slice_mut(a, 64).fill(0x11);
+            m.set_sreg(SReg(0), Value::Int(-1));
+            m.set_sreg(SReg(1), Value::Int(a as i64));
+            m
+        };
+        let mut seed = build();
+        seed.run(&c).unwrap();
+        let v0 = seed.vbytes(VReg(0)).unwrap();
+        assert_eq!(v0.len(), MAX_VS);
+        assert!(v0[..12].iter().all(|&b| b == 0x11));
+        assert!(v0[12..].iter().all(|&b| b == 0), "inactive lanes and tail");
+        let v1 = seed.vbytes(VReg(1)).unwrap();
+        for k in 0..16 {
+            let want = if k < 3 { 0x1111_1111 - 1 } else { -1 };
+            assert_eq!(lane(v1, ScalarTy::I32, k), Value::Int(want), "lane {k}");
+        }
+        assert!(v1[64..].iter().all(|&b| b == 0), "slot tail");
 
-    #[test]
-    fn equality_is_zero_extended_across_representations() {
-        let mut narrow = VBytes::zeroed(16);
-        let mut wide = VBytes::zeroed(256);
-        assert_eq!(narrow, wide, "all-zero registers are equal");
-        narrow[3] = 7;
-        assert_ne!(narrow, wide);
-        wide[3] = 7;
-        assert_eq!(narrow, wide, "same lanes, different capacity");
-        wide[INLINE_VS + 5] = 1;
-        assert_ne!(narrow, wide, "nonzero tail breaks equality");
+        let d = crate::decode::DecodedProgram::decode(&c, &t).unwrap();
+        let mut dec = build();
+        dec.run_decoded(&d).unwrap();
+        let th = crate::thread::ThreadedProgram::thread(&d, &c);
+        let mut thr = build();
+        thr.run_threaded(&th).unwrap();
+        for r in [VReg(0), VReg(1)] {
+            let want = seed.vbytes(r).unwrap();
+            assert_eq!(want, dec.vbytes(r).unwrap(), "decoded {r}");
+            assert_eq!(want, thr.vbytes(r).unwrap(), "threaded {r}");
+        }
     }
 
     #[test]
@@ -3289,66 +2872,6 @@ mod register_file_tests {
             };
             let err = m.run(&bad).unwrap_err();
             assert!(err.0.contains("out of range"), "lane {lane}: {err}");
-        }
-    }
-
-    #[test]
-    fn fixed_width_register_files_stay_inline() {
-        // The whole point: no fixed-width family allocates MAX_VS-sized
-        // registers, and a register move costs size_of::<VBytes>()
-        // (inline payload), not 2048 bits.
-        assert!(std::mem::size_of::<VBytes>() <= INLINE_VS + 8);
-        assert!(
-            MAX_VS / std::mem::size_of::<VBytes>() >= 4,
-            "register-move bytes must shrink >= 4x"
-        );
-        for t in [sse(), neon64(), avx()] {
-            let mut m = Machine::new(&t, 2048);
-            m.set_sreg(SReg(0), Value::Int(3));
-            let c = MCode {
-                insts: vec![MInst::Splat {
-                    ty: ScalarTy::I32,
-                    dst: VReg(0),
-                    src: SReg(0),
-                }],
-                n_sregs: 1,
-                n_vregs: 1,
-                note: String::new(),
-            };
-            m.run(&c).unwrap();
-            assert!(
-                matches!(m.vregs[0], VBytes::Inline(_)),
-                "{}: fixed-width registers must stay inline",
-                t.name
-            );
-        }
-        // Wide runtime-VL machines are the only payers for heap lanes.
-        let t = crate::target::sve().at_vl(2048);
-        let mut m = Machine::new(&t, 4096);
-        m.set_sreg(SReg(0), Value::Int(3));
-        let c = MCode {
-            insts: vec![MInst::Splat {
-                ty: ScalarTy::I32,
-                dst: VReg(0),
-                src: SReg(0),
-            }],
-            n_sregs: 1,
-            n_vregs: 1,
-            note: String::new(),
-        };
-        m.run(&c).unwrap();
-        assert!(matches!(m.vregs[0], VBytes::Heap(_)));
-    }
-
-    #[test]
-    fn narrow_vla_specializations_use_inline_registers() {
-        // VLA at 128/256 bits fits inline; 512+ goes to the heap.
-        let fam = crate::target::sve();
-        for (bits, inline) in [(128, true), (256, true), (512, false), (2048, false)] {
-            let t = fam.at_vl(bits);
-            let m = Machine::new(&t, 1024);
-            let z = m.vzero();
-            assert_eq!(matches!(z, VBytes::Inline(_)), inline, "VL={bits}");
         }
     }
 }

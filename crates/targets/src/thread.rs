@@ -1,11 +1,10 @@
 //! Closure-threaded execution tier: the lowering below [`DecodedProgram`].
 //!
-//! A decoded program still pays three per-step costs that have nothing
-//! to do with the step's own work: the fuel check + `insts`/`cycles`
-//! bookkeeping, the `VBytes` register-file dispatch on every vector
-//! operand, and the `base + i*scale + disp` address recomputation on
-//! every memory access of an affine loop. The threaded form removes all
-//! three at *thread time* (one more offline pass, amortized exactly like
+//! A decoded program still pays two per-step costs that have nothing to
+//! do with the step's own work: the fuel check + `insts`/`cycles`
+//! bookkeeping, and the `base + i*scale + disp` address recomputation
+//! on every memory access of an affine loop. The threaded form removes
+//! both at *thread time* (one more offline pass, amortized exactly like
 //! decoding itself):
 //!
 //! * **Regions** — steps are grouped into straight-line regions (control
@@ -16,11 +15,6 @@
 //!   constituents would cross the budget traps at the region boundary
 //!   without executing any of them; non-trapping executions are
 //!   bit-identical.
-//! * **Register arena** — vector registers live in one contiguous byte
-//!   arena; every operand of every step is a pre-multiplied byte offset,
-//!   so the hot loop does no `Vec` + `Option` + enum dispatch per
-//!   operand. The lane kernels already operate on plain byte slices, so
-//!   they are reused unchanged.
 //! * **Affine address streams** — for innermost loops whose latch is a
 //!   fused `i += #imm` / `i -= #imm` step on `i64`, every memory leg
 //!   whose address is affine in the induction variable gets a *stream*:
@@ -52,8 +46,7 @@ use crate::decode::{
     flatten_addr, DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VReduceFn, VShiftFn,
     VUnFn, NO_INDEX,
 };
-use crate::isa::{Cond, MCode, MInst, ReduceOp, SReg};
-use crate::machine::{INLINE_VS, MAX_VS};
+use crate::isa::{Cond, MCode, MInst, ReduceOp, SReg, VReg};
 
 /// One memory-operand address of a threaded step: either the flattened
 /// affine fields (recomputed per access, exactly like the decoded fast
@@ -112,19 +105,18 @@ pub struct Region {
 /// Payload of the threaded `LoadV → VBin → StoreV` superinstruction.
 #[derive(Debug, Clone)]
 pub struct TLoadBinStore {
-    /// Arena byte offset of the load destination.
-    pub load_dst: u32,
+    /// Load destination.
+    pub load_dst: VReg,
     /// Whether the load carries the aligned contract.
     pub load_aligned: bool,
     /// Load address.
     pub load: TAddr,
-    /// Arena byte offset of the binary-op destination (also the store
-    /// source).
-    pub dst: u32,
-    /// Arena byte offset of the left operand.
-    pub a: u32,
-    /// Arena byte offset of the right operand.
-    pub b: u32,
+    /// Binary-op destination (also the store source).
+    pub dst: VReg,
+    /// Left operand.
+    pub a: VReg,
+    /// Right operand.
+    pub b: VReg,
     /// Specialized lane kernel.
     pub f: VBinFn,
     /// Operator (for disassembly).
@@ -142,18 +134,18 @@ pub struct TLoadBinStore {
 /// Payload of the threaded `LoadV → VBin → VBin` superinstruction.
 #[derive(Debug, Clone)]
 pub struct TLoadBinBin {
-    /// Arena byte offset of the load destination.
-    pub load_dst: u32,
+    /// Load destination.
+    pub load_dst: VReg,
     /// Whether the load carries the aligned contract.
     pub load_aligned: bool,
     /// Load address.
     pub load: TAddr,
-    /// Arena byte offset of the first op's destination.
-    pub dst1: u32,
-    /// Arena byte offset of the first op's left operand.
-    pub a1: u32,
-    /// Arena byte offset of the first op's right operand.
-    pub b1: u32,
+    /// First op's destination.
+    pub dst1: VReg,
+    /// First op's left operand.
+    pub a1: VReg,
+    /// First op's right operand.
+    pub b1: VReg,
     /// First specialized lane kernel.
     pub f1: VBinFn,
     /// First operator.
@@ -162,12 +154,12 @@ pub struct TLoadBinBin {
     pub ty1: ScalarTy,
     /// First lane count.
     pub lanes1: u16,
-    /// Arena byte offset of the second op's destination.
-    pub dst2: u32,
-    /// Arena byte offset of the second op's left operand.
-    pub a2: u32,
-    /// Arena byte offset of the second op's right operand.
-    pub b2: u32,
+    /// Second op's destination.
+    pub dst2: VReg,
+    /// Second op's left operand.
+    pub a2: VReg,
+    /// Second op's right operand.
+    pub b2: VReg,
     /// Second specialized lane kernel.
     pub f2: VBinFn,
     /// Second operator.
@@ -181,18 +173,18 @@ pub struct TLoadBinBin {
 /// Payload of the threaded `LoadV → VBin` superinstruction.
 #[derive(Debug, Clone)]
 pub struct TLoadBin {
-    /// Arena byte offset of the load destination.
-    pub load_dst: u32,
+    /// Load destination.
+    pub load_dst: VReg,
     /// Whether the load carries the aligned contract.
     pub load_aligned: bool,
     /// Load address.
     pub load: TAddr,
-    /// Arena byte offset of the binary-op destination.
-    pub dst: u32,
-    /// Arena byte offset of the left operand.
-    pub a: u32,
-    /// Arena byte offset of the right operand.
-    pub b: u32,
+    /// Binary-op destination.
+    pub dst: VReg,
+    /// Left operand.
+    pub a: VReg,
+    /// Right operand.
+    pub b: VReg,
     /// Specialized lane kernel.
     pub f: VBinFn,
     /// Operator.
@@ -206,13 +198,12 @@ pub struct TLoadBin {
 /// Payload of the threaded `VBin → StoreV` superinstruction.
 #[derive(Debug, Clone)]
 pub struct TBinStore {
-    /// Arena byte offset of the binary-op destination (also the store
-    /// source).
-    pub dst: u32,
-    /// Arena byte offset of the left operand.
-    pub a: u32,
-    /// Arena byte offset of the right operand.
-    pub b: u32,
+    /// Binary-op destination (also the store source).
+    pub dst: VReg,
+    /// Left operand.
+    pub a: VReg,
+    /// Right operand.
+    pub b: VReg,
     /// Specialized lane kernel.
     pub f: VBinFn,
     /// Operator.
@@ -233,17 +224,16 @@ pub struct TBinStore {
 pub struct TLoadBinStoreVl {
     /// Element type of the predicated load.
     pub load_ty: ScalarTy,
-    /// Arena byte offset of the load destination.
-    pub load_dst: u32,
+    /// Load destination.
+    pub load_dst: VReg,
     /// Load address.
     pub load: TAddr,
-    /// Arena byte offset of the binary-op destination (merge source;
-    /// also the store source).
-    pub dst: u32,
-    /// Arena byte offset of the left operand.
-    pub a: u32,
-    /// Arena byte offset of the right operand.
-    pub b: u32,
+    /// Binary-op destination (merge source; also the store source).
+    pub dst: VReg,
+    /// Left operand.
+    pub a: VReg,
+    /// Right operand.
+    pub b: VReg,
     /// Specialized lane kernel.
     pub f: VBinFn,
     /// Operator.
@@ -324,9 +314,10 @@ pub struct TSBin2 {
     pub rty2: ScalarTy,
 }
 
-/// One threaded step. Vector operands are pre-multiplied byte offsets
-/// into the register arena; branch targets are *region* indices; memory
-/// operands are [`TAddr`]s (possibly stream-backed).
+/// One threaded step. Vector operands are registers of the machine's
+/// one register file, read and written by the same helpers as the
+/// decoded steps; branch targets are *region* indices; memory operands
+/// are [`TAddr`]s (possibly stream-backed).
 ///
 /// No `PartialEq` (function pointers); compare the source program.
 #[derive(Debug, Clone)]
@@ -367,14 +358,14 @@ pub enum TStep {
         /// Number of streams.
         n: u32,
     },
-    /// All-lanes specialized vector binary op on arena slots.
+    /// All-lanes specialized vector binary op.
     VBin {
-        /// Arena byte offset of the destination.
-        dst: u32,
-        /// Arena byte offset of the left operand.
-        a: u32,
-        /// Arena byte offset of the right operand.
-        b: u32,
+        /// Destination.
+        dst: VReg,
+        /// Left operand.
+        a: VReg,
+        /// Right operand.
+        b: VReg,
         /// Specialized lane kernel.
         f: VBinFn,
         /// Operator (for disassembly).
@@ -386,10 +377,10 @@ pub enum TStep {
     },
     /// All-lanes specialized vector unary op.
     VUn {
-        /// Arena byte offset of the destination.
-        dst: u32,
-        /// Arena byte offset of the operand.
-        a: u32,
+        /// Destination.
+        dst: VReg,
+        /// Operand.
+        a: VReg,
         /// Specialized lane kernel.
         f: VUnFn,
         /// Operator.
@@ -399,23 +390,21 @@ pub enum TStep {
         /// Lane count.
         lanes: u16,
     },
-    /// Vector register copy between arena slots (a whole-slot memcpy:
-    /// both slots keep the zeros-past-`ew` invariant, so copying the
-    /// full slot is exact).
+    /// Vector register copy (the whole slot).
     MovV {
-        /// Arena byte offset of the destination.
-        dst: u32,
-        /// Arena byte offset of the source.
-        src: u32,
+        /// Destination.
+        dst: VReg,
+        /// Source.
+        src: VReg,
     },
     /// Merging-predicated (runtime-VL) vector binary op.
     VBinVl {
-        /// Arena byte offset of the destination (merge source).
-        dst: u32,
-        /// Arena byte offset of the left operand.
-        a: u32,
-        /// Arena byte offset of the right operand.
-        b: u32,
+        /// Destination (merge source).
+        dst: VReg,
+        /// Left operand.
+        a: VReg,
+        /// Right operand.
+        b: VReg,
         /// Specialized lane kernel.
         f: VBinFn,
         /// Operator.
@@ -427,10 +416,10 @@ pub enum TStep {
     },
     /// Merging-predicated vector unary op.
     VUnVl {
-        /// Arena byte offset of the destination (merge source).
-        dst: u32,
-        /// Arena byte offset of the operand.
-        a: u32,
+        /// Destination (merge source).
+        dst: VReg,
+        /// Operand.
+        a: VReg,
         /// Specialized lane kernel.
         f: VUnFn,
         /// Operator.
@@ -440,19 +429,19 @@ pub enum TStep {
         /// Full-register lane count (VL clamp).
         max_lanes: u16,
     },
-    /// Whole-register vector load into an arena slot.
+    /// Whole-register vector load.
     LoadV {
-        /// Arena byte offset of the destination.
-        dst: u32,
+        /// Destination.
+        dst: VReg,
         /// Whether the access carries the aligned contract.
         aligned: bool,
         /// Address.
         addr: TAddr,
     },
-    /// Whole-register vector store from an arena slot.
+    /// Whole-register vector store.
     StoreV {
-        /// Arena byte offset of the source.
-        src: u32,
+        /// Source.
+        src: VReg,
         /// Whether the access carries the aligned contract.
         aligned: bool,
         /// Address.
@@ -480,8 +469,8 @@ pub enum TStep {
     LoadVl {
         /// Element type.
         ty: ScalarTy,
-        /// Arena byte offset of the destination.
-        dst: u32,
+        /// Destination.
+        dst: VReg,
         /// Address.
         addr: TAddr,
     },
@@ -489,8 +478,8 @@ pub enum TStep {
     StoreVl {
         /// Element type.
         ty: ScalarTy,
-        /// Arena byte offset of the source.
-        src: u32,
+        /// Source.
+        src: VReg,
         /// Address.
         addr: TAddr,
     },
@@ -548,8 +537,8 @@ pub enum TStep {
     },
     /// Specialized broadcast.
     Splat {
-        /// Arena byte offset of the destination.
-        dst: u32,
+        /// Destination.
+        dst: VReg,
         /// Source scalar register.
         src: SReg,
         /// Specialized broadcast kernel.
@@ -561,10 +550,10 @@ pub enum TStep {
     },
     /// Specialized vector shift by an immediate.
     VShiftImm {
-        /// Arena byte offset of the destination.
-        dst: u32,
-        /// Arena byte offset of the operand.
-        a: u32,
+        /// Destination.
+        dst: VReg,
+        /// Operand.
+        a: VReg,
         /// Specialized shift kernel.
         f: VShiftFn,
         /// Immediate amount.
@@ -578,10 +567,10 @@ pub enum TStep {
     },
     /// Specialized vector shift by a scalar register amount.
     VShiftReg {
-        /// Arena byte offset of the destination.
-        dst: u32,
-        /// Arena byte offset of the operand.
-        a: u32,
+        /// Destination.
+        dst: VReg,
+        /// Operand.
+        a: VReg,
         /// Specialized shift kernel.
         f: VShiftFn,
         /// Amount register.
@@ -611,8 +600,8 @@ pub enum TStep {
     VReduce {
         /// Destination scalar register.
         dst: SReg,
-        /// Arena byte offset of the source.
-        src: u32,
+        /// Source.
+        src: VReg,
         /// Specialized fold kernel.
         f: VReduceFn,
         /// Reduction operator (for disassembly).
@@ -636,12 +625,12 @@ pub enum TStep {
     Latch(Box<TLatch>),
     /// A generic instruction that touches only scalar machine state
     /// (scalar registers, spill slots, memory elements, the VL latch):
-    /// executed by the shared semantics with no arena synchronization.
+    /// executed by the shared semantics.
     ScalarOp(MInst),
     /// A generic instruction that reads or writes vector registers:
-    /// the arena is flushed to the register file, the instruction runs
-    /// under the shared semantics, and the arena is refilled. Rare by
-    /// construction (everything hot has a fast threaded form).
+    /// executed by the shared semantics on the one register file. Rare by
+    /// construction (everything hot has a fast threaded form); the
+    /// disassembly tags it `vector op (arena sync)`.
     VectorOp(MInst),
 }
 
@@ -659,10 +648,8 @@ pub struct ThreadedProgram {
     pub len: usize,
     /// Vector width in bytes of the thread target.
     pub vs: usize,
-    /// Arena slot stride in bytes (the register capacity class of a
-    /// `vs`-wide machine: [`INLINE_VS`] or [`MAX_VS`]).
-    stride: usize,
-    /// Number of vector-register slots in the arena.
+    /// Number of vector registers the steps name (the register file is
+    /// grown to this many at entry).
     n_vregs: usize,
     /// Number of loops that produced at least one stream.
     streamed_loops: usize,
@@ -689,12 +676,7 @@ impl ThreadedProgram {
         self.steps.len()
     }
 
-    /// Arena slot stride in bytes.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Number of vector-register slots in the arena.
+    /// Number of vector registers the steps name.
     pub fn n_vregs(&self) -> usize {
         self.n_vregs
     }
@@ -705,9 +687,8 @@ impl ThreadedProgram {
     }
 
     /// Thread a decoded program: group steps into straight-line regions
-    /// with pre-summed fuel/cycle charges, flatten vector operands to
-    /// arena byte offsets, and attach affine address streams to the
-    /// innermost loops that qualify. `code` is the source machine code
+    /// with pre-summed fuel/cycle charges and attach affine address
+    /// streams to the innermost loops that qualify. `code` is the source machine code
     /// (for the register-file size; the decoded program does not carry
     /// it).
     ///
@@ -719,7 +700,6 @@ impl ThreadedProgram {
         let steps = prog.steps();
         let n = steps.len();
         let vs = prog.vs;
-        let stride = if vs > INLINE_VS { MAX_VS } else { INLINE_VS };
 
         // ---- Affine stream analysis ------------------------------------
         // A loop qualifies when its backedge is a fused latch stepping an
@@ -916,9 +896,9 @@ impl ThreadedProgram {
         let mut new_index = vec![0u32; n + 1];
         let mut header_pos = vec![0u32; n];
         let mut max_vreg = 0u32;
-        let seen_v = |r: crate::isa::VReg, max_vreg: &mut u32| -> u32 {
+        let seen_v = |r: VReg, max_vreg: &mut u32| -> VReg {
             *max_vreg = (*max_vreg).max(r.0 + 1);
-            r.0 * stride as u32
+            r
         };
         for (i, d) in steps.iter().enumerate() {
             new_index[i] = out.len() as u32;
@@ -1253,7 +1233,7 @@ impl ThreadedProgram {
                         n_streams,
                     }))
                 }
-                DStep::Op(inst) => lower_op(inst, stride, &mut max_vreg),
+                DStep::Op(inst) => lower_op(inst, &mut max_vreg),
             };
             out.push((step, d.cost, u64::from(d.arity)));
             orig.push(i);
@@ -1457,7 +1437,6 @@ impl ThreadedProgram {
             streams,
             len: prog.len,
             vs,
-            stride,
             n_vregs,
             streamed_loops,
         }
@@ -1496,11 +1475,10 @@ fn au(aligned: bool) -> &'static str {
     }
 }
 
-/// One threaded step as text. Arena byte offsets render back as the
-/// register numbers they encode (`off / stride`), streams as `[sN]`,
+/// One threaded step as text. Streams render as `[sN]`,
 /// control targets as `@RN` region indices.
-fn tstep_str(step: &TStep, stride: usize) -> String {
-    let v = |off: u32| format!("v{}", off as usize / stride);
+fn tstep_str(step: &TStep) -> String {
+    let v = |r: VReg| r.to_string();
     match step {
         TStep::Jump { target } => format!("  jmp @R{target}"),
         TStep::Branch { cond, a, b, target } => format!("  b.{cond:?} {a}, {b} -> @R{target}"),
@@ -1801,7 +1779,7 @@ pub fn disasm_threaded(prog: &ThreadedProgram) -> String {
     for (r, reg) in prog.regions.iter().enumerate() {
         let _ = writeln!(out, "R{r}: ; {} insts, {} cycles", reg.arity, reg.cost);
         for step in &prog.steps[reg.first as usize..(reg.first + reg.n) as usize] {
-            out.push_str(&tstep_str(step, prog.stride));
+            out.push_str(&tstep_str(step));
             out.push('\n');
         }
     }
@@ -1809,16 +1787,15 @@ pub fn disasm_threaded(prog: &ThreadedProgram) -> String {
 }
 
 /// Lower a generic [`DStep::Op`] instruction: predicated memory ops get
-/// dedicated arena steps, instructions touching only scalar state skip
-/// arena synchronization, everything else pays a full arena round-trip.
-fn lower_op(inst: &MInst, stride: usize, max_vreg: &mut u32) -> TStep {
+/// dedicated steps, the rest run the shared generic semantics.
+fn lower_op(inst: &MInst, max_vreg: &mut u32) -> TStep {
     match inst {
         MInst::LoadVl { ty, dst, addr } => {
             if let Some((base, idx, scale, disp)) = flatten_addr(addr) {
                 *max_vreg = (*max_vreg).max(dst.0 + 1);
                 return TStep::LoadVl {
                     ty: *ty,
-                    dst: dst.0 * stride as u32,
+                    dst: *dst,
                     addr: TAddr::Direct {
                         base,
                         idx,
@@ -1834,7 +1811,7 @@ fn lower_op(inst: &MInst, stride: usize, max_vreg: &mut u32) -> TStep {
                 *max_vreg = (*max_vreg).max(src.0 + 1);
                 return TStep::StoreVl {
                     ty: *ty,
-                    src: src.0 * stride as u32,
+                    src: *src,
                     addr: TAddr::Direct {
                         base,
                         idx,
@@ -1848,8 +1825,8 @@ fn lower_op(inst: &MInst, stride: usize, max_vreg: &mut u32) -> TStep {
         MInst::MovV { dst, src } => {
             *max_vreg = (*max_vreg).max(dst.0.max(src.0) + 1);
             TStep::MovV {
-                dst: dst.0 * stride as u32,
-                src: src.0 * stride as u32,
+                dst: *dst,
+                src: *src,
             }
         }
         MInst::MovImmI { dst, imm } => TStep::MovImm {

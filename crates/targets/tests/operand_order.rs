@@ -11,14 +11,19 @@
 //!   types) as the fused `SBinImm → branch` latch, once with both
 //!   operands in the type's domain and once with one in the other domain
 //!   (the in-place arms and the coerce-and-kernel fallback);
-//! * a `Sub` in both operand orders through each fused vector arm.
+//! * a `Sub` in both operand orders through each fused vector arm;
+//! * every in-place vector step and fused arm with its destination
+//!   aliasing an operand (`dst == a`, `dst == b`, `a == b`,
+//!   `dst == a == b`), at 16-, 32-, 64- and 256-byte registers (both slot
+//!   strides), through all three dispatch loops and an independent lane
+//!   model.
 //!
 //! Operands are distinct, non-symmetric and never a zero divisor.
 
-use vapor_ir::{BinOp, ScalarTy, Value};
+use vapor_ir::{BinOp, ScalarTy, UnOp, Value};
 use vapor_targets::{
-    sse, sve, AddrMode, Cond, DStep, DecodedProgram, ExecStats, Label, MCode, MInst, Machine,
-    MemAlign, SReg, TargetDesc, Trap, VReg,
+    avx, disasm_decoded, sse, sve, AddrMode, Cond, DStep, DecodedProgram, ExecStats, Label, MCode,
+    MInst, Machine, MemAlign, SReg, ShiftSrc, TargetDesc, ThreadedProgram, Trap, VReg,
 };
 
 const OPS: [BinOp; 13] = [
@@ -343,5 +348,341 @@ fn fused_predicated_arm_keeps_operand_order() {
         same_vector(&format!("load-bin-store-vl swap={swap}"), &t, &c, |p| {
             p.fusion_stats().load_bin_store_vl
         });
+    }
+}
+
+/// Vector registers an aliasing program loads before the step under
+/// test; input `NV` is a fifth, fresh vector for the loads under test.
+const NV: u32 = 4;
+
+/// Output slots: four for the steps under test, then one per register.
+const OUT: u32 = 2 * NV;
+
+/// Lane `k` of input vector `j` (i32): distinct across inputs, so every
+/// operand order and every alias reads a different value.
+fn input(j: u32, k: usize) -> i32 {
+    1000 * (j as i32 + 1) + 37 * k as i32 - 2500
+}
+
+/// One step of an aliasing program. [`lower`] turns it into `MInst`s for
+/// the VM and [`model`] evaluates it on plain lane arrays, independently
+/// of every VM loop.
+#[derive(Clone, Copy, Debug)]
+enum V {
+    /// `d = input j`: the whole register, or (`vl`) the active lanes
+    /// with the rest zeroed.
+    Load { d: u32, j: u32, vl: bool },
+    /// `out[slot] = s`: the whole register, or the active lanes.
+    Store { slot: u32, s: u32, vl: bool },
+    /// `d = a - b`: all lanes, or the active lanes merged into `d`.
+    Sub { d: u32, a: u32, b: u32, vl: bool },
+    /// `d = -a`, likewise.
+    Neg { d: u32, a: u32, vl: bool },
+    /// `d = a << 3`, by an immediate or by a register amount.
+    Shl { d: u32, a: u32, reg: bool },
+    /// `d = s`.
+    Mov { d: u32, s: u32 },
+    /// A scalar step no fusion pattern takes.
+    Barrier,
+}
+
+fn lower(v: V, vs: i64) -> MInst {
+    let (ty, r0, r1) = (ScalarTy::I32, SReg(0), SReg(1));
+    match v {
+        V::Load { d, j, vl: false } => MInst::LoadV {
+            dst: VReg(d),
+            addr: AddrMode::base_disp(r0, j as i64 * vs),
+            align: MemAlign::Aligned,
+        },
+        V::Load { d, j, vl: true } => MInst::LoadVl {
+            ty,
+            dst: VReg(d),
+            addr: AddrMode::base_disp(r0, j as i64 * vs),
+        },
+        V::Store { slot, s, vl: false } => MInst::StoreV {
+            src: VReg(s),
+            addr: AddrMode::base_disp(r1, slot as i64 * vs),
+            align: MemAlign::Aligned,
+        },
+        V::Store { slot, s, vl: true } => MInst::StoreVl {
+            ty,
+            src: VReg(s),
+            addr: AddrMode::base_disp(r1, slot as i64 * vs),
+        },
+        V::Sub { d, a, b, vl } => {
+            let (op, dst, a, b) = (BinOp::Sub, VReg(d), VReg(a), VReg(b));
+            if vl {
+                MInst::VBinVl { op, ty, dst, a, b }
+            } else {
+                MInst::VBin { op, ty, dst, a, b }
+            }
+        }
+        V::Neg { d, a, vl } => {
+            let (op, dst, a) = (UnOp::Neg, VReg(d), VReg(a));
+            if vl {
+                MInst::VUnVl { op, ty, dst, a }
+            } else {
+                MInst::VUn { op, ty, dst, a }
+            }
+        }
+        V::Shl { d, a, reg } => MInst::VShift {
+            left: true,
+            ty,
+            dst: VReg(d),
+            a: VReg(a),
+            amt: if reg {
+                ShiftSrc::Reg(SReg(2))
+            } else {
+                ShiftSrc::Imm(3)
+            },
+        },
+        V::Mov { d, s } => MInst::MovV {
+            dst: VReg(d),
+            src: VReg(s),
+        },
+        V::Barrier => barrier(),
+    }
+}
+
+/// The output region `prog` leaves: `OUT` slots of `lanes` i32 lanes,
+/// with `lanes - 1` lanes active for the predicated steps.
+fn model(prog: &[V], lanes: usize) -> Vec<u8> {
+    let active = |vl: bool, k: usize| !vl || k + 1 < lanes;
+    let mut r = vec![vec![0i32; lanes]; NV as usize + 1];
+    let mut out = vec![0i32; OUT as usize * lanes];
+    for &v in prog {
+        match v {
+            V::Load { d, j, vl } => {
+                r[d as usize] = (0..lanes)
+                    .map(|k| if active(vl, k) { input(j, k) } else { 0 })
+                    .collect();
+            }
+            V::Store { slot, s, vl } => {
+                for k in (0..lanes).filter(|&k| active(vl, k)) {
+                    out[slot as usize * lanes + k] = r[s as usize][k];
+                }
+            }
+            V::Sub { d, a, b, vl } => {
+                let (x, y) = (r[a as usize].clone(), r[b as usize].clone());
+                for k in (0..lanes).filter(|&k| active(vl, k)) {
+                    r[d as usize][k] = x[k].wrapping_sub(y[k]);
+                }
+            }
+            V::Neg { d, a, vl } => {
+                let x = r[a as usize].clone();
+                for k in (0..lanes).filter(|&k| active(vl, k)) {
+                    r[d as usize][k] = x[k].wrapping_neg();
+                }
+            }
+            V::Shl { d, a, .. } => r[d as usize] = r[a as usize].iter().map(|x| x << 3).collect(),
+            V::Mov { d, s } => r[d as usize] = r[s as usize].clone(),
+            V::Barrier => {}
+        }
+    }
+    out.iter().flat_map(|x| x.to_le_bytes()).collect()
+}
+
+/// `body` between a prelude that loads v0..v3 and sets the vector
+/// length to all lanes but one, and an epilogue that stores every
+/// register.
+fn aliasing_program(body: &[V]) -> Vec<V> {
+    let mut prog: Vec<V> = (0..NV)
+        .map(|k| V::Load {
+            d: k,
+            j: k,
+            vl: false,
+        })
+        .collect();
+    prog.push(V::Barrier);
+    prog.extend_from_slice(body);
+    prog.push(V::Barrier);
+    prog.extend((0..NV).map(|k| V::Store {
+        slot: NV + k,
+        s: k,
+        vl: false,
+    }));
+    prog
+}
+
+/// A machine holding the inputs, with r0 = inputs, r1 = outputs, r2 =
+/// the shift amount and r3 = the requested vector length.
+fn aliasing_machine(t: &TargetDesc) -> (Machine<'_>, u64) {
+    let (vs, lanes) = (t.vs, t.vs / 4);
+    let mut m = Machine::new(t, 8192);
+    let x = m.mem.alloc((NV as usize + 1) * vs, 256);
+    let out = m.mem.alloc(OUT as usize * vs, 256);
+    for j in 0..=NV {
+        for k in 0..lanes {
+            let a = x + (j as usize * vs + 4 * k) as u64;
+            m.mem
+                .write(ScalarTy::I32, a, Value::Int(input(j, k).into()));
+        }
+    }
+    m.set_sreg(SReg(0), Value::Int(x as i64));
+    m.set_sreg(SReg(1), Value::Int(out as i64));
+    m.set_sreg(SReg(2), Value::Int(3));
+    m.set_sreg(SReg(3), Value::Int(lanes as i64 - 1));
+    (m, out)
+}
+
+/// Run `body` through the seed loop, the decoded executor and the
+/// threaded executor: the output region must equal the lane model's in
+/// all three, and the decoded and threaded `ExecStats` the seed loop's.
+fn same_aliased(case: &str, t: &TargetDesc, body: &[V], formed: impl Fn(&DecodedProgram) -> bool) {
+    let case = format!("{case} @ VS={}", t.vs);
+    let prog = aliasing_program(body);
+    let mut insts = vec![MInst::SetVl {
+        ty: ScalarTy::I32,
+        dst: SReg(4),
+        avl: SReg(3),
+    }];
+    insts.extend(prog.iter().map(|&v| lower(v, t.vs as i64)));
+    let c = code(insts);
+    let decoded = DecodedProgram::decode(&c, t).unwrap();
+    assert!(
+        formed(&decoded),
+        "{case}: step not formed\n{}",
+        disasm_decoded(&decoded)
+    );
+    let threaded = ThreadedProgram::thread(&decoded, &c);
+    let want = model(&prog, t.vs / 4);
+    let len = want.len();
+    let outcome = |run: &dyn Fn(&mut Machine<'_>) -> Result<ExecStats, Trap>| {
+        let (mut m, out) = aliasing_machine(t);
+        let stats = run(&mut m).unwrap_or_else(|e| panic!("{case}: {e}"));
+        (stats, m.mem.slice(out, len).to_vec())
+    };
+    let seed = outcome(&|m| m.run(&c));
+    assert!(seed.1 == want, "{case}: seed loop against the lane model");
+    let dec = outcome(&|m| m.run_decoded(&decoded));
+    assert_eq!(dec.0, seed.0, "{case}: decoded stats");
+    assert!(dec.1 == want, "{case}: decoded against the lane model");
+    let thr = outcome(&|m| m.run_threaded(&threaded));
+    assert_eq!(thr.0, seed.0, "{case}: threaded stats");
+    assert!(thr.1 == want, "{case}: threaded against the lane model");
+}
+
+/// Register triples `(dst, a, b)` over distinct `p`, `q`, `r`, with `p`
+/// always an operand (a load's or the previous op's destination).
+fn shapes(p: u32, q: u32, r: u32) -> [(&'static str, u32, u32, u32); 5] {
+    [
+        ("dst==a", p, p, q),
+        ("dst==b", q, p, q),
+        ("a==b", r, p, p),
+        ("dst==a==b", p, p, p),
+        ("distinct", r, p, q),
+    ]
+}
+
+fn has(step: fn(&DStep) -> bool) -> impl Fn(&DecodedProgram) -> bool {
+    move |p| p.steps().iter().any(|d| step(&d.step))
+}
+
+/// 16-, 32-, 64- and 256-byte registers: both slot strides.
+fn alias_targets() -> [TargetDesc; 4] {
+    [sse(), avx(), sve().at_vl(512), sve().at_vl(2048)]
+}
+
+#[test]
+fn aliased_registers_match_the_lane_model_in_every_step() {
+    for t in &alias_targets() {
+        for (shape, d, a, b) in shapes(0, 1, 2) {
+            let sub = |vl| V::Sub { d, a, b, vl };
+            same_aliased(
+                &format!("VBinFast {shape}"),
+                t,
+                &[sub(false)],
+                has(|s| matches!(s, DStep::VBinFast { .. })),
+            );
+            same_aliased(
+                &format!("VBinVlFast {shape}"),
+                t,
+                &[sub(true)],
+                has(|s| matches!(s, DStep::VBinVlFast { .. })),
+            );
+        }
+        for (shape, d, a) in [("dst==a", 0, 0), ("distinct", 2, 0)] {
+            same_aliased(
+                &format!("VUnFast {shape}"),
+                t,
+                &[V::Neg { d, a, vl: false }],
+                has(|s| matches!(s, DStep::VUnFast { .. })),
+            );
+            same_aliased(
+                &format!("VUnVlFast {shape}"),
+                t,
+                &[V::Neg { d, a, vl: true }],
+                has(|s| matches!(s, DStep::VUnVlFast { .. })),
+            );
+            same_aliased(
+                &format!("VShiftImmFast {shape}"),
+                t,
+                &[V::Shl { d, a, reg: false }],
+                has(|s| matches!(s, DStep::VShiftImmFast { .. })),
+            );
+            same_aliased(
+                &format!("VShiftRegFast {shape}"),
+                t,
+                &[V::Shl { d, a, reg: true }],
+                has(|s| matches!(s, DStep::VShiftRegFast { .. })),
+            );
+            same_aliased(
+                &format!("MovV {shape}"),
+                t,
+                &[V::Mov { d, s: a }],
+                has(|s| matches!(s, DStep::Op(MInst::MovV { .. }))),
+            );
+        }
+    }
+}
+
+#[test]
+fn aliased_registers_match_the_lane_model_in_every_fused_arm() {
+    let fresh = |d: u32, vl: bool| V::Load { d, j: NV, vl };
+    let sub = |d: u32, a: u32, b: u32, vl: bool| V::Sub { d, a, b, vl };
+    let store = |s: u32, vl: bool| V::Store { slot: 0, s, vl };
+    for t in &alias_targets() {
+        for (shape, d, a, b) in shapes(0, 1, 2) {
+            same_aliased(
+                &format!("load-bin-store {shape}"),
+                t,
+                &[fresh(a, false), sub(d, a, b, false), store(d, false)],
+                |p| p.fusion_stats().load_bin_store == 1,
+            );
+            same_aliased(
+                &format!("load-bin-bin first bin {shape}"),
+                t,
+                &[fresh(a, false), sub(d, a, b, false), sub(3, d, 1, false)],
+                |p| p.fusion_stats().load_bin_bin == 1,
+            );
+            same_aliased(
+                &format!("load-bin {shape}"),
+                t,
+                &[fresh(a, false), sub(d, a, b, false)],
+                |p| p.fusion_stats().load_bin == 1,
+            );
+            same_aliased(
+                &format!("bin-store {shape}"),
+                t,
+                &[sub(d, a, b, false), store(d, false)],
+                |p| p.fusion_stats().bin_store == 1,
+            );
+            same_aliased(
+                &format!("load-bin-store-vl {shape}"),
+                t,
+                &[fresh(a, true), sub(d, a, b, true), store(d, true)],
+                |p| p.fusion_stats().load_bin_store_vl == 1,
+            );
+        }
+        // The second bin of `acc = acc ⊕ f(load)`: its `a` is the first
+        // bin's destination, v2.
+        for (shape, d, a, b) in shapes(2, 1, 3) {
+            same_aliased(
+                &format!("load-bin-bin second bin {shape}"),
+                t,
+                &[fresh(0, false), sub(2, 0, 1, false), sub(d, a, b, false)],
+                |p| p.fusion_stats().load_bin_bin == 1,
+            );
+        }
     }
 }

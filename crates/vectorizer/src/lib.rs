@@ -12,6 +12,8 @@
 //! the paper's contribution; run in **native mode** (target known) it
 //! models the monolithic offline compiler used as the baseline.
 
+#![forbid(unsafe_code)]
+
 pub mod affine;
 pub mod depgraph;
 pub mod scalar_emit;

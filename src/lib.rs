@@ -12,6 +12,8 @@
 //! * [`vapor_kernels`] — the benchmark suite (Table 2 + Polybench);
 //! * [`vapor_core`] — end-to-end pipelines and the execution harness.
 
+#![forbid(unsafe_code)]
+
 pub use vapor_bytecode as bytecode;
 pub use vapor_core as core;
 pub use vapor_frontend as frontend;

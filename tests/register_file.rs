@@ -1,15 +1,16 @@
 //! Register-file and fast-dispatch tests: the specialized steps must
-//! match the seed interpreter at the representation-boundary register
-//! widths (inline vs heap). That the suite's VLA compilations hit the
-//! predicated fast kernels is checked on every program the cycle ledger
-//! walk (`tests/matrix.rs`) runs.
+//! match the seed interpreter at the register widths either side of the
+//! slot-stride boundary (`vapor_targets::reg_stride`: 32-byte slots up
+//! to 32-byte registers, 256-byte slots above). That the suite's VLA
+//! compilations hit the predicated fast kernels is checked on every
+//! program the cycle ledger walk (`tests/matrix.rs`) runs.
 
 /// Per-op coverage of the PR 5 fast-dispatch steps (`SplatFast`,
 /// `VShiftImmFast`/`VShiftRegFast`, `SpillLdFast`/`SpillStFast`,
-/// `VReduceFast`) at the representation-boundary register widths: 16
-/// and 32 bytes (inline), 33 (first heap width) and 256 (the VLA
-/// maximum). Decoded dispatch must match the seed interpreter bit for
-/// bit at every width.
+/// `VReduceFast`) at the stride-boundary register widths: 16 and 32
+/// bytes (32-byte slots), 33 (the first 256-byte-slot width) and 256
+/// (the VLA maximum). Decoded dispatch must match the seed interpreter
+/// bit for bit at every width.
 #[test]
 fn new_fast_steps_match_the_baseline_at_boundary_widths() {
     use vapor_ir::ScalarTy;
@@ -89,7 +90,7 @@ fn new_fast_steps_match_the_baseline_at_boundary_widths() {
     };
 
     // Boundary widths: fixed 16/32-byte targets, a synthetic 33-byte
-    // machine (first heap-backed width) and the 2048-bit VLA maximum.
+    // machine (first 256-byte-slot width) and the 2048-bit VLA maximum.
     let mut odd = vapor_targets::sve().at_vl(512);
     odd.vs = 33;
     let targets = [
