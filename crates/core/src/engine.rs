@@ -23,17 +23,15 @@
 //!   for any other flow usually finds its artifact already built by
 //!   another target or online pipeline and runs only the online stage
 //!   ([`EngineStats::offline_hits`]).
-//! * **One memo per level**: the compile cache, the offline tier and
-//!   the per-(key, VL) execution-form cache are each a bounded LRU
-//!   `Memo`: racing callers on one key build it once and share one
-//!   `Arc`, and failures are not cached. Evictions and blocked
-//!   compile-cache lock acquisitions are counted.
+//! * **One memo per level**: the compile cache and the offline tier are
+//!   each a bounded LRU `Memo`: racing callers on one key build it once
+//!   and share one `Arc`, and failures are not cached. Evictions and
+//!   blocked compile-cache lock acquisitions are counted.
 //! * **One execution path**: [`Engine::execute`] always runs the
-//!   pre-decoded program — the compilation's own decode on a
-//!   fixed-width target, its per-VL re-specialization on a VLA one —
-//!   and recycles machine memory arenas through a bounded pool, so
-//!   steady-state concurrent executions stop allocating megabytes per
-//!   request.
+//!   compilation's own pre-decoded program — at every VL, since a VLA
+//!   decode holds no lane count — and recycles machine memory arenas
+//!   through a bounded pool, so steady-state concurrent executions stop
+//!   allocating megabytes per request.
 //! * **Persistent**: with an artifact store attached
 //!   ([`EngineBuilder::artifact_dir`]), a compile miss the offline tier
 //!   cannot answer consults an on-disk store of encoded offline
@@ -138,7 +136,9 @@ pub struct EngineStats {
     pub entries: usize,
     /// Compiled entries evicted (LRU).
     pub evictions: u64,
-    /// Execution-form entries evicted (LRU) from the per-VL cache.
+    /// Always 0: there is no per-VL execution-form cache to evict from,
+    /// because one decode per compilation runs at every VL. Kept for
+    /// readers of the counter.
     pub exec_evictions: u64,
     /// Compile-cache lock acquisitions that found the lock held.
     pub contended_locks: u64,
@@ -152,21 +152,15 @@ pub struct EngineStats {
     pub artifact_rejects: u64,
     /// Artifacts written to the store.
     pub artifact_writes: u64,
-    /// Per-(key, VL) execution forms currently cached (the VL dimension
-    /// exists only here, never in the compile cache).
+    /// Always 0: no execution form is cached per (key, VL), because one
+    /// decode per compilation runs at every VL. Kept for readers of the
+    /// counter.
     pub vl_entries: usize,
     /// Executions that reused a pooled memory arena.
     pub pool_reuses: u64,
     /// Executions that allocated a fresh arena (pool empty).
     pub pool_allocs: u64,
 }
-
-/// Bound on the per-VL execution-form cache. Execution forms are cheap
-/// to rebuild (a re-specialization of the shared decode, not a
-/// compile), so the cache is a small LRU rather than an unbounded map —
-/// a service cycling through many (kernel, VL) pairs must not grow
-/// without limit.
-pub const VL_CACHE_CAPACITY: usize = 64;
 
 /// Default bound on cached compilations.
 pub const COMPILE_CACHE_CAPACITY: usize = 4096;
@@ -223,7 +217,6 @@ impl EngineBuilder {
             // There are never more distinct offline artifacts than
             // compile keys, so the compile cache's bound is enough.
             offline: Memo::new(self.compile_capacity),
-            exec_forms: Memo::new(VL_CACHE_CAPACITY),
             artifacts: artifacts.transpose()?,
             arena_pool: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
@@ -249,14 +242,6 @@ pub struct Engine {
     /// The offline tier: one offline artifact per (kernel, shape,
     /// config), consumed by every compile key of that shape.
     offline: Memo<OfflineKey, Offline>,
-    /// Execution forms of compilations: the *same* `Arc<Compiled>`
-    /// artifact's decode, re-specialized per concrete vector length.
-    /// Keyed by the compile key *plus* the VL — "compile once" stays
-    /// intact because the VL dimension first appears here. Only VLA
-    /// targets get entries, one per requested VL; a fixed-width target
-    /// runs the decode baked into its compilation. Bounded (LRU): see
-    /// [`VL_CACHE_CAPACITY`].
-    exec_forms: Memo<(CacheKey, u32), DecodedProgram>,
     /// The persistent artifact tier, when attached.
     artifacts: Option<ArtifactStore>,
     /// Recycled machine memory arenas for [`Engine::execute`].
@@ -315,16 +300,7 @@ impl Engine {
         target: &TargetDesc,
         cfg: &CompileConfig,
     ) -> Result<Arc<Compiled>, PipelineError> {
-        self.compile_keyed(&CacheKey::new(kernel, flow, target, cfg), kernel, target)
-    }
-
-    /// [`Engine::compile`] under an already derived `key`.
-    fn compile_keyed(
-        &self,
-        key: &CacheKey,
-        kernel: &Kernel,
-        target: &TargetDesc,
-    ) -> Result<Arc<Compiled>, PipelineError> {
+        let key = &CacheKey::new(kernel, flow, target, cfg);
         let (compiled, ran) = self
             .compiled
             .get_or_try_init(key, || self.compile_miss(key, kernel, target));
@@ -395,24 +371,19 @@ impl Engine {
         None
     }
 
-    /// Specialize a compilation to a concrete runtime vector length.
+    /// The compilation and the pre-decoded program that run `kernel` at
+    /// a concrete runtime vector length.
     ///
     /// The compile step is the ordinary cached, VL-*agnostic* pipeline
-    /// run — every VL shares one `Arc<Compiled>` artifact. What is
-    /// per-VL is only the execution form: the shared pre-decoded program
-    /// *re-specialized* against `target.at_vl(vl_bits)`. The
-    /// VL-independent decode work (label→index resolution, step and
-    /// fast-kernel selection) is done once at compile time and shared;
-    /// only per-instruction costs and lane counts are recomputed per VL
-    /// (see `DecodedProgram::respecialize`). Those specializations are
-    /// kept in a small LRU cache ([`VL_CACHE_CAPACITY`]) keyed by the
-    /// compile key *plus* `vl_bits`.
+    /// run, and the program is that compilation's own decode at every
+    /// VL: a decoded step holds no lane count and no width-dependent
+    /// cost (the machine supplies both), so one `Arc<DecodedProgram>`
+    /// per compilation serves every legal VL of a VLA family. Nothing is
+    /// built or cached per VL.
     ///
     /// Fixed-width targets are accepted when `vl_bits` names their one
-    /// width; the baked-in decode is returned and no entry is added.
-    /// This is the head of every request: the (target, VL) pair is
-    /// validated before anything is compiled or cached, and the key is
-    /// derived once.
+    /// width. This is the head of every request: the (target, VL) pair
+    /// is validated before anything is compiled or cached.
     ///
     /// # Errors
     /// Propagates compile-stage [`PipelineError`]s; rejects illegal VLs
@@ -426,23 +397,8 @@ impl Engine {
         vl_bits: usize,
     ) -> Result<(Arc<Compiled>, Arc<DecodedProgram>), PipelineError> {
         check_vl(target, vl_bits)?;
-        let key = CacheKey::new(kernel, flow, target, cfg);
-        let compiled = self.compile_keyed(&key, kernel, target)?;
-        if !target.vla {
-            let prog = Arc::clone(&compiled.jit.decoded);
-            return Ok((compiled, prog));
-        }
-        let respecialize = || {
-            compiled
-                .jit
-                .decoded
-                .respecialize(&compiled.jit.code, &target.at_vl(vl_bits))
-                .map_err(|e| PipelineError(format!("VL={vl_bits} specialization: {e}")))
-        };
-        let prog = self
-            .exec_forms
-            .get_or_try_init(&(key, vl_bits as u32), respecialize)
-            .0?;
+        let compiled = self.compile(kernel, flow, target, cfg)?;
+        let prog = Arc::clone(&compiled.jit.decoded);
         Ok((compiled, prog))
     }
 
@@ -479,13 +435,13 @@ impl Engine {
             offline_hits: self.offline_hits.load(Ordering::Relaxed),
             entries: self.compiled.len(),
             evictions: self.compiled.evictions(),
-            exec_evictions: self.exec_forms.evictions(),
+            exec_evictions: 0,
             contended_locks: self.compiled.contended(),
             artifact_hits: self.artifact_hits.load(Ordering::Relaxed),
             artifact_misses: self.artifact_misses.load(Ordering::Relaxed),
             artifact_rejects: self.artifact_rejects.load(Ordering::Relaxed),
             artifact_writes: self.artifact_writes.load(Ordering::Relaxed),
-            vl_entries: self.exec_forms.len(),
+            vl_entries: 0,
             pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
             pool_allocs: self.pool_allocs.load(Ordering::Relaxed),
         }
@@ -733,53 +689,27 @@ mod tests {
 
     #[test]
     fn vla_specialization_shares_one_compiled_artifact() {
+        // Every legal VL of both VLA families runs the compilation's own
+        // decode: one artifact, one program, nothing built per VL.
         let e = Engine::new();
         let k = saxpy();
-        let t = vapor_targets::sve();
         let cfg = CompileConfig::default();
-        let (c128, p128) = e
-            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 128)
-            .unwrap();
-        let (c512, p512) = e
-            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 512)
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&c128, &c512),
-            "compile once: every VL shares one artifact"
-        );
-        assert_eq!(e.stats().misses, 1, "the VL dimension must not recompile");
-        assert_eq!(e.stats().entries, 1);
-        assert_eq!(e.stats().vl_entries, 2);
-        // The execution forms really are width-specialized …
-        assert_eq!(p128.vs, 16);
-        assert_eq!(p512.vs, 64);
-        // … and cached per VL.
-        let (_, p512b) = e
-            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 512)
-            .unwrap();
-        assert!(Arc::ptr_eq(&p512, &p512b));
-    }
-
-    #[test]
-    fn vl_specializations_share_the_decode_skeleton() {
-        // The re-specialized program must be exactly what a fresh
-        // decode would produce (costs, lane clamps, control targets).
-        let e = Engine::new();
-        let k = saxpy();
-        let t = vapor_targets::sve();
-        let cfg = CompileConfig::default();
-        for vl in [128usize, 512, 2048] {
-            let (compiled, prog) = e
-                .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, vl)
-                .unwrap();
-            let exec = t.at_vl(vl);
-            let fresh = vapor_targets::DecodedProgram::decode(&compiled.jit.code, &exec).unwrap();
-            assert_eq!(prog.vs, fresh.vs);
-            assert_eq!(prog.len, fresh.len);
-            for (a, b) in prog.steps().iter().zip(fresh.steps()) {
-                assert_eq!(a.cost, b.cost, "VL={vl}");
+        for t in [vapor_targets::sve(), vapor_targets::rvv()] {
+            let c = e.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
+            for vl in (1..=16).map(|n| n * 128) {
+                let (cv, prog) = e
+                    .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, vl)
+                    .unwrap();
+                assert!(Arc::ptr_eq(&cv, &c), "{} VL={vl}: compile once", t.name);
+                assert!(
+                    Arc::ptr_eq(&prog, &c.jit.decoded),
+                    "{} VL={vl}: one decode per compilation",
+                    t.name
+                );
             }
         }
+        assert_eq!(e.stats().misses, 2, "the VL dimension must not recompile");
+        assert_eq!(e.stats().entries, 2);
     }
 
     #[test]
@@ -790,8 +720,7 @@ mod tests {
         let (c, p) = e
             .specialize(&k, Flow::SplitVectorOpt, &sse(), &cfg, 128)
             .unwrap();
-        assert!(Arc::ptr_eq(&p, &c.jit.decoded), "no re-decode, no entry");
-        assert_eq!(e.stats().vl_entries, 0);
+        assert!(Arc::ptr_eq(&p, &c.jit.decoded), "no re-decode");
         let err = e
             .specialize(&k, Flow::SplitVectorOpt, &sse(), &cfg, 256)
             .unwrap_err();

@@ -5,11 +5,10 @@
 //! flow, target, bindings) plus typed execution options, and
 //! [`Engine::execute`] resolves it end to end in one straight line: one
 //! cache-key derivation, the compile cache (backed by the
-//! offline tier and the persistent artifact store), the per-(key, VL)
-//! execution-form cache, and the pooled execution arenas. A request
-//! storm therefore compiles each distinct tuple once, builds each
-//! execution form once, and allocates machine memory only until the
-//! arena pool warms up.
+//! offline tier and the persistent artifact store), and the pooled
+//! execution arenas. A request storm therefore compiles each distinct
+//! tuple once, runs its one decode at every VL, and allocates machine
+//! memory only until the arena pool warms up.
 //!
 //! There is one execution path: the pre-decoded, fused program
 //! ([`vapor_targets::DecodedProgram`]). The VM's other forms of a
@@ -74,7 +73,7 @@ impl<'a> ExecRequest<'a> {
 
     /// Concrete runtime vector length in bits. Defaults to the target's
     /// natural width (`vs * 8`); required to differ only on VLA targets,
-    /// where it selects the per-VL specialization. Fixed-width targets
+    /// where it selects the machine the one decode runs on. Fixed-width targets
     /// accept only their own width — the same contract as
     /// `Engine::specialize`.
     pub fn vl_bits(mut self, vl_bits: usize) -> ExecRequest<'a> {
@@ -342,40 +341,34 @@ mod tests {
 
     #[test]
     fn tiers_share_one_exec_form_entry_per_key_and_vl() {
+        // Every tier and every VL runs the compilation's one decode: a
+        // request at 512 bits, the threaded lowering of that decode, and
+        // the program served at 1024 bits.
         let e = Engine::new();
         let k = saxpy();
         let t = vapor_targets::sve();
         let cfg = CompileConfig::default();
         let env = saxpy_env(100);
         let (exec, aligned) = (t.at_vl(512), AllocPolicy::Aligned);
-        // The baseline interpreter runs raw machine code: it builds no
-        // execution form.
         let c = e.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
-        e.run_compiled(&exec, &c, &env, aligned, |m| m.run(&c.jit.code))
-            .unwrap();
-        assert_eq!(e.stats().vl_entries, 0);
-        // A request and the threaded lowering of the program it ran share
-        // one entry.
         let decoded = e
             .execute(&ExecRequest::new(&k, &t, &env).vl_bits(512))
             .unwrap();
-        assert_eq!(e.stats().vl_entries, 1);
-        let (_, prog) = e
-            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 512)
-            .unwrap();
-        let prog = ThreadedProgram::thread(&prog, &c.jit.code);
+        assert!(Arc::ptr_eq(&decoded.compiled, &c));
+        let prog = ThreadedProgram::thread(&c.jit.decoded, &c.jit.code);
         let threaded = e
             .run_compiled(&exec, &c, &env, aligned, |m| m.run_threaded(&prog))
             .unwrap();
-        assert_eq!(e.stats().vl_entries, 1, "same (key, VL), same entry");
         assert_eq!(threaded.stats, decoded.stats);
-        e.specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 1024)
-            .unwrap();
-        assert_eq!(e.stats().vl_entries, 2, "a new VL is a new entry");
+        for vl in [512, 1024] {
+            let (_, p) = e
+                .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, vl)
+                .unwrap();
+            assert!(Arc::ptr_eq(&p, &c.jit.decoded), "VL={vl}");
+        }
         // One compile lookup per compile, request and specialization.
         let s = e.stats();
         assert_eq!((s.hits, s.misses), (3, 1), "hits + misses == lookups");
-        assert_eq!(s.exec_evictions, 0);
     }
 
     #[test]

@@ -55,10 +55,7 @@ pub mod pipeline;
 pub mod run;
 
 pub use artifact::{ArtifactError, ArtifactStore};
-pub use engine::{
-    Engine, EngineBuilder, EngineStats, ARENA_POOL_CAPACITY, COMPILE_CACHE_CAPACITY,
-    VL_CACHE_CAPACITY,
-};
+pub use engine::{Engine, EngineBuilder, EngineStats, ARENA_POOL_CAPACITY, COMPILE_CACHE_CAPACITY};
 pub use exec::{ExecError, ExecOutcome, ExecRequest};
 pub use pipeline::{online_compile, CompileConfig, Compiled, Flow, PipelineError};
 pub use run::{arrays_match, reference, AllocPolicy};

@@ -290,10 +290,34 @@ impl CostModel {
     }
 
     /// Cycle cost of one executed instruction on a machine whose vector
-    /// registers are `vs` bytes wide: reductions and helper calls scale
-    /// with the lane count of their element type at that width.
+    /// registers are `vs` bytes wide: [`CostModel::base_cost`] plus
+    /// [`CostModel::vl_cost`].
     pub fn cost(&self, inst: &MInst, vs: usize) -> u64 {
-        let lanes = |ty: ScalarTy| (vs / ty.size()).max(1);
+        self.base_cost(inst) + self.vl_cost(inst, |ty| (vs / ty.size()).max(1))
+    }
+
+    /// The part of [`CostModel::cost`] that depends on the vector width,
+    /// with `lanes(ty)` lanes of `ty` in a register: a reduction's
+    /// halving steps and a helper call's per-lane work; 0 for every
+    /// other instruction.
+    pub fn vl_cost(&self, inst: &MInst, lanes: impl Fn(ScalarTy) -> usize) -> u64 {
+        match inst {
+            MInst::VReduce { ty, .. } => self.reduce_vl_cost(lanes(*ty)),
+            MInst::VHelper { ty, .. } => u64::from(self.helper_per_lane) * lanes(*ty) as u64,
+            _ => 0,
+        }
+    }
+
+    /// The width-dependent cost of a reduction over `lanes` lanes: one
+    /// `vreduce_step` per halving, `ceil(log2(lanes))` of them (at least
+    /// one).
+    pub fn reduce_vl_cost(&self, lanes: usize) -> u64 {
+        u64::from(self.vreduce_step) * u64::from(lanes.max(2).next_power_of_two().trailing_zeros())
+    }
+
+    /// The width-independent part of [`CostModel::cost`]: everything
+    /// but [`CostModel::vl_cost`]. A decoded program stores it per step.
+    pub fn base_cost(&self, inst: &MInst) -> u64 {
         // Scaled-index addressing pays an address-generation ALU op —
         // the dynamic counterpart of the port model's unlaminated µop.
         let agen = |addr: &crate::isa::AddrMode| -> u32 {
@@ -364,14 +388,9 @@ impl CostModel {
             MInst::VExtractStride { stride, .. } => self.vperm * (*stride as u32),
             MInst::VPermCtrl { .. } => self.vpermctrl,
             MInst::VPerm { .. } => self.vperm,
-            MInst::VReduce { ty, .. } => {
-                let steps = (lanes(*ty).max(2) as f64).log2().ceil() as u32;
-                self.vreduce_step * steps + self.vlane
-            }
+            MInst::VReduce { .. } => self.vlane,
             MInst::MovV { .. } => self.mov,
-            MInst::VHelper { ty, .. } => {
-                self.helper_call + self.helper_per_lane * lanes(*ty) as u32
-            }
+            MInst::VHelper { .. } => self.helper_call,
             // VLA stripmine control is scalar-ALU-cheap (`vsetvli` class).
             MInst::SetVl { .. } => self.salu,
             // Predicated memory ops are element-aligned by contract:
@@ -475,6 +494,29 @@ mod tests {
                 8
             )
         );
+    }
+
+    #[test]
+    fn cost_is_the_base_plus_the_width_dependent_part() {
+        // A reduction's halving steps are ceil(log2(lanes)), at least
+        // one, at every lane count a legal width gives (1..=256 lanes).
+        let m = CostModel::sve_class();
+        for lanes in 1..=256usize {
+            let steps = (lanes.max(2) as f64).log2().ceil() as u64;
+            assert_eq!(m.reduce_vl_cost(lanes), u64::from(m.vreduce_step) * steps);
+        }
+        let reduce = MInst::VReduce {
+            op: crate::isa::ReduceOp::Max,
+            ty: ScalarTy::F64,
+            dst: SReg(0),
+            src: VReg(0),
+        };
+        for vs in [16, 48, 256] {
+            let vl = m.vl_cost(&reduce, |ty| vs / ty.size());
+            assert_eq!(vl, m.reduce_vl_cost(vs / 8));
+            assert_eq!(m.cost(&reduce, vs), m.base_cost(&reduce) + vl);
+        }
+        assert_eq!(m.vl_cost(&MInst::Label(crate::isa::Label(0)), |_| 64), 0);
     }
 
     #[test]

@@ -10,23 +10,27 @@
 //!
 //! * labels are stripped and every branch target becomes an instruction
 //!   index into the decoded stream;
-//! * the cycle cost of every instruction is pre-computed against the
-//!   target's cost table (including the lane-count-dependent costs of
-//!   reductions and helper calls);
+//! * the width-independent cycle cost of every instruction is
+//!   pre-computed against the target's cost table; the lane-count
+//!   dependent part of reductions and helper calls is charged by the
+//!   dispatch loop at the machine's width;
 //! * control flow is separated from computation, so the hot loop matches
 //!   a four-variant enum instead of a ~40-variant one.
 //!
-//! A decoded program is target-specific (costs and lane counts depend on
-//! the target) and immutable, so one decode is shared by every execution
-//! of a compiled kernel — `vapor_jit::CompiledKernel` carries it behind
-//! an `Arc`.
+//! No step holds a lane count: every dispatch loop reads it from the
+//! machine. So a decode for a vector-length-agnostic family runs
+//! unchanged at every legal VL of that family (see [`Width`]), and one
+//! decode is shared by every execution of a compiled kernel at every VL
+//! — `vapor_jit::CompiledKernel` carries it behind an `Arc`.
+
+use std::fmt;
 
 use vapor_ir::sem::{eval_bin, eval_un, read_elem, write_elem, Value};
 use vapor_ir::{BinOp, ScalarTy, UnOp};
 
 use crate::isa::{AddrMode, Cond, Label, MCode, MInst, MemAlign, ReduceOp, SReg, ShiftSrc, VReg};
 use crate::machine::Trap;
-use crate::target::TargetDesc;
+use crate::target::{TargetDesc, TargetKind};
 
 /// Specialized lane kernel of a binary vector op: the operator and
 /// element type are compile-time constants inside, so the per-lane
@@ -476,12 +480,10 @@ pub struct LoadBinStore {
     pub b: VReg,
     /// Specialized lane kernel.
     pub f: VBinFn,
-    /// Operator (for disassembly/respecialization).
+    /// Operator (for disassembly).
     pub op: BinOp,
     /// Element type.
     pub ty: ScalarTy,
-    /// Lane count on the decode target.
-    pub lanes: u16,
     /// Store address.
     pub store: FusedAddr,
 }
@@ -508,8 +510,6 @@ pub struct LoadBinBin {
     pub op1: BinOp,
     /// Element type of the first op.
     pub ty1: ScalarTy,
-    /// Lane count of the first op on the decode target.
-    pub lanes1: u16,
     /// Destination of the second binary op.
     pub dst2: VReg,
     /// Left operand of the second op.
@@ -522,8 +522,6 @@ pub struct LoadBinBin {
     pub op2: BinOp,
     /// Element type of the second op.
     pub ty2: ScalarTy,
-    /// Lane count of the second op on the decode target.
-    pub lanes2: u16,
 }
 
 /// Payload of the `LoadV → VBin` superinstruction.
@@ -545,8 +543,6 @@ pub struct LoadBin {
     pub op: BinOp,
     /// Element type.
     pub ty: ScalarTy,
-    /// Lane count on the decode target.
-    pub lanes: u16,
 }
 
 /// Payload of the `VBin → StoreV` superinstruction.
@@ -564,8 +560,6 @@ pub struct BinStore {
     pub op: BinOp,
     /// Element type.
     pub ty: ScalarTy,
-    /// Lane count on the decode target.
-    pub lanes: u16,
     /// Store address.
     pub store: FusedAddr,
 }
@@ -594,8 +588,6 @@ pub struct LoadBinStoreVl {
     pub op: BinOp,
     /// Element type of the binary op.
     pub ty: ScalarTy,
-    /// Lane count of a full register on the decode target (VL clamp).
-    pub max_lanes: u16,
     /// Element type of the predicated store.
     pub store_ty: ScalarTy,
     /// Store address.
@@ -722,13 +714,11 @@ pub enum DStep {
         b: VReg,
         /// Specialized lane kernel.
         f: VBinFn,
-        /// Operator (for disassembly/respecialization; the kernel has it
+        /// Operator (for disassembly; the kernel has it
         /// baked in).
         op: BinOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count of the element type on the decode target.
-        lanes: u16,
     },
     /// [`MInst::VUn`] with a specialized all-lanes kernel.
     VUnFast {
@@ -742,8 +732,6 @@ pub enum DStep {
         op: UnOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count of the element type on the decode target.
-        lanes: u16,
     },
     /// [`MInst::VBinVl`] (merging-predicated, runtime-VL) with the same
     /// specialized lane kernel as [`DStep::VBinFast`]: the active lane
@@ -763,9 +751,6 @@ pub enum DStep {
         op: BinOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count of a full register on the decode target (the VL
-        /// clamp).
-        max_lanes: u16,
     },
     /// [`MInst::VUnVl`] with a specialized merging-predicated kernel.
     VUnVlFast {
@@ -779,8 +764,6 @@ pub enum DStep {
         op: UnOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count of a full register on the decode target.
-        max_lanes: u16,
     },
     /// [`MInst::LoadV`] with the address mode flattened to immediate
     /// fields: no `AddrMode` indirection and no second (~40-variant)
@@ -903,8 +886,6 @@ pub enum DStep {
         f: SplatFn,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count on the decode target.
-        lanes: u16,
     },
     /// [`MInst::VShift`] by an immediate amount with a specialized lane
     /// kernel (per-lane amounts decode to [`DStep::VBinFast`] instead —
@@ -924,8 +905,6 @@ pub enum DStep {
         left: bool,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count on the decode target.
-        lanes: u16,
     },
     /// [`MInst::VShift`] by a broadcast scalar-register amount.
     VShiftRegFast {
@@ -941,8 +920,6 @@ pub enum DStep {
         left: bool,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count on the decode target.
-        lanes: u16,
     },
     /// [`MInst::SpillLd`] without the generic-interpreter detour (spill
     /// traffic dominates the naive-JIT flows).
@@ -972,8 +949,6 @@ pub enum DStep {
         op: ReduceOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count on the decode target.
-        lanes: u16,
     },
     /// `LoadV → VBin → StoreV` superinstruction (see [`LoadBinStore`]).
     FusedLoadBinStore(Box<LoadBinStore>),
@@ -999,15 +974,50 @@ pub enum DStep {
 pub struct DecodedInst {
     /// What to execute.
     pub step: DStep,
-    /// Pre-computed cycle cost on the decode target. For a fused
-    /// superinstruction this is the *sum* of the constituents' costs, so
-    /// `vm_cycles` accounting is bit-identical with fusion on or off.
+    /// Pre-computed width-independent cycle cost on the decode target
+    /// ([`crate::CostModel::base_cost`]); the dispatch loops add the
+    /// width-dependent part of reductions and helper calls as they run
+    /// them. For a fused superinstruction this is the *sum* of the
+    /// constituents' costs, so `vm_cycles` accounting is bit-identical
+    /// with fusion on or off.
     pub cost: u64,
     /// Number of source instructions this step covers: 1 for plain
     /// steps, 2–3 for superinstructions. The dispatch loop charges it to
     /// `ExecStats::insts`, so fused and unfused execution report
     /// identical statistics.
     pub arity: u32,
+}
+
+/// The machines a decoded or threaded program runs on, checked before
+/// it runs (running a program on a machine it was not decoded for is a
+/// harness bug). No step holds a lane count: every dispatch loop reads
+/// it from the machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Width {
+    /// Only a machine of this vector width in bytes.
+    Fixed(usize),
+    /// Every legal VL of this vector-length-agnostic family.
+    Vla(TargetKind),
+}
+
+impl Width {
+    /// The width of `target`'s programs.
+    pub fn of(target: &TargetDesc) -> Width {
+        if target.vla {
+            Width::Vla(target.kind)
+        } else {
+            Width::Fixed(target.vs.max(1))
+        }
+    }
+}
+
+impl fmt::Display for Width {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Width::Fixed(vs) => write!(f, "VS={vs}"),
+            Width::Vla(kind) => write!(f, "every {kind:?} VL"),
+        }
+    }
 }
 
 /// A fully decoded, target-specific program.
@@ -1017,10 +1027,8 @@ pub struct DecodedProgram {
     /// Executable (non-label) *source* instruction count (the sum of
     /// step arities; fused programs have fewer steps than this).
     pub len: usize,
-    /// Vector width in bytes of the decode target (sanity-checked at run
-    /// time: running a program decoded for one target on a machine of
-    /// another is a harness bug).
-    pub vs: usize,
+    /// The machines this program runs on.
+    pub width: Width,
     /// Superinstruction hit counters of the fusion pass (all zero for an
     /// unfused decode).
     fusion: FusionStats,
@@ -1054,7 +1062,6 @@ fn fuse_at(
                 f,
                 op,
                 ty,
-                lanes,
             },
             DStep::StoreVFast {
                 src,
@@ -1084,7 +1091,6 @@ fn fuse_at(
                         f: *f,
                         op: *op,
                         ty: *ty,
-                        lanes: *lanes,
                         store: FusedAddr {
                             base: *sbase,
                             idx: *sidx,
@@ -1116,7 +1122,6 @@ fn fuse_at(
                 f: f1,
                 op: op1,
                 ty: ty1,
-                lanes: lanes1,
             },
             DStep::VBinFast {
                 dst: dst2,
@@ -1125,7 +1130,6 @@ fn fuse_at(
                 f: f2,
                 op: op2,
                 ty: ty2,
-                lanes: lanes2,
             },
         ) = (&steps[i].step, &steps[i + 1].step, &steps[i + 2].step)
         {
@@ -1147,14 +1151,12 @@ fn fuse_at(
                         f1: *f1,
                         op1: *op1,
                         ty1: *ty1,
-                        lanes1: *lanes1,
                         dst2: *dst2,
                         a2: *a2,
                         b2: *b2,
                         f2: *f2,
                         op2: *op2,
                         ty2: *ty2,
-                        lanes2: *lanes2,
                     })),
                     3,
                 ));
@@ -1175,7 +1177,6 @@ fn fuse_at(
                 f,
                 op,
                 ty,
-                max_lanes,
             },
             DStep::Op(MInst::StoreVl {
                 ty: store_ty,
@@ -1206,7 +1207,6 @@ fn fuse_at(
                             f: *f,
                             op: *op,
                             ty: *ty,
-                            max_lanes: *max_lanes,
                             store_ty: *store_ty,
                             store: FusedAddr {
                                 base: sb,
@@ -1240,7 +1240,6 @@ fn fuse_at(
                 f,
                 op,
                 ty,
-                lanes,
             },
         ) = (&steps[i].step, &steps[i + 1].step)
         {
@@ -1262,7 +1261,6 @@ fn fuse_at(
                         f: *f,
                         op: *op,
                         ty: *ty,
-                        lanes: *lanes,
                     })),
                     2,
                 ));
@@ -1277,7 +1275,6 @@ fn fuse_at(
                 f,
                 op,
                 ty,
-                lanes,
             },
             DStep::StoreVFast {
                 src,
@@ -1299,7 +1296,6 @@ fn fuse_at(
                         f: *f,
                         op: *op,
                         ty: *ty,
-                        lanes: *lanes,
                         store: FusedAddr {
                             base: *base,
                             idx: *idx,
@@ -1390,9 +1386,6 @@ impl DecodedProgram {
     /// # Errors
     /// Same contract as [`DecodedProgram::decode`].
     pub fn decode_unfused(code: &MCode, target: &TargetDesc) -> Result<DecodedProgram, Trap> {
-        let vs = target.vs.max(1);
-        let lanes_of = |ty: vapor_ir::ScalarTy| (vs / ty.size()).max(1);
-
         // Pass 1: map every label to the index its successor instruction
         // will have once labels are stripped. Label ids index a dense
         // table: the JIT numbers them from 0, so a program of `n`
@@ -1451,7 +1444,6 @@ impl DecodedProgram {
                         f,
                         op: *op,
                         ty: *ty,
-                        lanes: lanes_of(*ty) as u16,
                     },
                     None => DStep::Op(inst.clone()),
                 },
@@ -1462,7 +1454,6 @@ impl DecodedProgram {
                         f,
                         op: *op,
                         ty: *ty,
-                        lanes: lanes_of(*ty) as u16,
                     },
                     None => DStep::Op(inst.clone()),
                 },
@@ -1515,7 +1506,6 @@ impl DecodedProgram {
                     src: *src,
                     f: splat_fn(*ty),
                     ty: *ty,
-                    lanes: lanes_of(*ty) as u16,
                 },
                 MInst::VShift {
                     left,
@@ -1531,7 +1521,6 @@ impl DecodedProgram {
                         imm: *v,
                         left: *left,
                         ty: *ty,
-                        lanes: lanes_of(*ty) as u16,
                     },
                     (ShiftSrc::Reg(r), Some(f)) => DStep::VShiftRegFast {
                         dst: *dst,
@@ -1540,7 +1529,6 @@ impl DecodedProgram {
                         amt: *r,
                         left: *left,
                         ty: *ty,
-                        lanes: lanes_of(*ty) as u16,
                     },
                     // A per-lane shift *is* a lane-wise binary op: reuse
                     // the VBin kernels instead of a third kernel family.
@@ -1554,7 +1542,6 @@ impl DecodedProgram {
                                 f,
                                 op,
                                 ty: *ty,
-                                lanes: lanes_of(*ty) as u16,
                             },
                             None => DStep::Op(inst.clone()),
                         }
@@ -1575,7 +1562,6 @@ impl DecodedProgram {
                     f: vreduce_fn(*op, *ty),
                     op: *op,
                     ty: *ty,
-                    lanes: lanes_of(*ty) as u16,
                 },
                 MInst::LoadV { dst, addr, align } => match flatten_addr(addr) {
                     Some((base, idx, scale, disp)) => DStep::LoadVFast {
@@ -1629,7 +1615,6 @@ impl DecodedProgram {
                         f,
                         op: *op,
                         ty: *ty,
-                        max_lanes: lanes_of(*ty) as u16,
                     },
                     None => DStep::Op(inst.clone()),
                 },
@@ -1640,7 +1625,6 @@ impl DecodedProgram {
                         f,
                         op: *op,
                         ty: *ty,
-                        max_lanes: lanes_of(*ty) as u16,
                     },
                     None => DStep::Op(inst.clone()),
                 },
@@ -1648,7 +1632,7 @@ impl DecodedProgram {
             };
             steps.push(DecodedInst {
                 step,
-                cost: target.cost.cost(inst, vs),
+                cost: target.cost.base_cost(inst),
                 arity: 1,
             });
         }
@@ -1656,7 +1640,7 @@ impl DecodedProgram {
         Ok(DecodedProgram {
             steps,
             len,
-            vs,
+            width: Width::of(target),
             fusion: FusionStats::default(),
         })
     }
@@ -1741,7 +1725,7 @@ impl DecodedProgram {
         DecodedProgram {
             steps,
             len: self.len,
-            vs: self.vs,
+            width: self.width,
             fusion,
         }
     }
@@ -1757,78 +1741,38 @@ impl DecodedProgram {
         self.steps.len()
     }
 
-    /// Re-specialize an already-decoded program to another vector width
-    /// of the same code, sharing all vector-length-independent decode
-    /// work: label→index resolution, step construction, and fast-kernel
-    /// selection are reused; only per-instruction costs and lane counts
-    /// are recomputed against `target`. This is what makes bringing up a
-    /// new runtime VL cheaper than a fresh [`DecodedProgram::decode`].
+    /// A clone of this program that runs on `target`'s machines (its
+    /// [`Width`] is `target`'s), after checking that `code` has the shape
+    /// this was decoded from: the same number of executable
+    /// instructions. The step costs are kept, because every VL of a
+    /// family shares its cost model.
     ///
-    /// `code` must be the same program this was decoded from (the engine
-    /// keys both off one `Compiled` artifact); a shape mismatch is
-    /// rejected.
+    /// The library no longer calls this: a VLA program carries no lane
+    /// count, so one decode runs at every VL of its family and the engine
+    /// serves it unchanged. It is kept for callers that bind a program
+    /// to one execution target.
     ///
     /// # Errors
     /// Returns a [`Trap`] when `code` does not match this program.
     pub fn respecialize(&self, code: &MCode, target: &TargetDesc) -> Result<DecodedProgram, Trap> {
-        let vs = target.vs.max(1);
-        let lanes_of = |ty: vapor_ir::ScalarTy| (vs / ty.size()).max(1);
-        let mut insts = code.insts.iter().filter(|i| !matches!(i, MInst::Label(_)));
-        let mut steps = Vec::with_capacity(self.steps.len());
-        for d in &self.steps {
-            // A fused step covers `arity` source instructions: its cost
-            // is re-summed over the group, so the fusion decisions made
-            // at family-minimum decode time stay valid at every VL (the
-            // patterns themselves are VL-independent; only lane clamps
-            // and costs change).
-            let mut cost = 0u64;
-            for _ in 0..d.arity {
-                let inst = insts.next().ok_or_else(|| {
-                    Trap("respecialize: code is shorter than the decoded program".into())
-                })?;
-                cost += target.cost.cost(inst, vs);
+        let executable = code
+            .insts
+            .iter()
+            .filter(|i| !matches!(i, MInst::Label(_)))
+            .count();
+        let shape = match executable.cmp(&self.len) {
+            std::cmp::Ordering::Less => "shorter",
+            std::cmp::Ordering::Greater => "longer",
+            std::cmp::Ordering::Equal => {
+                return Ok(DecodedProgram {
+                    width: Width::of(target),
+                    ..self.clone()
+                })
             }
-            let mut step = d.step.clone();
-            match &mut step {
-                DStep::VBinFast { ty, lanes, .. }
-                | DStep::VUnFast { ty, lanes, .. }
-                | DStep::SplatFast { ty, lanes, .. }
-                | DStep::VShiftImmFast { ty, lanes, .. }
-                | DStep::VShiftRegFast { ty, lanes, .. }
-                | DStep::VReduceFast { ty, lanes, .. } => {
-                    *lanes = lanes_of(*ty) as u16;
-                }
-                DStep::VBinVlFast { ty, max_lanes, .. }
-                | DStep::VUnVlFast { ty, max_lanes, .. } => {
-                    *max_lanes = lanes_of(*ty) as u16;
-                }
-                DStep::FusedLoadBinStore(p) => p.lanes = lanes_of(p.ty) as u16,
-                DStep::FusedLoadBinBin(p) => {
-                    p.lanes1 = lanes_of(p.ty1) as u16;
-                    p.lanes2 = lanes_of(p.ty2) as u16;
-                }
-                DStep::FusedLoadBin(p) => p.lanes = lanes_of(p.ty) as u16,
-                DStep::FusedBinStore(p) => p.lanes = lanes_of(p.ty) as u16,
-                DStep::FusedLoadBinStoreVl(p) => p.max_lanes = lanes_of(p.ty) as u16,
-                _ => {}
-            }
-            steps.push(DecodedInst {
-                step,
-                cost,
-                arity: d.arity,
-            });
-        }
-        if insts.next().is_some() {
-            return Err(Trap(
-                "respecialize: code is longer than the decoded program".into(),
-            ));
-        }
-        Ok(DecodedProgram {
-            steps,
-            len: self.len,
-            vs,
-            fusion: self.fusion,
-        })
+        };
+        Err(Trap(format!(
+            "respecialize: code is {shape} than the decoded program"
+        )))
     }
 
     /// The decoded instruction stream.
@@ -1949,7 +1893,7 @@ mod tests {
         };
         let p = DecodedProgram::decode_unfused(&code, &t).unwrap();
         for (d, inst) in p.steps().iter().zip(&code.insts) {
-            assert_eq!(d.cost, t.cost.cost(inst, t.vs));
+            assert_eq!(d.cost, t.cost.base_cost(inst));
         }
         // The fused decode forms a LoadV→VBin superinstruction whose
         // cost is the exact sum (vm_cycles accounting must not move).
@@ -2045,30 +1989,50 @@ mod tests {
         assert_eq!(again.n_steps(), p.n_steps());
         assert_eq!(again.fusion_stats(), p.fusion_stats());
         assert_eq!(
-            crate::disasm::disasm_decoded(&again),
-            crate::disasm::disasm_decoded(&p)
+            crate::disasm::disasm_decoded(&again, &sse()),
+            crate::disasm::disasm_decoded(&p, &sse())
         );
     }
 
     #[test]
     fn reduce_lanes_depend_on_target() {
         let code = MCode {
-            insts: vec![MInst::VReduce {
-                op: crate::isa::ReduceOp::Plus,
-                ty: ScalarTy::I16,
-                dst: SReg(0),
-                src: VReg(0),
-            }],
+            insts: vec![
+                MInst::Splat {
+                    ty: ScalarTy::I16,
+                    dst: VReg(0),
+                    src: SReg(0),
+                },
+                MInst::VReduce {
+                    op: crate::isa::ReduceOp::Plus,
+                    ty: ScalarTy::I16,
+                    dst: SReg(0),
+                    src: VReg(0),
+                },
+            ],
             n_sregs: 1,
             n_vregs: 1,
             note: String::new(),
         };
-        // A reduction costs one step per halving of its i16 lane count:
-        // 16 bytes hold 8 lanes (3 steps), 32 bytes 16 (4 steps).
-        for (t, steps) in [(sse(), 3), (altivec(), 3), (avx(), 4)] {
-            let p = DecodedProgram::decode(&code, &t).unwrap();
-            let want = t.cost.vreduce_step * steps + t.cost.vlane;
-            assert_eq!(p.steps()[0].cost, u64::from(want), "{}", t.name);
+        // A reduction costs one step per halving of its i16 lane count at
+        // the machine's width: 16 bytes hold 8 lanes (3 steps), 32 bytes
+        // 16 (4), 256 bytes 128 (7). The decode holds only the
+        // width-independent part, so one VLA decode serves every VL.
+        let fam = crate::target::sve();
+        for (decode_t, t, steps) in [
+            (sse(), sse(), 3),
+            (altivec(), altivec(), 3),
+            (avx(), avx(), 4),
+            (fam.clone(), fam.at_vl(128), 3),
+            (fam.clone(), fam.at_vl(2048), 7),
+        ] {
+            let p = DecodedProgram::decode(&code, &decode_t).unwrap();
+            assert_eq!(p.steps()[1].cost, u64::from(t.cost.vlane), "{}", t.name);
+            let mut m = crate::machine::Machine::new(&t, 1024);
+            m.set_sreg(SReg(0), Value::Int(1));
+            let want = 2 * t.cost.vlane + t.cost.vreduce_step * steps;
+            let got = m.run_decoded(&p).unwrap().cycles;
+            assert_eq!(got, u64::from(want), "{} VS={}", t.name, t.vs);
         }
     }
 
@@ -2111,22 +2075,18 @@ mod tests {
         let t = crate::target::sve().at_vl(512); // 64-byte registers
         let p = DecodedProgram::decode(&code, &t).unwrap();
         match &p.steps()[0].step {
-            DStep::VBinVlFast {
-                op, ty, max_lanes, ..
-            } => {
+            DStep::VBinVlFast { op, ty, .. } => {
                 assert_eq!((*op, *ty), (BinOp::Add, ScalarTy::I32));
-                assert_eq!(*max_lanes, 16);
             }
             s => panic!("expected VBinVlFast, got {s:?}"),
         }
         match &p.steps()[1].step {
-            DStep::VUnVlFast { ty, max_lanes, .. } => {
-                assert_eq!((*ty, *max_lanes), (ScalarTy::F64, 8));
-            }
+            DStep::VUnVlFast { ty, .. } => assert_eq!(*ty, ScalarTy::F64),
             s => panic!("expected VUnVlFast, got {s:?}"),
         }
-        let text = crate::disasm::disasm_decoded(&p);
-        assert!(text.contains("vl.fast"), "{text}");
+        let text = crate::disasm::disasm_decoded(&p, &t);
+        assert!(text.contains("vl.fast.int v1, v2 ; vl<=16"), "{text}");
+        assert!(text.contains("vl.fast.double v1 ; vl<=8"), "{text}");
     }
 
     #[test]
@@ -2243,68 +2203,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn respecialize_matches_a_fresh_decode() {
-        // Re-specializing a family-minimum decode to another VL must
-        // produce exactly what a from-scratch decode produces: same
-        // targets, same costs, same lane clamps.
-        let code = MCode {
-            insts: vec![
-                MInst::MovImmI {
-                    dst: SReg(0),
-                    imm: 0,
-                },
-                MInst::Label(Label(0)),
-                MInst::VBinVl {
-                    op: BinOp::Mul,
-                    ty: ScalarTy::F32,
-                    dst: VReg(0),
-                    a: VReg(0),
-                    b: VReg(1),
-                },
-                MInst::VReduce {
-                    op: crate::isa::ReduceOp::Plus,
-                    ty: ScalarTy::F32,
-                    dst: SReg(1),
-                    src: VReg(0),
-                },
-                MInst::SBinImm {
-                    op: BinOp::Add,
-                    ty: ScalarTy::I64,
-                    dst: SReg(0),
-                    a: SReg(0),
-                    imm: 1,
-                },
-                MInst::BranchImm {
-                    cond: Cond::Lt,
-                    a: SReg(0),
-                    imm: 3,
-                    target: Label(0),
-                },
-            ],
-            n_sregs: 2,
-            n_vregs: 2,
-            note: String::new(),
-        };
-        let family = crate::target::sve();
-        let base = DecodedProgram::decode(&code, &family).unwrap();
-        for vl in [128usize, 512, 2048] {
-            let exec = family.at_vl(vl);
-            let fresh = DecodedProgram::decode(&code, &exec).unwrap();
-            let respec = base.respecialize(&code, &exec).unwrap();
-            assert_eq!(respec.vs, fresh.vs);
-            assert_eq!(respec.len, fresh.len);
-            for (a, b) in respec.steps().iter().zip(fresh.steps()) {
-                assert_eq!(a.cost, b.cost, "VL={vl}");
-                assert_eq!(
-                    crate::disasm::disasm_step(&a.step),
-                    crate::disasm::disasm_step(&b.step),
-                    "VL={vl}"
-                );
-            }
-        }
     }
 
     #[test]

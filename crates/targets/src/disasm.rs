@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::isa::{AddrMode, CvtDir, Half, MCode, MInst, MemAlign, ReduceOp, ShiftSrc};
+use crate::target::TargetDesc;
 
 fn addr(a: &AddrMode) -> String {
     let mut s = format!("[{}", a.base);
@@ -190,9 +191,11 @@ fn fast_addr(base: crate::isa::SReg, idx: u32, scale: u8, disp: i32) -> String {
 /// One decoded step as text: fast-kernel forms are annotated so tests
 /// and debugging sessions can see which instructions escaped the
 /// generic interpreter (`.fast` all-lanes kernels, `.vl.fast` the
-/// merging-predicated runtime-VL kernels).
-pub fn disasm_step(step: &crate::decode::DStep) -> String {
+/// merging-predicated runtime-VL kernels). Lane counts are those of
+/// `vs`-byte registers.
+pub fn disasm_step(step: &crate::decode::DStep, vs: usize) -> String {
     use crate::decode::DStep;
+    let lanes = |ty: &vapor_ir::ScalarTy| (vs / ty.size()).max(1);
     match step {
         DStep::Jump { target } => format!("  jmp @{target}"),
         DStep::Branch { cond, a, b, target } => format!("  b.{cond:?} {a}, {b} -> @{target}"),
@@ -261,57 +264,36 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             fast_addr(*base, *idx, *scale, *disp)
         ),
         DStep::VBinFast {
-            dst,
-            a,
-            b,
-            op,
-            ty,
-            lanes,
-            ..
-        } => format!("  {dst} = v{op:?}.fast.{ty} {a}, {b} ; {lanes} lanes"),
-        DStep::VUnFast {
-            dst,
-            a,
-            op,
-            ty,
-            lanes,
-            ..
-        } => format!("  {dst} = v{op:?}.fast.{ty} {a} ; {lanes} lanes"),
+            dst, a, b, op, ty, ..
+        } => format!("  {dst} = v{op:?}.fast.{ty} {a}, {b} ; {} lanes", lanes(ty)),
+        DStep::VUnFast { dst, a, op, ty, .. } => {
+            format!("  {dst} = v{op:?}.fast.{ty} {a} ; {} lanes", lanes(ty))
+        }
         DStep::VBinVlFast {
-            dst,
-            a,
-            b,
-            op,
-            ty,
-            max_lanes,
-            ..
-        } => format!("  {dst} = v{op:?}.vl.fast.{ty} {a}, {b} ; vl<={max_lanes}"),
-        DStep::VUnVlFast {
-            dst,
-            a,
-            op,
-            ty,
-            max_lanes,
-            ..
-        } => format!("  {dst} = v{op:?}.vl.fast.{ty} {a} ; vl<={max_lanes}"),
-        DStep::SplatFast {
-            dst,
-            src,
-            ty,
-            lanes,
-            ..
-        } => format!("  {dst} = splat.fast.{ty} {src} ; {lanes} lanes"),
+            dst, a, b, op, ty, ..
+        } => format!(
+            "  {dst} = v{op:?}.vl.fast.{ty} {a}, {b} ; vl<={}",
+            lanes(ty)
+        ),
+        DStep::VUnVlFast { dst, a, op, ty, .. } => {
+            format!("  {dst} = v{op:?}.vl.fast.{ty} {a} ; vl<={}", lanes(ty))
+        }
+        DStep::SplatFast { dst, src, ty, .. } => {
+            format!("  {dst} = splat.fast.{ty} {src} ; {} lanes", lanes(ty))
+        }
         DStep::VShiftImmFast {
             dst,
             a,
             imm,
             left,
             ty,
-            lanes,
             ..
         } => {
             let dir = if *left { "shl" } else { "shr" };
-            format!("  {dst} = v{dir}.fast.{ty} {a}, #{imm} ; {lanes} lanes")
+            format!(
+                "  {dst} = v{dir}.fast.{ty} {a}, #{imm} ; {} lanes",
+                lanes(ty)
+            )
         }
         DStep::VShiftRegFast {
             dst,
@@ -319,28 +301,28 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             amt,
             left,
             ty,
-            lanes,
             ..
         } => {
             let dir = if *left { "shl" } else { "shr" };
-            format!("  {dst} = v{dir}.fast.{ty} {a}, {amt} ; {lanes} lanes")
+            format!(
+                "  {dst} = v{dir}.fast.{ty} {a}, {amt} ; {} lanes",
+                lanes(ty)
+            )
         }
         DStep::SpillLdFast { dst, slot } => format!("  {dst} = reload.fast slot{slot}"),
         DStep::SpillStFast { src, slot } => format!("  spill.fast slot{slot} = {src}"),
         DStep::VReduceFast {
-            dst,
-            src,
-            op,
-            ty,
-            lanes,
-            ..
+            dst, src, op, ty, ..
         } => {
             let o = match op {
                 crate::isa::ReduceOp::Plus => "add",
                 crate::isa::ReduceOp::Max => "max",
                 crate::isa::ReduceOp::Min => "min",
             };
-            format!("  {dst} = vreduce.fast.{o}.{ty} {src} ; {lanes} lanes")
+            format!(
+                "  {dst} = vreduce.fast.{o}.{ty} {src} ; {} lanes",
+                lanes(ty)
+            )
         }
         DStep::FusedLoadBinStore(p) => format!(
             "  fuse3 {} = vld.{} {} | {} = v{:?}.{} {}, {} | vst.{} {}, {} ; {} lanes",
@@ -355,7 +337,7 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             if p.store.aligned { "a" } else { "u" },
             fused_addr(&p.store),
             p.dst,
-            p.lanes
+            lanes(&p.ty)
         ),
         DStep::FusedLoadBinBin(p) => format!(
             "  fuse3 {} = vld.{} {} | {} = v{:?}.{} {}, {} | {} = v{:?}.{} {}, {} ; {} lanes",
@@ -372,7 +354,7 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             p.ty2,
             p.a2,
             p.b2,
-            p.lanes2
+            lanes(&p.ty2)
         ),
         DStep::FusedLoadBin(p) => format!(
             "  fuse2 {} = vld.{} {} | {} = v{:?}.{} {}, {} ; {} lanes",
@@ -384,7 +366,7 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             p.ty,
             p.a,
             p.b,
-            p.lanes
+            lanes(&p.ty)
         ),
         DStep::FusedBinStore(p) => format!(
             "  fuse2 {} = v{:?}.{} {}, {} | vst.{} {}, {} ; {} lanes",
@@ -396,7 +378,7 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             if p.store.aligned { "a" } else { "u" },
             fused_addr(&p.store),
             p.dst,
-            p.lanes
+            lanes(&p.ty)
         ),
         DStep::FusedLoadBinStoreVl(p) => format!(
             "  fuse3 {} = vld.vl.{} {} | {} = v{:?}.vl.{} {}, {} | vst.vl.{} {}, {} ; vl<={}",
@@ -411,7 +393,7 @@ pub fn disasm_step(step: &crate::decode::DStep) -> String {
             p.store_ty,
             fused_addr(&p.store),
             p.dst,
-            p.max_lanes
+            lanes(&p.ty)
         ),
         DStep::FusedLatch(p) => {
             let rhs = if p.br_reg == crate::decode::NO_INDEX {
@@ -433,18 +415,19 @@ fn fused_addr(m: &crate::decode::FusedAddr) -> String {
     fast_addr(m.base, m.idx, m.scale, m.disp)
 }
 
-/// Whole decoded program as text (one line per step; superinstructions
-/// render their constituents `|`-joined on one line).
-pub fn disasm_decoded(prog: &crate::decode::DecodedProgram) -> String {
+/// Whole decoded program as text on a machine of `target`'s width (one
+/// line per step; superinstructions render their constituents
+/// `|`-joined on one line).
+pub fn disasm_decoded(prog: &crate::decode::DecodedProgram, target: &TargetDesc) -> String {
+    let vs = target.vs.max(1);
     let mut out = format!(
-        "; decoded for VS={} ({} steps / {} insts, {} superinstructions)\n",
-        prog.vs,
+        "; decoded for VS={vs} ({} steps / {} insts, {} superinstructions)\n",
         prog.n_steps(),
         prog.len,
         prog.fusion_stats().total()
     );
     for d in prog.steps() {
-        out.push_str(&disasm_step(&d.step));
+        out.push_str(&disasm_step(&d.step, vs));
         out.push('\n');
     }
     out

@@ -32,7 +32,7 @@ pub mod thread;
 pub use cost::{helper_name, CostModel};
 pub use decode::{
     DStep, DecodedInst, DecodedProgram, FusedAddr, FusionStats, SBinFn, SplatFn, VBinFn, VReduceFn,
-    VShiftFn, VUnFn, NO_INDEX,
+    VShiftFn, VUnFn, Width, NO_INDEX,
 };
 pub use disasm::{disasm, disasm_decoded, disasm_inst, disasm_step};
 pub use isa::{

@@ -10,7 +10,9 @@ use std::fmt;
 use vapor_ir::sem::{eval_bin, eval_cast, eval_un, read_elem, write_elem, Value};
 use vapor_ir::{BinOp, ScalarTy};
 
-use crate::decode::{DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VShiftFn, VUnFn};
+use crate::decode::{
+    DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VShiftFn, VUnFn, Width,
+};
 use crate::isa::{
     AddrMode, Cond, CvtDir, Half, HelperOp, MCode, MInst, MemAlign, ReduceOp, SReg, ShiftSrc, VReg,
 };
@@ -333,6 +335,10 @@ pub struct Machine<'t> {
     /// instructions, latched by [`MInst::SetVl`]. Starts at the full
     /// register width (all lanes active).
     vl_bytes: usize,
+    /// Lanes of a full register per element size in bytes (indices 1,
+    /// 2, 4 and 8), filled once per machine: every step reads its lane
+    /// count here, so no decoded step carries one.
+    lanes: [usize; 9],
     /// Instruction budget; a trap fires when exhausted (runaway guard).
     pub fuel: u64,
 }
@@ -349,6 +355,10 @@ impl<'t> Machine<'t> {
     /// reuse one arena instead of allocating megabytes per request.
     pub fn with_memory(target: &'t TargetDesc, mem: Memory) -> Machine<'t> {
         let vl_bytes = target.vs.max(1);
+        let mut lanes = [0; 9];
+        for size in [1, 2, 4, 8] {
+            lanes[size] = (vl_bytes / size).max(1);
+        }
         Machine {
             target,
             mem,
@@ -356,6 +366,7 @@ impl<'t> Machine<'t> {
             vregs: VRegs::new(vl_bytes),
             slots: Vec::new(),
             vl_bytes,
+            lanes,
             fuel: 2_000_000_000,
         }
     }
@@ -387,14 +398,37 @@ impl<'t> Machine<'t> {
         self.target.vs.max(1)
     }
 
+    /// Lanes of `ty` in a full register.
+    #[inline]
     fn lanes(&self, ty: ScalarTy) -> usize {
-        (self.vs() / ty.size()).max(1)
+        self.lanes[ty.size()]
     }
 
     /// Active lane count of `ty` under the current vector length (set by
-    /// [`MInst::SetVl`]; defaults to all lanes).
+    /// [`MInst::SetVl`]; defaults to all lanes). Element sizes are
+    /// powers of two, so the division is a shift.
+    #[inline]
     fn vl_lanes(&self, ty: ScalarTy) -> usize {
-        (self.vl_bytes / ty.size()).min(self.lanes(ty))
+        (self.vl_bytes >> ty.size().trailing_zeros()).min(self.lanes(ty))
+    }
+
+    /// The width check every pre-decoded dispatch loop runs first: a
+    /// program runs only on the machines of its [`Width`].
+    fn check_width(&self, what: &str, width: Width) -> Result<(), Trap> {
+        if width == Width::of(self.target) {
+            return Ok(());
+        }
+        Err(Trap(format!(
+            "program {what} for {width} executed on a VS={} machine",
+            self.vs()
+        )))
+    }
+
+    /// The width-dependent cycles of a generic step at this machine's
+    /// lane counts, which its pre-decoded cost leaves out.
+    #[inline]
+    fn op_vl_cost(&self, inst: &MInst) -> u64 {
+        self.target.cost.vl_cost(inst, |ty| self.lanes(ty))
     }
 
     /// Byte bound for explicit lane accesses ([`MInst::SetLane`] /
@@ -548,8 +582,11 @@ impl<'t> Machine<'t> {
     }
 
     /// Execute a pre-decoded program (see [`DecodedProgram`]): branch
-    /// targets are instruction indices and per-instruction costs are
-    /// table lookups, so the hot loop does no metadata derivation.
+    /// targets are instruction indices, per-instruction costs are table
+    /// lookups and lane counts come from the machine's lane table, so
+    /// the hot loop does no metadata derivation. Reductions and helper
+    /// calls add the width-dependent part of their cost as they run, so
+    /// one decode of a VLA program runs at every VL of its family.
     ///
     /// Fuel is checked per *step* against the step's full arity, so a
     /// superinstruction whose constituents would cross the budget traps
@@ -560,16 +597,10 @@ impl<'t> Machine<'t> {
     /// bit-identical either way).
     ///
     /// # Errors
-    /// Returns a [`Trap`] on contract violations, or if the program was
-    /// decoded for a target with a different vector width.
+    /// Returns a [`Trap`] on contract violations, or if the machine is
+    /// not one of the program's [`Width`].
     pub fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<ExecStats, Trap> {
-        if prog.vs != self.vs() {
-            return Err(Trap(format!(
-                "program decoded for VS={} executed on a VS={} machine",
-                prog.vs,
-                self.vs()
-            )));
-        }
+        self.check_width("decoded", prog.width)?;
         let steps = prog.steps();
         let mut pc = 0usize;
         let mut stats = ExecStats::default();
@@ -678,58 +709,22 @@ impl<'t> Machine<'t> {
                     self.mem.write(*ty, a, v);
                 }
                 DStep::VBinFast {
-                    dst,
-                    a,
-                    b,
-                    f,
-                    lanes,
-                    ..
-                } => self.vbin(*dst, *a, *b, *f, *lanes)?,
-                DStep::VUnFast {
-                    dst, a, f, lanes, ..
-                } => self.vun(*dst, *a, *f, *lanes)?,
+                    dst, a, b, f, ty, ..
+                } => self.vbin(*dst, *a, *b, *f, *ty)?,
+                DStep::VUnFast { dst, a, f, ty, .. } => self.vun(*dst, *a, *f, *ty)?,
                 DStep::VBinVlFast {
-                    dst,
-                    a,
-                    b,
-                    f,
-                    ty,
-                    max_lanes,
-                    ..
-                } => self.vbin_vl(*dst, *a, *b, *f, *ty, *max_lanes)?,
-                DStep::VUnVlFast {
-                    dst,
-                    a,
-                    f,
-                    ty,
-                    max_lanes,
-                    ..
-                } => self.vun_vl(*dst, *a, *f, *ty, *max_lanes)?,
-                DStep::SplatFast {
-                    dst,
-                    src,
-                    f,
-                    ty,
-                    lanes,
-                } => self.splat(*dst, *src, *f, *ty, *lanes)?,
+                    dst, a, b, f, ty, ..
+                } => self.vbin_vl(*dst, *a, *b, *f, *ty)?,
+                DStep::VUnVlFast { dst, a, f, ty, .. } => self.vun_vl(*dst, *a, *f, *ty)?,
+                DStep::SplatFast { dst, src, f, ty } => self.splat(*dst, *src, *f, *ty)?,
                 DStep::VShiftImmFast {
-                    dst,
-                    a,
-                    f,
-                    imm,
-                    lanes,
-                    ..
-                } => self.vshift(*dst, *a, *f, i64::from(*imm), *lanes)?,
+                    dst, a, f, imm, ty, ..
+                } => self.vshift(*dst, *a, *f, i64::from(*imm), *ty)?,
                 DStep::VShiftRegFast {
-                    dst,
-                    a,
-                    f,
-                    amt,
-                    lanes,
-                    ..
+                    dst, a, f, amt, ty, ..
                 } => {
                     let amt = self.sint(*amt)?;
-                    self.vshift(*dst, *a, *f, amt, *lanes)?;
+                    self.vshift(*dst, *a, *f, amt, *ty)?;
                 }
                 DStep::SpillLdFast { dst, slot } => {
                     let v = self
@@ -747,15 +742,12 @@ impl<'t> Machine<'t> {
                     self.slots[*slot as usize] = v;
                 }
                 DStep::VReduceFast {
-                    dst,
-                    src,
-                    f,
-                    ty,
-                    lanes,
-                    ..
+                    dst, src, f, ty, ..
                 } => {
-                    let v = f(self.vbytes(*src)?, *lanes as usize);
+                    let n = self.lanes(*ty);
+                    let v = f(self.vbytes(*src)?, n);
                     self.set_sreg_checked(*dst, *ty, v);
+                    stats.cycles += self.target.cost.reduce_vl_cost(n);
                 }
                 // Superinstructions: the constituents execute in order,
                 // every register write included, so machine state is
@@ -763,25 +755,25 @@ impl<'t> Machine<'t> {
                 // per-step dispatch overhead is paid once.
                 DStep::FusedLoadBinStore(p) => {
                     self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
-                    self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                    self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
                     self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
                 }
                 DStep::FusedLoadBinBin(p) => {
                     self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
-                    self.vbin(p.dst1, p.a1, p.b1, p.f1, p.lanes1)?;
-                    self.vbin(p.dst2, p.a2, p.b2, p.f2, p.lanes2)?;
+                    self.vbin(p.dst1, p.a1, p.b1, p.f1, p.ty1)?;
+                    self.vbin(p.dst2, p.a2, p.b2, p.f2, p.ty2)?;
                 }
                 DStep::FusedLoadBin(p) => {
                     self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
-                    self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                    self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
                 }
                 DStep::FusedBinStore(p) => {
-                    self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                    self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
                     self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
                 }
                 DStep::FusedLoadBinStoreVl(p) => {
                     self.load_vl_at(p.load_ty, p.load_dst, self.fused_addr(&p.load)?)?;
-                    self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty, p.max_lanes)?;
+                    self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty)?;
                     self.store_vl_at(p.store_ty, p.dst, self.fused_addr(&p.store)?)?;
                 }
                 DStep::FusedLatch(p) => {
@@ -798,7 +790,10 @@ impl<'t> Machine<'t> {
                         next = p.target as usize;
                     }
                 }
-                DStep::Op(inst) => self.exec_op(inst)?,
+                DStep::Op(inst) => {
+                    self.exec_op(inst)?;
+                    stats.cycles += self.op_vl_cost(inst);
+                }
             }
             stats.insts += u64::from(d.arity);
             stats.cycles += d.cost;
@@ -809,7 +804,8 @@ impl<'t> Machine<'t> {
 
     /// Execute a closure-threaded program (see [`ThreadedProgram`]):
     /// fuel and statistics are charged once per straight-line region
-    /// with the region's pre-summed exact cost, and affine loop addresses
+    /// with the region's pre-summed width-independent cost (reductions
+    /// and helper calls add the rest as they run), and affine loop addresses
     /// stride precomputed cursors instead of being recomputed per access.
     /// Vector steps run the register-file helpers of
     /// [`Machine::run_decoded`]. For every non-trapping execution the
@@ -830,16 +826,10 @@ impl<'t> Machine<'t> {
     /// the decoded messages.
     ///
     /// # Errors
-    /// Returns a [`Trap`] on contract violations, or if the program was
-    /// threaded for a target with a different vector width.
+    /// Returns a [`Trap`] on contract violations, or if the machine is
+    /// not one of the program's [`Width`].
     pub fn run_threaded(&mut self, prog: &ThreadedProgram) -> Result<ExecStats, Trap> {
-        if prog.vs != self.vs() {
-            return Err(Trap(format!(
-                "program threaded for VS={} executed on a VS={} machine",
-                prog.vs,
-                self.vs()
-            )));
-        }
+        self.check_width("threaded", prog.width)?;
         self.vregs.grow_to(prog.n_vregs());
         let steps = prog.steps();
         let regions = prog.regions();
@@ -894,34 +884,14 @@ impl<'t> Machine<'t> {
                         }
                     }
                     TStep::VBin {
-                        dst,
-                        a,
-                        b,
-                        f,
-                        lanes,
-                        ..
-                    } => self.vbin(*dst, *a, *b, *f, *lanes)?,
-                    TStep::VUn {
-                        dst, a, f, lanes, ..
-                    } => self.vun(*dst, *a, *f, *lanes)?,
+                        dst, a, b, f, ty, ..
+                    } => self.vbin(*dst, *a, *b, *f, *ty)?,
+                    TStep::VUn { dst, a, f, ty, .. } => self.vun(*dst, *a, *f, *ty)?,
                     TStep::MovV { dst, src } => self.vregs.mov(*dst, *src)?,
                     TStep::VBinVl {
-                        dst,
-                        a,
-                        b,
-                        f,
-                        ty,
-                        max_lanes,
-                        ..
-                    } => self.vbin_vl(*dst, *a, *b, *f, *ty, *max_lanes)?,
-                    TStep::VUnVl {
-                        dst,
-                        a,
-                        f,
-                        ty,
-                        max_lanes,
-                        ..
-                    } => self.vun_vl(*dst, *a, *f, *ty, *max_lanes)?,
+                        dst, a, b, f, ty, ..
+                    } => self.vbin_vl(*dst, *a, *b, *f, *ty)?,
+                    TStep::VUnVl { dst, a, f, ty, .. } => self.vun_vl(*dst, *a, *f, *ty)?,
                     TStep::LoadV { dst, aligned, addr } => {
                         self.load_v_at(*dst, self.t_addr(addr, &st)?, *aligned)?
                     }
@@ -979,31 +949,15 @@ impl<'t> Machine<'t> {
                         self.set_sreg(*dst, v);
                     }
                     TStep::MovImm { dst, v } => self.set_sreg(*dst, *v),
-                    TStep::Splat {
-                        dst,
-                        src,
-                        f,
-                        ty,
-                        lanes,
-                    } => self.splat(*dst, *src, *f, *ty, *lanes)?,
+                    TStep::Splat { dst, src, f, ty } => self.splat(*dst, *src, *f, *ty)?,
                     TStep::VShiftImm {
-                        dst,
-                        a,
-                        f,
-                        imm,
-                        lanes,
-                        ..
-                    } => self.vshift(*dst, *a, *f, i64::from(*imm), *lanes)?,
+                        dst, a, f, imm, ty, ..
+                    } => self.vshift(*dst, *a, *f, i64::from(*imm), *ty)?,
                     TStep::VShiftReg {
-                        dst,
-                        a,
-                        f,
-                        amt,
-                        lanes,
-                        ..
+                        dst, a, f, amt, ty, ..
                     } => {
                         let amt = self.sint(*amt)?;
-                        self.vshift(*dst, *a, *f, amt, *lanes)?;
+                        self.vshift(*dst, *a, *f, amt, *ty)?;
                     }
                     TStep::SpillLd { dst, slot } => {
                         let v = self
@@ -1021,40 +975,37 @@ impl<'t> Machine<'t> {
                         self.slots[*slot as usize] = v;
                     }
                     TStep::VReduce {
-                        dst,
-                        src,
-                        f,
-                        ty,
-                        lanes,
-                        ..
+                        dst, src, f, ty, ..
                     } => {
-                        let v = f(self.vbytes(*src)?, *lanes as usize);
+                        let n = self.lanes(*ty);
+                        let v = f(self.vbytes(*src)?, n);
                         self.set_sreg_checked(*dst, *ty, v);
+                        stats.cycles += self.target.cost.reduce_vl_cost(n);
                     }
                     // Superinstructions: constituents in order, every
                     // register write included — same contract as the
                     // decoded fused steps.
                     TStep::LoadBinStore(p) => {
                         self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
-                        self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
                         self.store_v_at(p.dst, self.t_addr(&p.store, &st)?, p.store_aligned)?;
                     }
                     TStep::LoadBinBin(p) => {
                         self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
-                        self.vbin(p.dst1, p.a1, p.b1, p.f1, p.lanes1)?;
-                        self.vbin(p.dst2, p.a2, p.b2, p.f2, p.lanes2)?;
+                        self.vbin(p.dst1, p.a1, p.b1, p.f1, p.ty1)?;
+                        self.vbin(p.dst2, p.a2, p.b2, p.f2, p.ty2)?;
                     }
                     TStep::LoadBin(p) => {
                         self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
-                        self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
                     }
                     TStep::BinStore(p) => {
-                        self.vbin(p.dst, p.a, p.b, p.f, p.lanes)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
                         self.store_v_at(p.dst, self.t_addr(&p.store, &st)?, p.store_aligned)?;
                     }
                     TStep::LoadBinStoreVl(p) => {
                         self.load_vl_at(p.load_ty, p.load_dst, self.t_addr(&p.load, &st)?)?;
-                        self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty, p.max_lanes)?;
+                        self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty)?;
                         self.store_vl_at(p.store_ty, p.dst, self.t_addr(&p.store, &st)?)?;
                     }
                     TStep::Latch(p) => {
@@ -1080,7 +1031,10 @@ impl<'t> Machine<'t> {
                             }
                         }
                     }
-                    TStep::ScalarOp(inst) | TStep::VectorOp(inst) => self.exec_op(inst)?,
+                    TStep::ScalarOp(inst) | TStep::VectorOp(inst) => {
+                        self.exec_op(inst)?;
+                        stats.cycles += self.op_vl_cost(inst);
+                    }
                 }
             }
             r = next;
@@ -1198,10 +1152,10 @@ impl<'t> Machine<'t> {
     }
 
     /// All-lanes specialized vector binary op.
-    fn vbin(&mut self, dst: VReg, a: VReg, b: VReg, f: VBinFn, lanes: u16) -> Result<(), Trap> {
-        self.vregs.write(dst, [a, b], false, |[x, y], out| {
-            f(x, y, out, lanes as usize)
-        })
+    fn vbin(&mut self, dst: VReg, a: VReg, b: VReg, f: VBinFn, ty: ScalarTy) -> Result<(), Trap> {
+        let n = self.lanes(ty);
+        self.vregs
+            .write(dst, [a, b], false, |[x, y], out| f(x, y, out, n))
     }
 
     /// Merging-predicated specialized vector binary op: lanes past the
@@ -1213,44 +1167,29 @@ impl<'t> Machine<'t> {
         b: VReg,
         f: VBinFn,
         ty: ScalarTy,
-        max_lanes: u16,
     ) -> Result<(), Trap> {
-        let n = (self.vl_bytes / ty.size()).min(max_lanes as usize);
+        let n = self.vl_lanes(ty);
         self.vregs
             .write(dst, [a, b], true, |[x, y], out| f(x, y, out, n))
     }
 
     /// All-lanes specialized vector unary op.
-    fn vun(&mut self, dst: VReg, a: VReg, f: VUnFn, lanes: u16) -> Result<(), Trap> {
-        self.vregs
-            .write(dst, [a], false, |[x], out| f(x, out, lanes as usize))
+    fn vun(&mut self, dst: VReg, a: VReg, f: VUnFn, ty: ScalarTy) -> Result<(), Trap> {
+        let n = self.lanes(ty);
+        self.vregs.write(dst, [a], false, |[x], out| f(x, out, n))
     }
 
     /// Merging-predicated specialized vector unary op.
-    fn vun_vl(
-        &mut self,
-        dst: VReg,
-        a: VReg,
-        f: VUnFn,
-        ty: ScalarTy,
-        max_lanes: u16,
-    ) -> Result<(), Trap> {
-        let n = (self.vl_bytes / ty.size()).min(max_lanes as usize);
+    fn vun_vl(&mut self, dst: VReg, a: VReg, f: VUnFn, ty: ScalarTy) -> Result<(), Trap> {
+        let n = self.vl_lanes(ty);
         self.vregs.write(dst, [a], true, |[x], out| f(x, out, n))
     }
 
     /// Specialized broadcast of scalar register `src`.
-    fn splat(
-        &mut self,
-        dst: VReg,
-        src: SReg,
-        f: SplatFn,
-        ty: ScalarTy,
-        lanes: u16,
-    ) -> Result<(), Trap> {
+    fn splat(&mut self, dst: VReg, src: SReg, f: SplatFn, ty: ScalarTy) -> Result<(), Trap> {
         let v = self.sval(src)?.coerce(ty);
-        self.vregs
-            .write(dst, [], false, |[], out| f(v, out, lanes as usize))
+        let n = self.lanes(ty);
+        self.vregs.write(dst, [], false, |[], out| f(v, out, n))
     }
 
     /// Specialized vector shift by `amt`.
@@ -1260,10 +1199,11 @@ impl<'t> Machine<'t> {
         a: VReg,
         f: VShiftFn,
         amt: i64,
-        lanes: u16,
+        ty: ScalarTy,
     ) -> Result<(), Trap> {
+        let n = self.lanes(ty);
         self.vregs
-            .write(dst, [a], false, |[x], out| f(x, amt, out, lanes as usize))
+            .write(dst, [a], false, |[x], out| f(x, amt, out, n))
     }
 
     /// `dst = a op b` evaluated in place by [`native_bin`]. Returns false,
@@ -2636,6 +2576,93 @@ mod more_tests {
         assert_eq!(m.sreg(SReg(3)), Value::Float(4.5));
         // Lane 3 is inactive (vl = 3): zero-filled, not read from memory.
         assert_eq!(m.sreg(SReg(4)), Value::Float(0.0));
+    }
+
+    #[test]
+    fn one_decode_charges_every_vl_like_the_seed_loop() {
+        // Every reduction (each op at i32, f32 and f64) and a helper
+        // call, decoded and threaded once per VLA family at its minimum,
+        // then run at 128, 512 and 2048 bits: the width-dependent part of
+        // their cost is charged at the machine's lane counts, so both
+        // loops match the seed loop's statistics at every VL.
+        let mut insts = vec![
+            MInst::Splat {
+                ty: ScalarTy::I32,
+                dst: VReg(0),
+                src: SReg(0),
+            },
+            MInst::Splat {
+                ty: ScalarTy::F32,
+                dst: VReg(1),
+                src: SReg(1),
+            },
+            MInst::Splat {
+                ty: ScalarTy::F64,
+                dst: VReg(2),
+                src: SReg(1),
+            },
+        ];
+        let tys = [ScalarTy::I32, ScalarTy::F32, ScalarTy::F64];
+        for (k, op) in [ReduceOp::Plus, ReduceOp::Max, ReduceOp::Min]
+            .into_iter()
+            .enumerate()
+        {
+            for (r, ty) in tys.into_iter().enumerate() {
+                insts.push(MInst::VReduce {
+                    op,
+                    ty,
+                    dst: SReg(2 + (3 * k + r) as u32),
+                    src: VReg(r as u32),
+                });
+            }
+        }
+        insts.push(MInst::VHelper {
+            op: HelperOp::Cvt(CvtDir::IntToFloat),
+            ty: ScalarTy::I32,
+            dst: VReg(3),
+            a: VReg(0),
+            b: None,
+        });
+        let c = MCode {
+            insts,
+            n_sregs: 11,
+            n_vregs: 4,
+            note: String::new(),
+        };
+        for fam in [crate::target::sve(), crate::target::rvv()] {
+            let d = crate::decode::DecodedProgram::decode(&c, &fam).unwrap();
+            let th = crate::thread::ThreadedProgram::thread(&d, &c);
+            let mut cycles = Vec::new();
+            for vl in [128, 512, 2048] {
+                let t = fam.at_vl(vl);
+                let build = || {
+                    let mut m = Machine::new(&t, 1024);
+                    m.set_sreg(SReg(0), Value::Int(3));
+                    m.set_sreg(SReg(1), Value::Float(1.5));
+                    m
+                };
+                let (mut seed, mut dec, mut thr) = (build(), build(), build());
+                let want = seed.run(&c).unwrap();
+                assert_eq!(dec.run_decoded(&d).unwrap(), want, "{} @{vl}", t.name);
+                assert_eq!(thr.run_threaded(&th).unwrap(), want, "{} @{vl}", t.name);
+                for r in 2..11 {
+                    assert_eq!(
+                        dec.sreg(SReg(r)),
+                        seed.sreg(SReg(r)),
+                        "{} @{vl} r{r}",
+                        t.name
+                    );
+                    assert_eq!(
+                        thr.sreg(SReg(r)),
+                        seed.sreg(SReg(r)),
+                        "{} @{vl} r{r}",
+                        t.name
+                    );
+                }
+                cycles.push(want.cycles);
+            }
+            assert!(cycles.windows(2).all(|w| w[0] < w[1]), "{cycles:?}");
+        }
     }
 
     #[test]

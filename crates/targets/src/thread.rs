@@ -9,12 +9,13 @@
 //!
 //! * **Regions** — steps are grouped into straight-line regions (control
 //!   can only be the last step of a region), and each region's exact
-//!   instruction arity and cycle cost are pre-summed. The executor
-//!   charges fuel and statistics once per region instead of once per
-//!   step. Like the fused-step fuel contract, a region whose
-//!   constituents would cross the budget traps at the region boundary
-//!   without executing any of them; non-trapping executions are
-//!   bit-identical.
+//!   instruction arity and width-independent cycle cost are pre-summed.
+//!   The executor charges fuel and statistics once per region instead
+//!   of once per step; a reduction or helper call adds the part of its
+//!   cost that depends on the machine's vector width as it runs. Like
+//!   the fused-step fuel contract, a region whose constituents would
+//!   cross the budget traps at the region boundary without executing
+//!   any of them; non-trapping executions are bit-identical.
 //! * **Affine address streams** — for innermost loops whose latch is a
 //!   fused `i += #imm` / `i -= #imm` step on `i64`, every memory leg
 //!   whose address is affine in the induction variable gets a *stream*:
@@ -44,9 +45,10 @@ use vapor_ir::{BinOp, ScalarTy, UnOp};
 
 use crate::decode::{
     flatten_addr, DStep, DecodedProgram, FusedAddr, SBinFn, SplatFn, VBinFn, VReduceFn, VShiftFn,
-    VUnFn, NO_INDEX,
+    VUnFn, Width, NO_INDEX,
 };
 use crate::isa::{Cond, MCode, MInst, ReduceOp, SReg, VReg};
+use crate::target::TargetDesc;
 
 /// One memory-operand address of a threaded step: either the flattened
 /// affine fields (recomputed per access, exactly like the decoded fast
@@ -89,7 +91,8 @@ pub struct StreamDef {
 
 /// One straight-line region: `n` consecutive steps of which only the
 /// last may transfer control, plus the region's pre-summed instruction
-/// arity and cycle cost (charged once at region entry).
+/// arity and width-independent cycle cost (charged once at region
+/// entry).
 #[derive(Debug, Clone, Copy)]
 pub struct Region {
     /// Index of the first step.
@@ -98,7 +101,7 @@ pub struct Region {
     pub n: u32,
     /// Sum of the constituent steps' source-instruction arities.
     pub arity: u64,
-    /// Sum of the constituent steps' cycle costs.
+    /// Sum of the constituent steps' width-independent cycle costs.
     pub cost: u64,
 }
 
@@ -123,8 +126,6 @@ pub struct TLoadBinStore {
     pub op: BinOp,
     /// Element type.
     pub ty: ScalarTy,
-    /// Lane count.
-    pub lanes: u16,
     /// Whether the store carries the aligned contract.
     pub store_aligned: bool,
     /// Store address.
@@ -152,8 +153,6 @@ pub struct TLoadBinBin {
     pub op1: BinOp,
     /// First element type.
     pub ty1: ScalarTy,
-    /// First lane count.
-    pub lanes1: u16,
     /// Second op's destination.
     pub dst2: VReg,
     /// Second op's left operand.
@@ -166,8 +165,6 @@ pub struct TLoadBinBin {
     pub op2: BinOp,
     /// Second element type.
     pub ty2: ScalarTy,
-    /// Second lane count.
-    pub lanes2: u16,
 }
 
 /// Payload of the threaded `LoadV → VBin` superinstruction.
@@ -191,8 +188,6 @@ pub struct TLoadBin {
     pub op: BinOp,
     /// Element type.
     pub ty: ScalarTy,
-    /// Lane count.
-    pub lanes: u16,
 }
 
 /// Payload of the threaded `VBin → StoreV` superinstruction.
@@ -210,8 +205,6 @@ pub struct TBinStore {
     pub op: BinOp,
     /// Element type.
     pub ty: ScalarTy,
-    /// Lane count.
-    pub lanes: u16,
     /// Whether the store carries the aligned contract.
     pub store_aligned: bool,
     /// Store address.
@@ -240,8 +233,6 @@ pub struct TLoadBinStoreVl {
     pub op: BinOp,
     /// Element type of the binary op.
     pub ty: ScalarTy,
-    /// Full-register lane count (VL clamp).
-    pub max_lanes: u16,
     /// Element type of the predicated store.
     pub store_ty: ScalarTy,
     /// Store address.
@@ -372,8 +363,6 @@ pub enum TStep {
         op: BinOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count.
-        lanes: u16,
     },
     /// All-lanes specialized vector unary op.
     VUn {
@@ -387,8 +376,6 @@ pub enum TStep {
         op: UnOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count.
-        lanes: u16,
     },
     /// Vector register copy (the whole slot).
     MovV {
@@ -411,8 +398,6 @@ pub enum TStep {
         op: BinOp,
         /// Element type.
         ty: ScalarTy,
-        /// Full-register lane count (VL clamp).
-        max_lanes: u16,
     },
     /// Merging-predicated vector unary op.
     VUnVl {
@@ -426,8 +411,6 @@ pub enum TStep {
         op: UnOp,
         /// Element type.
         ty: ScalarTy,
-        /// Full-register lane count (VL clamp).
-        max_lanes: u16,
     },
     /// Whole-register vector load.
     LoadV {
@@ -545,8 +528,6 @@ pub enum TStep {
         f: SplatFn,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count.
-        lanes: u16,
     },
     /// Specialized vector shift by an immediate.
     VShiftImm {
@@ -562,8 +543,6 @@ pub enum TStep {
         left: bool,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count.
-        lanes: u16,
     },
     /// Specialized vector shift by a scalar register amount.
     VShiftReg {
@@ -579,8 +558,6 @@ pub enum TStep {
         left: bool,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count.
-        lanes: u16,
     },
     /// Spill reload.
     SpillLd {
@@ -608,8 +585,6 @@ pub enum TStep {
         op: ReduceOp,
         /// Element type.
         ty: ScalarTy,
-        /// Lane count.
-        lanes: u16,
     },
     /// `LoadV → VBin → StoreV` superinstruction.
     LoadBinStore(Box<TLoadBinStore>),
@@ -646,8 +621,8 @@ pub struct ThreadedProgram {
     /// Executable *source* instruction count (sum of region arities of a
     /// straight-line pass; same convention as [`DecodedProgram::len`]).
     pub len: usize,
-    /// Vector width in bytes of the thread target.
-    pub vs: usize,
+    /// The machines this program runs on (its decoded program's).
+    pub width: Width,
     /// Number of vector registers the steps name (the register file is
     /// grown to this many at entry).
     n_vregs: usize,
@@ -699,7 +674,6 @@ impl ThreadedProgram {
     pub fn thread(prog: &DecodedProgram, code: &MCode) -> ThreadedProgram {
         let steps = prog.steps();
         let n = steps.len();
-        let vs = prog.vs;
 
         // ---- Affine stream analysis ------------------------------------
         // A loop qualifies when its backedge is a fused latch stepping an
@@ -933,7 +907,6 @@ impl ThreadedProgram {
                     f,
                     op,
                     ty,
-                    lanes,
                 } => TStep::VBin {
                     dst: seen_v(*dst, &mut max_vreg),
                     a: seen_v(*a, &mut max_vreg),
@@ -941,22 +914,13 @@ impl ThreadedProgram {
                     f: *f,
                     op: *op,
                     ty: *ty,
-                    lanes: *lanes,
                 },
-                DStep::VUnFast {
-                    dst,
-                    a,
-                    f,
-                    op,
-                    ty,
-                    lanes,
-                } => TStep::VUn {
+                DStep::VUnFast { dst, a, f, op, ty } => TStep::VUn {
                     dst: seen_v(*dst, &mut max_vreg),
                     a: seen_v(*a, &mut max_vreg),
                     f: *f,
                     op: *op,
                     ty: *ty,
-                    lanes: *lanes,
                 },
                 DStep::VBinVlFast {
                     dst,
@@ -965,7 +929,6 @@ impl ThreadedProgram {
                     f,
                     op,
                     ty,
-                    max_lanes,
                 } => TStep::VBinVl {
                     dst: seen_v(*dst, &mut max_vreg),
                     a: seen_v(*a, &mut max_vreg),
@@ -973,22 +936,13 @@ impl ThreadedProgram {
                     f: *f,
                     op: *op,
                     ty: *ty,
-                    max_lanes: *max_lanes,
                 },
-                DStep::VUnVlFast {
-                    dst,
-                    a,
-                    f,
-                    op,
-                    ty,
-                    max_lanes,
-                } => TStep::VUnVl {
+                DStep::VUnVlFast { dst, a, f, op, ty } => TStep::VUnVl {
                     dst: seen_v(*dst, &mut max_vreg),
                     a: seen_v(*a, &mut max_vreg),
                     f: *f,
                     op: *op,
                     ty: *ty,
-                    max_lanes: *max_lanes,
                 },
                 DStep::LoadVFast {
                     dst,
@@ -1074,18 +1028,11 @@ impl ThreadedProgram {
                     dst: *dst,
                     src: *src,
                 },
-                DStep::SplatFast {
-                    dst,
-                    src,
-                    f,
-                    ty,
-                    lanes,
-                } => TStep::Splat {
+                DStep::SplatFast { dst, src, f, ty } => TStep::Splat {
                     dst: seen_v(*dst, &mut max_vreg),
                     src: *src,
                     f: *f,
                     ty: *ty,
-                    lanes: *lanes,
                 },
                 DStep::VShiftImmFast {
                     dst,
@@ -1094,7 +1041,6 @@ impl ThreadedProgram {
                     imm,
                     left,
                     ty,
-                    lanes,
                 } => TStep::VShiftImm {
                     dst: seen_v(*dst, &mut max_vreg),
                     a: seen_v(*a, &mut max_vreg),
@@ -1102,7 +1048,6 @@ impl ThreadedProgram {
                     imm: *imm,
                     left: *left,
                     ty: *ty,
-                    lanes: *lanes,
                 },
                 DStep::VShiftRegFast {
                     dst,
@@ -1111,7 +1056,6 @@ impl ThreadedProgram {
                     amt,
                     left,
                     ty,
-                    lanes,
                 } => TStep::VShiftReg {
                     dst: seen_v(*dst, &mut max_vreg),
                     a: seen_v(*a, &mut max_vreg),
@@ -1119,7 +1063,6 @@ impl ThreadedProgram {
                     amt: *amt,
                     left: *left,
                     ty: *ty,
-                    lanes: *lanes,
                 },
                 DStep::SpillLdFast { dst, slot } => TStep::SpillLd {
                     dst: *dst,
@@ -1135,14 +1078,12 @@ impl ThreadedProgram {
                     f,
                     op,
                     ty,
-                    lanes,
                 } => TStep::VReduce {
                     dst: *dst,
                     src: seen_v(*src, &mut max_vreg),
                     f: *f,
                     op: *op,
                     ty: *ty,
-                    lanes: *lanes,
                 },
                 DStep::FusedLoadBinStore(p) => TStep::LoadBinStore(Box::new(TLoadBinStore {
                     load_dst: seen_v(p.load_dst, &mut max_vreg),
@@ -1154,7 +1095,6 @@ impl ThreadedProgram {
                     f: p.f,
                     op: p.op,
                     ty: p.ty,
-                    lanes: p.lanes,
                     store_aligned: p.store.aligned,
                     store: ta(i, 1, p.store.base, p.store.idx, p.store.scale, p.store.disp),
                 })),
@@ -1168,14 +1108,12 @@ impl ThreadedProgram {
                     f1: p.f1,
                     op1: p.op1,
                     ty1: p.ty1,
-                    lanes1: p.lanes1,
                     dst2: seen_v(p.dst2, &mut max_vreg),
                     a2: seen_v(p.a2, &mut max_vreg),
                     b2: seen_v(p.b2, &mut max_vreg),
                     f2: p.f2,
                     op2: p.op2,
                     ty2: p.ty2,
-                    lanes2: p.lanes2,
                 })),
                 DStep::FusedLoadBin(p) => TStep::LoadBin(Box::new(TLoadBin {
                     load_dst: seen_v(p.load_dst, &mut max_vreg),
@@ -1187,7 +1125,6 @@ impl ThreadedProgram {
                     f: p.f,
                     op: p.op,
                     ty: p.ty,
-                    lanes: p.lanes,
                 })),
                 DStep::FusedBinStore(p) => TStep::BinStore(Box::new(TBinStore {
                     dst: seen_v(p.dst, &mut max_vreg),
@@ -1196,7 +1133,6 @@ impl ThreadedProgram {
                     f: p.f,
                     op: p.op,
                     ty: p.ty,
-                    lanes: p.lanes,
                     store_aligned: p.store.aligned,
                     store: ta(i, 1, p.store.base, p.store.idx, p.store.scale, p.store.disp),
                 })),
@@ -1210,7 +1146,6 @@ impl ThreadedProgram {
                     f: p.f,
                     op: p.op,
                     ty: p.ty,
-                    max_lanes: p.max_lanes,
                     store_ty: p.store_ty,
                     store: ta(i, 1, p.store.base, p.store.idx, p.store.scale, p.store.disp),
                 })),
@@ -1436,7 +1371,7 @@ impl ThreadedProgram {
             regions,
             streams,
             len: prog.len,
-            vs,
+            width: prog.width,
             n_vregs,
             streamed_loops,
         }
@@ -1475,10 +1410,11 @@ fn au(aligned: bool) -> &'static str {
     }
 }
 
-/// One threaded step as text. Streams render as `[sN]`,
-/// control targets as `@RN` region indices.
-fn tstep_str(step: &TStep) -> String {
+/// One threaded step as text, lane counts at `vs`-byte registers.
+/// Streams render as `[sN]`, control targets as `@RN` region indices.
+fn tstep_str(step: &TStep, vs: usize) -> String {
     let v = |r: VReg| r.to_string();
+    let lanes = |ty: &ScalarTy| (vs / ty.size()).max(1);
     match step {
         TStep::Jump { target } => format!("  jmp @R{target}"),
         TStep::Branch { cond, a, b, target } => format!("  b.{cond:?} {a}, {b} -> @R{target}"),
@@ -1496,57 +1432,35 @@ fn tstep_str(step: &TStep) -> String {
             }
         }
         TStep::VBin {
-            dst,
-            a,
-            b,
-            op,
-            ty,
-            lanes,
-            ..
+            dst, a, b, op, ty, ..
         } => format!(
-            "  {} = v{op:?}.fast.{ty} {}, {} ; {lanes} lanes",
+            "  {} = v{op:?}.fast.{ty} {}, {} ; {} lanes",
             v(*dst),
             v(*a),
-            v(*b)
+            v(*b),
+            lanes(ty)
         ),
-        TStep::VUn {
-            dst,
-            a,
-            op,
-            ty,
-            lanes,
-            ..
-        } => format!(
-            "  {} = v{op:?}.fast.{ty} {} ; {lanes} lanes",
+        TStep::VUn { dst, a, op, ty, .. } => format!(
+            "  {} = v{op:?}.fast.{ty} {} ; {} lanes",
             v(*dst),
-            v(*a)
+            v(*a),
+            lanes(ty)
         ),
         TStep::MovV { dst, src } => format!("  {} = {} ; slot copy", v(*dst), v(*src)),
         TStep::VBinVl {
-            dst,
-            a,
-            b,
-            op,
-            ty,
-            max_lanes,
-            ..
+            dst, a, b, op, ty, ..
         } => format!(
-            "  {} = v{op:?}.vl.fast.{ty} {}, {} ; vl<={max_lanes}",
+            "  {} = v{op:?}.vl.fast.{ty} {}, {} ; vl<={}",
             v(*dst),
             v(*a),
-            v(*b)
+            v(*b),
+            lanes(ty)
         ),
-        TStep::VUnVl {
-            dst,
-            a,
-            op,
-            ty,
-            max_lanes,
-            ..
-        } => format!(
-            "  {} = v{op:?}.vl.fast.{ty} {} ; vl<={max_lanes}",
+        TStep::VUnVl { dst, a, op, ty, .. } => format!(
+            "  {} = v{op:?}.vl.fast.{ty} {} ; vl<={}",
             v(*dst),
-            v(*a)
+            v(*a),
+            lanes(ty)
         ),
         TStep::LoadV { dst, aligned, addr } => {
             format!(
@@ -1592,27 +1506,25 @@ fn tstep_str(step: &TStep) -> String {
             Value::Int(i) => format!("  {dst} = #{i} ; imm fast"),
             Value::Float(f) => format!("  {dst} = #{f:?} ; imm fast"),
         },
-        TStep::Splat {
-            dst,
-            src,
-            ty,
-            lanes,
-            ..
-        } => format!("  {} = splat.fast.{ty} {src} ; {lanes} lanes", v(*dst)),
+        TStep::Splat { dst, src, ty, .. } => format!(
+            "  {} = splat.fast.{ty} {src} ; {} lanes",
+            v(*dst),
+            lanes(ty)
+        ),
         TStep::VShiftImm {
             dst,
             a,
             imm,
             left,
             ty,
-            lanes,
             ..
         } => {
             let dir = if *left { "shl" } else { "shr" };
             format!(
-                "  {} = v{dir}.fast.{ty} {}, #{imm} ; {lanes} lanes",
+                "  {} = v{dir}.fast.{ty} {}, #{imm} ; {} lanes",
                 v(*dst),
-                v(*a)
+                v(*a),
+                lanes(ty)
             )
         }
         TStep::VShiftReg {
@@ -1621,25 +1533,20 @@ fn tstep_str(step: &TStep) -> String {
             amt,
             left,
             ty,
-            lanes,
             ..
         } => {
             let dir = if *left { "shl" } else { "shr" };
             format!(
-                "  {} = v{dir}.fast.{ty} {}, {amt} ; {lanes} lanes",
+                "  {} = v{dir}.fast.{ty} {}, {amt} ; {} lanes",
                 v(*dst),
-                v(*a)
+                v(*a),
+                lanes(ty)
             )
         }
         TStep::SpillLd { dst, slot } => format!("  {dst} = reload.fast slot{slot}"),
         TStep::SpillSt { src, slot } => format!("  spill.fast slot{slot} = {src}"),
         TStep::VReduce {
-            dst,
-            src,
-            op,
-            ty,
-            lanes,
-            ..
+            dst, src, op, ty, ..
         } => {
             let o = match op {
                 ReduceOp::Plus => "add",
@@ -1647,8 +1554,9 @@ fn tstep_str(step: &TStep) -> String {
                 ReduceOp::Min => "min",
             };
             format!(
-                "  {dst} = vreduce.fast.{o}.{ty} {} ; {lanes} lanes",
-                v(*src)
+                "  {dst} = vreduce.fast.{o}.{ty} {} ; {} lanes",
+                v(*src),
+                lanes(ty)
             )
         }
         TStep::LoadBinStore(p) => format!(
@@ -1664,7 +1572,7 @@ fn tstep_str(step: &TStep) -> String {
             au(p.store_aligned),
             taddr_str(&p.store),
             v(p.dst),
-            p.lanes
+            lanes(&p.ty)
         ),
         TStep::LoadBinBin(p) => format!(
             "  fuse3 {} = vld.{} {} | {} = v{:?}.{} {}, {} | {} = v{:?}.{} {}, {} ; {} lanes",
@@ -1681,7 +1589,7 @@ fn tstep_str(step: &TStep) -> String {
             p.ty2,
             v(p.a2),
             v(p.b2),
-            p.lanes2
+            lanes(&p.ty2)
         ),
         TStep::LoadBin(p) => format!(
             "  fuse2 {} = vld.{} {} | {} = v{:?}.{} {}, {} ; {} lanes",
@@ -1693,7 +1601,7 @@ fn tstep_str(step: &TStep) -> String {
             p.ty,
             v(p.a),
             v(p.b),
-            p.lanes
+            lanes(&p.ty)
         ),
         TStep::BinStore(p) => format!(
             "  fuse2 {} = v{:?}.{} {}, {} | vst.{} {}, {} ; {} lanes",
@@ -1705,7 +1613,7 @@ fn tstep_str(step: &TStep) -> String {
             au(p.store_aligned),
             taddr_str(&p.store),
             v(p.dst),
-            p.lanes
+            lanes(&p.ty)
         ),
         TStep::LoadBinStoreVl(p) => format!(
             "  fuse3 {} = vld.vl.{} {} | {} = v{:?}.vl.{} {}, {} | vst.vl.{} {}, {} ; vl<={}",
@@ -1720,7 +1628,7 @@ fn tstep_str(step: &TStep) -> String {
             p.store_ty,
             taddr_str(&p.store),
             v(p.dst),
-            p.max_lanes
+            lanes(&p.ty)
         ),
         TStep::Latch(p) => {
             let rhs = if p.br_reg == NO_INDEX {
@@ -1750,12 +1658,15 @@ fn tstep_str(step: &TStep) -> String {
     }
 }
 
-/// Whole threaded program as text: the stream table, then the steps
-/// grouped by region with each region's pre-summed fuel/cycle charge.
-pub fn disasm_threaded(prog: &ThreadedProgram) -> String {
+/// Whole threaded program as text on a machine of `target`'s width: the
+/// stream table, then the steps grouped by region with each region's
+/// fuel/cycle charge there (the pre-summed charge plus the
+/// width-dependent cost of its reductions and helper calls).
+pub fn disasm_threaded(prog: &ThreadedProgram, target: &TargetDesc) -> String {
+    let vs = target.vs.max(1);
+    let lanes = |ty: ScalarTy| (vs / ty.size()).max(1);
     let mut out = format!(
-        "; threaded for VS={} ({} steps / {} regions / {} insts, {} streams in {} loops)\n",
-        prog.vs,
+        "; threaded for VS={vs} ({} steps / {} regions / {} insts, {} streams in {} loops)\n",
         prog.n_steps(),
         prog.regions.len(),
         prog.len,
@@ -1777,9 +1688,23 @@ pub fn disasm_threaded(prog: &ThreadedProgram) -> String {
         );
     }
     for (r, reg) in prog.regions.iter().enumerate() {
-        let _ = writeln!(out, "R{r}: ; {} insts, {} cycles", reg.arity, reg.cost);
-        for step in &prog.steps[reg.first as usize..(reg.first + reg.n) as usize] {
-            out.push_str(&tstep_str(step));
+        let steps = &prog.steps[reg.first as usize..(reg.first + reg.n) as usize];
+        let vl_cost: u64 = steps
+            .iter()
+            .map(|step| match step {
+                TStep::VReduce { ty, .. } => target.cost.reduce_vl_cost(lanes(*ty)),
+                TStep::ScalarOp(inst) | TStep::VectorOp(inst) => target.cost.vl_cost(inst, lanes),
+                _ => 0,
+            })
+            .sum();
+        let _ = writeln!(
+            out,
+            "R{r}: ; {} insts, {} cycles",
+            reg.arity,
+            reg.cost + vl_cost
+        );
+        for step in steps {
+            out.push_str(&tstep_str(step, vs));
             out.push('\n');
         }
     }
@@ -1920,12 +1845,12 @@ mod tests {
         let c = copy_loop();
         let prog = DecodedProgram::decode(&c, &t).unwrap();
         let tp = ThreadedProgram::thread(&prog, &c);
-        assert_eq!(tp.streamed_loops(), 1, "{}", disasm_threaded(&tp));
-        assert_eq!(tp.streams().len(), 2, "{}", disasm_threaded(&tp));
+        assert_eq!(tp.streamed_loops(), 1, "{}", disasm_threaded(&tp, &t));
+        assert_eq!(tp.streams().len(), 2, "{}", disasm_threaded(&tp, &t));
         for s in tp.streams() {
             assert_eq!(s.delta, 16);
         }
-        let text = disasm_threaded(&tp);
+        let text = disasm_threaded(&tp, &t);
         assert!(text.contains("init s0..s1"), "{text}");
         assert!(text.contains("[s0]"), "{text}");
         assert!(text.contains("bumps s0..s1"), "{text}");

@@ -542,7 +542,7 @@ fn same_aliased(case: &str, t: &TargetDesc, body: &[V], formed: impl Fn(&Decoded
     assert!(
         formed(&decoded),
         "{case}: step not formed\n{}",
-        disasm_decoded(&decoded)
+        disasm_decoded(&decoded, t)
     );
     let threaded = ThreadedProgram::thread(&decoded, &c);
     let want = model(&prog, t.vs / 4);

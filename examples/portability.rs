@@ -98,7 +98,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //
     // One more machine-code shape: setvl-stripmined, predicated code
     // whose lane count is unknown until run time. The artifact is
-    // compiled once; the engine specializes it per runtime VL.
+    // compiled and decoded once; that one program runs at every VL,
+    // reading its lane counts from the machine.
     let family = vapor_targets::sve();
     println!("=== {} — one artifact, any runtime VL ===", family.name);
     let mut first = true;

@@ -100,7 +100,7 @@ impl Cell<'_> {
     }
 
     /// The concrete-width machine the cell runs on.
-    fn exec_target(&self) -> TargetDesc {
+    pub fn exec_target(&self) -> TargetDesc {
         if self.target.vla {
             self.target.at_vl(self.vl)
         } else {

@@ -3,10 +3,9 @@
 //! an unfused decode and the baseline interpreter of the same
 //! compilation (`tests/common`'s comparer) — machine state and cycles
 //! must be bit-identical. Fusion is a pure dispatch-layer optimization,
-//! so *any* observable difference is a fusion bug. That a VLA
-//! re-specialization of the fused decode equals a fresh fused decode is
-//! checked on every program the cycle ledger's walk runs
-//! (`tests/matrix.rs`).
+//! so *any* observable difference is a fusion bug. That a VLA program's
+//! one fused decode equals a fresh fused decode at each VL is checked on
+//! every program the cycle ledger's walk runs (`tests/matrix.rs`).
 
 mod common;
 
@@ -36,9 +35,9 @@ fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
 }
 
 /// The same differential on the runtime-VL families across the full VL
-/// range: the fused side is the engine's per-VL re-specialization of
-/// the fused decode, the unfused side a fresh unfused decode at the
-/// concrete width.
+/// range: the fused side is the engine's one fused decode of the
+/// compilation, run at every VL, the unfused side a fresh unfused decode
+/// at the concrete width.
 #[test]
 fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
     let engine = Engine::new();

@@ -44,7 +44,10 @@ fn fused_disassembly_matches_goldens_on_fixed_width() {
         let c = engine
             .compile(&spec.kernel(), Flow::SplitVectorOpt, &sse(), &cfg)
             .unwrap();
-        check_golden(&format!("{name}_sse"), &disasm_decoded(&c.jit.decoded));
+        check_golden(
+            &format!("{name}_sse"),
+            &disasm_decoded(&c.jit.decoded, &sse()),
+        );
     }
 }
 
@@ -57,7 +60,10 @@ fn fused_disassembly_matches_goldens_on_runtime_vl() {
         let (_, prog) = engine
             .specialize(&spec.kernel(), Flow::SplitVectorOpt, &sve(), &cfg, 512)
             .unwrap();
-        check_golden(&format!("{name}_sve512"), &disasm_decoded(&prog));
+        check_golden(
+            &format!("{name}_sve512"),
+            &disasm_decoded(&prog, &sve().at_vl(512)),
+        );
     }
 }
 

@@ -15,8 +15,10 @@
 //! ledger is written to `target/tmp/ledger.txt`.
 //!
 //! The same walk also checks:
-//! - every program a cell ran: a predicated op never falls back to the
-//!   generic step, and a VLA re-specialization equals a fresh decode;
+//! - every program a cell ran: it is the compilation's own decode at
+//!   every VL, a predicated op never falls back to the generic step,
+//!   and a VLA program decoded at its family minimum equals one decoded
+//!   at the cell's VL;
 //! - vectorize once: the engine has an artifact store, every
 //!   split-vector tuple of a kernel and config consumes one bytecode
 //!   function, and the engine's counters show one compile per key, one
@@ -38,7 +40,7 @@ use common::{bench_targets, cells, targets, Cell};
 use vapor_bench::ledger::{self, first_vl, fnv64, paper_cells, placement, Ledger, Row};
 use vapor_bytecode::BcFunction;
 use vapor_core::{reference, AllocPolicy, CompileConfig, Engine, Flow};
-use vapor_ir::Bindings;
+use vapor_ir::{Bindings, ScalarTy};
 use vapor_kernels::{suite, KernelSpec, Scale};
 use vapor_targets::{
     disasm, disasm_decoded, disasm_inst, DStep, DecodedProgram, MCode, MInst, TargetKind,
@@ -124,13 +126,19 @@ impl KernelWalk<'_> {
         }
         let c = &out.compiled;
         let (code, s) = (&c.jit.code, &c.jit.stats);
-        // The program the cell executed: the compile's own decode, or its
-        // specialization to the cell's VL.
+        // The program the cell executed: the compile's own decode, at
+        // every VL.
         let (_, prog) = self
             .engine
             .specialize(cell.kernel, cell.flow, cell.target, &cell.cfg, cell.vl)
             .unwrap_or_else(|e| panic!("{cell}: {e}"));
+        assert!(Arc::ptr_eq(&prog, &c.jit.decoded), "{cell}");
         self.tally.fast_vl_ops += check_program(cell, code, &prog);
+        // The static cost at the cell's width: the decode's
+        // width-independent costs plus the width-dependent part.
+        let exec = cell.exec_target();
+        let lanes = |ty: ScalarTy| (exec.vs / ty.size()).max(1);
+        let vl_cost: u64 = code.insts.iter().map(|i| exec.cost.vl_cost(i, lanes)).sum();
         let f = prog.fusion_stats();
         let vectorized = c.reports.iter().filter(|r| r.vectorized).count();
         Row {
@@ -154,7 +162,7 @@ impl KernelWalk<'_> {
                 f.bin_store,
                 f.latch,
             ],
-            cost: prog.steps().iter().map(|d| d.cost).sum(),
+            cost: prog.steps().iter().map(|d| d.cost).sum::<u64>() + vl_cost,
             groups: [
                 s.groups_vector,
                 s.groups_direct_scalar,
@@ -170,9 +178,9 @@ impl KernelWalk<'_> {
 
 /// Check the program a cell ran, and return how many predicated ops it
 /// runs on a fast kernel. No predicated op falls back to the generic
-/// `Op` step, and on a VLA family the engine's re-specialization of the
-/// fused decode is exactly a fresh fused decode at the cell's VL:
-/// fusion decisions, disassembly, and every step's cost and arity.
+/// `Op` step, and on a VLA family the engine's one decode (at the family
+/// minimum) is exactly a fresh decode at the cell's VL: fusion
+/// decisions, steps, and every step's cost and arity.
 fn check_program(cell: &Cell<'_>, code: &MCode, prog: &DecodedProgram) -> usize {
     let mut fast = 0;
     for d in prog.steps() {
@@ -188,10 +196,15 @@ fn check_program(cell: &Cell<'_>, code: &MCode, prog: &DecodedProgram) -> usize 
         }
     }
     if cell.target.vla {
-        let fresh = DecodedProgram::decode(code, &cell.target.at_vl(cell.vl))
+        let exec = cell.exec_target();
+        let fresh = DecodedProgram::decode(code, &exec)
             .unwrap_or_else(|e| panic!("{cell}: fresh decode: {e}"));
         assert_eq!(prog.fusion_stats(), fresh.fusion_stats(), "{cell}");
-        assert_eq!(disasm_decoded(prog), disasm_decoded(&fresh), "{cell}");
+        assert_eq!(
+            disasm_decoded(prog, &exec),
+            disasm_decoded(&fresh, &exec),
+            "{cell}"
+        );
         for (a, b) in prog.steps().iter().zip(fresh.steps()) {
             assert_eq!((a.cost, a.arity), (b.cost, b.arity), "{cell}");
         }

@@ -300,7 +300,7 @@ fn random_straight_line_sequences_survive_fusion() {
             a,
             b,
             "case {case}: fused and unfused dispatch diverged\n{}",
-            disasm_decoded(&fused)
+            disasm_decoded(&fused, &t)
         );
 
         // Idempotence: a second fusion pass is a no-op.
@@ -308,8 +308,8 @@ fn random_straight_line_sequences_survive_fusion() {
         assert_eq!(twice.n_steps(), fused.n_steps(), "case {case}");
         assert_eq!(twice.fusion_stats(), fused.fusion_stats(), "case {case}");
         assert_eq!(
-            disasm_decoded(&twice),
-            disasm_decoded(&fused),
+            disasm_decoded(&twice, &t),
+            disasm_decoded(&fused, &t),
             "case {case}"
         );
     }

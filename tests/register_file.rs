@@ -107,7 +107,7 @@ fn new_fast_steps_match_the_baseline_at_boundary_widths() {
             assert!(
                 !matches!(d.step, D::Op(_)),
                 "{tag}: generic fallback for {}",
-                vapor_targets::disasm_step(&d.step)
+                vapor_targets::disasm_step(&d.step, t.vs)
             );
         }
         assert!(prog

@@ -117,8 +117,8 @@ fn racing_compiles_build_each_offline_artifact_once() {
     );
 }
 
-/// Racing threads specializing one key at one VL build one execution
-/// form and share its decoded program.
+/// Racing threads specializing one key at one VL build one compilation
+/// and all run its own decode.
 #[test]
 fn racing_specializations_build_one_execution_form() {
     let spec = &suite()[0];
@@ -127,23 +127,25 @@ fn racing_specializations_build_one_execution_form() {
     let cfg = CompileConfig::default();
     let engine = Engine::new();
     let barrier = Barrier::new(8);
-    let progs: Vec<_> = std::thread::scope(|scope| {
+    let specialized: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 scope.spawn(|| {
                     barrier.wait();
-                    let (_, prog) = engine
+                    engine
                         .specialize(&kernel, Flow::SplitVectorOpt, &target, &cfg, 512)
-                        .unwrap();
-                    prog
+                        .unwrap()
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    assert!(progs.iter().all(|p| Arc::ptr_eq(p, &progs[0])));
-    let s = engine.stats();
-    assert_eq!((s.misses, s.vl_entries), (1, 1));
+    let compiled = &specialized[0].0;
+    for (c, prog) in &specialized {
+        assert!(Arc::ptr_eq(c, compiled));
+        assert!(Arc::ptr_eq(prog, &compiled.jit.decoded));
+    }
+    assert_eq!(engine.stats().misses, 1);
 }
 
 /// The compile cache is bounded: a working set larger than the

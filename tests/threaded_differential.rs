@@ -34,7 +34,8 @@ fn threaded_and_decoded_dispatch_agree_on_every_suite_kernel() {
 }
 
 /// The same differential on the runtime-VL families across the full VL
-/// range: the threaded side threads the engine's per-VL specialization.
+/// range: the threaded side threads the engine's one decode of the
+/// compilation and runs it at every VL.
 #[test]
 fn threaded_and_decoded_dispatch_agree_at_every_runtime_vl() {
     let engine = Engine::new();

@@ -58,7 +58,10 @@ fn check_golden(tag: &str, text: &str) {
 fn threaded_disassembly_matches_goldens_on_fixed_width() {
     for name in GOLDEN_KERNELS {
         let prog = thread(name, &sse(), 128);
-        check_golden(&format!("threaded_{name}_sse"), &disasm_threaded(&prog));
+        check_golden(
+            &format!("threaded_{name}_sse"),
+            &disasm_threaded(&prog, &sse()),
+        );
     }
 }
 
@@ -66,7 +69,10 @@ fn threaded_disassembly_matches_goldens_on_fixed_width() {
 fn threaded_disassembly_matches_goldens_on_runtime_vl() {
     for name in GOLDEN_KERNELS {
         let prog = thread(name, &sve(), 512);
-        check_golden(&format!("threaded_{name}_sve512"), &disasm_threaded(&prog));
+        check_golden(
+            &format!("threaded_{name}_sve512"),
+            &disasm_threaded(&prog, &sve().at_vl(512)),
+        );
     }
 }
 
