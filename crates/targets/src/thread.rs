@@ -605,7 +605,7 @@ pub enum TStep {
     /// A generic instruction that reads or writes vector registers:
     /// executed by the shared semantics on the one register file. Rare by
     /// construction (everything hot has a fast threaded form); the
-    /// disassembly tags it `vector op (arena sync)`.
+    /// disassembly tags it `vector op`.
     VectorOp(MInst),
 }
 
@@ -1651,10 +1651,7 @@ fn tstep_str(step: &TStep, vs: usize) -> String {
             )
         }
         TStep::ScalarOp(inst) => format!("{} ; scalar op", crate::disasm::disasm_inst(inst)),
-        TStep::VectorOp(inst) => format!(
-            "{} ; vector op (arena sync)",
-            crate::disasm::disasm_inst(inst)
-        ),
+        TStep::VectorOp(inst) => format!("{} ; vector op", crate::disasm::disasm_inst(inst)),
     }
 }
 

@@ -1,5 +1,5 @@
 //! Golden disassembly tests for closure-threaded programs: the region
-//! structure, arena slot assignments, and address streams of three
+//! structure, register operands, and address streams of three
 //! representative kernels are snapshotted so a silently-weakened
 //! threading pass (streams no longer qualifying, regions splintering,
 //! fused steps falling back to generic ops) fails loudly instead of
@@ -16,8 +16,8 @@ use vapor_targets::{disasm_threaded, sse, sve, TargetDesc, ThreadedProgram};
 /// The representative kernels snapshotted per target family: the
 /// canonical two-array stream (`saxpy`), a reduction with an inner loop
 /// (`convolve`), and a stencil with loop-carried reuse (`seidel`) —
-/// together they exercise streams, nested regions, and the arena's
-/// fused three-op steps.
+/// together they exercise streams, nested regions, and the fused
+/// three-op steps.
 const GOLDEN_KERNELS: [&str; 3] = ["saxpy_fp", "convolve_s32", "seidel_fp"];
 
 /// The threaded lowering of the suite kernel `name`'s optimizing split
