@@ -206,7 +206,7 @@ pub struct Row {
     /// Fusions: load_bin_store, load_bin_store_vl, load_bin_bin,
     /// load_bin, bin_store, latch.
     pub fuse: [u32; 6],
-    /// Summed step costs.
+    /// Summed static step costs at the cell's vector width.
     pub cost: u64,
     /// Groups: vector, direct scalar, tail scalar.
     pub groups: [usize; 3],
