@@ -968,6 +968,31 @@ pub enum DStep {
     Op(MInst),
 }
 
+impl DStep {
+    /// The step index a control step may transfer to; `None` for every
+    /// step that only falls through.
+    fn target(&self) -> Option<u32> {
+        match self {
+            DStep::Jump { target }
+            | DStep::Branch { target, .. }
+            | DStep::BranchImm { target, .. } => Some(*target),
+            DStep::FusedLatch(p) => Some(p.target),
+            _ => None,
+        }
+    }
+
+    /// [`DStep::target`], for re-indexing.
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            DStep::Jump { target }
+            | DStep::Branch { target, .. }
+            | DStep::BranchImm { target, .. } => Some(target),
+            DStep::FusedLatch(p) => Some(&mut p.target),
+            _ => None,
+        }
+    }
+}
+
 /// One decoded instruction: the step plus everything the seed dispatch
 /// loop used to re-derive per execution.
 #[derive(Debug, Clone)]
@@ -983,9 +1008,63 @@ pub struct DecodedInst {
     pub cost: u64,
     /// Number of source instructions this step covers: 1 for plain
     /// steps, 2–3 for superinstructions. The dispatch loop charges it to
-    /// `ExecStats::insts`, so fused and unfused execution report
-    /// identical statistics.
+    /// `ExecStats::insts` as part of its block's sum, so fused and
+    /// unfused execution report identical statistics.
     pub arity: u32,
+    /// Index of the step's basic block in its program's block table: a
+    /// taken branch continues at its target step's block. It fills the
+    /// padding after `arity`, so a step stays 48 bytes.
+    pub block: u32,
+}
+
+/// One basic block of a decoded program: a maximal run of steps that
+/// control enters only at `first` and leaves only from its last step
+/// (the block ends where the next one starts, or at the end of the
+/// program). [`crate::Machine::run_decoded`] charges fuel, `insts` and
+/// `cycles` once per block entry from these sums.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block {
+    /// Index of the first step.
+    pub(crate) first: u32,
+    /// Sum of the steps' source-instruction arities.
+    pub(crate) arity: u32,
+    /// Sum of the steps' width-independent cycle costs.
+    pub(crate) cost: u64,
+}
+
+/// Add step `d`, at index `at`, to the last block of `blocks`, opening
+/// a new block first when `leads` (step 0 always does).
+fn extend_blocks(blocks: &mut Vec<Block>, at: usize, d: &mut DecodedInst, leads: bool) {
+    if leads || blocks.is_empty() {
+        blocks.push(Block {
+            first: at as u32,
+            arity: 0,
+            cost: 0,
+        });
+    }
+    let b = blocks.last_mut().expect("a block is open");
+    b.arity += d.arity;
+    b.cost += d.cost;
+    d.block = (blocks.len() - 1) as u32;
+}
+
+/// Split `steps` into basic blocks and record each step's block index.
+/// Leaders are step 0, every branch target and every step after a
+/// control step, so a block transfers control only from its last step.
+/// ([`DecodedProgram::fuse`] applies the same rule as it fuses.)
+fn index_blocks(steps: &mut [DecodedInst]) -> Vec<Block> {
+    let mut leader = vec![false; steps.len() + 1];
+    for (i, d) in steps.iter().enumerate() {
+        if let Some(t) = d.step.target() {
+            leader[t as usize] = true;
+            leader[i + 1] = true;
+        }
+    }
+    let mut blocks = Vec::new();
+    for (i, d) in steps.iter_mut().enumerate() {
+        extend_blocks(&mut blocks, i, d, leader[i]);
+    }
+    blocks
 }
 
 /// The machines a decoded or threaded program runs on, checked before
@@ -1020,10 +1099,15 @@ impl fmt::Display for Width {
     }
 }
 
-/// A fully decoded, target-specific program.
+/// A fully decoded, target-specific program: its steps and their basic
+/// blocks. [`crate::Machine::run_decoded`] charges fuel per block, so a
+/// block whose charge would cross the budget traps at its entry without
+/// executing any of its steps.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
     steps: Vec<DecodedInst>,
+    /// The basic blocks of `steps`, in step order.
+    blocks: Vec<Block>,
     /// Executable (non-label) *source* instruction count (the sum of
     /// step arities; fused programs have fewer steps than this).
     pub len: usize,
@@ -1374,7 +1458,7 @@ impl DecodedProgram {
     /// instruction count (the seed interpreter deferred the first to run
     /// time; a decoded program rejects malformed code up front).
     pub fn decode(code: &MCode, target: &TargetDesc) -> Result<DecodedProgram, Trap> {
-        Ok(DecodedProgram::decode_unfused(code, target)?.fuse())
+        Ok(DecodedProgram::resolve(code, target)?.fuse())
     }
 
     /// [`DecodedProgram::decode`] without the superinstruction fusion
@@ -1386,6 +1470,14 @@ impl DecodedProgram {
     /// # Errors
     /// Same contract as [`DecodedProgram::decode`].
     pub fn decode_unfused(code: &MCode, target: &TargetDesc) -> Result<DecodedProgram, Trap> {
+        let mut prog = DecodedProgram::resolve(code, target)?;
+        prog.blocks = index_blocks(&mut prog.steps);
+        Ok(prog)
+    }
+
+    /// [`DecodedProgram::decode_unfused`] without the block table, which
+    /// [`DecodedProgram::fuse`] builds over its own steps.
+    fn resolve(code: &MCode, target: &TargetDesc) -> Result<DecodedProgram, Trap> {
         // Pass 1: map every label to the index its successor instruction
         // will have once labels are stripped. Label ids index a dense
         // table: the JIT numbers them from 0, so a program of `n`
@@ -1634,11 +1726,13 @@ impl DecodedProgram {
                 step,
                 cost: target.cost.base_cost(inst),
                 arity: 1,
+                block: 0,
             });
         }
         let len = steps.len();
         Ok(DecodedProgram {
             steps,
+            blocks: Vec::new(),
             len,
             width: Width::of(target),
             fusion: FusionStats::default(),
@@ -1672,14 +1766,8 @@ impl DecodedProgram {
         // Interior steps of a fusion candidate must not be branch
         // targets; heads may be.
         let mut is_target = vec![false; steps.len() + 1];
-        for d in &steps {
-            match &d.step {
-                DStep::Jump { target }
-                | DStep::Branch { target, .. }
-                | DStep::BranchImm { target, .. } => is_target[*target as usize] = true,
-                DStep::FusedLatch(p) => is_target[p.target as usize] = true,
-                _ => {}
-            }
+        for t in steps.iter().filter_map(|d| d.step.target()) {
+            is_target[t as usize] = true;
         }
         let free = |range: std::ops::Range<usize>| range.into_iter().all(|i| !is_target[i]);
 
@@ -1688,6 +1776,11 @@ impl DecodedProgram {
         // written, `i` consumed.
         let mut new_index = vec![0u32; steps.len() + 1];
         let mut fusion = self.fusion;
+        // The block table is built as the steps are written: a step
+        // leads a block when it follows a control step or a branch lands
+        // on its head (fusion never swallows a target).
+        let mut blocks = Vec::new();
+        let mut after_control = false;
         let (mut out, mut i) = (0usize, 0usize);
         while i < steps.len() {
             let width = match fuse_at(&steps, i, &free, &mut fusion) {
@@ -1697,6 +1790,7 @@ impl DecodedProgram {
                         step,
                         cost: group.iter().map(|d| d.cost).sum(),
                         arity: group.iter().map(|d| d.arity).sum(),
+                        block: 0,
                     };
                     w
                 }
@@ -1705,6 +1799,9 @@ impl DecodedProgram {
                     1
                 }
             };
+            let d = &mut steps[out];
+            extend_blocks(&mut blocks, out, d, after_control || is_target[i]);
+            after_control = d.step.target().is_some();
             new_index[i..i + width].fill(out as u32);
             i += width;
             out += 1;
@@ -1713,17 +1810,12 @@ impl DecodedProgram {
         steps.truncate(out);
         // Re-index branch targets over the shortened stream (fusion
         // legality guarantees every target maps to a surviving head).
-        for d in &mut steps {
-            match &mut d.step {
-                DStep::Jump { target }
-                | DStep::Branch { target, .. }
-                | DStep::BranchImm { target, .. } => *target = new_index[*target as usize],
-                DStep::FusedLatch(p) => p.target = new_index[p.target as usize],
-                _ => {}
-            }
+        for t in steps.iter_mut().filter_map(|d| d.step.target_mut()) {
+            *t = new_index[*t as usize];
         }
         DecodedProgram {
             steps,
+            blocks,
             len: self.len,
             width: self.width,
             fusion,
@@ -1778,6 +1870,11 @@ impl DecodedProgram {
     /// The decoded instruction stream.
     pub fn steps(&self) -> &[DecodedInst] {
         &self.steps
+    }
+
+    /// The basic blocks of [`DecodedProgram::steps`], in step order.
+    pub(crate) fn blocks(&self) -> &[Block] {
+        &self.blocks
     }
 
     /// Whether there is nothing to execute.
@@ -1909,12 +2006,18 @@ mod tests {
     #[test]
     fn dstep_stays_within_the_niche_packed_budget() {
         // The hot-loop enum must not grow: superinstruction payloads are
-        // boxed precisely to preserve this.
-        assert!(
-            std::mem::size_of::<DStep>() <= 32,
-            "DStep grew to {} bytes",
-            std::mem::size_of::<DStep>()
-        );
+        // boxed precisely to preserve this. A step keeps its block index
+        // in the padding after `arity`. The decoded loop is sensitive to
+        // the layout of what it touches per step: widening the machine's
+        // lane table from 18 to 72 bytes ran it 2-3 % slower, and the
+        // machine embeds a 256-byte inline scratch slot (`VRegs`), so a
+        // field added before `fuel` or the lane table moves them onto
+        // other cache lines. A size change here is a layout change to
+        // measure.
+        assert_eq!(std::mem::size_of::<DStep>(), 32);
+        assert_eq!(std::mem::size_of::<DecodedInst>(), 48);
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<crate::machine::Machine<'_>>(), 424);
     }
 
     #[test]

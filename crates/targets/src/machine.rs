@@ -61,6 +61,17 @@ impl fmt::Display for Trap {
 
 impl std::error::Error for Trap {}
 
+impl Trap {
+    /// The one constructor of the traps raised while a program runs.
+    /// Cold and out of line, so each check on the dispatch path compiles
+    /// to a compare and a call the optimizer keeps off the hot path.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn new(msg: fmt::Arguments<'_>) -> Trap {
+        Trap(fmt::format(msg))
+    }
+}
+
 /// Simulated memory: a bump arena with aligned allocation and padding so
 /// floor-aligned vector loads near array ends stay in bounds (the same
 /// guarantee a real runtime provides for `lvx`-style realignment).
@@ -181,10 +192,11 @@ impl Memory {
         write_elem(ty, &mut self.bytes, addr as usize, v);
     }
 
+    #[inline]
     fn check(&self, addr: u64, size: usize) -> Result<(), Trap> {
         let a = addr as usize;
         if a < GUARD || a + size > self.bytes.len() {
-            return Err(Trap(format!(
+            return Err(Trap::new(format_args!(
                 "access of {size} bytes at {addr} out of bounds"
             )));
         }
@@ -230,9 +242,13 @@ impl VRegs {
     #[inline]
     fn get(&self, r: VReg) -> Result<&[u8], Trap> {
         let o = r.0 as usize * self.stride;
-        self.bytes
-            .get(o..o + self.stride)
-            .ok_or_else(|| Trap(format!("read of undefined vector register v{}", r.0)))
+        match self.bytes.get(o..o + self.stride) {
+            Some(slot) => Ok(slot),
+            None => Err(Trap::new(format_args!(
+                "read of undefined vector register v{}",
+                r.0
+            ))),
+        }
     }
 
     /// Grow the file to at least `n` registers.
@@ -442,17 +458,25 @@ impl<'t> Machine<'t> {
         self.vs().max(ty.size())
     }
 
+    #[inline]
     fn sval(&self, r: SReg) -> Result<Value, Trap> {
-        self.sregs
-            .get(r.0 as usize)
-            .copied()
-            .ok_or_else(|| Trap(format!("read of undefined scalar register r{}", r.0)))
+        match self.sregs.get(r.0 as usize) {
+            Some(v) => Ok(*v),
+            None => Err(undefined_sreg(r)),
+        }
     }
 
+    /// Scalar register `r` as an integer. Matches the register in place,
+    /// so the hot path builds no intermediate `Result<Value, Trap>`.
+    #[inline]
     fn sint(&self, r: SReg) -> Result<i64, Trap> {
-        match self.sval(r)? {
-            Value::Int(v) => Ok(v),
-            Value::Float(v) => Err(Trap(format!("r{} holds float {v}, expected int", r.0))),
+        match self.sregs.get(r.0 as usize) {
+            Some(Value::Int(v)) => Ok(*v),
+            Some(Value::Float(v)) => Err(Trap::new(format_args!(
+                "r{} holds float {v}, expected int",
+                r.0
+            ))),
+            None => Err(undefined_sreg(r)),
         }
     }
 
@@ -465,7 +489,7 @@ impl<'t> Machine<'t> {
         }
         a = a.wrapping_add(disp as i64);
         if a < 0 {
-            return Err(Trap(format!("negative address {a}")));
+            return Err(Trap::new(format_args!("negative address {a}")));
         }
         Ok(a as u64)
     }
@@ -477,7 +501,7 @@ impl<'t> Machine<'t> {
         }
         a = a.wrapping_add(m.disp);
         if a < 0 {
-            return Err(Trap(format!("negative address {a}")));
+            return Err(Trap::new(format_args!("negative address {a}")));
         }
         Ok(a as u64)
     }
@@ -510,14 +534,17 @@ impl<'t> Machine<'t> {
     /// The one fuel check shared by every dispatch tier: pre-charge
     /// validation that executing `arity` more instructions stays within
     /// the budget. The seed loop charges per instruction (`arity` 1),
-    /// the decoded loop per step (a superinstruction's full arity), the
-    /// threaded loop per straight-line region — all with identical trap
-    /// message and boundary semantics (`insts + arity > fuel` traps
-    /// *before* executing any of the charged instructions).
+    /// the decoded loop per basic block and the threaded loop per
+    /// straight-line region (each the sum of its instructions) — all
+    /// with identical trap message and boundary semantics
+    /// (`insts + arity > fuel` traps *before* executing any of the
+    /// charged instructions).
     #[inline]
     fn charge_fuel(&self, insts: u64, arity: u64) -> Result<(), Trap> {
         if insts + arity > self.fuel {
-            return Err(Trap(format!("fuel exhausted after {insts} instructions")));
+            return Err(Trap::new(format_args!(
+                "fuel exhausted after {insts} instructions"
+            )));
         }
         Ok(())
     }
@@ -590,216 +617,248 @@ impl<'t> Machine<'t> {
     /// calls add the width-dependent part of their cost as they run, so
     /// one decode of a VLA program runs at every VL of its family.
     ///
-    /// Fuel is checked per *step* against the step's full arity, so a
-    /// superinstruction whose constituents would cross the budget traps
-    /// at the group boundary without executing any of them — a fused
-    /// program never runs an instruction the budget does not cover
-    /// (the unfused form of the same program may execute up to two more
-    /// instructions before its own trap; non-trapping executions are
-    /// bit-identical either way).
+    /// Fuel, `insts` and the width-independent `cycles` are charged once
+    /// per basic block of the program, at its entry, and control
+    /// transfers only from a block's last step. A block whose charge
+    /// would cross the budget traps at its entry without executing any
+    /// of its steps, so no instruction runs that the budget does not
+    /// cover (the region contract of [`Machine::run_threaded`];
+    /// [`Machine::run`] charges per instruction and may run the leading
+    /// part of that block before its own trap). Non-trapping executions
+    /// are bit-identical to the per-instruction loop, fused or not.
     ///
     /// # Errors
     /// Returns a [`Trap`] on contract violations, or if the machine is
     /// not one of the program's [`Width`].
     pub fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<ExecStats, Trap> {
         self.check_width("decoded", prog.width)?;
-        let steps = prog.steps();
-        let mut pc = 0usize;
+        let (steps, blocks) = (prog.steps(), prog.blocks());
+        // The block a branch to step `t` enters (`t` one past the last
+        // step ends the run).
+        let block_at = |t: u32| {
+            steps
+                .get(t as usize)
+                .map_or(blocks.len(), |d| d.block as usize)
+        };
         let mut stats = ExecStats::default();
 
-        while let Some(d) = steps.get(pc) {
-            self.charge_fuel(stats.insts, u64::from(d.arity))?;
-            let mut next = pc + 1;
-            match &d.step {
-                DStep::Jump { target } => next = *target as usize,
-                DStep::Branch { cond, a, b, target } => {
-                    let (x, y) = (self.sint(*a)?, self.sint(*b)?);
-                    if take(*cond, x, y) {
-                        next = *target as usize;
+        let mut bi = 0usize;
+        while let Some(block) = blocks.get(bi) {
+            self.charge_fuel(stats.insts, u64::from(block.arity))?;
+            stats.insts += u64::from(block.arity);
+            stats.cycles += block.cost;
+            let end = blocks.get(bi + 1).map_or(steps.len(), |n| n.first as usize);
+            // Control transfers only from the block's last step, so the
+            // whole charged block runs unless a step traps.
+            let mut next = bi + 1;
+            for d in &steps[block.first as usize..end] {
+                match &d.step {
+                    DStep::Jump { target } => next = block_at(*target),
+                    DStep::Branch { cond, a, b, target } => {
+                        let (x, y) = (self.sint(*a)?, self.sint(*b)?);
+                        if take(*cond, x, y) {
+                            next = block_at(*target);
+                        }
                     }
-                }
-                DStep::BranchImm {
-                    cond,
-                    a,
-                    imm,
-                    target,
-                } => {
-                    let x = self.sint(*a)?;
-                    if take(*cond, x, *imm) {
-                        next = *target as usize;
+                    DStep::BranchImm {
+                        cond,
+                        a,
+                        imm,
+                        target,
+                    } => {
+                        let x = self.sint(*a)?;
+                        if take(*cond, x, *imm) {
+                            next = block_at(*target);
+                        }
                     }
-                }
-                DStep::SBinFast {
-                    dst,
-                    a,
-                    b,
-                    f,
-                    op,
-                    ty,
-                    rty,
-                } => {
-                    if !self.sbin_native(*op, *ty, *dst, *a, *b) {
-                        let x = self.sval(*a)?.coerce(*ty);
-                        let y = self.sval(*b)?.coerce(*ty);
-                        let r = f(x, y);
-                        self.set_sreg_checked(*dst, *rty, r);
+                    DStep::SBinFast {
+                        dst,
+                        a,
+                        b,
+                        f,
+                        op,
+                        ty,
+                        rty,
+                    } => {
+                        if !self.sbin_native(*op, *ty, *dst, *a, *b) {
+                            let x = self.sval(*a)?.coerce(*ty);
+                            let y = self.sval(*b)?.coerce(*ty);
+                            let r = f(x, y);
+                            self.set_sreg_checked(*dst, *rty, r);
+                        }
                     }
-                }
-                DStep::SBinImmFast {
-                    dst,
-                    a,
-                    imm,
-                    f,
-                    op,
-                    ty,
-                    rty,
-                } => {
-                    if !self.sbin_imm_native(*op, *ty, *dst, *a, *imm) {
-                        self.exec_sbin_imm(*dst, *a, *imm, *f, *ty, *rty)?;
+                    DStep::SBinImmFast {
+                        dst,
+                        a,
+                        imm,
+                        f,
+                        op,
+                        ty,
+                        rty,
+                    } => {
+                        if !self.sbin_imm_native(*op, *ty, *dst, *a, *imm) {
+                            self.exec_sbin_imm(*dst, *a, *imm, *f, *ty, *rty)?;
+                        }
                     }
-                }
-                DStep::MovSFast { dst, src } => {
-                    let v = self.sval(*src)?;
-                    self.set_sreg(*dst, v);
-                }
-                DStep::LoadVFast {
-                    dst,
-                    base,
-                    idx,
-                    scale,
-                    aligned,
-                    disp,
-                } => {
-                    let a = self.fast_addr(*base, *idx, *scale, *disp)?;
-                    self.load_v_at(*dst, a, *aligned)?;
-                }
-                DStep::StoreVFast {
-                    src,
-                    base,
-                    idx,
-                    scale,
-                    aligned,
-                    disp,
-                } => {
-                    let a = self.fast_addr(*base, *idx, *scale, *disp)?;
-                    self.store_v_at(*src, a, *aligned)?;
-                }
-                DStep::LoadSFast {
-                    ty,
-                    dst,
-                    base,
-                    idx,
-                    scale,
-                    disp,
-                } => {
-                    let a = self.fast_addr(*base, *idx, *scale, *disp)?;
-                    self.mem.check(a, ty.size())?;
-                    let v = self.mem.read(*ty, a);
-                    self.set_sreg(*dst, v);
-                }
-                DStep::StoreSFast {
-                    ty,
-                    src,
-                    base,
-                    idx,
-                    scale,
-                    disp,
-                } => {
-                    let a = self.fast_addr(*base, *idx, *scale, *disp)?;
-                    self.mem.check(a, ty.size())?;
-                    let v = self.sval(*src)?.coerce(*ty);
-                    self.mem.write(*ty, a, v);
-                }
-                DStep::VBinFast {
-                    dst, a, b, f, ty, ..
-                } => self.vbin(*dst, *a, *b, *f, *ty)?,
-                DStep::VUnFast { dst, a, f, ty, .. } => self.vun(*dst, *a, *f, *ty)?,
-                DStep::VBinVlFast {
-                    dst, a, b, f, ty, ..
-                } => self.vbin_vl(*dst, *a, *b, *f, *ty)?,
-                DStep::VUnVlFast { dst, a, f, ty, .. } => self.vun_vl(*dst, *a, *f, *ty)?,
-                DStep::SplatFast { dst, src, f, ty } => self.splat(*dst, *src, *f, *ty)?,
-                DStep::VShiftImmFast {
-                    dst, a, f, imm, ty, ..
-                } => self.vshift(*dst, *a, *f, i64::from(*imm), *ty)?,
-                DStep::VShiftRegFast {
-                    dst, a, f, amt, ty, ..
-                } => {
-                    let amt = self.sint(*amt)?;
-                    self.vshift(*dst, *a, *f, amt, *ty)?;
-                }
-                DStep::SpillLdFast { dst, slot } => {
-                    let v = self
-                        .slots
-                        .get(*slot as usize)
-                        .copied()
-                        .ok_or_else(|| Trap(format!("reload of unwritten slot {slot}")))?;
-                    self.set_sreg(*dst, v);
-                }
-                DStep::SpillStFast { src, slot } => {
-                    let v = self.sval(*src)?;
-                    if self.slots.len() <= *slot as usize {
-                        self.slots.resize(*slot as usize + 1, Value::Int(0));
+                    DStep::MovSFast { dst, src } => {
+                        let v = self.sval(*src)?;
+                        self.set_sreg(*dst, v);
                     }
-                    self.slots[*slot as usize] = v;
-                }
-                DStep::VReduceFast {
-                    dst, src, f, ty, ..
-                } => {
-                    let n = self.lanes(*ty);
-                    let v = f(self.vbytes(*src)?, n);
-                    self.set_sreg_checked(*dst, *ty, v);
-                    stats.cycles += self.target.cost.reduce_vl_cost(n);
-                }
-                // Superinstructions: the constituents execute in order,
-                // every register write included, so machine state is
-                // bit-identical to the unfused sequence — only the
-                // per-step dispatch overhead is paid once.
-                DStep::FusedLoadBinStore(p) => {
-                    self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
-                    self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
-                    self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
-                }
-                DStep::FusedLoadBinBin(p) => {
-                    self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
-                    self.vbin(p.dst1, p.a1, p.b1, p.f1, p.ty1)?;
-                    self.vbin(p.dst2, p.a2, p.b2, p.f2, p.ty2)?;
-                }
-                DStep::FusedLoadBin(p) => {
-                    self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
-                    self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
-                }
-                DStep::FusedBinStore(p) => {
-                    self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
-                    self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
-                }
-                DStep::FusedLoadBinStoreVl(p) => {
-                    self.load_vl_at(p.load_ty, p.load_dst, self.fused_addr(&p.load)?)?;
-                    self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty)?;
-                    self.store_vl_at(p.store_ty, p.dst, self.fused_addr(&p.store)?)?;
-                }
-                DStep::FusedLatch(p) => {
-                    if !self.sbin_imm_native(p.op, p.ty, p.dst, p.a, p.imm) {
-                        self.exec_sbin_imm(p.dst, p.a, p.imm, p.f, p.ty, p.rty)?;
+                    DStep::LoadVFast {
+                        dst,
+                        base,
+                        idx,
+                        scale,
+                        aligned,
+                        disp,
+                    } => {
+                        let a = self.fast_addr(*base, *idx, *scale, *disp)?;
+                        self.load_v_at(*dst, a, *aligned)?;
                     }
-                    let x = self.sint(p.br_a)?;
-                    let y = if p.br_reg == crate::decode::NO_INDEX {
-                        p.br_imm
-                    } else {
-                        self.sint(SReg(p.br_reg))?
-                    };
-                    if take(p.cond, x, y) {
-                        next = p.target as usize;
+                    DStep::StoreVFast {
+                        src,
+                        base,
+                        idx,
+                        scale,
+                        aligned,
+                        disp,
+                    } => {
+                        let a = self.fast_addr(*base, *idx, *scale, *disp)?;
+                        self.store_v_at(*src, a, *aligned)?;
                     }
-                }
-                DStep::Op(inst) => {
-                    self.exec_op(inst)?;
-                    stats.cycles += self.op_vl_cost(inst);
+                    DStep::LoadSFast {
+                        ty,
+                        dst,
+                        base,
+                        idx,
+                        scale,
+                        disp,
+                    } => {
+                        let a = self.fast_addr(*base, *idx, *scale, *disp)?;
+                        self.mem.check(a, ty.size())?;
+                        let v = self.mem.read(*ty, a);
+                        self.set_sreg(*dst, v);
+                    }
+                    DStep::StoreSFast {
+                        ty,
+                        src,
+                        base,
+                        idx,
+                        scale,
+                        disp,
+                    } => {
+                        let a = self.fast_addr(*base, *idx, *scale, *disp)?;
+                        self.mem.check(a, ty.size())?;
+                        let v = self.sval(*src)?.coerce(*ty);
+                        self.mem.write(*ty, a, v);
+                    }
+                    DStep::VBinFast {
+                        dst, a, b, f, ty, ..
+                    } => self.vbin(*dst, *a, *b, *f, *ty)?,
+                    DStep::VUnFast { dst, a, f, ty, .. } => self.vun(*dst, *a, *f, *ty)?,
+                    DStep::VBinVlFast {
+                        dst, a, b, f, ty, ..
+                    } => self.vbin_vl(*dst, *a, *b, *f, *ty)?,
+                    DStep::VUnVlFast { dst, a, f, ty, .. } => self.vun_vl(*dst, *a, *f, *ty)?,
+                    DStep::SplatFast { dst, src, f, ty } => self.splat(*dst, *src, *f, *ty)?,
+                    DStep::VShiftImmFast {
+                        dst, a, f, imm, ty, ..
+                    } => self.vshift(*dst, *a, *f, i64::from(*imm), *ty)?,
+                    DStep::VShiftRegFast {
+                        dst, a, f, amt, ty, ..
+                    } => {
+                        let amt = self.sint(*amt)?;
+                        self.vshift(*dst, *a, *f, amt, *ty)?;
+                    }
+                    DStep::SpillLdFast { dst, slot } => {
+                        let v = match self.slots.get(*slot as usize) {
+                            Some(v) => *v,
+                            None => {
+                                return Err(Trap::new(format_args!(
+                                    "reload of unwritten slot {slot}"
+                                )))
+                            }
+                        };
+                        self.set_sreg(*dst, v);
+                    }
+                    DStep::SpillStFast { src, slot } => {
+                        let v = self.sval(*src)?;
+                        if self.slots.len() <= *slot as usize {
+                            self.slots.resize(*slot as usize + 1, Value::Int(0));
+                        }
+                        self.slots[*slot as usize] = v;
+                    }
+                    DStep::VReduceFast {
+                        dst, src, f, ty, ..
+                    } => {
+                        let n = self.lanes(*ty);
+                        let v = f(self.vbytes(*src)?, n);
+                        self.set_sreg_checked(*dst, *ty, v);
+                        stats.cycles += self.target.cost.reduce_vl_cost(n);
+                    }
+                    // Superinstructions: the constituents execute in order,
+                    // every register write included, so machine state is
+                    // bit-identical to the unfused sequence — only the
+                    // per-step dispatch overhead is paid once.
+                    DStep::FusedLoadBinStore(p) => {
+                        self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
+                        self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
+                    }
+                    DStep::FusedLoadBinBin(p) => {
+                        self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
+                        self.vbin(p.dst1, p.a1, p.b1, p.f1, p.ty1)?;
+                        self.vbin(p.dst2, p.a2, p.b2, p.f2, p.ty2)?;
+                    }
+                    DStep::FusedLoadBin(p) => {
+                        self.load_v_at(p.load_dst, self.fused_addr(&p.load)?, p.load.aligned)?;
+                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
+                    }
+                    DStep::FusedBinStore(p) => {
+                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
+                        self.store_v_at(p.dst, self.fused_addr(&p.store)?, p.store.aligned)?;
+                    }
+                    DStep::FusedLoadBinStoreVl(p) => {
+                        self.load_vl_at(p.load_ty, p.load_dst, self.fused_addr(&p.load)?)?;
+                        self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty)?;
+                        self.store_vl_at(p.store_ty, p.dst, self.fused_addr(&p.store)?)?;
+                    }
+                    DStep::FusedLatch(p) => {
+                        if !self.sbin_imm_native(p.op, p.ty, p.dst, p.a, p.imm) {
+                            self.exec_sbin_imm(p.dst, p.a, p.imm, p.f, p.ty, p.rty)?;
+                        }
+                        let x = self.sint(p.br_a)?;
+                        let y = if p.br_reg == crate::decode::NO_INDEX {
+                            p.br_imm
+                        } else {
+                            self.sint(SReg(p.br_reg))?
+                        };
+                        if take(p.cond, x, y) {
+                            next = block_at(p.target);
+                        }
+                    }
+                    // Generic ops hot enough to skip `exec_op`'s dispatch.
+                    // Each runs the helper `exec_op`'s arm runs, and none has
+                    // a width-dependent cost.
+                    DStep::Op(MInst::MovImmI { dst, imm }) => self.set_sreg(*dst, Value::Int(*imm)),
+                    DStep::Op(MInst::MovImmF { dst, imm }) => {
+                        self.set_sreg(*dst, Value::Float(*imm))
+                    }
+                    DStep::Op(MInst::MovV { dst, src }) => self.vregs.mov(*dst, *src)?,
+                    DStep::Op(MInst::SetVl { ty, dst, avl }) => self.set_vl(*ty, *dst, *avl)?,
+                    DStep::Op(MInst::LoadVl { ty, dst, addr }) => {
+                        self.load_vl_at(*ty, *dst, self.addr(addr)?)?
+                    }
+                    DStep::Op(MInst::StoreVl { ty, src, addr }) => {
+                        self.store_vl_at(*ty, *src, self.addr(addr)?)?
+                    }
+                    DStep::Op(inst) => {
+                        self.exec_op(inst)?;
+                        stats.cycles += self.op_vl_cost(inst);
+                    }
                 }
             }
-            stats.insts += u64::from(d.arity);
-            stats.cycles += d.cost;
-            pc = next;
+            bi = next;
         }
         Ok(stats)
     }
@@ -1102,7 +1161,7 @@ impl<'t> Machine<'t> {
         let vs = self.vs();
         self.mem.check(a, vs)?;
         if aligned && !(a as usize).is_multiple_of(vs) {
-            return Err(Trap(format!(
+            return Err(Trap::new(format_args!(
                 "aligned vector load from misaligned address {a} (VS={vs})"
             )));
         }
@@ -1117,7 +1176,7 @@ impl<'t> Machine<'t> {
         let vs = self.vs();
         self.mem.check(a, vs)?;
         if aligned && !(a as usize).is_multiple_of(vs) {
-            return Err(Trap(format!(
+            return Err(Trap::new(format_args!(
                 "aligned vector store to misaligned address {a} (VS={vs})"
             )));
         }
@@ -1150,6 +1209,16 @@ impl<'t> Machine<'t> {
             let v = self.vregs.get(src)?;
             self.mem.slice_mut(a, bytes).copy_from_slice(&v[..bytes]);
         }
+        Ok(())
+    }
+
+    /// `dst = vl = min(avl, lanes of ty)`, latching the active vector
+    /// length of the predicated `...Vl` steps.
+    fn set_vl(&mut self, ty: ScalarTy, dst: SReg, avl: SReg) -> Result<(), Trap> {
+        let vlmax = self.lanes(ty) as i64;
+        let vl = self.sint(avl)?.clamp(0, vlmax);
+        self.vl_bytes = vl as usize * ty.size();
+        self.set_sreg(dst, Value::Int(vl));
         Ok(())
     }
 
@@ -1581,12 +1650,7 @@ impl<'t> Machine<'t> {
                 };
                 self.vregs.set(*dst, &out);
             }
-            MInst::SetVl { ty, dst, avl } => {
-                let vlmax = self.lanes(*ty) as i64;
-                let vl = self.sint(*avl)?.clamp(0, vlmax);
-                self.vl_bytes = vl as usize * ty.size();
-                self.set_sreg(*dst, Value::Int(vl));
-            }
+            MInst::SetVl { ty, dst, avl } => self.set_vl(*ty, *dst, *avl)?,
             MInst::LoadVl { ty, dst, addr } => {
                 let a = self.addr(addr)?;
                 self.load_vl_at(*ty, *dst, a)?;
@@ -1703,6 +1767,11 @@ fn native_bin(op: BinOp, ty: ScalarTy, x: &Value, y: &Value) -> Option<Value> {
         }
         _ => None,
     }
+}
+
+/// The undefined-scalar-register trap.
+fn undefined_sreg(r: SReg) -> Trap {
+    Trap::new(format_args!("read of undefined scalar register r{}", r.0))
 }
 
 /// Lane `k` of a `ty` vector.
@@ -2664,6 +2733,490 @@ mod more_tests {
                 cycles.push(want.cycles);
             }
             assert!(cycles.windows(2).all(|w| w[0] < w[1]), "{cycles:?}");
+        }
+    }
+
+    /// `code` with a counter bump on `counter` after every label, so the
+    /// seed loop's label visits can be read back from the register.
+    fn count_labels(code: &MCode, counter: SReg) -> MCode {
+        let mut insts = Vec::new();
+        for inst in &code.insts {
+            insts.push(inst.clone());
+            if matches!(inst, MInst::Label(_)) {
+                insts.push(MInst::SBinImm {
+                    op: vapor_ir::BinOp::Add,
+                    ty: ScalarTy::I64,
+                    dst: counter,
+                    a: counter,
+                    imm: 1,
+                });
+            }
+        }
+        MCode {
+            insts,
+            ..code.clone()
+        }
+    }
+
+    /// Run `c` through the seed loop and through `run_decoded` on both
+    /// its unfused and fused decodes from the state `setup` builds, and
+    /// require identical statistics (the seed's minus its label visits),
+    /// registers, spill slots, VL and memory. Returns the fused decode.
+    fn blocks_match_the_seed_loop(
+        t: &TargetDesc,
+        c: &MCode,
+        setup: &dyn Fn(&mut Machine<'_>),
+    ) -> crate::decode::DecodedProgram {
+        let build = || {
+            let mut m = Machine::new(t, 4096);
+            setup(&mut m);
+            m
+        };
+        let mut seed = build();
+        let want = seed.run(c).unwrap();
+        let counter = SReg(63);
+        let mut counted = build();
+        counted.set_sreg(counter, Value::Int(0));
+        counted.run(&count_labels(c, counter)).unwrap();
+        let Value::Int(labels) = counted.sreg(counter) else {
+            panic!("label counter")
+        };
+        let want = ExecStats {
+            insts: want.insts - labels as u64,
+            ..want
+        };
+        let unfused = crate::decode::DecodedProgram::decode_unfused(c, t).unwrap();
+        let fused = crate::decode::DecodedProgram::decode(c, t).unwrap();
+        for (form, prog) in [("unfused", &unfused), ("fused", &fused)] {
+            let mut dec = build();
+            assert_eq!(dec.run_decoded(prog).unwrap(), want, "{form} stats");
+            assert_eq!(dec.sregs, seed.sregs, "{form} scalar registers");
+            assert_eq!(dec.vregs.bytes, seed.vregs.bytes, "{form} vector registers");
+            assert_eq!(dec.slots, seed.slots, "{form} spill slots");
+            assert_eq!(dec.vl_bytes, seed.vl_bytes, "{form} VL");
+            assert!(dec.mem.bytes == seed.mem.bytes, "{form} memory");
+        }
+        fused
+    }
+
+    #[test]
+    fn block_charged_dispatch_matches_the_seed_loop() {
+        // Three passes of an outer loop around a four-trip inner loop:
+        // step 0 is a jump target, the inner loop's head is entered by
+        // falling through, its latch fuses into a back-edge, a `Branch`
+        // and a `BranchImm` are each taken and not taken, a fall-through
+        // lands on a branch target, and the last step is a store.
+        use crate::isa::{Cond, Label};
+        let t = sse();
+        let c = mcode(vec![
+            MInst::Label(Label(0)),
+            MInst::SBinImm {
+                op: vapor_ir::BinOp::Add,
+                ty: ScalarTy::I64,
+                dst: SReg(1),
+                a: SReg(1),
+                imm: 1,
+            },
+            MInst::MovImmI {
+                dst: SReg(2),
+                imm: 0,
+            },
+            MInst::Label(Label(1)),
+            MInst::SBin {
+                op: vapor_ir::BinOp::Add,
+                ty: ScalarTy::I64,
+                dst: SReg(3),
+                a: SReg(3),
+                b: SReg(2),
+            },
+            MInst::StoreS {
+                ty: ScalarTy::I64,
+                src: SReg(3),
+                addr: AddrMode::fused(SReg(0), SReg(2), 8, 0),
+            },
+            MInst::Splat {
+                ty: ScalarTy::I64,
+                dst: VReg(0),
+                src: SReg(3),
+            },
+            MInst::MovV {
+                dst: VReg(1),
+                src: VReg(0),
+            },
+            MInst::SBinImm {
+                op: vapor_ir::BinOp::Add,
+                ty: ScalarTy::I64,
+                dst: SReg(2),
+                a: SReg(2),
+                imm: 1,
+            },
+            MInst::BranchImm {
+                cond: Cond::Lt,
+                a: SReg(2),
+                imm: 4,
+                target: Label(1),
+            },
+            MInst::MovImmF {
+                dst: SReg(6),
+                imm: 1.5,
+            },
+            MInst::MovImmI {
+                dst: SReg(4),
+                imm: 2,
+            },
+            MInst::Branch {
+                cond: Cond::Lt,
+                a: SReg(1),
+                b: SReg(4),
+                target: Label(2),
+            },
+            MInst::MovImmI {
+                dst: SReg(5),
+                imm: 7,
+            },
+            MInst::Label(Label(2)),
+            MInst::SBin {
+                op: vapor_ir::BinOp::Mul,
+                ty: ScalarTy::I64,
+                dst: SReg(7),
+                a: SReg(3),
+                b: SReg(1),
+            },
+            MInst::BranchImm {
+                cond: Cond::Ge,
+                a: SReg(1),
+                imm: 3,
+                target: Label(3),
+            },
+            MInst::Jump(Label(0)),
+            MInst::Label(Label(3)),
+            MInst::StoreS {
+                ty: ScalarTy::I64,
+                src: SReg(7),
+                addr: AddrMode::base_disp(SReg(0), 56),
+            },
+        ]);
+        let setup = |m: &mut Machine<'_>| {
+            let a = m.mem.alloc(64, 16);
+            m.mem.slice_mut(a, 64).fill(0x5a);
+            m.set_sreg(SReg(0), Value::Int(a as i64));
+            m.set_sreg(SReg(1), Value::Int(0));
+            m.set_sreg(SReg(3), Value::Int(0));
+        };
+        let fused = blocks_match_the_seed_loop(&t, &c, &setup);
+        assert_eq!(fused.fusion_stats().latch, 1, "the inner latch fuses");
+        // Leaders: step 0, the inner head, after the latch, after the
+        // `Branch`, its target, after the `BranchImm`, and the last step.
+        let unfused = crate::decode::DecodedProgram::decode_unfused(&c, &t).unwrap();
+        let firsts = |p: &crate::decode::DecodedProgram| {
+            p.blocks().iter().map(|b| b.first).collect::<Vec<_>>()
+        };
+        assert_eq!(firsts(&unfused), [0, 2, 8, 11, 12, 14, 15]);
+        assert_eq!(firsts(&fused), [0, 2, 7, 10, 11, 13, 14]);
+        for p in [&unfused, &fused] {
+            let (arity, cost) = p
+                .blocks()
+                .iter()
+                .fold((0, 0), |(a, c), b| (a + u64::from(b.arity), c + b.cost));
+            assert_eq!(arity, p.len as u64);
+            assert_eq!(cost, p.steps().iter().map(|d| d.cost).sum::<u64>());
+            for (i, d) in p.steps().iter().enumerate() {
+                let b = &p.blocks()[d.block as usize];
+                assert!(b.first as usize <= i, "step {i} before its block");
+            }
+        }
+        // The empty program has no block and runs nothing.
+        let empty = blocks_match_the_seed_loop(&t, &mcode(vec![]), &|_| {});
+        assert!(empty.blocks().is_empty());
+    }
+
+    #[test]
+    fn runtime_vl_ops_match_the_seed_loop() {
+        // The generic ops `run_decoded` runs in place (immediates, a
+        // register move and the runtime-VL trio) on a 256-bit VLA machine:
+        // a predicated store of 3 lanes must leave the rest of a filled
+        // array alone, and a predicated load zeroes the inactive lanes.
+        let t = crate::target::sve().at_vl(256);
+        let c = mcode(vec![
+            MInst::MovImmI {
+                dst: SReg(1),
+                imm: 3,
+            },
+            MInst::MovImmF {
+                dst: SReg(2),
+                imm: 2.5,
+            },
+            MInst::SetVl {
+                ty: ScalarTy::I32,
+                dst: SReg(3),
+                avl: SReg(1),
+            },
+            MInst::LoadVl {
+                ty: ScalarTy::I32,
+                dst: VReg(0),
+                addr: AddrMode::base_disp(SReg(0), 0),
+            },
+            MInst::MovV {
+                dst: VReg(1),
+                src: VReg(0),
+            },
+            MInst::StoreVl {
+                ty: ScalarTy::I32,
+                src: VReg(1),
+                addr: AddrMode::base_disp(SReg(0), 36),
+            },
+        ]);
+        let setup = |m: &mut Machine<'_>| {
+            let a = m.mem.alloc(96, 32);
+            for k in 0..24 {
+                m.mem
+                    .write(ScalarTy::I32, a + 4 * k, Value::Int(k as i64 + 1));
+            }
+            m.set_sreg(SReg(0), Value::Int(a as i64));
+        };
+        let p = blocks_match_the_seed_loop(&t, &c, &setup);
+        assert!(p
+            .steps()
+            .iter()
+            .all(|d| matches!(d.step, crate::decode::DStep::Op(_))));
+    }
+
+    #[test]
+    fn block_fuel_traps_before_any_step_of_the_block_runs() {
+        // Two blocks of 2 and 4 instructions (the second holds a scalar
+        // store and a fused load-op-store). A budget of 5 covers the
+        // first block only: the trap fires at the second block's entry,
+        // after 2 instructions, and neither of its stores lands.
+        use crate::isa::Label;
+        let t = sse();
+        let c = mcode(vec![
+            MInst::MovImmI {
+                dst: SReg(1),
+                imm: 9,
+            },
+            MInst::Jump(Label(0)),
+            MInst::Label(Label(0)),
+            MInst::StoreS {
+                ty: ScalarTy::I32,
+                src: SReg(1),
+                addr: AddrMode::base_disp(SReg(0), 16),
+            },
+            MInst::LoadV {
+                dst: VReg(0),
+                addr: AddrMode::base_disp(SReg(0), 0),
+                align: MemAlign::Unaligned,
+            },
+            MInst::VBin {
+                op: vapor_ir::BinOp::Add,
+                ty: ScalarTy::I32,
+                dst: VReg(1),
+                a: VReg(0),
+                b: VReg(0),
+            },
+            MInst::StoreV {
+                src: VReg(1),
+                addr: AddrMode::base_disp(SReg(0), 0),
+                align: MemAlign::Unaligned,
+            },
+        ]);
+        let unfused = crate::decode::DecodedProgram::decode_unfused(&c, &t).unwrap();
+        let fused = crate::decode::DecodedProgram::decode(&c, &t).unwrap();
+        assert_eq!(fused.fusion_stats().load_bin_store, 1);
+        for (form, prog) in [("unfused", &unfused), ("fused", &fused)] {
+            assert_eq!(prog.blocks().len(), 2, "{form}");
+            assert_eq!(prog.blocks()[1].arity, 4, "{form}");
+            let mut m = Machine::new(&t, 1024);
+            let a = m.mem.alloc(32, 16);
+            for k in 0..8 {
+                m.mem.write(ScalarTy::I32, a + 4 * k, Value::Int(5));
+            }
+            m.set_sreg(SReg(0), Value::Int(a as i64));
+            m.fuel = 5;
+            let err = m.run_decoded(prog).unwrap_err();
+            assert_eq!(err.0, "fuel exhausted after 2 instructions", "{form}");
+            assert_eq!(
+                m.sreg(SReg(1)),
+                Value::Int(9),
+                "{form}: the first block ran"
+            );
+            for k in 0..8 {
+                assert_eq!(
+                    m.mem.read(ScalarTy::I32, a + 4 * k),
+                    Value::Int(5),
+                    "{form}: no store of the trapping block may land"
+                );
+            }
+            // One more instruction of budget runs the whole program.
+            m.fuel = 6;
+            assert_eq!(m.run_decoded(prog).unwrap().insts, 6, "{form}");
+        }
+    }
+
+    #[test]
+    fn dispatch_traps_carry_the_seed_loops_messages() {
+        // Every trap kind the dispatch path raises, through the seed loop
+        // and both decodes: one message each, pinned word for word.
+        use crate::isa::Label;
+        let t = sse();
+        let base = |m: &mut Machine<'_>| m.mem.alloc(64, 16);
+        let setup = |m: &mut Machine<'_>| {
+            let a = base(m);
+            m.set_sreg(SReg(0), Value::Int(a as i64 + 4));
+            m.set_sreg(SReg(1), Value::Float(1.5));
+            m.set_sreg(SReg(2), Value::Int(-64));
+            m.set_sreg(SReg(3), Value::Int(0));
+        };
+        let misaligned = base(&mut Machine::new(&t, 1024)) + 4;
+        let v0 = MInst::Splat {
+            ty: ScalarTy::I32,
+            dst: VReg(0),
+            src: SReg(3),
+        };
+        let cases: Vec<(Vec<MInst>, String)> = vec![
+            (
+                vec![MInst::MovS {
+                    dst: SReg(4),
+                    src: SReg(7),
+                }],
+                "read of undefined scalar register r7".into(),
+            ),
+            (
+                vec![
+                    MInst::BranchImm {
+                        cond: crate::isa::Cond::Lt,
+                        a: SReg(1),
+                        imm: 0,
+                        target: Label(0),
+                    },
+                    MInst::Label(Label(0)),
+                ],
+                "r1 holds float 1.5, expected int".into(),
+            ),
+            (
+                vec![MInst::LoadS {
+                    ty: ScalarTy::I32,
+                    dst: SReg(4),
+                    addr: AddrMode::base_disp(SReg(2), 0),
+                }],
+                "negative address -64".into(),
+            ),
+            (
+                vec![MInst::StoreS {
+                    ty: ScalarTy::I32,
+                    src: SReg(3),
+                    addr: AddrMode::base_disp(SReg(3), 8),
+                }],
+                "access of 4 bytes at 8 out of bounds".into(),
+            ),
+            (
+                vec![MInst::LoadV {
+                    dst: VReg(0),
+                    addr: AddrMode::base_disp(SReg(0), 0),
+                    align: MemAlign::Aligned,
+                }],
+                format!("aligned vector load from misaligned address {misaligned} (VS=16)"),
+            ),
+            (
+                vec![
+                    v0.clone(),
+                    MInst::StoreV {
+                        src: VReg(0),
+                        addr: AddrMode::base_disp(SReg(0), 0),
+                        align: MemAlign::Aligned,
+                    },
+                ],
+                format!("aligned vector store to misaligned address {misaligned} (VS=16)"),
+            ),
+            (
+                vec![
+                    v0,
+                    MInst::StoreV {
+                        src: VReg(3),
+                        addr: AddrMode::base_disp(SReg(0), 0),
+                        align: MemAlign::Unaligned,
+                    },
+                ],
+                "read of undefined vector register v3".into(),
+            ),
+            (
+                // Blocks of one instruction: the seed loop (which also
+                // counts the label) and both decodes trap at the same
+                // count.
+                vec![MInst::Label(Label(0)), MInst::Jump(Label(0))],
+                "fuel exhausted after 50 instructions".into(),
+            ),
+        ];
+        for (insts, want) in cases {
+            let c = mcode(insts);
+            let mut seed = Machine::new(&t, 1024);
+            setup(&mut seed);
+            seed.fuel = 50;
+            assert_eq!(seed.run(&c).unwrap_err().0, want, "seed loop");
+            for prog in [
+                crate::decode::DecodedProgram::decode_unfused(&c, &t).unwrap(),
+                crate::decode::DecodedProgram::decode(&c, &t).unwrap(),
+            ] {
+                let mut dec = Machine::new(&t, 1024);
+                setup(&mut dec);
+                dec.fuel = 50;
+                assert_eq!(dec.run_decoded(&prog).unwrap_err().0, want, "decoded");
+            }
+        }
+        // Decoded only: a program runs on the machines of its width.
+        let c = mcode(vec![MInst::MovImmI {
+            dst: SReg(0),
+            imm: 1,
+        }]);
+        let prog = crate::decode::DecodedProgram::decode(&c, &t).unwrap();
+        let wide = crate::target::avx();
+        let err = Machine::new(&wide, 1024).run_decoded(&prog).unwrap_err();
+        assert_eq!(
+            err.0,
+            "program decoded for VS=16 executed on a VS=32 machine"
+        );
+    }
+
+    #[test]
+    fn in_place_generic_ops_have_no_width_dependent_cost() {
+        // `run_decoded` runs these six generic ops without adding
+        // `op_vl_cost`: that is only sound while their width-dependent
+        // cost is 0 at every lane count.
+        let addr = AddrMode::base_disp(SReg(0), 0);
+        let ops = [
+            MInst::MovImmI {
+                dst: SReg(0),
+                imm: 1,
+            },
+            MInst::MovImmF {
+                dst: SReg(0),
+                imm: 1.0,
+            },
+            MInst::MovV {
+                dst: VReg(0),
+                src: VReg(1),
+            },
+            MInst::SetVl {
+                ty: ScalarTy::F64,
+                dst: SReg(0),
+                avl: SReg(1),
+            },
+            MInst::LoadVl {
+                ty: ScalarTy::I8,
+                dst: VReg(0),
+                addr,
+            },
+            MInst::StoreVl {
+                ty: ScalarTy::I8,
+                src: VReg(0),
+                addr,
+            },
+        ];
+        for t in [sse(), crate::target::sve(), crate::target::rvv()] {
+            for inst in &ops {
+                for lanes in [1, 16, 256] {
+                    assert_eq!(t.cost.vl_cost(inst, |_| lanes), 0, "{} {inst:?}", t.name);
+                }
+            }
         }
     }
 
