@@ -11,11 +11,10 @@
 //! memory only until the arena pool warms up.
 //!
 //! There is one execution path: the pre-decoded, fused program
-//! ([`vapor_targets::DecodedProgram`]). The VM's other forms of a
-//! compilation — the baseline interpreter (`Machine::run`), the unfused
-//! decode and the closure-threaded lowering
-//! ([`vapor_targets::ThreadedProgram`]) — are `vapor_targets` APIs that
-//! callers run over the same machine lifecycle with
+//! ([`vapor_targets::DecodedProgram`]), run by `Machine::run_decoded`.
+//! The VM's reference forms of a compilation — the seed interpreter
+//! (`Machine::run`) and the unfused decode — are `vapor_targets` APIs
+//! that callers run over the same machine lifecycle with
 //! [`Engine::run_compiled`]; the test suites use them as references.
 
 use std::fmt;
@@ -161,10 +160,9 @@ impl Engine {
 
     /// The machine lifecycle of [`Engine::execute`], for callers that
     /// bring their own execution form of `compiled` (the test suites'
-    /// reference programs: `Machine::run`, an unfused decode, a
-    /// `ThreadedProgram`): pooled arena in, bind `env` into a machine
-    /// for the concrete-width `exec_target`, `run` one dispatch over
-    /// it, read back, arena out.
+    /// reference programs: `Machine::run`, an unfused decode): pooled
+    /// arena in, bind `env` into a machine for the concrete-width
+    /// `exec_target`, `run` one dispatch over it, read back, arena out.
     ///
     /// # Errors
     /// [`ExecError::Trap`] on missing bindings and whatever `run` traps
@@ -204,7 +202,7 @@ mod tests {
     use crate::run::{arrays_match, reference};
     use vapor_frontend::parse_kernel;
     use vapor_ir::{ArrayData, ScalarTy};
-    use vapor_targets::{sse, ThreadedProgram};
+    use vapor_targets::sse;
 
     fn saxpy() -> Kernel {
         parse_kernel(
@@ -226,9 +224,8 @@ mod tests {
         env
     }
 
-    /// The VM's reference forms of a request's compilation — the
-    /// baseline interpreter and the threaded lowering of the program the
-    /// request ran — over the engine's machine lifecycle.
+    /// The VM's baseline interpreter over the machine code of a
+    /// request's compilation, run with the engine's machine lifecycle.
     #[test]
     fn all_tiers_agree_and_match_the_oracle() {
         let e = Engine::new();
@@ -238,30 +235,17 @@ mod tests {
         let oracle = reference(&k, &env).unwrap();
         let decoded = e.execute(&ExecRequest::new(&k, &t, &env)).unwrap();
         let c = &decoded.compiled;
-        let cfg = CompileConfig::default();
-        let (_, prog) = e
-            .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, 128)
-            .unwrap();
-        let prog = ThreadedProgram::thread(&prog, &c.jit.code);
-        let aligned = AllocPolicy::Aligned;
         let baseline = e
-            .run_compiled(&t, c, &env, aligned, |m| m.run(&c.jit.code))
+            .run_compiled(&t, c, &env, AllocPolicy::Aligned, |m| m.run(&c.jit.code))
             .unwrap();
-        let threaded = e
-            .run_compiled(&t, c, &env, aligned, |m| m.run_threaded(&prog))
-            .unwrap();
-        for (name, r) in [
-            ("decoded", &decoded),
-            ("baseline", &baseline),
-            ("threaded", &threaded),
-        ] {
+        for (name, r) in [("decoded", &decoded), ("baseline", &baseline)] {
             arrays_match(oracle.array("y").unwrap(), r.out.array("y").unwrap(), 1e-6)
                 .unwrap_or_else(|err| panic!("{name}: {err}"));
             assert_eq!(r.stats.cycles, decoded.stats.cycles, "{name} cycles");
         }
-        // One compile served every form.
+        // One compile served both forms.
         assert_eq!(e.stats().misses, 1);
-        assert!(Arc::ptr_eq(&decoded.compiled, &threaded.compiled));
+        assert!(Arc::ptr_eq(&decoded.compiled, &baseline.compiled));
     }
 
     #[test]
@@ -341,25 +325,18 @@ mod tests {
 
     #[test]
     fn tiers_share_one_exec_form_entry_per_key_and_vl() {
-        // Every tier and every VL runs the compilation's one decode: a
-        // request at 512 bits, the threaded lowering of that decode, and
-        // the program served at 1024 bits.
+        // Every VL runs the compilation's one decode: a request at 512
+        // bits and the programs served at 512 and 1024 bits.
         let e = Engine::new();
         let k = saxpy();
         let t = vapor_targets::sve();
         let cfg = CompileConfig::default();
         let env = saxpy_env(100);
-        let (exec, aligned) = (t.at_vl(512), AllocPolicy::Aligned);
         let c = e.compile(&k, Flow::SplitVectorOpt, &t, &cfg).unwrap();
         let decoded = e
             .execute(&ExecRequest::new(&k, &t, &env).vl_bits(512))
             .unwrap();
         assert!(Arc::ptr_eq(&decoded.compiled, &c));
-        let prog = ThreadedProgram::thread(&c.jit.decoded, &c.jit.code);
-        let threaded = e
-            .run_compiled(&exec, &c, &env, aligned, |m| m.run_threaded(&prog))
-            .unwrap();
-        assert_eq!(threaded.stats, decoded.stats);
         for vl in [512, 1024] {
             let (_, p) = e
                 .specialize(&k, Flow::SplitVectorOpt, &t, &cfg, vl)

@@ -14,10 +14,16 @@
 //!   pre-computed against the target's cost table; the lane-count
 //!   dependent part of reductions and helper calls is charged by the
 //!   dispatch loop at the machine's width;
-//! * control flow is separated from computation, so the hot loop matches
-//!   a four-variant enum instead of a ~40-variant one.
+//! * the hot instructions get specialized steps with their operands
+//!   flattened and their lane kernel chosen: [`DStep`] has 27 variants
+//!   (3 control steps, 17 fast steps, 6 superinstructions, and `Op`,
+//!   which runs any other of the 43 [`MInst`] kinds through the shared
+//!   generic semantics);
+//! * the steps are grouped into basic blocks whose instruction count and
+//!   cost are pre-summed, so the dispatch loop charges fuel and
+//!   statistics once per block.
 //!
-//! No step holds a lane count: every dispatch loop reads it from the
+//! No step holds a lane count: the dispatch loop reads it from the
 //! machine. So a decode for a vector-length-agnostic family runs
 //! unchanged at every legal VL of that family (see [`Width`]), and one
 //! decode is shared by every execution of a compiled kernel at every VL
@@ -1067,10 +1073,10 @@ fn index_blocks(steps: &mut [DecodedInst]) -> Vec<Block> {
     blocks
 }
 
-/// The machines a decoded or threaded program runs on, checked before
-/// it runs (running a program on a machine it was not decoded for is a
-/// harness bug). No step holds a lane count: every dispatch loop reads
-/// it from the machine.
+/// The machines a decoded program runs on, checked before it runs
+/// (running a program on a machine it was not decoded for is a harness
+/// bug). No step holds a lane count: the dispatch loop reads it from the
+/// machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Width {
     /// Only a machine of this vector width in bytes.

@@ -17,7 +17,6 @@ use crate::isa::{
     AddrMode, Cond, CvtDir, Half, HelperOp, MCode, MInst, MemAlign, ReduceOp, SReg, ShiftSrc, VReg,
 };
 use crate::target::TargetDesc;
-use crate::thread::{StreamDef, TAddr, TStep, ThreadedProgram};
 
 /// Maximum vector register width in bytes. The seed capped this at the
 /// paper's 2011-era 32 bytes; the vector-length-agnostic target family
@@ -430,14 +429,14 @@ impl<'t> Machine<'t> {
         (self.vl_bytes >> ty.size().trailing_zeros()).min(self.lanes(ty))
     }
 
-    /// The width check every pre-decoded dispatch loop runs first: a
-    /// program runs only on the machines of its [`Width`].
-    fn check_width(&self, what: &str, width: Width) -> Result<(), Trap> {
+    /// The width check the decoded loop runs first: a program runs only
+    /// on the machines of its [`Width`].
+    fn check_width(&self, width: Width) -> Result<(), Trap> {
         if width == Width::of(self.target) {
             return Ok(());
         }
         Err(Trap(format!(
-            "program {what} for {width} executed on a VS={} machine",
+            "program decoded for {width} executed on a VS={} machine",
             self.vs()
         )))
     }
@@ -531,11 +530,10 @@ impl<'t> Machine<'t> {
         Ok(out)
     }
 
-    /// The one fuel check shared by every dispatch tier: pre-charge
+    /// The one fuel check shared by both dispatch loops: pre-charge
     /// validation that executing `arity` more instructions stays within
-    /// the budget. The seed loop charges per instruction (`arity` 1),
-    /// the decoded loop per basic block and the threaded loop per
-    /// straight-line region (each the sum of its instructions) — all
+    /// the budget. The seed loop charges per instruction (`arity` 1) and
+    /// the decoded loop per basic block (the sum of its instructions),
     /// with identical trap message and boundary semantics
     /// (`insts + arity > fuel` traps *before* executing any of the
     /// charged instructions).
@@ -622,16 +620,17 @@ impl<'t> Machine<'t> {
     /// transfers only from a block's last step. A block whose charge
     /// would cross the budget traps at its entry without executing any
     /// of its steps, so no instruction runs that the budget does not
-    /// cover (the region contract of [`Machine::run_threaded`];
-    /// [`Machine::run`] charges per instruction and may run the leading
-    /// part of that block before its own trap). Non-trapping executions
-    /// are bit-identical to the per-instruction loop, fused or not.
+    /// cover. [`Machine::run`] charges per instruction, so it may run
+    /// the leading part of that block before its own trap; that is the
+    /// only difference, and it shows only in trapping executions.
+    /// Non-trapping executions are bit-identical to the per-instruction
+    /// loop, fused or not.
     ///
     /// # Errors
     /// Returns a [`Trap`] on contract violations, or if the machine is
     /// not one of the program's [`Width`].
     pub fn run_decoded(&mut self, prog: &DecodedProgram) -> Result<ExecStats, Trap> {
-        self.check_width("decoded", prog.width)?;
+        self.check_width(prog.width)?;
         let (steps, blocks) = (prog.steps(), prog.blocks());
         // The block a branch to step `t` enters (`t` one past the last
         // step ends the run).
@@ -861,289 +860,6 @@ impl<'t> Machine<'t> {
             bi = next;
         }
         Ok(stats)
-    }
-
-    /// Execute a closure-threaded program (see [`ThreadedProgram`]):
-    /// fuel and statistics are charged once per straight-line region
-    /// with the region's pre-summed width-independent cost (reductions
-    /// and helper calls add the rest as they run), and affine loop addresses
-    /// stride precomputed cursors instead of being recomputed per access.
-    /// Vector steps run the register-file helpers of
-    /// [`Machine::run_decoded`]. For every non-trapping execution the
-    /// observable results — memory, scalar and vector registers, spill
-    /// slots, `cycles` and `insts` — are bit-identical to
-    /// [`Machine::run_decoded`] on the source decoded program.
-    ///
-    /// Two documented boundary differences, both confined to *trapping*
-    /// executions: fuel traps fire at region granularity (the
-    /// regionized analogue of the fused-step contract — a region whose
-    /// constituents would cross the budget traps at the region boundary
-    /// without executing any of them), and a read of a never-written
-    /// vector register reads zeros instead of trapping (the register
-    /// file is grown at entry to every register the program names;
-    /// compiled programs never read uninitialized registers — the
-    /// decoded oracle would trap and the differential suite would catch
-    /// it). Bounds and alignment checks remain per access and trap with
-    /// the decoded messages.
-    ///
-    /// # Errors
-    /// Returns a [`Trap`] on contract violations, or if the machine is
-    /// not one of the program's [`Width`].
-    pub fn run_threaded(&mut self, prog: &ThreadedProgram) -> Result<ExecStats, Trap> {
-        self.check_width("threaded", prog.width)?;
-        self.vregs.grow_to(prog.n_vregs());
-        let steps = prog.steps();
-        let regions = prog.regions();
-        let mut stats = ExecStats::default();
-        let mut st = TCtx {
-            defs: prog.streams(),
-            cursors: vec![0; prog.streams().len()],
-            valid: vec![false; prog.streams().len()],
-        };
-
-        let mut r = 0usize;
-        while let Some(reg) = regions.get(r) {
-            self.charge_fuel(stats.insts, reg.arity)?;
-            stats.insts += reg.arity;
-            stats.cycles += reg.cost;
-            // Control transfers only from a region's last step, so the
-            // whole charged region executes unless a step traps.
-            let mut next = r + 1;
-            for step in &steps[reg.first as usize..(reg.first + reg.n) as usize] {
-                match step {
-                    TStep::Jump { target } => next = *target as usize,
-                    TStep::Branch { cond, a, b, target } => {
-                        let (x, y) = (self.sint(*a)?, self.sint(*b)?);
-                        if take(*cond, x, y) {
-                            next = *target as usize;
-                        }
-                    }
-                    TStep::BranchImm {
-                        cond,
-                        a,
-                        imm,
-                        target,
-                    } => {
-                        let x = self.sint(*a)?;
-                        if take(*cond, x, *imm) {
-                            next = *target as usize;
-                        }
-                    }
-                    TStep::InitStreams { first, n } => {
-                        for s in *first as usize..(*first + *n) as usize {
-                            st.valid[s] = match self.stream_base(&st.defs[s]) {
-                                Some(c) => {
-                                    st.cursors[s] = c;
-                                    true
-                                }
-                                // Base registers not readable as ints:
-                                // the use sites fall back to the
-                                // per-access computation, which traps
-                                // exactly like the decoded tier.
-                                None => false,
-                            };
-                        }
-                    }
-                    TStep::VBin {
-                        dst, a, b, f, ty, ..
-                    } => self.vbin(*dst, *a, *b, *f, *ty)?,
-                    TStep::VUn { dst, a, f, ty, .. } => self.vun(*dst, *a, *f, *ty)?,
-                    TStep::MovV { dst, src } => self.vregs.mov(*dst, *src)?,
-                    TStep::VBinVl {
-                        dst, a, b, f, ty, ..
-                    } => self.vbin_vl(*dst, *a, *b, *f, *ty)?,
-                    TStep::VUnVl { dst, a, f, ty, .. } => self.vun_vl(*dst, *a, *f, *ty)?,
-                    TStep::LoadV { dst, aligned, addr } => {
-                        self.load_v_at(*dst, self.t_addr(addr, &st)?, *aligned)?
-                    }
-                    TStep::StoreV { src, aligned, addr } => {
-                        self.store_v_at(*src, self.t_addr(addr, &st)?, *aligned)?
-                    }
-                    TStep::LoadS { ty, dst, addr } => {
-                        let a = self.t_addr(addr, &st)?;
-                        self.mem.check(a, ty.size())?;
-                        let v = self.mem.read(*ty, a);
-                        self.set_sreg(*dst, v);
-                    }
-                    TStep::StoreS { ty, src, addr } => {
-                        let a = self.t_addr(addr, &st)?;
-                        self.mem.check(a, ty.size())?;
-                        let v = self.sval(*src)?.coerce(*ty);
-                        self.mem.write(*ty, a, v);
-                    }
-                    TStep::LoadVl { ty, dst, addr } => {
-                        self.load_vl_at(*ty, *dst, self.t_addr(addr, &st)?)?
-                    }
-                    TStep::StoreVl { ty, src, addr } => {
-                        self.store_vl_at(*ty, *src, self.t_addr(addr, &st)?)?
-                    }
-                    TStep::SBin {
-                        dst,
-                        a,
-                        b,
-                        f,
-                        ty,
-                        rty,
-                    } => {
-                        let x = self.sval(*a)?.coerce(*ty);
-                        let y = self.sval(*b)?.coerce(*ty);
-                        self.set_sreg_checked(*dst, *rty, f(x, y));
-                    }
-                    TStep::SBinImm {
-                        dst,
-                        a,
-                        imm,
-                        f,
-                        ty,
-                        rty,
-                    } => self.exec_sbin_imm(*dst, *a, *imm, *f, *ty, *rty)?,
-                    TStep::SBin2(p) => {
-                        let x = self.sval(p.a1)?.coerce(p.ty1);
-                        let y = self.sval(p.b1)?.coerce(p.ty1);
-                        self.set_sreg_checked(p.dst1, p.rty1, (p.f1)(x, y));
-                        let x = self.sval(p.a2)?.coerce(p.ty2);
-                        let y = self.sval(p.b2)?.coerce(p.ty2);
-                        self.set_sreg_checked(p.dst2, p.rty2, (p.f2)(x, y));
-                    }
-                    TStep::MovS { dst, src } => {
-                        let v = self.sval(*src)?;
-                        self.set_sreg(*dst, v);
-                    }
-                    TStep::MovImm { dst, v } => self.set_sreg(*dst, *v),
-                    TStep::Splat { dst, src, f, ty } => self.splat(*dst, *src, *f, *ty)?,
-                    TStep::VShiftImm {
-                        dst, a, f, imm, ty, ..
-                    } => self.vshift(*dst, *a, *f, i64::from(*imm), *ty)?,
-                    TStep::VShiftReg {
-                        dst, a, f, amt, ty, ..
-                    } => {
-                        let amt = self.sint(*amt)?;
-                        self.vshift(*dst, *a, *f, amt, *ty)?;
-                    }
-                    TStep::SpillLd { dst, slot } => {
-                        let v = self
-                            .slots
-                            .get(*slot as usize)
-                            .copied()
-                            .ok_or_else(|| Trap(format!("reload of unwritten slot {slot}")))?;
-                        self.set_sreg(*dst, v);
-                    }
-                    TStep::SpillSt { src, slot } => {
-                        let v = self.sval(*src)?;
-                        if self.slots.len() <= *slot as usize {
-                            self.slots.resize(*slot as usize + 1, Value::Int(0));
-                        }
-                        self.slots[*slot as usize] = v;
-                    }
-                    TStep::VReduce {
-                        dst, src, f, ty, ..
-                    } => {
-                        let n = self.lanes(*ty);
-                        let v = f(self.vbytes(*src)?, n);
-                        self.set_sreg_checked(*dst, *ty, v);
-                        stats.cycles += self.target.cost.reduce_vl_cost(n);
-                    }
-                    // Superinstructions: constituents in order, every
-                    // register write included — same contract as the
-                    // decoded fused steps.
-                    TStep::LoadBinStore(p) => {
-                        self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
-                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
-                        self.store_v_at(p.dst, self.t_addr(&p.store, &st)?, p.store_aligned)?;
-                    }
-                    TStep::LoadBinBin(p) => {
-                        self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
-                        self.vbin(p.dst1, p.a1, p.b1, p.f1, p.ty1)?;
-                        self.vbin(p.dst2, p.a2, p.b2, p.f2, p.ty2)?;
-                    }
-                    TStep::LoadBin(p) => {
-                        self.load_v_at(p.load_dst, self.t_addr(&p.load, &st)?, p.load_aligned)?;
-                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
-                    }
-                    TStep::BinStore(p) => {
-                        self.vbin(p.dst, p.a, p.b, p.f, p.ty)?;
-                        self.store_v_at(p.dst, self.t_addr(&p.store, &st)?, p.store_aligned)?;
-                    }
-                    TStep::LoadBinStoreVl(p) => {
-                        self.load_vl_at(p.load_ty, p.load_dst, self.t_addr(&p.load, &st)?)?;
-                        self.vbin_vl(p.dst, p.a, p.b, p.f, p.ty)?;
-                        self.store_vl_at(p.store_ty, p.dst, self.t_addr(&p.store, &st)?)?;
-                    }
-                    TStep::Latch(p) => {
-                        self.exec_sbin_imm(p.dst, p.a, p.imm, p.f, p.ty, p.rty)?;
-                        let x = self.sint(p.br_a)?;
-                        let y = if p.br_reg == crate::decode::NO_INDEX {
-                            p.br_imm
-                        } else {
-                            self.sint(SReg(p.br_reg))?
-                        };
-                        if take(p.cond, x, y) {
-                            next = p.target as usize;
-                            // Backedge taken: stride every live cursor of
-                            // this loop by its precomputed delta. Exact
-                            // by wrapping i64 arithmetic (see module
-                            // docs of `thread`).
-                            for s in
-                                p.first_stream as usize..(p.first_stream + p.n_streams) as usize
-                            {
-                                if st.valid[s] {
-                                    st.cursors[s] = st.cursors[s].wrapping_add(st.defs[s].delta);
-                                }
-                            }
-                        }
-                    }
-                    TStep::ScalarOp(inst) | TStep::VectorOp(inst) => {
-                        self.exec_op(inst)?;
-                        stats.cycles += self.op_vl_cost(inst);
-                    }
-                }
-            }
-            r = next;
-        }
-        Ok(stats)
-    }
-
-    /// Affine base of a stream at loop entry, or `None` when a base
-    /// register is not readable as an int (undefined or float) — the
-    /// non-trapping probe; use sites then fall back to the per-access
-    /// address computation and its exact decoded trap.
-    fn stream_base(&self, d: &StreamDef) -> Option<i64> {
-        let Some(Value::Int(mut a)) = self.sregs.get(d.base.0 as usize).copied() else {
-            return None;
-        };
-        if d.idx != crate::decode::NO_INDEX {
-            let Some(Value::Int(i)) = self.sregs.get(d.idx as usize).copied() else {
-                return None;
-            };
-            a = a.wrapping_add(i.wrapping_mul(d.scale as i64));
-        }
-        Some(a.wrapping_add(d.disp as i64))
-    }
-
-    /// Resolve a threaded memory operand: stream cursor when live,
-    /// otherwise the flattened per-access computation.
-    #[inline]
-    fn t_addr(&self, addr: &TAddr, st: &TCtx) -> Result<u64, Trap> {
-        match *addr {
-            TAddr::Direct {
-                base,
-                idx,
-                scale,
-                disp,
-            } => self.fast_addr(base, idx, scale, disp),
-            TAddr::Stream(s) => {
-                let s = s as usize;
-                if !st.valid[s] {
-                    let d = &st.defs[s];
-                    return self.fast_addr(d.base, d.idx, d.scale, d.disp);
-                }
-                let a = st.cursors[s];
-                if a < 0 {
-                    return Err(Trap(format!("negative address {a}")));
-                }
-                Ok(a as u64)
-            }
-        }
     }
 
     /// Resolve a fused step's flattened memory operand.
@@ -1786,14 +1502,6 @@ fn take(cond: Cond, a: i64, b: i64) -> bool {
         Cond::Eq => a == b,
         Cond::Ne => a != b,
     }
-}
-
-/// Runtime stream state of one threaded execution: per-stream cursors
-/// plus the liveness bit set at loop entry ([`TStep::InitStreams`]).
-struct TCtx<'a> {
-    defs: &'a [StreamDef],
-    cursors: Vec<i64>,
-    valid: Vec<bool>,
 }
 
 #[cfg(test)]
@@ -2652,10 +2360,10 @@ mod more_tests {
     #[test]
     fn one_decode_charges_every_vl_like_the_seed_loop() {
         // Every reduction (each op at i32, f32 and f64) and a helper
-        // call, decoded and threaded once per VLA family at its minimum,
-        // then run at 128, 512 and 2048 bits: the width-dependent part of
-        // their cost is charged at the machine's lane counts, so both
-        // loops match the seed loop's statistics at every VL.
+        // call, decoded once per VLA family at its minimum, then run at
+        // 128, 512 and 2048 bits: the width-dependent part of their cost
+        // is charged at the machine's lane counts, so the decoded loop
+        // matches the seed loop's statistics at every VL.
         let mut insts = vec![
             MInst::Splat {
                 ty: ScalarTy::I32,
@@ -2702,7 +2410,6 @@ mod more_tests {
         };
         for fam in [crate::target::sve(), crate::target::rvv()] {
             let d = crate::decode::DecodedProgram::decode(&c, &fam).unwrap();
-            let th = crate::thread::ThreadedProgram::thread(&d, &c);
             let mut cycles = Vec::new();
             for vl in [128, 512, 2048] {
                 let t = fam.at_vl(vl);
@@ -2712,19 +2419,12 @@ mod more_tests {
                     m.set_sreg(SReg(1), Value::Float(1.5));
                     m
                 };
-                let (mut seed, mut dec, mut thr) = (build(), build(), build());
+                let (mut seed, mut dec) = (build(), build());
                 let want = seed.run(&c).unwrap();
                 assert_eq!(dec.run_decoded(&d).unwrap(), want, "{} @{vl}", t.name);
-                assert_eq!(thr.run_threaded(&th).unwrap(), want, "{} @{vl}", t.name);
                 for r in 2..11 {
                     assert_eq!(
                         dec.sreg(SReg(r)),
-                        seed.sreg(SReg(r)),
-                        "{} @{vl} r{r}",
-                        t.name
-                    );
-                    assert_eq!(
-                        thr.sreg(SReg(r)),
                         seed.sreg(SReg(r)),
                         "{} @{vl} r{r}",
                         t.name
@@ -3292,7 +2992,7 @@ mod register_file_tests {
         // A 64-byte machine in 256-byte slots. A full-width splat of -1,
         // then a predicated load of 3 lanes over it: the inactive lanes
         // and the slot tail read zero. A merging add over 3 lanes keeps
-        // the destination's other lanes. All three loops leave the same
+        // the destination's other lanes. Both loops leave the same
         // registers.
         let t = crate::target::sve().at_vl(512);
         let c = prog(vec![
@@ -3344,13 +3044,8 @@ mod register_file_tests {
         let d = crate::decode::DecodedProgram::decode(&c, &t).unwrap();
         let mut dec = build();
         dec.run_decoded(&d).unwrap();
-        let th = crate::thread::ThreadedProgram::thread(&d, &c);
-        let mut thr = build();
-        thr.run_threaded(&th).unwrap();
         for r in [VReg(0), VReg(1)] {
-            let want = seed.vbytes(r).unwrap();
-            assert_eq!(want, dec.vbytes(r).unwrap(), "decoded {r}");
-            assert_eq!(want, thr.vbytes(r).unwrap(), "threaded {r}");
+            assert_eq!(seed.vbytes(r).unwrap(), dec.vbytes(r).unwrap(), "{r}");
         }
     }
 

@@ -15,7 +15,7 @@
 //! * every in-place vector step and fused arm with its destination
 //!   aliasing an operand (`dst == a`, `dst == b`, `a == b`,
 //!   `dst == a == b`), at 16-, 32-, 64- and 256-byte registers (both slot
-//!   strides), through all three dispatch loops and an independent lane
+//!   strides), through both dispatch loops and an independent lane
 //!   model.
 //!
 //! Operands are distinct, non-symmetric and never a zero divisor.
@@ -23,7 +23,7 @@
 use vapor_ir::{BinOp, ScalarTy, UnOp, Value};
 use vapor_targets::{
     avx, disasm_decoded, sse, sve, AddrMode, Cond, DStep, DecodedProgram, ExecStats, Label, MCode,
-    MInst, Machine, MemAlign, SReg, ShiftSrc, TargetDesc, ThreadedProgram, Trap, VReg,
+    MInst, Machine, MemAlign, SReg, ShiftSrc, TargetDesc, Trap, VReg,
 };
 
 const OPS: [BinOp; 13] = [
@@ -525,9 +525,9 @@ fn aliasing_machine(t: &TargetDesc) -> (Machine<'_>, u64) {
     (m, out)
 }
 
-/// Run `body` through the seed loop, the decoded executor and the
-/// threaded executor: the output region must equal the lane model's in
-/// all three, and the decoded and threaded `ExecStats` the seed loop's.
+/// Run `body` through the seed loop and the decoded executor: the
+/// output region must equal the lane model's in both, and the decoded
+/// `ExecStats` the seed loop's.
 fn same_aliased(case: &str, t: &TargetDesc, body: &[V], formed: impl Fn(&DecodedProgram) -> bool) {
     let case = format!("{case} @ VS={}", t.vs);
     let prog = aliasing_program(body);
@@ -544,7 +544,6 @@ fn same_aliased(case: &str, t: &TargetDesc, body: &[V], formed: impl Fn(&Decoded
         "{case}: step not formed\n{}",
         disasm_decoded(&decoded, t)
     );
-    let threaded = ThreadedProgram::thread(&decoded, &c);
     let want = model(&prog, t.vs / 4);
     let len = want.len();
     let outcome = |run: &dyn Fn(&mut Machine<'_>) -> Result<ExecStats, Trap>| {
@@ -557,9 +556,6 @@ fn same_aliased(case: &str, t: &TargetDesc, body: &[V], formed: impl Fn(&Decoded
     let dec = outcome(&|m| m.run_decoded(&decoded));
     assert_eq!(dec.0, seed.0, "{case}: decoded stats");
     assert!(dec.1 == want, "{case}: decoded against the lane model");
-    let thr = outcome(&|m| m.run_threaded(&threaded));
-    assert_eq!(thr.0, seed.0, "{case}: threaded stats");
-    assert!(thr.1 == want, "{case}: threaded against the lane model");
 }
 
 /// Register triples `(dst, a, b)` over distinct `p`, `q`, `r`, with `p`

@@ -5,17 +5,16 @@
 //! [`check`] runs a cell through `Engine::execute` and compares the
 //! arrays with the IR interpreter. It can also run the same compilation
 //! through the VM's reference [`Form`]s, each over
-//! `Engine::run_compiled`: the unfused decode and the closure-threaded
-//! lowering must match the engine bit for bit, arrays and `ExecStats`;
-//! the baseline interpreter must match arrays and cycles (it counts
-//! label markers as instructions, so its instruction count differs).
+//! `Engine::run_compiled`: the unfused decode must match the engine bit
+//! for bit, arrays and `ExecStats`; the baseline interpreter must match
+//! arrays and cycles (it counts label markers as instructions, so its
+//! instruction count differs).
 //!
 //! [`check_suite`] applies it to every suite kernel over a slice of the
 //! table. The cycle ledger (`tests/matrix.rs`) walks the whole table
 //! through [`check`] on one engine; the reference forms of the vector
 //! flows and the misaligned placements are `check_suite` slices of
-//! their own (`fusion_differential`, `threaded_differential`,
-//! `correctness_matrix`).
+//! their own (`fusion_differential`, `correctness_matrix`).
 
 #![allow(dead_code)] // each test binary uses its own part of the harness
 
@@ -27,9 +26,7 @@ use vapor_core::{
 };
 use vapor_ir::{Bindings, Kernel};
 use vapor_kernels::{KernelSpec, Scale};
-use vapor_targets::{
-    DecodedProgram, ExecStats, Machine, TargetDesc, TargetKind, ThreadedProgram, Trap,
-};
+use vapor_targets::{DecodedProgram, ExecStats, Machine, TargetDesc, TargetKind, Trap};
 
 /// Relative tolerance of float arrays against the oracle: vector
 /// reductions reassociate float sums. Integer arrays compare exactly.
@@ -133,14 +130,12 @@ impl fmt::Display for Cell<'_> {
 pub enum Form {
     /// `DecodedProgram::decode_unfused`: one step per instruction.
     Unfused,
-    /// `ThreadedProgram::thread` of the engine's decode.
-    Threaded,
     /// `Machine::run`: the baseline interpreter over the machine code.
     Baseline,
 }
 
 impl Form {
-    pub const ALL: [Form; 3] = [Form::Unfused, Form::Threaded, Form::Baseline];
+    pub const ALL: [Form; 2] = [Form::Unfused, Form::Baseline];
 }
 
 /// Check one cell: the engine's arrays against `oracle`, and the
@@ -175,13 +170,6 @@ pub fn check(
                     return Err(fail(&"the unfused reference fused"));
                 }
                 run(&|m| m.run_decoded(&unfused))?
-            }
-            Form::Threaded => {
-                let (_, decoded) = engine
-                    .specialize(cell.kernel, cell.flow, cell.target, &cell.cfg, cell.vl)
-                    .map_err(|e| fail(&e))?;
-                let threaded = ThreadedProgram::thread(&decoded, code);
-                run(&|m| m.run_threaded(&threaded))?
             }
             Form::Baseline => run(&|m| m.run(code))?,
         };

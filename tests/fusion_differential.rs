@@ -14,8 +14,6 @@ use vapor_core::{AllocPolicy, Engine, Flow};
 use vapor_kernels::suite;
 use vapor_targets::{avx, neon64, rvv, sse, sve};
 
-const FORMS: [Form; 2] = [Form::Unfused, Form::Baseline];
-
 /// Fused vs unfused on the fixed-width targets, both vector flows.
 #[test]
 fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
@@ -29,7 +27,7 @@ fn fused_and_unfused_dispatch_agree_on_every_suite_kernel() {
         &fixed,
         &flows,
         &aligned,
-        &FORMS,
+        &Form::ALL,
         |_, _| {},
     );
 }
@@ -50,7 +48,26 @@ fn fused_and_unfused_dispatch_agree_at_every_runtime_vl() {
         &families,
         &flow,
         &aligned,
-        &FORMS,
+        &Form::ALL,
+        |_, _| {},
+    );
+}
+
+/// Misaligned bases steer the code down its unaligned and guard paths:
+/// every fused memory step must compute the addresses, and trip the
+/// fallbacks, that the reference forms do.
+#[test]
+fn fused_dispatch_agrees_under_misaligned_bases() {
+    let engine = Engine::new();
+    let misaligned = [AllocPolicy::Misaligned(4), AllocPolicy::Misaligned(8)];
+    let flow = [Flow::SplitVectorOpt];
+    check_suite(
+        &engine,
+        &suite(),
+        &[sse()],
+        &flow,
+        &misaligned,
+        &Form::ALL,
         |_, _| {},
     );
 }

@@ -26,8 +26,7 @@
 //!
 //! The VM's reference forms and the misaligned `Scale::Test` placements
 //! are checked on their own slices of the table by
-//! `fusion_differential`, `threaded_differential` and
-//! `correctness_matrix`.
+//! `fusion_differential` and `correctness_matrix`.
 
 mod common;
 
