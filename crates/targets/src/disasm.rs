@@ -206,16 +206,23 @@ pub fn disasm_step(step: &crate::decode::DStep, vs: usize) -> String {
             target,
         } => format!("  b.{cond:?} {a}, #{imm} -> @{target}"),
         DStep::SBinFast {
-            dst, a, b, ty, rty, ..
-        } => format!("  {dst} = sbin.fast.{ty} {a}, {b} -> {rty}"),
+            dst,
+            a,
+            b,
+            op,
+            ty,
+            rty,
+            ..
+        } => format!("  {dst} = sbin.fast.{op:?}.{ty} {a}, {b} -> {rty}"),
         DStep::SBinImmFast {
             dst,
             a,
             imm,
+            op,
             ty,
             rty,
             ..
-        } => format!("  {dst} = sbin.fast.{ty} {a}, #{imm} -> {rty}"),
+        } => format!("  {dst} = sbin.fast.{op:?}.{ty} {a}, #{imm} -> {rty}"),
         DStep::MovSFast { dst, src } => format!("  {dst} = {src} ; fast"),
         DStep::LoadVFast {
             dst,
@@ -402,8 +409,8 @@ pub fn disasm_step(step: &crate::decode::DStep, vs: usize) -> String {
                 crate::isa::SReg(p.br_reg).to_string()
             };
             format!(
-                "  fuse2 {} = sbin.fast.{} {}, #{} -> {} | b.{:?} {}, {} -> @{}",
-                p.dst, p.ty, p.a, p.imm, p.rty, p.cond, p.br_a, rhs, p.target
+                "  fuse2 {} = sbin.fast.{:?}.{} {}, #{} -> {} | b.{:?} {}, {} -> @{}",
+                p.dst, p.op, p.ty, p.a, p.imm, p.rty, p.cond, p.br_a, rhs, p.target
             )
         }
         DStep::Op(inst) => disasm_inst(inst),
