@@ -3,6 +3,7 @@
 //! read from the Full-scale rows of the cycle ledger, which
 //! `tests/matrix.rs` checks against the IR interpreter cell by cell.
 
+use vapor_bench::fig6;
 use vapor_bench::ledger::{committed, Row, SCALARIZED_KERNELS};
 use vapor_core::{CompileConfig, Engine, Flow};
 use vapor_kernels::{find, suite};
@@ -166,6 +167,27 @@ fn distributed_solvers_beat_their_scalar_code() {
         assert!(
             vector < scalar,
             "{name}: vector {vector} >= scalar {scalar}"
+        );
+    }
+}
+
+/// Figure 6: split-vectorized code runs as fast as native-vectorized
+/// code. The harmonic means of split/native over the 32 kernels stay
+/// within ±0.03 of the values this reproduction reports: 1.00 on SSE,
+/// 1.01 on AltiVec and 1.04 on NEON (the paper's NEON gap is its
+/// immature backend, Figure 6c).
+#[test]
+fn figure6_harmonic_means_hold() {
+    for (target, want) in [
+        (TargetKind::Sse, 1.00),
+        (TargetKind::Altivec, 1.01),
+        (TargetKind::Neon64, 1.04),
+    ] {
+        let rows = fig6(target);
+        let hmean = rows.last().expect("a summary row").ratio;
+        assert!(
+            (hmean - want).abs() <= 0.03,
+            "{target:?}: Figure 6 harmonic mean {hmean:.3}, want {want:.2} ± 0.03"
         );
     }
 }
