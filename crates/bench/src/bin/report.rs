@@ -5,16 +5,22 @@
 //! cargo run --release -p vapor-bench --bin report fig5a       # one experiment
 //! cargo run --release -p vapor-bench --bin report --target=sse        # one target's figures
 //! cargo run --release -p vapor-bench --bin report --flow=native-vector --kernel=saxpy_fp
+//! cargo run --release -p vapor-bench --bin report ledger-diff old.txt tests/golden/ledger.txt
 //! ```
 //!
 //! The cycle figures are selections over the committed cycle ledger
 //! (`vapor_bench::ledger`): they execute nothing. `--flow=` and
 //! `--kernel=` (narrowed by `--target=`) print the matching rows of the
 //! ledger, in its own format, instead of the figures.
+//!
+//! `ledger-diff <old> <new>` reviews a codegen change between two ledger
+//! files: the moved cells grouped by flow × target with old → new cycles,
+//! and per-flow totals. It exits 1 when any cell's cycles rose or any
+//! `naive-jit` cell changed, and 2 on a usage or parse error.
 
 use std::fmt;
 
-use vapor_bench::ledger::{alias, committed, flow_named, target_named, Row};
+use vapor_bench::ledger::{alias, committed, cycle_diff, flow_named, target_named, Ledger, Row};
 use vapor_bench::{
     ablation, fig5, fig6, format_table, geomean, realign_reuse_ablation, size_and_time, table3,
     vla_gains,
@@ -58,8 +64,34 @@ fn exit_with(message: String) -> ! {
     std::process::exit(2);
 }
 
+/// `report ledger-diff <old> <new>`: print [`cycle_diff`] and exit with
+/// its verdict.
+fn ledger_diff(paths: &[String]) -> ! {
+    let [old, new] = paths else {
+        exit_with("usage: report ledger-diff <old ledger> <new ledger>".into())
+    };
+    let read = |path: &String| -> Ledger {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+        text.and_then(|t| t.parse())
+            .unwrap_or_else(|e| exit_with(format!("{path}: {e}")))
+    };
+    let diff = cycle_diff(&read(old), &read(new));
+    print!("{}", diff.text);
+    if diff.ok() {
+        std::process::exit(0);
+    }
+    eprintln!(
+        "ledger-diff: {} cells' cycles rose, {} naive-jit cells changed",
+        diff.rose, diff.naive_changed
+    );
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "ledger-diff") {
+        ledger_diff(&args[1..]);
+    }
     let flow_filter = flag_value(&args, "--flow=").map(|v| {
         flow_named(v).unwrap_or_else(|| {
             let known = Flow::ALL.map(|f| f.to_string()).join(", ");

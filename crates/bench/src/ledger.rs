@@ -4,9 +4,10 @@
 //! writes it. Sections: `[test]` (`Scale::Test`), `[full]` (the repo
 //! benchmark's `hot_loops` cells) and `[paper]` ([`paper_cells`]).
 //! This module owns the format: the typed [`Row`], its printer and
-//! parser, and the keyed [`diff`] of two ledgers.
+//! parser, the keyed [`diff`] of two ledgers, and the cycle review of a
+//! codegen change, [`cycle_diff`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -381,11 +382,14 @@ impl FromStr for Ledger {
     }
 }
 
+/// Every row of `l` by section and key.
+fn index(l: &Ledger) -> HashMap<(&str, String), &Row> {
+    l.rows().map(|(s, r)| ((s, r.key()), r)).collect()
+}
+
 /// The cells `new` moved, added and removed against `old`, matched by
 /// section and key: the three counts, then the first rows of each.
-pub fn diff<'a>(old: &'a Ledger, new: &'a Ledger) -> String {
-    let index =
-        |l: &'a Ledger| -> HashMap<_, _> { l.rows().map(|(s, r)| ((s, r.key()), r)).collect() };
+pub fn diff(old: &Ledger, new: &Ledger) -> String {
     let (was, now) = (index(old), index(new));
     let (mut moved, mut added) = (Vec::new(), Vec::new());
     for (s, r) in new.rows() {
@@ -410,6 +414,108 @@ pub fn diff<'a>(old: &'a Ledger, new: &'a Ledger) -> String {
         out += line;
     }
     out
+}
+
+/// Whether a flow runs the naive JIT, whose cells a codegen change of
+/// the optimizing pipelines must leave byte-identical.
+fn naive(flow: Flow) -> bool {
+    matches!(flow, Flow::SplitVectorNaive | Flow::SplitScalarNaive)
+}
+
+/// `old → new (±x.x %)`.
+fn change(old: u64, new: u64) -> String {
+    let pct = 100.0 * (new as f64 - old as f64) / old.max(1) as f64;
+    format!("{old} → {new} ({pct:+.1} %)")
+}
+
+/// The cycle review of a ledger change, as `report ledger-diff` prints
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CycleDiff {
+    /// The report: counts, the moved cells grouped by flow × target with
+    /// old → new cycles, the added and removed cells, and per-flow
+    /// cycle totals.
+    pub text: String,
+    /// Cells, matched by section and key, whose cycles rose.
+    pub rose: usize,
+    /// `naive-jit` cells that moved, were added or were removed.
+    pub naive_changed: usize,
+}
+
+impl CycleDiff {
+    /// Whether the change passes: no cell's cycles rose and no
+    /// `naive-jit` cell changed.
+    pub fn ok(&self) -> bool {
+        self.rose == 0 && self.naive_changed == 0
+    }
+}
+
+/// Review `new` against `old` cell by cell (matched by section and
+/// key). A cell moved when any of its columns differ.
+pub fn cycle_diff(old: &Ledger, new: &Ledger) -> CycleDiff {
+    let (was, now) = (index(old), index(new));
+    let group = |r: &Row| {
+        let f = Flow::ALL.iter().position(|&f| f == r.flow);
+        let t = TargetKind::ALL.iter().position(|&t| t == r.target);
+        (f, t)
+    };
+    let mut moved: BTreeMap<_, Vec<(&str, &Row, &Row)>> = BTreeMap::new();
+    let (mut added, mut rose, mut naive_changed) = (Vec::new(), 0, 0);
+    for (s, r) in new.rows() {
+        match was.get(&(s, r.key())) {
+            None => added.push(format!("[{s}] + {r}")),
+            Some(&w) if w != r => {
+                rose += usize::from(r.cycles > w.cycles);
+                moved.entry(group(r)).or_default().push((s, w, r));
+            }
+            Some(_) => continue,
+        }
+        naive_changed += usize::from(naive(r.flow));
+    }
+    let removed: Vec<String> = old
+        .rows()
+        .filter(|&(s, r)| !now.contains_key(&(s, r.key())))
+        .inspect(|(_, r)| naive_changed += usize::from(naive(r.flow)))
+        .map(|(s, r)| format!("[{s}] - {r}"))
+        .collect();
+    let n_moved: usize = moved.values().map(Vec::len).sum();
+    let mut text = format!(
+        "{n_moved} moved ({rose} rose), {} added, {} removed; {naive_changed} naive-jit cells changed\n",
+        added.len(),
+        removed.len()
+    );
+    for cells in moved.values() {
+        let (_, _, first) = cells[0];
+        let sum = |pick: fn(&(&str, &Row, &Row)) -> u64| cells.iter().map(pick).sum::<u64>();
+        let (o, n) = (sum(|c| c.1.cycles), sum(|c| c.2.cycles));
+        let (flow, target) = (first.flow, alias(first.target));
+        text += &format!(
+            "{flow} × {target}: {} cells, {}\n",
+            cells.len(),
+            change(o, n)
+        );
+        for (s, w, r) in cells {
+            let (k, vl, p) = (&r.kernel, r.vl, &r.placement);
+            text += &format!("  [{s}] {k} {vl} {p}: {}\n", change(w.cycles, r.cycles));
+        }
+    }
+    for line in added.iter().chain(&removed) {
+        text += line;
+        text += "\n";
+    }
+    text += "per-flow cycle totals, every cell:\n";
+    for flow in Flow::ALL {
+        let total = |l: &Ledger| -> u64 {
+            let rows = l.rows().filter(|(_, r)| r.flow == flow);
+            rows.map(|(_, r)| r.cycles).sum()
+        };
+        text += &format!("  {flow}: {}\n", change(total(old), total(new)));
+    }
+    CycleDiff {
+        text,
+        rose,
+        naive_changed,
+    }
 }
 
 #[cfg(test)]
@@ -454,5 +560,41 @@ mod tests {
             "1 moved, 1 added, 0 removed\n  [full] - {was}\n  [full] + {now}\n  [full] + {inserted}"
         );
         assert_eq!(diff(&old, &new), want);
+    }
+
+    #[test]
+    fn cycle_diff_passes_a_fall_and_fails_a_rise_or_a_naive_change() {
+        let old = sample(4);
+        assert_eq!(
+            cycle_diff(&old, &old).text.lines().next().unwrap(),
+            "0 moved (0 rose), 0 added, 0 removed; 0 naive-jit cells changed"
+        );
+        let mut new = old.clone();
+        let rows = &mut new.sections[0].1;
+        rows[1].cycles -= 10;
+        rows[2].insts += 1;
+        let fell = cycle_diff(&old, &new);
+        assert!(fell.ok(), "{}", fell.text);
+        assert!(fell.text.starts_with("2 moved (0 rose)"), "{}", fell.text);
+        let (w, r) = (&old.sections[0].1[1], &new.sections[0].1[1]);
+        let line = format!(
+            "  [full] {} {} {}: {} → {} (",
+            r.kernel, r.vl, r.placement, w.cycles, r.cycles
+        );
+        assert!(fell.text.contains(&line), "{}", fell.text);
+
+        new.sections[0].1[3].cycles += 1;
+        let rose = cycle_diff(&old, &new);
+        assert_eq!((rose.rose, rose.ok()), (1, false));
+
+        let mut naive = old.clone();
+        naive.sections[0].1[0].flow = Flow::SplitVectorNaive;
+        let mut changed = naive.clone();
+        changed.sections[0].1[0].fnv ^= 1;
+        let d = cycle_diff(&naive, &changed);
+        assert_eq!((d.rose, d.naive_changed, d.ok()), (0, 1, false));
+        // A naive cell that disappears is a change too.
+        changed.sections[0].1.remove(0);
+        assert_eq!(cycle_diff(&naive, &changed).naive_changed, 1);
     }
 }
