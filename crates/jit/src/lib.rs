@@ -14,8 +14,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dce;
 pub mod lower;
+pub mod opt;
 pub mod options;
 pub mod plan;
 pub mod spill;

@@ -1677,7 +1677,7 @@ pub fn compile(
         note: format!("{} [{:?} on {}]", f.name, opts.pipeline, target.name),
     };
     if opts.folds_constants() {
-        crate::dce::run(&mut code);
+        crate::opt::run(&mut code, nparams + 2 * narrays, opts.hoists_guards());
     }
     if opts.spills_everything() {
         code = crate::spill::rewrite(code, nparams + 2 * narrays, opts.use_x87(target));

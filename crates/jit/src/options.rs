@@ -62,7 +62,8 @@ impl JitOptions {
 
     /// Whether runtime guard conditions are precomputed once at function
     /// entry (cheap flag test at the version site) instead of being
-    /// re-evaluated in place.
+    /// re-evaluated in place, and whether the MCode pass also hoists
+    /// loop-invariant scalar ops and numbers values (`crate::opt`).
     pub fn hoists_guards(&self) -> bool {
         self.pipeline != Pipeline::NaiveJit
     }
