@@ -1676,8 +1676,8 @@ pub fn compile(
         n_vregs: lw.next_v,
         note: format!("{} [{:?} on {}]", f.name, opts.pipeline, target.name),
     };
-    if opts.folds_constants() {
-        crate::opt::run(&mut code, nparams + 2 * narrays, opts.hoists_guards());
+    if opts.hoists_guards() {
+        crate::opt::run(&mut code, nparams + 2 * narrays);
     }
     if opts.spills_everything() {
         code = crate::spill::rewrite(code, nparams + 2 * narrays, opts.use_x87(target));

@@ -62,8 +62,9 @@ impl JitOptions {
 
     /// Whether runtime guard conditions are precomputed once at function
     /// entry (cheap flag test at the version site) instead of being
-    /// re-evaluated in place, and whether the MCode pass also hoists
-    /// loop-invariant scalar ops and numbers values (`crate::opt`).
+    /// re-evaluated in place, and whether the MCode pass of
+    /// `crate::opt` runs: dead-code elimination, loop-invariant code
+    /// motion and local value numbering.
     pub fn hoists_guards(&self) -> bool {
         self.pipeline != Pipeline::NaiveJit
     }
