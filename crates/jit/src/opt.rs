@@ -123,19 +123,19 @@ fn pure_op(inst: &MInst) -> Option<(u32, Expr)> {
 }
 
 /// What the walk needs to know of an op's kind, from one match: the
-/// label it defines or branches to, its value when it is a pure op, and
-/// whether DCE may delete it when nothing reads what it writes — the
-/// purity list; the operands come from `visit_regs`.
-fn classify(inst: &MInst) -> (Option<u32>, Option<(u32, Expr)>, bool) {
+/// label it defines or branches to, whether it is a pure op, and whether
+/// DCE may delete it when nothing reads what it writes — the purity
+/// list; the operands come from `visit_regs`.
+fn classify(inst: &MInst) -> (Option<u32>, bool, bool) {
     match *inst {
-        MInst::Label(l) | MInst::Jump(l) => (Some(l.0), None, false),
+        MInst::Label(l) | MInst::Jump(l) => (Some(l.0), false, false),
         MInst::Branch { target, .. } | MInst::BranchImm { target, .. } => {
-            (Some(target.0), None, false)
+            (Some(target.0), false, false)
         }
-        MInst::SBin { .. }
-        | MInst::SBinImm { .. }
-        | MInst::MovImmI { .. }
-        | MInst::MovImmF { .. } => (None, pure_op(inst), true),
+        MInst::SBin { op, ty, .. } | MInst::SBinImm { op, ty, .. } => {
+            (None, pure_bin(op, ty), true)
+        }
+        MInst::MovImmI { .. } | MInst::MovImmF { .. } => (None, true, true),
         MInst::MovS { .. }
         | MInst::SUn { .. }
         | MInst::SCvt { .. }
@@ -146,8 +146,8 @@ fn classify(inst: &MInst) -> (Option<u32>, Option<(u32, Expr)>, bool) {
         | MInst::Splat { .. }
         | MInst::Iota { .. }
         | MInst::VPermCtrl { .. }
-        | MInst::MovV { .. } => (None, None, true),
-        _ => (None, None, false),
+        | MInst::MovV { .. } => (None, false, true),
+        _ => (None, false, false),
     }
 }
 
@@ -178,8 +178,6 @@ struct Walk {
     /// it is ([`LABEL`], [`BRANCH`], [`PURE`]).
     dst: Vec<u32>,
     kind: Vec<u8>,
-    /// The pure ops as (position, operands).
-    pures: Vec<(u32, [u32; 2])>,
     /// The position of each label.
     label_at: Vec<u32>,
     /// Every branch, as (position, target label).
@@ -225,7 +223,6 @@ impl Walk {
         w.defs[..n_inputs].fill(1);
         w.dst.clear();
         w.kind.clear();
-        w.pures.clear();
         w.label_at.clear();
         w.branches.clear();
         w.loops.clear();
@@ -295,17 +292,13 @@ impl Walk {
                 w.undefined.push(p);
             }
             w.dst.push(d);
-            w.kind.push(
-                if label.is_some() { BRANCH } else { 0 } | if pure.is_some() { PURE } else { 0 },
-            );
+            w.kind
+                .push(if label.is_some() { BRANCH } else { 0 } | if pure { PURE } else { 0 });
             if d != NONE {
                 let r = d as usize;
                 w.defs[r] += 1;
                 w.def_at[r] = p;
                 cur[r / 64] |= 1 << (r % 64);
-            }
-            if let Some((_, expr)) = pure {
-                w.pures.push((p, expr.operands()));
             }
             let Some(l) = label else {
                 continue;
@@ -522,7 +515,7 @@ fn optimize_loop(
         if !live[p] || d == NONE {
         } else if walk.defs[d as usize] > 1 {
             block.clobber(d);
-        } else if let Some(op) = pure_op(&insts[p]).filter(|_| kind & PURE != 0) {
+        } else if let Some(op) = (kind & PURE != 0).then(|| pure_op(&insts[p])).flatten() {
             let outside = |o: &u32| *o == NONE || written[*o as usize] != i;
             if reach as usize <= p && op.1.operands().iter().all(outside) {
                 // LICM, then LVN in the preheader.
