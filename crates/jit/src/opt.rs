@@ -556,15 +556,15 @@ fn apply(code: &mut MCode, live: &mut [bool], hoisted: &[(u32, u32)], s: &mut La
     if moved.is_empty() && live.iter().all(|&l| l) {
         return;
     }
-    let (mut p, mut kept, mut next) = (0, 0, hoisted.iter().peekable());
-    code.insts.retain(|_| {
-        while next.next_if(|h| h.0 as usize == p).is_some() {
-            at.push(kept);
-        }
-        let stays = live[p];
-        (p, kept) = (p + 1, kept + usize::from(stays));
-        stays
-    });
+    let (mut from, mut kept) = (0, 0);
+    for &(header, _) in hoisted {
+        let header = header as usize;
+        kept += live[from..header].iter().filter(|&&l| l).count();
+        from = header;
+        at.push(kept);
+    }
+    let mut stays = live.iter();
+    code.insts.retain(|_| stays.next() == Some(&true));
     for group in at.chunk_by(|x, y| x == y).rev() {
         let ops = moved.drain(moved.len() - group.len()..);
         code.insts.splice(group[0]..group[0], ops);
