@@ -449,7 +449,7 @@ impl Values {
 
     /// Number `expr`, written to `d` (one definition) by the op at `q`
     /// of `insts`: whether it repeats a value of the block and is
-    /// dropped. The repeated result must have one definition too, and
+    /// dropped. The table holds only single-definition results, and
     /// every read of `d` must lie before `last`, the latch; those reads
     /// are renamed to the earlier result on the spot, ahead of the walk
     /// that numbers them.
@@ -463,7 +463,7 @@ impl Values {
     ) -> bool {
         if let Some(&(_, first)) = self.0.iter().find(|(e, _)| *e == expr) {
             let reads_end = walk.last_read[d as usize];
-            if walk.defs[first as usize] == 1 && reads_end <= last {
+            if reads_end <= last {
                 for inst in &mut insts[q + 1..=reads_end as usize] {
                     inst.visit_regs_mut(
                         |r, a| {
@@ -576,8 +576,6 @@ fn apply(code: &mut MCode, live: &mut [bool], hoisted: &[(u32, u32)], s: &mut La
 struct Layout {
     moved: Vec<MInst>,
     at: Vec<usize>,
-    /// DCE's worklist.
-    at_work: Vec<u32>,
 }
 
 /// Everything the pass allocates, kept between compilations on a thread:
@@ -587,6 +585,8 @@ struct Layout {
 struct Scratch {
     walk: Walk,
     live: Vec<bool>,
+    /// DCE's worklist.
+    work: Vec<u32>,
     written: Vec<u32>,
     hoisted: Vec<(u32, u32)>,
     values: (Values, Values),
@@ -610,13 +610,14 @@ pub fn run(code: &mut MCode, n_inputs: u32) {
     let Scratch {
         walk,
         live,
+        work,
         written,
         hoisted,
         values,
         layout,
     } = &mut s;
     walk.fill(&code.insts, n_sregs, n_vregs, n_inputs);
-    walk.sweep(&code.insts, live, &mut layout.at_work);
+    walk.sweep(&code.insts, live, work);
     hoisted.clear();
     if walk.ok && walk.undefined.iter().all(|&p| !live[p as usize]) {
         written.clear();
@@ -628,7 +629,6 @@ pub fn run(code: &mut MCode, n_inputs: u32) {
         hoisted.sort_by_key(|h| h.0);
     }
     apply(code, live, hoisted, layout);
-    layout.moved.clear();
     SCRATCH.set(s);
 }
 
