@@ -13,6 +13,7 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use vapor_core::{AllocPolicy, CompileConfig, Flow};
+use vapor_jit::Pipeline;
 use vapor_kernels::suite;
 use vapor_targets::{TargetDesc, TargetKind, VLA_TEST_BITS};
 
@@ -416,12 +417,6 @@ pub fn diff(old: &Ledger, new: &Ledger) -> String {
     out
 }
 
-/// Whether a flow runs the naive JIT, whose cells a codegen change of
-/// the optimizing pipelines must leave byte-identical.
-fn naive(flow: Flow) -> bool {
-    matches!(flow, Flow::SplitVectorNaive | Flow::SplitScalarNaive)
-}
-
 /// `old → new (±x.x %)`.
 fn change(old: u64, new: u64) -> String {
     let pct = 100.0 * (new as f64 - old as f64) / old.max(1) as f64;
@@ -454,6 +449,7 @@ impl CycleDiff {
 /// key). A cell moved when any of its columns differ.
 pub fn cycle_diff(old: &Ledger, new: &Ledger) -> CycleDiff {
     let (was, now) = (index(old), index(new));
+    let naive = |r: &Row| r.flow.pipeline() == Pipeline::NaiveJit;
     let group = |r: &Row| {
         let f = Flow::ALL.iter().position(|&f| f == r.flow);
         let t = TargetKind::ALL.iter().position(|&t| t == r.target);
@@ -470,12 +466,12 @@ pub fn cycle_diff(old: &Ledger, new: &Ledger) -> CycleDiff {
             }
             Some(_) => continue,
         }
-        naive_changed += usize::from(naive(r.flow));
+        naive_changed += usize::from(naive(r));
     }
     let removed: Vec<String> = old
         .rows()
         .filter(|&(s, r)| !now.contains_key(&(s, r.key())))
-        .inspect(|(_, r)| naive_changed += usize::from(naive(r.flow)))
+        .inspect(|(_, r)| naive_changed += usize::from(naive(r)))
         .map(|(s, r)| format!("[{s}] - {r}"))
         .collect();
     let n_moved: usize = moved.values().map(Vec::len).sum();
