@@ -39,6 +39,13 @@
 //! 0.3 more points of `hot_loops` cycles and cost online-compile time on
 //! every request.
 //!
+//! A VLA strip loop (one with a `SetVl`) that carries a vector
+//! accumulator is left alone. A reduction after it pays `log2(lanes)`
+//! steps, so at the widest VL such a loop is often one strip long, and
+//! hoisting out of it would speed up only the narrow VLs: on SVE,
+//! `ludcmp_fp` at `Scale::Test` would run slower at VL 2048 than at
+//! VL 128. A run-time break-even guard is the real fix for short strips.
+//!
 //! The pure ops LICM and LVN handle are [`MInst::SBin`] /
 //! [`MInst::SBinImm`] add, sub and mul (logic and shifts on integers)
 //! and the immediate moves. Division, loads, splats and vector ops stay
@@ -59,10 +66,10 @@
 //! Operands come from [`MInst::visit_regs`], the ISA's one operand
 //! enumeration.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 
 use vapor_ir::{BinOp, ScalarTy};
-use vapor_targets::{Label, MCode, MInst, SReg};
+use vapor_targets::{Access, MCode, MInst, SReg};
 
 /// Absent register, label or position.
 const NONE: u32 = u32::MAX;
@@ -122,66 +129,83 @@ fn pure_op(inst: &MInst) -> Option<(u32, Expr)> {
     }
 }
 
-/// What the walk needs to know of an op's kind, from one match: the
-/// label it defines or branches to, whether it is a pure op, and whether
-/// DCE may delete it when nothing reads what it writes — the purity
-/// list; the operands come from `visit_regs`.
-fn classify(inst: &MInst) -> (Option<u32>, bool, bool) {
+/// Kinds of op in [`Walk::kind`], as flags.
+const LABEL: u8 = 1;
+/// A jump or a conditional branch.
+const BRANCH: u8 = 2;
+/// An unconditional jump (also a [`BRANCH`]).
+const JUMP: u8 = 4;
+
+/// An op's kind and the label it defines or branches to; `(0, NONE)` for
+/// every op that does not transfer control. Labels and branches lead the
+/// ISA's list, so this costs one range test per op.
+fn control(inst: &MInst) -> (u8, u32) {
     match *inst {
-        MInst::Label(l) | MInst::Jump(l) => (Some(l.0), false, false),
-        MInst::Branch { target, .. } | MInst::BranchImm { target, .. } => {
-            (Some(target.0), false, false)
-        }
-        MInst::SBin { op, ty, .. } | MInst::SBinImm { op, ty, .. } => {
-            (None, pure_bin(op, ty), true)
-        }
-        MInst::MovImmI { .. } | MInst::MovImmF { .. } => (None, true, true),
-        MInst::MovS { .. }
-        | MInst::SUn { .. }
-        | MInst::SCvt { .. }
-        | MInst::LoadS { .. }
-        | MInst::LoadV { .. }
-        | MInst::LoadVl { .. }
-        | MInst::LoadVFloor { .. }
-        | MInst::Splat { .. }
-        | MInst::Iota { .. }
-        | MInst::VPermCtrl { .. }
-        | MInst::MovV { .. } => (None, false, true),
-        _ => (None, false, false),
+        MInst::Label(l) => (LABEL, l.0),
+        MInst::Jump(l) => (BRANCH | JUMP, l.0),
+        MInst::Branch { target, .. } | MInst::BranchImm { target, .. } => (BRANCH, target.0),
+        _ => (0, NONE),
     }
 }
 
-/// Kinds of op in [`Walk::kind`].
-const LABEL: u8 = 1;
-const BRANCH: u8 = 2;
-const PURE: u8 = 4;
+/// Whether DCE may delete `inst` when nothing reads what it writes: the
+/// purity list; the operands come from `visit_regs`.
+fn deletable(inst: &MInst) -> bool {
+    matches!(
+        inst,
+        MInst::MovImmI { .. }
+            | MInst::MovImmF { .. }
+            | MInst::MovS { .. }
+            | MInst::SBin { .. }
+            | MInst::SBinImm { .. }
+            | MInst::SUn { .. }
+            | MInst::SCvt { .. }
+            | MInst::LoadS { .. }
+            | MInst::LoadV { .. }
+            | MInst::LoadVl { .. }
+            | MInst::LoadVFloor { .. }
+            | MInst::Splat { .. }
+            | MInst::Iota { .. }
+            | MInst::VPermCtrl { .. }
+            | MInst::MovV { .. }
+    )
+}
+
+/// What the walk records of one op.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    /// [`LABEL`], [`BRANCH`] and [`JUMP`] flags.
+    kind: u8,
+    /// The label a label or branch names; for any other op, the scalar
+    /// register it writes, or `NONE`.
+    arg: u32,
+    /// The vector register the op writes, or `NONE`.
+    vdst: u32,
+}
+
+/// What the walk counts of one scalar register.
+#[derive(Debug, Clone, Copy, Default)]
+struct Reg {
+    /// Reads: DCE's liveness.
+    reads: u32,
+    /// Definitions; an input counts one.
+    defs: u32,
+    /// The positions of the last read and of the last definition.
+    last_read: u32,
+    last_def: u32,
+}
 
 /// What one walk over the program counts and finds.
 #[derive(Default)]
 struct Walk {
-    /// Reads of each scalar and vector register (DCE's liveness), and
-    /// the definitions of each vector register with the position of its
-    /// last one.
-    sreads: Vec<u32>,
+    /// Every op, in layout order.
+    ops: Vec<Op>,
+    /// Every scalar register, and the reads of each vector register.
+    sregs: Vec<Reg>,
     vreads: Vec<u32>,
-    vdefs: Vec<u32>,
-    vdef_at: Vec<u32>,
-    /// The ops DCE may delete, as (position, vector register written or
-    /// `NONE`), and each scalar register's last definition.
-    removable: Vec<(u32, u32)>,
-    def_at: Vec<u32>,
-    /// Per scalar register: its definitions (an input counts one), and
-    /// the position of its last read.
-    defs: Vec<u32>,
-    last_read: Vec<u32>,
-    /// The scalar register each op writes, or `NONE`, and what kind of op
-    /// it is ([`LABEL`], [`BRANCH`], [`PURE`]).
-    dst: Vec<u32>,
-    kind: Vec<u8>,
-    /// The position of each label.
+    /// Per label: its position, and the branches to it.
     label_at: Vec<u32>,
-    /// Every branch, as (position, target label).
-    branches: Vec<(u32, u32)>,
+    refs: Vec<u32>,
     /// The loops as (header, latch) positions, in the order their latches
     /// close them.
     loops: Vec<(u32, u32)>,
@@ -212,19 +236,13 @@ impl Walk {
             v.clear();
             v.resize(n, x);
         };
-        reset(&mut w.sreads, n_sregs, 0);
+        w.ops.clear();
+        w.sregs.clear();
+        w.sregs.resize(n_sregs, Reg::default());
+        w.sregs[..n_inputs].iter_mut().for_each(|r| r.defs = 1);
         reset(&mut w.vreads, n_vregs, 0);
-        reset(&mut w.vdefs, n_vregs, 0);
-        reset(&mut w.vdef_at, n_vregs, NONE);
-        reset(&mut w.def_at, n_sregs, NONE);
-        w.removable.clear();
-        reset(&mut w.defs, n_sregs, 0);
-        reset(&mut w.last_read, n_sregs, 0);
-        w.defs[..n_inputs].fill(1);
-        w.dst.clear();
-        w.kind.clear();
         w.label_at.clear();
-        w.branches.clear();
+        w.refs.clear();
         w.loops.clear();
         w.undefined.clear();
         w.ok = true;
@@ -240,15 +258,16 @@ impl Walk {
         let mut live = true;
         for (p, inst) in insts.iter().enumerate() {
             let p = p as u32;
-            let (label, pure, deletable) = classify(inst);
-            if let Some(l) = label.map(|l| l as usize).filter(|&l| l >= w.label_at.len()) {
-                w.label_at.resize(l + 1, NONE);
-                at_label.resize((l + 1) * words, u64::MAX);
+            let (kind, l) = control(inst);
+            if l as usize >= w.label_at.len() && l != NONE {
+                w.label_at.resize(l as usize + 1, NONE);
+                w.refs.resize(l as usize + 1, 0);
+                at_label.resize((l as usize + 1) * words, u64::MAX);
             }
-            if let MInst::Label(l) = *inst {
-                w.dst.push(NONE);
-                w.kind.push(LABEL);
-                let l = l.0 as usize;
+            if kind & LABEL != 0 {
+                let vdst = NONE;
+                w.ops.push(Op { kind, arg: l, vdst });
+                let l = l as usize;
                 w.ok &= w.label_at[l] == NONE;
                 w.label_at[l] = p;
                 let entry = &mut at_label[l * words..][..words];
@@ -260,7 +279,7 @@ impl Walk {
                 continue;
             }
             let (mut defined, mut d, mut vd) = (true, NONE, NONE);
-            let (sreads, vreads, last_read) = (&mut w.sreads, &mut w.vreads, &mut w.last_read);
+            let (sregs, vreads) = (&mut w.sregs, &mut w.vreads);
             inst.visit_regs(
                 |r, a| {
                     let r = r.0;
@@ -268,8 +287,9 @@ impl Walk {
                         d = r;
                     } else {
                         defined &= (cur[r as usize / 64] >> (r % 64)) & 1 == 1;
-                        sreads[r as usize] += 1;
-                        last_read[r as usize] = p;
+                        let reg = &mut sregs[r as usize];
+                        reg.reads += 1;
+                        reg.last_read = p;
                     }
                 },
                 |r, a| {
@@ -281,29 +301,25 @@ impl Walk {
                     }
                 },
             );
-            if vd != NONE {
-                w.vdefs[vd as usize] += 1;
-                w.vdef_at[vd as usize] = p;
-            }
-            if deletable {
-                w.removable.push((p, vd));
-            }
             if live && !defined {
                 w.undefined.push(p);
             }
-            w.dst.push(d);
-            w.kind
-                .push(if label.is_some() { BRANCH } else { 0 } | if pure { PURE } else { 0 });
             if d != NONE {
                 let r = d as usize;
-                w.defs[r] += 1;
-                w.def_at[r] = p;
+                w.sregs[r].defs += 1;
+                w.sregs[r].last_def = p;
                 cur[r / 64] |= 1 << (r % 64);
             }
-            let Some(l) = label else {
+            let arg = if kind & BRANCH == 0 { d } else { l };
+            w.ops.push(Op {
+                kind,
+                arg,
+                vdst: vd,
+            });
+            if kind & BRANCH == 0 {
                 continue;
-            };
-            w.branches.push((p, l));
+            }
+            w.refs[l as usize] += 1;
             let t = w.label_at[l as usize];
             let entry = &mut at_label[l as usize * words..][..words];
             if t == NONE {
@@ -311,128 +327,61 @@ impl Walk {
             } else if live {
                 w.ok &= entry.iter().zip(&cur).all(|(e, c)| e & !c == 0);
                 // A loop, entered by falling into its header.
-                if t > 0 && !matches!(insts[t as usize - 1], MInst::Jump(_)) {
+                if t > 0 && w.ops[t as usize - 1].kind & JUMP == 0 {
                     w.loops.push((t, p));
                 }
             }
-            live &= !matches!(inst, MInst::Jump(_));
+            live &= kind & JUMP == 0;
         }
-        let label_at = &w.label_at;
         w.ok &= w
-            .branches
+            .label_at
             .iter()
-            .all(|&(_, l)| label_at[l as usize] != NONE);
+            .zip(&w.refs)
+            .all(|(&t, &n)| t != NONE || n == 0);
         (w.cur, w.at_label) = (cur, at_label);
     }
 
-    /// Delete the removable ops nothing reads, until none is left; `live`
-    /// gets which ops stay. A deleted op's operands lose a read: the one
-    /// definition of a register left unread is deleted in turn. When a
-    /// register defined more than once is left unread, sweeps over every
-    /// removable op finish the job.
-    fn sweep(&mut self, insts: &[MInst], live: &mut Vec<bool>, work: &mut Vec<u32>) {
+    /// Delete the [`deletable`] ops nothing reads, sweep after sweep until
+    /// none is left; `live` gets which ops stay. A deleted op's operands
+    /// lose a read. The sweeps run backwards, so that a chain of dead
+    /// definitions goes in one: another sweep runs only when a deletion
+    /// leaves unread a scalar register defined after it (a loop-carried
+    /// chain) or any vector register.
+    fn sweep(&mut self, insts: &[MInst], live: &mut Vec<bool>) {
         live.clear();
         live.resize(insts.len(), true);
-        let unread = |r: u32, reads: &[u32]| r == NONE || reads[r as usize] == 0;
-        work.clear();
-        for &(p, vd) in &self.removable {
-            if unread(self.dst[p as usize], &self.sreads) && unread(vd, &self.vreads) {
-                work.push(p);
-            }
-        }
-        let mut rescan = false;
-        while let Some(p) = work.pop() {
-            if !std::mem::replace(&mut live[p as usize], false) {
-                continue;
-            }
-            // A removable op reads at most three scalar registers and one
-            // vector register (a copy's source).
-            let (mut sregs, mut n, mut vreg) = ([NONE; 3], 0, NONE);
-            insts[p as usize].visit_regs(
-                |r, a| {
-                    if a.reads() {
-                        sregs[n] = r.0;
-                        n += 1;
-                    }
-                },
-                |r, a| {
-                    if a.reads() {
-                        vreg = r.0;
-                    }
-                },
-            );
-            let w = &mut *self;
-            let regs = sregs[..n]
-                .iter()
-                .map(|&r| (r, false))
-                .chain((vreg != NONE).then_some((vreg, true)));
-            for (r, vector) in regs {
-                let (reads, defs, def_at) = if vector {
-                    (&mut w.vreads, &w.vdefs, &w.vdef_at)
-                } else {
-                    (&mut w.sreads, &w.defs, &w.def_at)
-                };
-                let r = r as usize;
-                reads[r] -= 1;
-                if reads[r] > 0 {
-                } else if defs[r] == 1 && def_at[r] != NONE {
-                    if classify(&insts[def_at[r] as usize]).2 {
-                        work.push(def_at[r]);
-                    }
-                } else {
-                    rescan = true;
-                }
-            }
-        }
-        while rescan {
-            rescan = false;
-            for &(p, vd) in &self.removable {
-                let stays = &mut live[p as usize];
-                if !*stays
-                    || !unread(self.dst[p as usize], &self.sreads)
-                    || !unread(vd, &self.vreads)
-                {
+        let mut again = true;
+        while again {
+            again = false;
+            for (p, op) in self.ops.iter().enumerate().rev() {
+                let (d, vd) = (op.arg, op.vdst);
+                let writes = op.kind == 0 && (d != NONE || vd != NONE);
+                let sread = d != NONE && self.sregs[d as usize].reads > 0;
+                let vread = vd != NONE && self.vreads[vd as usize] > 0;
+                if !live[p] || !writes || sread || vread || !deletable(&insts[p]) {
                     continue;
                 }
-                *stays = false;
-                rescan = true;
-                let (sreads, vreads) = (&mut self.sreads, &mut self.vreads);
-                insts[p as usize].visit_regs(
+                live[p] = false;
+                let (sregs, vreads) = (&mut self.sregs, &mut self.vreads);
+                let (mut sagain, mut vagain) = (false, false);
+                insts[p].visit_regs(
                     |r, a| {
                         if a.reads() {
-                            sreads[r.0 as usize] -= 1;
+                            let reg = &mut sregs[r.0 as usize];
+                            reg.reads -= 1;
+                            sagain |= reg.reads == 0 && reg.last_def > p as u32;
                         }
                     },
                     |r, a| {
                         if a.reads() {
                             vreads[r.0 as usize] -= 1;
+                            vagain |= vreads[r.0 as usize] == 0;
                         }
                     },
                 );
+                again |= sagain || vagain;
             }
         }
-    }
-
-    /// The innermost loops whose layout the motion can trust: no other
-    /// loop inside, no branch from outside landing in, and no backward
-    /// branch inside but the latch.
-    fn innermost(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let target = |l: u32| self.label_at[l as usize];
-        let sound = move |&&(i, j): &&(u32, u32)| {
-            let inside = |x: u32| i <= x && x <= j;
-            let nests = self
-                .loops
-                .iter()
-                .any(|&(a, b)| (a, b) != (i, j) && inside(a) && b <= j);
-            !nests
-                && self.branches.iter().all(|&(q, l)| {
-                    let t = target(l);
-                    let enters = inside(t) && !inside(q);
-                    let back = inside(q) && t <= q && (q, t) != (j, i);
-                    !enters && !back
-                })
-        };
-        self.loops.iter().filter(sound).copied()
     }
 }
 
@@ -462,7 +411,7 @@ impl Values {
         last: u32,
     ) -> bool {
         if let Some(&(_, first)) = self.0.iter().find(|(e, _)| *e == expr) {
-            let reads_end = walk.last_read[d as usize];
+            let reads_end = walk.sregs[d as usize].last_read;
             if reads_end <= last {
                 for inst in &mut insts[q + 1..=reads_end as usize] {
                     inst.visit_regs_mut(
@@ -484,98 +433,99 @@ impl Values {
     }
 }
 
+/// Whether an op of `body` combines a vector register with itself into
+/// itself: the loop carries a vector accumulator, which a reduction after
+/// the loop folds.
+fn accumulates(body: &[MInst]) -> bool {
+    body.iter().any(|inst| {
+        let (mut dst, mut sources) = (NONE, [NONE; 4]);
+        let mut n = 0;
+        inst.visit_regs(
+            |_, _| {},
+            |r, a| match a {
+                Access::Read if n < sources.len() => {
+                    sources[n] = r.0;
+                    n += 1;
+                }
+                Access::Read => {}
+                Access::Write | Access::ReadWrite => dst = r.0,
+            },
+        );
+        dst != NONE && sources[..n].contains(&dst)
+    })
+}
+
 /// Hoist and number the innermost loop from header `i` to latch `j`, in
-/// one pass over it. `written[r]` is `i` while the loop writes `r`; the
-/// hoisted ops, as (header, position), go to `hoisted`, and the ops that
-/// leave their place are cleared in `live`.
+/// one pass over it after one that checks its layout. `written[r]` is `i` while the loop writes `r`. A
+/// hoisted op moves in place: the ops from the header to it shift one
+/// down, so the loop's preheader grows in front of its header label and
+/// keeps the hoisted ops in their order. The ops LVN drops are cleared in
+/// `live`, which shifts with the ops.
 fn optimize_loop(
     insts: &mut [MInst],
     walk: &Walk,
     (i, j): (u32, u32),
     live: &mut [bool],
     written: &mut [u32],
-    hoisted: &mut Vec<(u32, u32)>,
     (preheader, block): (&mut Values, &mut Values),
 ) {
+    // The layout must be one the motion can trust: every branch to a
+    // label inside comes from inside, and no backward branch but the
+    // latch. (Another loop inside has its own latch.)
     let body = i as usize..=j as usize;
-    for &d in walk.dst[body.clone()].iter().filter(|&&d| d != NONE) {
-        written[d as usize] = i;
+    let (mut refs, mut inside, mut strip) = (0, 0, false);
+    for p in body.clone() {
+        let Op { kind, arg: a, .. } = walk.ops[p];
+        if kind & LABEL != 0 {
+            refs += walk.refs[a as usize];
+        } else if kind & BRANCH != 0 {
+            let t = walk.label_at[a as usize];
+            if t <= p as u32 && (p as u32, t) != (j, i) {
+                return;
+            }
+            inside += u32::from(i <= t && t <= j);
+        } else if a != NONE {
+            strip |= matches!(insts[p], MInst::SetVl { .. });
+            written[a as usize] = i;
+        }
+    }
+    if refs != inside || strip && accumulates(&insts[body.clone()]) {
+        return;
     }
     // `reach`: the furthest position a branch seen so far jumps forward
     // to; positions before it may be skipped on some iteration.
-    let mut reach = i;
-    let mut jumps = walk.branches.iter().skip_while(|b| b.0 < i);
+    let (mut reach, mut header) = (i, i as usize);
     preheader.0.clear();
     block.0.clear();
     for p in body {
-        let (kind, d) = (walk.kind[p], walk.dst[p]);
-        if kind & LABEL != 0 {
+        let Op { kind, arg: d, .. } = walk.ops[p];
+        if kind & (LABEL | BRANCH) != 0 {
             block.0.clear();
+            if kind & BRANCH != 0 {
+                reach = reach.max(walk.label_at[d as usize]);
+            }
+            continue;
         }
         if !live[p] || d == NONE {
-        } else if walk.defs[d as usize] > 1 {
+        } else if walk.sregs[d as usize].defs > 1 {
             block.clobber(d);
-        } else if let Some(op) = (kind & PURE != 0).then(|| pure_op(&insts[p])).flatten() {
+        } else if let Some(op) = pure_op(&insts[p]) {
             let outside = |o: &u32| *o == NONE || written[*o as usize] != i;
             if reach as usize <= p && op.1.operands().iter().all(outside) {
                 // LICM, then LVN in the preheader.
-                live[p] = false;
                 written[d as usize] = NONE;
-                if !preheader.repeats(insts, p, op, walk, j) {
-                    hoisted.push((i, p as u32));
+                if preheader.repeats(insts, p, op, walk, j) {
+                    live[p] = false;
+                } else {
+                    insts[header..=p].rotate_right(1);
+                    live[header..=p].rotate_right(1);
+                    header += 1;
                 }
             } else if block.repeats(insts, p, op, walk, j) {
                 live[p] = false;
             }
         }
-        if kind & BRANCH != 0 {
-            block.0.clear();
-            if let Some(&(_, l)) = jumps.next() {
-                reach = reach.max(walk.label_at[l as usize]);
-            }
-        }
     }
-}
-
-/// Lay `code` out with the `hoisted` ops, as (header, position) sorted
-/// by header, in their preheaders and the other `live` ops in place.
-fn apply(code: &mut MCode, live: &mut [bool], hoisted: &[(u32, u32)], s: &mut Layout) {
-    // Take the hoisted ops out and drop what leaves its place, noting
-    // where each preheader lands; then put each preheader's ops in, the
-    // last first so that the earlier positions still hold.
-    let Layout { moved, at, .. } = s;
-    moved.clear();
-    at.clear();
-    for &(_, q) in hoisted {
-        live[q as usize] = false;
-        moved.push(std::mem::replace(
-            &mut code.insts[q as usize],
-            MInst::Jump(Label(NONE)),
-        ));
-    }
-    if moved.is_empty() && live.iter().all(|&l| l) {
-        return;
-    }
-    let (mut from, mut kept) = (0, 0);
-    for &(header, _) in hoisted {
-        let header = header as usize;
-        kept += live[from..header].iter().filter(|&&l| l).count();
-        from = header;
-        at.push(kept);
-    }
-    let mut stays = live.iter();
-    code.insts.retain(|_| stays.next() == Some(&true));
-    for group in at.chunk_by(|x, y| x == y).rev() {
-        let ops = moved.drain(moved.len() - group.len()..);
-        code.insts.splice(group[0]..group[0], ops);
-    }
-}
-
-/// The buffers [`apply`] moves ops through.
-#[derive(Default)]
-struct Layout {
-    moved: Vec<MInst>,
-    at: Vec<usize>,
 }
 
 /// Everything the pass allocates, kept between compilations on a thread:
@@ -585,16 +535,12 @@ struct Layout {
 struct Scratch {
     walk: Walk,
     live: Vec<bool>,
-    /// DCE's worklist.
-    work: Vec<u32>,
     written: Vec<u32>,
-    hoisted: Vec<(u32, u32)>,
     values: (Values, Values),
-    layout: Layout,
 }
 
 thread_local! {
-    static SCRATCH: Cell<Scratch> = Cell::default();
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Run the pass on `code`. `n_inputs` registers (the parameters and the
@@ -606,30 +552,34 @@ thread_local! {
 pub fn run(code: &mut MCode, n_inputs: u32) {
     let (n_sregs, n_vregs) = (code.n_sregs as usize, code.n_vregs as usize);
     let n_inputs = (n_inputs as usize).min(n_sregs);
-    let mut s = SCRATCH.take();
-    let Scratch {
-        walk,
-        live,
-        work,
-        written,
-        hoisted,
-        values,
-        layout,
-    } = &mut s;
-    walk.fill(&code.insts, n_sregs, n_vregs, n_inputs);
-    walk.sweep(&code.insts, live, work);
-    hoisted.clear();
-    if walk.ok && walk.undefined.iter().all(|&p| !live[p as usize]) {
-        written.clear();
-        written.resize(n_sregs, NONE);
-        for l in walk.innermost() {
-            let tables = (&mut values.0, &mut values.1);
-            optimize_loop(&mut code.insts, walk, l, live, written, hoisted, tables);
+    SCRATCH.with_borrow_mut(|s| {
+        let Scratch {
+            walk,
+            live,
+            written,
+            values,
+        } = s;
+        walk.fill(&code.insts, n_sregs, n_vregs, n_inputs);
+        walk.sweep(&code.insts, live);
+        if walk.ok && walk.undefined.iter().all(|&p| !live[p as usize]) {
+            written.clear();
+            written.resize(n_sregs, NONE);
+            // In latch order, a loop holds another one exactly when the
+            // loop closed just before it ends inside it.
+            let mut closed = 0;
+            for &(i, j) in &walk.loops {
+                if closed < i {
+                    let tables = (&mut values.0, &mut values.1);
+                    optimize_loop(&mut code.insts, walk, (i, j), live, written, tables);
+                }
+                closed = j;
+            }
         }
-        hoisted.sort_by_key(|h| h.0);
-    }
-    apply(code, live, hoisted, layout);
-    SCRATCH.set(s);
+        if live.contains(&false) {
+            let mut stays = live.iter();
+            code.insts.retain(|_| stays.next() == Some(&true));
+        }
+    });
 }
 
 #[cfg(test)]
@@ -637,7 +587,7 @@ mod tests {
     use super::*;
     use vapor_ir::Value;
     use vapor_targets::{
-        sse, AddrMode, Cond, DecodedProgram, ExecStats, Machine, MemAlign, SReg, Trap, VReg,
+        sse, AddrMode, Cond, DecodedProgram, ExecStats, Label, Machine, MemAlign, SReg, Trap, VReg,
     };
 
     fn r(n: u32) -> SReg {
@@ -962,6 +912,46 @@ mod tests {
         let [(seed, _), (decoded, _)] = execute(&before, [3, 0, 0]);
         let trap = Trap("read of undefined scalar register r9".into());
         assert_eq!((seed, decoded), (Err(trap.clone()), Err(trap)));
+    }
+
+    #[test]
+    fn a_vla_strip_with_a_vector_accumulator_keeps_its_invariants() {
+        // A strip-mined loop: `vl = setvl(n - i)`, then a vector op that
+        // adds v1 into v0 (an accumulator a reduction would fold) or into
+        // v2 (none). `r1 * 8` is invariant either way.
+        let invariant = imm(BinOp::Mul, 5, 1, 8);
+        let strip = |dst: u32, a: u32| {
+            let mut c = looped(
+                vec![],
+                vec![
+                    invariant.clone(),
+                    bin(BinOp::Sub, 6, 0, 3),
+                    MInst::SetVl {
+                        ty: ScalarTy::F32,
+                        dst: r(7),
+                        avl: r(6),
+                    },
+                    MInst::VBinVl {
+                        op: BinOp::Add,
+                        ty: ScalarTy::F32,
+                        dst: VReg(dst),
+                        a: VReg(a),
+                        b: VReg(1),
+                    },
+                    store(5, 0),
+                ],
+            );
+            c.n_vregs = 3;
+            c
+        };
+        let accumulates = strip(0, 0);
+        assert_eq!(optimized(&accumulates), accumulates);
+        let after = optimized(&strip(2, 1));
+        assert!(
+            !in_loop(&after, &invariant),
+            "{}",
+            vapor_targets::disasm(&after)
+        );
     }
 
     #[test]

@@ -50,11 +50,11 @@ use vapor_targets::{
 /// `jit.minsts` (the `[test]` section on the six benchmark targets),
 /// `warm_small`'s `vm_cycles`, and `hot_loops`' `vm_cycles` and
 /// `bytecode_bytes` (the `[full]` section).
-const COLD_CYCLES: u64 = 203_909_819;
+const COLD_CYCLES: u64 = 203_915_955;
 const COLD_BYTES: usize = 1_057_574;
-const COLD_MINSTS: usize = 201_481;
+const COLD_MINSTS: usize = 201_529;
 const WARM_SMALL_CYCLES: u64 = 35_081;
-const HOT_CYCLES: u64 = 214_600_598;
+const HOT_CYCLES: u64 = 215_262_204;
 const HOT_BYTES: usize = 311_760;
 
 const HEADER: &str = "\
