@@ -129,7 +129,7 @@ fn pure_op(inst: &MInst) -> Option<(u32, Expr)> {
     }
 }
 
-/// Kinds of op in [`Walk::kind`], as flags.
+/// Kinds of op in [`Op::kind`], as flags.
 const LABEL: u8 = 1;
 /// A jump or a conditional branch.
 const BRANCH: u8 = 2;
@@ -456,11 +456,11 @@ fn accumulates(body: &[MInst]) -> bool {
 }
 
 /// Hoist and number the innermost loop from header `i` to latch `j`, in
-/// one pass over it after one that checks its layout. `written[r]` is `i` while the loop writes `r`. A
-/// hoisted op moves in place: the ops from the header to it shift one
-/// down, so the loop's preheader grows in front of its header label and
-/// keeps the hoisted ops in their order. The ops LVN drops are cleared in
-/// `live`, which shifts with the ops.
+/// one pass over it after one that checks its layout. `written[r]` is
+/// `i` while the loop writes `r`. A hoisted op moves in place: the ops
+/// from the header to it shift one down, so the loop's preheader grows in
+/// front of its header label and keeps the hoisted ops in their order.
+/// The ops LVN drops are cleared in `live`, which shifts with the ops.
 fn optimize_loop(
     insts: &mut [MInst],
     walk: &Walk,
